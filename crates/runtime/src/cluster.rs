@@ -311,10 +311,11 @@ impl<F: EndpointFactory> RuntimeCluster<F> {
         let deadline = Instant::now() + fetch_timeout;
         // Re-broadcast the fetch periodically within the window: the round
         // is idempotent (snapshots dedupe by peer, stale nonces are
-        // ignored), and a peer's first reply can be lost to a pipeline
-        // still pointing at this server's *previous* incarnation — its
-        // send fails, the pipeline re-resolves, and only a later reply
-        // gets through. One lost one-shot must not starve the quorum.
+        // ignored), and any one frame can be lost in the crash model. A
+        // reply normally rides back on the connection the fetch arrived on
+        // (so the previous incarnation's sockets play no part), but a
+        // donor can itself be mid-restart, or have a write time out. One
+        // lost one-shot must not starve the quorum.
         let rebroadcast_every = (fetch_timeout / 10).max(Duration::from_millis(10));
         'fetch: while transfers.len() < required {
             if Instant::now() >= deadline {
@@ -560,8 +561,7 @@ impl<F: EndpointFactory> RuntimeCluster<F> {
         let mut transfers: BTreeMap<ProcessId, StateTransfer> = BTreeMap::new();
         let result = (|| {
             // Same rebroadcast discipline as `rejoin_server_within`: the
-            // fetch is idempotent and a first reply can be lost to a stale
-            // pipeline.
+            // fetch is idempotent and any one frame can be lost.
             let deadline = Instant::now() + window;
             let rebroadcast_every = (window / 10).max(Duration::from_millis(10));
             'fetch: while transfers.len() < required {
@@ -886,6 +886,55 @@ mod tests {
         cluster.crash_server(0);
         let written = w.write(Value::new(2)).unwrap();
         assert_eq!(r.read().unwrap(), written, "fast read completes with a crashed minority");
+        cluster.shutdown();
+    }
+
+    /// Crash → rejoin cycles over TCP under client traffic, hitting the
+    /// same server repeatedly and then rotating through all of them. The
+    /// donors answer a state fetch on the connection it arrived on, so no
+    /// snapshot is addressed to the victim's previous incarnation and no
+    /// rejoin has to wait for the re-broadcast (`fetch_timeout / 10`).
+    #[test]
+    fn tcp_rejoin_cycles_never_wait_for_a_rebroadcast() {
+        let config = ClusterConfig::new(5, 1, 1, 1).unwrap();
+        let mut cluster =
+            RuntimeCluster::start_on(TcpRegistry::new(), config, Protocol::W2R1).unwrap();
+        // Back-to-back cycles can leave a round short of two servers (the
+        // victim, plus a frame lost to the previous victim's dead socket),
+        // so the clients retry like a deployment's do.
+        let retry = crate::RetryPolicy::new(10, Duration::from_millis(10));
+        let patience = Duration::from_millis(200);
+        let mut w = cluster.writer(0).unwrap().with_timeout(patience).with_retry(retry);
+        let mut r = cluster.reader(0).unwrap().with_timeout(patience).with_retry(retry);
+        let fetch_timeout = Duration::from_secs(5);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let rejoins = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut i = 0;
+                while !done.load(std::sync::atomic::Ordering::Acquire) {
+                    let written = w.write(Value::new(i)).expect("write through the cycles");
+                    assert!(r.read().expect("read through the cycles") >= written);
+                    i += 1;
+                }
+            });
+            // Judged after the scope: a panic in here would leave the
+            // traffic thread running and the scope waiting for it.
+            let rejoins = [2, 2, 2, 2, 0, 1, 2, 3, 4, 0].map(|victim| {
+                cluster.crash_server(victim);
+                let started = Instant::now();
+                let rejoined = cluster.rejoin_server_within(victim, fetch_timeout);
+                (victim, rejoined, started.elapsed())
+            });
+            done.store(true, std::sync::atomic::Ordering::Release);
+            rejoins
+        });
+        for (cycle, (victim, rejoined, took)) in rejoins.into_iter().enumerate() {
+            rejoined.unwrap();
+            assert!(
+                took < fetch_timeout / 20,
+                "cycle {cycle}: rejoin of server {victim} took {took:?}"
+            );
+        }
         cluster.shutdown();
     }
 

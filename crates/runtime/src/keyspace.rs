@@ -238,8 +238,9 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
             };
         let deadline = Instant::now() + fetch_timeout;
         // Same re-broadcast discipline as the single-register rejoin: the
-        // round is idempotent and a peer's first reply can be lost to a
-        // pipeline still aimed at this server's previous incarnation.
+        // round is idempotent and any one frame can be lost in the crash
+        // model (replies ride back on the fetch's own connection, so this
+        // server's previous incarnation plays no part in that).
         let rebroadcast_every = (fetch_timeout / 10).max(Duration::from_millis(10));
         'fetch: while !quorate(&gathered) {
             if Instant::now() >= deadline {
@@ -802,6 +803,61 @@ mod tests {
         assert_eq!(cluster.members(), vec![0, 1, 2, 3, 4], "routing unchanged");
         assert_eq!(cluster.live_servers(), vec![4], "joiners torn down");
         assert_eq!(cluster.epoch(), mwr_types::ConfigEpoch::new(2), "rolled forward");
+        cluster.shutdown();
+    }
+
+    /// The keyspace twin of the register cluster's rejoin-cycle test:
+    /// same-victim then rotating crash → rejoin over TCP under traffic on
+    /// two keys; per-shard snapshots ride back on the fetch's connection,
+    /// so no rejoin waits for the re-broadcast (`fetch_timeout / 10`).
+    #[test]
+    fn tcp_keyspace_rejoin_cycles_never_wait_for_a_rebroadcast() {
+        let config = KeyspaceConfig::new(5, 1, 3, 8, 1, 1).unwrap();
+        let mut cluster =
+            KeyspaceCluster::start_on(TcpRegistry::new(), config, Protocol::W2R1).unwrap();
+        let hub = ClientHub::new(&cluster);
+        // Back-to-back cycles can leave a round short of two servers (the
+        // victim, plus a frame lost to the previous victim's dead socket),
+        // so the clients retry like a deployment's do.
+        let retry = crate::RetryPolicy::new(10, Duration::from_millis(10));
+        let patience = Duration::from_millis(200);
+        let patient = |(w, r): (LiveWriter<_>, LiveReader<_>)| {
+            (w.with_timeout(patience).with_retry(retry), r.with_timeout(patience).with_retry(retry))
+        };
+        let (mut w1, mut r1) = patient(hub.scoped(&cluster, RegisterId::new(1)));
+        let (mut w2, mut r2) = patient(hub.scoped(&cluster, RegisterId::new(2)));
+        let fetch_timeout = Duration::from_secs(5);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let rejoins = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut i = 0;
+                while !done.load(std::sync::atomic::Ordering::Acquire) {
+                    for (w, r) in [(&mut w1, &mut r1), (&mut w2, &mut r2)] {
+                        let written = w.write(Value::new(i)).expect("write through the cycles");
+                        assert!(r.read().expect("read through the cycles") >= written);
+                    }
+                    i += 1;
+                }
+            });
+            // Judged after the scope: a panic in here would leave the
+            // traffic thread running and the scope waiting for it.
+            let rejoins = [2, 2, 2, 2, 0, 1, 2, 3, 4, 0].map(|victim| {
+                cluster.crash_server(victim);
+                let started = Instant::now();
+                let rejoined = cluster.rejoin_server_within(victim, fetch_timeout);
+                (victim, rejoined, started.elapsed())
+            });
+            done.store(true, std::sync::atomic::Ordering::Release);
+            rejoins
+        });
+        for (cycle, (victim, rejoined, took)) in rejoins.into_iter().enumerate() {
+            rejoined.unwrap();
+            assert!(
+                took < fetch_timeout / 20,
+                "cycle {cycle}: rejoin of server {victim} took {took:?}"
+            );
+        }
+        drop((w1, r1, w2, r2));
         cluster.shutdown();
     }
 

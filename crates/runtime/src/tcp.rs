@@ -1,5 +1,6 @@
 //! A TCP transport: length-prefixed frames carrying the hand-rolled wire
-//! codec from `mwr-types`, sent through per-peer writer pipelines.
+//! codec from `mwr-types`, sent through per-peer writer pipelines over
+//! **one TCP connection per pair of processes**.
 //!
 //! Every process owns a listening socket; a registry maps process ids to
 //! socket addresses. Frames are `u32` big-endian length followed by
@@ -7,14 +8,41 @@
 //!
 //! # Hot path
 //!
-//! The transport is built for throughput:
+//! The paper prices an operation in round trips, so the cost of one
+//! request/reply exchange is what this module is built around:
 //!
+//! - **One connection per peer pair, replies ride the request's socket.**
+//!   Each endpoint keeps a connection table (`peer → live connection`)
+//!   that either side of a pair may fill. *Who dials:* whoever has a frame
+//!   for a peer and finds no live entry — in a cluster that is the client
+//!   (or a rejoining server fetching state), never a server answering.
+//!   The dialer enters the socket under the peer it dialed and hands it to
+//!   its own reader; the acceptor's side enters it under the `from` of the
+//!   first frame read from it. *Who replies where:* a send looks the peer
+//!   up and writes on the live connection, so a server's ack travels back
+//!   on the socket the request arrived on, the kernel piggybacks its TCP
+//!   ACK on that reply (one segment per `send` instead of two), and a
+//!   peer that re-binds is answered on the connection its new incarnation
+//!   opened — no pipeline is left pointing at the previous incarnation's
+//!   address. *When an entry is retired:* the moment the reader sees EOF,
+//!   an I/O error, a corrupt or oversized frame, or a frame naming a
+//!   different sender than the connection's first one — or a writer's
+//!   `write` fails or times out. Retiring marks the connection dead, shuts
+//!   the socket down and empties the entry, so no later send pushes a
+//!   frame into a socket already known dead; the next one uses whatever
+//!   connection the peer opened meanwhile, or dials. *Why FIFO holds:* an
+//!   entry is filled only while none is live, so a sender never
+//!   alternates between two live connections to one peer, and all writes
+//!   to a peer are serialized by its pipeline's lock. When both sides
+//!   dial at the same instant each keeps the connection it dialed for its
+//!   own direction (the other one is read, never written): two sockets
+//!   for that pair until one dies, each direction still on exactly one.
 //! - **Per-peer writer pipelines.** Each destination gets its own I/O
-//!   state (connection + reusable encode buffer) behind its own lock,
-//!   plus a bounded queue drained by a dedicated thread. When the peer is
-//!   idle, a send writes **inline** on the sender's thread — one lock,
-//!   one encode, one `write_all`, no handoff. When the peer's I/O is busy
-//!   (another thread mid-write, a write blocked on a slow peer, a
+//!   state (cached connection + reusable encode buffer) behind its own
+//!   lock, plus a bounded queue drained by a dedicated thread. When the
+//!   peer is idle, a send writes **inline** on the sender's thread — one
+//!   lock, one encode, one `write_all`, no handoff. When the peer's I/O is
+//!   busy (another thread mid-write, a write blocked on a slow peer, a
 //!   reconnect in progress), the sender enqueues and moves on: one
 //!   stalled destination cannot stall the rest of a broadcast, which the
 //!   pre-pipeline path's endpoint-wide lock guaranteed it would.
@@ -24,40 +52,43 @@
 //!   batch, sized exactly via `Wire::encoded_len`, no per-message buffer.
 //!   The inline path writes length-prefix and body as one syscall too,
 //!   where the old path issued two.
-//! - **Reconnect backoff + stall bounding.** Connection management lives
-//!   inside the pipeline: a failed `connect` is negative-cached for
+//! - **Reconnect backoff + stall bounding.** Dialing lives inside the
+//!   pipeline: a failed `connect` is negative-cached for
 //!   [`TcpTuning::reconnect_backoff`], so a crashed peer costs one failed
-//!   syscall per backoff window instead of one per message, and pipeline
-//!   sockets carry a [`TcpTuning::write_timeout`] so a stalled peer
-//!   (connected but not reading) can block a sender for at most the
-//!   timeout before being negative-cached too. Frames to an unreachable
-//!   peer are dropped — precisely the crash model the quorum protocols
-//!   tolerate. The cache is **forgiven early by inbound traffic**: a
-//!   frame arriving *from* a negative-cached peer after its last failure
-//!   is proof the peer is back, so the next send reconnects immediately
-//!   instead of silently dropping frames for the rest of the backoff —
-//!   without this, a recovered peer stayed unreachable for up to a full
-//!   backoff window after it had already resumed talking to us.
-//! - **One shared reader per endpoint.** Accepted connections are set
-//!   non-blocking and adopted by a single readiness-driven reader thread
-//!   (poll(2) through the vendored `polling` stand-in) instead of parking
-//!   one blocking thread per connection. An 8×8 cluster endpoint owns one
-//!   reader, not sixteen; one `poll` wake-up drains every ready socket
-//!   before sleeping again, so bursty quorum traffic costs a fraction of
-//!   a wake-up per frame (measured by [`ReaderStats`]). Each adopted
-//!   socket keeps a reusable buffer that frames are decoded from in
-//!   place — the per-connection buffering the old reader threads had,
-//!   carried into the shared reader — and a per-drain byte budget yields
-//!   a fire-hosing socket back to the poller so its peers on the same
-//!   reader are never starved. The pre-shared-reader receive path (one
-//!   blocking `BufReader` thread per connection) is kept behind
+//!   syscall per backoff window instead of one per message, and every
+//!   socket (dialed or accepted) carries a [`TcpTuning::write_timeout`] so
+//!   a stalled peer (connected but not reading) can block a sender for at
+//!   most the timeout before being retired and negative-cached too.
+//!   Frames to an unreachable peer are dropped — precisely the crash model
+//!   the quorum protocols tolerate. Only an attempt that *failed* renews
+//!   the cache: batches dropped because the cache said so leave it alone,
+//!   so a sender that never pauses still re-dials once per backoff. The
+//!   cache is **forgiven early by inbound traffic**: a frame arriving
+//!   *from* a negative-cached peer after its last failure is proof the
+//!   peer is back, so the next send reconnects immediately — and when that
+//!   frame came in on a connection the peer dialed, the send simply uses
+//!   it and never consults the cache.
+//! - **One shared reader per endpoint.** Every connection of the table,
+//!   dialed as well as accepted, is adopted by a single readiness-driven
+//!   reader thread (poll(2) through the vendored `polling` stand-in)
+//!   instead of parking one blocking thread per connection. Sender and
+//!   handler threads write on the sockets the reader reads, so the
+//!   sockets stay *blocking* (`O_NONBLOCK` is shared by both directions)
+//!   and the reader does exactly one `read` per readiness event: a
+//!   reported socket has bytes or an EOF waiting, so that read returns at
+//!   once, and level-triggered `poll` re-reports whatever it left behind —
+//!   no trailing `WouldBlock` probe, and a fire-hosing socket gets one
+//!   chunk per wake-up like everyone else. Each adopted socket keeps a
+//!   reusable buffer that frames are decoded from in place. The
+//!   pre-shared-reader receive path (one blocking `BufReader` thread per
+//!   connection, two one-way connections per pair) is kept behind
 //!   [`TcpTuning::shared_reader`]` = false` so benchmarks can measure the
 //!   before/after, and is the automatic fallback on targets with no
 //!   readiness queue.
 //!
-//! Dropping the endpoint tears the pipelines down cleanly: queued frames
-//! are flushed, writer threads join, the acceptor stops, and the shared
-//! reader is joined — which closes every adopted connection *before*
+//! Dropping the endpoint tears everything down cleanly: the acceptor
+//! stops, queued frames are flushed and writer threads join, and the
+//! shared reader is joined — which closes every connection *before*
 //! `drop` returns, observable through [`TcpEndpoint::connection_gauge`].
 //! The pre-pipeline hot path (direct-write sends under one endpoint-wide
 //! lock, per-frame receive allocations) is kept behind
@@ -67,7 +98,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -135,12 +166,13 @@ pub struct TcpTuning {
     /// pipeline against its predecessor on the same binary. Implies
     /// thread-per-connection receive (`shared_reader` is ignored).
     pub legacy_send: bool,
-    /// Drain all accepted connections with one readiness-driven reader
-    /// thread per endpoint instead of one blocking thread per connection
-    /// (the default). `false` restores the thread-per-connection receive
-    /// path so benchmarks can measure the fan-in on the same binary; on
-    /// targets with no readiness queue the transport falls back to
-    /// thread-per-connection automatically.
+    /// Read every connection with one readiness-driven reader thread per
+    /// endpoint and keep one connection per peer pair, replies written on
+    /// the socket the request came in on (the default). `false` restores
+    /// the thread-per-connection receive path with its two one-way
+    /// connections per pair, so benchmarks can measure the difference on
+    /// the same binary; on targets with no readiness queue the transport
+    /// falls back to it automatically.
     pub shared_reader: bool,
 }
 
@@ -202,7 +234,8 @@ pub struct ReaderStats {
     pub wakes: u64,
     /// Frames decoded and delivered to the inbox.
     pub frames: u64,
-    /// Accepted connections currently adopted by the reader.
+    /// Connections currently adopted by the reader, dialed and accepted
+    /// alike: one per peer this endpoint is talking to.
     pub open_connections: usize,
 }
 
@@ -282,16 +315,62 @@ impl EndpointFactory for TcpRegistry {
     }
 }
 
-/// The I/O half of a peer pipeline: the connection, the reusable encode
-/// buffer, and the reconnect negative cache. Shared by the inline fast
-/// path (sender thread) and the drain thread, under one per-peer mutex.
+/// One TCP connection, shared by the reader (which reads it) and the one
+/// pipeline that writes it (`&TcpStream` is both `Read` and `Write`).
+#[derive(Debug)]
+struct Conn {
+    stream: TcpStream,
+    /// Set once by whoever first learns the socket is finished — the
+    /// reader on EOF/error, a writer on a failed or timed-out `write` —
+    /// so the other side stops using it without touching the socket.
+    dead: AtomicBool,
+}
+
+impl Conn {
+    /// Wraps a fresh socket, dialed or accepted: no Nagle delay on either
+    /// direction, writes bounded by [`TcpTuning::write_timeout`], reads by
+    /// [`READ_GUARD`].
+    fn new(stream: TcpStream, tuning: TcpTuning) -> Arc<Conn> {
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(Some(READ_GUARD));
+        if !tuning.write_timeout.is_zero() {
+            let _ = stream.set_write_timeout(Some(tuning.write_timeout));
+        }
+        Arc::new(Conn { stream, dead: AtomicBool::new(false) })
+    }
+
+    fn is_live(&self) -> bool {
+        !self.dead.load(Ordering::Acquire)
+    }
+
+    /// Marks the connection dead and shuts the socket down both ways: the
+    /// peer sees the close now rather than when the last `Arc` drops, and
+    /// a reader still polling the socket is woken to reap it.
+    fn kill(&self) {
+        if !self.dead.swap(true, Ordering::AcqRel) {
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// The I/O half of a peer pipeline: the connection in use, the reusable
+/// encode buffer, and the reconnect negative cache. Shared by the inline
+/// fast path (sender thread) and the drain thread, under one per-peer
+/// mutex — which also makes this the only writer of the connection.
 #[derive(Debug)]
 struct PeerIo {
     from: ProcessId,
     to: ProcessId,
     registry: TcpRegistry,
     tuning: TcpTuning,
-    conn: Option<TcpStream>,
+    /// The endpoint's shared reader, whose connection table this pipeline
+    /// sends through; `None` on the thread-per-connection receive paths,
+    /// where the pipeline dials a private, write-only connection.
+    reader: Option<Arc<ReaderShared>>,
+    /// The connection last written on. With a shared reader this is the
+    /// table's entry for `to` for as long as it is live, cached here so a
+    /// steady-state send costs one atomic load, not a table lookup.
+    conn: Option<Arc<Conn>>,
     buf: BytesMut,
     last_failed: Option<Instant>,
     inbound: InboundSeen,
@@ -299,11 +378,11 @@ struct PeerIo {
 
 impl PeerIo {
     /// Encodes `msgs` as one coalesced frame batch and writes it with a
-    /// single `write_all`. Reconnects (under the negative-cache backoff)
-    /// inside the pipeline; on a dead cached connection, reconnects once
-    /// and retries the whole batch (parity with the old per-message
-    /// retry). An unreachable peer drops the batch — the crash model's
-    /// message loss.
+    /// single `write_all` on the peer's live connection, dialing (under
+    /// the negative-cache backoff) only when there is none; on a dead
+    /// connection, finds or dials another once and retries the whole
+    /// batch (parity with the old per-message retry). An unreachable peer
+    /// drops the batch — the crash model's message loss.
     fn write_frames(&mut self, msgs: &[Msg], stats: &PipelineStats) {
         self.buf.clear();
         let mut framed = 0u64;
@@ -325,26 +404,32 @@ impl PeerIo {
             return;
         }
         let mut delivered = false;
+        let mut write_failed = false;
         for _ in 0..2 {
-            if self.conn.is_none() {
-                self.conn = self.try_connect(stats);
-            }
-            let Some(stream) = self.conn.as_mut() else { break };
-            if stream.write_all(&self.buf).and_then(|()| stream.flush()).is_ok() {
+            self.ensure_conn(stats);
+            let Some(conn) = &self.conn else { break };
+            if (&conn.stream).write_all(&self.buf).is_ok() {
                 delivered = true;
                 break;
             }
-            self.conn = None;
+            write_failed = true;
+            self.retire_conn();
         }
         if delivered {
             stats.batches.fetch_add(1, Ordering::Relaxed);
             stats.frames_sent.fetch_add(framed, Ordering::Relaxed);
         } else {
-            // Failed delivery (dead socket, stalled peer hitting the
-            // write timeout) negative-caches the peer like a failed
-            // connect, so the next batches drop fast instead of stalling
-            // the sender for another timeout each.
-            self.last_failed = Some(Instant::now());
+            // A write that failed in this call (dead socket, stalled peer
+            // hitting the write timeout) negative-caches the peer like a
+            // failed connect, so the next batches drop fast instead of
+            // stalling the sender for another timeout each. A batch
+            // dropped *because* the cache said so must not renew it: the
+            // window would slide with every send, and a sender that never
+            // pauses for a whole backoff would never re-dial a peer that
+            // came back.
+            if write_failed {
+                self.last_failed = Some(Instant::now());
+            }
             stats.frames_dropped.fetch_add(framed, Ordering::Relaxed);
         }
         // Don't let one full-info burst pin its high-water capacity for
@@ -354,13 +439,37 @@ impl PeerIo {
         }
     }
 
+    /// Leaves in `self.conn` the connection to write on: the cached one
+    /// while it is live, else the table's live entry for the peer (a
+    /// connection the peer dialed), else a fresh dial — or `None` when the
+    /// peer is unreachable.
+    fn ensure_conn(&mut self, stats: &PipelineStats) {
+        if self.conn.as_ref().is_some_and(|conn| conn.is_live()) {
+            return;
+        }
+        let entry = self.reader.as_ref().and_then(|reader| reader.live(self.to));
+        self.conn = entry.or_else(|| self.try_connect(stats));
+    }
+
+    /// Gives up the connection after a failed write: a partial frame may
+    /// be on the wire, so nothing more can be sent on it.
+    fn retire_conn(&mut self) {
+        // Without a shared reader the connection is private: dropping it
+        // here closes it.
+        if let (Some(conn), Some(reader)) = (self.conn.take(), &self.reader) {
+            reader.retire(Some(self.to), &conn);
+        }
+    }
+
     /// Attempts one connection, respecting the negative cache: after a
     /// failed connect, no syscall is issued until the backoff has elapsed
     /// — unless the peer has been *heard from* since the failure, which
     /// forgives the cache immediately (a restarted peer that already
     /// resumed sending must not keep losing our frames for the rest of
-    /// the backoff window).
-    fn try_connect(&mut self, stats: &PipelineStats) -> Option<TcpStream> {
+    /// the backoff window). With a shared reader the new connection
+    /// enters the table and is handed to the reader, so replies come back
+    /// on it.
+    fn try_connect(&mut self, stats: &PipelineStats) -> Option<Arc<Conn>> {
         if let Some(at) = self.last_failed {
             let forgiven = self.inbound.lock().get(&self.to).is_some_and(|&seen| seen > at);
             if forgiven {
@@ -375,12 +484,12 @@ impl PeerIo {
         stats.connect_attempts.fetch_add(1, Ordering::Relaxed);
         match TcpStream::connect(addr) {
             Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                if !self.tuning.write_timeout.is_zero() {
-                    let _ = stream.set_write_timeout(Some(self.tuning.write_timeout));
-                }
                 self.last_failed = None;
-                Some(stream)
+                let conn = Conn::new(stream, self.tuning);
+                Some(match &self.reader {
+                    Some(reader) => reader.enter_dialed(self.to, conn),
+                    None => conn,
+                })
             }
             Err(_) => {
                 self.last_failed = Some(Instant::now());
@@ -398,6 +507,30 @@ struct DrainState {
     join: Option<JoinHandle<()>>,
 }
 
+/// The part of a pipeline its drain thread shares with senders.
+#[derive(Debug)]
+struct PipelineCore {
+    from: ProcessId,
+    to: ProcessId,
+    tuning: TcpTuning,
+    /// Frames enqueued but not yet written/dropped by the drain thread.
+    /// Checked (under the I/O lock) by the inline path: writing inline
+    /// while a queued frame is pending would reorder the peer's stream.
+    pending: AtomicU64,
+    io: Mutex<PeerIo>,
+    stats: PipelineStats,
+}
+
+/// Everything a sender needs of one pipeline. The drain thread holds only
+/// the [`PipelineCore`], so dropping the last `PipelineShared` drops the
+/// queue's sender and lets that thread flush and exit.
+#[derive(Debug)]
+struct PipelineShared {
+    core: Arc<PipelineCore>,
+    tx: Sender<Msg>,
+    drain: Mutex<DrainState>,
+}
+
 /// One destination's writer pipeline: per-peer I/O state behind its own
 /// lock, a bounded overflow queue, and a lazily-spawned drain thread.
 ///
@@ -411,19 +544,12 @@ struct DrainState {
 /// batched writes. The drain thread is spawned on the first fallback, so
 /// uncontended endpoints (the common case: one sending thread per
 /// endpoint) never pay a parked thread per peer.
-#[derive(Debug)]
+///
+/// A clone is one reference-count bump: senders take one under the
+/// endpoint's pipeline map lock and do all I/O and enqueueing outside it.
+#[derive(Debug, Clone)]
 struct PeerPipeline {
-    from: ProcessId,
-    to: ProcessId,
-    tuning: TcpTuning,
-    tx: Sender<Msg>,
-    /// Frames enqueued but not yet written/dropped by the drain thread.
-    /// Checked (under the I/O lock) by the inline path: writing inline
-    /// while a queued frame is pending would reorder the peer's stream.
-    pending: Arc<AtomicU64>,
-    io: Arc<Mutex<PeerIo>>,
-    stats: Arc<PipelineStats>,
-    drain: Arc<Mutex<DrainState>>,
+    shared: Arc<PipelineShared>,
 }
 
 impl PeerPipeline {
@@ -433,84 +559,52 @@ impl PeerPipeline {
         registry: TcpRegistry,
         tuning: TcpTuning,
         inbound: InboundSeen,
+        reader: Option<Arc<ReaderShared>>,
     ) -> PeerPipeline {
         // Clamp at the transport layer, not just in the facade's knob
         // validation: a zero-capacity bounded channel can never accept a
         // frame, which would wedge the first fallback send forever.
         let (tx, rx) = bounded(tuning.queue_depth.max(1));
-        PeerPipeline {
+        let core = PipelineCore {
             from,
             to,
             tuning,
-            tx,
-            pending: Arc::new(AtomicU64::new(0)),
-            io: Arc::new(Mutex::new(PeerIo {
+            pending: AtomicU64::new(0),
+            io: Mutex::new(PeerIo {
                 from,
                 to,
                 registry,
                 tuning,
+                reader,
                 conn: None,
                 buf: BytesMut::new(),
                 last_failed: None,
                 inbound,
-            })),
-            stats: Arc::new(PipelineStats::default()),
-            drain: Arc::new(Mutex::new(DrainState { rx: Some(rx), join: None })),
+            }),
+            stats: PipelineStats::default(),
+        };
+        PeerPipeline {
+            shared: Arc::new(PipelineShared {
+                core: Arc::new(core),
+                tx,
+                drain: Mutex::new(DrainState { rx: Some(rx), join: None }),
+            }),
         }
     }
 
-    /// The cheaply-cloneable pieces a sender needs, so the endpoint's
-    /// pipeline map lock is released before any I/O or enqueue happens.
-    fn handles(&self) -> PipelineHandles {
-        PipelineHandles {
-            from: self.from,
-            to: self.to,
-            tuning: self.tuning,
-            tx: self.tx.clone(),
-            pending: Arc::clone(&self.pending),
-            io: Arc::clone(&self.io),
-            stats: Arc::clone(&self.stats),
-            drain: Arc::clone(&self.drain),
-        }
-    }
-
-    /// Drops the queue's sender (letting any drain thread flush what is
-    /// queued and exit) and joins it.
-    fn shutdown(self) {
-        let PeerPipeline { tx, drain, .. } = self;
-        drop(tx);
-        let join = drain.lock().join.take();
-        if let Some(join) = join {
-            let _ = join.join();
-        }
-    }
-}
-
-/// A sender's view of one pipeline, detached from the endpoint's map.
-struct PipelineHandles {
-    from: ProcessId,
-    to: ProcessId,
-    tuning: TcpTuning,
-    tx: Sender<Msg>,
-    pending: Arc<AtomicU64>,
-    io: Arc<Mutex<PeerIo>>,
-    stats: Arc<PipelineStats>,
-    drain: Arc<Mutex<DrainState>>,
-}
-
-impl PipelineHandles {
     /// Sends `msg` through the fast inline path when the peer is idle,
     /// falling back to the queue + drain thread when it is busy. Blocks
     /// only when a live peer's bounded queue is full (backpressure); a
     /// dead peer's pipeline drains by dropping, so it cannot exert
     /// backpressure on the sender.
     fn send(&self, msg: Msg) -> Result<(), SendError<Msg>> {
-        if let Some(mut io) = self.io.try_lock() {
+        let core = &self.shared.core;
+        if let Some(mut io) = core.io.try_lock() {
             // Holding the I/O lock proves the drain thread is not
             // mid-write; zero pending frames proves none are waiting to
             // be written. Together they make the inline write FIFO-safe.
-            if self.pending.load(Ordering::SeqCst) == 0 {
-                io.write_frames(std::slice::from_ref(&msg), &self.stats);
+            if core.pending.load(Ordering::SeqCst) == 0 {
+                io.write_frames(std::slice::from_ref(&msg), &core.stats);
                 return Ok(());
             }
         }
@@ -519,11 +613,11 @@ impl PipelineHandles {
         // OS refuses the thread, the frame is dropped like any other
         // unreachable-peer loss rather than wedging the sender.
         if self.ensure_drain().is_err() {
-            self.stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
+            core.stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        self.tx.send(msg)
+        core.pending.fetch_add(1, Ordering::SeqCst);
+        self.shared.tx.send(msg)
     }
 
     /// Spawns the drain thread on first use.
@@ -535,19 +629,16 @@ impl PipelineHandles {
     /// failed attempt), so fallback sends keep dropping instead of
     /// queueing onto a consumer-less channel.
     fn ensure_drain(&self) -> std::io::Result<()> {
-        let mut drain = self.drain.lock();
+        let mut drain = self.shared.drain.lock();
         if let Some(rx) = drain.rx.take() {
             // Deliberately never touches the per-peer io lock: the drain
             // thread is being spawned precisely because that lock may be
             // held across a stalled write right now.
-            let io = Arc::clone(&self.io);
-            let pending = Arc::clone(&self.pending);
-            let stats = Arc::clone(&self.stats);
-            let (from, to, tuning) = (self.from, self.to, self.tuning);
+            let core = Arc::clone(&self.shared.core);
             drain.join = Some(
                 thread::Builder::new()
-                    .name(format!("tcp-writer-{from}-{to}"))
-                    .spawn(move || drain_loop(&rx, tuning, &io, &pending, &stats))?,
+                    .name(format!("tcp-writer-{}-{}", core.from, core.to))
+                    .spawn(move || drain_loop(&rx, &core))?,
             );
         } else if drain.join.is_none() {
             // A previous spawn failed and consumed the receiver: this
@@ -557,31 +648,36 @@ impl PipelineHandles {
         }
         Ok(())
     }
+
+    /// Drops the queue's sender (letting any drain thread flush what is
+    /// queued and exit) and joins it. Only the endpoint's `Drop` calls
+    /// this, on the map's own handle: no sender can still hold a clone.
+    fn shutdown(self) {
+        let join = self.shared.drain.lock().join.take();
+        drop(self);
+        if let Some(join) = join {
+            let _ = join.join();
+        }
+    }
 }
 
-fn drain_loop(
-    rx: &Receiver<Msg>,
-    tuning: TcpTuning,
-    io: &Mutex<PeerIo>,
-    pending: &AtomicU64,
-    stats: &PipelineStats,
-) {
-    let mut batch: Vec<Msg> = Vec::with_capacity(tuning.batch);
+fn drain_loop(rx: &Receiver<Msg>, core: &PipelineCore) {
+    let mut batch: Vec<Msg> = Vec::with_capacity(core.tuning.batch);
     // `recv` keeps yielding queued frames after the endpoint drops its
     // sender, so teardown flushes the queue before the thread exits.
     while let Ok(first) = rx.recv() {
-        let mut io = io.lock();
+        let mut io = core.io.lock();
         batch.push(first);
-        while batch.len() < tuning.batch {
+        while batch.len() < core.tuning.batch {
             match rx.try_recv() {
                 Ok(msg) => batch.push(msg),
                 Err(_) => break,
             }
         }
-        io.write_frames(&batch, stats);
+        io.write_frames(&batch, &core.stats);
         // Decrement before releasing the I/O lock: an inline sender that
         // acquires it next must see these frames accounted as written.
-        pending.fetch_sub(batch.len() as u64, Ordering::SeqCst);
+        core.pending.fetch_sub(batch.len() as u64, Ordering::SeqCst);
         batch.clear();
     }
 }
@@ -591,25 +687,90 @@ fn drain_loop(
 /// larger than one chunk).
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Per-drain byte budget of the shared reader: after this many bytes from
-/// one socket it moves on, and the level-triggered poller re-reports the
-/// leftover readiness on the next wait — a fire-hosing peer cannot starve
-/// the other connections on the same reader thread.
-const DRAIN_BUDGET: usize = 1024 * 1024;
+/// Receive timeout on adopted sockets. The reader only reads a socket
+/// `poll` just reported, so the read returns at once; should the kernel
+/// ever report readiness it then takes back, this bounds the one thread
+/// every connection of the endpoint depends on instead of parking it.
+const READ_GUARD: Duration = Duration::from_millis(5);
+
+/// A connection on its way to the shared reader: accepted ones come with
+/// no peer (the first frame names it), dialed ones with the peer dialed.
+#[derive(Debug)]
+struct Adoption {
+    conn: Arc<Conn>,
+    peer: Option<ProcessId>,
+}
 
 /// State shared between an endpoint's shared reader thread, its acceptor
-/// (which hands fresh sockets over), and its owner (stop/stats).
+/// and writer pipelines (which hand fresh sockets over and look up the
+/// connection table), and its owner (stop/stats).
 #[derive(Debug)]
 struct ReaderShared {
     poller: Poller,
-    /// Accepted, not-yet-adopted connections; the acceptor pushes and
-    /// notifies, the reader drains on its next wake.
-    handoff: Mutex<Vec<TcpStream>>,
+    /// The connection table: for each peer, the one connection frames to
+    /// it are written on. An entry is filled — by a pipeline that dialed,
+    /// or by the reader for an accepted connection's first frame — only
+    /// while none is live, and emptied by [`ReaderShared::retire`].
+    table: Mutex<HashMap<ProcessId, Arc<Conn>>>,
+    /// Connections not yet adopted; the acceptor and the pipelines push
+    /// and notify, the reader drains on its next wake.
+    handoff: Mutex<Vec<Adoption>>,
     stop: AtomicBool,
     wakes: AtomicU64,
     frames: AtomicU64,
     /// Adopted-connection gauge — the endpoint's [`TcpEndpoint::connection_gauge`].
     conns: Arc<AtomicUsize>,
+}
+
+impl ReaderShared {
+    /// The live connection to `peer`, if the table holds one.
+    fn live(&self, peer: ProcessId) -> Option<Arc<Conn>> {
+        self.table.lock().get(&peer).filter(|conn| conn.is_live()).cloned()
+    }
+
+    /// Enters `conn` as the connection to `peer` unless a live one is
+    /// already there, and returns the entry either way: a sender never
+    /// has two live connections to choose between.
+    fn enter(&self, peer: ProcessId, conn: Arc<Conn>) -> Arc<Conn> {
+        let mut table = self.table.lock();
+        match table.get(&peer) {
+            Some(entry) if entry.is_live() => Arc::clone(entry),
+            _ => {
+                table.insert(peer, Arc::clone(&conn));
+                conn
+            }
+        }
+    }
+
+    /// Enters a connection a pipeline just dialed and hands it to the
+    /// reader, so the peer's replies are read off it. If the peer's own
+    /// dial was entered in the meantime, that one is used and the fresh
+    /// socket is closed unwritten.
+    fn enter_dialed(&self, peer: ProcessId, conn: Arc<Conn>) -> Arc<Conn> {
+        let entry = self.enter(peer, Arc::clone(&conn));
+        if Arc::ptr_eq(&entry, &conn) {
+            self.adopt(Adoption { conn, peer: Some(peer) });
+        }
+        entry
+    }
+
+    fn adopt(&self, adoption: Adoption) {
+        self.handoff.lock().push(adoption);
+        let _ = self.poller.notify();
+    }
+
+    /// Kills `conn` and empties its table entry, if it has one. Called by
+    /// the reader the moment it sees the connection end and by a writer
+    /// whose `write` failed; whoever comes second finds nothing to do.
+    fn retire(&self, peer: Option<ProcessId>, conn: &Arc<Conn>) {
+        conn.kill();
+        if let Some(peer) = peer {
+            let mut table = self.table.lock();
+            if table.get(&peer).is_some_and(|entry| Arc::ptr_eq(entry, conn)) {
+                table.remove(&peer);
+            }
+        }
+    }
 }
 
 /// The shared reader thread's handle held by the endpoint.
@@ -632,60 +793,59 @@ fn stream_fd(_stream: &TcpStream) -> polling::Source {
     -1
 }
 
-/// One connection adopted by the shared reader: the non-blocking socket
-/// plus its reusable receive buffer (`buf[..filled]` holds bytes read but
-/// not yet decoded), carried across wake-ups like the per-connection
-/// reader threads carried theirs across frames.
+/// One connection adopted by the shared reader: the socket, the peer it
+/// belongs to (fixed by the first frame, or by the dial) and its reusable
+/// receive buffer (`buf[..filled]` holds bytes read but not yet decoded),
+/// carried across wake-ups like the per-connection reader threads carried
+/// theirs across frames.
 #[derive(Debug)]
 struct SharedConn {
-    stream: TcpStream,
+    conn: Arc<Conn>,
+    peer: Option<ProcessId>,
     buf: Vec<u8>,
     filled: usize,
     last_mark: Option<Instant>,
 }
 
 impl SharedConn {
-    fn new(stream: TcpStream) -> SharedConn {
-        SharedConn { stream, buf: Vec::new(), filled: 0, last_mark: None }
+    fn new(adoption: Adoption) -> SharedConn {
+        let Adoption { conn, peer } = adoption;
+        SharedConn { conn, peer, buf: Vec::new(), filled: 0, last_mark: None }
     }
 
-    /// Reads until `WouldBlock`, EOF, or the fairness budget is spent,
-    /// decoding every complete frame accumulated in the buffer. Returns
+    /// Does the one `read` a readiness event pays for and decodes every
+    /// complete frame accumulated in the buffer; whatever the read left in
+    /// the socket is re-reported by the level-triggered poller. Returns
     /// `false` when the connection must be dropped (EOF, I/O error, or a
-    /// corrupt/oversized frame — the same conditions that ended a
+    /// corrupt/oversized/foreign frame — the same conditions that ended a
     /// per-connection reader thread).
-    fn drain(&mut self, tx: &Sender<Inbound>, inbound: &InboundSeen, frames: &AtomicU64) -> bool {
-        let mut budget = DRAIN_BUDGET;
-        loop {
-            if self.buf.len() < self.filled + READ_CHUNK {
-                self.buf.resize(self.filled + READ_CHUNK, 0);
-            }
-            match self.stream.read(&mut self.buf[self.filled..]) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    self.filled += n;
-                    if !self.decode_frames(tx, inbound, frames) {
-                        return false;
-                    }
-                    budget = budget.saturating_sub(n);
-                    if budget == 0 {
-                        self.release();
-                        return true;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    self.release();
-                    return true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return false,
-            }
+    fn read_ready(&mut self, tx: &Sender<Inbound>, inbound: &InboundSeen, shared: &ReaderShared) -> bool {
+        if self.buf.len() < self.filled + READ_CHUNK {
+            self.buf.resize(self.filled + READ_CHUNK, 0);
         }
+        let alive = match (&self.conn.stream).read(&mut self.buf[self.filled..]) {
+            Ok(0) => false,
+            Ok(n) => {
+                self.filled += n;
+                self.decode_frames(tx, inbound, shared)
+            }
+            // No bytes after all (see `READ_GUARD`): wait for the next event.
+            Err(e) => matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock
+                    | std::io::ErrorKind::TimedOut
+                    | std::io::ErrorKind::Interrupted
+            ),
+        };
+        if alive {
+            self.release();
+        }
+        alive
     }
 
     /// Decodes every complete frame in `buf[..filled]` in place and
     /// compacts the leftover partial frame (if any) to the front.
-    fn decode_frames(&mut self, tx: &Sender<Inbound>, inbound: &InboundSeen, frames: &AtomicU64) -> bool {
+    fn decode_frames(&mut self, tx: &Sender<Inbound>, inbound: &InboundSeen, shared: &ReaderShared) -> bool {
         let mut parsed = 0usize;
         while self.filled - parsed >= 4 {
             let len = u32::from_be_bytes(self.buf[parsed..parsed + 4].try_into().expect("4 bytes"));
@@ -700,7 +860,21 @@ impl SharedConn {
             let Ok(from) = ProcessId::decode(&mut cursor) else { return false };
             let Ok(msg) = Msg::decode(&mut cursor) else { return false };
             parsed += total;
-            frames.fetch_add(1, Ordering::Relaxed);
+            match self.peer {
+                Some(peer) if peer == from => {}
+                // One connection, one peer: replies to `peer` are written
+                // here, so a frame under another name would have its
+                // answer sent to the wrong process. Corrupt; drop it.
+                Some(_) => return false,
+                // An accepted connection's first frame says whose it is:
+                // from now on frames for that peer go out on it, unless
+                // the table already holds a live connection to them.
+                None => {
+                    self.peer = Some(from);
+                    shared.enter(from, Arc::clone(&self.conn));
+                }
+            }
+            shared.frames.fetch_add(1, Ordering::Relaxed);
             // Throttled heard-from mark, as in the per-connection readers,
             // so writer pipelines forgive their negative caches early.
             let now = Instant::now();
@@ -734,8 +908,8 @@ impl SharedConn {
 }
 
 /// The endpoint's shared reader: sleeps in `poll` until any adopted socket
-/// is readable (or the acceptor/owner notifies), then drains every ready
-/// socket into the inbox before sleeping again.
+/// is readable (or the acceptor, a pipeline or the owner notifies), then
+/// reads every ready socket once into the inbox before sleeping again.
 fn shared_reader_loop(shared: &ReaderShared, tx: &Sender<Inbound>, inbound: &InboundSeen) {
     let mut conns: HashMap<usize, SharedConn> = HashMap::new();
     let mut next_key = 0usize;
@@ -748,36 +922,55 @@ fn shared_reader_loop(shared: &ReaderShared, tx: &Sender<Inbound>, inbound: &Inb
         if shared.stop.load(Ordering::Acquire) {
             break;
         }
-        // Adopt connections the acceptor handed over. Any bytes already
-        // waiting on them surface on the next (level-triggered) wait.
-        let fresh: Vec<TcpStream> = std::mem::take(&mut *shared.handoff.lock());
-        for stream in fresh {
+        // Adopt connections handed over since the last wake. Any bytes
+        // already waiting on them surface on the next (level-triggered)
+        // wait.
+        let fresh: Vec<Adoption> = std::mem::take(&mut *shared.handoff.lock());
+        for adoption in fresh {
             let key = next_key;
             next_key += 1;
-            if shared.poller.add(stream_fd(&stream), Event::readable(key)).is_err() {
-                continue; // socket drops; the peer reconnects (crash model)
+            if shared.poller.add(stream_fd(&adoption.conn.stream), Event::readable(key)).is_err() {
+                // Unreadable, so unusable: the peer reconnects (crash model).
+                shared.retire(adoption.peer, &adoption.conn);
+                continue;
             }
             shared.conns.fetch_add(1, Ordering::SeqCst);
-            conns.insert(key, SharedConn::new(stream));
+            conns.insert(key, SharedConn::new(adoption));
         }
         if !events.is_empty() {
             shared.wakes.fetch_add(1, Ordering::Relaxed);
         }
+        // Connections whose peer is known are read first. When a peer
+        // re-binds, the EOF of the connection to its previous incarnation
+        // (sent before the new one could dial) and the first frame of the
+        // new connection can surface in the same wake: the dead entry must
+        // be retired before the new connection asks for its place.
+        events.sort_by_key(|event| conns.get(&event.key).is_some_and(|conn| conn.peer.is_none()));
         for event in &events {
             let Some(conn) = conns.get_mut(&event.key) else { continue };
-            if !conn.drain(tx, inbound, &shared.frames) {
-                let conn = conns.remove(&event.key).expect("drained conn is present");
-                let _ = shared.poller.delete(stream_fd(&conn.stream));
-                shared.conns.fetch_sub(1, Ordering::SeqCst);
+            if !conn.read_ready(tx, inbound, shared) {
+                let conn = conns.remove(&event.key).expect("read conn is present");
+                reap(shared, &conn);
             }
         }
     }
-    // Teardown: close every adopted socket before the thread exits, so
-    // once the endpoint's Drop joins this thread the gauge reads zero.
+    // Teardown: close every connection before the thread exits, so once
+    // the endpoint's Drop joins this thread the gauge reads zero and no
+    // socket of the endpoint is left open.
     for (_, conn) in conns.drain() {
-        let _ = shared.poller.delete(stream_fd(&conn.stream));
-        shared.conns.fetch_sub(1, Ordering::SeqCst);
+        reap(shared, &conn);
     }
+    for adoption in shared.handoff.lock().drain(..) {
+        shared.retire(adoption.peer, &adoption.conn);
+    }
+}
+
+/// Retires an adopted connection and withdraws it from the poller (before
+/// the reader's `Arc` drops, which may be what closes the descriptor).
+fn reap(shared: &ReaderShared, conn: &SharedConn) {
+    shared.retire(conn.peer, &conn.conn);
+    let _ = shared.poller.delete(stream_fd(&conn.conn.stream));
+    shared.conns.fetch_sub(1, Ordering::SeqCst);
 }
 
 /// Where the acceptor routes an accepted connection: the legacy per-frame
@@ -786,7 +979,7 @@ fn shared_reader_loop(shared: &ReaderShared, tx: &Sender<Inbound>, inbound: &Inb
 enum AcceptSink {
     Legacy { tx: Sender<Inbound> },
     PerConn { tx: Sender<Inbound>, inbound: InboundSeen, gauge: Arc<AtomicUsize> },
-    Shared { shared: Arc<ReaderShared> },
+    Shared { shared: Arc<ReaderShared>, tuning: TcpTuning },
 }
 
 /// One process's TCP endpoint: a listener thread feeding an inbox, plus a
@@ -809,7 +1002,7 @@ pub struct TcpEndpoint {
     /// The shared reader, when this endpoint runs one (default tuning on
     /// Unix); `None` on the thread-per-connection fallbacks.
     reader: Option<ReaderHandle>,
-    /// Accepted connections currently held by this endpoint's readers.
+    /// Connections currently held by this endpoint's readers.
     conn_gauge: Arc<AtomicUsize>,
 }
 
@@ -847,6 +1040,7 @@ impl TcpEndpoint {
                 Ok(poller) => {
                     let shared = Arc::new(ReaderShared {
                         poller,
+                        table: Mutex::new(HashMap::new()),
                         handoff: Mutex::new(Vec::new()),
                         stop: AtomicBool::new(false),
                         wakes: AtomicU64::new(0),
@@ -864,7 +1058,7 @@ impl TcpEndpoint {
                         .map_err(io_err)?;
                     registry.readers.lock().push(Arc::downgrade(&shared));
                     reader = Some(ReaderHandle { shared: Arc::clone(&shared), join: Some(join) });
-                    AcceptSink::Shared { shared }
+                    AcceptSink::Shared { shared, tuning }
                 }
                 Err(_) => per_conn_sink(),
             }
@@ -900,7 +1094,7 @@ impl TcpEndpoint {
     /// A snapshot of the writer-pipeline counters for `to`, or `None` if
     /// nothing was ever sent there (or the endpoint runs the legacy path).
     pub fn peer_stats(&self, to: ProcessId) -> Option<PeerStats> {
-        self.pipelines.lock().get(&to).map(|p| p.stats.snapshot())
+        self.pipelines.lock().get(&to).map(|p| p.shared.core.stats.snapshot())
     }
 
     /// A snapshot of the shared reader's counters, or `None` when this
@@ -914,13 +1108,26 @@ impl TcpEndpoint {
         })
     }
 
-    /// The gauge of accepted connections this endpoint's readers currently
-    /// hold. The `Arc` outlives the endpoint, so tests can assert teardown
-    /// really closed everything: with the shared reader, the gauge reads
-    /// zero by the time `drop` returns (the reader thread is joined);
-    /// per-connection reader threads drain it as their sockets die.
+    /// The gauge of connections this endpoint's readers currently hold:
+    /// every connection of the table with the shared reader, accepted ones
+    /// only on the per-connection paths. The `Arc` outlives the endpoint,
+    /// so tests can assert teardown really closed everything: with the
+    /// shared reader, the gauge reads zero by the time `drop` returns (the
+    /// reader thread is joined); per-connection reader threads drain it as
+    /// their sockets die.
     pub fn connection_gauge(&self) -> Arc<AtomicUsize> {
         Arc::clone(&self.conn_gauge)
+    }
+
+    fn new_pipeline(&self, to: ProcessId) -> PeerPipeline {
+        PeerPipeline::new(
+            self.id,
+            to,
+            self.registry.clone(),
+            self.tuning,
+            Arc::clone(&self.inbound),
+            self.reader.as_ref().map(|reader| Arc::clone(&reader.shared)),
+        )
     }
 
     /// Hands `msg` to the writer pipeline for `to`, spawning it on first
@@ -933,29 +1140,22 @@ impl TcpEndpoint {
     /// detected inside the pipeline (dropped frames, reconnect backoff)
     /// rather than by re-checking the shared registry lock per send.
     fn pipeline_send(&self, to: ProcessId, msg: Msg) -> Result<(), TransportError> {
-        // Stage the pipeline's handles under the map lock, but do all I/O
-        // and enqueueing outside it: one peer's backpressure must not
+        // Take a handle on the pipeline under the map lock, but do all
+        // I/O and enqueueing outside it: one peer's backpressure must not
         // serialize sends to the others.
-        let handles = {
+        let pipeline = {
             let mut pipelines = self.pipelines.lock();
             match pipelines.entry(to) {
-                Entry::Occupied(e) => e.get().handles(),
+                Entry::Occupied(e) => e.get().clone(),
                 Entry::Vacant(e) => {
                     if self.registry.lookup(to).is_none() {
                         return Err(TransportError::UnknownDestination { to });
                     }
-                    e.insert(PeerPipeline::new(
-                        self.id,
-                        to,
-                        self.registry.clone(),
-                        self.tuning,
-                        Arc::clone(&self.inbound),
-                    ))
-                    .handles()
+                    e.insert(self.new_pipeline(to)).clone()
                 }
             }
         };
-        handles.send(msg).map_err(|_| TransportError::Disconnected { to })
+        pipeline.send(msg).map_err(|_| TransportError::Disconnected { to })
     }
 
     /// The pre-pipeline send path: one endpoint-wide lock held across
@@ -1006,9 +1206,18 @@ impl Drop for TcpEndpoint {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        // Stop the shared reader (after the acceptor, so no more sockets
-        // are handed off) and join it: the join makes connection teardown
-        // synchronous — every adopted socket is closed and the connection
+        // Tear down the writer pipelines: each drains its queued frames
+        // and exits once its sender is gone; joining bounds the teardown
+        // so no writer thread outlives the endpoint. The reader is still
+        // up, so a flush that has to dial can hand its connection over.
+        let pipelines: Vec<PeerPipeline> =
+            self.pipelines.lock().drain().map(|(_, p)| p).collect();
+        for pipeline in pipelines {
+            pipeline.shutdown();
+        }
+        // Stop the shared reader last (no acceptor or pipeline is left to
+        // hand it a socket) and join it: the join makes connection
+        // teardown synchronous — every connection is closed and the
         // gauge reads zero before Drop returns.
         if let Some(mut reader) = self.reader.take() {
             reader.shared.stop.store(true, Ordering::Release);
@@ -1016,14 +1225,6 @@ impl Drop for TcpEndpoint {
             if let Some(join) = reader.join.take() {
                 let _ = join.join();
             }
-        }
-        // Tear down the writer pipelines: each drains its queued frames
-        // and exits once its sender is gone; joining bounds the teardown
-        // so no writer thread outlives the endpoint.
-        let pipelines: Vec<PeerPipeline> =
-            self.pipelines.lock().drain().map(|(_, p)| p).collect();
-        for pipeline in pipelines {
-            pipeline.shutdown();
         }
     }
 }
@@ -1054,14 +1255,8 @@ fn acceptor_loop(listener: &TcpListener, stop: &AtomicBool, sink: &AcceptSink) {
                     gauge.fetch_sub(1, Ordering::SeqCst);
                 }
             }
-            AcceptSink::Shared { shared } => {
-                // Non-blocking before adoption: the shared reader must
-                // never block on one socket's read.
-                if stream.set_nonblocking(true).is_err() {
-                    continue; // socket drops; the peer reconnects
-                }
-                shared.handoff.lock().push(stream);
-                let _ = shared.poller.notify();
+            AcceptSink::Shared { shared, tuning } => {
+                shared.adopt(Adoption { conn: Conn::new(stream, *tuning), peer: None });
             }
         }
     }
@@ -1169,20 +1364,14 @@ impl Endpoint for TcpEndpoint {
                         if self.registry.lookup(to).is_none() {
                             continue; // dead peer: the tolerated failure
                         }
-                        e.insert(PeerPipeline::new(
-                            self.id,
-                            to,
-                            self.registry.clone(),
-                            self.tuning,
-                            Arc::clone(&self.inbound),
-                        ))
+                        e.insert(self.new_pipeline(to))
                     }
                 };
-                staged.push((pipeline.handles(), msg));
+                staged.push((pipeline.clone(), msg));
             }
         }
-        for (handles, msg) in staged {
-            let _ = handles.send(msg);
+        for (pipeline, msg) in staged {
+            let _ = pipeline.send(msg);
         }
     }
 
@@ -1194,8 +1383,64 @@ impl Endpoint for TcpEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mwr_types::Value;
+    use mwr_core::{OpHandle, OpId};
+    use mwr_types::{ClientId, ReaderId, TaggedValue, Value};
+    use std::sync::Barrier;
     use std::time::Duration;
+
+    /// Spins (yielding) until `cond` holds; panics with `what` after 5 s.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(Instant::now() < deadline, "{what}");
+            thread::yield_now();
+        }
+    }
+
+    /// A frame as it goes on the wire, for tests that talk to an endpoint
+    /// through a raw socket.
+    fn raw_frame(from: ProcessId, msg: &Msg) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        buf.put_u32((from.encoded_len() + msg.encoded_len()) as u32);
+        from.encode(&mut buf);
+        msg.encode(&mut buf);
+        buf.to_vec()
+    }
+
+    /// Waits for the endpoint to close its end of a raw connection: our
+    /// end observes EOF (or a reset).
+    fn assert_closed_by_endpoint(stream: &mut TcpStream, what: &str) {
+        stream.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let mut probe = [0u8; 1];
+            match stream.read(&mut probe) {
+                Ok(0) => break,
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    assert!(Instant::now() < deadline, "{what}");
+                }
+                Err(_) => break, // reset: closed too
+                Ok(_) => panic!("the endpoint was never asked to write here"),
+            }
+        }
+    }
+
+    /// Sends `InvokeWrite(0)`, `InvokeWrite(1)`, … from `sender` until one
+    /// reaches `to`, and returns the number that got through first.
+    fn first_frame_through(sender: &TcpEndpoint, to: &TcpEndpoint) -> u64 {
+        for seq in 0..50 {
+            let _ = sender.send(to.id(), Msg::InvokeWrite(Value::new(seq)));
+            if let Ok((from, msg)) = to.inbox().recv_timeout(Duration::from_millis(200)) {
+                assert_eq!(from, sender.id());
+                let Msg::InvokeWrite(value) = msg else { panic!("unexpected frame {msg:?}") };
+                return value.get();
+            }
+        }
+        panic!("no frame from {} ever reached {}", sender.id(), to.id());
+    }
 
     #[test]
     fn frames_round_trip_over_loopback() {
@@ -1435,11 +1680,9 @@ mod tests {
         // Dropping the senders closes their sockets; the shared reader
         // observes the EOFs and reaps the connections.
         drop(senders);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while hub.reader_stats().unwrap().open_connections > 0 {
-            assert!(Instant::now() < deadline, "EOF'd connections never reaped");
-            thread::yield_now();
-        }
+        wait_until("EOF'd connections never reaped", || {
+            hub.reader_stats().unwrap().open_connections == 0
+        });
     }
 
     /// `shared_reader: false` restores the thread-per-connection receive
@@ -1501,24 +1744,8 @@ mod tests {
         let mut evil = TcpStream::connect(hub.local_addr()).unwrap();
         evil.write_all(&(MAX_FRAME + 1).to_be_bytes()).unwrap();
         evil.flush().unwrap();
-        // The evil connection is adopted and then dropped on decode: our
-        // end observes EOF (or a reset) once the endpoint closes it.
-        evil.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let mut probe = [0u8; 1];
-            match evil.read(&mut probe) {
-                Ok(0) => break,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    assert!(Instant::now() < deadline, "corrupt connection never dropped");
-                }
-                Err(_) => break, // reset: closed too
-                Ok(_) => panic!("the endpoint never writes on accepted connections"),
-            }
-        }
+        // The evil connection is adopted and then dropped on decode.
+        assert_closed_by_endpoint(&mut evil, "corrupt connection never dropped");
         // The good connection is untouched.
         good.send(ProcessId::server(0), Msg::InvokeWrite(Value::new(9))).unwrap();
         let (_, msg) = hub.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
@@ -1539,5 +1766,262 @@ mod tests {
         ]);
         assert!(b.inbox().recv_timeout(Duration::from_secs(5)).is_ok());
         assert!(c.inbox().recv_timeout(Duration::from_secs(5)).is_ok());
+    }
+
+    /// The connection model's point: a request/reply exchange runs over the
+    /// one connection the requester dialed. The replier never connects,
+    /// and each side's reader holds exactly that one socket.
+    #[test]
+    fn request_reply_exchange_uses_one_connection() {
+        let registry = TcpRegistry::new();
+        let client = TcpEndpoint::bind(ProcessId::writer(0), &registry).unwrap();
+        let server = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+        for i in 0..10 {
+            client.send(ProcessId::server(0), Msg::InvokeWrite(Value::new(i))).unwrap();
+            let (from, _) = server.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
+            server.send(from, Msg::InvokeRead).unwrap();
+            let (from, _) = client.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(from, ProcessId::server(0));
+        }
+        let replier = server.peer_stats(ProcessId::writer(0)).unwrap();
+        assert_eq!(replier.connect_attempts, 0, "replies ride the request's socket: {replier:?}");
+        assert_eq!(replier.frames_sent, 10, "{replier:?}");
+        let requester = client.peer_stats(ProcessId::server(0)).unwrap();
+        assert_eq!(requester.connect_attempts, 1, "{requester:?}");
+        assert_eq!(client.reader_stats().unwrap().open_connections, 1);
+        assert_eq!(server.reader_stats().unwrap().open_connections, 1);
+    }
+
+    /// Regression: the negative cache used to be renewed by every batch it
+    /// dropped, so a sender that never paused for a whole backoff never
+    /// re-dialed, and a peer that came back stayed unreachable for as long
+    /// as the traffic lasted. Only a connect or write that failed may
+    /// renew it.
+    #[test]
+    fn busy_sender_redials_a_rebound_peer_within_the_backoff() {
+        let backoff = Duration::from_millis(100);
+        let tuning = TcpTuning { reconnect_backoff: backoff, ..TcpTuning::default() };
+        let registry = TcpRegistry::new().with_tuning(tuning);
+        let a = TcpEndpoint::bind(ProcessId::writer(0), &registry).unwrap();
+        let b = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+        a.send(ProcessId::server(0), Msg::InvokeRead).unwrap();
+        b.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
+        // Crash b. Its address stays registered, so connects are refused.
+        drop(b);
+        let started = Instant::now();
+        let stop = AtomicBool::new(false);
+        thread::scope(|scope| {
+            // The busy sender: back-to-back sends, never a pause.
+            scope.spawn(|| {
+                while !stop.load(Ordering::Acquire) {
+                    let _ = a.send(ProcessId::server(0), Msg::InvokeRead);
+                }
+            });
+            wait_until("crashed peer never negative-cached", || {
+                a.peer_stats(ProcessId::server(0)).unwrap().frames_dropped > 0
+            });
+            // b2 never sends, so nothing forgives the cache early: only
+            // its expiry can get the sender to dial the new address.
+            let b2 = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+            let rebound = Instant::now();
+            let heard = b2.inbox().recv_timeout(Duration::from_secs(5));
+            let took = rebound.elapsed();
+            stop.store(true, Ordering::Release);
+            heard.expect("a sender that never pauses must still re-dial a recovered peer");
+            assert!(
+                took < backoff + Duration::from_secs(1),
+                "re-dial took {took:?}, backoff is {backoff:?}"
+            );
+        });
+        // The cache still does its job under that load: about one connect
+        // per backoff window, not one per frame.
+        let stats = a.peer_stats(ProcessId::server(0)).unwrap();
+        let windows = (started.elapsed().as_millis() / backoff.as_millis()) as u64;
+        assert!(stats.connect_attempts <= windows + 3, "{stats:?} in {windows} windows");
+    }
+
+    /// One connection, one peer: replies to a connection's peer are written
+    /// on it, so a later frame under another name is treated like a
+    /// corrupt one — that connection dies, the frame is not delivered, and
+    /// the neighbours carry on.
+    #[test]
+    fn frame_naming_another_sender_drops_only_that_connection() {
+        let registry = TcpRegistry::new();
+        let hub = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+        let good = TcpEndpoint::bind(ProcessId::writer(0), &registry).unwrap();
+        good.send(ProcessId::server(0), Msg::InvokeRead).unwrap();
+        hub.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
+
+        let mut turncoat = TcpStream::connect(hub.local_addr()).unwrap();
+        turncoat.write_all(&raw_frame(ProcessId::writer(5), &Msg::InvokeWrite(Value::new(1)))).unwrap();
+        let (from, _) = hub.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(from, ProcessId::writer(5), "the first frame names the connection's peer");
+        turncoat.write_all(&raw_frame(ProcessId::writer(6), &Msg::InvokeWrite(Value::new(2)))).unwrap();
+        assert_closed_by_endpoint(&mut turncoat, "two-named connection never dropped");
+        assert!(hub.inbox().try_recv().is_err(), "the foreign frame must not be delivered");
+
+        good.send(ProcessId::server(0), Msg::InvokeWrite(Value::new(9))).unwrap();
+        let (_, msg) = hub.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(msg, Msg::InvokeWrite(Value::new(9)));
+        assert_eq!(hub.reader_stats().unwrap().open_connections, 1);
+    }
+
+    /// The replier crashes and re-binds under traffic. The requester's
+    /// connection died with the old incarnation; its next frames reach the
+    /// new one by a re-dial, losing at most the one frame that can be
+    /// written into the dead socket before anyone knows it is dead.
+    #[test]
+    fn requester_reaches_a_rebound_replier_without_reusing_the_dead_socket() {
+        let registry = TcpRegistry::new();
+        let requester = TcpEndpoint::bind(ProcessId::writer(0), &registry).unwrap();
+        for round in 0..5 {
+            let replier = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+            let lost = first_frame_through(&requester, &replier);
+            assert!(lost <= 1, "round {round}: {lost} frames went into a socket known dead");
+            replier.send(ProcessId::writer(0), Msg::InvokeRead).unwrap();
+            requester.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
+            let stats = replier.peer_stats(ProcessId::writer(0)).unwrap();
+            assert_eq!(stats.connect_attempts, 0, "round {round}: {stats:?}");
+            // Crash mid-conversation; the next round re-binds the id.
+        }
+        let stats = requester.peer_stats(ProcessId::server(0)).unwrap();
+        assert_eq!(stats.connect_attempts, 5, "one dial per incarnation: {stats:?}");
+    }
+
+    /// The requester crashes and re-binds under traffic. The survivor's
+    /// next frames reach the new incarnation — by a re-dial if it speaks
+    /// first, on the new inbound connection if the requester does — and
+    /// never go into the dead socket twice.
+    #[test]
+    fn replier_reaches_a_rebound_requester_on_a_fresh_connection() {
+        let registry = TcpRegistry::new();
+        let replier = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+        for round in 0..6 {
+            let requester = TcpEndpoint::bind(ProcessId::writer(0), &registry).unwrap();
+            if round % 2 == 0 {
+                // The survivor speaks first: the old entry is dead, so it dials.
+                let lost = first_frame_through(&replier, &requester);
+                assert!(lost <= 1, "round {round}: {lost} frames went into a socket known dead");
+            } else {
+                // The new incarnation speaks first. Once the old socket's
+                // EOF has been seen, its connection takes the old one's
+                // place in the table and the reply rides it.
+                wait_until("dead connection never reaped", || {
+                    replier.reader_stats().unwrap().open_connections == 0
+                });
+                let dials = replier.peer_stats(ProcessId::writer(0)).unwrap().connect_attempts;
+                requester.send(ProcessId::server(0), Msg::InvokeRead).unwrap();
+                replier.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
+                assert_eq!(first_frame_through(&replier, &requester), 0, "round {round}");
+                let stats = replier.peer_stats(ProcessId::writer(0)).unwrap();
+                assert_eq!(stats.connect_attempts, dials, "round {round}: reply dialed: {stats:?}");
+            }
+            wait_until("the pair never settled on one connection", || {
+                replier.reader_stats().unwrap().open_connections == 1
+            });
+        }
+    }
+
+    /// Both sides dial at the same instant. Each may end up writing on the
+    /// connection it dialed (two sockets for the pair), but each direction
+    /// stays on one connection: sequence numbers arrive in order.
+    #[test]
+    fn simultaneous_dials_keep_each_direction_in_order() {
+        const FRAMES: u64 = 500;
+        for _ in 0..10 {
+            let registry = TcpRegistry::new();
+            let a = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+            let b = TcpEndpoint::bind(ProcessId::server(1), &registry).unwrap();
+            let start = Barrier::new(2);
+            thread::scope(|scope| {
+                for (me, peer) in [(&a, &b), (&b, &a)] {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        for seq in 0..FRAMES {
+                            me.send(peer.id(), Msg::InvokeWrite(Value::new(seq))).unwrap();
+                        }
+                    });
+                }
+            });
+            for (me, peer) in [(&a, &b), (&b, &a)] {
+                for seq in 0..FRAMES {
+                    let (from, msg) = me.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
+                    assert_eq!(from, peer.id());
+                    assert_eq!(msg, Msg::InvokeWrite(Value::new(seq)), "FIFO per direction");
+                }
+                let stats = me.peer_stats(peer.id()).unwrap();
+                assert!(stats.connect_attempts <= 1, "{stats:?}");
+                assert_eq!(stats.frames_dropped, 0, "{stats:?}");
+                let open = me.reader_stats().unwrap().open_connections;
+                assert!((1..=2).contains(&open), "{open} connections for one pair");
+            }
+        }
+    }
+
+    /// A peer that connected, introduced itself and then stopped reading
+    /// gets its replies on the connection it opened. Once the TCP window
+    /// fills, a replying thread is held for at most `write_timeout` before
+    /// the connection is retired and the peer negative-cached — and the
+    /// reader thread, which shares that socket, is never held at all.
+    #[test]
+    fn stalled_peer_on_an_accepted_connection_holds_a_replier_at_most_the_write_timeout() {
+        let write_timeout = Duration::from_millis(200);
+        let tuning = TcpTuning {
+            write_timeout,
+            reconnect_backoff: Duration::from_secs(30),
+            ..TcpTuning::default()
+        };
+        let registry = TcpRegistry::new().with_tuning(tuning);
+        let hub = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+        let good = TcpEndpoint::bind(ProcessId::writer(0), &registry).unwrap();
+
+        // The stalled peer lists an address nobody listens on (so the hub
+        // cannot dial its way around the stall) and never reads its socket.
+        let stalled_id = ProcessId::reader(7);
+        let nobody = TcpListener::bind("127.0.0.1:0").unwrap();
+        registry.insert(stalled_id, nobody.local_addr().unwrap());
+        drop(nobody);
+        let mut stalled = TcpStream::connect(hub.local_addr()).unwrap();
+        stalled.write_all(&raw_frame(stalled_id, &Msg::InvokeRead)).unwrap();
+        let (from, _) = hub.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(from, stalled_id);
+
+        let bulky = Msg::ReadFast {
+            handle: OpHandle { op: OpId { client: ClientId::Reader(ReaderId::new(7)), seq: 0 }, phase: 1 },
+            val_queue: vec![TaggedValue::initial(); 8 * 1024],
+        };
+        let mut longest = Duration::ZERO;
+        let mut echoes = 0u64;
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let sent = Instant::now();
+            hub.send(stalled_id, bulky.clone()).unwrap();
+            longest = longest.max(sent.elapsed());
+            // The reader keeps serving the hub's other peer throughout.
+            good.send(ProcessId::server(0), Msg::InvokeWrite(Value::new(echoes))).unwrap();
+            let (_, msg) = hub.inbox().recv_timeout(Duration::from_secs(1)).expect("reader blocked");
+            assert_eq!(msg, Msg::InvokeWrite(Value::new(echoes)));
+            echoes += 1;
+            if hub.peer_stats(stalled_id).unwrap().frames_dropped > 0 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "the stalled socket never filled up");
+        }
+        assert!(longest >= write_timeout / 2, "no send ever met the stall: longest {longest:?}");
+        assert!(
+            longest < write_timeout + Duration::from_millis(500),
+            "a send was held {longest:?}, write_timeout is {write_timeout:?}"
+        );
+        // Retired and negative-cached: the next sends drop at once, and
+        // the stalled peer's socket was closed under it.
+        let sent = Instant::now();
+        hub.send(stalled_id, bulky).unwrap();
+        assert!(sent.elapsed() < write_timeout / 2, "a cached peer must drop fast");
+        let stats = hub.peer_stats(stalled_id).unwrap();
+        assert!(stats.connect_attempts <= 1, "{stats:?}");
+        wait_until("stalled connection never reaped", || {
+            hub.reader_stats().unwrap().open_connections == 1
+        });
     }
 }

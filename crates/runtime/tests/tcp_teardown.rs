@@ -1,0 +1,54 @@
+//! Endpoint teardown seen from outside the transport: after `drop`, the
+//! process holds no descriptor it did not hold before.
+//!
+//! This file holds exactly one test, so nothing else in the process opens
+//! or closes descriptors while it counts them.
+
+#![cfg(target_os = "linux")]
+
+use std::sync::atomic::Ordering;
+use std::time::Duration;
+
+use mwr_core::Msg;
+use mwr_runtime::{Endpoint as _, TcpEndpoint, TcpRegistry};
+use mwr_types::{ProcessId, Value};
+
+fn open_descriptors() -> usize {
+    std::fs::read_dir("/proc/self/fd").expect("procfs").count()
+}
+
+#[test]
+fn endpoint_drop_leaves_no_socket_open() {
+    let before = open_descriptors();
+    let registry = TcpRegistry::new();
+    let hub = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+    let peers: Vec<TcpEndpoint> =
+        (0..4).map(|i| TcpEndpoint::bind(ProcessId::writer(i), &registry).unwrap()).collect();
+    // Every kind of connection an endpoint can hold: dialed and written
+    // (peer → hub), accepted and replied on (hub → peer), and dialed
+    // towards a peer that never answers (hub → last peer).
+    for peer in &peers[..3] {
+        peer.send(ProcessId::server(0), Msg::InvokeWrite(Value::new(1))).unwrap();
+        let (from, _) = hub.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
+        hub.send(from, Msg::InvokeRead).unwrap();
+        peer.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
+    }
+    hub.send(ProcessId::writer(3), Msg::InvokeRead).unwrap();
+    peers[3].inbox().recv_timeout(Duration::from_secs(5)).unwrap();
+    assert!(open_descriptors() > before, "the endpoints hold sockets while alive");
+
+    let gauges: Vec<_> =
+        peers.iter().chain([&hub]).map(TcpEndpoint::connection_gauge).collect();
+    assert_eq!(gauges[4].load(Ordering::SeqCst), 4, "one connection per peer pair");
+    // Half the peers go first (the hub reaps their EOFs or not — either
+    // way its own drop must close what is left), then the hub, then the
+    // peers whose connections the hub's drop just killed.
+    let mut peers = peers;
+    peers.truncate(2);
+    drop(hub);
+    drop(peers);
+    for gauge in gauges {
+        assert_eq!(gauge.load(Ordering::SeqCst), 0, "teardown must empty every gauge");
+    }
+    assert_eq!(open_descriptors(), before, "teardown leaked a descriptor");
+}

@@ -10,12 +10,13 @@
 //! [`check_atomicity`](crate::check_atomicity). Integration tests assert
 //! the implication "MWA holds ⟹ atomic" on every W2R1 run.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use mwr_core::OpId;
 use mwr_types::TaggedValue;
 
-use crate::history::{History, Timestamp};
+use crate::history::{History, Operation, Timestamp};
 
 /// Which MWA property failed, with the offending operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,11 +91,128 @@ impl fmt::Display for MwaViolation {
     }
 }
 
+/// Why a history's tag order is not known to be a legal linearization.
+pub(crate) enum TagOrderBreak {
+    /// One of the paper's five properties fails.
+    Mwa(MwaViolation),
+    /// MWA0–MWA4 all hold, but a write invoked after a read completed
+    /// carries a tag no larger than the one that read returned — the
+    /// read→write analogue of MWA2, which the five properties leave open on
+    /// *arbitrary* uniquely-tagged histories (see [`check_atomicity`]).
+    ///
+    /// [`check_atomicity`]: crate::check_atomicity
+    WriteBelowEarlierRead,
+}
+
+/// Judges every order property of the tag order in one sweep.
+///
+/// `write_of` maps each written value to the index (in `history.ops()`) of
+/// the write [MWA3](MwaViolation::Mwa3) should take as its source.
+///
+/// Operations are visited in invocation order while a second cursor walks
+/// them in completion order, so when `b` is visited exactly the operations
+/// `a` with `a.completed < b.invoked` — the paper's `a ≺σ b`, strict — have
+/// been folded into two running witnesses: the completed-before write and
+/// the completed-before read with the largest tagged value. "Some preceding
+/// write has a tag ≥ / > this one" is then one comparison against the
+/// witness, which is also the violating pair reported. Two sorts plus one
+/// map lookup per read: `O(n log n)`.
+///
+/// The breaks are reported in the order MWA0, MWA1, MWA2, MWA3 (or
+/// [`UnknownSource`](MwaViolation::UnknownSource), whichever read comes
+/// first in history order), MWA4, and last
+/// [`WriteBelowEarlierRead`](TagOrderBreak::WriteBelowEarlierRead).
+pub(crate) fn tag_order(
+    history: &History,
+    write_of: &BTreeMap<TaggedValue, usize>,
+) -> Result<(), TagOrderBreak> {
+    let ops = history.ops();
+    let mwa = |violation| Err(TagOrderBreak::Mwa(violation));
+    // Stable sorts: equal stamps (hand-built histories) keep history order,
+    // so the witnesses below are deterministic.
+    let mut by_invocation: Vec<&Operation> = ops.iter().collect();
+    by_invocation.sort_by_key(|o| o.invoked);
+    let mut by_completion: Vec<&Operation> = ops.iter().collect();
+    by_completion.sort_by_key(|o| o.completed);
+
+    let mut completed = by_completion.into_iter().peekable();
+    // Among the operations completed before the one being visited: the
+    // first write, and the first read, to reach the largest tagged value.
+    let mut top_write: Option<&Operation> = None;
+    let mut top_read: Option<&Operation> = None;
+    let (mut mwa2, mut mwa4, mut write_below_read) = (None, None, false);
+    for b in by_invocation {
+        while let Some(a) = completed.next_if(|a| a.precedes(b)) {
+            let top = if a.is_write() { &mut top_write } else { &mut top_read };
+            if top.is_none_or(|t| a.tagged_value() > t.tagged_value()) {
+                *top = Some(a);
+            }
+        }
+        let value = b.tagged_value();
+        if b.is_write() {
+            if let Some(a) = top_write.filter(|a| a.tagged_value() >= value) {
+                return mwa(MwaViolation::Mwa0 { first: a.id, second: b.id });
+            }
+            // The largest tagged value carries the largest tag.
+            write_below_read |= top_read.is_some_and(|r| r.tagged_value().tag() >= value.tag());
+        } else {
+            mwa2 = mwa2.or_else(|| {
+                let w = top_write.filter(|w| w.tagged_value() > value)?;
+                Some(MwaViolation::Mwa2 { write: w.id, read: b.id })
+            });
+            mwa4 = mwa4.or_else(|| {
+                let a = top_read.filter(|a| a.tagged_value() > value)?;
+                Some(MwaViolation::Mwa4 { first: a.id, second: b.id })
+            });
+        }
+    }
+
+    // MWA1: tags are non-negative by construction; assert the invariant.
+    if let Some(r) = history.reads().find(|r| r.tagged_value() < TaggedValue::initial()) {
+        return mwa(MwaViolation::Mwa1 { read: r.id });
+    }
+    if let Some(violation) = mwa2 {
+        return mwa(violation);
+    }
+    // MWA3 (requires locating each read's source write).
+    for r in history.reads() {
+        let v = r.tagged_value();
+        if v == TaggedValue::initial() {
+            continue; // wr_{0,⊥} is never invoked (paper Appendix A.1)
+        }
+        let Some(src) = write_of.get(&v).map(|&i| &ops[i]) else {
+            return mwa(MwaViolation::UnknownSource { read: r.id, value: v });
+        };
+        if r.precedes(src) {
+            return mwa(MwaViolation::Mwa3 { read: r.id, write: src.id });
+        }
+    }
+    if let Some(violation) = mwa4 {
+        return mwa(violation);
+    }
+    if write_below_read {
+        return Err(TagOrderBreak::WriteBelowEarlierRead);
+    }
+    Ok(())
+}
+
 /// Checks MWA0–MWA4 on a history.
+///
+/// One sweep over the operations in invocation order against running
+/// maxima of what completed before — `O(n log n)` for `n` operations, not
+/// a scan of all pairs.
 ///
 /// # Errors
 ///
-/// Returns the first violated property with its witness operations.
+/// Returns the first violated property, in the order MWA0 → MWA4, with a
+/// pair of operations that violates it. Which pair, when several do, is
+/// fixed: the later operation is the earliest-invoked one that has a
+/// counterpart; the earlier one is, of the writes (or reads) completed
+/// before it, the one with the largest tagged value — the first of them to
+/// complete, if several carry it. MWA3 and
+/// [`UnknownSource`](MwaViolation::UnknownSource) name the first offending
+/// read in history order, and as its source the first write in history
+/// order that produced its value.
 ///
 /// # Examples
 ///
@@ -107,53 +225,14 @@ pub fn check_mwa(history: &History) -> Result<(), MwaViolation> {
     if history.ops().iter().any(|o| o.completed == Timestamp::MAX) {
         return Err(MwaViolation::Open);
     }
-    let writes: Vec<_> = history.writes().collect();
-    let reads: Vec<_> = history.reads().collect();
-
-    // MWA0.
-    for a in &writes {
-        for b in &writes {
-            if a.precedes(b) && a.tagged_value() >= b.tagged_value() {
-                return Err(MwaViolation::Mwa0 { first: a.id, second: b.id });
-            }
-        }
+    let mut write_of = BTreeMap::new();
+    for (i, op) in history.ops().iter().enumerate().filter(|(_, o)| o.is_write()) {
+        write_of.entry(op.tagged_value()).or_insert(i);
     }
-    // MWA1: tags are non-negative by construction; assert the invariant.
-    for r in &reads {
-        if r.tagged_value() < TaggedValue::initial() {
-            return Err(MwaViolation::Mwa1 { read: r.id });
-        }
+    match tag_order(history, &write_of) {
+        Err(TagOrderBreak::Mwa(violation)) => Err(violation),
+        Err(TagOrderBreak::WriteBelowEarlierRead) | Ok(()) => Ok(()),
     }
-    // MWA2.
-    for w in &writes {
-        for r in &reads {
-            if w.precedes(r) && r.tagged_value() < w.tagged_value() {
-                return Err(MwaViolation::Mwa2 { write: w.id, read: r.id });
-            }
-        }
-    }
-    // MWA3 (requires locating each read's source write).
-    for r in &reads {
-        let v = r.tagged_value();
-        if v == TaggedValue::initial() {
-            continue; // wr_{0,⊥} is never invoked (paper Appendix A.1)
-        }
-        let Some(src) = writes.iter().find(|w| w.tagged_value() == v) else {
-            return Err(MwaViolation::UnknownSource { read: r.id, value: v });
-        };
-        if r.precedes(src) {
-            return Err(MwaViolation::Mwa3 { read: r.id, write: src.id });
-        }
-    }
-    // MWA4.
-    for a in &reads {
-        for b in &reads {
-            if a.precedes(b) && b.tagged_value() < a.tagged_value() {
-                return Err(MwaViolation::Mwa4 { first: a.id, second: b.id });
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use bytes::{Buf, BytesMut};
 use serde::{Deserialize, Serialize};
 
-use mwr_types::codec::{client_runs, DecodeError, Wire, MAX_COLLECTION_LEN};
+use mwr_types::codec::{client_runs, reservation, DecodeError, Wire, MAX_COLLECTION_LEN};
 use mwr_types::{ClientId, ConfigEpoch, RegisterId, ServerId, TaggedValue, Value};
 
 use crate::admissible::WitnessIndex;
@@ -1229,7 +1229,8 @@ impl Wire for Msg {
                 if declared > MAX_COLLECTION_LEN {
                     return Err(DecodeError::LengthOverflow { declared });
                 }
-                let mut entries = Vec::with_capacity(declared as usize);
+                let mut entries =
+                    Vec::with_capacity(reservation::<ValueRecord, B>(declared, buf));
                 for _ in 0..declared {
                     entries.push(ValueRecord {
                         value: TaggedValue::decode(buf)?,

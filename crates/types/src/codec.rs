@@ -79,6 +79,20 @@ impl std::error::Error for DecodeError {}
 /// hostile frames allocating unbounded memory.
 pub const MAX_COLLECTION_LEN: u64 = 1 << 24;
 
+/// Most bytes a decoder reserves on the strength of a declared element
+/// count alone; a longer collection grows as its elements actually decode.
+const MAX_RESERVED_BYTES: usize = 32 * 1024;
+
+/// How many `T`s to reserve for a collection declaring `declared` of them.
+///
+/// The count is the sender's claim, not a fact: reserve no more elements
+/// than the frame has bytes left (an element is at least one byte), and no
+/// more than fit in 32 KiB, whatever `T`'s in-memory size is.
+pub fn reservation<T, B: Buf>(declared: u64, buf: &B) -> usize {
+    let fitting = MAX_RESERVED_BYTES / std::mem::size_of::<T>().max(1);
+    (declared as usize).min(buf.remaining()).min(fitting)
+}
+
 /// Binary encoding/decoding of a value for network transport.
 ///
 /// Implementations must be deterministic: `decode(encode(x)) == x` for every
@@ -227,7 +241,7 @@ impl<T: Wire> Wire for Vec<T> {
         if len > MAX_COLLECTION_LEN {
             return Err(DecodeError::LengthOverflow { declared: len });
         }
-        let mut out = Vec::with_capacity(len as usize);
+        let mut out = Vec::with_capacity(reservation::<T, B>(len, buf));
         for _ in 0..len {
             out.push(T::decode(buf)?);
         }

@@ -8,17 +8,11 @@
 //! every client open-loop — back-to-back operations, load fixed by the
 //! population, not by a think-time schedule.
 //!
-//! On TCP every sweep point runs three times: through the shared
-//! readiness-based reader (`shared`, the default receive path — one poll
-//! loop drains every accepted socket), through the per-peer writer
-//! pipelines with thread-per-connection readers (`pipeline`,
-//! `TcpTuning::shared_reader = false`), and through the pre-pipeline
-//! legacy send path (`legacy`, `TcpTuning::legacy_send`), so both
-//! transport reworks are measured before/after by the same binary. The
-//! most contended point's pipeline/legacy ratio stays the historical
-//! headline; shared rows additionally report the poll wake-per-frame
-//! ratio, and the W2R1-vs-W2R2 contended shared-reader ratio is the
-//! paper-claim headline.
+//! Every sweep point runs once per transport: `channel` rows over the
+//! in-memory transport, `shared` rows over loopback TCP (one connection
+//! per peer pair, one readiness-driven reader per endpoint). TCP rows
+//! additionally report the poll wake-per-frame ratio, and the contended
+//! W2R1-vs-W2R2 TCP ratio is the paper-claim headline.
 //!
 //! The cluster is S = 11, t = 1: large enough that W2R1's fast-read
 //! condition `R < S/t − 2 = 9` still holds at the sweep's maximum R = 8.
@@ -31,7 +25,7 @@
 //! output and the JSON artifact.
 //!
 //! Emits `BENCH_live_throughput.json`. With `--assert-floor`, exits
-//! non-zero if any pipeline/channel sweep point completes fewer than
+//! non-zero if any sweep point completes fewer than
 //! `--floor` ops/sec (default 50) — the CI liveness-under-load gate.
 //!
 //! With `--keys N[,M..] --zipf s` the bin runs the **keyspace sweep**
@@ -73,7 +67,7 @@ use mwr_bench::args::Args;
 use mwr_core::Protocol;
 use mwr_keyspace::{Keyspace, KeyspaceHandle};
 use mwr_register::{
-    AuditConfig, AuditReport, Backend, Deployment, FaultPlan, LiveHandle, RetryPolicy, TcpTuning,
+    AuditConfig, AuditReport, Backend, Deployment, FaultPlan, LiveHandle, RetryPolicy,
 };
 use mwr_runtime::{EndpointFactory, ReaderStats};
 use mwr_types::{ClusterConfig, KeyspaceConfig};
@@ -96,9 +90,8 @@ struct Row {
     rd_p50_us: u64,
     rd_p99_us: u64,
     audit: Option<AuditReport>,
-    /// Deployment-wide shared-reader counters, on `shared` TCP rows only:
-    /// the wake-per-frame ratio is the syscall economy the readiness
-    /// reader buys over thread-per-connection wakeups.
+    /// Deployment-wide reader counters, on TCP rows only: wakes per frame
+    /// is how many frames one `poll` wake-up amortizes over.
     reader: Option<ReaderStats>,
 }
 
@@ -167,7 +160,6 @@ fn drive_on<F: EndpointFactory>(
 
 fn measure_point(
     transport: &'static str,
-    send_path: &'static str,
     protocol: Protocol,
     writers: usize,
     readers: usize,
@@ -180,40 +172,24 @@ fn measure_point(
         deployment = deployment.audit(cfg);
     }
     let mut reader = None;
-    let (report, audit) = match send_path {
-        "channel" => drive_on(
-            deployment.backend(Backend::InMemory).in_memory().expect("in-memory cluster"),
-            duration,
+    let (send_path, (report, audit)) = match transport {
+        "in-memory" => (
+            "channel",
+            drive_on(
+                deployment.backend(Backend::InMemory).in_memory().expect("in-memory cluster"),
+                duration,
+            ),
         ),
-        // The default tuning: shared readiness-based reader. Snapshot the
-        // deployment-wide reader counters before shutdown so this row
-        // carries its own traffic's wake-per-frame ratio.
-        "shared" => {
+        // Snapshot the deployment-wide reader counters before shutdown so
+        // this row carries its own traffic's wake-per-frame ratio.
+        "tcp" => {
             let handle = deployment.backend(Backend::Tcp).tcp().expect("tcp cluster");
             let report = handle.run_open_loop(duration).expect("open-loop drive");
             reader = Some(handle.cluster().factory().reader_totals());
             let (_handled, audit) = handle.shutdown_audited();
-            (report, audit)
+            ("shared", (report, audit))
         }
-        // Thread-per-connection readers with the per-peer writer
-        // pipelines: the pre-shared-reader receive path.
-        "pipeline" => drive_on(
-            deployment
-                .backend(Backend::Tcp)
-                .tcp_tuning(TcpTuning { shared_reader: false, ..TcpTuning::default() })
-                .tcp()
-                .expect("tcp cluster (per-connection readers)"),
-            duration,
-        ),
-        "legacy" => drive_on(
-            deployment
-                .backend(Backend::Tcp)
-                .tcp_tuning(TcpTuning { legacy_send: true, ..TcpTuning::default() })
-                .tcp()
-                .expect("tcp cluster (legacy send)"),
-            duration,
-        ),
-        other => unreachable!("unknown send path {other}"),
+        other => unreachable!("unknown transport {other}"),
     };
     Row::from_report(transport, send_path, protocol, writers, readers, report, audit, reader)
 }
@@ -239,10 +215,9 @@ fn measure_audit_overhead(
     duration: Duration,
     rate: f64,
 ) -> AuditOverhead {
-    let bare = measure_point("in-memory", "channel", protocol, clients, clients, duration, None);
+    let bare = measure_point("in-memory", protocol, clients, clients, duration, None);
     let audited = measure_point(
         "in-memory",
-        "channel",
         protocol,
         clients,
         clients,
@@ -820,7 +795,6 @@ fn measure_keyspace_point(
             "channel",
             drive_keyspace(blueprint.in_memory().expect("in-memory keyspace"), keys, zipf, duration),
         ),
-        // Default tuning — the shared readiness-based reader.
         "tcp" => (
             "shared",
             drive_keyspace(blueprint.tcp().expect("tcp keyspace"), keys, zipf, duration),
@@ -1021,7 +995,7 @@ fn run_keyspace_mode(
     std::process::exit(0);
 }
 
-/// The contended shared-reader W2R1-vs-W2R2 comparison — the paper-claim
+/// The contended TCP W2R1-vs-W2R2 comparison — the paper-claim
 /// headline (fast one-round reads should win under full contention).
 struct ProtocolHeadline {
     writers: usize,
@@ -1035,9 +1009,6 @@ struct ProtocolHeadline {
 fn to_json(
     duration: Duration,
     rows: &[Row],
-    headline: &[(Protocol, f64, f64, f64)],
-    geomean: f64,
-    shared_geomean: Option<f64>,
     protocol_headline: Option<&ProtocolHeadline>,
     audit: Option<&AuditOverhead>,
 ) -> String {
@@ -1045,10 +1016,6 @@ fn to_json(
     s.push_str("{\n  \"experiment\": \"live_throughput\",\n");
     let _ = writeln!(s, "  \"duration_ms\": {},", duration.as_millis());
     let _ = writeln!(s, "  \"servers\": {SERVERS},");
-    let _ = writeln!(s, "  \"geomean_pipeline_over_legacy\": {geomean:.2},");
-    if let Some(g) = shared_geomean {
-        let _ = writeln!(s, "  \"geomean_shared_over_pipeline\": {g:.2},");
-    }
     if let Some(p) = protocol_headline {
         let _ = writeln!(
             s,
@@ -1073,20 +1040,7 @@ fn to_json(
             usize::from(!a.report.verdict.is_ok()),
         );
     }
-    s.push_str("  \"contended_tcp\": [\n");
-    for (i, (protocol, pipeline, legacy, speedup)) in headline.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"protocol\": \"{}\", \"pipeline_ops_per_sec\": {:.1}, \
-             \"legacy_ops_per_sec\": {:.1}, \"speedup\": {:.2}}}",
-            protocol.name(),
-            pipeline,
-            legacy,
-            speedup,
-        );
-        s.push_str(if i + 1 < headline.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n  \"sweep\": [\n");
+    s.push_str("  \"sweep\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let _ = write!(
             s,
@@ -1135,10 +1089,10 @@ fn main() {
     let args = Args::parse();
     args.expect_known(
         "live_throughput",
-        &["quick", "assert-floor", "legacy-send", "audit"],
+        &["quick", "assert-floor", "audit"],
         &[
-            "duration-ms", "floor", "protocol", "transport", "send-path", "clients",
-            "audit-sample", "faults", "keys", "zipf", "out",
+            "duration-ms", "floor", "protocol", "transport", "clients", "audit-sample", "faults",
+            "keys", "zipf", "out",
         ],
     );
     let quick = args.flag("quick");
@@ -1193,7 +1147,6 @@ fn main() {
         run_keyspace_mode(key_counts, zipf, quick, duration, audit, floor);
     }
     let assert_floor = args.flag("assert-floor");
-    let legacy_only = args.flag("legacy-send");
     let audit_sweep = args.flag("audit");
     let audit_rate = args
         .get("audit-sample")
@@ -1216,18 +1169,6 @@ fn main() {
             "--transport must be in-memory or tcp, got {t}"
         );
     }
-    // `--send-path` narrows the sweep to one receive/send path — the CI
-    // transport-matrix cells measure one (transport, path) pair each.
-    let send_path_filter: Option<&'static str> = args.get("send-path").map(|p| match p {
-        "channel" => "channel",
-        "shared" => "shared",
-        "pipeline" => "pipeline",
-        "legacy" => "legacy",
-        other => {
-            eprintln!("--send-path must be channel|shared|pipeline|legacy, got {other}");
-            std::process::exit(2);
-        }
-    });
     let out_path = args.get("out").map(str::to_owned);
 
     // `--clients a,b,..` overrides the W×R grid — focused re-measurement
@@ -1252,14 +1193,6 @@ fn main() {
         None => &[1, 2, 4, 8],
     };
     let max_clients = *client_counts.last().expect("non-empty sweep");
-    let all_tcp_paths: &[&'static str] =
-        if legacy_only { &["legacy"] } else { &["shared", "pipeline", "legacy"] };
-    let tcp_paths: Vec<&'static str> = all_tcp_paths
-        .iter()
-        .copied()
-        .filter(|p| send_path_filter.is_none_or(|f| f == *p))
-        .collect();
-    let run_in_memory = send_path_filter.is_none_or(|f| f == "channel");
 
     println!(
         "== T1: open-loop live throughput (S={SERVERS} t={FAULTS}, \
@@ -1271,15 +1204,10 @@ fn main() {
     for &protocol in &protocols {
         for &writers in client_counts {
             for &readers in client_counts {
-                if transport_filter.as_deref() != Some("tcp") && run_in_memory {
-                    rows.push(measure_point(
-                        "in-memory", "channel", protocol, writers, readers, duration, sweep_audit,
-                    ));
-                }
-                if transport_filter.as_deref() != Some("in-memory") {
-                    for path in &tcp_paths {
+                for transport in ["in-memory", "tcp"] {
+                    if transport_filter.as_deref().is_none_or(|only| only == transport) {
                         rows.push(measure_point(
-                            "tcp", path, protocol, writers, readers, duration, sweep_audit,
+                            transport, protocol, writers, readers, duration, sweep_audit,
                         ));
                     }
                 }
@@ -1333,88 +1261,6 @@ fn main() {
         }
     }
 
-    // Headline: the most contended TCP point per protocol, pipeline vs
-    // legacy, plus the geometric-mean speedup over every matched TCP point
-    // (a single point is noisy on a loaded box; the geomean is the stable
-    // summary).
-    let point = |protocol: Protocol, path: &str, w: usize, r: usize| {
-        rows.iter()
-            .find(|row| {
-                row.transport == "tcp"
-                    && row.send_path == path
-                    && row.protocol == protocol
-                    && row.writers == w
-                    && row.readers == r
-            })
-            .map(|row| row.ops_per_sec)
-    };
-    let mut log_sum = 0.0f64;
-    let mut matched = 0usize;
-    for protocol in [Protocol::W2R1, Protocol::W2R2] {
-        for &w in client_counts {
-            for &r in client_counts {
-                if let (Some(pipeline), Some(legacy)) = (
-                    point(protocol, "pipeline", w, r),
-                    point(protocol, "legacy", w, r),
-                ) {
-                    log_sum += (pipeline / legacy.max(1e-9)).ln();
-                    matched += 1;
-                }
-            }
-        }
-    }
-    let geomean = if matched > 0 { (log_sum / matched as f64).exp() } else { 1.0 };
-    if matched > 0 {
-        println!("geomean pipeline/legacy speedup over {matched} tcp sweep points: {geomean:.2}x");
-    }
-    let mut headline = Vec::new();
-    for protocol in [Protocol::W2R1, Protocol::W2R2] {
-        if let (Some(pipeline), Some(legacy)) = (
-            point(protocol, "pipeline", max_clients, max_clients),
-            point(protocol, "legacy", max_clients, max_clients),
-        ) {
-            let speedup = pipeline / legacy.max(1e-9);
-            println!(
-                "contended tcp ({}x{} clients, {}): pipeline {:.0} ops/s vs legacy {:.0} ops/s \
-                 — {:.2}x",
-                max_clients,
-                max_clients,
-                protocol.name(),
-                pipeline,
-                legacy,
-                speedup,
-            );
-            headline.push((protocol, pipeline, legacy, speedup));
-        }
-    }
-
-    // The shared reader's own before/after: geomean over every TCP point
-    // measured on both receive paths, plus the deployment-wide
-    // wake-per-frame ratio (frames decoded per poll wake is the syscall
-    // economy the readiness reader exists for).
-    let mut shared_log_sum = 0.0f64;
-    let mut shared_matched = 0usize;
-    for protocol in [Protocol::W2R1, Protocol::W2R2] {
-        for &w in client_counts {
-            for &r in client_counts {
-                if let (Some(shared), Some(pipeline)) = (
-                    point(protocol, "shared", w, r),
-                    point(protocol, "pipeline", w, r),
-                ) {
-                    shared_log_sum += (shared / pipeline.max(1e-9)).ln();
-                    shared_matched += 1;
-                }
-            }
-        }
-    }
-    let shared_geomean =
-        (shared_matched > 0).then(|| (shared_log_sum / shared_matched as f64).exp());
-    if let Some(g) = shared_geomean {
-        println!(
-            "geomean shared-reader/per-connection speedup over {shared_matched} tcp sweep \
-             points: {g:.2}x"
-        );
-    }
     let (total_wakes, total_frames) = rows
         .iter()
         .filter_map(|row| row.reader.as_ref())
@@ -1428,15 +1274,25 @@ fn main() {
     }
 
     // The paper-claim headline: W2R1's one-round fast reads vs W2R2's
-    // two-round reads under full contention, both on the shared reader.
+    // two-round reads under full contention over TCP.
+    let tcp_point = |protocol: Protocol, w: usize, r: usize| {
+        rows.iter()
+            .find(|row| {
+                row.transport == "tcp"
+                    && row.protocol == protocol
+                    && row.writers == w
+                    && row.readers == r
+            })
+            .map(|row| row.ops_per_sec)
+    };
     let protocol_headline = match (
-        point(Protocol::W2R1, "shared", max_clients, max_clients),
-        point(Protocol::W2R2, "shared", max_clients, max_clients),
+        tcp_point(Protocol::W2R1, max_clients, max_clients),
+        tcp_point(Protocol::W2R2, max_clients, max_clients),
     ) {
         (Some(w2r1), Some(w2r2)) => {
             let ratio = w2r1 / w2r2.max(1e-9);
             println!(
-                "contended shared tcp ({max_clients}x{max_clients} clients): W2R1 {w2r1:.0} \
+                "contended tcp ({max_clients}x{max_clients} clients): W2R1 {w2r1:.0} \
                  ops/s vs W2R2 {w2r2:.0} ops/s — {ratio:.2}x"
             );
             Some(ProtocolHeadline {
@@ -1450,10 +1306,8 @@ fn main() {
         _ => None,
     };
 
-    let unfiltered = protocols.len() == 2
-        && transport_filter.is_none()
-        && send_path_filter.is_none()
-        && client_override.is_none();
+    let unfiltered =
+        protocols.len() == 2 && transport_filter.is_none() && client_override.is_none();
     let overhead = if unfiltered {
         // The auditor's cost, measured where it hurts most: the most
         // contended in-memory point (TCP points are transport-bound and
@@ -1484,15 +1338,7 @@ fn main() {
     // unfiltered sweep.
     let default_artifact = unfiltered.then(|| "BENCH_live_throughput.json".to_owned());
     if let Some(path) = out_path.or(default_artifact) {
-        let json = to_json(
-            duration,
-            &rows,
-            &headline,
-            geomean,
-            shared_geomean,
-            protocol_headline.as_ref(),
-            overhead.as_ref(),
-        );
+        let json = to_json(duration, &rows, protocol_headline.as_ref(), overhead.as_ref());
         std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("wrote {path}");
     } else {
@@ -1501,13 +1347,13 @@ fn main() {
 
     println!("\nShape: closed-loop latency hides what happens when clients pile up;");
     println!("sweeping the population shows it. The per-peer writer pipelines keep");
-    println!("ops/sec scaling with clients — broadcasts fan out as parallel enqueues");
-    println!("and frames coalesce into single writes — where the legacy path's");
-    println!("endpoint-wide lock and two-syscalls-per-message flatten the curve.");
+    println!("ops/sec scaling with clients — broadcasts fan out as parallel enqueues,");
+    println!("frames coalesce into single writes, and one reader wake drains every");
+    println!("frame that arrived since the last (the wk/frm column).");
 
     if assert_floor {
         let mut failed = false;
-        for row in rows.iter().filter(|r| r.send_path != "legacy") {
+        for row in &rows {
             if row.ops_per_sec < floor {
                 eprintln!(
                     "FAIL: {} {} {} {}x{} completed {:.0} ops/s (< floor {floor:.0})",

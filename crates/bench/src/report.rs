@@ -22,7 +22,8 @@ use std::fmt::Write as _;
 pub struct SweepPoint {
     /// `"in-memory"` or `"tcp"`.
     pub transport: String,
-    /// `"channel"`, `"pipeline"` or `"legacy"`.
+    /// `"channel"` (in-memory) or `"shared"` (TCP) on sweep rows; the
+    /// scenario name on chaos rows.
     pub send_path: String,
     /// Protocol display name, e.g. `"W2R1 (this paper)"`.
     pub protocol: String,

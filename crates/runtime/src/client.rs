@@ -290,13 +290,6 @@ impl<E: Endpoint> LiveWriter<E> {
         self
     }
 
-    /// Sets the per-round-trip quorum timeout.
-    #[deprecated(since = "0.2.0", note = "use the builder-style with_timeout")]
-    pub fn set_timeout(&mut self, timeout: Duration) -> &mut Self {
-        self.timeout = timeout;
-        self
-    }
-
     /// Re-derives the scope from the shared view when the epoch moved —
     /// the cheap per-operation check (one atomic load in the common case).
     fn refresh_scope(&mut self) {
@@ -503,13 +496,6 @@ impl<E: Endpoint> LiveReader<E> {
         self
     }
 
-    /// Sets the per-round-trip quorum timeout.
-    #[deprecated(since = "0.2.0", note = "use the builder-style with_timeout")]
-    pub fn set_timeout(&mut self, timeout: Duration) -> &mut Self {
-        self.timeout = timeout;
-        self
-    }
-
     /// Scopes this reader to one register of a keyspace (builder-style):
     /// round-trips broadcast only to `group`, wait for `|group| − t`
     /// replies, wrap every request in [`Msg::ForRegister`] and accept only
@@ -551,13 +537,6 @@ impl<E: Endpoint> LiveReader<E> {
     /// default because the extra encode costs O(payload) inside the
     /// operation).
     pub fn with_measure_payload(mut self, on: bool) -> Self {
-        self.measure_payload = on;
-        self
-    }
-
-    /// Enables payload accounting.
-    #[deprecated(since = "0.2.0", note = "use the builder-style with_measure_payload")]
-    pub fn set_measure_payload(&mut self, on: bool) -> &mut Self {
         self.measure_payload = on;
         self
     }

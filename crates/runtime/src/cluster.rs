@@ -678,36 +678,6 @@ impl<F: EndpointFactory> RuntimeCluster<F> {
     }
 }
 
-impl RuntimeCluster<InMemoryTransport> {
-    /// Starts an in-memory cluster on a fresh transport.
-    #[deprecated(
-        since = "0.2.0",
-        note = "construct clusters through mwr::register::Deployment (Backend::InMemory), \
-                or RuntimeCluster::start_on(InMemoryTransport::new(), ..)"
-    )]
-    pub fn start(config: ClusterConfig, protocol: Protocol) -> Self {
-        Self::start_on(InMemoryTransport::new(), config, protocol)
-            .expect("in-memory endpoints cannot fail to open")
-    }
-}
-
-impl RuntimeCluster<TcpRegistry> {
-    /// Binds and starts every server on loopback sockets in a fresh
-    /// registry.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TransportError`] if a socket cannot be bound.
-    #[deprecated(
-        since = "0.2.0",
-        note = "construct clusters through mwr::register::Deployment (Backend::Tcp), \
-                or RuntimeCluster::start_on(TcpRegistry::new(), ..)"
-    )]
-    pub fn start(config: ClusterConfig, protocol: Protocol) -> Result<Self, TransportError> {
-        Self::start_on(TcpRegistry::new(), config, protocol)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -935,23 +905,6 @@ mod tests {
                 "cycle {cycle}: rejoin of server {victim} took {took:?}"
             );
         }
-        cluster.shutdown();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_still_work() {
-        let config = ClusterConfig::new(3, 1, 1, 1).unwrap();
-        let cluster = LiveCluster::start(config, Protocol::W2R2);
-        let mut w = cluster.writer(0).unwrap();
-        let mut r = cluster.reader(0).unwrap();
-        let written = w.write(Value::new(5)).unwrap();
-        assert_eq!(r.read().unwrap(), written);
-        cluster.shutdown();
-
-        let cluster = TcpCluster::start(config, Protocol::W2R2).unwrap();
-        let mut w = cluster.writer(0).unwrap();
-        assert!(w.write(Value::new(6)).is_ok());
         cluster.shutdown();
     }
 }

@@ -1,13 +1,13 @@
 //! Endpoint teardown seen from outside the transport: after `drop`, the
-//! process holds no descriptor it did not hold before.
+//! process holds no descriptor and runs no thread it did not before.
 //!
 //! This file holds exactly one test, so nothing else in the process opens
-//! or closes descriptors while it counts them.
+//! or closes descriptors, or starts or ends threads, while it counts them.
 
 #![cfg(target_os = "linux")]
 
 use std::sync::atomic::Ordering;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mwr_core::Msg;
 use mwr_runtime::{Endpoint as _, TcpEndpoint, TcpRegistry};
@@ -17,9 +17,14 @@ fn open_descriptors() -> usize {
     std::fs::read_dir("/proc/self/fd").expect("procfs").count()
 }
 
+fn running_threads() -> usize {
+    std::fs::read_dir("/proc/self/task").expect("procfs").count()
+}
+
 #[test]
 fn endpoint_drop_leaves_no_socket_open() {
     let before = open_descriptors();
+    let threads_before = running_threads();
     let registry = TcpRegistry::new();
     let hub = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
     let peers: Vec<TcpEndpoint> =
@@ -36,9 +41,16 @@ fn endpoint_drop_leaves_no_socket_open() {
     hub.send(ProcessId::writer(3), Msg::InvokeRead).unwrap();
     peers[3].inbox().recv_timeout(Duration::from_secs(5)).unwrap();
     assert!(open_descriptors() > before, "the endpoints hold sockets while alive");
+    assert!(running_threads() > threads_before, "the endpoints run threads while alive");
 
     let gauges: Vec<_> =
         peers.iter().chain([&hub]).map(TcpEndpoint::connection_gauge).collect();
+    // The hub's reader counts the connection the hub dialed on its next
+    // wake-up, which can come after the peer has already been heard.
+    let adopted = Instant::now() + Duration::from_secs(5);
+    while gauges[4].load(Ordering::SeqCst) < 4 && Instant::now() < adopted {
+        std::thread::yield_now();
+    }
     assert_eq!(gauges[4].load(Ordering::SeqCst), 4, "one connection per peer pair");
     // Half the peers go first (the hub reaps their EOFs or not — either
     // way its own drop must close what is left), then the hub, then the
@@ -51,4 +63,5 @@ fn endpoint_drop_leaves_no_socket_open() {
         assert_eq!(gauge.load(Ordering::SeqCst), 0, "teardown must empty every gauge");
     }
     assert_eq!(open_descriptors(), before, "teardown leaked a descriptor");
+    assert_eq!(running_threads(), threads_before, "a thread outlived its endpoint's drop");
 }

@@ -50,7 +50,7 @@ fn contended_live_closed_loop_stays_wait_free() {
             .protocol(Protocol::W2R1)
             .backend(backend)
             .run_closed_loop(WorkloadSpec {
-                duration: SimTime::from_ticks(100_000), // 100 ms of issuing
+                duration: SimTime::from_ticks(1_000_000), // 1 s of issuing
                 think_time: SimTime::from_ticks(200),
                 seed: 0,
             })

@@ -280,6 +280,23 @@ mod tests {
         assert_eq!(registers.len(), expected);
     }
 
+    /// What a single-register cluster's rejoin rests on: a bank that only
+    /// ever saw bare frames exports them as shard 0's one register.
+    #[test]
+    fn bare_traffic_ships_as_the_default_register_of_shard_zero() {
+        let mut bank = ServerBank::new(2, Router::new(3, 3, 1));
+        bank.handle(ProcessId::writer(0), &update(0, 1, 10));
+        bank.handle(ProcessId::writer(0), &update(1, 2, 20));
+        let Some(Msg::ShardSnapshot { registers, .. }) =
+            bank.handle(ProcessId::server(1), &Msg::ShardFetch { shard: 0, nonce: 1 })
+        else {
+            panic!("peer fetch must be answered");
+        };
+        let [only] = registers.as_slice() else { panic!("one register, got {registers:?}") };
+        assert_eq!(only.register, RegisterId::DEFAULT);
+        assert_eq!(only.state.latest.value(), Value::new(20), "the last bare update");
+    }
+
     #[test]
     fn epoch_lives_at_the_bank_and_tags_wrapped_replies() {
         let mut bank = ServerBank::new(2, Router::new(3, 3, 4));

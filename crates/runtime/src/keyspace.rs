@@ -1,34 +1,54 @@
-//! Live keyspace clusters: one [`ServerBank`] thread per server, shard-aware
-//! crash and rejoin.
+//! The live cluster manager: one [`ServerBank`] thread per server, with
+//! crash, rejoin and reconfiguration walked once for every deployment shape.
 //!
-//! A keyspace cluster differs from [`RuntimeCluster`](crate::RuntimeCluster)
-//! in what a server *is*: not one Algorithm 2 automaton but a bank of them,
-//! lazily instantiated per register and multiplexed over a single endpoint
-//! by the [`Msg::ForRegister`] frame header. Fault injection is the same
-//! operation as on the single-register cluster; **rejoin** is where the
-//! sharding shows. A rejoining server does not fetch "the" state — it
-//! fetches one [`Msg::ShardFetch`] round per shard its rendezvous groups
-//! assign it, and every shard must independently assemble a quorum
-//! (`g − t`) of peer snapshots before the bank may serve again. Fewer could
+//! A live server is a bank of Algorithm 2 automata, lazily instantiated per
+//! register and multiplexed over a single endpoint by the
+//! [`Msg::ForRegister`] frame header; a [`Router`] assigns each register's
+//! shard to a *group* of `g` servers, and every per-register guarantee holds
+//! inside that group with `g` in place of `S`. A single-register cluster
+//! ([`RuntimeCluster`](crate::RuntimeCluster)) is the degenerate instance:
+//! one shard whose group is the whole member set (`g = S`, and it stays
+//! `S` across reconfigurations), its clients' bare frames landing on
+//! [`RegisterId::DEFAULT`] — so there is nothing it needs that a keyspace
+//! does not already do.
+//!
+//! State moves between servers along one path, shard by shard: a rejoining
+//! server sends one [`Msg::ShardFetch`] round per shard its groups assign
+//! it, a handover's coordinator fetches each re-routed shard from its old
+//! group and pushes it with [`Msg::ShardInstall`]. Every shard must
+//! independently assemble a quorum (`g − t`) of peer snapshots: fewer could
 //! miss a completed write on that shard, so one starved shard refuses the
-//! whole rejoin — per-register soundness is never traded for availability.
+//! whole rejoin or handover — per-register soundness is never traded for
+//! availability.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mwr_core::{Msg, Protocol, RegisterTransfer, Router, ServerBank, StateTransfer, MAX_MEMBERS};
-use mwr_types::{ConfigEpoch, KeyspaceConfig, ProcessId, RegisterId};
+use mwr_types::{ConfigEpoch, ConfigError, KeyspaceConfig, ProcessId, RegisterId, ServerId};
 
-use crate::cluster::COORDINATOR;
 use crate::server::{spawn_bank_with, ServerHandle};
 use crate::tcp::TcpRegistry;
 use crate::transport::{Endpoint, EndpointFactory, InMemoryTransport, TransportError};
 use crate::view::{ClusterView, ViewPlan, ViewState};
 
-/// A running keyspace cluster over any [`EndpointFactory`]: every server
-/// hosts a [`ServerBank`], clients are minted per key by the `mwr-keyspace`
-/// facade.
+/// The process id reconfiguration coordinators open their temporary
+/// endpoint under. It is a *server* id so that state-transfer messages pass
+/// the banks' `from.as_server()` gate, but far outside any real member id
+/// (members are minted monotonically from 0), so it can never collide with
+/// a member, enter a client's scope, or touch the fast-read reply masks.
+const COORDINATOR: ProcessId = ProcessId::Server(ServerId::new(u32::MAX - 1));
+
+/// One state-fetch round's harvest: shard → peer → that peer's
+/// per-register exports, deduped by peer so a re-broadcast can never
+/// double-count a snapshot toward quorum.
+type Gathered = BTreeMap<u32, BTreeMap<ProcessId, Vec<RegisterTransfer>>>;
+
+/// A running live cluster over any [`EndpointFactory`]: every server hosts
+/// a [`ServerBank`], clients are minted per key by the `mwr-keyspace`
+/// facade (or, for the one-register shape, by
+/// [`RuntimeCluster`](crate::RuntimeCluster)).
 ///
 /// # Examples
 ///
@@ -46,6 +66,10 @@ use crate::view::{ClusterView, ViewPlan, ViewState};
 #[derive(Debug)]
 pub struct KeyspaceCluster<F: EndpointFactory> {
     config: KeyspaceConfig,
+    /// Whether the group is the whole member set and follows it through
+    /// reconfigurations (a cluster started from a `ClusterConfig`), rather
+    /// than keeping the configured `g`.
+    whole_cluster: bool,
     protocol: Protocol,
     router: Router,
     factory: F,
@@ -53,15 +77,17 @@ pub struct KeyspaceCluster<F: EndpointFactory> {
     /// Bank-wide version beacons captured at crash time (max over the
     /// bank's registers): the floor every rebuilt register resumes above.
     crashed: HashMap<u32, u64>,
-    /// Monotone nonce distinguishing shard-fetch rounds, as in the
-    /// single-register cluster's rejoin.
+    /// Monotone nonce distinguishing state-fetch rounds, so a straggler
+    /// snapshot from an earlier rejoin can never corrupt a later one.
     fetch_nonce: u64,
-    /// The next server id a reconfiguration will mint (retired ids are
-    /// never reused; the router's member bitset tracks the current set).
+    /// The next server id a reconfiguration will mint. Retired ids are
+    /// never reused, so a straggler frame addressed to (or from) a removed
+    /// server can never be confused with a later member; the router's
+    /// member bitset tracks the current set.
     next_server_id: u32,
-    /// The configuration epoch the keyspace is in.
+    /// The configuration epoch the cluster is in (the view's epoch).
     epoch: ConfigEpoch,
-    /// The shared view scoped clients follow through reconfigurations.
+    /// The shared view every client follows through reconfigurations.
     view: Arc<ClusterView>,
 }
 
@@ -74,36 +100,58 @@ pub type TcpKeyspaceCluster = KeyspaceCluster<TcpRegistry>;
 impl<F: EndpointFactory> KeyspaceCluster<F> {
     /// Starts every server of `config` as a [`ServerBank`] thread over
     /// endpoints from `factory`, with acknowledged-floor GC sized to the
-    /// client population (per register, as on the single-register cluster).
+    /// client population (per register).
     ///
     /// # Errors
     ///
-    /// Returns a [`TransportError`] if a server endpoint cannot be opened.
+    /// Returns a [`TransportError`] if a server endpoint cannot be opened
+    /// (e.g. a socket cannot be bound).
     pub fn start_on(
         factory: F,
         config: KeyspaceConfig,
         protocol: Protocol,
     ) -> Result<Self, TransportError> {
+        Self::start(factory, config, protocol, false)
+    }
+
+    /// [`start_on`](Self::start_on), choosing whether the group follows the
+    /// member set (see the `whole_cluster` field).
+    pub(crate) fn start(
+        factory: F,
+        config: KeyspaceConfig,
+        protocol: Protocol,
+        whole_cluster: bool,
+    ) -> Result<Self, TransportError> {
         let router = Router::for_keyspace(&config);
-        let population = config.readers() + config.writers();
-        let mut servers = Vec::with_capacity(config.servers());
-        for s in config.server_ids() {
-            let endpoint = factory.open(ProcessId::Server(s))?;
-            servers.push(spawn_bank_with(endpoint, ServerBank::new(population, router)));
-        }
-        let view = ClusterView::stable_keyspace(router, config.group_quorum());
-        Ok(KeyspaceCluster {
+        let mut cluster = KeyspaceCluster {
             next_server_id: config.servers() as u32,
             config,
+            whole_cluster,
             protocol,
             router,
             factory,
-            servers,
+            servers: Vec::with_capacity(config.servers()),
             crashed: HashMap::new(),
             fetch_nonce: 0,
             epoch: ConfigEpoch::ZERO,
-            view,
-        })
+            view: ClusterView::new(router, config.max_faults()),
+        };
+        for s in config.server_ids() {
+            cluster.spawn_empty_bank(s.index(), router)?;
+        }
+        Ok(cluster)
+    }
+
+    /// Opens server `id`'s endpoint and starts an empty bank on it.
+    fn spawn_empty_bank(&mut self, id: u32, router: Router) -> Result<(), TransportError> {
+        let endpoint = self.factory.open(ProcessId::server(id))?;
+        self.servers.push(spawn_bank_with(endpoint, ServerBank::new(self.population(), router)));
+        Ok(())
+    }
+
+    /// The client population (`R + W`) per-register GC is sized to.
+    fn population(&self) -> usize {
+        self.config.readers() + self.config.writers()
     }
 
     /// The keyspace configuration.
@@ -121,71 +169,83 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
         &self.router
     }
 
-    /// The transport factory, for opening client endpoints.
+    /// The transport factory, for opening client and auxiliary endpoints.
     pub fn factory(&self) -> &F {
         &self.factory
     }
 
     /// The current member server ids, ascending (the router's bitset).
+    /// `0..config.servers()` until the first reconfiguration; afterwards
+    /// removed ids are gone for good and added ids extend monotonically.
     pub fn members(&self) -> Vec<u32> {
         self.router.member_ids().map(|s| s.index()).collect()
     }
 
-    /// The configuration epoch the keyspace is in: 0 until the first
-    /// reconfiguration, then `+2` per completed (or aborted) handover.
+    /// The configuration epoch the cluster is in: 0 until the first
+    /// reconfiguration, then `+2` per completed (or aborted) handover —
+    /// one step into the joint window, one step out.
     pub fn epoch(&self) -> ConfigEpoch {
         self.epoch
     }
 
-    /// The shared configuration view scoped clients follow. The facade
-    /// attaches it to every per-key client it mints, so clients re-derive
-    /// their register's group from the *current* router at each operation.
+    /// The shared configuration view clients follow. Facade layers attach
+    /// it to every client they mint, so clients re-derive their register's
+    /// group from the *current* router at each operation.
     pub fn view(&self) -> Arc<ClusterView> {
         Arc::clone(&self.view)
     }
 
     /// Crashes server `idx`: removes it from the transport's delivery map,
     /// stops its bank thread, and records the bank's version beacon (the
-    /// max across its registers) as the floor a rejoin resumes above.
+    /// max across its registers) as the floor a rejoin resumes above. At
+    /// most `t` crashes per group keep its registers wait-free; on TCP the
+    /// crashed server's listener closes, so cached client connections fail
+    /// exactly like connections to a dead host.
     ///
     /// # Panics
     ///
     /// Panics if the server was already crashed.
     pub fn crash_server(&mut self, idx: u32) {
-        let pos = self
-            .servers
-            .iter()
-            .position(|h| h.id() == ProcessId::server(idx))
+        let handle = self
+            .withdraw(idx)
             .unwrap_or_else(|| panic!("server {idx} already crashed or unknown"));
-        let handle = self.servers.swap_remove(pos);
-        self.factory.close(ProcessId::server(idx));
         let beacon = handle.beacon();
         handle.shutdown();
-        // Read the beacon after the join so it covers every message the
-        // bank ever processed — the stable-storage record of the crash
-        // model, shared by all of the bank's registers.
+        // Read the beacon *after* the join: it then covers every message
+        // the bank ever processed. This is the stable-storage version
+        // record crash–recover models assume, shared by all of the bank's
+        // registers; rejoin resumes above it.
         self.crashed
             .insert(idx, beacon.load(std::sync::atomic::Ordering::Acquire));
     }
 
-    /// Brings a crashed server back with per-shard state transfer: one
-    /// [`Msg::ShardFetch`] round per shard in
+    /// Brings a crashed server back with per-shard state transfer: opens a
+    /// fresh endpoint (on TCP, a fresh listener re-registered under the
+    /// same process id), runs one [`Msg::ShardFetch`] round per shard in
     /// [`Router::shards_on`]`(idx)`, each requiring a quorum (`g − t`) of
-    /// that shard's surviving group members, then a
-    /// [`ServerBank::recovered`] bank spawned only once **every** shard has
-    /// its quorum. Registers a peer never instantiated are simply absent
-    /// from its snapshot — lazy instantiation means the peer processed no
-    /// message for them, so the empty transfer is vacuously complete.
+    /// that shard's surviving group members, and spawns a
+    /// [`ServerBank::recovered`] bank only once **every** shard has its
+    /// quorum — the rejoined server answers no quorum round before its
+    /// state covers every completed operation (see the state-transfer
+    /// soundness argument in `mwr-core`'s server module docs). Registers a
+    /// peer never instantiated are simply absent from its snapshot — lazy
+    /// instantiation means the peer processed no message for them, so the
+    /// empty transfer is vacuously complete.
+    ///
+    /// Client requests arriving during the fetch window are dropped, which
+    /// is indistinguishable from the crash lasting a moment longer.
     ///
     /// # Errors
     ///
     /// Returns [`TransportError::Io`] with [`std::io::ErrorKind::TimedOut`]
-    /// if any shard's quorum does not assemble within 5 seconds; the crash
-    /// bookkeeping is preserved so the attempt can be retried.
+    /// if any shard's quorum does not assemble within 5 seconds — fewer
+    /// snapshots could miss a completed write, so the server refuses to
+    /// rejoin (and may be retried later; the crash bookkeeping is
+    /// preserved).
     ///
     /// # Panics
     ///
-    /// Panics if the server is still running.
+    /// As [`rejoin_server_within`](Self::rejoin_server_within).
     pub fn rejoin_server(&mut self, idx: u32) -> Result<(), TransportError> {
         self.rejoin_server_within(idx, Duration::from_secs(5))
     }
@@ -198,149 +258,130 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
     ///
     /// # Panics
     ///
-    /// Panics if the server is still running.
+    /// Panics if the server is still running, or if `idx` is not a current
+    /// member: an id a reconfiguration retired is in no shard group, so
+    /// there is no state it could fetch and no quorum it could ever serve.
     pub fn rejoin_server_within(
         &mut self,
         idx: u32,
         fetch_timeout: Duration,
     ) -> Result<(), TransportError> {
-        assert!(
-            self.servers.iter().all(|h| h.id() != ProcessId::server(idx)),
-            "server {idx} is still running"
-        );
-        let version_floor = self.crashed.get(&idx).copied().unwrap_or(0);
         let me = ProcessId::server(idx);
+        assert!(self.servers.iter().all(|h| h.id() != me), "server {idx} is still running");
+        assert!(self.members().contains(&idx), "server {idx} is not a member");
+        let version_floor = self.crashed.get(&idx).copied().unwrap_or(0);
         let endpoint = self.factory.open(me)?;
         self.fetch_nonce += 1;
-        let nonce = self.fetch_nonce;
-        let shards = self.router.shards_on(mwr_types::ServerId::new(idx));
-        let required = self.config.group_quorum();
-        // One fetch per (shard, surviving group member): groups differ per
-        // shard, so the batch is assembled per shard rather than cluster-wide.
-        let batch: Vec<(ProcessId, Msg)> = shards
-            .iter()
-            .flat_map(|&shard| {
-                self.router
-                    .group(shard)
-                    .into_iter()
-                    .map(ProcessId::Server)
-                    .filter(|p| *p != me)
-                    .map(move |p| (p, Msg::ShardFetch { shard, nonce }))
-            })
-            .collect();
-        // shard → peer → that peer's per-register exports, deduped by peer
-        // so a re-broadcast can never double-count a snapshot toward quorum.
-        let mut gathered: BTreeMap<u32, BTreeMap<ProcessId, Vec<RegisterTransfer>>> =
-            shards.iter().map(|&s| (s, BTreeMap::new())).collect();
-        let quorate =
-            |g: &BTreeMap<u32, BTreeMap<ProcessId, Vec<RegisterTransfer>>>| {
-                g.values().all(|peers| peers.len() >= required)
-            };
-        let deadline = Instant::now() + fetch_timeout;
-        // Same re-broadcast discipline as the single-register rejoin: the
-        // round is idempotent and any one frame can be lost in the crash
-        // model (replies ride back on the fetch's own connection, so this
-        // server's previous incarnation plays no part in that).
-        let rebroadcast_every = (fetch_timeout / 10).max(Duration::from_millis(10));
-        'fetch: while !quorate(&gathered) {
-            if Instant::now() >= deadline {
-                break;
-            }
-            endpoint.send_batch(batch.clone());
-            let round_ends = (Instant::now() + rebroadcast_every).min(deadline);
-            while !quorate(&gathered) {
-                let now = Instant::now();
-                if now >= round_ends {
-                    break;
-                }
-                match endpoint.inbox().recv_timeout(round_ends - now) {
-                    // Client traffic racing the fetch window is dropped:
-                    // the bank is not serving yet. Past epoch 0 replies
-                    // arrive epoch-tagged; strip the header first.
-                    Ok((from, msg)) => {
-                        if let (_, Msg::ShardSnapshot { nonce: n, shard, registers }) =
-                            msg.into_epoch_parts()
-                        {
-                            if n == nonce {
-                                if let Some(peers) = gathered.get_mut(&shard) {
-                                    peers.insert(from, registers);
-                                }
-                            }
-                        }
-                    }
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => break,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break 'fetch,
-                }
-            }
-        }
-        if !quorate(&gathered) {
+        let shards = self.router.shards_on(ServerId::new(idx));
+        let t = self.config.max_faults();
+        let fetched =
+            fetch_shards(&endpoint, &self.router, &shards, t, self.fetch_nonce, fetch_timeout);
+        if fetched.is_err() {
             // One starved shard refuses the whole rejoin: a bank serving
             // shard A while shard B's transfer is partial could miss a
-            // completed write on B. Withdraw the endpoint.
+            // completed write on B. Withdraw the endpoint's registration;
+            // the endpoint itself drops with the return.
             self.factory.close(me);
-            drop(endpoint);
-            return Err(TransportError::Io { kind: std::io::ErrorKind::TimedOut });
         }
+        let gathered = fetched?;
         let mut transfers: BTreeMap<RegisterId, Vec<StateTransfer>> = BTreeMap::new();
-        for peers in gathered.into_values() {
-            for registers in peers.into_values() {
-                for t in registers {
-                    transfers.entry(t.register).or_default().push(t.state);
-                }
-            }
+        for export in gathered.into_values().flat_map(BTreeMap::into_values).flatten() {
+            transfers.entry(export.register).or_default().push(export.state);
         }
-        let population = self.config.readers() + self.config.writers();
-        let bank = ServerBank::recovered(population, self.router, version_floor, &transfers);
+        let bank = ServerBank::recovered(self.population(), self.router, version_floor, &transfers);
         let handle = spawn_bank_with(endpoint, bank);
-        // The rejoined bank resumes in the keyspace's current epoch.
+        // The rejoined incarnation resumes in the cluster's current epoch:
+        // its replies are tagged like every other member's, so a stale
+        // client learns of any reconfiguration from its first ack.
         handle.announce_epoch(self.epoch);
         self.servers.push(handle);
         self.crashed.remove(&idx);
         Ok(())
     }
 
+    /// The configuration a reconfiguration to `servers` members would
+    /// commit: the same `t`, shards, `R` and `W`, with the group size kept
+    /// (a keyspace) or following the member count (a single-register
+    /// cluster) — revalidated from scratch, because quorum size and the
+    /// fast-read bound move with it.
+    ///
+    /// # Errors
+    ///
+    /// As [`KeyspaceConfig::new`]: the target must still assemble quorums.
+    pub fn reconfigured_config(&self, servers: usize) -> Result<KeyspaceConfig, ConfigError> {
+        let c = &self.config;
+        let group_size = if self.whole_cluster { servers } else { c.group_size() };
+        KeyspaceConfig::new(
+            servers,
+            c.max_faults(),
+            group_size,
+            c.shards(),
+            c.readers(),
+            c.writers(),
+        )
+    }
+
     /// Reconfigures the live server set with per-shard handover: mints
     /// `add` fresh server ids, retires the members in `remove`, and
     /// re-routes every shard under the new rendezvous member set — while
-    /// per-key clients keep serving.
+    /// clients keep serving.
     ///
-    /// The schedule is the single-register
-    /// [`RuntimeCluster::reconfigure`](crate::RuntimeCluster::reconfigure)
-    /// run per shard group:
+    /// The handover runs the joint-quorum schedule (RAMBO-style, with
+    /// viewstamp-like epochs in every frame past epoch 0), per shard group:
     ///
-    /// 1. **Join** — added banks spawn empty; the view flips to a joint
-    ///    epoch where each register's scope is the *union* of its old and
-    ///    new groups with a `g − t` quorum required in each, and fast
-    ///    reads write back.
+    /// 1. **Join** — added banks spawn empty and the shared view flips to a
+    ///    *joint* epoch `e+1`: each register's scope is now the union of its
+    ///    old and new groups, a round completes only with a quorum (`g − t`
+    ///    of that side's group) in **both**, and every fast read is forced
+    ///    through its write-back round. The epoch is then announced to all
+    ///    servers (the fence): any round that completes on lower-epoch acks
+    ///    had all its server-side effects before the announcement.
     /// 2. **Transfer** — for every `(server, shard)` pair the new routing
     ///    adds (a joiner's shards, but also a *survivor* promoted into a
-    ///    group when a removal changed the rendezvous ranking), the
-    ///    coordinator fetches the shard from a `g − t` quorum of its old
-    ///    group and installs it via [`Msg::ShardInstall`]. No quorum, no
-    ///    commit.
-    /// 3. **Commit** — the view flips to a stable epoch over the new
-    ///    router; removed banks are torn down. Shards route only within
-    ///    their own groups, so a handover on one shard never moves another
-    ///    shard's floors (no cross-key bleed — pinned by the integration
-    ///    tests).
+    ///    group when a removal changed the rendezvous ranking), a temporary
+    ///    coordinator endpoint fetches the shard from a quorum of its old
+    ///    group and installs the merge via [`Msg::ShardInstall`] (the
+    ///    rejoin merge, on a running bank). By the fence, that old quorum
+    ///    covers every operation that ever completed without a new-group
+    ///    quorum. No quorum, no commit.
+    /// 3. **Commit** — the view flips to a stable epoch `e+2` over the new
+    ///    router, the epoch is announced, and the removed banks are torn
+    ///    down (endpoints closed, threads joined). Straggler acks from
+    ///    removed servers no longer count: stable satisfaction counts
+    ///    members only. Shards route only within their own groups, so a
+    ///    handover on one shard never moves another shard's floors (no
+    ///    cross-key bleed — pinned by the integration tests).
     ///
-    /// Returns the added servers' ids.
+    /// If a shard's transfer cannot assemble its old quorum or an install
+    /// ack is missing within `window`, the reconfiguration **refuses to
+    /// commit**: it rolls *forward* to a stable epoch over the unchanged
+    /// old routing, tears the added servers down, and returns the timeout —
+    /// client traffic is never left on a configuration that might miss a
+    /// completed write.
+    ///
+    /// Returns the added servers' ids (empty for a pure removal).
     ///
     /// # Errors
     ///
     /// Returns [`TransportError::Io`] with [`std::io::ErrorKind::TimedOut`]
-    /// on a refused handover (rolled forward to the old member set), or
-    /// any endpoint-open error from the transport.
+    /// on a refused handover, or any endpoint-open error propagated from
+    /// the transport.
     ///
-    /// Crashed members need not rejoin first: with at most `t` of a
-    /// shard's old group down its transfer quorum still assembles; with
-    /// more the handover refuses and rolls forward to the old routing.
+    /// Crashed members need not rejoin first: with at most `t` of a shard's
+    /// old group down its transfer quorum still assembles (and a crashed id
+    /// listed in `remove` is simply retired for good); with more than `t`
+    /// down the handover refuses, exactly like every other quorum-starved
+    /// round.
     ///
     /// # Panics
     ///
-    /// Panics if `remove` names a non-member, the change is empty, the
-    /// resulting shape is invalid, or the id space would outgrow
-    /// [`MAX_MEMBERS`].
+    /// Panics if `remove` names a non-member, if the change is empty, if
+    /// the resulting shape is invalid, or if the id space would outgrow
+    /// [`MAX_MEMBERS`]: server ids live in the router's 128-bit member set
+    /// and are never reused, so the `add`s of a cluster's lifetime sum to
+    /// at most `MAX_MEMBERS − S` — on a single-register cluster too, whose
+    /// fast-read reply masks already cap it at
+    /// [`MAX_SLOTS`](mwr_core::MAX_SLOTS) = 128 servers.
     pub fn reconfigure(&mut self, add: usize, remove: &[u32]) -> Result<Vec<u32>, TransportError> {
         self.reconfigure_within(add, remove, Duration::from_secs(5))
     }
@@ -362,61 +403,42 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
         window: Duration,
     ) -> Result<Vec<u32>, TransportError> {
         assert!(add > 0 || !remove.is_empty(), "reconfigure must change the member set");
-        let old_router = self.router;
+        let (old_router, members) = (self.router, self.members());
+        let mut new_mask = old_router.members();
         for &r in remove {
-            assert!(
-                old_router.members() & (1u128 << r) != 0,
-                "removed server {r} is not a member"
-            );
+            assert!(members.contains(&r), "removed server {r} is not a member");
+            new_mask &= !(1u128 << r);
         }
         assert!(
             (self.next_server_id as usize + add) <= MAX_MEMBERS,
             "server id space exhausted (max {MAX_MEMBERS} ids)"
         );
         let added: Vec<u32> = (0..add as u32).map(|i| self.next_server_id + i).collect();
-        let mut new_mask = old_router.members();
-        for &r in remove {
-            new_mask &= !(1u128 << r);
-        }
         for &a in &added {
             new_mask |= 1u128 << a;
         }
+        // Validates the new shape before anything is touched.
         let new_config = self
-            .config
-            .reconfigured(new_mask.count_ones() as usize)
+            .reconfigured_config(new_mask.count_ones() as usize)
             .unwrap_or_else(|e| panic!("invalid reconfigured shape: {e}"));
         let new_router =
-            Router::with_members(new_mask, old_router.group_size(), old_router.shards());
+            Router::with_members(new_mask, new_config.group_size() as u32, old_router.shards());
         self.next_server_id += add as u32;
 
         // 1. Join: added banks spawn empty under the new router and serve
-        // immediately — every joint-window round also spans the old group.
-        let population = self.config.readers() + self.config.writers();
+        // immediately — sound because every joint-window round also spans
+        // an old quorum (reads are write-back-secured, and a query's
+        // maximum over the union is its maximum over the old side it must
+        // include).
         for &id in &added {
-            match self.factory.open(ProcessId::server(id)) {
-                Ok(endpoint) => {
-                    self.servers
-                        .push(spawn_bank_with(endpoint, ServerBank::new(population, new_router)));
-                }
-                Err(e) => {
-                    self.teardown(&added);
-                    return Err(e);
-                }
+            if let Err(e) = self.spawn_empty_bank(id, new_router) {
+                // Unwind the servers already added; nothing announced.
+                self.teardown(&added);
+                return Err(e);
             }
         }
-        let joint_epoch = self.epoch.next();
-        self.view.install(ViewState {
-            epoch: joint_epoch,
-            plan: ViewPlan::JointKeyspace {
-                old: old_router,
-                new: new_router,
-                quorum: self.config.group_quorum(),
-            },
-        });
-        for h in &self.servers {
-            h.announce_epoch(joint_epoch);
-        }
-        self.epoch = joint_epoch;
+        let t = self.config.max_faults();
+        self.enter_epoch(ViewPlan::Joint { old: old_router, new: new_router, t });
 
         // 2. Transfer: every (server, shard) pair the new routing adds.
         let mut plan: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
@@ -430,36 +452,17 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
         }
         if !plan.is_empty() {
             if let Err(e) = self.transfer_shards(&old_router, &plan, window) {
-                let abort_epoch = self.epoch.next();
-                self.view.install(ViewState {
-                    epoch: abort_epoch,
-                    plan: ViewPlan::StableKeyspace {
-                        router: old_router,
-                        quorum: self.config.group_quorum(),
-                    },
-                });
-                for h in &self.servers {
-                    h.announce_epoch(abort_epoch);
-                }
-                self.epoch = abort_epoch;
+                // Refuse to commit: roll forward to a stable epoch over the
+                // unchanged old routing and tear the joiners down. Epochs
+                // never go backwards, so in-flight rounds refresh cleanly.
+                self.enter_epoch(ViewPlan::Stable { router: old_router, t });
                 self.teardown(&added);
                 return Err(e);
             }
         }
 
         // 3. Commit: stable view over the new router, then retire.
-        let commit_epoch = self.epoch.next();
-        self.view.install(ViewState {
-            epoch: commit_epoch,
-            plan: ViewPlan::StableKeyspace {
-                router: new_router,
-                quorum: new_config.group_quorum(),
-            },
-        });
-        for h in &self.servers {
-            h.announce_epoch(commit_epoch);
-        }
-        self.epoch = commit_epoch;
+        self.enter_epoch(ViewPlan::Stable { router: new_router, t });
         self.teardown(remove);
         for r in remove {
             // A removed id is retired for good — even a crashed one can
@@ -469,6 +472,17 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
         self.config = new_config;
         self.router = new_router;
         Ok(added)
+    }
+
+    /// Moves the cluster one epoch forward under `plan`. View before
+    /// fence: by the time any server can tag a reply with the new epoch,
+    /// clients can already read the plan that describes it.
+    fn enter_epoch(&mut self, plan: ViewPlan) {
+        self.epoch = self.epoch.next();
+        self.view.install(ViewState { epoch: self.epoch, plan });
+        for h in &self.servers {
+            h.announce_epoch(self.epoch);
+        }
     }
 
     /// Fetches every shard in `plan` from a `g − t` quorum of its *old*
@@ -483,125 +497,52 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
         self.fetch_nonce += 1;
         let nonce = self.fetch_nonce;
         let endpoint = self.factory.open(COORDINATOR)?;
-        let required = self.config.group_quorum();
-        let fetch: Vec<(ProcessId, Msg)> = plan
-            .keys()
-            .flat_map(|&shard| {
-                old_router
-                    .group(shard)
-                    .into_iter()
-                    .map(move |s| (ProcessId::Server(s), Msg::ShardFetch { shard, nonce }))
-            })
-            .collect();
-        let mut gathered: BTreeMap<u32, BTreeMap<ProcessId, Vec<RegisterTransfer>>> =
-            plan.keys().map(|&s| (s, BTreeMap::new())).collect();
         let result = (|| {
-            let quorate = |g: &BTreeMap<u32, BTreeMap<ProcessId, Vec<RegisterTransfer>>>| {
-                g.values().all(|peers| peers.len() >= required)
-            };
-            let deadline = Instant::now() + window;
-            let rebroadcast_every = (window / 10).max(Duration::from_millis(10));
-            'fetch: while !quorate(&gathered) {
-                if Instant::now() >= deadline {
-                    break;
-                }
-                endpoint.send_batch(fetch.clone());
-                let round_ends = (Instant::now() + rebroadcast_every).min(deadline);
-                while !quorate(&gathered) {
-                    let now = Instant::now();
-                    if now >= round_ends {
-                        break;
-                    }
-                    match endpoint.inbox().recv_timeout(round_ends - now) {
-                        // Donor banks already run at the joint epoch, so
-                        // replies arrive epoch-tagged: strip before matching.
-                        Ok((from, msg)) => {
-                            if let (_, Msg::ShardSnapshot { nonce: n, shard, registers }) =
-                                msg.into_epoch_parts()
-                            {
-                                if n == nonce {
-                                    if let Some(peers) = gathered.get_mut(&shard) {
-                                        peers.insert(from, registers);
-                                    }
-                                }
-                            }
-                        }
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => break,
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break 'fetch,
-                    }
-                }
-            }
-            if !quorate(&gathered) {
-                return Err(TransportError::Io { kind: std::io::ErrorKind::TimedOut });
-            }
+            let shards: Vec<u32> = plan.keys().copied().collect();
+            let t = self.config.max_faults();
+            let gathered = fetch_shards(&endpoint, old_router, &shards, t, nonce, window)?;
             // Install each shard's merged registers on its receivers and
             // wait for every (receiver, shard) ack — an uninstalled pair
-            // covers no pre-joint write on that shard.
+            // covers no pre-joint write on that shard, so committing
+            // without its ack is unsound.
             let mut install: Vec<(ProcessId, Msg)> = Vec::new();
-            let mut expected: std::collections::BTreeSet<(ProcessId, u32)> =
-                std::collections::BTreeSet::new();
+            let mut unacked: BTreeSet<(ProcessId, u32)> = BTreeSet::new();
             for (&shard, receivers) in plan {
-                let registers: Vec<RegisterTransfer> = gathered
-                    .get(&shard)
-                    .into_iter()
-                    .flat_map(|peers| peers.values().flatten().cloned())
-                    .collect();
+                let registers: Vec<RegisterTransfer> =
+                    gathered[&shard].values().flatten().cloned().collect();
                 for &r in receivers {
                     let to = ProcessId::server(r);
-                    expected.insert((to, shard));
-                    install.push((
-                        to,
-                        Msg::ShardInstall { nonce, shard, registers: registers.clone() },
-                    ));
+                    unacked.insert((to, shard));
+                    let registers = registers.clone();
+                    install.push((to, Msg::ShardInstall { nonce, shard, registers }));
                 }
             }
-            let mut acked: std::collections::BTreeSet<(ProcessId, u32)> =
-                std::collections::BTreeSet::new();
-            let deadline = Instant::now() + window;
-            'install: while acked.len() < expected.len() {
-                if Instant::now() >= deadline {
-                    break;
-                }
-                endpoint.send_batch(install.clone());
-                let round_ends = (Instant::now() + rebroadcast_every).min(deadline);
-                while acked.len() < expected.len() {
-                    let now = Instant::now();
-                    if now >= round_ends {
-                        break;
-                    }
-                    match endpoint.inbox().recv_timeout(round_ends - now) {
-                        Ok((from, msg)) => {
-                            if let (_, Msg::ShardInstallAck { nonce: n, shard }) =
-                                msg.into_epoch_parts()
-                            {
-                                if n == nonce && expected.contains(&(from, shard)) {
-                                    acked.insert((from, shard));
-                                }
-                            }
-                        }
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => break,
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break 'install,
+            gather(&endpoint, install, window, &mut unacked, BTreeSet::is_empty, |left, from, msg| {
+                if let Msg::ShardInstallAck { nonce: n, shard } = msg {
+                    if n == nonce {
+                        left.remove(&(from, shard));
                     }
                 }
-            }
-            if acked.len() < expected.len() {
-                return Err(TransportError::Io { kind: std::io::ErrorKind::TimedOut });
-            }
-            Ok(())
+            })
         })();
         self.factory.close(COORDINATOR);
         drop(endpoint);
         result
     }
 
-    /// Closes and joins the named banks (reconfiguration teardown).
+    /// Takes running server `id` off the transport's delivery map and out
+    /// of the running set; the caller joins its thread.
+    fn withdraw(&mut self, id: u32) -> Option<ServerHandle> {
+        let pos = self.servers.iter().position(|h| h.id() == ProcessId::server(id))?;
+        self.factory.close(ProcessId::server(id));
+        Some(self.servers.swap_remove(pos))
+    }
+
+    /// Closes and joins the named banks (reconfiguration teardown: the
+    /// crash path without crash bookkeeping — these ids never come back).
     fn teardown(&mut self, ids: &[u32]) {
         for &id in ids {
-            if let Some(pos) =
-                self.servers.iter().position(|h| h.id() == ProcessId::server(id))
-            {
-                let handle = self.servers.swap_remove(pos);
-                self.factory.close(ProcessId::server(id));
+            if let Some(handle) = self.withdraw(id) {
                 handle.shutdown();
             }
         }
@@ -609,14 +550,8 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
 
     /// Indices of the currently-running servers, ascending.
     pub fn live_servers(&self) -> Vec<u32> {
-        let mut live: Vec<u32> = self
-            .servers
-            .iter()
-            .filter_map(|h| match h.id() {
-                ProcessId::Server(s) => Some(s.index()),
-                ProcessId::Client(_) => None,
-            })
-            .collect();
+        let mut live: Vec<u32> =
+            self.servers.iter().filter_map(|h| h.id().as_server()).map(|s| s.index()).collect();
         live.sort_unstable();
         live
     }
@@ -625,6 +560,98 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
     pub fn shutdown(self) -> u64 {
         self.servers.into_iter().map(ServerHandle::shutdown).sum()
     }
+}
+
+/// One state-fetch round from `endpoint`: asks every other member of each
+/// shard's group under `router` for the shard, until every shard has a
+/// quorum (`g − t`) of snapshots. Groups differ per shard, so the batch is
+/// assembled per shard rather than cluster-wide.
+fn fetch_shards(
+    endpoint: &impl Endpoint,
+    router: &Router,
+    shards: &[u32],
+    t: usize,
+    nonce: u64,
+    window: Duration,
+) -> Result<Gathered, TransportError> {
+    let me = endpoint.id();
+    let required = router.group_size() as usize - t;
+    let batch: Vec<(ProcessId, Msg)> = shards
+        .iter()
+        .flat_map(|&shard| {
+            router
+                .group(shard)
+                .into_iter()
+                .map(ProcessId::Server)
+                .filter(move |p| *p != me)
+                .map(move |p| (p, Msg::ShardFetch { shard, nonce }))
+        })
+        .collect();
+    let mut gathered: Gathered = shards.iter().map(|&s| (s, BTreeMap::new())).collect();
+    gather(
+        endpoint,
+        batch,
+        window,
+        &mut gathered,
+        |g| g.values().all(|peers| peers.len() >= required),
+        |g, from, msg| {
+            if let Msg::ShardSnapshot { nonce: n, shard, registers } = msg {
+                if n == nonce {
+                    if let Some(peers) = g.get_mut(&shard) {
+                        peers.insert(from, registers);
+                    }
+                }
+            }
+        },
+    )?;
+    Ok(gathered)
+}
+
+/// The manager's one quorum-collection loop: broadcasts `batch` and feeds
+/// every reply (epoch header stripped — past epoch 0 servers tag them) to
+/// `absorb` until `done(state)` holds, for at most `window`.
+///
+/// The batch is re-broadcast every `max(window / 10, 10 ms)`: the rounds it
+/// carries are idempotent (replies dedupe by peer, stale nonces are
+/// ignored), and any one frame can be lost in the crash model. A reply
+/// normally rides back on the connection the request arrived on (so a
+/// rejoining server's previous incarnation's sockets play no part), but a
+/// peer can itself be mid-restart, or have a write time out. One lost
+/// one-shot must not starve the quorum.
+///
+/// Returns [`std::io::ErrorKind::TimedOut`] if the window closes (or the
+/// endpoint disconnects) first.
+fn gather<S>(
+    endpoint: &impl Endpoint,
+    batch: Vec<(ProcessId, Msg)>,
+    window: Duration,
+    state: &mut S,
+    done: impl Fn(&S) -> bool,
+    mut absorb: impl FnMut(&mut S, ProcessId, Msg),
+) -> Result<(), TransportError> {
+    const TIMED_OUT: TransportError = TransportError::Io { kind: std::io::ErrorKind::TimedOut };
+    let deadline = Instant::now() + window;
+    let rebroadcast_every = (window / 10).max(Duration::from_millis(10));
+    let mut round_ends = Instant::now();
+    while !done(state) {
+        let now = Instant::now();
+        if now >= deadline {
+            return Err(TIMED_OUT);
+        }
+        if now >= round_ends {
+            endpoint.send_batch(batch.clone());
+            round_ends = (now + rebroadcast_every).min(deadline);
+        }
+        match endpoint.inbox().recv_timeout(round_ends - now) {
+            // Anything `absorb` does not recognise — client traffic racing
+            // a rejoin's fetch window, say — is dropped: the server is not
+            // serving yet.
+            Ok((from, msg)) => absorb(state, from, msg.into_epoch_parts().1),
+            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
+            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return Err(TIMED_OUT),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -749,6 +776,19 @@ mod tests {
         assert_eq!(cluster.live_servers(), vec![2]);
         assert!(cluster.rejoin_server_within(0, window).is_err());
         cluster.shutdown();
+    }
+
+    /// An id a reconfiguration retired is in no shard group: "every shard
+    /// quorate" would hold vacuously over its zero shards and resurrect it
+    /// as a running bank outside the member set.
+    #[test]
+    #[should_panic(expected = "is not a member")]
+    fn rejoin_of_a_retired_id_is_refused() {
+        let config = KeyspaceConfig::new(5, 1, 3, 8, 1, 1).unwrap();
+        let mut cluster =
+            KeyspaceCluster::start_on(InMemoryTransport::new(), config, Protocol::W2Ra).unwrap();
+        cluster.reconfigure(1, &[0]).unwrap();
+        let _ = cluster.rejoin_server_within(0, Duration::from_millis(200));
     }
 
     /// Per-shard handover: add two servers, retire two originals, and

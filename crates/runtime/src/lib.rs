@@ -2,7 +2,8 @@
 //!
 //! The simulator (`mwr-sim`) answers *analysis* questions deterministically;
 //! this crate runs the same protocols for real: each server is a thread
-//! executing `mwr-core`'s Algorithm 2 [`RegisterServer`] verbatim, and
+//! executing `mwr-core`'s Algorithm 2 [`RegisterServer`] verbatim — one
+//! per register, behind a [`ServerBank`](mwr_core::ServerBank) — and
 //! clients are blocking handles implementing the round-trip schema of §2.2
 //! over a pluggable [`Endpoint`]:
 //!
@@ -31,6 +32,12 @@
 //! cluster.shutdown();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+//!
+//! There is one cluster manager, [`KeyspaceCluster`]: it starts, crashes,
+//! rejoins, reconfigures and stops the servers of any deployment shape.
+//! [`RuntimeCluster`] is the single-register shape of it — one shard whose
+//! group is the whole cluster — plus the unwrapped clients of that one
+//! register.
 //!
 //! Applications normally construct live clusters through the
 //! `mwr-register` facade (`mwr::register::Deployment`), which selects the

@@ -1,4 +1,5 @@
-//! Thread-per-server execution of the Algorithm 2 server.
+//! Thread-per-server execution of the Algorithm 2 server: one thread body,
+//! whether it drives a lone [`RegisterServer`] or a [`ServerBank`] of them.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -6,7 +7,7 @@ use std::thread::{self, JoinHandle};
 
 use crossbeam::channel::{bounded, select, Sender};
 
-use mwr_core::{RegisterServer, ServerBank};
+use mwr_core::{Msg, RegisterServer, ServerBank};
 use mwr_types::{ConfigEpoch, ProcessId};
 
 use crate::transport::Endpoint;
@@ -34,11 +35,11 @@ impl ServerHandle {
     /// This is the live runtime's stand-in for the one stable-storage
     /// record crash–recover models customarily assume: a recovering
     /// process knows a bound on the state stamps it issued before the
-    /// crash. [`RuntimeCluster::crash_server`](crate::RuntimeCluster::crash_server)
-    /// captures it at crash time and feeds it back to
-    /// [`mwr_core::ServerState::install`] on rejoin so the new
-    /// incarnation resumes its version counter *above* everything the old
-    /// one ever acknowledged to readers.
+    /// crash. [`KeyspaceCluster::crash_server`](crate::KeyspaceCluster::crash_server)
+    /// — the one cluster manager's, whichever shape it runs — captures it at
+    /// crash time and feeds it back to [`ServerBank::recovered`] on rejoin
+    /// so the new incarnation resumes its version counter *above*
+    /// everything the old one ever acknowledged to readers.
     pub fn version_floor(&self) -> u64 {
         self.version.load(Ordering::Acquire)
     }
@@ -121,14 +122,53 @@ pub fn spawn_server_with(
     endpoint: impl Endpoint + 'static,
     mut server: RegisterServer,
 ) -> ServerHandle {
+    let (version, epoch) = (server.state().version(), server.epoch());
+    spawn("server", endpoint, version, epoch, move |epoch, from, msg| {
+        server.set_epoch(epoch);
+        let reply = server.handle(from, msg);
+        (reply, server.state().version())
+    })
+}
+
+/// Spawns a live cluster's server: a [`ServerBank`] of per-register
+/// automata behind one endpoint, multiplexing every register by frame
+/// header (bare frames are the default register's).
+///
+/// The returned handle's version beacon publishes the bank's *maximum*
+/// version across registers — a conservative bound that a rejoin feeds back
+/// as every rebuilt register's version floor (see
+/// [`ServerBank::max_version`] for why an overestimate is sound).
+///
+/// # Panics
+///
+/// Panics if the OS refuses to spawn a thread.
+pub fn spawn_bank_with(endpoint: impl Endpoint + 'static, mut bank: ServerBank) -> ServerHandle {
+    let (version, epoch) = (bank.max_version(), bank.epoch());
+    spawn("bank", endpoint, version, epoch, move |epoch, from, msg| {
+        bank.set_epoch(epoch);
+        let reply = bank.handle(from, msg);
+        (reply, bank.max_version())
+    })
+}
+
+/// The one server thread: receive, fence, handle, publish, reply. `step`
+/// adopts the announced epoch, handles one message, and returns the reply
+/// with the automaton's version high-water after it.
+fn spawn(
+    kind: &str,
+    endpoint: impl Endpoint + 'static,
+    version: u64,
+    epoch: ConfigEpoch,
+    mut step: impl FnMut(ConfigEpoch, ProcessId, &Msg) -> (Option<Msg>, u64) + Send + 'static,
+) -> ServerHandle {
     let id = endpoint.id();
     let (shutdown_tx, shutdown_rx) = bounded::<()>(1);
-    let version = Arc::new(AtomicU64::new(server.state().version()));
+    let version = Arc::new(AtomicU64::new(version));
     let beacon = Arc::clone(&version);
-    let epoch = Arc::new(AtomicU32::new(server.epoch().get()));
+    let epoch = Arc::new(AtomicU32::new(epoch.get()));
     let epoch_cell = Arc::clone(&epoch);
     let join = thread::Builder::new()
-        .name(format!("mwr-server-{id}"))
+        .name(format!("mwr-{kind}-{id}"))
         .spawn(move || {
             let mut handled: u64 = 0;
             loop {
@@ -139,14 +179,14 @@ pub fn spawn_server_with(
                         // processed: every reply from here on is tagged with
                         // at least the announced epoch (the reconfiguration
                         // fence — see `ServerHandle::announce_epoch`).
-                        server.set_epoch(ConfigEpoch::new(epoch_cell.load(Ordering::Acquire)));
-                        let reply = server.handle(from, &msg);
+                        let announced = ConfigEpoch::new(epoch_cell.load(Ordering::Acquire));
+                        let (reply, version) = step(announced, from, &msg);
                         // Publish the version high-water *before* the reply
                         // leaves, so no reader ever holds an acknowledged
                         // version the beacon has not yet reported — a crash
                         // immediately after the send still recovers a floor
                         // covering that ack.
-                        beacon.store(server.state().version(), Ordering::Release);
+                        beacon.store(version, Ordering::Release);
                         if let Some(reply) = reply {
                             handled += 1;
                             // A dead client is not a server error.
@@ -161,57 +201,11 @@ pub fn spawn_server_with(
     ServerHandle { id, shutdown: shutdown_tx, join: Some(join), version, epoch }
 }
 
-/// Spawns a keyspace server: a [`ServerBank`] of per-register automata
-/// behind one endpoint, multiplexing every register by frame header.
-///
-/// The returned handle's version beacon publishes the bank's *maximum*
-/// version across registers — a conservative bound that a rejoin feeds back
-/// as every rebuilt register's version floor (see
-/// [`ServerBank::max_version`] for why an overestimate is sound).
-///
-/// # Panics
-///
-/// Panics if the OS refuses to spawn a thread.
-pub fn spawn_bank_with(endpoint: impl Endpoint + 'static, mut bank: ServerBank) -> ServerHandle {
-    let id = endpoint.id();
-    let (shutdown_tx, shutdown_rx) = bounded::<()>(1);
-    let version = Arc::new(AtomicU64::new(bank.max_version()));
-    let beacon = Arc::clone(&version);
-    let epoch = Arc::new(AtomicU32::new(bank.epoch().get()));
-    let epoch_cell = Arc::clone(&epoch);
-    let join = thread::Builder::new()
-        .name(format!("mwr-bank-{id}"))
-        .spawn(move || {
-            let mut handled: u64 = 0;
-            loop {
-                select! {
-                    recv(endpoint.inbox()) -> inbound => {
-                        let Ok((from, msg)) = inbound else { return handled };
-                        // Same fence as `spawn_server_with`.
-                        bank.set_epoch(ConfigEpoch::new(epoch_cell.load(Ordering::Acquire)));
-                        let reply = bank.handle(from, &msg);
-                        // Same ordering as `spawn_server_with`: the beacon
-                        // covers this message's version bumps before any
-                        // reader can acknowledge them.
-                        beacon.store(bank.max_version(), Ordering::Release);
-                        if let Some(reply) = reply {
-                            handled += 1;
-                            let _ = endpoint.send(from, reply);
-                        }
-                    }
-                    recv(shutdown_rx) -> _ => return handled,
-                }
-            }
-        })
-        .expect("failed to spawn bank thread");
-    ServerHandle { id, shutdown: shutdown_tx, join: Some(join), version, epoch }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::InMemoryTransport;
-    use mwr_core::{Msg, OpHandle, OpId};
+    use mwr_core::{OpHandle, OpId};
     use mwr_types::{ClientId, TaggedValue};
     use std::time::Duration;
 

@@ -3,8 +3,10 @@
 //! A [`ClusterView`] is the one piece of state the reconfiguration
 //! coordinator and every live client share: which epoch the cluster is in,
 //! which servers a round-trip must cover, and which acknowledgement rule
-//! completes it (a plain `S − t` quorum in a stable epoch, a
-//! [`JointQuorum`] over both configurations in a transition epoch).
+//! completes it (a plain `g − t` quorum of the register's group in a stable
+//! epoch, a [`JointQuorum`] over both configurations in a transition epoch).
+//! A single-register cluster is the one-shard case: its router's only group
+//! is the whole member set, so `g = S`.
 //!
 //! Clients re-derive their round-trip scope from the view at the start of
 //! every operation, and — because every server reply is epoch-tagged past
@@ -20,40 +22,28 @@ use std::sync::{Arc, RwLock};
 use mwr_core::{JointQuorum, Router};
 use mwr_types::{ConfigEpoch, RegisterId, ServerId};
 
-/// How round-trips must cover the cluster in the current epoch.
+/// How round-trips must cover the cluster in the current epoch. Quorums are
+/// derived, never stored: a group of `n` servers completes a round with
+/// `n − t` replies.
 #[derive(Debug, Clone)]
 pub(crate) enum ViewPlan {
-    /// A stable epoch of a single-register cluster: broadcast to `targets`,
-    /// wait for `quorum` member replies.
+    /// A stable epoch: each register's scope is its shard group under
+    /// `router`.
     Stable {
-        /// The member servers.
-        targets: Vec<ServerId>,
-        /// Replies required (`|targets| − t`).
-        quorum: usize,
-    },
-    /// A joint (transition) epoch of a single-register cluster: broadcast
-    /// to the union, complete on a quorum of **both** configurations.
-    Joint {
-        /// The two-sided acknowledgement rule.
-        joint: JointQuorum,
-    },
-    /// A stable epoch of a keyspace: each register's scope is its shard
-    /// group under `router`, with `quorum = g − t` replies.
-    StableKeyspace {
         /// Routing over the current member set.
         router: Router,
-        /// Per-group replies required (`g − t`).
-        quorum: usize,
+        /// The per-group fault bound.
+        t: usize,
     },
-    /// A joint epoch of a keyspace: each register's scope is the union of
-    /// its old and new shard groups, with a `g − t` quorum required in each.
-    JointKeyspace {
+    /// A joint (transition) epoch: each register's scope is the union of
+    /// its old and new shard groups, complete on a quorum of **both**.
+    Joint {
         /// Routing over the old member set.
         old: Router,
         /// Routing over the new member set.
         new: Router,
-        /// Per-group replies required on each side (`g − t`).
-        quorum: usize,
+        /// The per-group fault bound, the same on both sides.
+        t: usize,
     },
 }
 
@@ -65,7 +55,7 @@ pub(crate) struct ViewState {
 }
 
 /// The pieces a client needs to rebuild its round-trip scope for one
-/// register (or the whole cluster) under the current epoch.
+/// register under the current epoch.
 #[derive(Debug, Clone)]
 pub(crate) struct ScopeParts {
     pub(crate) epoch: ConfigEpoch,
@@ -87,26 +77,14 @@ pub struct ClusterView {
 }
 
 impl ClusterView {
-    pub(crate) fn new(state: ViewState) -> Arc<Self> {
+    /// A stable epoch-0 view over `router`.
+    pub(crate) fn new(router: Router, t: usize) -> Arc<Self> {
         Arc::new(ClusterView {
-            epoch: AtomicU32::new(state.epoch.get()),
-            state: RwLock::new(state),
-        })
-    }
-
-    /// A stable epoch-0 view of the contiguous cluster `{0..servers}`.
-    pub(crate) fn stable(targets: Vec<ServerId>, quorum: usize) -> Arc<Self> {
-        ClusterView::new(ViewState {
-            epoch: ConfigEpoch::ZERO,
-            plan: ViewPlan::Stable { targets, quorum },
-        })
-    }
-
-    /// A stable epoch-0 keyspace view.
-    pub(crate) fn stable_keyspace(router: Router, quorum: usize) -> Arc<Self> {
-        ClusterView::new(ViewState {
-            epoch: ConfigEpoch::ZERO,
-            plan: ViewPlan::StableKeyspace { router, quorum },
+            epoch: AtomicU32::new(ConfigEpoch::ZERO.get()),
+            state: RwLock::new(ViewState {
+                epoch: ConfigEpoch::ZERO,
+                plan: ViewPlan::Stable { router, t },
+            }),
         })
     }
 
@@ -132,37 +110,23 @@ impl ClusterView {
         self.epoch.store(raw, Ordering::Release);
     }
 
-    /// Rebuilds the scope pieces for `register` (`None`: the whole-cluster
-    /// legacy scope) under the current epoch.
+    /// Rebuilds the scope pieces for `register` under the current epoch.
+    /// `None` is an unwrapped client, whose bare frames every bank routes to
+    /// [`RegisterId::DEFAULT`] — so that register's group is its scope.
     pub(crate) fn scope_parts(&self, register: Option<RegisterId>) -> ScopeParts {
+        let register = register.unwrap_or(RegisterId::DEFAULT);
         let state = self.state.read().expect("view lock poisoned");
-        let (targets, quorum, joint) = match (&state.plan, register) {
-            (ViewPlan::Stable { targets, quorum }, _) => (targets.clone(), *quorum, None),
-            (ViewPlan::Joint { joint }, _) => {
-                let targets = joint.union();
-                let quorum = joint.old_required().max(joint.new_required());
-                (targets, quorum, Some(joint.clone()))
+        let (targets, quorum, joint) = match &state.plan {
+            ViewPlan::Stable { router, t } => {
+                let group = router.group_of(register);
+                let quorum = group.len() - t;
+                (group, quorum, None)
             }
-            (ViewPlan::StableKeyspace { router, quorum }, Some(register)) => {
-                (router.group_of(register), *quorum, None)
-            }
-            (ViewPlan::JointKeyspace { old, new, quorum }, Some(register)) => {
-                let joint = JointQuorum::new(
-                    old.group_of(register),
-                    *quorum,
-                    new.group_of(register),
-                    *quorum,
-                );
-                (joint.union(), *quorum, Some(joint))
-            }
-            // A keyspace view asked for a whole-cluster scope: the cluster
-            // facade never does this (every keyspace client is scoped to a
-            // register), but answer with the union of members defensively.
-            (ViewPlan::StableKeyspace { router, quorum }, None) => {
-                (router.member_ids().collect(), *quorum, None)
-            }
-            (ViewPlan::JointKeyspace { new, quorum, .. }, None) => {
-                (new.member_ids().collect(), *quorum, None)
+            ViewPlan::Joint { old, new, t } => {
+                let (old, new) = (old.group_of(register), new.group_of(register));
+                let (old_required, new_required) = (old.len() - t, new.len() - t);
+                let joint = JointQuorum::new(old, old_required, new, new_required);
+                (joint.union(), old_required.max(new_required), Some(joint))
             }
         };
         ScopeParts { epoch: state.epoch, targets, quorum, joint }
@@ -177,39 +141,91 @@ mod tests {
         raw.iter().copied().map(ServerId::new).collect()
     }
 
+    /// The whole-cluster router of a single-register cluster over `members`.
+    fn whole(members: &[u32]) -> Router {
+        let mask = members.iter().fold(0u128, |m, s| m | 1 << s);
+        Router::with_members(mask, members.len() as u32, 1)
+    }
+
     #[test]
     fn install_moves_epoch_forward_and_swaps_the_plan() {
-        let view = ClusterView::stable(ids(&[0, 1, 2]), 2);
+        let view = ClusterView::new(whole(&[0, 1, 2]), 1);
         assert_eq!(view.epoch(), ConfigEpoch::ZERO);
         let parts = view.scope_parts(None);
         assert_eq!((parts.targets, parts.quorum), (ids(&[0, 1, 2]), 2));
         assert!(parts.joint.is_none());
 
-        let joint = JointQuorum::new(ids(&[0, 1, 2]), 2, ids(&[1, 2, 3]), 2);
         view.install(ViewState {
             epoch: ConfigEpoch::new(1),
-            plan: ViewPlan::Joint { joint: joint.clone() },
+            plan: ViewPlan::Joint { old: whole(&[0, 1, 2]), new: whole(&[1, 2, 3]), t: 1 },
         });
         assert_eq!(view.epoch(), ConfigEpoch::new(1));
         let parts = view.scope_parts(None);
         assert_eq!(parts.targets, ids(&[0, 1, 2, 3]), "joint scope broadcasts to the union");
-        assert_eq!(parts.joint, Some(joint));
+        assert_eq!(parts.joint, Some(JointQuorum::new(ids(&[0, 1, 2]), 2, ids(&[1, 2, 3]), 2)));
     }
 
     #[test]
     #[should_panic(expected = "strictly forward")]
     fn epochs_never_move_backwards() {
-        let view = ClusterView::stable(ids(&[0, 1]), 1);
+        let view = ClusterView::new(whole(&[0, 1]), 1);
         view.install(ViewState {
             epoch: ConfigEpoch::ZERO,
-            plan: ViewPlan::Stable { targets: ids(&[0, 1]), quorum: 1 },
+            plan: ViewPlan::Stable { router: whole(&[0, 1]), t: 1 },
         });
+    }
+
+    /// A whole-cluster handover that grows the member set: each side's
+    /// quorum is its own size minus `t`, not one shared number.
+    #[test]
+    fn whole_cluster_joint_quorums_follow_each_sides_size() {
+        let view = ClusterView::new(whole(&[0, 1, 2, 3, 4]), 1);
+        view.install(ViewState {
+            epoch: ConfigEpoch::new(1),
+            plan: ViewPlan::Joint {
+                old: whole(&[0, 1, 2, 3, 4]),
+                new: whole(&[0, 1, 2, 3, 4, 5]),
+                t: 1,
+            },
+        });
+        let parts = view.scope_parts(None);
+        let joint = parts.joint.expect("joint window");
+        assert_eq!((joint.old_required(), joint.new_required()), (4, 5));
+        assert_eq!(parts.targets, ids(&[0, 1, 2, 3, 4, 5]), "targets are the union");
+        assert_eq!(parts.quorum, 5);
+    }
+
+    /// An unwrapped client is a client of `RegisterId::DEFAULT`, in a
+    /// stable epoch and — joint rule included — in a transition epoch.
+    #[test]
+    fn unscoped_clients_get_the_default_registers_scope() {
+        let same = |view: &ClusterView| {
+            let (bare, named) =
+                (view.scope_parts(None), view.scope_parts(Some(RegisterId::DEFAULT)));
+            assert_eq!(
+                (bare.epoch, &bare.targets, bare.quorum, &bare.joint),
+                (named.epoch, &named.targets, named.quorum, &named.joint)
+            );
+            bare
+        };
+        let old = Router::new(5, 3, 8);
+        let view = ClusterView::new(old, 1);
+        assert_eq!(same(&view).targets, old.group_of(RegisterId::DEFAULT));
+
+        let new = Router::with_members(((1u128 << 7) - 1) & !1, 3, 8);
+        view.install(ViewState {
+            epoch: ConfigEpoch::new(1),
+            plan: ViewPlan::Joint { old, new, t: 1 },
+        });
+        let joint = same(&view).joint.expect("the joint rule survives an unscoped lookup");
+        assert_eq!(joint.old_members(), old.group_of(RegisterId::DEFAULT));
+        assert_eq!(joint.new_members(), new.group_of(RegisterId::DEFAULT));
     }
 
     #[test]
     fn keyspace_scopes_are_per_register_groups() {
         let old = Router::new(5, 3, 8);
-        let view = ClusterView::stable_keyspace(old, 2);
+        let view = ClusterView::new(old, 1);
         let k = RegisterId::new(7);
         let parts = view.scope_parts(Some(k));
         assert_eq!(parts.targets, old.group_of(k));
@@ -220,7 +236,7 @@ mod tests {
         let new = Router::with_members(((1u128 << 7) - 1) & !1, 3, 8);
         view.install(ViewState {
             epoch: ConfigEpoch::new(1),
-            plan: ViewPlan::JointKeyspace { old, new, quorum: 2 },
+            plan: ViewPlan::Joint { old, new, t: 1 },
         });
         let parts = view.scope_parts(Some(k));
         let joint = parts.joint.expect("joint window");

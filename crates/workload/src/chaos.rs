@@ -19,14 +19,15 @@
 //! then departs, so acknowledged-floor GC on the servers never wedges on
 //! a client that will never report again.
 
+use std::ops::DerefMut;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use mwr_core::FastWire;
 use mwr_runtime::{
-    AuditTap, EndpointFactory, FaultEvent, FaultPlan, FaultTrigger, RetryPolicy, RuntimeCluster,
-    RuntimeError,
+    AuditTap, EndpointFactory, FaultEvent, FaultPlan, FaultTrigger, KeyspaceCluster, LiveReader,
+    RetryPolicy, RuntimeCluster, RuntimeError, TransportError,
 };
 use mwr_sim::SimTime;
 use mwr_types::Value;
@@ -34,8 +35,9 @@ use mwr_types::Value;
 use crate::live::ThroughputReport;
 use crate::stats::LatencyStats;
 
-/// How often the injector polls its current step's trigger.
-const TRIGGER_POLL: Duration = Duration::from_micros(200);
+/// How often the injector polls its current step's trigger (and how long a
+/// client thread backs off after a failed operation).
+pub(crate) const TRIGGER_POLL: Duration = Duration::from_micros(200);
 
 /// What a fault-injected drive did to the cluster and how the service
 /// held up. The latency/throughput half lives in `throughput`; the rest
@@ -68,8 +70,9 @@ pub struct ChaosReport {
     /// issuing thread keeps going; with retries armed and a plan that
     /// never kills a quorum this should be zero.
     pub failed_ops: u64,
-    /// Plan steps that never fired because the drive's duration elapsed
-    /// first — a non-zero count means the scenario under-ran its plan.
+    /// Plan steps that never fired: the drive's duration elapsed first, or
+    /// the step rejoins a server a reconfiguration has retired — a non-zero
+    /// count means the scenario under-ran its plan.
     pub steps_skipped: u32,
     /// Servers alive when the drive finished, ascending.
     pub live_servers: Vec<u32>,
@@ -85,6 +88,154 @@ impl ChaosReport {
             && self.steps_skipped == 0
             && self.failed_ops == 0
             && self.churn_joined == self.churn_departed
+    }
+
+    /// The report of a drive that has not started.
+    pub(crate) fn blank() -> Self {
+        ChaosReport {
+            throughput: ThroughputReport {
+                reads: LatencyStats::new(),
+                writes: LatencyStats::new(),
+                elapsed: Duration::ZERO,
+            },
+            crashes: 0,
+            rejoins: 0,
+            rejoin_failures: 0,
+            reconfigs: 0,
+            reconfig_failures: 0,
+            churn_joined: 0,
+            churn_departed: 0,
+            churn_reads: 0,
+            failed_ops: 0,
+            steps_skipped: 0,
+            live_servers: Vec::new(),
+        }
+    }
+}
+
+/// What a drive's client threads and its injector share: the clock the
+/// plan's triggers read and the cluster-wide operation counters.
+pub(crate) struct Drive<'a> {
+    pub(crate) start: Instant,
+    pub(crate) duration: Duration,
+    pub(crate) completed: &'a AtomicU64,
+    pub(crate) failed: &'a AtomicU64,
+}
+
+/// The injector: walks `plan` in order on the calling thread while the
+/// client threads run, firing each step against the cluster manager and
+/// counting its effect in `report`. Steps whose trigger never comes due
+/// before the drive ends are counted as skipped, not silently dropped — and
+/// so is a rejoin of an id a reconfiguration has since retired, which no
+/// cluster can honour.
+///
+/// The two drivers differ only in how a churn client is minted:
+/// `churn_reader` builds one fully configured incarnation on the reserved
+/// slot from the cluster `C` the driver was handed (a
+/// [`RuntimeCluster`], or a `&mut KeyspaceCluster`); its reads land in
+/// `churn_reads`.
+pub(crate) fn inject_plan<F, C>(
+    cluster: &mut C,
+    plan: &FaultPlan,
+    drive: &Drive<'_>,
+    report: &mut ChaosReport,
+    churn_reads: &mut LatencyStats,
+    mut churn_reader: impl FnMut(&C) -> Result<LiveReader<F::Endpoint>, TransportError>,
+) where
+    F: EndpointFactory,
+    C: DerefMut<Target = KeyspaceCluster<F>>,
+{
+    let Drive { start, duration, completed, failed } = *drive;
+    for step in plan.steps() {
+        let due = |now: Duration| match step.trigger {
+            FaultTrigger::Ops(n) => completed.load(Ordering::Relaxed) >= n,
+            FaultTrigger::Elapsed(d) => now >= d,
+        };
+        let mut fired = true;
+        loop {
+            let now = start.elapsed();
+            if due(now) {
+                break;
+            }
+            if now >= duration {
+                fired = false;
+                break;
+            }
+            thread::sleep(TRIGGER_POLL);
+        }
+        if !fired {
+            report.steps_skipped += 1;
+            continue;
+        }
+        match step.event {
+            FaultEvent::CrashServer(idx) => {
+                if cluster.live_servers().contains(&idx) {
+                    cluster.crash_server(idx);
+                    report.crashes += 1;
+                }
+            }
+            FaultEvent::RejoinServer(idx) => {
+                if cluster.live_servers().contains(&idx) {
+                    continue;
+                }
+                if !cluster.members().contains(&idx) {
+                    report.steps_skipped += 1;
+                    continue;
+                }
+                match cluster.rejoin_server(idx) {
+                    Ok(()) => report.rejoins += 1,
+                    Err(_) => report.rejoin_failures += 1,
+                }
+            }
+            FaultEvent::ChurnBurst { clients, ops_each } => {
+                for _ in 0..clients {
+                    let Ok(mut client) = churn_reader(cluster) else {
+                        failed.fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    };
+                    report.churn_joined += 1;
+                    for _ in 0..ops_each {
+                        let t0 = Instant::now();
+                        match client.read() {
+                            Ok(_) => {
+                                churn_reads
+                                    .record(SimTime::from_ticks(t0.elapsed().as_micros() as u64));
+                                report.churn_reads += 1;
+                                completed.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Err(_) => {
+                                failed.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                    match client.depart() {
+                        Ok(()) => report.churn_departed += 1,
+                        Err(_) => {
+                            failed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+            }
+            FaultEvent::Delay(d) => thread::sleep(d),
+            FaultEvent::Reconfigure { add, remove } => {
+                // Retire the lowest-indexed current members; refuse
+                // (count, don't panic) if the target shape would not
+                // assemble quorums.
+                let members = cluster.members();
+                let removes: Vec<u32> = members.iter().copied().take(remove as usize).collect();
+                let target = members.len() + add as usize - removes.len();
+                if (add == 0 && removes.is_empty())
+                    || cluster.reconfigured_config(target).is_err()
+                {
+                    report.reconfig_failures += 1;
+                    continue;
+                }
+                match cluster.reconfigure(add as usize, &removes) {
+                    Ok(_) => report.reconfigs += 1,
+                    Err(_) => report.reconfig_failures += 1,
+                }
+            }
+        }
     }
 }
 
@@ -146,24 +297,7 @@ pub fn run_chaos_live<F: EndpointFactory>(
     let failed = AtomicU64::new(0);
     let start = Instant::now();
     let (mut reads, mut writes) = (LatencyStats::new(), LatencyStats::new());
-    let mut report = ChaosReport {
-        throughput: ThroughputReport {
-            reads: LatencyStats::new(),
-            writes: LatencyStats::new(),
-            elapsed: Duration::ZERO,
-        },
-        crashes: 0,
-        rejoins: 0,
-        rejoin_failures: 0,
-        reconfigs: 0,
-        reconfig_failures: 0,
-        churn_joined: 0,
-        churn_departed: 0,
-        churn_reads: 0,
-        failed_ops: 0,
-        steps_skipped: 0,
-        live_servers: Vec::new(),
-    };
+    let mut report = ChaosReport::blank();
 
     thread::scope(|scope| {
         let completed = &completed;
@@ -212,102 +346,14 @@ pub fn run_chaos_live<F: EndpointFactory>(
             }));
         }
 
-        // The injector: this thread walks the plan in order while the
-        // client threads run. Steps whose trigger never comes due before
-        // the drive ends are counted as skipped, not silently dropped.
-        for step in plan.steps() {
-            let due = |now: Duration| match step.trigger {
-                FaultTrigger::Ops(n) => completed.load(Ordering::Relaxed) >= n,
-                FaultTrigger::Elapsed(d) => now >= d,
-            };
-            let mut fired = true;
-            loop {
-                let now = start.elapsed();
-                if due(now) {
-                    break;
-                }
-                if now >= duration {
-                    fired = false;
-                    break;
-                }
-                thread::sleep(TRIGGER_POLL);
-            }
-            if !fired {
-                report.steps_skipped += 1;
-                continue;
-            }
-            match step.event {
-                FaultEvent::CrashServer(idx) => {
-                    if cluster.live_servers().contains(&idx) {
-                        cluster.crash_server(idx);
-                        report.crashes += 1;
-                    }
-                }
-                FaultEvent::RejoinServer(idx) => {
-                    if cluster.live_servers().contains(&idx) {
-                        continue;
-                    }
-                    match cluster.rejoin_server(idx) {
-                        Ok(()) => report.rejoins += 1,
-                        Err(_) => report.rejoin_failures += 1,
-                    }
-                }
-                FaultEvent::ChurnBurst { clients, ops_each } => {
-                    for _ in 0..clients {
-                        let Ok(client) = cluster.reader_with_wire(churn_slot, wire) else {
-                            failed.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        };
-                        let mut client = client.with_retry(retry);
-                        if let Some(t) = timeout {
-                            client = client.with_timeout(t);
-                        }
-                        report.churn_joined += 1;
-                        for _ in 0..ops_each {
-                            let t0 = Instant::now();
-                            match client.read() {
-                                Ok(_) => {
-                                    reads.record(SimTime::from_ticks(
-                                        t0.elapsed().as_micros() as u64,
-                                    ));
-                                    report.churn_reads += 1;
-                                    completed.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(_) => {
-                                    failed.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        match client.depart() {
-                            Ok(()) => report.churn_departed += 1,
-                            Err(_) => {
-                                failed.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
-                FaultEvent::Delay(d) => thread::sleep(d),
-                FaultEvent::Reconfigure { add, remove } => {
-                    // Retire the lowest-indexed current members; refuse
-                    // (count, don't panic) if the target shape would not
-                    // assemble quorums.
-                    let members = cluster.members().to_vec();
-                    let removes: Vec<u32> =
-                        members.iter().copied().take(remove as usize).collect();
-                    let target = members.len() + add as usize - removes.len();
-                    if (add == 0 && removes.is_empty())
-                        || cluster.config().reconfigured(target).is_err()
-                    {
-                        report.reconfig_failures += 1;
-                        continue;
-                    }
-                    match cluster.reconfigure(add as usize, &removes) {
-                        Ok(_) => report.reconfigs += 1,
-                        Err(_) => report.reconfig_failures += 1,
-                    }
-                }
-            }
-        }
+        let drive = Drive { start, duration, completed, failed };
+        inject_plan(cluster, &plan, &drive, &mut report, &mut reads, |cluster| {
+            let client = cluster.reader_with_wire(churn_slot, wire)?.with_retry(retry);
+            Ok(match timeout {
+                Some(t) => client.with_timeout(t),
+                None => client,
+            })
+        });
 
         for t in write_threads {
             writes.merge(&t.join().expect("writer thread panicked"));
@@ -423,6 +469,49 @@ mod tests {
         assert_eq!(report.reconfigs, 0);
         assert!(!report.healed());
         assert_eq!(cluster.members(), &[0, 1, 2]);
+        cluster.shutdown();
+    }
+
+    /// A plan that reconfigures a server away and later rejoins it: the
+    /// rejoin is counted skipped on both drivers, not attempted (the
+    /// manager would refuse it with a panic).
+    #[test]
+    fn rejoin_of_a_reconfigured_away_server_is_counted_skipped() {
+        let plan = FaultPlan::new()
+            .at_ops(5, FaultEvent::Reconfigure { add: 1, remove: 1 })
+            .at_ops(5, FaultEvent::RejoinServer(0));
+        let retry = RetryPolicy { attempts: 4, backoff: Duration::from_millis(2) };
+        let (patience, duration) = (Some(Duration::from_secs(2)), Duration::from_millis(300));
+
+        let config = ClusterConfig::new(5, 1, 2, 1).unwrap();
+        let mut cluster =
+            RuntimeCluster::start_on(InMemoryTransport::new(), config, Protocol::W2R1).unwrap();
+        let wire = FastWire::default();
+        let report =
+            run_chaos_live(&mut cluster, wire, patience, retry, plan, duration, None).unwrap();
+        assert_eq!((report.reconfigs, report.steps_skipped), (1, 1), "{report:?}");
+        assert_eq!((report.rejoins, report.rejoin_failures), (0, 0), "{report:?}");
+        assert_eq!(report.live_servers, vec![1, 2, 3, 4, 5]);
+        cluster.shutdown();
+
+        let config = mwr_types::KeyspaceConfig::new(5, 1, 3, 8, 2, 1).unwrap();
+        let mut cluster =
+            KeyspaceCluster::start_on(InMemoryTransport::new(), config, Protocol::W2Ra).unwrap();
+        let report = crate::run_keyspace_chaos(
+            &mut cluster,
+            8,
+            1.1,
+            patience,
+            retry,
+            plan,
+            duration,
+            42,
+            None,
+        )
+        .unwrap();
+        assert_eq!((report.reconfigs, report.steps_skipped), (1, 1), "{report:?}");
+        assert_eq!((report.rejoins, report.rejoin_failures), (0, 0), "{report:?}");
+        assert_eq!(report.live_servers, vec![1, 2, 3, 4, 5]);
         cluster.shutdown();
     }
 

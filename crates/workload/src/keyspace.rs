@@ -24,18 +24,15 @@ use rand::rngs::SmallRng;
 use rand::{SeedableRng, Zipf};
 
 use mwr_runtime::{
-    AuditTap, EndpointFactory, FaultEvent, FaultPlan, FaultTrigger, KeyspaceCluster, LiveReader,
-    LiveWriter, RetryPolicy, RuntimeError,
+    AuditTap, EndpointFactory, FaultEvent, FaultPlan, KeyspaceCluster, LiveReader, LiveWriter,
+    RetryPolicy, RuntimeError,
 };
 use mwr_sim::SimTime;
 use mwr_types::{ReaderId, RegisterId, Value, WriterId};
 
-use crate::chaos::ChaosReport;
+use crate::chaos::{inject_plan, ChaosReport, Drive, TRIGGER_POLL};
 use crate::live::ThroughputReport;
 use crate::stats::LatencyStats;
-
-/// How often the keyspace injector polls its current step's trigger.
-const TRIGGER_POLL: Duration = Duration::from_micros(200);
 
 /// Per-register audit wiring for the keyspace driver: atomicity is a
 /// per-register property, so each key's clients need that key's tap.
@@ -304,24 +301,7 @@ pub fn run_keyspace_chaos<F: EndpointFactory>(
     let failed = AtomicU64::new(0);
     let start = Instant::now();
     let (mut reads, mut writes) = (LatencyStats::new(), LatencyStats::new());
-    let mut report = ChaosReport {
-        throughput: ThroughputReport {
-            reads: LatencyStats::new(),
-            writes: LatencyStats::new(),
-            elapsed: Duration::ZERO,
-        },
-        crashes: 0,
-        rejoins: 0,
-        rejoin_failures: 0,
-        reconfigs: 0,
-        reconfig_failures: 0,
-        churn_joined: 0,
-        churn_departed: 0,
-        churn_reads: 0,
-        failed_ops: 0,
-        steps_skipped: 0,
-        live_servers: Vec::new(),
-    };
+    let mut report = ChaosReport::blank();
 
     thread::scope(|scope| {
         let completed = &completed;
@@ -415,110 +395,22 @@ pub fn run_keyspace_chaos<F: EndpointFactory>(
             }));
         }
 
-        // The injector: walks the plan in order while client threads run.
-        for step in plan.steps() {
-            let due = |now: Duration| match step.trigger {
-                FaultTrigger::Ops(n) => completed.load(Ordering::Relaxed) >= n,
-                FaultTrigger::Elapsed(d) => now >= d,
-            };
-            let mut fired = true;
-            loop {
-                let now = start.elapsed();
-                if due(now) {
-                    break;
-                }
-                if now >= duration {
-                    fired = false;
-                    break;
-                }
-                thread::sleep(TRIGGER_POLL);
-            }
-            if !fired {
-                report.steps_skipped += 1;
-                continue;
-            }
-            match step.event {
-                FaultEvent::CrashServer(idx) => {
-                    if cluster.live_servers().contains(&idx) {
-                        cluster.crash_server(idx);
-                        report.crashes += 1;
-                    }
-                }
-                FaultEvent::RejoinServer(idx) => {
-                    if cluster.live_servers().contains(&idx) {
-                        continue;
-                    }
-                    match cluster.rejoin_server(idx) {
-                        Ok(()) => report.rejoins += 1,
-                        Err(_) => report.rejoin_failures += 1,
-                    }
-                }
-                FaultEvent::ChurnBurst { clients, ops_each } => {
-                    // Each incarnation reads the hottest key (Zipf rank 1)
-                    // on the reserved top reader slot, then departs
-                    // floor-safely.
-                    let key = RegisterId::new(0);
-                    for _ in 0..clients {
-                        let Ok(ep) = cluster.factory().open(ReaderId::new(churn_slot).into())
-                        else {
-                            failed.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        };
-                        let mut client = LiveReader::new(
-                            ep,
-                            ReaderId::new(churn_slot),
-                            group_config,
-                            read_mode,
-                        )
-                        .with_scope(key, router.group_of(key))
-                        .with_view(Arc::clone(&view))
-                        .with_retry(retry);
-                        if let Some(t) = timeout {
-                            client = client.with_timeout(t);
-                        }
-                        report.churn_joined += 1;
-                        for _ in 0..ops_each {
-                            let t0 = Instant::now();
-                            match client.read() {
-                                Ok(_) => {
-                                    reads.record(SimTime::from_ticks(
-                                        t0.elapsed().as_micros() as u64,
-                                    ));
-                                    report.churn_reads += 1;
-                                    completed.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(_) => {
-                                    failed.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        match client.depart() {
-                            Ok(()) => report.churn_departed += 1,
-                            Err(_) => {
-                                failed.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
-                FaultEvent::Delay(d) => thread::sleep(d),
-                FaultEvent::Reconfigure { add, remove } => {
-                    let members = cluster.members();
-                    let removes: Vec<u32> =
-                        members.iter().copied().take(remove as usize).collect();
-                    let target = members.len() + add as usize - removes.len();
-                    if (add == 0 && removes.is_empty())
-                        || cluster.config().reconfigured(target).is_err()
-                    {
-                        report.reconfig_failures += 1;
-                        continue;
-                    }
-                    match cluster.reconfigure(add as usize, &removes) {
-                        Ok(_) => report.reconfigs += 1,
-                        Err(_) => report.reconfig_failures += 1,
-                    }
-                }
-            }
-        }
+        // Each churn incarnation reads the hottest key (Zipf rank 1) on
+        // the reserved top reader slot. (`&mut &mut`: the injector takes
+        // anything that derefs to the manager, and a `&mut` to it does.)
+        let drive = Drive { start, duration, completed, failed };
+        inject_plan(&mut &mut *cluster, &plan, &drive, &mut report, &mut reads, |cluster| {
+            let (key, id) = (RegisterId::new(0), ReaderId::new(churn_slot));
+            let client =
+                LiveReader::new(cluster.factory().open(id.into())?, id, group_config, read_mode)
+                    .with_scope(key, router.group_of(key))
+                    .with_view(Arc::clone(&view))
+                    .with_retry(retry);
+            Ok(match timeout {
+                Some(t) => client.with_timeout(t),
+                None => client,
+            })
+        });
 
         for t in write_threads {
             writes.merge(&t.join().expect("keyspace writer thread panicked"));

@@ -10,9 +10,10 @@
 //!
 //! Every sweep point runs once per transport: `channel` rows over the
 //! in-memory transport, `shared` rows over loopback TCP (one connection
-//! per peer pair, one readiness-driven reader per endpoint). TCP rows
-//! additionally report the poll wake-per-frame ratio, and the contended
-//! W2R1-vs-W2R2 TCP ratio is the paper-claim headline.
+//! per peer pair, one readiness-driven reactor thread for the whole
+//! cluster). TCP rows additionally report the reactor's wake-per-frame
+//! ratio, and the contended W2R1-vs-W2R2 TCP ratio is the paper-claim
+//! headline.
 //!
 //! The cluster is S = 11, t = 1: large enough that W2R1's fast-read
 //! condition `R < S/t − 2 = 9` still holds at the sweep's maximum R = 8.
@@ -91,7 +92,7 @@ struct Row {
     rd_p99_us: u64,
     audit: Option<AuditReport>,
     /// Deployment-wide reader counters, on TCP rows only: wakes per frame
-    /// is how many frames one `poll` wake-up amortizes over.
+    /// is how many frames one reactor wake-up amortizes over.
     reader: Option<ReaderStats>,
 }
 
@@ -1267,7 +1268,7 @@ fn main() {
         .fold((0u64, 0u64), |(w, f), r| (w + r.wakes, f + r.frames));
     if total_frames > 0 {
         println!(
-            "shared reader: {total_frames} frames decoded in {total_wakes} poll wakes \
+            "reactor: {total_frames} frames decoded in {total_wakes} wakes \
              ({:.3} wakes/frame)",
             total_wakes as f64 / total_frames as f64,
         );

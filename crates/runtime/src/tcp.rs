@@ -17,14 +17,14 @@
 //!   for a peer and finds no live entry — in a cluster that is the client
 //!   (or a rejoining server fetching state), never a server answering.
 //!   The dialer enters the socket under the peer it dialed and hands it to
-//!   its own reader; the acceptor's side enters it under the `from` of the
+//!   the reactor; the acceptor's side enters it under the `from` of the
 //!   first frame read from it. *Who replies where:* a send looks the peer
 //!   up and writes on the live connection, so a server's ack travels back
 //!   on the socket the request arrived on, the kernel piggybacks its TCP
 //!   ACK on that reply (one segment per `send` instead of two), and a
 //!   peer that re-binds is answered on the connection its new incarnation
 //!   opened — no pipeline is left pointing at the previous incarnation's
-//!   address. *When an entry is retired:* the moment the reader sees EOF,
+//!   address. *When an entry is retired:* the moment the reactor sees EOF,
 //!   an I/O error, a corrupt or oversized frame, or a frame naming a
 //!   different sender than the connection's first one — or a writer's
 //!   `write` fails or times out. Retiring marks the connection dead, shuts
@@ -66,35 +66,56 @@
 //!   peer is back, so the next send reconnects immediately — and when that
 //!   frame came in on a connection the peer dialed, the send simply uses
 //!   it and never consults the cache.
-//! - **One shared reader per endpoint.** Every connection of the table,
-//!   dialed as well as accepted, is adopted by a single readiness-driven
-//!   reader thread (poll(2) through the vendored `polling` stand-in)
-//!   instead of parking one blocking thread per connection. Sender and
-//!   handler threads write on the sockets the reader reads, so the
-//!   sockets stay *blocking* (`O_NONBLOCK` is shared by both directions)
-//!   and the reader does exactly one `read` per readiness event: a
-//!   reported socket has bytes or an EOF waiting, so that read returns at
-//!   once, and level-triggered `poll` re-reports whatever it left behind —
-//!   no trailing `WouldBlock` probe, and a fire-hosing socket gets one
-//!   chunk per wake-up like everyone else. Each adopted socket keeps a
-//!   reusable buffer that frames are decoded from in place. The reader is
-//!   part of every endpoint: on a target with no readiness queue
-//!   (`Poller::new` fails) [`TcpEndpoint::bind`] returns the error.
+//! - **One reactor per registry.** Every connection of every endpoint
+//!   opened through one [`TcpRegistry`], dialed as well as accepted, is
+//!   read by a single thread (`tcp-reactor`) sleeping in a single
+//!   readiness queue (`epoll`, through the vendored `polling` stand-in):
+//!   one wake-up reports every ready socket of the registry at once,
+//!   whichever endpoint it belongs to, instead of one thread per endpoint
+//!   waking for its own two or three. *What that buys depends on how many
+//!   endpoints share the registry and how many cores they have:* the
+//!   measured gain (`tcp-narrow`, +13 % operations per second) is for a
+//!   whole cluster in one process pinned to one core, the shape of the
+//!   benches and tests. A deployed process opens one endpoint; there the
+//!   reactor is the reader thread that endpoint would have had, reached
+//!   through a command queue, and what remains is `epoll` in place of
+//!   `poll(2)` — not measured on its own side of the spread. Nor is a
+//!   many-endpoint registry on many cores, where one thread now decodes
+//!   what several did in parallel. Both cases are unverified, not implied
+//!   by that figure (see ROADMAP item 4). The reactor owns the queue,
+//!   the map from readiness key to connection and owning endpoint, and a
+//!   command queue (*adopt this connection for that endpoint*, *detach
+//!   that endpoint*); what is an endpoint's own stays with it — its
+//!   connection table, its heard-from marks, its inbox, its counters and
+//!   gauge. Sender and handler threads write on the sockets the reactor
+//!   reads, so the sockets stay *blocking* (`O_NONBLOCK` is shared by both
+//!   directions) and the reactor does exactly one `read` per readiness
+//!   event: a reported socket has bytes or an EOF waiting, so that read
+//!   returns at once, and the level-triggered queue re-reports whatever
+//!   it left behind — no trailing `WouldBlock` probe, and a fire-hosing
+//!   socket gets one chunk per wake-up like everyone else. Each adopted
+//!   socket keeps a reusable buffer that frames are decoded from in
+//!   place, and inboxes are unbounded, so the reactor never waits for a
+//!   consumer. Endpoints own the reactor jointly and the registry only
+//!   finds it: the first [`TcpEndpoint::bind`] starts it (on a target with
+//!   no readiness queue — `Poller::new` fails anywhere but Linux — `bind`
+//!   returns the error), the last endpoint dropped stops and joins it.
 //!
-//! An endpoint runs three kinds of thread — the acceptor, the reader, and
-//! a drain thread for each peer that ever fell behind — and `drop` joins
+//! An endpoint runs two kinds of thread of its own — the acceptor, and a
+//! drain thread for each peer that ever fell behind — and `drop` joins
 //! them all: the acceptor stops, queued frames are flushed and writer
-//! threads join, and the shared reader is joined, which closes every
-//! connection *before* `drop` returns, observable through
-//! [`TcpEndpoint::connection_gauge`]. No thread and no descriptor of the
-//! endpoint outlives it.
+//! threads join, and the endpoint is detached from the reactor, which
+//! closes every connection of this endpoint — and of no other — *before*
+//! `drop` returns, observable through [`TcpEndpoint::connection_gauge`].
+//! No thread and no descriptor of the endpoint outlives it, and none of
+//! the registry's outlives its last endpoint.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -112,20 +133,14 @@ use crate::transport::{Endpoint, EndpointFactory, Inbound, TransportError};
 /// Maximum accepted frame size (16 MiB) — guards against corrupt peers.
 const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Largest buffer capacity a pipeline or reader retains across frames;
-/// anything bigger (a full-info burst) is released after use.
+/// Largest buffer capacity a pipeline or an adopted connection retains
+/// across frames; anything bigger (a full-info burst) is released after use.
 const BUF_RETAIN: usize = 1024 * 1024;
 
-/// How often the reader re-marks a peer as heard-from. Coarser than
+/// How often the reactor re-marks a peer as heard-from. Coarser than
 /// per-frame so a busy connection costs one map update per interval, but
 /// far finer than any sensible [`TcpTuning::reconnect_backoff`].
 const INBOUND_MARK_INTERVAL: Duration = Duration::from_millis(5);
-
-/// When each peer was last *heard from* (an inbound frame decoded with its
-/// id), shared by the endpoint's reader (which writes marks) and its
-/// writer pipelines (which read them in [`PeerIo::try_connect`] to forgive
-/// the reconnect negative cache early).
-type InboundSeen = Arc<Mutex<HashMap<ProcessId, Instant>>>;
 
 fn io_err(e: std::io::Error) -> TransportError {
     TransportError::Io { kind: e.kind() }
@@ -199,19 +214,25 @@ impl PipelineStats {
     }
 }
 
-/// Counters of an endpoint's shared reader, for tests and the bench
-/// harness's wake-per-frame metric. Snapshot via
-/// [`TcpEndpoint::reader_stats`].
+/// Counters of the receive path, for tests and the bench harness's
+/// wake-per-frame metric: one endpoint's share of the reactor's work
+/// ([`TcpEndpoint::reader_stats`]) or the whole registry's
+/// ([`TcpRegistry::reader_totals`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReaderStats {
-    /// Poll wake-ups that reported at least one ready socket. Every wake
-    /// drains *all* ready sockets, so under load this is far smaller than
-    /// `frames` — the fan-in batching the shared reader exists for.
+    /// For an endpoint: reactor wake-ups in which at least one of *its*
+    /// sockets was ready. For a registry: the reactor's own wake-ups that
+    /// reported at least one ready socket, of whichever endpoint — not the
+    /// sum over endpoints, which would count a wake once per endpoint it
+    /// served. Every wake reads *all* ready sockets, so under load this is
+    /// far smaller than `frames` — the fan-in batching the reactor exists
+    /// for.
     pub wakes: u64,
-    /// Frames decoded and delivered to the inbox.
+    /// Frames decoded and delivered to the inbox (summed, for a registry).
     pub frames: u64,
-    /// Connections currently adopted by the reader, dialed and accepted
-    /// alike: one per peer this endpoint is talking to.
+    /// Connections the reactor currently reads for the endpoint, dialed
+    /// and accepted alike: one per peer it is talking to (summed, for a
+    /// registry).
     pub open_connections: usize,
 }
 
@@ -220,10 +241,11 @@ pub struct ReaderStats {
 #[derive(Debug, Clone, Default)]
 pub struct TcpRegistry {
     addrs: Arc<Mutex<HashMap<ProcessId, SocketAddr>>>,
-    /// Shared readers of every endpoint opened through this registry, for
-    /// deployment-wide [`TcpRegistry::reader_totals`]. Weak: the registry
-    /// must not keep a dropped endpoint's reader state alive.
-    readers: Arc<Mutex<Vec<std::sync::Weak<ReaderShared>>>>,
+    /// The reactor reading for every live endpoint opened through this
+    /// registry. Weak: the endpoints own it, the registry only finds it
+    /// for the next `bind`, and must not keep its thread alive once the
+    /// last endpoint is gone.
+    reactor: Arc<Mutex<Weak<Reactor>>>,
     tuning: TcpTuning,
 }
 
@@ -262,19 +284,36 @@ impl TcpRegistry {
         self.addrs.lock().remove(&id);
     }
 
-    /// Sums the shared-reader counters across every live endpoint opened
+    /// The receive path's counters across every live endpoint opened
     /// through this registry — the bench harness's deployment-wide
-    /// wake-per-frame metric. Dropped endpoints are pruned.
+    /// wake-per-frame metric. `frames` and `open_connections` are sums
+    /// over those endpoints; `wakes` is the reactor's own count (see
+    /// [`ReaderStats::wakes`]). All zero while no endpoint is open.
     pub fn reader_totals(&self) -> ReaderStats {
-        let mut totals = ReaderStats::default();
-        self.readers.lock().retain(|weak| {
-            let Some(shared) = weak.upgrade() else { return false };
-            totals.wakes += shared.wakes.load(Ordering::Relaxed);
-            totals.frames += shared.frames.load(Ordering::Relaxed);
-            totals.open_connections += shared.conns.load(Ordering::SeqCst);
-            true
-        });
+        // Should the last endpoint go while this handle is held, the
+        // reactor is stopped and joined here instead of in that `drop`.
+        let Some(reactor) = self.reactor.lock().upgrade() else { return ReaderStats::default() };
+        let mut totals =
+            ReaderStats { wakes: reactor.shared.wakes.load(Ordering::Relaxed), ..ReaderStats::default() };
+        for endpoint in reactor.shared.endpoints.lock().iter().filter_map(Weak::upgrade) {
+            totals.frames += endpoint.frames.load(Ordering::Relaxed);
+            totals.open_connections += endpoint.conns.load(Ordering::SeqCst);
+        }
         totals
+    }
+
+    /// The reactor this registry's endpoints share, started if none of
+    /// them is holding one — or if the one they hold has left its loop
+    /// (its readiness queue failed): those endpoints are deaf until they
+    /// are dropped, but whoever binds next must not join them.
+    fn reactor(&self) -> std::io::Result<Arc<Reactor>> {
+        let mut slot = self.reactor.lock();
+        if let Some(reactor) = slot.upgrade().filter(|reactor| reactor.shared.commands.lock().is_some()) {
+            return Ok(reactor);
+        }
+        let reactor = Reactor::start()?;
+        *slot = Arc::downgrade(&reactor);
+        Ok(reactor)
     }
 }
 
@@ -290,13 +329,13 @@ impl EndpointFactory for TcpRegistry {
     }
 }
 
-/// One TCP connection, shared by the reader (which reads it) and the one
+/// One TCP connection, shared by the reactor (which reads it) and the one
 /// pipeline that writes it (`&TcpStream` is both `Read` and `Write`).
 #[derive(Debug)]
 struct Conn {
     stream: TcpStream,
     /// Set once by whoever first learns the socket is finished — the
-    /// reader on EOF/error, a writer on a failed or timed-out `write` —
+    /// reactor on EOF/error, a writer on a failed or timed-out `write` —
     /// so the other side stops using it without touching the socket.
     dead: AtomicBool,
 }
@@ -320,7 +359,7 @@ impl Conn {
 
     /// Marks the connection dead and shuts the socket down both ways: the
     /// peer sees the close now rather than when the last `Arc` drops, and
-    /// a reader still polling the socket is woken to reap it.
+    /// the reactor, still watching the socket, is woken to reap it.
     fn kill(&self) {
         if !self.dead.swap(true, Ordering::AcqRel) {
             let _ = self.stream.shutdown(Shutdown::Both);
@@ -338,16 +377,15 @@ struct PeerIo {
     to: ProcessId,
     registry: TcpRegistry,
     tuning: TcpTuning,
-    /// The endpoint's shared reader, whose connection table this pipeline
+    /// The endpoint's receive side, whose connection table this pipeline
     /// sends through.
-    reader: Arc<ReaderShared>,
+    endpoint: Arc<EndpointShared>,
     /// The connection last written on: the table's entry for `to` for as
     /// long as it is live, cached here so a steady-state send costs one
     /// atomic load, not a table lookup.
     conn: Option<Arc<Conn>>,
     buf: BytesMut,
     last_failed: Option<Instant>,
-    inbound: InboundSeen,
 }
 
 impl PeerIo {
@@ -421,14 +459,14 @@ impl PeerIo {
         if self.conn.as_ref().is_some_and(|conn| conn.is_live()) {
             return;
         }
-        self.conn = self.reader.live(self.to).or_else(|| self.try_connect(stats));
+        self.conn = self.endpoint.live(self.to).or_else(|| self.try_connect(stats));
     }
 
     /// Gives up the connection after a failed write: a partial frame may
     /// be on the wire, so nothing more can be sent on it.
     fn retire_conn(&mut self) {
         if let Some(conn) = self.conn.take() {
-            self.reader.retire(Some(self.to), &conn);
+            self.endpoint.retire(Some(self.to), &conn);
         }
     }
 
@@ -438,10 +476,10 @@ impl PeerIo {
     /// forgives the cache immediately (a restarted peer that already
     /// resumed sending must not keep losing our frames for the rest of
     /// the backoff window). The new connection enters the table and is
-    /// handed to the reader, so replies come back on it.
+    /// handed to the reactor, so replies come back on it.
     fn try_connect(&mut self, stats: &PipelineStats) -> Option<Arc<Conn>> {
         if let Some(at) = self.last_failed {
-            let forgiven = self.inbound.lock().get(&self.to).is_some_and(|&seen| seen > at);
+            let forgiven = self.endpoint.heard.lock().get(&self.to).is_some_and(|&seen| seen > at);
             if forgiven {
                 self.last_failed = None;
             } else if at.elapsed() < self.tuning.reconnect_backoff {
@@ -455,7 +493,7 @@ impl PeerIo {
         match TcpStream::connect(addr) {
             Ok(stream) => {
                 self.last_failed = None;
-                Some(self.reader.enter_dialed(self.to, Conn::new(stream, self.tuning)))
+                Some(self.endpoint.enter_dialed(self.to, Conn::new(stream, self.tuning)))
             }
             Err(_) => {
                 self.last_failed = Some(Instant::now());
@@ -524,8 +562,7 @@ impl PeerPipeline {
         to: ProcessId,
         registry: TcpRegistry,
         tuning: TcpTuning,
-        inbound: InboundSeen,
-        reader: Arc<ReaderShared>,
+        endpoint: Arc<EndpointShared>,
     ) -> PeerPipeline {
         // Clamp at the transport layer, not just in the facade's knob
         // validation: a zero-capacity bounded channel can never accept a
@@ -541,11 +578,10 @@ impl PeerPipeline {
                 to,
                 registry,
                 tuning,
-                reader,
+                endpoint,
                 conn: None,
                 buf: BytesMut::new(),
                 last_failed: None,
-                inbound,
             }),
             stats: PipelineStats::default(),
         };
@@ -648,50 +684,58 @@ fn drain_loop(rx: &Receiver<Msg>, core: &PipelineCore) {
     }
 }
 
-/// Bytes one socket read pulls at a time in the shared reader; the
-/// per-socket buffer grows in these steps (and past them for frames
-/// larger than one chunk).
+/// Bytes one socket read pulls at a time in the reactor; the per-socket
+/// buffer grows in these steps (and past them for frames larger than one
+/// chunk).
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Receive timeout on adopted sockets. The reader only reads a socket
-/// `poll` just reported, so the read returns at once; should the kernel
-/// ever report readiness it then takes back, this bounds the one thread
-/// every connection of the endpoint depends on instead of parking it.
+/// Receive timeout on adopted sockets. The reactor only reads a socket the
+/// readiness queue just reported, so the read returns at once; should the
+/// kernel ever report readiness it then takes back, this bounds the one
+/// thread every connection of the registry depends on instead of parking
+/// it.
 const READ_GUARD: Duration = Duration::from_millis(5);
 
 /// How long the acceptor waits after a failed `accept` before the next.
 const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(1);
 
-/// A connection on its way to the shared reader: accepted ones come with
-/// no peer (the first frame names it), dialed ones with the peer dialed.
+/// A connection on its way to the reactor: accepted ones come with no peer
+/// (the first frame names it), dialed ones with the peer dialed.
 #[derive(Debug)]
 struct Adoption {
     conn: Arc<Conn>,
     peer: Option<ProcessId>,
 }
 
-/// State shared between an endpoint's shared reader thread, its acceptor
-/// and writer pipelines (which hand fresh sockets over and look up the
-/// connection table), and its owner (stop/stats).
+/// What is one endpoint's own on the receive path, shared between the
+/// reactor (which reads the endpoint's connections into its inbox), its
+/// acceptor and writer pipelines (which hand fresh sockets over and look
+/// up the connection table), and its owner (stats, detach).
 #[derive(Debug)]
-struct ReaderShared {
-    poller: Poller,
+struct EndpointShared {
+    reactor: Arc<ReactorShared>,
     /// The connection table: for each peer, the one connection frames to
     /// it are written on. An entry is filled — by a pipeline that dialed,
-    /// or by the reader for an accepted connection's first frame — only
-    /// while none is live, and emptied by [`ReaderShared::retire`].
+    /// or by the reactor for an accepted connection's first frame — only
+    /// while none is live, and emptied by [`EndpointShared::retire`].
     table: Mutex<HashMap<ProcessId, Arc<Conn>>>,
-    /// Connections not yet adopted; the acceptor and the pipelines push
-    /// and notify, the reader drains on its next wake.
-    handoff: Mutex<Vec<Adoption>>,
-    stop: AtomicBool,
+    /// When each peer was last *heard from* (an inbound frame decoded with
+    /// its id): the reactor writes the marks, the writer pipelines read
+    /// them in [`PeerIo::try_connect`] to forgive the reconnect negative
+    /// cache early.
+    heard: Mutex<HashMap<ProcessId, Instant>>,
+    /// The sending half of the endpoint's inbox. Unbounded: the reactor
+    /// reads for every endpoint and must never wait for one consumer.
+    inbox: Sender<Inbound>,
     wakes: AtomicU64,
+    /// The reactor wake-up `wakes` last counted. Reactor thread only.
+    last_wake: AtomicU64,
     frames: AtomicU64,
     /// Adopted-connection gauge — the endpoint's [`TcpEndpoint::connection_gauge`].
     conns: Arc<AtomicUsize>,
 }
 
-impl ReaderShared {
+impl EndpointShared {
     /// The live connection to `peer`, if the table holds one.
     fn live(&self, peer: ProcessId) -> Option<Arc<Conn>> {
         self.table.lock().get(&peer).filter(|conn| conn.is_live()).cloned()
@@ -712,10 +756,10 @@ impl ReaderShared {
     }
 
     /// Enters a connection a pipeline just dialed and hands it to the
-    /// reader, so the peer's replies are read off it. If the peer's own
+    /// reactor, so the peer's replies are read off it. If the peer's own
     /// dial was entered in the meantime, that one is used and the fresh
     /// socket is closed unwritten.
-    fn enter_dialed(&self, peer: ProcessId, conn: Arc<Conn>) -> Arc<Conn> {
+    fn enter_dialed(self: &Arc<Self>, peer: ProcessId, conn: Arc<Conn>) -> Arc<Conn> {
         let entry = self.enter(peer, Arc::clone(&conn));
         if Arc::ptr_eq(&entry, &conn) {
             self.adopt(Adoption { conn, peer: Some(peer) });
@@ -723,13 +767,12 @@ impl ReaderShared {
         entry
     }
 
-    fn adopt(&self, adoption: Adoption) {
-        self.handoff.lock().push(adoption);
-        let _ = self.poller.notify();
+    fn adopt(self: &Arc<Self>, adoption: Adoption) {
+        self.reactor.submit(Command::Adopt { endpoint: Arc::clone(self), adoption });
     }
 
     /// Kills `conn` and empties its table entry, if it has one. Called by
-    /// the reader the moment it sees the connection end and by a writer
+    /// the reactor the moment it sees the connection end and by a writer
     /// whose `write` failed; whoever comes second finds nothing to do.
     fn retire(&self, peer: Option<ProcessId>, conn: &Arc<Conn>) {
         conn.kill();
@@ -739,6 +782,27 @@ impl ReaderShared {
                 table.remove(&peer);
             }
         }
+    }
+
+    /// Counts reactor wake-up number `wake` for this endpoint — once,
+    /// however many of its sockets are ready in it. Reactor thread only.
+    fn count_wake(&self, wake: u64) {
+        if self.last_wake.swap(wake, Ordering::Relaxed) != wake {
+            self.wakes.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Has the reactor close every connection of this endpoint, and of no
+    /// other, and returns once it has: they are reaped, withdrawn from the
+    /// readiness queue and closed, and the gauge reads zero.
+    fn detach(self: &Arc<Self>) {
+        let (done, closed) = bounded::<()>(1);
+        self.reactor.submit(Command::Detach { endpoint: Arc::clone(self), done });
+        // Nothing is ever sent: the reactor drops `done` when the
+        // connections are closed — which they already are if it has left
+        // its loop, where `submit` drops the command on the spot.
+        let _ = closed.recv();
+        self.reactor.endpoints.lock().retain(|entry| !std::ptr::eq(entry.as_ptr(), Arc::as_ptr(self)));
     }
 }
 
@@ -750,18 +814,19 @@ fn stream_fd(stream: &TcpStream) -> polling::Source {
 
 #[cfg(not(unix))]
 fn stream_fd(_stream: &TcpStream) -> polling::Source {
-    // Unreachable: `Poller::new` fails on non-Unix targets, so `bind`
+    // Unreachable: `Poller::new` fails on every target but Linux, so `bind`
     // returns its error and no endpoint exists to adopt a socket.
     -1
 }
 
-/// One connection adopted by the shared reader: the socket, the peer it
-/// belongs to (fixed by the first frame, or by the dial) and its reusable
-/// receive buffer (`buf[..filled]` holds bytes read but not yet decoded),
-/// carried across wake-ups.
+/// One connection adopted by the reactor: the socket, the endpoint it is
+/// read for, the peer it belongs to (fixed by the first frame, or by the
+/// dial) and its reusable receive buffer (`buf[..filled]` holds bytes read
+/// but not yet decoded), carried across wake-ups.
 #[derive(Debug)]
 struct SharedConn {
     conn: Arc<Conn>,
+    owner: Arc<EndpointShared>,
     peer: Option<ProcessId>,
     buf: Vec<u8>,
     filled: usize,
@@ -769,17 +834,17 @@ struct SharedConn {
 }
 
 impl SharedConn {
-    fn new(adoption: Adoption) -> SharedConn {
+    fn new(owner: Arc<EndpointShared>, adoption: Adoption) -> SharedConn {
         let Adoption { conn, peer } = adoption;
-        SharedConn { conn, peer, buf: Vec::new(), filled: 0, last_mark: None }
+        SharedConn { conn, owner, peer, buf: Vec::new(), filled: 0, last_mark: None }
     }
 
     /// Does the one `read` a readiness event pays for and decodes every
     /// complete frame accumulated in the buffer; whatever the read left in
-    /// the socket is re-reported by the level-triggered poller. Returns
+    /// the socket is re-reported by the level-triggered queue. Returns
     /// `false` when the connection must be dropped (EOF, I/O error, or a
     /// corrupt/oversized/foreign frame).
-    fn read_ready(&mut self, tx: &Sender<Inbound>, inbound: &InboundSeen, shared: &ReaderShared) -> bool {
+    fn read_ready(&mut self) -> bool {
         if self.buf.len() < self.filled + READ_CHUNK {
             self.buf.resize(self.filled + READ_CHUNK, 0);
         }
@@ -787,7 +852,7 @@ impl SharedConn {
             Ok(0) => false,
             Ok(n) => {
                 self.filled += n;
-                self.decode_frames(tx, inbound, shared)
+                self.decode_frames()
             }
             // No bytes after all (see `READ_GUARD`): wait for the next event.
             Err(e) => matches!(
@@ -805,7 +870,7 @@ impl SharedConn {
 
     /// Decodes every complete frame in `buf[..filled]` in place and
     /// compacts the leftover partial frame (if any) to the front.
-    fn decode_frames(&mut self, tx: &Sender<Inbound>, inbound: &InboundSeen, shared: &ReaderShared) -> bool {
+    fn decode_frames(&mut self) -> bool {
         let mut parsed = 0usize;
         while self.filled - parsed >= 4 {
             let len = u32::from_be_bytes(self.buf[parsed..parsed + 4].try_into().expect("4 bytes"));
@@ -831,21 +896,21 @@ impl SharedConn {
                 // the table already holds a live connection to them.
                 None => {
                     self.peer = Some(from);
-                    shared.enter(from, Arc::clone(&self.conn));
+                    self.owner.enter(from, Arc::clone(&self.conn));
                 }
             }
-            shared.frames.fetch_add(1, Ordering::Relaxed);
+            self.owner.frames.fetch_add(1, Ordering::Relaxed);
             // Throttled heard-from mark, so writer pipelines forgive their
             // negative caches early.
             let now = Instant::now();
             match self.last_mark {
                 Some(at) if now.duration_since(at) < INBOUND_MARK_INTERVAL => {}
                 _ => {
-                    inbound.lock().insert(from, now);
+                    self.owner.heard.lock().insert(from, now);
                     self.last_mark = Some(now);
                 }
             }
-            if tx.send((from, msg)).is_err() {
+            if self.owner.inbox.send((from, msg)).is_err() {
                 return false;
             }
         }
@@ -866,38 +931,168 @@ impl SharedConn {
     }
 }
 
-/// The endpoint's shared reader: sleeps in `poll` until any adopted socket
-/// is readable (or the acceptor, a pipeline or the owner notifies), then
-/// reads every ready socket once into the inbox before sleeping again.
-fn shared_reader_loop(shared: &ReaderShared, tx: &Sender<Inbound>, inbound: &InboundSeen) {
-    let mut conns: HashMap<usize, SharedConn> = HashMap::new();
+/// A request to the reactor thread, queued by [`ReactorShared::submit`].
+#[derive(Debug)]
+enum Command {
+    /// Read this connection for that endpoint.
+    Adopt { endpoint: Arc<EndpointShared>, adoption: Adoption },
+    /// Close every connection read for that endpoint, then drop `done`
+    /// (see [`EndpointShared::detach`]).
+    Detach { endpoint: Arc<EndpointShared>, done: Sender<()> },
+    /// Close everything and leave the loop: the last endpoint is gone.
+    Stop,
+}
+
+impl Command {
+    /// Disposes of a command the reactor will never run, because it has
+    /// left its loop and closed every connection on the way out. A
+    /// connection nobody will read is unusable: retired, so the peer
+    /// reconnects or is given up (crash model). A detach has nothing left
+    /// to close; dropping it tells the endpoint waiting on `done` so.
+    fn refuse(self) {
+        if let Command::Adopt { endpoint, adoption } = self {
+            endpoint.retire(adoption.peer, &adoption.conn);
+        }
+    }
+}
+
+/// What the reactor thread shares with the endpoints it reads for. Holds no
+/// [`Reactor`], and neither does the [`EndpointShared`] the thread keeps
+/// per connection: the thread can never be the one that drops the last
+/// owning handle, which would be joining itself.
+#[derive(Debug)]
+struct ReactorShared {
+    poller: Poller,
+    /// Commands not yet run; endpoints push and notify, the reactor takes
+    /// them on its next wake. `None` once the thread has left its loop.
+    commands: Mutex<Option<Vec<Command>>>,
+    /// Wake-ups that reported at least one ready socket.
+    wakes: AtomicU64,
+    /// The endpoints attached, for [`TcpRegistry::reader_totals`]: `bind`
+    /// pushes once nothing can fail any more, `detach` removes.
+    endpoints: Mutex<Vec<Weak<EndpointShared>>>,
+}
+
+impl ReactorShared {
+    fn submit(&self, command: Command) {
+        let mut commands = self.commands.lock();
+        let Some(queue) = commands.as_mut() else {
+            drop(commands);
+            return command.refuse();
+        };
+        queue.push(command);
+        drop(commands);
+        let _ = self.poller.notify();
+    }
+}
+
+/// The owning handle of a registry's reactor thread, held jointly by the
+/// endpoints it reads for: dropping the last one stops and joins it.
+#[derive(Debug)]
+struct Reactor {
+    shared: Arc<ReactorShared>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Reactor {
+    fn start() -> std::io::Result<Arc<Reactor>> {
+        let shared = Arc::new(ReactorShared {
+            poller: Poller::new()?,
+            commands: Mutex::new(Some(Vec::new())),
+            wakes: AtomicU64::new(0),
+            endpoints: Mutex::new(Vec::new()),
+        });
+        let thread_shared = Arc::clone(&shared);
+        let thread = thread::Builder::new()
+            .name("tcp-reactor".into())
+            .spawn(move || reactor_loop(&thread_shared))?;
+        Ok(Arc::new(Reactor { shared, thread: Some(thread) }))
+    }
+}
+
+impl Drop for Reactor {
+    fn drop(&mut self) {
+        self.shared.submit(Command::Stop);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The connections the reactor reads, by readiness key. Dropping it is the
+/// reactor's way out, whatever opened it — stopped, the readiness queue
+/// failed, or the thread is unwinding: every connection is closed, then
+/// the command queue, so that what is in it and whatever is submitted from
+/// then on is refused instead of waiting for a thread that is gone.
+struct Adopted<'a> {
+    shared: &'a ReactorShared,
+    conns: HashMap<usize, SharedConn>,
+}
+
+impl Drop for Adopted<'_> {
+    fn drop(&mut self) {
+        for (_, conn) in self.conns.drain() {
+            reap(self.shared, &conn);
+        }
+        let unrun = self.shared.commands.lock().take();
+        for command in unrun.into_iter().flatten() {
+            command.refuse();
+        }
+    }
+}
+
+/// The reactor: sleeps in the readiness queue until any adopted socket of
+/// any endpoint is readable (or a command is submitted), then reads every
+/// ready socket once into its owner's inbox before sleeping again.
+fn reactor_loop(shared: &ReactorShared) {
+    let mut adopted = Adopted { shared, conns: HashMap::new() };
+    let conns = &mut adopted.conns;
     let mut next_key = 0usize;
     let mut events: Vec<Event> = Vec::new();
+    let mut wake = 0u64;
     loop {
         events.clear();
         if shared.poller.wait(&mut events, None).is_err() {
-            break;
+            return;
         }
-        if shared.stop.load(Ordering::Acquire) {
-            break;
-        }
-        // Adopt connections handed over since the last wake. Any bytes
-        // already waiting on them surface on the next (level-triggered)
-        // wait.
-        let fresh: Vec<Adoption> = std::mem::take(&mut *shared.handoff.lock());
-        for adoption in fresh {
-            let key = next_key;
-            next_key += 1;
-            if shared.poller.add(stream_fd(&adoption.conn.stream), Event::readable(key)).is_err() {
-                // Unreadable, so unusable: the peer reconnects (crash model).
-                shared.retire(adoption.peer, &adoption.conn);
-                continue;
+        // Run the commands submitted since the last wake. Any bytes
+        // already waiting on a connection adopted here surface on the next
+        // (level-triggered) wait.
+        let commands = std::mem::take(
+            shared.commands.lock().as_mut().expect("only this thread closes the queue, on its way out"),
+        );
+        let mut stop = false;
+        for command in commands {
+            match command {
+                Command::Adopt { endpoint, adoption } => {
+                    let key = next_key;
+                    next_key += 1;
+                    // Unreadable, so unusable: the peer reconnects (crash model).
+                    if shared.poller.add(stream_fd(&adoption.conn.stream), Event::readable(key)).is_err() {
+                        endpoint.retire(adoption.peer, &adoption.conn);
+                        continue;
+                    }
+                    endpoint.conns.fetch_add(1, Ordering::SeqCst);
+                    conns.insert(key, SharedConn::new(endpoint, adoption));
+                }
+                Command::Detach { endpoint, done } => {
+                    conns.retain(|_, conn| {
+                        let theirs = Arc::ptr_eq(&conn.owner, &endpoint);
+                        if theirs {
+                            reap(shared, conn);
+                        }
+                        !theirs
+                    });
+                    drop(done);
+                }
+                Command::Stop => stop = true,
             }
-            shared.conns.fetch_add(1, Ordering::SeqCst);
-            conns.insert(key, SharedConn::new(adoption));
+        }
+        if stop {
+            return;
         }
         if !events.is_empty() {
-            shared.wakes.fetch_add(1, Ordering::Relaxed);
+            wake = shared.wakes.fetch_add(1, Ordering::Relaxed) + 1;
         }
         // Connections whose peer is known are read first. When a peer
         // re-binds, the EOF of the connection to its previous incarnation
@@ -906,34 +1101,28 @@ fn shared_reader_loop(shared: &ReaderShared, tx: &Sender<Inbound>, inbound: &Inb
         // be retired before the new connection asks for its place.
         events.sort_by_key(|event| conns.get(&event.key).is_some_and(|conn| conn.peer.is_none()));
         for event in &events {
+            // Reported, then detached by a command of this same wake: gone.
             let Some(conn) = conns.get_mut(&event.key) else { continue };
-            if !conn.read_ready(tx, inbound, shared) {
+            conn.owner.count_wake(wake);
+            if !conn.read_ready() {
                 let conn = conns.remove(&event.key).expect("read conn is present");
                 reap(shared, &conn);
             }
         }
     }
-    // Teardown: close every connection before the thread exits, so once
-    // the endpoint's Drop joins this thread the gauge reads zero and no
-    // socket of the endpoint is left open.
-    for (_, conn) in conns.drain() {
-        reap(shared, &conn);
-    }
-    for adoption in shared.handoff.lock().drain(..) {
-        shared.retire(adoption.peer, &adoption.conn);
-    }
 }
 
-/// Retires an adopted connection and withdraws it from the poller (before
-/// the reader's `Arc` drops, which may be what closes the descriptor).
-fn reap(shared: &ReaderShared, conn: &SharedConn) {
-    shared.retire(conn.peer, &conn.conn);
+/// Retires an adopted connection and withdraws it from the readiness queue
+/// (before the reactor's `Arc` drops, which may be what closes the
+/// descriptor).
+fn reap(shared: &ReactorShared, conn: &SharedConn) {
+    conn.owner.retire(conn.peer, &conn.conn);
     let _ = shared.poller.delete(stream_fd(&conn.conn.stream));
-    shared.conns.fetch_sub(1, Ordering::SeqCst);
+    conn.owner.conns.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// One process's TCP endpoint: an acceptor and a shared reader feeding an
-/// inbox, plus a writer pipeline per destination.
+/// One process's TCP endpoint: an acceptor feeding the registry's reactor,
+/// which feeds the inbox, plus a writer pipeline per destination.
 #[derive(Debug)]
 pub struct TcpEndpoint {
     id: ProcessId,
@@ -941,69 +1130,68 @@ pub struct TcpEndpoint {
     inbox: Receiver<Inbound>,
     tuning: TcpTuning,
     pipelines: Mutex<HashMap<ProcessId, PeerPipeline>>,
-    /// Last-heard-from marks written by the reader, read by the writer
-    /// pipelines to forgive the reconnect negative cache.
-    inbound: InboundSeen,
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
-    /// The shared reader's state: connection table, counters, gauge.
-    reader: Arc<ReaderShared>,
-    reader_thread: Option<JoinHandle<()>>,
+    /// This endpoint's side of the receive path: connection table,
+    /// heard-from marks, counters, gauge.
+    shared: Arc<EndpointShared>,
+    /// This endpoint's share in the registry's reactor: the last endpoint
+    /// to drop its handle stops and joins the thread.
+    _reactor: Arc<Reactor>,
 }
 
 impl TcpEndpoint {
-    /// Binds a listener on `127.0.0.1` (ephemeral port), registers it, and
-    /// spawns the shared reader and the acceptor that feeds it.
+    /// Binds a listener on `127.0.0.1` (ephemeral port), joins the
+    /// registry's reactor (starting it if this is the registry's only
+    /// endpoint), spawns the acceptor that feeds it, and registers the
+    /// address.
     ///
     /// # Errors
     ///
     /// Returns a [`TransportError`] if binding fails, if the OS refuses a
-    /// thread, or if the target has no readiness queue for the reader.
+    /// thread, or if the target has no readiness queue for the reactor.
+    /// Registering the address is the last step, after the last one that
+    /// can fail: an `Err` leaves nothing behind — no thread, no listener,
+    /// no registry entry resolving to one (a reactor started for this call
+    /// alone is stopped and joined as the error is returned).
     pub fn bind(id: ProcessId, registry: &TcpRegistry) -> Result<TcpEndpoint, TransportError> {
-        let poller = Poller::new().map_err(io_err)?;
         let listener = TcpListener::bind("127.0.0.1:0").map_err(io_err)?;
         let local_addr = listener.local_addr().map_err(io_err)?;
-        registry.insert(id, local_addr);
+        let reactor = registry.reactor().map_err(io_err)?;
         let (tx, rx) = unbounded();
         let stop = Arc::new(AtomicBool::new(false));
         let tuning = registry.tuning();
-        let inbound: InboundSeen = Arc::default();
 
-        let reader = Arc::new(ReaderShared {
-            poller,
+        let shared = Arc::new(EndpointShared {
+            reactor: Arc::clone(&reactor.shared),
             table: Mutex::new(HashMap::new()),
-            handoff: Mutex::new(Vec::new()),
-            stop: AtomicBool::new(false),
+            heard: Mutex::new(HashMap::new()),
+            inbox: tx,
             wakes: AtomicU64::new(0),
+            last_wake: AtomicU64::new(0),
             frames: AtomicU64::new(0),
             conns: Arc::new(AtomicUsize::new(0)),
         });
-        let thread_reader = Arc::clone(&reader);
-        let thread_inbound = Arc::clone(&inbound);
-        let reader_thread = thread::Builder::new()
-            .name(format!("tcp-shared-reader-{id}"))
-            .spawn(move || shared_reader_loop(&thread_reader, &tx, &thread_inbound))
-            .map_err(io_err)?;
-        registry.readers.lock().push(Arc::downgrade(&reader));
         let acceptor_stop = Arc::clone(&stop);
-        let acceptor_reader = Arc::clone(&reader);
+        let acceptor_shared = Arc::clone(&shared);
         let acceptor = thread::Builder::new()
             .name(format!("tcp-acceptor-{id}"))
-            .spawn(move || acceptor_loop(&listener, &acceptor_stop, &acceptor_reader, tuning))
+            .spawn(move || acceptor_loop(&listener, &acceptor_stop, &acceptor_shared, tuning))
             .map_err(io_err)?;
+        reactor.shared.endpoints.lock().push(Arc::downgrade(&shared));
+        registry.insert(id, local_addr);
         Ok(TcpEndpoint {
             id,
             registry: registry.clone(),
             inbox: rx,
             tuning,
             pipelines: Mutex::new(HashMap::new()),
-            inbound,
             local_addr,
             stop,
             acceptor: Some(acceptor),
-            reader,
-            reader_thread: Some(reader_thread),
+            shared,
+            _reactor: reactor,
         })
     }
 
@@ -1018,33 +1206,29 @@ impl TcpEndpoint {
         self.pipelines.lock().get(&to).map(|p| p.shared.core.stats.snapshot())
     }
 
-    /// A snapshot of the shared reader's counters.
+    /// A snapshot of this endpoint's share of the reactor's work: `wakes`
+    /// counts the reactor wake-ups in which one of this endpoint's sockets
+    /// was ready, so `wakes ≤ frames` holds per endpoint as it did when
+    /// each had a reader thread of its own.
     pub fn reader_stats(&self) -> ReaderStats {
         ReaderStats {
-            wakes: self.reader.wakes.load(Ordering::Relaxed),
-            frames: self.reader.frames.load(Ordering::Relaxed),
-            open_connections: self.reader.conns.load(Ordering::SeqCst),
+            wakes: self.shared.wakes.load(Ordering::Relaxed),
+            frames: self.shared.frames.load(Ordering::Relaxed),
+            open_connections: self.shared.conns.load(Ordering::SeqCst),
         }
     }
 
-    /// The gauge of connections this endpoint's reader currently holds:
-    /// every connection of the table, dialed or accepted. The `Arc`
-    /// outlives the endpoint, so tests can assert teardown really closed
-    /// everything: the gauge reads zero by the time `drop` returns (the
-    /// reader thread is joined).
+    /// The gauge of connections the reactor currently reads for this
+    /// endpoint: every connection of the table, dialed or accepted. The
+    /// `Arc` outlives the endpoint, so tests can assert teardown really
+    /// closed everything: the gauge reads zero by the time `drop` returns
+    /// (the endpoint is detached from the reactor synchronously).
     pub fn connection_gauge(&self) -> Arc<AtomicUsize> {
-        Arc::clone(&self.reader.conns)
+        Arc::clone(&self.shared.conns)
     }
 
     fn new_pipeline(&self, to: ProcessId) -> PeerPipeline {
-        PeerPipeline::new(
-            self.id,
-            to,
-            self.registry.clone(),
-            self.tuning,
-            Arc::clone(&self.inbound),
-            Arc::clone(&self.reader),
-        )
+        PeerPipeline::new(self.id, to, self.registry.clone(), self.tuning, Arc::clone(&self.shared))
     }
 }
 
@@ -1064,34 +1248,33 @@ impl Drop for TcpEndpoint {
         }
         // Tear down the writer pipelines: each drains its queued frames
         // and exits once its sender is gone; joining bounds the teardown
-        // so no writer thread outlives the endpoint. The reader is still
-        // up, so a flush that has to dial can hand its connection over.
+        // so no writer thread outlives the endpoint. The endpoint is still
+        // attached, so a flush that has to dial can hand its connection
+        // over.
         let pipelines: Vec<PeerPipeline> =
             self.pipelines.lock().drain().map(|(_, p)| p).collect();
         for pipeline in pipelines {
             pipeline.shutdown();
         }
-        // Stop the shared reader last (no acceptor or pipeline is left to
-        // hand it a socket) and join it: the join makes connection
-        // teardown synchronous — every connection is closed and the
-        // gauge reads zero before Drop returns.
-        self.reader.stop.store(true, Ordering::Release);
-        let _ = self.reader.poller.notify();
-        if let Some(reader_thread) = self.reader_thread.take() {
-            let _ = reader_thread.join();
-        }
+        // Detach from the reactor last (no acceptor or pipeline is left to
+        // hand it a socket) and wait for it: that makes connection
+        // teardown synchronous — every connection of this endpoint is
+        // closed and the gauge reads zero before Drop returns. If this was
+        // the registry's last endpoint, dropping the reactor handle then
+        // stops and joins the thread.
+        self.shared.detach();
     }
 }
 
-/// Hands every accepted socket to the shared reader until `stop` is set.
-fn acceptor_loop(listener: &TcpListener, stop: &AtomicBool, reader: &ReaderShared, tuning: TcpTuning) {
+/// Hands every accepted socket to the reactor until `stop` is set.
+fn acceptor_loop(listener: &TcpListener, stop: &AtomicBool, endpoint: &Arc<EndpointShared>, tuning: TcpTuning) {
     loop {
         let accepted = listener.accept();
         if stop.load(Ordering::Acquire) {
             return;
         }
         match accepted {
-            Ok((stream, _)) => reader.adopt(Adoption { conn: Conn::new(stream, tuning), peer: None }),
+            Ok((stream, _)) => endpoint.adopt(Adoption { conn: Conn::new(stream, tuning), peer: None }),
             // A failed `accept` says nothing about the listener: the peer
             // reset the connection before it was taken (`ECONNABORTED`), or
             // the descriptor table is full (`EMFILE`/`ENFILE`). Giving up
@@ -1421,8 +1604,8 @@ mod tests {
         }
     }
 
-    /// Many senders fan in to one endpoint through its single reader
-    /// thread. Every frame arrives, the reader's
+    /// Many senders fan in to one endpoint through the one reactor
+    /// thread. Every frame arrives, the endpoint's
     /// frame counter accounts for all of them, the connection gauge sees
     /// one adopted socket per sender, and peer EOFs (dropped senders) are
     /// reaped back to zero.
@@ -1455,7 +1638,8 @@ mod tests {
         });
     }
 
-    /// Dropping an endpoint joins its shared reader, so every adopted
+    /// Dropping an endpoint detaches it from the reactor and waits for that,
+    /// so every adopted
     /// connection is provably closed by the time `drop` returns — the
     /// gauge outlives the endpoint to make that assertable.
     #[test]
@@ -1501,6 +1685,245 @@ mod tests {
         let (_, msg) = hub.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(msg, Msg::InvokeWrite(Value::new(9)));
         assert_eq!(hub.reader_stats().open_connections, 1);
+    }
+
+    /// Reads `InvokeWrite(seq)` frames off `at` until `done` says enough,
+    /// asserting that each sender's sequence numbers arrive without a gap.
+    fn receive_in_order(
+        at: &TcpEndpoint,
+        next: &mut HashMap<ProcessId, u64>,
+        done: impl Fn(&HashMap<ProcessId, u64>) -> bool,
+    ) {
+        while !done(next) {
+            let (from, msg) = at.inbox().recv_timeout(Duration::from_secs(5)).expect("a frame was lost");
+            let Msg::InvokeWrite(value) = msg else { panic!("unexpected frame {msg:?}") };
+            let expected = next.entry(from).or_insert(0);
+            assert_eq!(value.get(), *expected, "frames from {from} to {} out of order", at.id());
+            *expected += 1;
+        }
+    }
+
+    /// The tentpole: however many endpoints a registry has, one reactor
+    /// reads for all of them, and keeps each sender's frames in order.
+    /// (That the process then runs exactly one `tcp-reactor` thread is
+    /// counted in `tests/tcp_reactor_census.rs`, a process of its own:
+    /// here the neighbouring tests run reactors too.)
+    #[test]
+    fn one_reactor_thread_serves_every_endpoint_of_a_registry() {
+        const ENDPOINTS: u32 = 8;
+        const FRAMES: u64 = 20;
+        let registry = TcpRegistry::new();
+        let endpoints: Vec<TcpEndpoint> = (0..ENDPOINTS)
+            .map(|i| TcpEndpoint::bind(ProcessId::server(i), &registry).unwrap())
+            .collect();
+        for endpoint in &endpoints {
+            assert!(Arc::ptr_eq(&endpoint._reactor, &endpoints[0]._reactor), "a second reactor was started");
+        }
+        assert_eq!(Arc::strong_count(&endpoints[0]._reactor), ENDPOINTS as usize, "owned by the endpoints alone");
+
+        // Criss-cross: every endpoint sends to every other, all at once.
+        thread::scope(|scope| {
+            for me in &endpoints {
+                let endpoints = &endpoints;
+                scope.spawn(move || {
+                    for seq in 0..FRAMES {
+                        for peer in endpoints.iter().filter(|peer| peer.id() != me.id()) {
+                            me.send(peer.id(), Msg::InvokeWrite(Value::new(seq))).unwrap();
+                        }
+                    }
+                });
+            }
+        });
+        let senders = (ENDPOINTS - 1) as usize;
+        for endpoint in &endpoints {
+            let mut next = HashMap::new();
+            receive_in_order(endpoint, &mut next, |next| {
+                next.len() == senders && next.values().all(|&seq| seq == FRAMES)
+            });
+            let stats = endpoint.reader_stats();
+            assert_eq!(stats.frames, senders as u64 * FRAMES, "{stats:?}");
+            assert!(stats.wakes >= 1 && stats.wakes <= stats.frames, "{stats:?}");
+        }
+        let totals = registry.reader_totals();
+        assert_eq!(totals.frames, u64::from(ENDPOINTS) * senders as u64 * FRAMES, "{totals:?}");
+        assert!(totals.wakes >= 1 && totals.wakes <= totals.frames, "{totals:?}");
+        // A wake that served three endpoints counts once here and once for
+        // each of them there.
+        let per_endpoint: u64 = endpoints.iter().map(|e| e.reader_stats().wakes).sum();
+        assert!(totals.wakes <= per_endpoint, "{totals:?} against a per-endpoint sum of {per_endpoint}");
+    }
+
+    /// `crash_server` is "drop that endpoint": with one reactor reading for
+    /// everybody, a detach must close that endpoint's connections and no
+    /// other's, while the siblings' frames keep flowing.
+    #[test]
+    fn dropping_one_endpoint_leaves_its_siblings_connected() {
+        const PEERS: u32 = 3;
+        let registry = TcpRegistry::new();
+        let hub_a = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+        let hub_b = TcpEndpoint::bind(ProcessId::server(1), &registry).unwrap();
+        let peers: Vec<TcpEndpoint> =
+            (0..PEERS).map(|i| TcpEndpoint::bind(ProcessId::writer(i), &registry).unwrap()).collect();
+        // Every peer is connected to both hubs before the traffic starts.
+        for peer in &peers {
+            peer.send(hub_a.id(), Msg::InvokeRead).unwrap();
+            hub_a.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
+        }
+        let gauge_a = hub_a.connection_gauge();
+        assert_eq!(gauge_a.load(Ordering::SeqCst), PEERS as usize);
+
+        // How many frames each peer has handed to B's pipeline so far.
+        let sent: Vec<AtomicU64> = (0..PEERS).map(|_| AtomicU64::new(0)).collect();
+        let stop = AtomicBool::new(false);
+        thread::scope(|scope| {
+            for (peer, sent) in peers.iter().zip(&sent) {
+                let stop = &stop;
+                scope.spawn(move || {
+                    while !stop.load(Ordering::Acquire) {
+                        let seq = sent.load(Ordering::Acquire);
+                        peer.send(ProcessId::server(1), Msg::InvokeWrite(Value::new(seq))).unwrap();
+                        sent.store(seq + 1, Ordering::Release);
+                        // A's inbox fills (nobody reads it) and A goes away
+                        // mid-stream: these may fail, and may not matter.
+                        let _ = peer.send(ProcessId::server(0), Msg::InvokeWrite(Value::new(seq)));
+                    }
+                });
+            }
+            let mut next = HashMap::new();
+            // Before: traffic from every peer is flowing through B.
+            receive_in_order(&hub_b, &mut next, |next| {
+                next.len() == PEERS as usize && next.values().all(|&seq| seq >= 20)
+            });
+            assert_eq!(hub_b.reader_stats().open_connections, PEERS as usize);
+
+            // During: A goes, under that traffic.
+            drop(hub_a);
+            assert_eq!(gauge_a.load(Ordering::SeqCst), 0, "A's connections must be closed when drop returns");
+            assert_eq!(hub_b.reader_stats().open_connections, PEERS as usize, "B lost a connection to A's detach");
+
+            // After: frames handed over once A was gone arrive too, and —
+            // `receive_in_order` — nothing in between went missing.
+            let marks: Vec<u64> = sent.iter().map(|sent| sent.load(Ordering::Acquire) + 20).collect();
+            receive_in_order(&hub_b, &mut next, |next| {
+                peers.iter().zip(&marks).all(|(peer, &mark)| next[&peer.id()] >= mark)
+            });
+            stop.store(true, Ordering::Release);
+        });
+        assert_eq!(hub_b.reader_stats().open_connections, PEERS as usize);
+        for peer in &peers {
+            let stats = peer.peer_stats(ProcessId::server(1)).unwrap();
+            assert_eq!(stats.connect_attempts, 1, "a connection to B was redialed: {stats:?}");
+            assert_eq!(stats.frames_dropped, 0, "{stats:?}");
+        }
+    }
+
+    /// The raw-socket case of
+    /// `oversized_frame_drops_only_the_offending_connection`, with the
+    /// offended endpoint and the bystander both read by the one reactor.
+    #[test]
+    fn a_corrupt_frame_on_one_endpoint_does_not_disturb_another() {
+        let registry = TcpRegistry::new();
+        let victim = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+        let bystander = TcpEndpoint::bind(ProcessId::server(1), &registry).unwrap();
+        let good = TcpEndpoint::bind(ProcessId::writer(0), &registry).unwrap();
+        for hub in [&victim, &bystander] {
+            good.send(hub.id(), Msg::InvokeRead).unwrap();
+            hub.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
+        }
+
+        let mut evil = TcpStream::connect(victim.local_addr()).unwrap();
+        evil.write_all(&(MAX_FRAME + 1).to_be_bytes()).unwrap();
+        evil.flush().unwrap();
+        assert_closed_by_endpoint(&mut evil, "corrupt connection never dropped");
+
+        // Neither the other endpoint nor the victim's other connection
+        // noticed.
+        for hub in [&bystander, &victim] {
+            good.send(hub.id(), Msg::InvokeWrite(Value::new(9))).unwrap();
+            let (_, msg) = hub.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(msg, Msg::InvokeWrite(Value::new(9)));
+            assert_eq!(hub.reader_stats().open_connections, 1, "{}", hub.id());
+        }
+        assert_eq!(good.reader_stats().open_connections, 2);
+    }
+
+    /// The last endpoint out stops the reactor; the registry, which only
+    /// ever found it, starts another for the next `bind`.
+    #[test]
+    fn a_second_generation_of_endpoints_gets_a_fresh_reactor() {
+        let registry = TcpRegistry::new();
+        let first_reactor = {
+            let a = TcpEndpoint::bind(ProcessId::writer(0), &registry).unwrap();
+            let b = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+            assert_eq!(first_frame_through(&a, &b), 0);
+            assert_eq!(registry.reader_totals().frames, 1);
+            Arc::downgrade(&a._reactor)
+        };
+        assert!(first_reactor.upgrade().is_none(), "the last endpoint out must stop the reactor");
+        assert_eq!(registry.reader_totals(), ReaderStats::default(), "no endpoint, no reactor, no totals");
+
+        let a = TcpEndpoint::bind(ProcessId::writer(0), &registry).unwrap();
+        let b = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+        assert!(Arc::ptr_eq(&a._reactor, &b._reactor));
+        assert_eq!(first_frame_through(&a, &b), 0);
+        assert_eq!(first_frame_through(&b, &a), 0);
+        let totals = registry.reader_totals();
+        assert_eq!((totals.frames, totals.open_connections), (2, 2), "{totals:?}");
+    }
+
+    /// Regression: the registry kept one `Weak` per `bind` and pruned them
+    /// only in `reader_totals`, which nothing on the rejoin path calls — a
+    /// cluster that crash/rejoins for a week leaked one per cycle.
+    #[test]
+    fn bind_drop_cycles_do_not_grow_the_registrys_bookkeeping() {
+        let registry = TcpRegistry::new();
+        let keeper = TcpEndpoint::bind(ProcessId::writer(0), &registry).unwrap();
+        for _ in 0..200 {
+            drop(TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap());
+        }
+        let tracked = keeper._reactor.shared.endpoints.lock().len();
+        assert!(tracked <= 2, "{tracked} entries for one live endpoint");
+    }
+
+    /// `drop` waits for the reactor to close its connections. Should the
+    /// reactor have left its loop already (its readiness queue failed),
+    /// there is nobody to answer: `drop` must see that and return. And
+    /// whoever binds meanwhile — a rejoining server — must get a reactor
+    /// that runs, not a share in the one that is gone.
+    #[test]
+    fn drop_returns_when_the_reactor_has_already_left_its_loop() {
+        let registry = TcpRegistry::new();
+        let a = TcpEndpoint::bind(ProcessId::writer(0), &registry).unwrap();
+        let b = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+        assert_eq!(first_frame_through(&a, &b), 0);
+        let gauges = [a.connection_gauge(), b.connection_gauge()];
+        // The way out of the loop is the same whatever opened it.
+        a.shared.reactor.submit(Command::Stop);
+        wait_until("the reactor never closed its queue", || a.shared.reactor.commands.lock().is_none());
+        for gauge in &gauges {
+            assert_eq!(gauge.load(Ordering::SeqCst), 0, "leaving the loop closes every connection");
+        }
+        // Unread, so unusable: a dial is retired on the spot, the frame lost.
+        a.send(ProcessId::server(0), Msg::InvokeRead).unwrap();
+        assert!(b.inbox().recv_timeout(Duration::from_millis(50)).is_err());
+        assert_eq!(a.reader_stats().open_connections, 0);
+
+        // The deaf generation is still alive, and so is its reactor handle.
+        let c = TcpEndpoint::bind(ProcessId::writer(1), &registry).unwrap();
+        let d = TcpEndpoint::bind(ProcessId::server(1), &registry).unwrap();
+        assert!(!Arc::ptr_eq(&c._reactor, &a._reactor), "bound to a reactor that has left its loop");
+        assert!(Arc::ptr_eq(&c._reactor, &d._reactor));
+        assert_eq!(first_frame_through(&c, &d), 0);
+        assert_eq!(first_frame_through(&d, &c), 0);
+
+        let (dropped, done) = bounded(1);
+        let dropper = thread::spawn(move || {
+            drop(a);
+            drop(b);
+            let _ = dropped.send(());
+        });
+        done.recv_timeout(Duration::from_secs(5)).expect("drop waited for a reactor that is gone");
+        dropper.join().unwrap();
     }
 
     #[test]

@@ -786,6 +786,19 @@ mod tests {
         handle.shutdown();
     }
 
+    /// `Duration::MAX` is "never time out", not an instant to compute.
+    #[test]
+    fn a_timeout_of_duration_max_means_no_deadline() {
+        let handle = Deployment::new(config())
+            .backend(Backend::InMemory)
+            .timeout(Duration::MAX)
+            .in_memory()
+            .unwrap();
+        let written = handle.writer(0).unwrap().write(Value::new(5)).unwrap();
+        assert_eq!(handle.reader(0).unwrap().read().unwrap(), written);
+        handle.shutdown();
+    }
+
     #[test]
     fn audited_open_loop_reports_a_clean_verdict() {
         use crate::audit::AuditConfig;

@@ -1000,13 +1000,15 @@ fn round_trip_per_server<E: Endpoint, T>(
             scope.refresh_from(view);
         }
         broadcast_scope(endpoint, &scope, &mut request_for);
-        let deadline = Instant::now() + timeout;
+        // A timeout too long to be a point in time ("never") is no deadline.
+        let deadline = Instant::now().checked_add(timeout);
         while !scope.satisfied(&acks) {
-            let now = Instant::now();
-            if now >= deadline {
+            let left = deadline
+                .map_or(Duration::MAX, |at| at.saturating_duration_since(Instant::now()));
+            if left.is_zero() {
                 break;
             }
-            match endpoint.inbox().recv_timeout(deadline - now) {
+            match endpoint.inbox().recv_timeout(left) {
                 Ok((from, msg)) => {
                     let (frame_epoch, msg) = msg.into_epoch_parts();
                     if frame_epoch > scope.epoch {

@@ -630,19 +630,23 @@ fn gather<S>(
     mut absorb: impl FnMut(&mut S, ProcessId, Msg),
 ) -> Result<(), TransportError> {
     const TIMED_OUT: TransportError = TransportError::Io { kind: std::io::ErrorKind::TimedOut };
-    let deadline = Instant::now() + window;
+    // An instant too far off to represent is `None`: no deadline (a window
+    // of `Duration::MAX`), no further round.
+    let deadline = Instant::now().checked_add(window);
     let rebroadcast_every = (window / 10).max(Duration::from_millis(10));
-    let mut round_ends = Instant::now();
+    let mut round_ends = Some(Instant::now());
     while !done(state) {
         let now = Instant::now();
-        if now >= deadline {
+        if deadline.is_some_and(|at| now >= at) {
             return Err(TIMED_OUT);
         }
-        if now >= round_ends {
+        if round_ends.is_some_and(|at| now >= at) {
             endpoint.send_batch(batch.clone());
-            round_ends = (now + rebroadcast_every).min(deadline);
+            round_ends = now.checked_add(rebroadcast_every);
         }
-        match endpoint.inbox().recv_timeout(round_ends - now) {
+        let wake_at = [round_ends, deadline].into_iter().flatten().min();
+        let left = wake_at.map_or(Duration::MAX, |at| at.saturating_duration_since(now));
+        match endpoint.inbox().recv_timeout(left) {
             // Anything `absorb` does not recognise — client traffic racing
             // a rejoin's fetch window, say — is dropped: the server is not
             // serving yet.
@@ -775,6 +779,19 @@ mod tests {
         ));
         assert_eq!(cluster.live_servers(), vec![2]);
         assert!(cluster.rejoin_server_within(0, window).is_err());
+        cluster.shutdown();
+    }
+
+    /// A window of `Duration::MAX` is "wait as long as it takes": the fetch
+    /// has no deadline to compute and completes on its quorum.
+    #[test]
+    fn rejoin_within_an_unbounded_window_completes() {
+        let config = KeyspaceConfig::new(3, 1, 3, 4, 1, 1).unwrap();
+        let mut cluster =
+            KeyspaceCluster::start_on(InMemoryTransport::new(), config, Protocol::W2R2).unwrap();
+        cluster.crash_server(0);
+        cluster.rejoin_server_within(0, Duration::MAX).unwrap();
+        assert_eq!(cluster.live_servers(), vec![0, 1, 2]);
         cluster.shutdown();
     }
 

@@ -205,9 +205,9 @@ fn spawn(
 mod tests {
     use super::*;
     use crate::transport::InMemoryTransport;
-    use mwr_core::{OpHandle, OpId};
+    use mwr_core::{OpHandle, OpId, Router};
     use mwr_types::{ClientId, TaggedValue};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn server_replies_to_queries() {
@@ -225,5 +225,53 @@ mod tests {
         assert_eq!(from, ProcessId::server(0));
         assert_eq!(reply, Msg::QueryAck { handle: op, latest: TaggedValue::initial() });
         assert_eq!(handle.shutdown(), 1);
+    }
+
+    /// Four clients on four threads send one bank 5 000 queries each, in
+    /// bursts of 50 with every reply awaited before the next burst, so the
+    /// server thread keeps alternating between draining a backlog and
+    /// parking in its `select!` until whichever client is first wakes it. A
+    /// wake-up it sleeps through is a client that runs its watchdog down.
+    #[test]
+    fn a_bank_answers_every_query_of_four_bursting_clients() {
+        const CLIENTS: u32 = 4;
+        const BURSTS: u64 = 100;
+        const BURST: u64 = 50;
+        const WATCHDOG: Duration = Duration::from_secs(5);
+        let transport = InMemoryTransport::new();
+        let handle = spawn_bank_with(
+            transport.register(ProcessId::server(0)),
+            ServerBank::new(CLIENTS as usize, Router::new(1, 1, 1)),
+        );
+        thread::scope(|scope| {
+            for c in 0..CLIENTS {
+                let endpoint = transport.register(ProcessId::reader(c));
+                scope.spawn(move || {
+                    let server = ProcessId::server(0);
+                    let op = |seq| OpHandle {
+                        op: OpId { client: ClientId::reader(c), seq },
+                        phase: 1,
+                    };
+                    for burst in 0..BURSTS {
+                        let seqs = burst * BURST..(burst + 1) * BURST;
+                        for seq in seqs.clone() {
+                            endpoint.send(server, Msg::Query { handle: op(seq) }).unwrap();
+                        }
+                        // One FIFO inbox each way: replies come in order.
+                        for seq in seqs {
+                            let started = Instant::now();
+                            let (_, reply) =
+                                endpoint.inbox().recv_timeout(WATCHDOG).expect("reply");
+                            assert!(started.elapsed() < WATCHDOG, "found as the wait expired");
+                            assert!(
+                                matches!(reply, Msg::QueryAck { handle, .. } if handle == op(seq)),
+                                "{reply:?}"
+                            );
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(handle.shutdown(), u64::from(CLIENTS) * BURSTS * BURST);
     }
 }

@@ -21,6 +21,18 @@ fn running_threads() -> usize {
     std::fs::read_dir("/proc/self/task").expect("procfs").count()
 }
 
+/// Asserts that `count` is back to `before` after a `drop`. Every thread was
+/// joined, but `join` returns when the kernel wakes the joiner, a moment
+/// before it takes the ended task (and what only that task still held) off
+/// `/proc`: wait for that, with a bound, before comparing.
+fn assert_back_to(before: usize, count: fn() -> usize, what: &str) {
+    let unlisted = Instant::now() + Duration::from_secs(1);
+    while count() != before && Instant::now() < unlisted {
+        std::thread::yield_now();
+    }
+    assert_eq!(count(), before, "{what}");
+}
+
 #[test]
 fn endpoint_drop_leaves_no_socket_open() {
     let before = open_descriptors();
@@ -62,6 +74,6 @@ fn endpoint_drop_leaves_no_socket_open() {
     for gauge in gauges {
         assert_eq!(gauge.load(Ordering::SeqCst), 0, "teardown must empty every gauge");
     }
-    assert_eq!(open_descriptors(), before, "teardown leaked a descriptor");
-    assert_eq!(running_threads(), threads_before, "a thread outlived its endpoint's drop");
+    assert_back_to(before, open_descriptors, "teardown leaked a descriptor");
+    assert_back_to(threads_before, running_threads, "a thread outlived its endpoint's drop");
 }

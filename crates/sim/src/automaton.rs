@@ -41,6 +41,13 @@ pub trait Automaton<M, N> {
     }
 }
 
+/// The three effect buffers of a [`Context`]: sends, timers, notifications.
+///
+/// The engine owns one set, lends it to the context of each callback and
+/// takes it back drained, so that a callback's effects land in capacity an
+/// earlier callback already paid for.
+pub(crate) type Buffers<M, N> = (Vec<(ProcessId, M)>, Vec<(SimTime, TimerId)>, Vec<N>);
+
 /// The effect interface handed to automaton callbacks.
 ///
 /// Effects are buffered and applied by the engine after the callback
@@ -91,15 +98,24 @@ impl<'a, M, N> Context<'a, M, N> {
         rng: &'a mut SmallRng,
         next_timer_id: &'a mut u64,
     ) -> Self {
-        Context {
-            now,
-            self_id,
-            rng,
-            next_timer_id,
-            sends: Vec::new(),
-            timers: Vec::new(),
-            notes: Vec::new(),
-        }
+        Context::with_buffers(now, self_id, rng, next_timer_id, Buffers::default())
+    }
+
+    /// A context that buffers into `buffers`, which the caller hands over
+    /// empty and gets back from [`Context::into_buffers`].
+    pub(crate) fn with_buffers(
+        now: SimTime,
+        self_id: ProcessId,
+        rng: &'a mut SmallRng,
+        next_timer_id: &'a mut u64,
+        (sends, timers, notes): Buffers<M, N>,
+    ) -> Self {
+        Context { now, self_id, rng, next_timer_id, sends, timers, notes }
+    }
+
+    /// Ends the callback: the buffers, holding every effect not yet taken.
+    pub(crate) fn into_buffers(self) -> Buffers<M, N> {
+        (self.sends, self.timers, self.notes)
     }
 
     /// Current virtual time. For metrics only — protocol logic must not

@@ -17,6 +17,21 @@
 //! Determinism: every run is a pure function of the seed and the scheduled
 //! inputs. Ties in virtual time are broken by schedule order.
 //!
+//! Cost per event: the event queue orders 24-byte keys — `(time, sequence
+//! number, where the payload is)` — and an event's payload is written once,
+//! to its own box, when it is scheduled and read once when it fires, so a
+//! message is never moved by the heap. An automaton runs where it is stored:
+//! its callback can only fill the buffers of its [`Context`], which the
+//! engine owns, lends out empty and applies after the callback has returned,
+//! so the callback never sees the engine and the engine allocates nothing
+//! for it. A link's delay stream is a function of `(seed, from, to)` alone
+//! and comes into being when the link first *draws* a delay; a
+//! [`DelayModel::Constant`] link never does, and a stream that does not
+//! exist is indistinguishable from one that was never sampled. None of this
+//! is observable: `tests/determinism.rs` and the umbrella crate's
+//! `tests/sim_golden.rs` hold digests of whole runs recorded from the engine
+//! that predates it.
+//!
 //! # Examples
 //!
 //! A client pinging one echo server:

@@ -1,4 +1,28 @@
 //! The discrete-event simulation engine.
+//!
+//! What one event costs outside the automaton it is delivered to is what
+//! every simulated suite pays half a million times per run, so the engine
+//! keeps three things out of the per-event path:
+//!
+//! - **The queue orders keys, payloads stay put.** The heap holds
+//!   [`Scheduled`] keys — `(at, seq)` and the box the [`EventKind`] was
+//!   written to when it was scheduled — so a sift moves 24 bytes per level
+//!   whatever the message type is (a protocol message is 120). Order is
+//!   `(at, seq)` and `seq` is unique, so ties in virtual time fire in
+//!   scheduling order and the payload never takes part in a comparison.
+//! - **Dispatch is in place.** The automaton is borrowed where it lives for
+//!   the length of its callback. That is sound because a callback cannot
+//!   reach the engine: everything it does goes into its [`Context`]'s
+//!   buffers, which are applied only after it has returned, and the two
+//!   engine fields the context does borrow (the shared RNG and the timer
+//!   counter) are disjoint from the automaton table. The buffers are the
+//!   engine's own, lent to each context empty and taken back drained, so an
+//!   event in steady state allocates nothing here but its payload's box.
+//! - **A delay stream exists once its link draws.** A link's stream is a
+//!   function of `(seed, from, to)` alone, created on first use, and
+//!   [`DelayModel::Constant`](crate::DelayModel::Constant) never draws: a
+//!   stream that was never created is indistinguishable from one that was
+//!   never sampled, so only a link whose model draws is looked up.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -9,7 +33,8 @@ use rand::SeedableRng;
 
 use mwr_types::ProcessId;
 
-use crate::automaton::{Automaton, Context};
+use crate::automaton::{Automaton, Buffers, Context};
+use crate::delay::DelayModel;
 use crate::event::{ControlAction, EventKind, LinkSelector, Scheduled};
 use crate::network::{Network, Topology};
 use crate::time::SimTime;
@@ -130,7 +155,8 @@ pub struct Simulation<M, N> {
     parked: Vec<ParkedMsg<M>>,
     seed: u64,
     rng: SmallRng,
-    /// One independent delay stream per directed link (lazily created).
+    /// One independent delay stream per directed link, created when the
+    /// link first draws a delay (a `Constant` link never does).
     ///
     /// Sampling per-link rather than from the shared engine RNG means the
     /// traffic on one link can never perturb the delays drawn on another:
@@ -140,6 +166,9 @@ pub struct Simulation<M, N> {
     /// messages) stay comparable.
     link_rngs: BTreeMap<(ProcessId, ProcessId), SmallRng>,
     next_timer_id: u64,
+    /// The effect buffers lent to each callback's [`Context`]; empty
+    /// between callbacks.
+    buffers: Buffers<M, N>,
     notifications: Vec<(SimTime, N)>,
     trace: Option<Trace>,
     started: bool,
@@ -181,6 +210,7 @@ impl<M: Clone + fmt::Debug, N> Simulation<M, N> {
             rng: SmallRng::seed_from_u64(seed),
             link_rngs: BTreeMap::new(),
             next_timer_id: 0,
+            buffers: Buffers::default(),
             notifications: Vec::new(),
             trace: None,
             started: false,
@@ -352,7 +382,7 @@ impl<M: Clone + fmt::Debug, N> Simulation<M, N> {
         self.now = ev.at;
         self.stats.events_processed += 1;
         self.stats.end_time = self.now;
-        let kind = match ev.kind {
+        let kind = match *ev.kind {
             EventKind::Deliver { from, to, msg } => {
                 if self.network.is_crashed(to) {
                     self.stats.messages_dropped_crash += 1;
@@ -414,8 +444,8 @@ impl<M: Clone + fmt::Debug, N> Simulation<M, N> {
         }
     }
 
-    /// Runs `f` on the automaton for `to` with a fresh context, then applies
-    /// the buffered effects.
+    /// Runs `f` on the automaton for `to`, borrowed in place, with a context
+    /// over the engine's effect buffers, then applies the buffered effects.
     ///
     /// # Panics
     ///
@@ -425,25 +455,27 @@ impl<M: Clone + fmt::Debug, N> Simulation<M, N> {
     where
         F: FnOnce(&mut dyn Automaton<M, N>, &mut Context<'_, M, N>),
     {
-        let mut automaton = self
+        let automaton = self
             .automata
-            .remove(&to)
+            .get_mut(&to)
             .unwrap_or_else(|| panic!("no automaton for process {to}"));
-        let (sends, timers, notes) = {
-            let mut ctx = Context::new(self.now, to, &mut self.rng, &mut self.next_timer_id);
-            f(automaton.as_mut(), &mut ctx);
-            (ctx.sends, ctx.timers, ctx.notes)
-        };
-        self.automata.insert(to, automaton);
-        for (dest, msg) in sends {
+        let mut ctx = Context::with_buffers(
+            self.now,
+            to,
+            &mut self.rng,
+            &mut self.next_timer_id,
+            std::mem::take(&mut self.buffers),
+        );
+        f(automaton.as_mut(), &mut ctx);
+        let (mut sends, mut timers, mut notes) = ctx.into_buffers();
+        for (dest, msg) in sends.drain(..) {
             self.route(to, dest, msg);
         }
-        for (fire_at, timer) in timers {
+        for (fire_at, timer) in timers.drain(..) {
             self.push_event(fire_at, EventKind::Timer { process: to, timer });
         }
-        for note in notes {
-            self.notifications.push((self.now, note));
-        }
+        self.notifications.extend(notes.drain(..).map(|note| (self.now, note)));
+        self.buffers = (sends, timers, notes);
     }
 
     fn route(&mut self, from: ProcessId, to: ProcessId, msg: M) {
@@ -456,9 +488,17 @@ impl<M: Clone + fmt::Debug, N> Simulation<M, N> {
             self.parked.push(ParkedMsg { from, to, msg });
             self.stats.messages_parked += 1;
         } else {
-            let model = self.network.delay_for(from, to);
-            let delay = model.sample(self.link_rng(from, to));
+            let delay = self.link_delay(from, to);
             self.push_event(self.now + delay, EventKind::Deliver { from, to, msg });
+        }
+    }
+
+    /// The delay of the next message on `from → to`. Only a model that
+    /// draws touches the link's stream.
+    fn link_delay(&mut self, from: ProcessId, to: ProcessId) -> SimTime {
+        match self.network.delay_for(from, to) {
+            DelayModel::Constant(delay) => delay,
+            model => model.sample(self.link_rng(from, to)),
         }
     }
 
@@ -484,8 +524,7 @@ impl<M: Clone + fmt::Debug, N> Simulation<M, N> {
             if self.network.is_held(p.from, p.to) {
                 still_parked.push(p);
             } else {
-                let model = self.network.delay_for(p.from, p.to);
-                let delay = model.sample(self.link_rng(p.from, p.to));
+                let delay = self.link_delay(p.from, p.to);
                 self.push_event(
                     self.now + delay,
                     EventKind::Deliver { from: p.from, to: p.to, msg: p.msg },
@@ -498,7 +537,7 @@ impl<M: Clone + fmt::Debug, N> Simulation<M, N> {
     fn push_event(&mut self, at: SimTime, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Scheduled { at: at.max(self.now), seq, kind }));
+        self.heap.push(Reverse(Scheduled { at: at.max(self.now), seq, kind: Box::new(kind) }));
     }
 }
 
@@ -518,7 +557,7 @@ fn process_key(p: ProcessId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delay::DelayModel;
+    use crate::automaton::TimerId;
 
     #[derive(Clone, Debug, PartialEq)]
     enum Msg {
@@ -727,5 +766,204 @@ mod tests {
         assert_eq!(trace.len(), 4); // 2 pings + 2 pongs
         assert!(trace.entries().iter().any(|e| e.summary.contains("Ping")));
         assert!(trace.entries().iter().any(|e| e.summary.contains("Pong")));
+    }
+
+    #[test]
+    fn events_of_one_tick_fire_in_scheduling_order_whatever_their_kind() {
+        #[derive(Debug, PartialEq)]
+        enum Seen {
+            External(u32),
+            Timer(TimerId),
+        }
+        /// Sets a timer five ticks out on start and on `Ping(0)`; reports
+        /// every other external and every timer.
+        struct Recorder;
+        impl Automaton<Msg, Seen> for Recorder {
+            fn on_start(&mut self, ctx: &mut Context<'_, Msg, Seen>) {
+                ctx.set_timer(SimTime::from_ticks(5));
+            }
+            fn on_message(&mut self, _: ProcessId, _: Msg, _: &mut Context<'_, Msg, Seen>) {}
+            fn on_external(&mut self, input: Msg, ctx: &mut Context<'_, Msg, Seen>) {
+                match input {
+                    Msg::Ping(0) => {
+                        ctx.set_timer(SimTime::from_ticks(5));
+                    }
+                    Msg::Ping(n) | Msg::Pong(n) => ctx.notify(Seen::External(n)),
+                }
+            }
+            fn on_timer(&mut self, timer: TimerId, ctx: &mut Context<'_, Msg, Seen>) {
+                ctx.notify(Seen::Timer(timer));
+            }
+        }
+        let r = ProcessId::reader(0);
+        let five = SimTime::from_ticks(5);
+        let mut sim: Simulation<Msg, Seen> = Simulation::new(0);
+        sim.add_process(r, Recorder);
+        // Scheduling order for tick 5: external 1, the start timer, the
+        // timer set at tick 0, external 2 — kinds interleaved on purpose.
+        sim.schedule_external(SimTime::ZERO, r, Msg::Ping(0)).unwrap();
+        sim.schedule_external(five, r, Msg::Ping(1)).unwrap();
+        assert_eq!(sim.step().map(|e| e.at), Some(SimTime::ZERO));
+        sim.schedule_external(five, r, Msg::Ping(2)).unwrap();
+        sim.run_until_quiescent().unwrap();
+        assert_eq!(
+            sim.drain_notifications(),
+            vec![
+                (five, Seen::External(1)),
+                (five, Seen::Timer(TimerId(0))),
+                (five, Seen::Timer(TimerId(1))),
+                (five, Seen::External(2)),
+            ]
+        );
+    }
+
+    #[test]
+    fn every_payload_is_given_back_exactly_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        #[derive(Debug, Default)]
+        struct Census {
+            made: AtomicUsize,
+            dropped: AtomicUsize,
+        }
+        /// A message that counts its constructions (clones included) and
+        /// its drops.
+        #[derive(Debug)]
+        struct Counted(Arc<Census>);
+        impl Counted {
+            fn new(census: &Arc<Census>) -> Self {
+                census.made.fetch_add(1, Ordering::Relaxed);
+                Counted(Arc::clone(census))
+            }
+        }
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                Counted::new(&self.0)
+            }
+        }
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.dropped.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        /// Sends every message it is handed back to where it came from; an
+        /// external goes to all four servers.
+        struct Reflector;
+        impl Automaton<Counted, ()> for Reflector {
+            fn on_message(&mut self, from: ProcessId, msg: Counted, ctx: &mut Context<'_, Counted, ()>) {
+                if ctx.self_id().is_server() {
+                    ctx.send(from, msg);
+                }
+            }
+            fn on_external(&mut self, input: Counted, ctx: &mut Context<'_, Counted, ()>) {
+                ctx.broadcast_to_servers(4, input);
+            }
+        }
+
+        let census = Arc::new(Census::default());
+        let r = ProcessId::reader(0);
+        let mut sim: Simulation<Counted, ()> = Simulation::new(9);
+        sim.add_process(r, Reflector);
+        for i in 0..4 {
+            sim.add_process(ProcessId::server(i), Reflector);
+        }
+        // s0 answers; s1 has crashed by the time its copy arrives; the copy
+        // for s2 is parked and later released; the one for s3 stays parked.
+        sim.schedule_crash(SimTime::ZERO, ProcessId::server(1));
+        sim.network_mut().hold(LinkSelector::directed(r, ProcessId::server(2)));
+        sim.network_mut().hold(LinkSelector::directed(r, ProcessId::server(3)));
+        sim.enable_trace();
+        sim.schedule_external(SimTime::from_ticks(1), r, Counted::new(&census)).unwrap();
+        sim.schedule_release(SimTime::from_ticks(50), LinkSelector::directed(r, ProcessId::server(2)));
+        let stats = sim.run_until_quiescent().unwrap();
+        assert_eq!(stats.messages_dropped_crash, 1);
+        assert_eq!(stats.messages_parked, 2);
+        assert_eq!(stats.messages_delivered, 4, "s0 and s2 each heard and were heard");
+        assert_eq!(sim.parked_count(), 1);
+        // One more external that never fires: its payload is still queued
+        // when the simulation goes.
+        sim.schedule_external(SimTime::FAR_FUTURE, r, Counted::new(&census)).unwrap();
+        drop(sim);
+        let made = census.made.load(Ordering::Relaxed);
+        assert_eq!(made, 2 + 4, "two externals and one clone per server");
+        assert_eq!(census.dropped.load(Ordering::Relaxed), made);
+    }
+
+    #[test]
+    fn a_link_switched_to_uniform_mid_run_draws_its_streams_first_value() {
+        let r = ProcessId::reader(0);
+        let s = ProcessId::server(0);
+        let jitter = DelayModel::Uniform { lo: SimTime::from_ticks(1), hi: SimTime::from_ticks(1_000) };
+        // Ticks from the external that caused it to the arrival of each
+        // ping on r → s.
+        let flight_times = |first: DelayModel| {
+            let mut sim = setup(1, 77);
+            sim.enable_trace();
+            sim.network_mut().set_link_delay(r, s, first);
+            sim.schedule_external(SimTime::ZERO, r, Msg::Ping(1)).unwrap();
+            sim.run_until(SimTime::from_ticks(5_000)).unwrap();
+            sim.network_mut().set_link_delay(r, s, jitter);
+            sim.schedule_external(SimTime::from_ticks(5_000), r, Msg::Ping(2)).unwrap();
+            sim.run_until_quiescent().unwrap();
+            let arrivals: Vec<u64> =
+                sim.trace().unwrap().entries().iter().filter(|e| e.to == s).map(|e| e.at.ticks()).collect();
+            (arrivals[0], arrivals[1] - 5_000)
+        };
+        let (constant, first_draw_after_switch) = flight_times(DelayModel::Constant(SimTime::from_ticks(3)));
+        let (first_draw, second_draw) = flight_times(jitter);
+        assert_eq!(constant, 3);
+        // The constant message consumed nothing: the stream starts at the
+        // switch, exactly as if the link had drawn from the beginning.
+        assert_eq!(first_draw_after_switch, first_draw);
+        assert_ne!(first_draw, second_draw, "a stream, not a constant (seed 77)");
+    }
+
+    #[test]
+    fn effect_buffers_are_empty_when_a_callback_starts() {
+        /// Asserts its context is clean, then leaves all three buffers
+        /// non-empty behind it, in every callback.
+        struct Tidy {
+            callbacks: u32,
+        }
+        impl Tidy {
+            fn enter(&mut self, peer: ProcessId, ctx: &mut Context<'_, Msg, (ProcessId, u32)>) {
+                assert!(ctx.sends.is_empty(), "sends of an earlier callback leaked");
+                assert!(ctx.timers.is_empty(), "timers of an earlier callback leaked");
+                assert!(ctx.notes.is_empty(), "notes of an earlier callback leaked");
+                self.callbacks += 1;
+                if self.callbacks <= 40 {
+                    ctx.send(peer, Msg::Ping(self.callbacks));
+                    ctx.set_timer(SimTime::from_ticks(3));
+                    ctx.notify((peer, self.callbacks));
+                }
+            }
+        }
+        type Ctx<'a> = Context<'a, Msg, (ProcessId, u32)>;
+        impl Automaton<Msg, (ProcessId, u32)> for Tidy {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                self.enter(ProcessId::server(0), ctx);
+            }
+            fn on_message(&mut self, from: ProcessId, _: Msg, ctx: &mut Ctx<'_>) {
+                self.enter(from, ctx);
+            }
+            fn on_external(&mut self, _: Msg, ctx: &mut Ctx<'_>) {
+                self.enter(ProcessId::server(0), ctx);
+            }
+            fn on_timer(&mut self, _: TimerId, ctx: &mut Ctx<'_>) {
+                self.enter(ProcessId::server(0), ctx);
+            }
+        }
+        let mut sim: Simulation<Msg, (ProcessId, u32)> = Simulation::new(4);
+        sim.add_process(ProcessId::reader(0), Tidy { callbacks: 0 });
+        sim.add_process(ProcessId::server(0), Echo);
+        sim.schedule_external(SimTime::from_ticks(2), ProcessId::reader(0), Msg::Ping(0)).unwrap();
+        let stats = sim.run_until_quiescent().unwrap();
+        assert_eq!((stats.timers_fired, stats.messages_delivered), (40, 80));
+        assert_eq!(sim.drain_notifications().len(), 40);
+        // Lent, drained and taken back: empty, and the capacity is kept.
+        let (sends, timers, notes) = &sim.buffers;
+        assert!(sends.is_empty() && timers.is_empty() && notes.is_empty());
+        assert!(sends.capacity() > 0 && timers.capacity() > 0 && notes.capacity() > 0);
     }
 }

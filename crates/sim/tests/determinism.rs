@@ -169,3 +169,56 @@ fn crash_and_hold_controls_are_part_of_the_deterministic_input() {
     assert!(stats_a.messages_parked > 0, "the hold must actually bite");
     assert!(stats_a.messages_dropped_crash > 0, "the crash must actually bite");
 }
+
+/// FNV-1a (64-bit) over little-endian integers and length-prefixed strings:
+/// the digest the cross-commit pin below is stated in.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn int(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn text(&mut self, s: &str) {
+        self.int(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+}
+
+/// The tests above compare two runs of one binary. This one compares this
+/// binary with an earlier one: the constants were recorded at the parent of
+/// PR 19 (commit 89898d4, the engine whose heap still carried whole
+/// `Scheduled<M>` events), before the event queue was touched. An engine
+/// change that moves one delivery, one tie-break or one delay draw changes
+/// the digest.
+#[test]
+fn the_trace_of_seed_42_is_the_one_the_parent_of_pr_19_recorded() {
+    let (trace, notes) = run(42, 3, 4, 6);
+    let mut digest = Fnv::new();
+    for e in &trace {
+        digest.int(e.at.ticks());
+        digest.text(&e.from.to_string());
+        digest.text(&e.to.to_string());
+        digest.text(&e.summary);
+    }
+    for (at, (from, n)) in &notes {
+        digest.int(at.ticks());
+        digest.text(&from.to_string());
+        digest.int(u64::from(*n));
+    }
+    assert_eq!(
+        (trace.len(), notes.len(), digest.0),
+        (144, 72, 0x49b3_3416_1c31_aaeb),
+        "the engine no longer reproduces the parent's run delivery for delivery"
+    );
+}

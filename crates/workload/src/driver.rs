@@ -167,8 +167,10 @@ pub fn drive_closed_loop(
                 // invocation-to-completion.
                 ClientEvent::SecondRound { .. } => {}
                 ClientEvent::Completed { op, kind, .. } => {
-                    if let Some(start) = invoked_at.get(&op) {
-                        let latency = at.saturating_sub(*start);
+                    // A client has one operation in flight, so taking the
+                    // entry out keeps the map at R + W entries at most.
+                    if let Some(start) = invoked_at.remove(&op) {
+                        let latency = at.saturating_sub(start);
                         match kind {
                             OpKind::Read => reads.record(latency),
                             OpKind::Write(_) => writes.record(latency),
@@ -230,6 +232,21 @@ mod tests {
             .count();
         assert_eq!(invoked, completed, "every issued op completes (wait-freedom)");
         assert!(completed > 20, "closed loop should issue many ops, got {completed}");
+    }
+
+    #[test]
+    fn every_completion_is_timed_exactly_once() {
+        let config = ClusterConfig::new(5, 1, 2, 2).unwrap();
+        let report = run_closed_loop(&Cluster::new(config, Protocol::W2R1), spec()).unwrap();
+        let completed =
+            report.events.iter().filter(|(_, e)| matches!(e, ClientEvent::Completed { .. })).count();
+        let completed_reads = report
+            .events
+            .iter()
+            .filter(|(_, e)| matches!(e, ClientEvent::Completed { kind: OpKind::Read, .. }))
+            .count();
+        assert_eq!(report.reads.count(), completed_reads);
+        assert_eq!(report.writes.count(), completed - completed_reads);
     }
 
     #[test]

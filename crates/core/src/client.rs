@@ -1,141 +1,24 @@
-//! The register client automaton: every protocol in the design space is a
-//! composition of a write mode and a read mode (Fig 2's algorithm schema).
+//! The simulator's driver of the client [`RoundMachine`]: an event-driven
+//! automaton that queues invocations, puts the machine's frames on
+//! `ctx.send` and turns its steps into [`ClientEvent`] notifications.
 //!
-//! | Mode | Round-trips | Used by |
-//! |---|---|---|
-//! | [`WriteMode::Slow`] | query `maxTS`, then update `(maxTS+1, wi)` | W2R2 (LS97), W2R1 (Algorithm 1) |
-//! | [`WriteMode::Fast`] | update with a writer-local timestamp | ABD single-writer, Dutta et al. W1R1, and the *naive* multi-writer fast writes whose impossibility the paper proves |
-//! | [`ReadMode::Slow`] | query max, then write back | ABD, W2R2 |
-//! | [`ReadMode::Fast`] | one combined round + `admissible(·)` selection | W2R1 (Algorithm 1), Dutta et al. W1R1 |
+//! Everything the protocol decides — modes, phases, quorums, the fast read's
+//! `admissible(·)` selection — lives in the machine ([`crate::round`]'s
+//! module docs), which `mwr-runtime`'s blocking clients drive too; this file
+//! owns only what the simulator adds.
 //!
 //! Clients serialize their own operations (executions are well-formed per
 //! client, §2.1): invocations arriving while an operation is in flight are
 //! queued and their `Invoked` event is emitted when they actually start.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use mwr_sim::{Automaton, Context};
-use mwr_types::{ClusterConfig, ProcessId, ReaderId, ServerId, Tag, TaggedValue, Value, WriterId};
-use mwr_types::ClientId;
+use mwr_types::{ClusterConfig, ProcessId, ReaderId, WriterId};
 
-use crate::admissible::{SnapshotView, WitnessIndex};
-use crate::events::{ClientEvent, OpKind, OpResult};
-use crate::msg::{FastReadState, Msg, OpHandle, OpId, Snapshot};
-
-/// How writes acquire their tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteMode {
-    /// One round-trip: the writer stamps values from a local counter.
-    /// Correct with a single writer (ABD); **provably not atomic** with
-    /// multiple writers (the paper's main theorem).
-    Fast,
-    /// Two round-trips: query `maxTS` from a quorum, then write
-    /// `(maxTS + 1, wi)` (Algorithm 1's writer).
-    Slow,
-}
-
-/// How reads pick their return value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadMode {
-    /// One round-trip: collect snapshots from a quorum and return the
-    /// largest admissible value (Algorithm 1's reader). Atomic only when
-    /// `R < S/t − 2`.
-    Fast,
-    /// Two round-trips: query the maximum from a quorum, write it back to a
-    /// quorum, then return it (ABD/LS97 reader).
-    Slow,
-    /// One round-trip when possible, two otherwise: return the *global
-    /// maximum* of the collected snapshots immediately if it is admissible
-    /// within the safe degree budget
-    /// ([`adaptive_degree_cap`](crate::adaptive_degree_cap)); fall back to
-    /// an ABD-style write-back of that maximum otherwise.
-    ///
-    /// This is the semifast *idea* (Georgiou et al.) transplanted to the
-    /// multi-writer setting. It cannot be semifast in the formal sense —
-    /// the paper's §6 notes MWMR semifast implementations are impossible,
-    /// and indeed the slow fallback here is unbounded under contention —
-    /// but unlike Algorithm 1 it stays atomic for **any** `R`, trading the
-    /// `R < S/t − 2` constraint for occasional second round-trips.
-    Adaptive,
-}
-
-/// How fast-read rounds move information on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FastWire {
-    /// Full-information payloads, faithful to the paper's model (§4.1):
-    /// the whole `valQueue` out, whole server snapshots back. O(history)
-    /// per read.
-    FullInfo,
-    /// Delta payloads: only unacknowledged `valQueue` entries out, only
-    /// store changes above the reader's per-server acknowledged version
-    /// back ([`Msg::ReadFastDelta`]). The reader reconstructs each
-    /// server's logical snapshot from cached state, so `admissible(·)`
-    /// selection is byte-for-byte unchanged. O(new information) per read.
-    Delta,
-    /// Delta payloads with run-length-encoded registration gossip (wire
-    /// version 4, [`Msg::ReadFastRuns`]): identical information flow to
-    /// [`FastWire::Delta`] — the ack decodes to the same
-    /// [`DeltaSnapshot`](crate::DeltaSnapshot) — but each record's sorted
-    /// `updated` list travels as consecutive-id runs, collapsing the
-    /// O(W×R) catch-up re-registration stream to one run per value on the
-    /// wire. In-memory semantics are byte-for-byte [`FastWire::Delta`].
-    #[default]
-    Runs,
-}
-
-/// Role-specific client state.
-#[derive(Debug)]
-enum Role {
-    Writer {
-        id: WriterId,
-        mode: WriteMode,
-        /// Local timestamp counter used by [`WriteMode::Fast`].
-        local_ts: u64,
-    },
-    Reader {
-        id: ReaderId,
-        mode: ReadMode,
-        /// Algorithm 1's `valQueue`: every tagged value this reader has
-        /// observed and not yet GC-pruned; re-sent (in full or as a delta)
-        /// on each fast read.
-        val_queue: BTreeSet<TaggedValue>,
-        /// Fast-read wire format.
-        wire: FastWire,
-        /// Per-server snapshot caches plus the incrementally-maintained
-        /// witness index over them (delta wire only).
-        state: FastReadState,
-        /// The largest server-announced GC floor seen; local state below it
-        /// is pruned (every client has completed an operation above it).
-        gc_floor: TaggedValue,
-    },
-}
-
-/// The in-flight phase of the current operation.
-#[derive(Debug)]
-enum Phase {
-    /// Slow write, round 1: collecting `maxTS`.
-    WriteQuery { value: Value, max_tag: Tag, acks: BTreeSet<ServerId> },
-    /// Any write, final round: storing the tagged value.
-    WriteUpdate { value: TaggedValue, acks: BTreeSet<ServerId> },
-    /// Slow read, round 1: collecting the maximum value.
-    ReadQuery { best: TaggedValue, acks: BTreeSet<ServerId> },
-    /// Slow read, round 2: writing the maximum back.
-    ReadWriteBack { best: TaggedValue, acks: BTreeSet<ServerId> },
-    /// Fast read over the full-info wire: collecting whole snapshots.
-    ReadFast { replies: BTreeMap<ServerId, Snapshot> },
-    /// Fast read over the delta wire: the deltas merge straight into the
-    /// reader's caches/index, so only the replied-server mask is tracked.
-    ReadFastDelta { replied: u128 },
-}
-
-#[derive(Debug)]
-struct InFlight {
-    op: OpId,
-    kind: OpKind,
-    /// Which round-trip is in flight (1 or 2); fast modes never reach 2.
-    phase_no: u8,
-    phase: Phase,
-}
+use crate::events::{ClientEvent, OpKind};
+use crate::msg::{Msg, OpId};
+use crate::round::{FastWire, ReadMode, RoundMachine, Step, WriteMode};
 
 /// A client automaton (reader or writer) for the simulator.
 ///
@@ -155,31 +38,20 @@ struct InFlight {
 /// ```
 #[derive(Debug)]
 pub struct RegisterClient {
-    config: ClusterConfig,
-    role: Role,
+    machine: RoundMachine,
     pending: VecDeque<OpKind>,
-    current: Option<InFlight>,
-    next_seq: u64,
-    /// Completed-operation floor: the largest tag this client has returned
-    /// or written, piggybacked on requests for acknowledged-floor GC.
-    floor: TaggedValue,
+    /// The operation in flight, kept for its `Completed` notification.
+    current: Option<(OpId, OpKind)>,
 }
 
 impl RegisterClient {
     /// Creates a writer client with the given write mode.
     pub fn writer(id: WriterId, config: ClusterConfig, mode: WriteMode) -> Self {
-        RegisterClient {
-            config,
-            role: Role::Writer { id, mode, local_ts: 0 },
-            pending: VecDeque::new(),
-            current: None,
-            next_seq: 0,
-            floor: TaggedValue::initial(),
-        }
+        Self::drive(RoundMachine::writer(id, config, mode))
     }
 
     /// Creates a reader client with the given read mode and the default
-    /// [`FastWire::Delta`] wire format.
+    /// [`FastWire::Runs`] wire format.
     pub fn reader(id: ReaderId, config: ClusterConfig, mode: ReadMode) -> Self {
         Self::reader_with_wire(id, config, mode, FastWire::default())
     }
@@ -191,44 +63,11 @@ impl RegisterClient {
         mode: ReadMode,
         wire: FastWire,
     ) -> Self {
-        let mut val_queue = BTreeSet::new();
-        val_queue.insert(TaggedValue::initial());
-        RegisterClient {
-            config,
-            role: Role::Reader {
-                id,
-                mode,
-                val_queue,
-                wire,
-                state: FastReadState::new(),
-                gc_floor: TaggedValue::initial(),
-            },
-            pending: VecDeque::new(),
-            current: None,
-            next_seq: 0,
-            floor: TaggedValue::initial(),
-        }
+        Self::drive(RoundMachine::reader(id, config, mode, wire))
     }
 
-    fn client_id(&self) -> ClientId {
-        match &self.role {
-            Role::Writer { id, .. } => ClientId::Writer(*id),
-            Role::Reader { id, .. } => ClientId::Reader(*id),
-        }
-    }
-
-    fn quorum(&self) -> usize {
-        self.config.quorum_size()
-    }
-
-    /// Whether an operation is currently executing.
-    pub fn is_busy(&self) -> bool {
-        self.current.is_some()
-    }
-
-    /// Number of queued (not yet started) operations.
-    pub fn queued_ops(&self) -> usize {
-        self.pending.len()
+    fn drive(machine: RoundMachine) -> Self {
+        RegisterClient { machine, pending: VecDeque::new(), current: None }
     }
 
     fn start_next(&mut self, ctx: &mut Context<'_, Msg, ClientEvent>) {
@@ -236,311 +75,18 @@ impl RegisterClient {
         let Some(kind) = self.pending.pop_front() else {
             return;
         };
-        let op = OpId { client: self.client_id(), seq: self.next_seq };
-        self.next_seq += 1;
+        let op = self.machine.begin(kind);
+        self.current = Some((op, kind));
         ctx.notify(ClientEvent::Invoked { op, kind });
-
-        let servers = self.config.servers();
-        let floor = self.floor;
-        let phase = match (&mut self.role, kind) {
-            (Role::Writer { id, mode: WriteMode::Fast, local_ts }, OpKind::Write(v)) => {
-                *local_ts += 1;
-                let value = TaggedValue::new(Tag::new(*local_ts, *id), v);
-                let handle = OpHandle { op, phase: 1 };
-                ctx.broadcast_to_servers(servers, Msg::Update { handle, value, floor });
-                Phase::WriteUpdate { value, acks: BTreeSet::new() }
-            }
-            (Role::Writer { mode: WriteMode::Slow, .. }, OpKind::Write(v)) => {
-                let handle = OpHandle { op, phase: 1 };
-                ctx.broadcast_to_servers(servers, Msg::Query { handle });
-                Phase::WriteQuery { value: v, max_tag: Tag::initial(), acks: BTreeSet::new() }
-            }
-            (Role::Reader { mode: ReadMode::Slow, .. }, OpKind::Read) => {
-                let handle = OpHandle { op, phase: 1 };
-                ctx.broadcast_to_servers(servers, Msg::Query { handle });
-                Phase::ReadQuery { best: TaggedValue::initial(), acks: BTreeSet::new() }
-            }
-            (
-                Role::Reader {
-                    mode: ReadMode::Fast | ReadMode::Adaptive,
-                    val_queue,
-                    wire,
-                    state,
-                    ..
-                },
-                OpKind::Read,
-            ) => {
-                let handle = OpHandle { op, phase: 1 };
-                match wire {
-                    FastWire::FullInfo => {
-                        let val_queue: Vec<TaggedValue> = val_queue.iter().copied().collect();
-                        ctx.broadcast_to_servers(servers, Msg::ReadFast { handle, val_queue });
-                        Phase::ReadFast { replies: BTreeMap::new() }
-                    }
-                    FastWire::Delta | FastWire::Runs => {
-                        // Per-server payloads: only what this server has not
-                        // acknowledged yet. The Runs wire differs solely in
-                        // the frame discriminant (which selects the
-                        // run-length ack encoding on the way back).
-                        for s in 0..servers as u32 {
-                            let cache = state.cache(ServerId::new(s));
-                            let acked = cache.acked_version();
-                            let new_values = cache.unacknowledged(val_queue);
-                            let msg = match wire {
-                                FastWire::Runs => {
-                                    Msg::ReadFastRuns { handle, acked, floor, new_values }
-                                }
-                                _ => Msg::ReadFastDelta { handle, acked, floor, new_values },
-                            };
-                            ctx.send(ProcessId::server(s), msg);
-                        }
-                        Phase::ReadFastDelta { replied: 0 }
-                    }
-                }
-            }
-            (Role::Writer { .. }, OpKind::Read) => {
-                panic!("writers cannot invoke read() (paper §2.1)")
-            }
-            (Role::Reader { .. }, OpKind::Write(_)) => {
-                panic!("readers cannot invoke write() (paper §2.1)")
-            }
-        };
-        self.current = Some(InFlight { op, kind, phase_no: 1, phase });
+        self.send_round(ctx);
     }
 
-    fn complete(&mut self, result: OpResult, ctx: &mut Context<'_, Msg, ClientEvent>) {
-        let inflight = self.current.take().expect("completing without an op");
-        let (OpResult::Read(tv) | OpResult::Written(tv)) = result;
-        self.floor = self.floor.max(tv);
-        ctx.notify(ClientEvent::Completed { op: inflight.op, kind: inflight.kind, result });
-        self.start_next(ctx);
-    }
-
-    /// Processes one ack; returns what to do once a quorum is assembled.
-    fn on_ack(&mut self, server: ServerId, msg: Msg) -> Option<AckAction> {
-        let quorum = self.quorum();
-        let config = self.config;
-        let floor = self.floor;
-        let inflight = self.current.as_mut()?;
-        let expected = OpHandle { op: inflight.op, phase: inflight.phase_no };
-
-        match (msg, &mut inflight.phase) {
-            (Msg::QueryAck { handle, latest }, Phase::WriteQuery { value, max_tag, acks })
-                if handle == expected =>
-            {
-                *max_tag = (*max_tag).max(latest.tag());
-                acks.insert(server);
-                if acks.len() >= quorum {
-                    let Role::Writer { id, .. } = &self.role else { unreachable!() };
-                    let tagged = TaggedValue::new(max_tag.next(*id), *value);
-                    let handle = OpHandle { op: inflight.op, phase: 2 };
-                    inflight.phase_no = 2;
-                    inflight.phase = Phase::WriteUpdate { value: tagged, acks: BTreeSet::new() };
-                    return Some(AckAction::Broadcast(Msg::Update {
-                        handle,
-                        value: tagged,
-                        floor,
-                    }));
-                }
-                None
-            }
-            (Msg::QueryAck { handle, latest }, Phase::ReadQuery { best, acks })
-                if handle == expected =>
-            {
-                *best = (*best).max(latest);
-                acks.insert(server);
-                if acks.len() >= quorum {
-                    let chosen = *best;
-                    let handle = OpHandle { op: inflight.op, phase: 2 };
-                    inflight.phase_no = 2;
-                    inflight.phase = Phase::ReadWriteBack { best: chosen, acks: BTreeSet::new() };
-                    return Some(AckAction::Broadcast(Msg::Update {
-                        handle,
-                        value: chosen,
-                        floor,
-                    }));
-                }
-                None
-            }
-            (Msg::UpdateAck { handle }, Phase::WriteUpdate { value, acks })
-                if handle == expected =>
-            {
-                acks.insert(server);
-                (acks.len() >= quorum).then_some(AckAction::Complete(OpResult::Written(*value)))
-            }
-            (Msg::UpdateAck { handle }, Phase::ReadWriteBack { best, acks })
-                if handle == expected =>
-            {
-                acks.insert(server);
-                (acks.len() >= quorum).then_some(AckAction::Complete(OpResult::Read(*best)))
-            }
-            (Msg::ReadFastAck { handle, snapshot }, Phase::ReadFast { replies })
-                if handle == expected =>
-            {
-                replies.insert(server, snapshot);
-                if replies.len() >= quorum {
-                    let replies = std::mem::take(replies);
-                    return Some(Self::finish_fast_read_full(
-                        &mut self.role,
-                        inflight,
-                        &replies,
-                        &config,
-                        floor,
-                    ));
-                }
-                None
-            }
-            (
-                Msg::ReadFastDeltaAck { handle, delta } | Msg::ReadFastRunsAck { handle, delta },
-                Phase::ReadFastDelta { replied },
-            ) if handle == expected =>
-            {
-                let Role::Reader { state, gc_floor, .. } = &mut self.role else {
-                    unreachable!()
-                };
-                state.merge(server, &delta);
-                *gc_floor = (*gc_floor).max(delta.pruned);
-                *replied |= FastReadState::mask_bit(server);
-                if replied.count_ones() as usize >= quorum {
-                    let replied = *replied;
-                    return Some(Self::finish_fast_read_delta(
-                        &mut self.role,
-                        inflight,
-                        replied,
-                        &config,
-                        floor,
-                    ));
-                }
-                None
-            }
-            _ => None, // stale ack from an earlier phase or operation
+    /// Puts the round in flight on the wire: one send per server, `0..S`.
+    fn send_round(&mut self, ctx: &mut Context<'_, Msg, ClientEvent>) {
+        for (server, request) in self.machine.frames() {
+            ctx.send(ProcessId::Server(server), request);
         }
     }
-
-    /// Tail of a full-info fast read once a quorum of snapshots is in:
-    /// fold them into the `valQueue`, apply GC pruning, index the borrowed
-    /// replies once, then run the mode's selection.
-    fn finish_fast_read_full(
-        role: &mut Role,
-        inflight: &mut InFlight,
-        replies: &BTreeMap<ServerId, Snapshot>,
-        config: &ClusterConfig,
-        floor: TaggedValue,
-    ) -> AckAction {
-        let Role::Reader { mode, val_queue, gc_floor, .. } = &mut *role else { unreachable!() };
-        let mode = *mode;
-        for s in replies.values() {
-            val_queue.extend(s.entries.iter().map(|e| e.value));
-        }
-        Self::prune_val_queue(val_queue, *gc_floor);
-        let (index, mask) = WitnessIndex::from_views(replies.values().map(SnapshotView::Full));
-        Self::decide_fast_read(mode, inflight, &index, mask, config, floor, *gc_floor)
-    }
-
-    /// Tail of a delta fast read: the quorum's deltas already merged into
-    /// the caches and the standing witness index, so the selection runs
-    /// straight over the index masked down to the replied servers.
-    fn finish_fast_read_delta(
-        role: &mut Role,
-        inflight: &mut InFlight,
-        replied: u128,
-        config: &ClusterConfig,
-        floor: TaggedValue,
-    ) -> AckAction {
-        let Role::Reader { mode, val_queue, state, gc_floor, .. } = &mut *role else {
-            unreachable!()
-        };
-        let mode = *mode;
-        for v in state.index().values_in(replied) {
-            val_queue.insert(v);
-        }
-        Self::prune_val_queue(val_queue, *gc_floor);
-        Self::decide_fast_read(mode, inflight, state.index(), replied, config, floor, *gc_floor)
-    }
-
-    /// Entries below the announced GC floor are below every client's
-    /// completed-operation floor: no read can ever return them again (see
-    /// the GC argument in the server module docs), so they can be dropped
-    /// from the valQueue. Per-server caches self-prune on merge.
-    fn prune_val_queue(val_queue: &mut BTreeSet<TaggedValue>, gc_floor: TaggedValue) {
-        if gc_floor > TaggedValue::initial() {
-            val_queue.retain(|v| *v >= gc_floor);
-        }
-    }
-
-    /// The mode's return-value selection over an already-built witness
-    /// index, shared by both wires.
-    fn decide_fast_read(
-        mode: ReadMode,
-        inflight: &mut InFlight,
-        index: &WitnessIndex,
-        mask: u128,
-        config: &ClusterConfig,
-        floor: TaggedValue,
-        gc_floor: TaggedValue,
-    ) -> AckAction {
-        match mode {
-            ReadMode::Fast => {
-                let mut sel = index.selector(
-                    mask,
-                    config.servers(),
-                    config.max_faults(),
-                    config.readers() + 1,
-                );
-                if gc_floor > floor {
-                    // Late join: the announced GC floor has passed everything
-                    // this reader ever completed, so its valQueue anchor may
-                    // have been pruned server-side and `admissible(·)` has no
-                    // degree-1 guarantee to stand on. Secure the snapshot
-                    // maximum with a write-back round instead (see the GC
-                    // argument in the server module docs); afterwards this
-                    // reader's floor is at or above the announced one and
-                    // the fast path resumes.
-                    let max_v = sel.max_candidate().unwrap_or_else(TaggedValue::initial);
-                    let handle = OpHandle { op: inflight.op, phase: 2 };
-                    inflight.phase_no = 2;
-                    inflight.phase =
-                        Phase::ReadWriteBack { best: max_v, acks: BTreeSet::new() };
-                    return AckAction::Broadcast(Msg::Update { handle, value: max_v, floor });
-                }
-                AckAction::Complete(OpResult::Read(sel.select_return_value()))
-            }
-            ReadMode::Adaptive => {
-                let cap = crate::admissible::adaptive_degree_cap(
-                    config.servers(),
-                    config.max_faults(),
-                    config.readers(),
-                );
-                let mut sel = index.selector(mask, config.servers(), config.max_faults(), cap);
-                let max_v = sel.max_candidate().unwrap_or_else(TaggedValue::initial);
-                // The degree-based fast accept stands on the same valQueue
-                // anchor as the Fast mode's admissibility check, so the same
-                // late-join caveat applies: once the announced GC floor passes
-                // this reader's completed floor the anchor may have been
-                // pruned server-side, and only the write-back round is sound.
-                if gc_floor <= floor && sel.degree(max_v).is_some() {
-                    // The maximum is safely confirmed: fast path.
-                    return AckAction::Complete(OpResult::Read(max_v));
-                }
-                // Slow path: secure the maximum with a write-back round
-                // before returning it.
-                let handle = OpHandle { op: inflight.op, phase: 2 };
-                inflight.phase_no = 2;
-                inflight.phase = Phase::ReadWriteBack { best: max_v, acks: BTreeSet::new() };
-                AckAction::Broadcast(Msg::Update { handle, value: max_v, floor })
-            }
-            ReadMode::Slow => unreachable!("slow reads never use ReadFast"),
-        }
-    }
-}
-
-/// What a quorum of acks triggers.
-#[derive(Debug)]
-enum AckAction {
-    /// Start the next round-trip by broadcasting this message.
-    Broadcast(Msg),
-    /// The operation is done.
-    Complete(OpResult),
 }
 
 impl Automaton<Msg, ClientEvent> for RegisterClient {
@@ -559,14 +105,19 @@ impl Automaton<Msg, ClientEvent> for RegisterClient {
         let Some(server) = from.as_server() else {
             return; // clients only hear from servers
         };
-        match self.on_ack(server, msg) {
-            None => {}
-            Some(AckAction::Broadcast(next_round)) => {
-                let op = self.current.as_ref().expect("broadcasting mid-operation").op;
+        match self.machine.on_reply(server, msg) {
+            Step::NextRound => {
+                let (op, _) = self.current.expect("a round follows a round");
                 ctx.notify(ClientEvent::SecondRound { op });
-                ctx.broadcast_to_servers(self.config.servers(), next_round);
+                self.send_round(ctx);
             }
-            Some(AckAction::Complete(result)) => self.complete(result, ctx),
+            Step::Done(result) => {
+                let (op, kind) = self.current.take().expect("completing without an op");
+                ctx.notify(ClientEvent::Completed { op, kind, result });
+                self.start_next(ctx);
+            }
+            // The simulator's clients never depart.
+            Step::Ignored | Step::Wait | Step::Departed => {}
         }
     }
 }
@@ -574,8 +125,10 @@ impl Automaton<Msg, ClientEvent> for RegisterClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::OpResult;
     use crate::server::RegisterServer;
     use mwr_sim::{SimTime, Simulation};
+    use mwr_types::{Tag, TaggedValue, Value};
 
     fn config() -> ClusterConfig {
         ClusterConfig::new(5, 1, 2, 2).unwrap()

@@ -5,7 +5,8 @@
 use mwr_sim::{SimError, SimTime, Simulation};
 use mwr_types::{ClusterConfig, ProcessId, Value};
 
-use crate::client::{FastWire, RegisterClient};
+use crate::client::RegisterClient;
+use crate::round::FastWire;
 use crate::events::ClientEvent;
 use crate::msg::Msg;
 use crate::protocol::Protocol;

@@ -71,6 +71,7 @@ mod events;
 mod msg;
 mod protocol;
 mod reconfig;
+mod round;
 mod routing;
 mod server;
 
@@ -80,7 +81,7 @@ pub use admissible::{
     adaptive_degree_cap, mask_of, Admissibility, Entries, SnapshotSource, SnapshotView,
     WitnessIndex, WitnessSelector, MAX_SLOTS,
 };
-pub use client::{FastWire, ReadMode, RegisterClient, WriteMode};
+pub use client::RegisterClient;
 pub use cluster::{Cluster, ScheduledOp, SimCluster};
 pub use events::{ClientEvent, OpKind, OpResult};
 pub use bank::ServerBank;
@@ -90,5 +91,6 @@ pub use msg::{
 };
 pub use protocol::{ParseProtocolError, Protocol};
 pub use reconfig::JointQuorum;
+pub use round::{FastWire, ReadMode, RoundMachine, Scope, Step, WriteMode};
 pub use routing::{Router, MAX_MEMBERS};
 pub use server::{RegisterServer, ServerState};

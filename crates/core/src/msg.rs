@@ -253,9 +253,7 @@ impl FromIterator<ClientId> for ClientSet {
 }
 
 /// A reader's cached copy of one server's store, maintained by merging
-/// [`DeltaSnapshot`]s — the client-side dual of the delta wire, shared by
-/// the simulator client and `mwr-runtime`'s live client so the two can
-/// never drift.
+/// [`DeltaSnapshot`]s — the client-side dual of the delta wire.
 ///
 /// Contiguous versioned deltas over FIFO links keep the cache an exact
 /// mirror of the server's store (including server-side GC pruning, which
@@ -421,8 +419,8 @@ impl ReaderCache {
 /// creation — updates the index in the same call, a read's return-value
 /// selection needs no per-read reconstruction or indexing at all: it masks
 /// the standing index down to the servers that replied
-/// ([`WitnessIndex::selector`]) and walks it once. Shared by the simulator
-/// client and `mwr-runtime`'s live client so the two cannot drift.
+/// ([`WitnessIndex::selector`]) and walks it once. Owned by the client's
+/// [`RoundMachine`](crate::RoundMachine), which both drivers share.
 #[derive(Debug, Clone, Default)]
 pub struct FastReadState {
     caches: BTreeMap<ServerId, ReaderCache>,

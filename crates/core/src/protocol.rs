@@ -5,7 +5,7 @@ use std::fmt;
 
 use mwr_types::ClusterConfig;
 
-use crate::client::{ReadMode, WriteMode};
+use crate::round::{ReadMode, WriteMode};
 
 /// A register emulation protocol from the paper's design space.
 ///

@@ -88,7 +88,10 @@
 //! cannot learn the floor from a `ReadFastAck`, and its `valQueue` is
 //! re-sent wholesale every read anyway, so the exemption does not unbound
 //! memory). Delta readers *do* learn the floor (`DeltaSnapshot::pruned`),
-//! detect `pruned > own floor` after their first round, and secure the
+//! detect `pruned > own floor` after their first round, and — in both
+//! `ReadMode::Fast` and `ReadMode::Adaptive`, whose degree-based accept
+//! stands on the same `valQueue` anchor; the rule exists once, in the
+//! client's round machine (`crate::round`, reason 1) — secure the
 //! snapshot maximum with an ABD-style write-back round instead of trusting
 //! `admissible(·)` over registrations the floor may have eaten; from then
 //! on they report floors like everyone else and the standard argument

@@ -124,10 +124,10 @@ impl Deployment {
     }
 
     /// Tunes the TCP send path: writer-pipeline coalescing batch, bounded
-    /// per-peer queue depth, reconnect backoff, and the legacy direct-write
-    /// toggle benchmarks compare against. TCP backend only — the in-memory
-    /// transport delivers straight into the destination's channel with no
-    /// pipeline to tune, and the simulator has no sockets at all.
+    /// per-peer queue depth, reconnect backoff and write timeout (there is
+    /// one send path; nothing here selects another). TCP backend only — the
+    /// in-memory transport delivers straight into the destination's channel
+    /// with no pipeline to tune, and the simulator has no sockets at all.
     pub fn tcp_tuning(mut self, tuning: TcpTuning) -> Self {
         self.tcp_tuning = Some(tuning);
         self

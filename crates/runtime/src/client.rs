@@ -1,27 +1,28 @@
-//! The blocking client API: the round-trip schema of §2.2 over a live
-//! transport.
+//! The blocking client API: the live runtime's driver of the client
+//! [`RoundMachine`], over a real transport.
 //!
 //! Unlike the simulator's event-driven [`RegisterClient`], the live client
-//! blocks the calling thread until a quorum of `S − t` replies arrives —
-//! the shape a downstream application actually programs against. The
-//! decision logic is shared with the simulator: tags, quorum sizes and the
-//! fast read's `admissible(·)` selection all come from `mwr-core`.
+//! blocks the calling thread until the operation's rounds complete — the
+//! shape a downstream application actually programs against. The decision
+//! logic is shared with the simulator: phases, tags, quorum rules and the
+//! fast read's `admissible(·)` selection are the machine's, in `mwr-core`.
+//! This file owns *how bytes move and how long to wait*: the endpoint,
+//! [`Msg::ForRegister`] and epoch framing, the deadline, [`RetryPolicy`]
+//! attempts, polling the shared [`ClusterView`], the [`AuditTap`] and
+//! payload accounting — around one receive loop (`LiveClient::round`).
 //!
 //! [`RegisterClient`]: mwr_core::RegisterClient
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mwr_core::{
-    FastReadState, FastWire, JointQuorum, Msg, OpHandle, OpId, OpKind, OpResult, ReadMode,
-    Snapshot, SnapshotView, WitnessIndex, WriteMode,
-};
+use mwr_core::{FastWire, Msg, OpKind, ReadMode, RoundMachine, Scope, Step, WriteMode};
 use mwr_types::codec::Wire;
 use mwr_types::{
-    ClientId, ClusterConfig, ConfigEpoch, ProcessId, ReaderId, RegisterId, ServerId, Tag,
-    TaggedValue, Value, WriterId,
+    ClusterConfig, ConfigEpoch, ProcessId, ReaderId, RegisterId, ServerId, TaggedValue, Value,
+    WriterId,
 };
 
 use crate::tap::AuditTap;
@@ -80,6 +81,8 @@ impl From<TransportError> for RuntimeError {
 /// and `Update`/`ReadFast`/`ReadFastDelta` re-apply to the same state
 /// (registration and store inserts are set-unions keyed by the same
 /// handle's data).
+///
+/// [`OpHandle`]: mwr_core::OpHandle
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per round trip (clamped to at least 1).
@@ -102,87 +105,31 @@ impl Default for RetryPolicy {
     }
 }
 
-/// The round-trip scope of one client: which servers its broadcasts cover,
-/// how many replies complete a quorum, and whether frames are wrapped for a
-/// keyspace register.
+/// A blocking client: one [`RoundMachine`], one endpoint, and the policy of
+/// moving the machine's frames over it. `Id` is the role — a [`WriterId`]'s
+/// client ([`LiveWriter`]) writes, a [`ReaderId`]'s ([`LiveReader`]) reads.
 ///
-/// The default scope is the whole cluster with bare (legacy) frames; a
-/// keyspace client is scoped to its register's rendezvous group with
+/// The default coverage is the whole cluster with bare (legacy) frames; a
+/// keyspace client is bound to its register's rendezvous group with
 /// [`Msg::ForRegister`] framing, so one endpoint (and its per-peer writer
 /// pipelines) multiplexes every register the client touches.
-#[derive(Debug, Clone)]
-struct Scope {
-    /// The servers every round-trip broadcasts to.
-    targets: Vec<ServerId>,
-    /// Replies required: `|targets| − t` (stable epochs). Under a joint
-    /// scope this holds `max(old_required, new_required)` and is used only
-    /// for error reporting — satisfaction is the two-sided rule.
-    quorum: usize,
+#[derive(Debug)]
+pub struct LiveClient<E: Endpoint, Id> {
+    endpoint: E,
+    machine: RoundMachine,
     /// `Some(register)`: wrap requests in [`Msg::ForRegister`] and accept
-    /// only replies wrapped with the same id.
+    /// only replies wrapped with the same id. Survives every rescope — only
+    /// the coverage and the rule change.
     wrap: Option<RegisterId>,
-    /// During a reconfiguration's transition window, the two-sided
-    /// acknowledgement rule: a round completes only with a quorum in *both*
-    /// the old and the new configuration.
-    joint: Option<JointQuorum>,
-    /// The configuration epoch the scope was derived from. Outgoing frames
-    /// carry it (elided at epoch 0 — legacy byte-identity); a reply tagged
-    /// with a higher epoch triggers a mid-round refresh from the view.
-    epoch: ConfigEpoch,
-}
-
-impl Scope {
-    /// The legacy whole-cluster scope of `config`.
-    fn cluster(config: &ClusterConfig) -> Self {
-        Scope {
-            targets: config.server_ids().collect(),
-            quorum: config.quorum_size(),
-            wrap: None,
-            joint: None,
-            epoch: ConfigEpoch::ZERO,
-        }
-    }
-
-    /// Re-derives the scope from the shared view if its epoch moved.
-    /// Returns whether anything changed. The register binding (`wrap`)
-    /// survives refreshes — only the coverage and the rule change.
-    fn refresh_from(&mut self, view: &ClusterView) -> bool {
-        if view.epoch() == self.epoch {
-            return false;
-        }
-        let parts = view.scope_parts(self.wrap);
-        self.targets = parts.targets;
-        self.quorum = parts.quorum;
-        self.joint = parts.joint;
-        self.epoch = parts.epoch;
-        true
-    }
-
-    /// Whether the collected per-server acks complete this scope's rule:
-    /// the joint two-configuration rule in a transition epoch, otherwise a
-    /// plain quorum counted over *members only* — a straggler ack from a
-    /// server that has since been removed never counts toward a quorum of
-    /// the configuration that replaced it.
-    fn satisfied<T>(&self, acks: &BTreeMap<ServerId, T>) -> bool {
-        match &self.joint {
-            Some(joint) => joint.satisfied(acks.keys().copied()),
-            None => {
-                acks.keys().filter(|s| self.targets.contains(s)).count() >= self.quorum
-            }
-        }
-    }
-
-    /// Unwraps one inbound frame according to the scope: bare frames for a
-    /// bare scope, matching-register frames for a wrapped scope, everything
-    /// else discarded (cross-register strays can share the endpoint).
-    fn unwrap(&self, msg: Msg) -> Option<Msg> {
-        match (self.wrap, msg) {
-            (None, Msg::ForRegister { .. }) => None,
-            (None, msg) => Some(msg),
-            (Some(mine), Msg::ForRegister { register, inner }) if register == mine => Some(*inner),
-            (Some(_), _) => None,
-        }
-    }
+    timeout: Duration,
+    retry: RetryPolicy,
+    tap: Option<AuditTap>,
+    /// The shared configuration view, when the cluster reconfigures live.
+    view: Option<Arc<ClusterView>>,
+    measure_payload: bool,
+    /// Bytes the current operation's fast-read round has moved.
+    moved: u64,
+    role: PhantomData<Id>,
 }
 
 /// A blocking writer client.
@@ -190,23 +137,10 @@ impl Scope {
 /// # Examples
 ///
 /// See [`LiveCluster`](crate::LiveCluster) for an end-to-end example.
-#[derive(Debug)]
-pub struct LiveWriter<E: Endpoint> {
-    endpoint: E,
-    id: WriterId,
-    config: ClusterConfig,
-    scope: Scope,
-    mode: WriteMode,
-    local_ts: u64,
-    next_seq: u64,
-    timeout: Duration,
-    retry: RetryPolicy,
-    /// Completed-operation floor, piggybacked on updates for GC.
-    floor: TaggedValue,
-    tap: Option<AuditTap>,
-    /// The shared configuration view, when the cluster reconfigures live.
-    view: Option<Arc<ClusterView>>,
-}
+pub type LiveWriter<E> = LiveClient<E, WriterId>;
+
+/// A blocking reader client.
+pub type LiveReader<E> = LiveClient<E, ReaderId>;
 
 impl<E: Endpoint> LiveWriter<E> {
     /// Creates a writer over an endpoint.
@@ -215,87 +149,7 @@ impl<E: Endpoint> LiveWriter<E> {
     ///
     /// Panics if the endpoint's identity is not the given writer.
     pub fn new(endpoint: E, id: WriterId, config: ClusterConfig, mode: WriteMode) -> Self {
-        assert_eq!(endpoint.id(), ProcessId::from(id), "endpoint identity mismatch");
-        LiveWriter {
-            endpoint,
-            id,
-            scope: Scope::cluster(&config),
-            config,
-            mode,
-            local_ts: 0,
-            next_seq: 0,
-            timeout: Duration::from_secs(5),
-            retry: RetryPolicy::default(),
-            floor: TaggedValue::initial(),
-            tap: None,
-            view: None,
-        }
-    }
-
-    /// Selects the quorum-timeout retry policy (builder-style). The
-    /// default is one attempt — no retry.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Attaches the cluster's shared configuration view (builder-style):
-    /// the writer re-derives its round-trip scope from the view at the
-    /// start of every operation and mid-round whenever a reply carries a
-    /// higher epoch, so it follows live reconfigurations without failing
-    /// in-flight operations.
-    pub fn with_view(mut self, view: Arc<ClusterView>) -> Self {
-        self.scope.refresh_from(&view);
-        self.view = Some(view);
-        self
-    }
-
-    /// Attaches an audit tap (builder-style): every write emits invocation
-    /// and completion records for the streaming auditor.
-    pub fn with_tap(mut self, tap: AuditTap) -> Self {
-        self.tap = Some(tap);
-        self
-    }
-
-    /// Selects the per-round-trip quorum timeout (builder-style, like
-    /// `Cluster::with_gc`).
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Scopes this writer to one register of a keyspace (builder-style):
-    /// round-trips broadcast only to `group`, wait for `|group| − t`
-    /// replies, wrap every request in [`Msg::ForRegister`] and accept only
-    /// replies wrapped with the same id. The register's group plays the
-    /// paper's `S`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group is not larger than the configured fault bound
-    /// (no quorum could ever assemble).
-    pub fn with_scope(mut self, register: RegisterId, group: Vec<ServerId>) -> Self {
-        assert!(group.len() > self.config.max_faults(), "group must outnumber faults");
-        self.scope = Scope {
-            quorum: group.len() - self.config.max_faults(),
-            targets: group,
-            wrap: Some(register),
-            joint: None,
-            epoch: ConfigEpoch::ZERO,
-        };
-        // Re-bind to the register's group under the *current* epoch.
-        if let Some(view) = &self.view {
-            self.scope.refresh_from(view);
-        }
-        self
-    }
-
-    /// Re-derives the scope from the shared view when the epoch moved —
-    /// the cheap per-operation check (one atomic load in the common case).
-    fn refresh_scope(&mut self) {
-        if let Some(view) = &self.view {
-            self.scope.refresh_from(view);
-        }
+        Self::drive(endpoint, RoundMachine::writer(id, config, mode))
     }
 
     /// Writes `value`, blocking until the protocol's round-trips complete.
@@ -305,118 +159,13 @@ impl<E: Endpoint> LiveWriter<E> {
     ///
     /// Returns [`RuntimeError::Timeout`] if a quorum cannot be assembled.
     pub fn write(&mut self, value: Value) -> Result<TaggedValue, RuntimeError> {
-        self.refresh_scope();
-        let op = OpId { client: ClientId::Writer(self.id), seq: self.next_seq };
-        self.next_seq += 1;
-        // Writes are always recorded: every read verdict depends on them.
-        // The record goes out before the first protocol message so channel
-        // arrival order remains a real-time witness.
-        if let Some(tap) = &self.tap {
-            tap.invoked(op.client, op.seq, OpKind::Write(value));
-        }
-        let tag = match self.mode {
-            WriteMode::Fast => {
-                self.local_ts += 1;
-                Tag::new(self.local_ts, self.id)
-            }
-            WriteMode::Slow => {
-                let handle = OpHandle { op, phase: 1 };
-                let acks = round_trip(
-                    &self.endpoint,
-                    &self.scope,
-                    self.view.as_deref(),
-                    Msg::Query { handle },
-                    self.timeout,
-                    self.retry,
-                    |msg| match msg {
-                        Msg::QueryAck { handle: h, latest } if h == handle => Some(latest.tag()),
-                        _ => None,
-                    },
-                )?;
-                let max_tag = acks.values().copied().max().unwrap_or_else(Tag::initial);
-                max_tag.next(self.id)
-            }
-        };
-        let tagged = TaggedValue::new(tag, value);
-        let phase = if self.mode == WriteMode::Fast { 1 } else { 2 };
-        let handle = OpHandle { op, phase };
-        round_trip(
-            &self.endpoint,
-            &self.scope,
-            self.view.as_deref(),
-            Msg::Update { handle, value: tagged, floor: self.floor },
-            self.timeout,
-            self.retry,
-            |msg| match msg {
-                Msg::UpdateAck { handle: h } if h == handle => Some(()),
-                _ => None,
-            },
-        )?;
-        self.floor = self.floor.max(tagged);
-        if let Some(tap) = &self.tap {
-            tap.completed(op.client, op.seq, OpResult::Written(tagged));
-        }
-        Ok(tagged)
+        self.operate(OpKind::Write(value))
     }
-
-    /// Leaves the cluster: tells a quorum of servers to drop this writer's
-    /// registrations and GC membership, consuming the client. See the
-    /// "client churn" section of the server module docs for why a departed
-    /// client never wedges the acknowledged-floor GC.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Timeout`] if a quorum cannot acknowledge
-    /// the departure; the servers that did hear it have already cleaned up.
-    pub fn depart(mut self) -> Result<(), RuntimeError> {
-        self.refresh_scope();
-        let op = OpId { client: ClientId::Writer(self.id), seq: self.next_seq };
-        self.next_seq += 1;
-        let handle = OpHandle { op, phase: 1 };
-        round_trip(
-            &self.endpoint,
-            &self.scope,
-            self.view.as_deref(),
-            Msg::Depart { handle },
-            self.timeout,
-            self.retry,
-            |msg| match msg {
-                Msg::DepartAck { handle: h } if h == handle => Some(()),
-                _ => None,
-            },
-        )?;
-        Ok(())
-    }
-}
-
-/// A blocking reader client.
-#[derive(Debug)]
-pub struct LiveReader<E: Endpoint> {
-    endpoint: E,
-    id: ReaderId,
-    config: ClusterConfig,
-    scope: Scope,
-    mode: ReadMode,
-    wire: FastWire,
-    val_queue: BTreeSet<TaggedValue>,
-    /// Per-server snapshot caches plus the incrementally-maintained
-    /// witness index over them (delta wire only).
-    state: FastReadState,
-    gc_floor: TaggedValue,
-    floor: TaggedValue,
-    next_seq: u64,
-    timeout: Duration,
-    retry: RetryPolicy,
-    measure_payload: bool,
-    last_payload: u64,
-    tap: Option<AuditTap>,
-    /// The shared configuration view, when the cluster reconfigures live.
-    view: Option<Arc<ClusterView>>,
 }
 
 impl<E: Endpoint> LiveReader<E> {
     /// Creates a reader over an endpoint with the default
-    /// [`FastWire::Delta`] wire format.
+    /// [`FastWire::Runs`] wire format.
     ///
     /// # Panics
     ///
@@ -437,98 +186,7 @@ impl<E: Endpoint> LiveReader<E> {
         mode: ReadMode,
         wire: FastWire,
     ) -> Self {
-        assert_eq!(endpoint.id(), ProcessId::from(id), "endpoint identity mismatch");
-        let mut val_queue = BTreeSet::new();
-        val_queue.insert(TaggedValue::initial());
-        LiveReader {
-            endpoint,
-            id,
-            scope: Scope::cluster(&config),
-            config,
-            mode,
-            wire,
-            val_queue,
-            state: FastReadState::new(),
-            gc_floor: TaggedValue::initial(),
-            floor: TaggedValue::initial(),
-            next_seq: 0,
-            timeout: Duration::from_secs(5),
-            retry: RetryPolicy::default(),
-            measure_payload: false,
-            last_payload: 0,
-            tap: None,
-            view: None,
-        }
-    }
-
-    /// Selects the quorum-timeout retry policy (builder-style). The
-    /// default is one attempt — no retry.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Attaches the cluster's shared configuration view (builder-style):
-    /// the reader re-derives its round-trip scope from the view at the
-    /// start of every operation and mid-round whenever a reply carries a
-    /// higher epoch. During a reconfiguration's joint window every fast
-    /// read is forced through a write-back round (see
-    /// [`LiveReader::read`]'s mode logic), so fast selection never has to
-    /// reason across two configurations.
-    pub fn with_view(mut self, view: Arc<ClusterView>) -> Self {
-        self.scope.refresh_from(&view);
-        self.view = Some(view);
-        self
-    }
-
-    /// Attaches an audit tap (builder-style): sampled reads emit
-    /// invocation/completion records, and observed GC-floor advances are
-    /// reported to the streaming auditor.
-    pub fn with_tap(mut self, tap: AuditTap) -> Self {
-        self.tap = Some(tap);
-        self
-    }
-
-    /// Selects the per-round-trip quorum timeout (builder-style, like
-    /// `Cluster::with_gc`).
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Scopes this reader to one register of a keyspace (builder-style):
-    /// round-trips broadcast only to `group`, wait for `|group| − t`
-    /// replies, wrap every request in [`Msg::ForRegister`] and accept only
-    /// replies wrapped with the same id. The register's group plays the
-    /// paper's `S`, including in fast-read admissibility (the witness
-    /// selector's `needed = S − a·t` uses the group size).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group is not larger than the configured fault bound
-    /// (no quorum could ever assemble).
-    pub fn with_scope(mut self, register: RegisterId, group: Vec<ServerId>) -> Self {
-        assert!(group.len() > self.config.max_faults(), "group must outnumber faults");
-        self.scope = Scope {
-            quorum: group.len() - self.config.max_faults(),
-            targets: group,
-            wrap: Some(register),
-            joint: None,
-            epoch: ConfigEpoch::ZERO,
-        };
-        // Re-bind to the register's group under the *current* epoch.
-        if let Some(view) = &self.view {
-            self.scope.refresh_from(view);
-        }
-        self
-    }
-
-    /// Re-derives the scope from the shared view when the epoch moved —
-    /// the cheap per-operation check (one atomic load in the common case).
-    fn refresh_scope(&mut self) {
-        if let Some(view) = &self.view {
-            self.scope.refresh_from(view);
-        }
+        Self::drive(endpoint, RoundMachine::reader(id, config, mode, wire))
     }
 
     /// Enables payload accounting (builder-style): each fast read
@@ -546,41 +204,7 @@ impl<E: Endpoint> LiveReader<E> {
     /// accounting is off. The regression signal for payload growth:
     /// full-info grows with history, delta stays flat.
     pub fn last_read_payload_bytes(&self) -> u64 {
-        self.last_payload
-    }
-
-    /// Number of `valQueue` entries currently held (bounded under GC).
-    pub fn val_queue_len(&self) -> usize {
-        self.val_queue.len()
-    }
-
-    /// Leaves the cluster: tells a quorum of servers to drop this reader's
-    /// registrations and GC membership, consuming the client. See the
-    /// "client churn" section of the server module docs for why a departed
-    /// client never wedges the acknowledged-floor GC.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Timeout`] if a quorum cannot acknowledge
-    /// the departure; the servers that did hear it have already cleaned up.
-    pub fn depart(mut self) -> Result<(), RuntimeError> {
-        self.refresh_scope();
-        let op = OpId { client: ClientId::Reader(self.id), seq: self.next_seq };
-        self.next_seq += 1;
-        let handle = OpHandle { op, phase: 1 };
-        round_trip(
-            &self.endpoint,
-            &self.scope,
-            self.view.as_deref(),
-            Msg::Depart { handle },
-            self.timeout,
-            self.retry,
-            |msg| match msg {
-                Msg::DepartAck { handle: h } if h == handle => Some(()),
-                _ => None,
-            },
-        )?;
-        Ok(())
+        self.moved
     }
 
     /// Reads the register, blocking until the protocol's round-trips
@@ -590,467 +214,286 @@ impl<E: Endpoint> LiveReader<E> {
     ///
     /// Returns [`RuntimeError::Timeout`] if a quorum cannot be assembled.
     pub fn read(&mut self) -> Result<TaggedValue, RuntimeError> {
-        self.refresh_scope();
-        let op = OpId { client: ClientId::Reader(self.id), seq: self.next_seq };
-        self.next_seq += 1;
-        // The sampling decision is made at invocation and held for the
+        self.operate(OpKind::Read)
+    }
+}
+
+impl<E: Endpoint, Id> LiveClient<E, Id> {
+    fn drive(endpoint: E, machine: RoundMachine) -> Self {
+        assert_eq!(endpoint.id(), ProcessId::from(machine.client()), "endpoint identity mismatch");
+        LiveClient {
+            endpoint,
+            machine,
+            wrap: None,
+            timeout: Duration::from_secs(5),
+            retry: RetryPolicy::default(),
+            tap: None,
+            view: None,
+            measure_payload: false,
+            moved: 0,
+            role: PhantomData,
+        }
+    }
+
+    /// Selects the quorum-timeout retry policy (builder-style). The
+    /// default is one attempt — no retry.
+    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
+        self.retry = retry;
+        self
+    }
+
+    /// Attaches the cluster's shared configuration view (builder-style):
+    /// the client re-derives its round-trip scope from the view at the
+    /// start of every operation and mid-round whenever the view's epoch
+    /// moves, so it follows live reconfigurations without failing
+    /// in-flight operations. During a reconfiguration's joint window, and
+    /// in a round the epoch moved under, every fast read is forced through
+    /// a write-back round (the machine's rule), so fast selection never has
+    /// to reason across two configurations.
+    pub fn with_view(mut self, view: Arc<ClusterView>) -> Self {
+        self.view = Some(view);
+        self.follow_view();
+        self
+    }
+
+    /// Attaches an audit tap (builder-style): every write and every sampled
+    /// read emits invocation and completion records for the streaming
+    /// auditor, and a reader reports the GC-floor advances it observes.
+    pub fn with_tap(mut self, tap: AuditTap) -> Self {
+        self.tap = Some(tap);
+        self
+    }
+
+    /// Selects the per-round-trip quorum timeout (builder-style, like
+    /// `Cluster::with_gc`).
+    pub fn with_timeout(mut self, timeout: Duration) -> Self {
+        self.timeout = timeout;
+        self
+    }
+
+    /// Scopes this client to one register of a keyspace (builder-style):
+    /// round-trips broadcast only to `group`, wait for `|group| − t`
+    /// replies, wrap every request in [`Msg::ForRegister`] and accept only
+    /// replies wrapped with the same id. The register's group plays the
+    /// paper's `S`, including in fast-read admissibility (the witness
+    /// selector's `needed = S − a·t` uses the group size).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group is not larger than the configured fault bound
+    /// (no quorum could ever assemble).
+    pub fn with_scope(mut self, register: RegisterId, group: Vec<ServerId>) -> Self {
+        let t = self.machine.config().max_faults();
+        self.wrap = Some(register);
+        self.machine.rescope(Scope::stable(group, t, ConfigEpoch::ZERO));
+        // Re-bind to the register's group under the *current* epoch.
+        self.follow_view();
+        self
+    }
+
+    /// Leaves the cluster: tells a quorum of servers to drop this client's
+    /// registrations and GC membership, consuming the client. See the
+    /// "client churn" section of the server module docs for why a departed
+    /// client never wedges the acknowledged-floor GC.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::Timeout`] if a quorum cannot acknowledge
+    /// the departure; the servers that did hear it have already cleaned up.
+    pub fn depart(mut self) -> Result<(), RuntimeError> {
+        self.follow_view();
+        self.machine.depart();
+        self.run().map(|_| ())
+    }
+
+    /// One read or write, start to finish, with its audit records.
+    fn operate(&mut self, kind: OpKind) -> Result<TaggedValue, RuntimeError> {
+        self.follow_view();
+        let op = self.machine.begin(kind);
+        // Writes are always recorded: every read verdict depends on them.
+        // A read's sampling decision is made at invocation and held for the
         // completion so the auditor never sees half an operation.
-        let sampled = self.tap.as_ref().is_some_and(|t| t.samples_read(op.seq));
-        if sampled {
-            if let Some(tap) = &self.tap {
-                tap.invoked(op.client, op.seq, OpKind::Read);
-            }
+        let sampled = |tap: &AuditTap| kind != OpKind::Read || tap.samples_read(op.seq);
+        let recorded = self.tap.as_ref().is_some_and(sampled);
+        // The record goes out before the first protocol message so channel
+        // arrival order remains a real-time witness.
+        if let (true, Some(tap)) = (recorded, &self.tap) {
+            tap.invoked(op.client, op.seq, kind);
         }
-        let floor_before = self.gc_floor;
-        let returned = match self.mode {
-            ReadMode::Slow => {
-                let handle = OpHandle { op, phase: 1 };
-                let acks = round_trip(
-                    &self.endpoint,
-                    &self.scope,
-                    self.view.as_deref(),
-                    Msg::Query { handle },
-                    self.timeout,
-                    self.retry,
-                    |msg| match msg {
-                        Msg::QueryAck { handle: h, latest } if h == handle => Some(latest),
-                        _ => None,
-                    },
-                )?;
-                let best = acks.values().copied().max().unwrap_or_default();
-                let handle = OpHandle { op, phase: 2 };
-                round_trip(
-                    &self.endpoint,
-                    &self.scope,
-                    self.view.as_deref(),
-                    Msg::Update { handle, value: best, floor: self.floor },
-                    self.timeout,
-                    self.retry,
-                    |msg| match msg {
-                        Msg::UpdateAck { handle: h } if h == handle => Some(()),
-                        _ => None,
-                    },
-                )?;
-                best
-            }
-            ReadMode::Fast | ReadMode::Adaptive => {
-                let epoch_before = self.scope.epoch;
-                let handle = OpHandle { op, phase: 1 };
-                let replies = self.fast_round(handle)?;
-                // A round that straddled a reconfiguration collected its
-                // quorum under a refreshed *clone* of the scope (see
-                // `round_trip_per_server`), so the persistent scope this
-                // decision consults is stale. Re-derive it and, if the
-                // epoch moved mid-round, force the write-back path: fast
-                // selection's witness counting is only defined within the
-                // single configuration the round started in. The view's
-                // epoch is bumped before any server can produce the higher
-                // tag, so an unchanged epoch here proves the round ran
-                // entirely inside one configuration.
-                self.refresh_scope();
-                let straddled = self.scope.epoch != epoch_before;
-                match replies {
-                    FastReplies::Full(snaps) => {
-                        for s in &snaps {
-                            self.val_queue.extend(s.entries.iter().map(|e| e.value));
-                        }
-                        self.prune_val_queue();
-                        let (index, mask) =
-                            WitnessIndex::from_views(snaps.iter().map(SnapshotView::Full));
-                        self.decide_fast_read(op, &index, mask, straddled)?
-                    }
-                    FastReplies::Delta { replied, resync } => {
-                        // The deltas already merged into the caches and the
-                        // standing index; fold the replied servers' values
-                        // into the valQueue and select straight off the
-                        // index, masked to this read's quorum.
-                        let LiveReader { val_queue, state, .. } = &mut *self;
-                        for v in state.index().values_in(replied) {
-                            val_queue.insert(v);
-                        }
-                        self.prune_val_queue();
-                        self.decide_fast_read(
-                            op,
-                            self.state.index(),
-                            replied,
-                            resync || straddled,
-                        )?
-                    }
-                }
-            }
+        let floor_before = self.machine.gc_floor();
+        self.moved = 0;
+        let Step::Done(result) = self.run()? else {
+            unreachable!("reads and writes end in a result")
         };
-        self.floor = self.floor.max(returned);
         if let Some(tap) = &self.tap {
-            if sampled {
-                tap.completed(op.client, op.seq, OpResult::Read(returned));
+            if recorded {
+                tap.completed(op.client, op.seq, result);
             }
-            if self.gc_floor > floor_before {
-                tap.floor_advance(self.gc_floor);
+            if self.machine.gc_floor() > floor_before {
+                tap.floor_advance(self.machine.gc_floor());
             }
         }
-        Ok(returned)
+        Ok(result.tagged_value())
     }
 
-    /// Drops `valQueue` entries below the announced GC floor: they are
-    /// below every client's completed-operation floor, so no read can ever
-    /// return them again (see the GC argument in the server module docs).
-    fn prune_val_queue(&mut self) {
-        if self.gc_floor > TaggedValue::initial() {
-            let keep = self.gc_floor;
-            self.val_queue.retain(|v| *v >= keep);
+    /// Runs the operation in flight, round after round, to its last step.
+    fn run(&mut self) -> Result<Step, RuntimeError> {
+        loop {
+            let step = self.round()?;
+            if step != Step::NextRound {
+                return Ok(step);
+            }
         }
     }
 
-    /// The mode's return-value selection over an already-built witness
-    /// index; the adaptive slow path pays its write-back round here.
+    /// Runs the round in flight: broadcasts it and blocks, feeding the
+    /// machine every reply, until the machine says the round is complete.
     ///
-    /// `resync` is set when a replying server was rebuilt by state
-    /// transfer since our last contact (its delta restarted from 0): our
-    /// own registrations on it may not have survived the crash, so fast
-    /// selection's degree counts cannot be trusted for this read — it is
-    /// forced through a write-back round, after which the registrations
-    /// are re-established and fast reads resume.
+    /// Each attempt re-broadcasts the *same* round and waits up to
+    /// `timeout`; the machine counts acks per server for as long as the
+    /// round is in flight, so a duplicate reply to a re-broadcast can never
+    /// double-count and a straggler from an earlier attempt still completes
+    /// a later one.
     ///
-    /// A joint scope (a reconfiguration's transition window) forces the
-    /// same write-back unconditionally: fast selection's witness counting
-    /// is defined within *one* configuration, and the write-back round —
-    /// which under a joint scope lands on a quorum of both — is the
-    /// classical, always-linearizable path. Fast reads resume the moment
-    /// the new epoch commits and the scope turns stable again.
-    fn decide_fast_read(
-        &self,
-        op: OpId,
-        index: &WitnessIndex,
-        mask: u128,
-        resync: bool,
-    ) -> Result<TaggedValue, RuntimeError> {
-        let resync = resync || self.scope.joint.is_some();
-        if self.mode == ReadMode::Fast {
-            // A scoped reader's world is its register's group: the witness
-            // selector's `needed = S − a·t` must use the group size, not the
-            // whole cluster. The degree cap keeps the global `R` — an upper
-            // bound on the readers actually touching this register, which
-            // only deepens the (soundness-neutral) candidate search.
-            let mut sel = index.selector(
-                mask,
-                self.scope.targets.len(),
-                self.config.max_faults(),
-                self.config.readers() + 1,
-            );
-            if resync || self.gc_floor > self.floor {
-                // Late joiner: the announced floor outran our own
-                // completed-op floor, so servers may have pruned every
-                // value this client could witness at degree 1. Secure the
-                // snapshot maximum with a write-back round instead of
-                // trusting fast selection (mirrors the simulator client;
-                // see the GC argument in the server module docs).
-                let max_v = sel.max_candidate().unwrap_or_else(TaggedValue::initial);
-                let handle = OpHandle { op, phase: 2 };
-                round_trip(
-                    &self.endpoint,
-                    &self.scope,
-                    self.view.as_deref(),
-                    Msg::Update { handle, value: max_v, floor: self.floor },
-                    self.timeout,
-                    self.retry,
-                    |msg| match msg {
-                        Msg::UpdateAck { handle: h } if h == handle => Some(()),
-                        _ => None,
-                    },
-                )?;
-                return Ok(max_v);
+    /// When the view's epoch moves mid-round the cluster reconfigured: the
+    /// machine is rescoped and the round re-broadcast under the new
+    /// coverage. The acks already collected keep counting, so an in-flight
+    /// operation rides through a reconfiguration instead of timing out.
+    fn round(&mut self) -> Result<Step, RuntimeError> {
+        for attempt in 0..self.retry.attempts.max(1) {
+            if attempt > 0 && !self.retry.backoff.is_zero() {
+                std::thread::sleep(self.retry.backoff);
             }
-            return Ok(sel.select_return_value());
-        }
-        // Adaptive: return the maximum fast when it is safely admissible;
-        // secure it with a write-back otherwise.
-        let cap = mwr_core::adaptive_degree_cap(
-            self.scope.targets.len(),
-            self.config.max_faults(),
-            self.config.readers(),
-        );
-        let mut sel =
-            index.selector(mask, self.scope.targets.len(), self.config.max_faults(), cap);
-        let max_v = sel.max_candidate().unwrap_or_else(TaggedValue::initial);
-        if resync || sel.degree(max_v).is_none() {
-            let handle = OpHandle { op, phase: 2 };
-            round_trip(
-                &self.endpoint,
-                &self.scope,
-                self.view.as_deref(),
-                Msg::Update { handle, value: max_v, floor: self.floor },
-                self.timeout,
-                self.retry,
-                |msg| match msg {
-                    Msg::UpdateAck { handle: h } if h == handle => Some(()),
-                    _ => None,
-                },
-            )?;
-        }
-        Ok(max_v)
-    }
-
-    /// Runs the fast-read round-trip on the configured wire, accounting
-    /// payload bytes. On the delta wire the quorum's deltas merge straight
-    /// into the reader's caches and standing witness index — nothing is
-    /// reconstructed or cloned.
-    fn fast_round(&mut self, handle: OpHandle) -> Result<FastReplies, RuntimeError> {
-        let measure = self.measure_payload;
-        let mut bytes = 0u64;
-        let replies = match self.wire {
-            FastWire::FullInfo => {
-                let val_queue: Vec<TaggedValue> = self.val_queue.iter().copied().collect();
-                let request = Msg::ReadFast { handle, val_queue };
-                if measure {
-                    bytes += request.encoded_len() as u64 * self.scope.targets.len() as u64;
+            match self.follow_view() {
+                None | Some(Step::Wait) => {}
+                Some(complete) => return Ok(complete),
+            }
+            self.broadcast();
+            // A timeout too long to be a point in time ("never") is no deadline.
+            let deadline = Instant::now().checked_add(self.timeout);
+            loop {
+                let left = deadline
+                    .map_or(Duration::MAX, |at| at.saturating_duration_since(Instant::now()));
+                if left.is_zero() {
+                    break;
                 }
-                let moved = std::cell::Cell::new(0u64);
-                let acks = round_trip(
-                    &self.endpoint,
-                    &self.scope,
-                    self.view.as_deref(),
-                    request,
-                    self.timeout,
-                    self.retry,
-                    |msg| {
-                        if !matches!(&msg, Msg::ReadFastAck { handle: h, .. } if *h == handle) {
-                            return None;
-                        }
-                        if measure {
-                            moved.set(moved.get() + msg.encoded_len() as u64);
-                        }
-                        let Msg::ReadFastAck { snapshot, .. } = msg else { unreachable!() };
-                        Some(snapshot)
-                    },
-                )?;
-                bytes += moved.get();
-                FastReplies::Full(acks.into_values().collect())
-            }
-            FastWire::Delta | FastWire::Runs => {
-                let moved = std::cell::Cell::new(0u64);
-                let state = &mut self.state;
-                let val_queue = &self.val_queue;
-                let floor = self.floor;
-                // The Runs wire (v4) is the delta protocol with
-                // run-length-encoded acks; only the frame kinds differ.
-                let runs = matches!(self.wire, FastWire::Runs);
-                let acks = round_trip_per_server(
-                    &self.endpoint,
-                    &self.scope,
-                    self.view.as_deref(),
-                    |sid| {
-                        let cache = state.cache(sid);
-                        let acked = cache.acked_version();
-                        let new_values = cache.unacknowledged(val_queue);
-                        let request = if runs {
-                            Msg::ReadFastRuns { handle, acked, floor, new_values }
-                        } else {
-                            Msg::ReadFastDelta { handle, acked, floor, new_values }
-                        };
-                        if measure {
-                            moved.set(moved.get() + request.encoded_len() as u64);
-                        }
-                        request
-                    },
-                    self.timeout,
-                    self.retry,
-                    |msg| {
-                        if !matches!(
-                            &msg,
-                            Msg::ReadFastDeltaAck { handle: h, .. }
-                            | Msg::ReadFastRunsAck { handle: h, .. } if *h == handle
-                        ) {
-                            return None;
-                        }
-                        if measure {
-                            moved.set(moved.get() + msg.encoded_len() as u64);
-                        }
-                        let (Msg::ReadFastDeltaAck { delta, .. }
-                        | Msg::ReadFastRunsAck { delta, .. }) = msg
-                        else {
-                            unreachable!()
-                        };
-                        Some(delta)
-                    },
-                )?;
-                bytes += moved.get();
-                let mut replied = 0u128;
-                let mut resync = false;
-                for (sid, delta) in &acks {
-                    if delta.from < self.state.cache(*sid).acked_version() {
-                        // The server was rebuilt by state transfer since
-                        // our last contact: its delta restarts below what
-                        // we acknowledged. Drop the stale cache mirror
-                        // (and its witness-index bits) and resynchronize
-                        // from the full refresh the server sent.
-                        self.state.reset(*sid);
-                        resync = true;
+                let Ok((from, msg)) = self.endpoint.inbox().recv_timeout(left) else { break };
+                match self.follow_view() {
+                    None => {}
+                    Some(Step::Wait) => self.broadcast(),
+                    Some(complete) => return Ok(complete),
+                }
+                let (ProcessId::Server(server), Some(msg)) = (from, self.unwrap(msg)) else {
+                    continue;
+                };
+                let len = if self.measuring() { msg.encoded_len() as u64 } else { 0 };
+                match self.machine.on_reply(server, msg) {
+                    Step::Ignored => {}
+                    Step::Wait => self.moved += len,
+                    complete => {
+                        self.moved += len;
+                        return Ok(complete);
                     }
-                    self.state.merge(*sid, delta);
-                    self.gc_floor = self.gc_floor.max(delta.pruned);
-                    replied |= FastReadState::mask_bit(*sid);
                 }
-                FastReplies::Delta { replied, resync }
             }
-        };
-        self.last_payload = bytes;
-        Ok(replies)
-    }
-}
-
-/// What one fast-read round-trip produced, per wire format.
-enum FastReplies {
-    /// Full-info: the quorum's owned snapshots.
-    Full(Vec<Snapshot>),
-    /// Delta: the deltas already merged into the reader state.
-    Delta {
-        /// Mask of servers that replied in this round's quorum.
-        replied: u128,
-        /// A replying server restarted its delta stream (state-transfer
-        /// rebuild): this read must not trust fast selection.
-        resync: bool,
-    },
-}
-
-/// Broadcasts one request to the scope's servers and blocks until its
-/// quorum of matching replies arrives, discarding stale or non-matching
-/// messages. The matcher consumes each message, so matched payloads move
-/// out without cloning.
-fn round_trip<E: Endpoint, T>(
-    endpoint: &E,
-    scope: &Scope,
-    view: Option<&ClusterView>,
-    request: Msg,
-    timeout: Duration,
-    retry: RetryPolicy,
-    matcher: impl FnMut(Msg) -> Option<T>,
-) -> Result<BTreeMap<ServerId, T>, RuntimeError> {
-    round_trip_per_server(endpoint, scope, view, |_| request.clone(), timeout, retry, matcher)
-}
-
-/// Broadcasts one (possibly per-server) request to every server in the
-/// scope, wrapped for the scope's register and tagged with its epoch.
-fn broadcast_scope<E: Endpoint>(
-    endpoint: &E,
-    scope: &Scope,
-    request_for: &mut impl FnMut(ServerId) -> Msg,
-) {
-    // One batched broadcast: the transport amortizes its locking over
-    // the whole fan-out, and a dead server is exactly the failure the
-    // quorum tolerates (send_batch is best-effort by contract). Mixed-
-    // register backlog coalesces into the same per-peer pipelines.
-    let batch: Vec<(ProcessId, Msg)> = scope
-        .targets
-        .iter()
-        .map(|&s| {
-            let request = match scope.wrap {
-                Some(register) => Msg::ForRegister { register, inner: Box::new(request_for(s)) },
-                None => request_for(s),
-            };
-            // The epoch header goes outermost (elided at epoch 0, so the
-            // legacy wire is byte-identical): servers adopt it before
-            // unwrapping the register frame.
-            (ProcessId::Server(s), request.in_epoch(scope.epoch))
+        }
+        Err(RuntimeError::Timeout {
+            waited: self.timeout,
+            collected: self.machine.collected(),
+            required: self.machine.scope().quorum,
         })
-        .collect();
-    endpoint.send_batch(batch);
-}
+    }
 
-/// Like [`round_trip`], but with a per-server request — the delta fast read
-/// sends each server only what that server has not acknowledged.
-///
-/// Each attempt re-broadcasts and waits up to `timeout`; acks accumulate
-/// in a per-server map *across* attempts, so a duplicate reply from a
-/// re-broadcast can never double-count toward the quorum, and a straggler
-/// from an earlier attempt still completes a later one.
-///
-/// A wrapped scope adds the [`Msg::ForRegister`] frame header on the way
-/// out and strips it (register-checked) on the way in, so the matcher sees
-/// only its own register's bare replies — a shared endpoint can carry many
-/// scoped clients' traffic without cross-talk.
-///
-/// Epoch handling: every reply's epoch header is stripped before matching.
-/// A reply tagged with a *higher* epoch than the scope means the cluster
-/// reconfigured mid-round: the scope re-derives itself from the shared
-/// view (which the coordinator installed before any server could produce
-/// that tag) and the request is re-broadcast under the new coverage. The
-/// acks already collected keep counting — each records an idempotent
-/// server-side effect that happened, and the refreshed satisfaction rule
-/// is re-evaluated over the whole map — so an in-flight operation rides
-/// through a reconfiguration instead of timing out. The refresh works on
-/// a local clone; the client's persistent scope catches up at the next
-/// operation's `refresh_scope`.
-fn round_trip_per_server<E: Endpoint, T>(
-    endpoint: &E,
-    scope: &Scope,
-    view: Option<&ClusterView>,
-    mut request_for: impl FnMut(ServerId) -> Msg,
-    timeout: Duration,
-    retry: RetryPolicy,
-    mut matcher: impl FnMut(Msg) -> Option<T>,
-) -> Result<BTreeMap<ServerId, T>, RuntimeError> {
-    let mut scope = scope.clone();
-    let mut acks: BTreeMap<ServerId, T> = BTreeMap::new();
-    let attempts = retry.attempts.max(1);
-    for attempt in 0..attempts {
-        if attempt > 0 && !retry.backoff.is_zero() {
-            std::thread::sleep(retry.backoff);
-        }
-        if let Some(view) = view {
-            scope.refresh_from(view);
-        }
-        broadcast_scope(endpoint, &scope, &mut request_for);
-        // A timeout too long to be a point in time ("never") is no deadline.
-        let deadline = Instant::now().checked_add(timeout);
-        while !scope.satisfied(&acks) {
-            let left = deadline
-                .map_or(Duration::MAX, |at| at.saturating_duration_since(Instant::now()));
-            if left.is_zero() {
-                break;
-            }
-            match endpoint.inbox().recv_timeout(left) {
-                Ok((from, msg)) => {
-                    let (frame_epoch, msg) = msg.into_epoch_parts();
-                    if frame_epoch > scope.epoch {
-                        if let Some(view) = view {
-                            if scope.refresh_from(view) {
-                                broadcast_scope(endpoint, &scope, &mut request_for);
-                            }
-                        }
-                    }
-                    let Some(msg) = scope.unwrap(msg) else { continue };
-                    if let (ProcessId::Server(sid), Some(payload)) = (from, matcher(msg)) {
-                        acks.insert(sid, payload);
-                    }
+    /// Re-derives the machine's scope from the shared view when its epoch
+    /// moved — the cheap check (one atomic load in the common case) made at
+    /// the start of every operation and attempt and before every reply is
+    /// fed. `Some(step)` is what the new rule makes of the acks already
+    /// counted. The coordinator installs a view before any server can
+    /// answer under its epoch, so a reply fed under an unmoved epoch was
+    /// produced inside the configuration the scope describes.
+    fn follow_view(&mut self) -> Option<Step> {
+        let view = self.view.as_ref()?;
+        (view.epoch() != self.machine.scope().epoch)
+            .then(|| self.machine.rescope(view.scope_parts(self.wrap)))
+    }
+
+    /// Whether the bytes moving now count toward the payload figure.
+    fn measuring(&self) -> bool {
+        self.measure_payload && self.machine.in_fast_round()
+    }
+
+    /// One round attempt on the wire: the machine's frames, wrapped for the
+    /// bound register and tagged with the scope's epoch, in one batched
+    /// broadcast — the transport amortizes its locking over the whole
+    /// fan-out, and a dead server is exactly the failure the quorum
+    /// tolerates (`send_batch` is best-effort by contract). Mixed-register
+    /// backlog coalesces into the same per-peer pipelines.
+    fn broadcast(&mut self) {
+        let (wrap, epoch, measuring) = (self.wrap, self.machine.scope().epoch, self.measuring());
+        let mut moved = 0;
+        let batch: Vec<(ProcessId, Msg)> = self
+            .machine
+            .frames()
+            .map(|(server, request)| {
+                if measuring {
+                    moved += request.encoded_len() as u64;
                 }
-                Err(_) => break,
-            }
-        }
-        if scope.satisfied(&acks) {
-            return Ok(acks);
+                let request = match wrap {
+                    Some(register) => Msg::ForRegister { register, inner: Box::new(request) },
+                    None => request,
+                };
+                // The epoch header goes outermost (elided at epoch 0, so the
+                // legacy wire is byte-identical): servers adopt it before
+                // unwrapping the register frame.
+                (ProcessId::Server(server), request.in_epoch(epoch))
+            })
+            .collect();
+        self.moved += moved;
+        self.endpoint.send_batch(batch);
+    }
+
+    /// Strips one inbound frame down to the bare reply the machine takes:
+    /// the epoch header off, then bare frames for an unwrapped client,
+    /// matching-register frames for a bound one, everything else discarded
+    /// (cross-register strays can share the endpoint).
+    fn unwrap(&self, msg: Msg) -> Option<Msg> {
+        match (self.wrap, msg.into_epoch_parts().1) {
+            (None, Msg::ForRegister { .. }) => None,
+            (None, msg) => Some(msg),
+            (Some(mine), Msg::ForRegister { register, inner }) if register == mine => Some(*inner),
+            (Some(_), _) => None,
         }
     }
-    Err(RuntimeError::Timeout {
-        waited: timeout,
-        collected: acks.len(),
-        required: scope.quorum,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::spawn_server;
-    use crate::transport::InMemoryTransport;
+    use crate::cluster::RuntimeCluster;
+    use crate::server::{spawn_bank_with, ServerHandle};
+    use crate::transport::{EndpointFactory as _, InMemoryTransport, Inbound};
+    use mwr_core::{Protocol, Router, ServerBank};
+    use mwr_types::Tag;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn cluster(
+    /// Server `index` of `config` as a one-shard bank whose group is the
+    /// whole cluster — what `RuntimeCluster` runs.
+    fn bank_server(
+        transport: &InMemoryTransport,
         config: ClusterConfig,
-    ) -> (InMemoryTransport, Vec<crate::server::ServerHandle>) {
+        index: u32,
+    ) -> ServerHandle {
+        let servers = config.servers() as u32;
+        spawn_bank_with(
+            transport.register(ProcessId::server(index)),
+            ServerBank::new(config.readers() + config.writers(), Router::new(servers, servers, 1)),
+        )
+    }
+
+    fn cluster(config: ClusterConfig) -> (InMemoryTransport, Vec<ServerHandle>) {
         let transport = InMemoryTransport::new();
-        let servers = config
-            .server_ids()
-            .map(|s| spawn_server(transport.register(ProcessId::Server(s))))
-            .collect();
+        let servers =
+            (0..config.servers() as u32).map(|s| bank_server(&transport, config, s)).collect();
         (transport, servers)
     }
 
@@ -1084,8 +527,8 @@ mod tests {
         let config = ClusterConfig::new(3, 1, 1, 1).unwrap();
         let transport = InMemoryTransport::new();
         // Only bring up 2 of 3 servers: the third is "crashed".
-        let s0 = spawn_server(transport.register(ProcessId::server(0)));
-        let s1 = spawn_server(transport.register(ProcessId::server(1)));
+        let s0 = bank_server(&transport, config, 0);
+        let s1 = bank_server(&transport, config, 1);
         let mut writer = LiveWriter::new(
             transport.register(ProcessId::writer(0)),
             WriterId::new(0),
@@ -1103,7 +546,7 @@ mod tests {
         let config = ClusterConfig::new(3, 1, 1, 1).unwrap();
         let transport = InMemoryTransport::new();
         // Only 1 of 3 servers up: quorum of 2 can never assemble.
-        let s0 = spawn_server(transport.register(ProcessId::server(0)));
+        let s0 = bank_server(&transport, config, 0);
         let mut writer = LiveWriter::new(
             transport.register(ProcessId::writer(0)),
             WriterId::new(0),
@@ -1124,12 +567,12 @@ mod tests {
     fn retry_rides_out_a_server_that_starts_late() {
         let config = ClusterConfig::new(3, 1, 1, 1).unwrap();
         let transport = InMemoryTransport::new();
-        let s0 = spawn_server(transport.register(ProcessId::server(0)));
+        let s0 = bank_server(&transport, config, 0);
         let late = {
             let transport = transport.clone();
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(300));
-                spawn_server(transport.register(ProcessId::server(1)))
+                bank_server(&transport, config, 1)
             })
         };
         let mut writer = LiveWriter::new(
@@ -1151,16 +594,7 @@ mod tests {
     #[test]
     fn depart_round_trips_and_consumes_the_client() {
         let config = ClusterConfig::new(3, 1, 1, 1).unwrap();
-        let transport = InMemoryTransport::new();
-        let servers: Vec<_> = config
-            .server_ids()
-            .map(|s| {
-                crate::server::spawn_server_with(
-                    transport.register(ProcessId::Server(s)),
-                    mwr_core::RegisterServer::with_gc(config.readers() + config.writers()),
-                )
-            })
-            .collect();
+        let (transport, servers) = cluster(config);
         let mut writer = LiveWriter::new(
             transport.register(ProcessId::writer(0)),
             WriterId::new(0),
@@ -1203,5 +637,59 @@ mod tests {
         let t3 = w0.write(Value::new(3)).unwrap();
         assert!(t1 < t2 && t2 < t3, "MWA0 over the live runtime");
         drop(servers);
+    }
+
+    /// An endpoint that counts its broadcasts: one `send_batch` is one
+    /// round attempt.
+    struct Counting<E> {
+        inner: E,
+        broadcasts: AtomicUsize,
+    }
+
+    impl<E: Endpoint> Endpoint for Counting<E> {
+        fn id(&self) -> ProcessId {
+            self.inner.id()
+        }
+        fn send(&self, to: ProcessId, msg: Msg) -> Result<(), TransportError> {
+            self.inner.send(to, msg)
+        }
+        fn send_batch(&self, batch: Vec<(ProcessId, Msg)>) {
+            self.broadcasts.fetch_add(1, Ordering::Relaxed);
+            self.inner.send_batch(batch);
+        }
+        fn inbox(&self) -> &crossbeam::channel::Receiver<Inbound> {
+            self.inner.inbox()
+        }
+    }
+
+    /// A reader that joins after GC has passed everything it ever completed
+    /// secures its first read with a write-back round, in both fast modes.
+    #[test]
+    fn a_late_joining_reader_secures_its_first_read_in_both_fast_modes() {
+        for protocol in [Protocol::W2R1, Protocol::W2Ra] {
+            let config = ClusterConfig::new(5, 1, 2, 1).unwrap();
+            let cluster =
+                RuntimeCluster::start_on(InMemoryTransport::new(), config, protocol).unwrap();
+            let mut writer = cluster.writer(0).unwrap();
+            let mut early = cluster.reader(0).unwrap();
+            let mut last = TaggedValue::initial();
+            for i in 1..=20u64 {
+                last = writer.write(Value::new(i)).unwrap();
+                assert_eq!(early.read().unwrap(), last);
+            }
+            let id = ReaderId::new(1);
+            let endpoint = Arc::new(Counting {
+                inner: cluster.factory().open(id.into()).unwrap(),
+                broadcasts: 0.into(),
+            });
+            let mut late =
+                LiveReader::new(Arc::clone(&endpoint), id, config, protocol.read_mode())
+                    .with_view(cluster.view());
+            assert_eq!(late.read().unwrap(), last, "{protocol}");
+            assert_eq!(endpoint.broadcasts.swap(0, Ordering::Relaxed), 2, "{protocol}: late join");
+            assert_eq!(late.read().unwrap(), last, "{protocol}");
+            assert_eq!(endpoint.broadcasts.load(Ordering::Relaxed), 1, "{protocol}: caught up");
+            cluster.shutdown();
+        }
     }
 }

@@ -56,12 +56,12 @@ mod tcp;
 mod transport;
 mod view;
 
-pub use client::{LiveReader, LiveWriter, RetryPolicy, RuntimeError};
+pub use client::{LiveClient, LiveReader, LiveWriter, RetryPolicy, RuntimeError};
 pub use view::ClusterView;
 pub use cluster::{LiveCluster, RuntimeCluster, TcpCluster};
 pub use faults::{FaultEvent, FaultPlan, FaultStep, FaultTrigger, MAX_FAULT_STEPS};
 pub use keyspace::{KeyspaceCluster, LiveKeyspaceCluster, TcpKeyspaceCluster};
-pub use server::{spawn_bank_with, spawn_server, spawn_server_with, ServerHandle};
+pub use server::{spawn_bank_with, ServerHandle};
 pub use tap::{AuditReceiver, AuditTap, DEFAULT_TAP_CAPACITY};
 pub use tcp::{PeerStats, ReaderStats, TcpEndpoint, TcpRegistry, TcpTuning};
 pub use transport::{

@@ -1,5 +1,6 @@
-//! Thread-per-server execution of the Algorithm 2 server: one thread body,
-//! whether it drives a lone [`RegisterServer`] or a [`ServerBank`] of them.
+//! Thread-per-server execution of the Algorithm 2 server: one thread body
+//! driving a [`ServerBank`] of [`RegisterServer`](mwr_core::RegisterServer)s
+//! (a single-register cluster is a bank of one).
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -7,7 +8,7 @@ use std::thread::{self, JoinHandle};
 
 use crossbeam::channel::{bounded, select, Sender};
 
-use mwr_core::{Msg, RegisterServer, ServerBank};
+use mwr_core::ServerBank;
 use mwr_types::{ConfigEpoch, ProcessId};
 
 use crate::transport::Endpoint;
@@ -87,52 +88,10 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Spawns a register server serving requests from `endpoint`.
-///
-/// The server logic is exactly `mwr-core`'s [`RegisterServer`] (Algorithm
-/// 2); only the transport differs from the simulator.
-///
-/// # Panics
-///
-/// Panics if the OS refuses to spawn a thread.
-///
-/// # Examples
-///
-/// ```
-/// use mwr_runtime::{spawn_server, InMemoryTransport};
-/// use mwr_types::ProcessId;
-///
-/// let transport = InMemoryTransport::new();
-/// let endpoint = transport.register(ProcessId::server(0));
-/// let handle = spawn_server(endpoint);
-/// assert_eq!(handle.id(), ProcessId::server(0));
-/// assert_eq!(handle.shutdown(), 0);
-/// ```
-pub fn spawn_server(endpoint: impl Endpoint + 'static) -> ServerHandle {
-    spawn_server_with(endpoint, RegisterServer::new())
-}
-
-/// Spawns a register server with explicit initial state — e.g.
-/// [`RegisterServer::with_gc`] to enable acknowledged-floor GC.
-///
-/// # Panics
-///
-/// Panics if the OS refuses to spawn a thread.
-pub fn spawn_server_with(
-    endpoint: impl Endpoint + 'static,
-    mut server: RegisterServer,
-) -> ServerHandle {
-    let (version, epoch) = (server.state().version(), server.epoch());
-    spawn("server", endpoint, version, epoch, move |epoch, from, msg| {
-        server.set_epoch(epoch);
-        let reply = server.handle(from, msg);
-        (reply, server.state().version())
-    })
-}
-
 /// Spawns a live cluster's server: a [`ServerBank`] of per-register
 /// automata behind one endpoint, multiplexing every register by frame
-/// header (bare frames are the default register's).
+/// header (bare frames are the default register's). The thread receives,
+/// fences, handles, publishes and replies, one message at a time.
 ///
 /// The returned handle's version beacon publishes the bank's *maximum*
 /// version across registers — a conservative bound that a rejoin feeds back
@@ -143,32 +102,14 @@ pub fn spawn_server_with(
 ///
 /// Panics if the OS refuses to spawn a thread.
 pub fn spawn_bank_with(endpoint: impl Endpoint + 'static, mut bank: ServerBank) -> ServerHandle {
-    let (version, epoch) = (bank.max_version(), bank.epoch());
-    spawn("bank", endpoint, version, epoch, move |epoch, from, msg| {
-        bank.set_epoch(epoch);
-        let reply = bank.handle(from, msg);
-        (reply, bank.max_version())
-    })
-}
-
-/// The one server thread: receive, fence, handle, publish, reply. `step`
-/// adopts the announced epoch, handles one message, and returns the reply
-/// with the automaton's version high-water after it.
-fn spawn(
-    kind: &str,
-    endpoint: impl Endpoint + 'static,
-    version: u64,
-    epoch: ConfigEpoch,
-    mut step: impl FnMut(ConfigEpoch, ProcessId, &Msg) -> (Option<Msg>, u64) + Send + 'static,
-) -> ServerHandle {
     let id = endpoint.id();
     let (shutdown_tx, shutdown_rx) = bounded::<()>(1);
-    let version = Arc::new(AtomicU64::new(version));
+    let version = Arc::new(AtomicU64::new(bank.max_version()));
     let beacon = Arc::clone(&version);
-    let epoch = Arc::new(AtomicU32::new(epoch.get()));
+    let epoch = Arc::new(AtomicU32::new(bank.epoch().get()));
     let epoch_cell = Arc::clone(&epoch);
     let join = thread::Builder::new()
-        .name(format!("mwr-{kind}-{id}"))
+        .name(format!("mwr-bank-{id}"))
         .spawn(move || {
             let mut handled: u64 = 0;
             loop {
@@ -179,14 +120,14 @@ fn spawn(
                         // processed: every reply from here on is tagged with
                         // at least the announced epoch (the reconfiguration
                         // fence — see `ServerHandle::announce_epoch`).
-                        let announced = ConfigEpoch::new(epoch_cell.load(Ordering::Acquire));
-                        let (reply, version) = step(announced, from, &msg);
+                        bank.set_epoch(ConfigEpoch::new(epoch_cell.load(Ordering::Acquire)));
+                        let reply = bank.handle(from, &msg);
                         // Publish the version high-water *before* the reply
                         // leaves, so no reader ever holds an acknowledged
                         // version the beacon has not yet reported — a crash
                         // immediately after the send still recovers a floor
                         // covering that ack.
-                        beacon.store(version, Ordering::Release);
+                        beacon.store(bank.max_version(), Ordering::Release);
                         if let Some(reply) = reply {
                             handled += 1;
                             // A dead client is not a server error.
@@ -205,7 +146,7 @@ fn spawn(
 mod tests {
     use super::*;
     use crate::transport::InMemoryTransport;
-    use mwr_core::{OpHandle, OpId, Router};
+    use mwr_core::{Msg, OpHandle, OpId, Router};
     use mwr_types::{ClientId, TaggedValue};
     use std::time::{Duration, Instant};
 
@@ -214,7 +155,7 @@ mod tests {
         let transport = InMemoryTransport::new();
         let server_ep = transport.register(ProcessId::server(0));
         let client_ep = transport.register(ProcessId::reader(0));
-        let handle = spawn_server(server_ep);
+        let handle = spawn_bank_with(server_ep, ServerBank::new(1, Router::new(1, 1, 1)));
 
         let op = OpHandle { op: OpId { client: ClientId::reader(0), seq: 0 }, phase: 1 };
         client_ep.send(ProcessId::server(0), Msg::Query { handle: op }).unwrap();

@@ -8,19 +8,19 @@
 //! A single-register cluster is the one-shard case: its router's only group
 //! is the whole member set, so `g = S`.
 //!
-//! Clients re-derive their round-trip scope from the view at the start of
-//! every operation, and — because every server reply is epoch-tagged past
-//! epoch 0 — *mid-round* the moment any reply carries a higher epoch than
-//! the scope was built from. The coordinator always installs the new view
-//! **before** announcing the epoch to servers, so by the time a client can
-//! observe an epoch, the view describing it is already readable: refresh
-//! never races ahead of the data it needs.
+//! Clients re-derive their round-trip [`Scope`] from the view at the start
+//! of every operation and — one atomic load — *mid-round*, before every
+//! reply they count. The coordinator always installs the new view
+//! **before** announcing the epoch to servers, so no server can answer
+//! under an epoch the view does not yet describe: a reply counted under an
+//! unmoved epoch was produced inside the configuration the scope describes,
+//! and refresh never races ahead of the data it needs.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, RwLock};
 
-use mwr_core::{JointQuorum, Router};
-use mwr_types::{ConfigEpoch, RegisterId, ServerId};
+use mwr_core::{JointQuorum, Router, Scope};
+use mwr_types::{ConfigEpoch, RegisterId};
 
 /// How round-trips must cover the cluster in the current epoch. Quorums are
 /// derived, never stored: a group of `n` servers completes a round with
@@ -52,16 +52,6 @@ pub(crate) enum ViewPlan {
 pub(crate) struct ViewState {
     pub(crate) epoch: ConfigEpoch,
     pub(crate) plan: ViewPlan,
-}
-
-/// The pieces a client needs to rebuild its round-trip scope for one
-/// register under the current epoch.
-#[derive(Debug, Clone)]
-pub(crate) struct ScopeParts {
-    pub(crate) epoch: ConfigEpoch,
-    pub(crate) targets: Vec<ServerId>,
-    pub(crate) quorum: usize,
-    pub(crate) joint: Option<JointQuorum>,
 }
 
 /// The live, shared configuration view. Cheap to poll (`epoch` is one
@@ -110,32 +100,36 @@ impl ClusterView {
         self.epoch.store(raw, Ordering::Release);
     }
 
-    /// Rebuilds the scope pieces for `register` under the current epoch.
-    /// `None` is an unwrapped client, whose bare frames every bank routes to
-    /// [`RegisterId::DEFAULT`] — so that register's group is its scope.
-    pub(crate) fn scope_parts(&self, register: Option<RegisterId>) -> ScopeParts {
+    /// Rebuilds a client's round-trip [`Scope`] for `register` under the
+    /// current epoch. `None` is an unwrapped client, whose bare frames every
+    /// bank routes to [`RegisterId::DEFAULT`] — so that register's group is
+    /// its scope.
+    pub(crate) fn scope_parts(&self, register: Option<RegisterId>) -> Scope {
         let register = register.unwrap_or(RegisterId::DEFAULT);
         let state = self.state.read().expect("view lock poisoned");
-        let (targets, quorum, joint) = match &state.plan {
+        match &state.plan {
             ViewPlan::Stable { router, t } => {
-                let group = router.group_of(register);
-                let quorum = group.len() - t;
-                (group, quorum, None)
+                Scope::stable(router.group_of(register), *t, state.epoch)
             }
             ViewPlan::Joint { old, new, t } => {
                 let (old, new) = (old.group_of(register), new.group_of(register));
                 let (old_required, new_required) = (old.len() - t, new.len() - t);
                 let joint = JointQuorum::new(old, old_required, new, new_required);
-                (joint.union(), old_required.max(new_required), Some(joint))
+                Scope {
+                    targets: joint.union(),
+                    quorum: old_required.max(new_required),
+                    joint: Some(joint),
+                    epoch: state.epoch,
+                }
             }
-        };
-        ScopeParts { epoch: state.epoch, targets, quorum, joint }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mwr_types::ServerId;
 
     fn ids(raw: &[u32]) -> Vec<ServerId> {
         raw.iter().copied().map(ServerId::new).collect()

@@ -9,8 +9,13 @@
 //! heap still carried whole `Scheduled<M>` events), before the engine was
 //! touched, and are FNV-1a (64-bit) over every field of every `TraceEntry`,
 //! every `(SimTime, ClientEvent)` of the report and the final `RunStats`.
+//!
+//! The last three digests were recorded the same way at the parent of PR 20
+//! (commit dc1d697), before the two client implementations became drivers of
+//! one round machine: they widen the pin to the adaptive fallback, the
+//! full-info wire and the fast write, which the first three never run.
 
-use mwr::core::{Cluster, Protocol, SimCluster};
+use mwr::core::{Cluster, FastWire, Protocol, SimCluster};
 use mwr::sim::{DelayModel, LinkSelector, SimTime};
 use mwr::types::{ClusterConfig, ProcessId};
 use mwr::workload::{drive_closed_loop, WorkloadSpec};
@@ -43,8 +48,13 @@ impl Fnv {
 /// r0 → s1 held from tick 100 to 700 and s0 crashed at 900, closed-loop for
 /// 3 000 ticks with think time 5; returns (deliveries, client events, digest).
 fn golden_run(protocol: Protocol, (s, t, r, w): (usize, usize, usize, usize)) -> (usize, usize, u64) {
-    let config = ClusterConfig::new(s, t, r, w).unwrap();
-    let mut sim = Cluster::new(config, protocol).build_sim(42);
+    golden_run_of(Cluster::new(ClusterConfig::new(s, t, r, w).unwrap(), protocol))
+}
+
+/// [`golden_run`] on a blueprint whose wire format is already chosen.
+fn golden_run_of(cluster: Cluster) -> (usize, usize, u64) {
+    let config = cluster.config();
+    let mut sim = cluster.build_sim(42);
     sim.network_mut().set_default_delay(DelayModel::Uniform {
         lo: SimTime::from_ticks(1),
         hi: SimTime::from_ticks(40),
@@ -103,4 +113,23 @@ fn w2r1_wide_reproduces_the_parent_of_pr_19() {
 #[test]
 fn w2r2_two_crashes_tolerated_reproduces_the_parent_of_pr_19() {
     assert_eq!(golden_run(Protocol::W2R2, (7, 2, 2, 2)), (2_928, 348, 0x7f3b_1b7f_c620_f262));
+}
+
+/// `t(R + 2) < S` fails at R = 4, so the adaptive reads fall back to the
+/// write-back round (47 times in this run).
+#[test]
+fn w2ra_beyond_the_fast_read_bound_reproduces_the_parent_of_pr_20() {
+    assert_eq!(golden_run(Protocol::W2Ra, (5, 1, 4, 2)), (2_722, 528, 0xffaa_67f6_909c_9735));
+}
+
+#[test]
+fn w2r1_full_info_reproduces_the_parent_of_pr_20() {
+    let config = ClusterConfig::new(5, 1, 2, 2).unwrap();
+    let cluster = Cluster::new(config, Protocol::W2R1).with_fast_wire(FastWire::FullInfo);
+    assert_eq!(golden_run_of(cluster), (1_804, 363, 0xc8f2_1883_de07_8c7d));
+}
+
+#[test]
+fn naive_fast_write_reproduces_the_parent_of_pr_20() {
+    assert_eq!(golden_run(Protocol::NaiveW1R1, (5, 1, 2, 2)), (1_760, 408, 0x95ff_b0e8_5b7b_4c4a));
 }

@@ -10,15 +10,13 @@ use std::time::Duration;
 use mwr_check::AuditReport;
 use mwr_register::{AuditConfig, AuditSidecar};
 use mwr_runtime::{
-    AuditTap, EndpointFactory, FaultPlan, InMemoryTransport, KeyspaceCluster, LiveReader,
-    LiveWriter, RetryPolicy, TcpRegistry,
+    AuditTap, ClusterView, Endpoint, EndpointFactory, FaultPlan, InMemoryTransport,
+    KeyspaceCluster, LiveReader, LiveWriter, RetryPolicy, RuntimeError, TcpRegistry,
 };
-use mwr_types::{KeyspaceConfig, ReaderId, RegisterId, WriterId};
-use mwr_workload::{
-    run_keyspace_chaos, run_keyspace_open_loop_audited, ChaosReport, TapFor, ThroughputReport,
-};
+use mwr_types::{ClusterConfig, KeyspaceConfig, ReaderId, RegisterId, WriterId};
+use mwr_workload::{drive, ChaosReport, DriveSpec, Keys, Target, ThroughputReport};
 
-use crate::{KeyspaceError, Router};
+use crate::{KeyspaceError, Protocol, Router};
 
 /// A blocking writer for one key: the single-register [`LiveWriter`]
 /// scoped to the key's shard group, over an endpoint shared with every
@@ -63,6 +61,41 @@ impl AuditHub {
             .into_iter()
             .map(|(key, sidecar)| (key, sidecar.finish()))
             .collect()
+    }
+}
+
+/// What a per-key client needs besides its endpoint, owned so that a drive
+/// thread can mint with it (the cluster's factory need not be `Sync`).
+struct Mint {
+    config: ClusterConfig,
+    protocol: Protocol,
+    router: Router,
+    view: Arc<ClusterView>,
+}
+
+impl Mint {
+    fn of<F: EndpointFactory>(cluster: &KeyspaceCluster<F>) -> Self {
+        Mint {
+            config: cluster.config().group_config(),
+            protocol: cluster.protocol(),
+            router: *cluster.router(),
+            view: cluster.view(),
+        }
+    }
+
+    /// Writer `id`'s client for `key` over `ep`: scoped to the key's group,
+    /// following the cluster view through reconfigurations.
+    fn writer<E: Endpoint>(&self, ep: Arc<E>, id: WriterId, key: RegisterId) -> KeyWriter<E> {
+        LiveWriter::new(ep, id, self.config, self.protocol.write_mode())
+            .with_scope(key, self.router.group_of(key))
+            .with_view(Arc::clone(&self.view))
+    }
+
+    /// Reader `id`'s client for `key` over `ep`, scoped like a writer's.
+    fn reader<E: Endpoint>(&self, ep: Arc<E>, id: ReaderId, key: RegisterId) -> KeyReader<E> {
+        LiveReader::new(ep, id, self.config, self.protocol.read_mode())
+            .with_scope(key, self.router.group_of(key))
+            .with_view(Arc::clone(&self.view))
     }
 }
 
@@ -161,15 +194,8 @@ impl<F: EndpointFactory> KeyspaceHandle<F> {
             }
         };
         self.minted.set(true);
-        let mut writer = LiveWriter::new(
-            ep,
-            WriterId::new(idx),
-            self.config().group_config(),
-            self.cluster.protocol().write_mode(),
-        )
-        .with_scope(key, self.router().group_of(key))
-        .with_view(self.cluster.view())
-        .with_retry(self.retry);
+        let mut writer =
+            Mint::of(&self.cluster).writer(ep, WriterId::new(idx), key).with_retry(self.retry);
         if let Some(t) = self.timeout {
             writer = writer.with_timeout(t);
         }
@@ -208,15 +234,8 @@ impl<F: EndpointFactory> KeyspaceHandle<F> {
             }
         };
         self.minted.set(true);
-        let mut reader = LiveReader::new(
-            ep,
-            ReaderId::new(idx),
-            self.config().group_config(),
-            self.cluster.protocol().read_mode(),
-        )
-        .with_scope(key, self.router().group_of(key))
-        .with_view(self.cluster.view())
-        .with_retry(self.retry);
+        let mut reader =
+            Mint::of(&self.cluster).reader(ep, ReaderId::new(idx), key).with_retry(self.retry);
         if let Some(t) = self.timeout {
             reader = reader.with_timeout(t);
         }
@@ -290,7 +309,7 @@ impl<F: EndpointFactory> KeyspaceHandle<F> {
     /// Drives the keyspace open-loop for `duration`: every configured
     /// reader and writer issues back-to-back operations with keys drawn
     /// Zipf(`zipf`) from `keys` registers (see
-    /// [`mwr_workload::run_keyspace_open_loop`]). On an audited handle
+    /// [`mwr_workload::drive`]). On an audited handle
     /// every touched register is checked by its own streaming auditor.
     ///
     /// # Errors
@@ -318,24 +337,14 @@ impl<F: EndpointFactory> KeyspaceHandle<F> {
             ));
         }
         self.driven.set(true);
-        let tap_closure = self.audit.as_ref().map(|hub| move |key: RegisterId| hub.tap(key));
-        let tap_for: Option<TapFor<'_>> =
-            tap_closure.as_ref().map(|c| c as &(dyn Fn(RegisterId) -> AuditTap + Sync));
-        Ok(run_keyspace_open_loop_audited(
-            &self.cluster,
-            keys,
-            zipf,
-            self.timeout,
-            self.retry,
-            duration,
-            seed,
-            tap_for,
-        )?)
+        let spec = self.spec(keys, zipf, duration, seed);
+        let report = Self::run_drive(Target::Steady(&self.cluster), self.audit.as_ref(), spec)?;
+        Ok(report.into_throughput()?)
     }
 
     /// Drives the keyspace open-loop for `duration` while executing the
     /// armed [`FaultPlan`] against the cluster (see
-    /// [`mwr_workload::run_keyspace_chaos`]): crashes, per-shard rejoins,
+    /// [`mwr_workload::drive`]): crashes, per-shard rejoins,
     /// churn bursts, and live joint-quorum reconfigurations fire at their
     /// scheduled op-counts or times while Zipf-keyed clients keep
     /// serving. On an audited handle every touched register is checked by
@@ -367,20 +376,47 @@ impl<F: EndpointFactory> KeyspaceHandle<F> {
             ));
         };
         self.driven.set(true);
-        let tap_closure = self.audit.as_ref().map(|hub| move |key: RegisterId| hub.tap(key));
-        let tap_for: Option<TapFor<'_>> =
-            tap_closure.as_ref().map(|c| c as &(dyn Fn(RegisterId) -> AuditTap + Sync));
-        Ok(run_keyspace_chaos(
-            &mut self.cluster,
-            keys,
-            zipf,
-            self.timeout,
-            self.retry,
-            plan,
+        let spec = self.spec(keys, zipf, duration, seed);
+        Ok(Self::run_drive(Target::Faulted(&mut self.cluster, &plan), self.audit.as_ref(), spec)?)
+    }
+
+    /// An open-loop drive of `keys` Zipf(`zipf`) keys with the deployment's
+    /// timeout and retry policy.
+    fn spec(&self, keys: usize, zipf: f64, duration: Duration, seed: u64) -> DriveSpec {
+        DriveSpec {
+            keys: Keys { count: keys, zipf, seed },
             duration,
-            seed,
-            tap_for,
-        )?)
+            timeout: self.timeout,
+            retry: self.retry,
+            ..DriveSpec::default()
+        }
+    }
+
+    /// The one live drive over this keyspace: each thread opens one
+    /// endpoint and mints per-key clients over it as
+    /// [`writer`](Self::writer) / [`reader`](Self::reader) do, and on an
+    /// audited handle every key's clients carry that register's tap.
+    fn run_drive(
+        target: Target<'_, KeyspaceCluster<F>>,
+        audit: Option<&AuditHub>,
+        spec: DriveSpec,
+    ) -> Result<ChaosReport, RuntimeError> {
+        let tap = audit.map(|hub| move |key| hub.tap(key));
+        drive(
+            target,
+            |cluster, w| {
+                let ep = Arc::new(cluster.factory().open(w.into())?);
+                let mint = Mint::of(cluster);
+                Ok(move |key| mint.writer(Arc::clone(&ep), w, key))
+            },
+            |cluster, r| {
+                let ep = Arc::new(cluster.factory().open(r.into())?);
+                let mint = Mint::of(cluster);
+                Ok(move |key| mint.reader(Arc::clone(&ep), r, key))
+            },
+            tap.as_ref().map(|tap| tap as _),
+            spec,
+        )
     }
 
     /// Shuts down all remaining servers; returns total requests handled.

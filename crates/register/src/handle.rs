@@ -6,15 +6,15 @@ use std::time::Duration;
 
 use mwr_core::{ClientEvent, FastWire, Msg, ScheduledOp, SimCluster};
 use mwr_runtime::{
-    EndpointFactory, FaultPlan, InMemoryTransport, LiveReader, LiveWriter, RetryPolicy,
-    RuntimeCluster, TcpRegistry,
+    AuditTap, EndpointFactory, FaultPlan, InMemoryTransport, LiveReader, LiveWriter, RetryPolicy,
+    RuntimeCluster, RuntimeError, TcpRegistry,
 };
 use mwr_sim::{SimError, SimTime, Simulation};
-use mwr_types::ClusterConfig;
+use mwr_types::{ClusterConfig, RegisterId};
 use mwr_check::AuditReport;
 use mwr_workload::{
-    drive_closed_loop, run_chaos_live, run_closed_loop_live_audited, run_open_loop_live_audited,
-    ChaosReport, ThroughputReport, WorkloadReport, WorkloadSpec,
+    drive, drive_closed_loop, ChaosReport, DriveSpec, Target, ThroughputReport, WorkloadReport,
+    WorkloadSpec,
 };
 
 use crate::audit::AuditSidecar;
@@ -297,8 +297,8 @@ impl<F: EndpointFactory> LiveHandle<F> {
         Ok(self.cluster.reconfigure(add, remove)?)
     }
 
-    /// Drives this cluster with closed-loop clients (see
-    /// [`mwr_workload::run_closed_loop_live`]; ticks are microseconds).
+    /// Drives this cluster with closed-loop clients (the one live drive,
+    /// [`mwr_workload::drive`]; ticks are microseconds).
     /// The driver opens every client endpoint itself, so the handle must
     /// be freshly deployed — [`Deployment::run_closed_loop`](crate::Deployment::run_closed_loop)
     /// always satisfies this.
@@ -321,19 +321,14 @@ impl<F: EndpointFactory> LiveHandle<F> {
             });
         }
         self.driven.set(true);
+        let spec = self.knobs(spec.into());
         let tap = self.audit.as_ref().map(AuditSidecar::tap);
-        Ok(run_closed_loop_live_audited(
-            &self.cluster,
-            self.wire,
-            self.timeout,
-            self.retry,
-            spec,
-            tap,
-        )?)
+        let report = Self::run_drive(Target::Steady(&self.cluster), self.wire, tap, spec)?;
+        Ok(report.into_throughput()?.into())
     }
 
     /// Drives this cluster with open-loop (saturating) clients for
-    /// `duration` (see [`mwr_workload::run_open_loop_live`]): every
+    /// `duration` (see [`mwr_workload::drive`]): every
     /// configured reader and writer issues back-to-back operations, so the
     /// offered load is set by the deployment's client population. Like
     /// [`run_closed_loop`](Self::run_closed_loop), the driver needs every
@@ -356,15 +351,9 @@ impl<F: EndpointFactory> LiveHandle<F> {
             });
         }
         self.driven.set(true);
+        let spec = self.knobs(DriveSpec { duration, ..DriveSpec::default() });
         let tap = self.audit.as_ref().map(AuditSidecar::tap);
-        Ok(run_open_loop_live_audited(
-            &self.cluster,
-            self.wire,
-            self.timeout,
-            self.retry,
-            duration,
-            tap,
-        )?)
+        Ok(Self::run_drive(Target::Steady(&self.cluster), self.wire, tap, spec)?.into_throughput()?)
     }
 
     /// Drives this cluster open-loop for `duration` while executing the
@@ -394,16 +383,40 @@ impl<F: EndpointFactory> LiveHandle<F> {
             return Err(DeployError::HandlesInUse);
         }
         self.driven.set(true);
+        let spec = self.knobs(DriveSpec { duration, ..DriveSpec::default() });
         let tap = self.audit.as_ref().map(AuditSidecar::tap);
-        Ok(run_chaos_live(
-            &mut self.cluster,
-            self.wire,
-            self.timeout,
-            self.retry,
-            self.faults.unwrap_or_default(),
-            duration,
-            tap,
-        )?)
+        let plan = self.faults.unwrap_or_default();
+        Ok(Self::run_drive(Target::Faulted(&mut self.cluster, &plan), self.wire, tap, spec)?)
+    }
+
+    /// `spec` with the deployment's timeout and retry policy.
+    fn knobs(&self, spec: DriveSpec) -> DriveSpec {
+        DriveSpec { timeout: self.timeout, retry: self.retry, ..spec }
+    }
+
+    /// The one live drive over this register: each thread's mint hands out
+    /// its one unscoped client, on its own endpoint with the deployment's
+    /// wire, and every stable client carries the audit tap.
+    fn run_drive(
+        target: Target<'_, RuntimeCluster<F>>,
+        wire: FastWire,
+        tap: Option<&AuditTap>,
+        spec: DriveSpec,
+    ) -> Result<ChaosReport, RuntimeError> {
+        let one = tap.map(|tap| move |_: RegisterId| tap.clone());
+        drive(
+            target,
+            |cluster, w| {
+                let mut client = Some(cluster.writer(w.index())?);
+                Ok(move |_| client.take().expect("a register thread draws one key"))
+            },
+            |cluster, r| {
+                let mut client = Some(cluster.reader_with_wire(r.index(), wire)?);
+                Ok(move |_| client.take().expect("a register thread draws one key"))
+            },
+            one.as_ref().map(|one| one as _),
+            spec,
+        )
     }
 
     /// Shuts down all remaining servers; returns total requests handled.

@@ -10,6 +10,7 @@
 //!
 //! [`RegisterId::DEFAULT`]: mwr_types::RegisterId::DEFAULT
 
+use std::borrow::{Borrow, BorrowMut};
 use std::ops::{Deref, DerefMut};
 
 use mwr_core::{FastWire, Protocol};
@@ -67,6 +68,21 @@ impl<F: EndpointFactory> Deref for RuntimeCluster<F> {
 
 impl<F: EndpointFactory> DerefMut for RuntimeCluster<F> {
     fn deref_mut(&mut self) -> &mut KeyspaceCluster<F> {
+        &mut self.manager
+    }
+}
+
+/// The manager as a borrow, so code generic over "a register or a
+/// keyspace" (`C: BorrowMut<KeyspaceCluster<F>>`, which a
+/// [`KeyspaceCluster`] satisfies by itself) takes a `RuntimeCluster` too.
+impl<F: EndpointFactory> Borrow<KeyspaceCluster<F>> for RuntimeCluster<F> {
+    fn borrow(&self) -> &KeyspaceCluster<F> {
+        &self.manager
+    }
+}
+
+impl<F: EndpointFactory> BorrowMut<KeyspaceCluster<F>> for RuntimeCluster<F> {
+    fn borrow_mut(&mut self) -> &mut KeyspaceCluster<F> {
         &mut self.manager
     }
 }

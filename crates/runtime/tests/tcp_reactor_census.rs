@@ -8,34 +8,44 @@
 
 #![cfg(target_os = "linux")]
 
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use mwr_core::Msg;
 use mwr_runtime::{Endpoint as _, TcpEndpoint, TcpRegistry};
 use mwr_types::{ProcessId, Value};
 
-/// Threads of this process whose name (as the kernel keeps it: the first
-/// 15 bytes) starts with `prefix`.
-fn threads_named(prefix: &str) -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .expect("procfs")
-        .filter(|task| {
-            let comm = task.as_ref().expect("procfs").path().join("comm");
-            // A thread can end between the listing and the read.
-            std::fs::read_to_string(comm).is_ok_and(|name| name.starts_with(prefix))
-        })
-        .count()
+/// Every thread of this process by name (as the kernel keeps it: the
+/// first 15 bytes), with how many threads carry it.
+fn census() -> BTreeMap<String, usize> {
+    let mut names = BTreeMap::new();
+    for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
+        // A thread can end between the listing and the read.
+        if let Ok(name) = std::fs::read_to_string(task.expect("procfs").path().join("comm")) {
+            *names.entry(name.trim_end().to_owned()).or_insert(0) += 1;
+        }
+    }
+    names
 }
 
-/// Asserts that `n` threads named `prefix…` are left after a `drop`. The
-/// threads were joined, but `join` returns when the kernel wakes the
-/// joiner, a moment before it takes the ended task off the list.
-fn assert_threads_left(prefix: &str, n: usize, what: &str) {
-    let unlisted = Instant::now() + Duration::from_secs(1);
-    while threads_named(prefix) != n && Instant::now() < unlisted {
+/// Threads of this process whose name starts with `prefix`.
+fn threads_named(prefix: &str) -> usize {
+    census().iter().filter(|(name, _)| name.starts_with(prefix)).map(|(_, n)| n).sum()
+}
+
+/// Asserts that `n` threads are named `prefix…`, waiting up to a second
+/// for the count to settle: a `drop` joined its threads, but `join`
+/// returns when the kernel wakes the joiner, a moment before it takes the
+/// ended task off the list; and a thread spawned by a `bind` may not
+/// carry its name yet. A failure prints the whole census, which tells a
+/// thread not yet named from one nobody expected (a lazily spawned
+/// `tcp-writer-*`, say).
+fn assert_threads(prefix: &str, n: usize, what: &str) {
+    let settled = Instant::now() + Duration::from_secs(1);
+    while threads_named(prefix) != n && Instant::now() < settled {
         std::thread::yield_now();
     }
-    assert_eq!(threads_named(prefix), n, "{what}");
+    assert_eq!(threads_named(prefix), n, "{what}; threads by name: {:?}", census());
 }
 
 /// Binds `n` endpoints and passes a frame around the ring, so that every
@@ -58,24 +68,24 @@ fn a_registry_runs_one_reactor_thread_however_many_endpoints_it_has() {
     let registry = TcpRegistry::new();
 
     let mut endpoints = ring(&registry, 8);
-    assert_eq!(threads_named("tcp-reactor"), 1);
-    assert_eq!(threads_named("tcp-acceptor"), 8);
+    assert_threads("tcp-reactor", 1, "one reactor for eight endpoints");
+    assert_threads("tcp-acceptor", 8, "one acceptor per endpoint");
     // Nothing else: no reader of an endpoint's own under any name (and one
     // sender per endpoint never needs a drain thread).
-    assert_eq!(threads_named("tcp-"), 9);
+    assert_threads("tcp-", 9, "the reactor and the acceptors are all there is");
 
     // The reactor belongs to the endpoints jointly: it outlives any of
     // them, and goes with the last — while the registry is still here.
     endpoints.truncate(3);
-    assert_threads_left("tcp-", 4, "three acceptors and the reactor stay");
-    assert_eq!(threads_named("tcp-reactor"), 1);
+    assert_threads("tcp-", 4, "three acceptors and the reactor stay");
+    assert_threads("tcp-reactor", 1, "the reactor outlives five endpoints");
     drop(endpoints);
-    assert_threads_left("tcp-", 0, "a thread outlived the registry's last endpoint");
+    assert_threads("tcp-", 0, "a thread outlived the registry's last endpoint");
 
     // A second generation on the same registry: one reactor again.
     let endpoints = ring(&registry, 2);
-    assert_eq!(threads_named("tcp-reactor"), 1);
-    assert_eq!(threads_named("tcp-"), 3);
+    assert_threads("tcp-reactor", 1, "the second generation starts one reactor");
+    assert_threads("tcp-", 3, "the second generation's reactor and two acceptors");
     drop(endpoints);
-    assert_threads_left("tcp-", 0, "a thread outlived the second generation");
+    assert_threads("tcp-", 0, "a thread outlived the second generation");
 }

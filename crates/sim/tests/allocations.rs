@@ -8,8 +8,10 @@
 //! way back into the table, shows here as a count above the number of
 //! events scheduled.
 //!
-//! This file holds exactly one test, so no other test allocates while it
-//! counts.
+//! Only the measuring thread counts, and only while it is armed: libtest's
+//! main thread (and anything else the harness runs) allocates whenever it
+//! likes, and a process-wide count once failed inside a loaded
+//! `cargo test --workspace` for exactly that reason.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,15 +23,32 @@ use mwr_types::ProcessId;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-/// The system allocator, counting every request for new or larger memory.
+thread_local! {
+    /// Whether this thread's requests are counted. `const`-initialised with
+    /// no destructor, so reading it never allocates (nor registers
+    /// anything) from inside the allocator.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The system allocator, counting every request for new or larger memory
+/// that an armed thread makes.
 struct Counting;
+
+impl Counting {
+    fn count() {
+        if ARMED.with(Cell::get) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
 
 // SAFETY: every method hands its arguments to `System` unchanged and returns
 // what `System` returns, so `System`'s guarantees are this allocator's; the
-// counter is an atomic and touches no memory the allocator manages.
+// counter is an atomic and the flag a `const` thread-local, and neither
+// touches memory the allocator manages.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        Counting::count();
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
         unsafe { System.alloc(layout) }
     }
@@ -40,7 +59,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        Counting::count();
         // SAFETY: `ptr` came from `System` through this allocator with `layout`,
         // and the caller upholds `GlobalAlloc::realloc`'s contract for `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -96,9 +115,11 @@ fn a_steady_state_event_allocates_its_payload_box_and_nothing_else() {
 
     let (allocated, events, timers) =
         (ALLOCATIONS.load(Ordering::Relaxed), scheduled.get(), sim.stats().timers_fired);
+    ARMED.with(|armed| armed.set(true));
     for _ in 0..30_000 {
         sim.step().expect("the tokens bounce for ever");
     }
+    ARMED.with(|armed| armed.set(false));
     let allocated = ALLOCATIONS.load(Ordering::Relaxed) - allocated;
     let events = scheduled.get() - events;
     let timers = sim.stats().timers_fired - timers;

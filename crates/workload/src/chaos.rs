@@ -1,36 +1,29 @@
-//! Fault-injected open-loop drive: the live throughput driver with a
-//! deterministic [`FaultPlan`] executing against the cluster while client
-//! threads hammer it.
+//! The one live drive's fault injector: a deterministic [`FaultPlan`]
+//! walked **in order** on the driving thread while the client threads
+//! hammer the cluster. Each step waits for its trigger (a cluster-wide
+//! completed-op count or an elapsed wall-clock time), then fires against
+//! the cluster manager — a crash, a rejoin through quorum state transfer,
+//! a reconfiguration, or a burst of short-lived churn clients. A chaos
+//! drive measures whether the service stayed up, so failures are counted,
+//! not returned (with retries on, a plan that keeps a quorum alive should
+//! report zero).
 //!
-//! The injector runs on the driving thread, walking the plan **in order**:
-//! each step waits for its trigger (a cluster-wide completed-op count or
-//! an elapsed wall-clock time), then fires against the cluster — crashing
-//! a server, rejoining it through quorum state transfer, or running a
-//! burst of short-lived churn clients that join, read, and depart
-//! floor-safely. Client threads never abort the drive on an operation
-//! error: failures are counted in the report, because the whole point of
-//! a chaos drive is to measure whether the service stayed up (with
-//! retries on, a plan that keeps a quorum alive should report zero).
-//!
-//! Churn clients run sequentially on one **reserved reader slot** — the
-//! highest-indexed reader of the configuration, which the stable drive
-//! leaves unspawned whenever the plan contains a
-//! [`FaultEvent::ChurnBurst`]. Each churn incarnation registers, reads,
-//! then departs, so acknowledged-floor GC on the servers never wedges on
-//! a client that will never report again.
+//! Churn clients run one after another on a **reserved reader slot** — the
+//! highest-indexed reader, which the stable drive leaves unspawned whenever
+//! the plan contains a [`FaultEvent::ChurnBurst`]. Each incarnation
+//! registers, reads, then departs, so acknowledged-floor GC on the servers
+//! never wedges on a client that will never report again.
 
-use std::ops::DerefMut;
+use std::borrow::BorrowMut;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mwr_core::FastWire;
 use mwr_runtime::{
-    AuditTap, EndpointFactory, FaultEvent, FaultPlan, FaultTrigger, KeyspaceCluster, LiveReader,
-    RetryPolicy, RuntimeCluster, RuntimeError, TransportError,
+    Endpoint, EndpointFactory, FaultEvent, FaultPlan, FaultTrigger, KeyspaceCluster, LiveReader,
+    RuntimeError, TransportError,
 };
 use mwr_sim::SimTime;
-use mwr_types::Value;
 
 use crate::live::ThroughputReport;
 use crate::stats::LatencyStats;
@@ -39,12 +32,12 @@ use crate::stats::LatencyStats;
 /// client thread backs off after a failed operation).
 pub(crate) const TRIGGER_POLL: Duration = Duration::from_micros(200);
 
-/// What a fault-injected drive did to the cluster and how the service
-/// held up. The latency/throughput half lives in `throughput`; the rest
-/// counts the plan's effects so harnesses can assert a scenario actually
-/// exercised what it claimed (a plan whose triggers never fire reports
-/// zero crashes, not a silent pass).
-#[derive(Debug)]
+/// What a drive did to the cluster and how the service held up. The
+/// latency/throughput half lives in `throughput`; the rest counts the
+/// plan's effects so harnesses can assert a scenario actually exercised
+/// what it claimed (a plan whose triggers never fire reports zero crashes,
+/// not a silent pass).
+#[derive(Debug, Default)]
 pub struct ChaosReport {
     /// The measured drive (completed operations only).
     pub throughput: ThroughputReport,
@@ -70,6 +63,9 @@ pub struct ChaosReport {
     /// issuing thread keeps going; with retries armed and a plan that
     /// never kills a quorum this should be zero.
     pub failed_ops: u64,
+    /// The first stable client's failed operation (first in thread order:
+    /// writers, then readers), if any.
+    pub first_error: Option<RuntimeError>,
     /// Plan steps that never fired: the drive's duration elapsed first, or
     /// the step rejoins a server a reconfiguration has retired — a non-zero
     /// count means the scenario under-ran its plan.
@@ -90,32 +86,23 @@ impl ChaosReport {
             && self.churn_joined == self.churn_departed
     }
 
-    /// The report of a drive that has not started.
-    pub(crate) fn blank() -> Self {
-        ChaosReport {
-            throughput: ThroughputReport {
-                reads: LatencyStats::new(),
-                writes: LatencyStats::new(),
-                elapsed: Duration::ZERO,
-            },
-            crashes: 0,
-            rejoins: 0,
-            rejoin_failures: 0,
-            reconfigs: 0,
-            reconfig_failures: 0,
-            churn_joined: 0,
-            churn_departed: 0,
-            churn_reads: 0,
-            failed_ops: 0,
-            steps_skipped: 0,
-            live_servers: Vec::new(),
+    /// The open and closed loops' outcome: the measured drive, or the
+    /// first failed operation's error.
+    ///
+    /// # Errors
+    ///
+    /// [`first_error`](Self::first_error), if an operation failed.
+    pub fn into_throughput(self) -> Result<ThroughputReport, RuntimeError> {
+        match self.first_error {
+            Some(e) => Err(e),
+            None => Ok(self.throughput),
         }
     }
 }
 
 /// What a drive's client threads and its injector share: the clock the
 /// plan's triggers read and the cluster-wide operation counters.
-pub(crate) struct Drive<'a> {
+pub(crate) struct Shared<'a> {
     pub(crate) start: Instant,
     pub(crate) duration: Duration,
     pub(crate) completed: &'a AtomicU64,
@@ -129,60 +116,57 @@ pub(crate) struct Drive<'a> {
 /// so is a rejoin of an id a reconfiguration has since retired, which no
 /// cluster can honour.
 ///
-/// The two drivers differ only in how a churn client is minted:
-/// `churn_reader` builds one fully configured incarnation on the reserved
-/// slot from the cluster `C` the driver was handed (a
-/// [`RuntimeCluster`], or a `&mut KeyspaceCluster`); its reads land in
-/// `churn_reads`.
-pub(crate) fn inject_plan<F, C>(
+/// `churn_reader` mints one fully configured churn incarnation on the
+/// reserved slot from the cluster; its reads land in `churn_reads`.
+pub(crate) fn inject_plan<F, C, E>(
     cluster: &mut C,
     plan: &FaultPlan,
-    drive: &Drive<'_>,
+    shared: &Shared<'_>,
     report: &mut ChaosReport,
     churn_reads: &mut LatencyStats,
-    mut churn_reader: impl FnMut(&C) -> Result<LiveReader<F::Endpoint>, TransportError>,
+    mut churn_reader: impl FnMut(&C) -> Result<LiveReader<E>, TransportError>,
 ) where
     F: EndpointFactory,
-    C: DerefMut<Target = KeyspaceCluster<F>>,
+    C: BorrowMut<KeyspaceCluster<F>>,
+    E: Endpoint,
 {
-    let Drive { start, duration, completed, failed } = *drive;
+    let Shared { start, duration, completed, failed } = *shared;
     for step in plan.steps() {
         let due = |now: Duration| match step.trigger {
             FaultTrigger::Ops(n) => completed.load(Ordering::Relaxed) >= n,
             FaultTrigger::Elapsed(d) => now >= d,
         };
-        let mut fired = true;
-        loop {
+        let fired = loop {
             let now = start.elapsed();
             if due(now) {
-                break;
+                break true;
             }
             if now >= duration {
-                fired = false;
-                break;
+                break false;
             }
             thread::sleep(TRIGGER_POLL);
-        }
+        };
         if !fired {
             report.steps_skipped += 1;
             continue;
         }
+        let manager: &mut KeyspaceCluster<F> = cluster.borrow_mut();
         match step.event {
             FaultEvent::CrashServer(idx) => {
-                if cluster.live_servers().contains(&idx) {
-                    cluster.crash_server(idx);
+                if manager.live_servers().contains(&idx) {
+                    manager.crash_server(idx);
                     report.crashes += 1;
                 }
             }
             FaultEvent::RejoinServer(idx) => {
-                if cluster.live_servers().contains(&idx) {
+                if manager.live_servers().contains(&idx) {
                     continue;
                 }
-                if !cluster.members().contains(&idx) {
+                if !manager.members().contains(&idx) {
                     report.steps_skipped += 1;
                     continue;
                 }
-                match cluster.rejoin_server(idx) {
+                match manager.rejoin_server(idx) {
                     Ok(()) => report.rejoins += 1,
                     Err(_) => report.rejoin_failures += 1,
                 }
@@ -221,16 +205,16 @@ pub(crate) fn inject_plan<F, C>(
                 // Retire the lowest-indexed current members; refuse
                 // (count, don't panic) if the target shape would not
                 // assemble quorums.
-                let members = cluster.members();
+                let members = manager.members();
                 let removes: Vec<u32> = members.iter().copied().take(remove as usize).collect();
                 let target = members.len() + add as usize - removes.len();
                 if (add == 0 && removes.is_empty())
-                    || cluster.reconfigured_config(target).is_err()
+                    || manager.reconfigured_config(target).is_err()
                 {
                     report.reconfig_failures += 1;
                     continue;
                 }
-                match cluster.reconfigure(add as usize, &removes) {
+                match manager.reconfigure(add as usize, &removes) {
                     Ok(_) => report.reconfigs += 1,
                     Err(_) => report.reconfig_failures += 1,
                 }
@@ -239,141 +223,13 @@ pub(crate) fn inject_plan<F, C>(
     }
 }
 
-/// Runs an open-loop drive for `duration` while executing `plan` against
-/// the cluster (the module docs above describe the execution model).
-/// Stable clients get `retry` so transient fault windows are ridden out
-/// rather than surfaced; when `tap` is given they also emit sampled
-/// records to the streaming auditor (churn clients stay untapped — each
-/// incarnation reuses the reserved slot's client id, and the auditor
-/// keys operations by id). Note `&mut` on the cluster: crash and rejoin
-/// restructure it.
-///
-/// # Errors
-///
-/// Returns a [`RuntimeError`] only for setup failures (a stable client
-/// endpoint that cannot open). Operation failures during the drive are
-/// counted in the report, never returned.
-pub fn run_chaos_live<F: EndpointFactory>(
-    cluster: &mut RuntimeCluster<F>,
-    wire: FastWire,
-    timeout: Option<Duration>,
-    retry: RetryPolicy,
-    plan: FaultPlan,
-    duration: Duration,
-    tap: Option<&AuditTap>,
-) -> Result<ChaosReport, RuntimeError> {
-    let config = cluster.config();
-    let churny = plan.steps().iter().any(|s| matches!(s.event, FaultEvent::ChurnBurst { .. }));
-    // The churn slot is the highest reader index; the stable drive leaves
-    // it free so sequential churn incarnations can mint it.
-    let stable_readers =
-        if churny { config.readers().saturating_sub(1) } else { config.readers() };
-    let churn_slot = config.readers().saturating_sub(1) as u32;
-
-    let mut writers = Vec::with_capacity(config.writers());
-    for w in 0..config.writers() as u32 {
-        let mut client = cluster.writer(w)?.with_retry(retry);
-        if let Some(t) = timeout {
-            client = client.with_timeout(t);
-        }
-        if let Some(tap) = tap {
-            client = client.with_tap(tap.clone());
-        }
-        writers.push((w, client));
-    }
-    let mut readers = Vec::with_capacity(stable_readers);
-    for r in 0..stable_readers as u32 {
-        let mut client = cluster.reader_with_wire(r, wire)?.with_retry(retry);
-        if let Some(t) = timeout {
-            client = client.with_timeout(t);
-        }
-        if let Some(tap) = tap {
-            client = client.with_tap(tap.clone());
-        }
-        readers.push(client);
-    }
-
-    let completed = AtomicU64::new(0);
-    let failed = AtomicU64::new(0);
-    let start = Instant::now();
-    let (mut reads, mut writes) = (LatencyStats::new(), LatencyStats::new());
-    let mut report = ChaosReport::blank();
-
-    thread::scope(|scope| {
-        let completed = &completed;
-        let failed = &failed;
-        let mut write_threads = Vec::new();
-        for (w, mut client) in writers {
-            write_threads.push(scope.spawn(move || {
-                let mut lat = LatencyStats::new();
-                let mut value = u64::from(w) * 1_000_000_000 + 1;
-                while start.elapsed() < duration {
-                    let t0 = Instant::now();
-                    match client.write(Value::new(value)) {
-                        Ok(_) => {
-                            lat.record(SimTime::from_ticks(t0.elapsed().as_micros() as u64));
-                            completed.fetch_add(1, Ordering::Relaxed);
-                            value += 1;
-                        }
-                        Err(_) => {
-                            failed.fetch_add(1, Ordering::Relaxed);
-                            // Don't hot-spin on a persistent failure mode.
-                            thread::sleep(TRIGGER_POLL);
-                        }
-                    }
-                }
-                lat
-            }));
-        }
-        let mut read_threads = Vec::new();
-        for mut client in readers {
-            read_threads.push(scope.spawn(move || {
-                let mut lat = LatencyStats::new();
-                while start.elapsed() < duration {
-                    let t0 = Instant::now();
-                    match client.read() {
-                        Ok(_) => {
-                            lat.record(SimTime::from_ticks(t0.elapsed().as_micros() as u64));
-                            completed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            failed.fetch_add(1, Ordering::Relaxed);
-                            thread::sleep(TRIGGER_POLL);
-                        }
-                    }
-                }
-                lat
-            }));
-        }
-
-        let drive = Drive { start, duration, completed, failed };
-        inject_plan(cluster, &plan, &drive, &mut report, &mut reads, |cluster| {
-            let client = cluster.reader_with_wire(churn_slot, wire)?.with_retry(retry);
-            Ok(match timeout {
-                Some(t) => client.with_timeout(t),
-                None => client,
-            })
-        });
-
-        for t in write_threads {
-            writes.merge(&t.join().expect("writer thread panicked"));
-        }
-        for t in read_threads {
-            reads.merge(&t.join().expect("reader thread panicked"));
-        }
-    });
-
-    report.throughput = ThroughputReport { reads, writes, elapsed: start.elapsed() };
-    report.failed_ops = failed.load(Ordering::Relaxed);
-    report.live_servers = cluster.live_servers();
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::live::tests::{keyspace, register};
+    use crate::{DriveSpec, Keys, Target};
     use mwr_core::Protocol;
-    use mwr_runtime::InMemoryTransport;
+    use mwr_runtime::{InMemoryTransport, RetryPolicy, RuntimeCluster};
     use mwr_types::ClusterConfig;
 
     fn cluster() -> RuntimeCluster<InMemoryTransport> {
@@ -387,14 +243,15 @@ mod tests {
         let plan = FaultPlan::new()
             .at_ops(20, FaultEvent::CrashServer(0))
             .at_ops(60, FaultEvent::RejoinServer(0));
-        let report = run_chaos_live(
-            &mut cluster,
-            FastWire::default(),
-            Some(Duration::from_secs(2)),
-            RetryPolicy { attempts: 4, backoff: Duration::from_millis(2) },
-            plan,
-            Duration::from_millis(300),
+        let report = register(
+            Target::Faulted(&mut cluster, &plan),
             None,
+            DriveSpec {
+                timeout: Some(Duration::from_secs(2)),
+                retry: RetryPolicy { attempts: 4, backoff: Duration::from_millis(2) },
+                duration: Duration::from_millis(300),
+                ..DriveSpec::default()
+            },
         )
         .unwrap();
         assert_eq!(report.crashes, 1, "{report:?}");
@@ -409,14 +266,14 @@ mod tests {
     fn churn_burst_reserves_the_top_reader_slot_and_departs_everyone() {
         let mut cluster = cluster();
         let plan = FaultPlan::churn_storm(25, 2, 10);
-        let report = run_chaos_live(
-            &mut cluster,
-            FastWire::default(),
-            Some(Duration::from_secs(2)),
-            RetryPolicy::default(),
-            plan,
-            Duration::from_millis(300),
+        let report = register(
+            Target::Faulted(&mut cluster, &plan),
             None,
+            DriveSpec {
+                timeout: Some(Duration::from_secs(2)),
+                duration: Duration::from_millis(300),
+                ..DriveSpec::default()
+            },
         )
         .unwrap();
         assert_eq!(report.churn_joined, 25, "{report:?}");
@@ -432,14 +289,15 @@ mod tests {
         let mut cluster =
             RuntimeCluster::start_on(InMemoryTransport::new(), config, Protocol::W2R1).unwrap();
         let plan = FaultPlan::reconfigure(2, 2, 30);
-        let report = run_chaos_live(
-            &mut cluster,
-            FastWire::default(),
-            Some(Duration::from_secs(2)),
-            RetryPolicy { attempts: 4, backoff: Duration::from_millis(2) },
-            plan,
-            Duration::from_millis(400),
+        let report = register(
+            Target::Faulted(&mut cluster, &plan),
             None,
+            DriveSpec {
+                timeout: Some(Duration::from_secs(2)),
+                retry: RetryPolicy { attempts: 4, backoff: Duration::from_millis(2) },
+                duration: Duration::from_millis(400),
+                ..DriveSpec::default()
+            },
         )
         .unwrap();
         assert_eq!(report.reconfigs, 1, "{report:?}");
@@ -455,14 +313,14 @@ mod tests {
         let mut cluster = cluster(); // S = 3, t = 1
         // Removing two of three servers would leave S' = 1 ≤ 2t: refused.
         let plan = FaultPlan::reconfigure(0, 2, 5);
-        let report = run_chaos_live(
-            &mut cluster,
-            FastWire::default(),
-            Some(Duration::from_secs(2)),
-            RetryPolicy::default(),
-            plan,
-            Duration::from_millis(200),
+        let report = register(
+            Target::Faulted(&mut cluster, &plan),
             None,
+            DriveSpec {
+                timeout: Some(Duration::from_secs(2)),
+                duration: Duration::from_millis(200),
+                ..DriveSpec::default()
+            },
         )
         .unwrap();
         assert_eq!(report.reconfig_failures, 1, "{report:?}");
@@ -482,13 +340,12 @@ mod tests {
             .at_ops(5, FaultEvent::RejoinServer(0));
         let retry = RetryPolicy { attempts: 4, backoff: Duration::from_millis(2) };
         let (patience, duration) = (Some(Duration::from_secs(2)), Duration::from_millis(300));
+        let spec = DriveSpec { timeout: patience, retry, duration, ..DriveSpec::default() };
 
         let config = ClusterConfig::new(5, 1, 2, 1).unwrap();
         let mut cluster =
             RuntimeCluster::start_on(InMemoryTransport::new(), config, Protocol::W2R1).unwrap();
-        let wire = FastWire::default();
-        let report =
-            run_chaos_live(&mut cluster, wire, patience, retry, plan, duration, None).unwrap();
+        let report = register(Target::Faulted(&mut cluster, &plan), None, spec).unwrap();
         assert_eq!((report.reconfigs, report.steps_skipped), (1, 1), "{report:?}");
         assert_eq!((report.rejoins, report.rejoin_failures), (0, 0), "{report:?}");
         assert_eq!(report.live_servers, vec![1, 2, 3, 4, 5]);
@@ -497,18 +354,9 @@ mod tests {
         let config = mwr_types::KeyspaceConfig::new(5, 1, 3, 8, 2, 1).unwrap();
         let mut cluster =
             KeyspaceCluster::start_on(InMemoryTransport::new(), config, Protocol::W2Ra).unwrap();
-        let report = crate::run_keyspace_chaos(
-            &mut cluster,
-            8,
-            1.1,
-            patience,
-            retry,
-            plan,
-            duration,
-            42,
-            None,
-        )
-        .unwrap();
+        let keys = Keys { count: 8, zipf: 1.1, seed: 42 };
+        let report =
+            keyspace(Target::Faulted(&mut cluster, &plan), DriveSpec { keys, ..spec }).unwrap();
         assert_eq!((report.reconfigs, report.steps_skipped), (1, 1), "{report:?}");
         assert_eq!((report.rejoins, report.rejoin_failures), (0, 0), "{report:?}");
         assert_eq!(report.live_servers, vec![1, 2, 3, 4, 5]);
@@ -519,14 +367,13 @@ mod tests {
     fn steps_past_the_drives_end_are_counted_skipped() {
         let mut cluster = cluster();
         let plan = FaultPlan::new().at_ops(u64::MAX, FaultEvent::CrashServer(0));
-        let report = run_chaos_live(
-            &mut cluster,
-            FastWire::default(),
+        let report = register(
+            Target::Faulted(&mut cluster, &plan),
             None,
-            RetryPolicy::default(),
-            plan,
-            Duration::from_millis(30),
-            None,
+            DriveSpec {
+                duration: Duration::from_millis(30),
+                ..DriveSpec::default()
+            },
         )
         .unwrap();
         assert_eq!(report.steps_skipped, 1);

@@ -40,7 +40,7 @@ impl Default for WorkloadSpec {
 pub struct WorkloadReport {
     /// All client events, for history checking. Populated by the simulator
     /// drivers; empty for live-runtime runs (see
-    /// [`run_closed_loop_live`](crate::run_closed_loop_live)), which
+    /// [`drive`](crate::drive)), which
     /// measure wall-clock latency without a checkable virtual-time
     /// history.
     pub events: Vec<(SimTime, ClientEvent)>,

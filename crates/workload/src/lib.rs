@@ -3,19 +3,15 @@
 //! - [`run_closed_loop`] — closed-loop clients over the simulator, generic
 //!   over every [`SimCluster`](mwr_core::SimCluster) protocol family; the
 //!   engine behind the latency figures in `EXPERIMENTS.md`.
-//! - [`run_closed_loop_live`] — the same closed-loop [`WorkloadSpec`] over
-//!   the live runtime (threads, channels or TCP), one tick = 1 µs.
-//! - [`run_open_loop_live`] — the saturating throughput driver: every
-//!   client issues back-to-back, load is swept via the client population,
-//!   and the [`ThroughputReport`] carries ops/sec plus latency-under-load.
-//! - [`run_keyspace_open_loop`] — the open-loop driver over a sharded
-//!   [`KeyspaceCluster`](mwr_runtime::KeyspaceCluster): every operation's
-//!   key is drawn from a Zipf law over `N` registers, with per-key scoped
-//!   clients multiplexed over one endpoint per thread.
-//! - [`run_chaos_live`] — the open-loop driver with a deterministic
-//!   [`FaultPlan`](mwr_runtime::FaultPlan) executing against the cluster:
-//!   crash/rejoin/churn events fire at fixed op-counts or times and the
-//!   [`ChaosReport`] counts what fired and whether the service held up.
+//! - [`drive`] — the one live drive (threads over channels or TCP): closed
+//!   or open loop, one register or a Zipf-keyed keyspace with per-key
+//!   scoped clients multiplexed over one endpoint per thread, with or
+//!   without a deterministic [`FaultPlan`](mwr_runtime::FaultPlan) fired
+//!   at fixed op-counts or times. Each thread gets a `mint(key) -> client`
+//!   closure from its caller; keys ([`Keys`]), pace and knobs
+//!   ([`DriveSpec`]) and the plan ([`Target`]) are inputs. The
+//!   [`ChaosReport`] carries the [`ThroughputReport`] (ops/sec plus
+//!   latency under load), what the plan fired, and every failed operation.
 //! - [`LatencyStats`] / [`LatencySummary`] — exact percentile statistics.
 //! - [`TextTable`] — aligned text tables the experiment binaries print.
 //!
@@ -39,21 +35,14 @@
 
 mod chaos;
 mod driver;
-mod keyspace;
 mod live;
 mod stats;
 mod table;
 
-pub use chaos::{run_chaos_live, ChaosReport};
-pub use keyspace::{
-    run_keyspace_chaos, run_keyspace_open_loop, run_keyspace_open_loop_audited, TapFor,
-};
+pub use chaos::ChaosReport;
 pub use driver::{
     drive_closed_loop, run_closed_loop, run_closed_loop_customized, WorkloadReport, WorkloadSpec,
 };
-pub use live::{
-    run_closed_loop_live, run_closed_loop_live_audited, run_open_loop_live,
-    run_open_loop_live_audited, ThroughputReport,
-};
+pub use live::{drive, DriveSpec, Keys, TapFor, Target, ThroughputReport};
 pub use stats::{LatencyStats, LatencySummary};
 pub use table::TextTable;

@@ -8,9 +8,9 @@ use mwr_types::ClusterConfig;
 /// How many server acknowledgements an operation round waits for.
 ///
 /// This is the per-operation "consistency level" knob of quorum-replicated
-/// stores. The round still *broadcasts* to all servers (the paper's
-/// algorithm schema, §2.2); the level only decides when the client stops
-/// waiting.
+/// stores, and the `quorum` of the round machine's scope. The round still
+/// *broadcasts* to all servers (the paper's algorithm schema, §2.2); the
+/// level only decides when the client stops waiting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConsistencyLevel {
     /// Wait for a single acknowledgement.
@@ -80,13 +80,10 @@ pub enum WriteTagging {
     /// ties are broken by writer id — last-writer-wins. This is the "fast
     /// write" whose multi-writer atomicity Theorem 1 rules out.
     Local,
-    /// Two round-trips: query the maximum tag at `query` level first, then
-    /// write `(maxTS + 1, wi)` — the tag discipline of the paper's
-    /// Algorithm 1 / LS97.
-    Queried {
-        /// Ack threshold for the tag-query round.
-        query: ConsistencyLevel,
-    },
+    /// Two round-trips: query the maximum tag first, then write
+    /// `(maxTS + 1, wi)` — the tag discipline of the paper's Algorithm 1 /
+    /// LS97. Both rounds wait for the write level.
+    Queried,
 }
 
 impl WriteTagging {
@@ -94,7 +91,7 @@ impl WriteTagging {
     pub fn round_trips(self) -> usize {
         match self {
             WriteTagging::Local => 1,
-            WriteTagging::Queried { .. } => 2,
+            WriteTagging::Queried => 2,
         }
     }
 }
@@ -174,7 +171,7 @@ impl TunableSpec {
     /// possible; reads never miss a completed write.
     pub fn strong() -> Self {
         TunableSpec {
-            tagging: WriteTagging::Queried { query: ConsistencyLevel::Majority },
+            tagging: WriteTagging::Queried,
             write_level: ConsistencyLevel::Majority,
             read_level: ConsistencyLevel::Majority,
             read_repair: false,
@@ -200,18 +197,14 @@ impl TunableSpec {
 
     /// Whether every operation stays wait-free under `t` crashes.
     pub fn wait_free(self, config: &ClusterConfig) -> bool {
-        let query_ok = match self.tagging {
-            WriteTagging::Local => true,
-            WriteTagging::Queried { query } => query.wait_free(config),
-        };
-        query_ok && self.write_level.wait_free(config) && self.read_level.wait_free(config)
+        self.write_level.wait_free(config) && self.read_level.wait_free(config)
     }
 
     /// Table label, e.g. `"lww W:ONE R:MAJ +repair"`.
     pub fn label(self) -> String {
         let tagging = match self.tagging {
             WriteTagging::Local => "lww".to_string(),
-            WriteTagging::Queried { query } => format!("tag@{}", query.name()),
+            WriteTagging::Queried => format!("tag@{}", self.write_level.name()),
         };
         let repair = if self.read_repair { " +repair" } else { "" };
         format!("{tagging} W:{} R:{}{repair}", self.write_level.name(), self.read_level.name())

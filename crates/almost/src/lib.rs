@@ -17,6 +17,10 @@
 //!   [`WriteTagging::Queried`] = the paper's two-round-trip tag discipline)
 //!   and per-operation ack thresholds ([`ConsistencyLevel`]) are tunable,
 //!   with optional Cassandra-style asynchronous *read repair*.
+//! - No client of its own: a [`TunableSpec`] configures `mwr-core`'s round
+//!   machine (`RoundMachine`), driven by its simulator client
+//!   (`RegisterClient`) against its unmodified servers. A consistency level
+//!   is the quorum of the machine's scope.
 //! - [`StalenessReport`] — quantification of the inconsistency a history
 //!   exhibits: per-read *staleness* (how many real-time-preceding writes
 //!   were newer than the returned value), new/old inversions between reads,
@@ -66,13 +70,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod client;
 mod cluster;
 mod level;
 mod metrics;
 mod profile;
 
-pub use client::TunableClient;
 pub use cluster::TunableCluster;
 pub use level::{ConsistencyLevel, TunableSpec, WriteTagging};
 pub use metrics::{ReadStaleness, StalenessReport};

@@ -1,6 +1,25 @@
 //! The Byzantine-hardened register client.
 //!
-//! Structure mirrors `mwr-core`'s client; the hardening is threefold:
+//! It speaks `mwr-core`'s messages but, unlike `mwr-almost`'s tunable
+//! clients, is not a configuration of `mwr-core`'s round machine
+//! (`RoundMachine`). At `b = 0` it is that machine at `t = 0` on the
+//! full-info wire without GC: a vouch threshold of 1 accepts every reported
+//! value and `safe_max_tag(tags, 0)` is the maximum (on 20 of 20 seeds at
+//! `(5, 0, 2, 2)`, both read modes give the same client events and delivery
+//! counts as W2R1 and W2R2). For `b > 0` vouching judges the *set* of
+//! quorum replies, not each reply as it arrives, and the machine lacks what
+//! that needs:
+//!
+//! - its `Query` round keeps only the maximum, where [`safe_max_tag`] needs
+//!   every reported tag;
+//! - slow reads here collect full snapshots to vouch, not `QueryAck`s;
+//! - selection runs the naive `Admissibility` over freshly vouched
+//!   snapshots with `2b` and `quorum_size()`, not the machine's standing
+//!   witness index with `t` and `S`.
+//!
+//! Folding it would put a `b` branch into each of the machine's phases for
+//! a client only the simulator runs, so it stays. The hardening is
+//! threefold:
 //!
 //! 1. **Inflation-immune write tags** — the writer's first round takes the
 //!    `(b + 1)`-st largest reported tag ([`safe_max_tag`]) instead of the

@@ -66,7 +66,10 @@ impl RegisterClient {
         Self::drive(RoundMachine::reader(id, config, mode, wire))
     }
 
-    fn drive(machine: RoundMachine) -> Self {
+    /// Creates a client driving a machine its caller configured: another
+    /// scope (`mwr-almost`'s consistency levels) or an
+    /// [`unsecured_reader`](RoundMachine::unsecured_reader).
+    pub fn drive(machine: RoundMachine) -> Self {
         RegisterClient { machine, pending: VecDeque::new(), current: None }
     }
 
@@ -113,6 +116,11 @@ impl Automaton<Msg, ClientEvent> for RegisterClient {
             }
             Step::Done(result) => {
                 let (op, kind) = self.current.take().expect("completing without an op");
+                // A read repair outlives its read: sent before the next
+                // operation's round, awaited by no one.
+                if self.machine.in_flight() {
+                    self.send_round(ctx);
+                }
                 ctx.notify(ClientEvent::Completed { op, kind, result });
                 self.start_next(ctx);
             }

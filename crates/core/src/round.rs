@@ -10,6 +10,12 @@
 //! | [`WriteMode::Fast`] | update with a writer-local timestamp | ABD single-writer, Dutta et al. W1R1, and the *naive* multi-writer fast writes whose impossibility the paper proves |
 //! | [`ReadMode::Slow`] | query max, then write back | ABD, W2R2 |
 //! | [`ReadMode::Fast`] | one combined round + `admissible(·)` selection | W2R1 (Algorithm 1), Dutta et al. W1R1 |
+//! | [`RoundMachine::unsecured_reader`] | query max and return it; optional read repair no one waits for | `mwr-almost`'s tunable consistency levels |
+//!
+//! A consistency level is a scope's quorum: `mwr-almost` runs these machines
+//! under a [`Scope`] over all `S` servers whose `quorum` is the level's ack
+//! count, so every round still reaches every server and the level only
+//! decides when the machine stops waiting.
 //!
 //! # The cut
 //!
@@ -202,6 +208,12 @@ enum Role {
         local_ts: u64,
     },
     Reader(Reader),
+    /// A reader that returns its query round's maximum as it stands: it
+    /// keeps nothing between operations.
+    UnsecuredReader {
+        /// Store a returned non-initial value on every server afterwards.
+        repair: bool,
+    },
 }
 
 #[derive(Debug)]
@@ -236,6 +248,10 @@ enum Phase {
     /// Fast read over a delta wire: the deltas merge straight into the
     /// reader's caches and index on arrival, nothing is held or cloned.
     ReadFastDelta,
+    /// Read repair: storing an unsecured read's returned value after the
+    /// read completed. No one waits for it — its acks are ignored — and the
+    /// next operation abandons it.
+    Repair { value: TaggedValue },
     /// Leaving the cluster: collecting `DepartAck`s.
     Depart,
 }
@@ -289,6 +305,15 @@ impl RoundMachine {
         Self::new(ClientId::Reader(id), config, Role::Reader(reader))
     }
 
+    /// A reader that returns the maximum its query round collects without
+    /// securing it by a write-back: one round-trip, and not atomic. With
+    /// `repair`, a returned value other than the initial one then goes to
+    /// every server in a round the read does not wait for (Cassandra-style
+    /// read repair; see [`in_flight`](Self::in_flight)).
+    pub fn unsecured_reader(id: ReaderId, config: ClusterConfig, repair: bool) -> Self {
+        Self::new(ClientId::Reader(id), config, Role::UnsecuredReader { repair })
+    }
+
     fn new(client: ClientId, config: ClusterConfig, role: Role) -> Self {
         let targets = config.server_ids().collect();
         RoundMachine {
@@ -324,12 +349,19 @@ impl RoundMachine {
     }
 
     /// The largest server-announced GC floor a reader has seen (the initial
-    /// value for a writer, which never learns one).
+    /// value for a writer or an unsecured reader, which never learn one).
     pub fn gc_floor(&self) -> TaggedValue {
         match &self.role {
             Role::Reader(reader) => reader.gc_floor,
-            Role::Writer { .. } => TaggedValue::initial(),
+            Role::Writer { .. } | Role::UnsecuredReader { .. } => TaggedValue::initial(),
         }
+    }
+
+    /// Whether a round is in flight: an operation's, or the read repair an
+    /// unsecured read's [`Step::Done`] left behind, whose
+    /// [`frames`](Self::frames) are still to be sent.
+    pub fn in_flight(&self) -> bool {
+        self.current.is_some()
     }
 
     /// Whether the round in flight is a fast read's combined round — the
@@ -357,9 +389,10 @@ impl RoundMachine {
             (Role::Writer { mode: WriteMode::Slow, .. }, OpKind::Write(value)) => {
                 Phase::Query { write: Some(value), best: TaggedValue::initial() }
             }
-            (Role::Reader(Reader { mode: ReadMode::Slow, .. }), OpKind::Read) => {
-                Phase::Query { write: None, best: TaggedValue::initial() }
-            }
+            (
+                Role::Reader(Reader { mode: ReadMode::Slow, .. }) | Role::UnsecuredReader { .. },
+                OpKind::Read,
+            ) => Phase::Query { write: None, best: TaggedValue::initial() },
             (Role::Reader(Reader { wire: FastWire::FullInfo, .. }), OpKind::Read) => {
                 Phase::ReadFast { replies: BTreeMap::new() }
             }
@@ -367,7 +400,7 @@ impl RoundMachine {
             (Role::Writer { .. }, OpKind::Read) => {
                 panic!("writers cannot invoke read() (paper §2.1)")
             }
-            (Role::Reader(_), OpKind::Write(_)) => {
+            (Role::Reader(_) | Role::UnsecuredReader { .. }, OpKind::Write(_)) => {
                 panic!("readers cannot invoke write() (paper §2.1)")
             }
         };
@@ -397,16 +430,17 @@ impl RoundMachine {
     ///
     /// # Panics
     ///
-    /// Panics if no operation is in flight.
+    /// Panics if no round is in flight ([`in_flight`](Self::in_flight)).
     pub fn frames(&mut self) -> impl Iterator<Item = (ServerId, Msg)> + '_ {
         let RoundMachine { role, scope, current, floor, .. } = self;
-        let inflight = current.as_ref().expect("frames() needs an operation in flight");
+        let inflight = current.as_ref().expect("frames() needs a round in flight");
         let (handle, floor) = (inflight.handle, *floor);
         let same_for_all = match (&inflight.phase, &*role) {
             (Phase::Query { .. }, _) => Some(Msg::Query { handle }),
             (Phase::Store { result }, _) => {
                 Some(Msg::Update { handle, value: result.tagged_value(), floor })
             }
+            (&Phase::Repair { value }, _) => Some(Msg::Update { handle, value, floor }),
             (Phase::Depart, _) => Some(Msg::Depart { handle }),
             (Phase::ReadFast { .. }, Role::Reader(reader)) => {
                 Some(Msg::ReadFast { handle, val_queue: reader.val_queue.iter().copied().collect() })
@@ -492,6 +526,16 @@ impl RoundMachine {
         let next = match (&inflight.phase, role) {
             (Phase::Query { write: Some(value), best }, Role::Writer { id, .. }) => {
                 OpResult::Written(TaggedValue::new(best.tag().next(*id), *value))
+            }
+            (&Phase::Query { best, .. }, &mut Role::UnsecuredReader { repair }) => {
+                let handle = OpHandle { phase: 2, ..inflight.handle };
+                let done = self.finish(OpResult::Read(best));
+                if repair && !best.tag().is_initial() {
+                    let phase = Phase::Repair { value: best };
+                    self.current = Some(InFlight { handle, phase, must_secure: false });
+                    self.acks.clear();
+                }
+                return done;
             }
             (Phase::Query { best, .. }, _) => OpResult::Read(*best),
             (Phase::ReadFast { .. } | Phase::ReadFastDelta, Role::Reader(reader)) => {
@@ -821,5 +865,42 @@ mod tests {
         assert_eq!(attempt(&mut reader, &mut servers, &[0, 1, 2]), Step::Wait);
         assert_eq!(attempt(&mut reader, &mut servers, &[2]), Step::Ignored, "already heard");
         assert_eq!(attempt(&mut reader, &mut servers, &[4]), Step::Departed);
+    }
+
+    /// A consistency level as `mwr-almost` sets one: every server, `level` acks.
+    fn level(level: usize) -> Scope {
+        Scope { targets: ids(&[0, 1, 2, 3, 4]), quorum: level, joint: None, epoch: ConfigEpoch::ZERO }
+    }
+
+    #[test]
+    fn a_level_is_a_quorum_and_a_read_repair_is_sent_but_never_awaited() {
+        let mut servers = servers();
+        let mut writer = RoundMachine::writer(WriterId::new(0), config(), WriteMode::Fast);
+        writer.rescope(level(1));
+        writer.begin(OpKind::Write(Value::new(1)));
+        let written = TaggedValue::new(Tag::new(1, WriterId::new(0)), Value::new(1));
+        assert_eq!(attempt(&mut writer, &mut servers, &[0]), Step::Done(OpResult::Written(written)));
+
+        let mut reader = RoundMachine::unsecured_reader(ReaderId::new(0), config(), true);
+        reader.rescope(level(2));
+        let op = reader.begin(OpKind::Read);
+        assert_eq!(attempt(&mut reader, &mut servers, &[1]), Step::Wait);
+        assert_eq!(attempt(&mut reader, &mut servers, &[0]), Step::Done(OpResult::Read(written)));
+        assert!(reader.in_flight(), "the repair outlives the read");
+        let repair = Msg::Update { handle: OpHandle { op, phase: 2 }, value: written, floor: written };
+        assert!(reader.frames().eq(ids(&[0, 1, 2, 3, 4]).into_iter().map(|s| (s, repair.clone()))));
+
+        let ack = reply(&mut reader, &mut servers, 2);
+        assert_eq!(reader.on_reply(ServerId::new(2), ack), Step::Ignored, "no one waits for it");
+        let late = reply(&mut reader, &mut servers, 3);
+        reader.begin(OpKind::Read);
+        assert_eq!(reader.on_reply(ServerId::new(3), late), Step::Ignored, "abandoned by begin");
+        assert_eq!(attempt(&mut reader, &mut servers, &[2, 3]), Step::Done(OpResult::Read(written)));
+
+        let mut servers = self::servers();
+        let mut reader = RoundMachine::unsecured_reader(ReaderId::new(1), config(), true);
+        reader.rescope(level(2));
+        assert_eq!(run(&mut reader, &mut servers, &[3, 4], OpKind::Read), (TaggedValue::initial(), 1));
+        assert!(!reader.in_flight(), "the initial value is never repaired");
     }
 }

@@ -123,9 +123,10 @@ pub fn run_closed_loop_customized<C: SimCluster>(
 ///
 /// The simulation must contain one client automaton per reader and writer
 /// of `config`, each accepting [`Msg::InvokeRead`] / [`Msg::InvokeWrite`]
-/// and emitting [`ClientEvent`]s — true of `mwr-core`'s protocol clients
-/// and of any protocol variant built on the same message vocabulary (e.g.
-/// `mwr-almost`'s tunable-quorum clients).
+/// and emitting [`ClientEvent`]s — true of `mwr-core`'s `RegisterClient`
+/// (which `mwr-almost`'s tunable levels configure rather than copy) and of
+/// any protocol variant built on the same message vocabulary (e.g.
+/// `mwr-byz`'s client).
 ///
 /// # Errors
 ///

@@ -14,7 +14,15 @@
 //! (commit dc1d697), before the two client implementations became drivers of
 //! one round machine: they widen the pin to the adaptive fallback, the
 //! full-info wire and the fast write, which the first three never run.
+//!
+//! The four tunable digests were recorded at the parent of the change that
+//! made `mwr-almost`'s clients a configuration of the round machine (commit
+//! 97173e9), on the same schedule. They digest each trace summary only up to
+//! its `floor:` field: the machine piggybacks its completed floor on
+//! `Update` where the old client sent the initial value, and the tunable
+//! cluster's servers run without GC, which ignores every floor.
 
+use mwr::almost::{ConsistencyLevel, TunableCluster, TunableSpec};
 use mwr::core::{Cluster, FastWire, Protocol, SimCluster};
 use mwr::sim::{DelayModel, LinkSelector, SimTime};
 use mwr::types::{ClusterConfig, ProcessId};
@@ -132,4 +140,76 @@ fn w2r1_full_info_reproduces_the_parent_of_pr_20() {
 #[test]
 fn naive_fast_write_reproduces_the_parent_of_pr_20() {
     assert_eq!(golden_run(Protocol::NaiveW1R1, (5, 1, 2, 2)), (1_760, 408, 0x95ff_b0e8_5b7b_4c4a));
+}
+
+/// [`golden_run_of`]'s schedule on a tunable cluster at (5, 1, 2, 2); each
+/// trace summary is digested up to its `floor:` field (module docs).
+fn tunable_golden_run(spec: TunableSpec) -> (usize, usize, u64) {
+    let cluster = TunableCluster::new(ClusterConfig::new(5, 1, 2, 2).unwrap(), spec);
+    let mut sim = cluster.build_sim(42);
+    sim.network_mut().set_default_delay(DelayModel::Uniform {
+        lo: SimTime::from_ticks(1),
+        hi: SimTime::from_ticks(40),
+    });
+    sim.enable_trace();
+    let held = LinkSelector::directed(ProcessId::reader(0), ProcessId::server(1));
+    sim.schedule_hold(SimTime::from_ticks(100), held);
+    sim.schedule_release(SimTime::from_ticks(700), held);
+    sim.schedule_crash(SimTime::from_ticks(900), ProcessId::server(0));
+    let spec = WorkloadSpec {
+        duration: SimTime::from_ticks(3_000),
+        think_time: SimTime::from_ticks(5),
+        seed: 42,
+    };
+    let report = drive_closed_loop(&mut sim, cluster.config(), spec).unwrap();
+
+    let mut digest = Fnv::new();
+    let trace = sim.trace().expect("tracing enabled").entries();
+    for e in trace {
+        digest.int(e.at.ticks());
+        digest.text(&e.from.to_string());
+        digest.text(&e.to.to_string());
+        digest.text(e.summary.split(", floor: ").next().unwrap_or_default());
+    }
+    for (at, event) in &report.events {
+        digest.int(at.ticks());
+        digest.text(&format!("{event:?}"));
+    }
+    let stats = sim.stats();
+    assert!(stats.messages_parked > 0, "the hold must actually bite");
+    assert!(stats.messages_dropped_crash > 0, "the crash must actually bite");
+    for v in [
+        stats.events_processed,
+        stats.messages_delivered,
+        stats.messages_parked,
+        stats.messages_dropped_crash,
+        stats.timers_fired,
+        stats.externals_delivered,
+        stats.end_time.ticks(),
+    ] {
+        digest.int(v);
+    }
+    (trace.len(), report.events.len(), digest.0)
+}
+
+#[test]
+fn tunable_one_one_with_repair_reproduces_the_separate_tunable_client() {
+    assert_eq!(tunable_golden_run(TunableSpec::fastest_with_repair()), (5_570, 864, 0x824a_7438_9b31_9f9d));
+}
+
+#[test]
+fn tunable_quorum_lww_reproduces_the_separate_tunable_client() {
+    assert_eq!(tunable_golden_run(TunableSpec::quorum_lww()), (2_118, 492, 0x94de_9056_e258_780d));
+}
+
+#[test]
+fn tunable_strong_reproduces_the_separate_tunable_client() {
+    assert_eq!(tunable_golden_run(TunableSpec::strong()), (2_194, 442, 0xdb5e_535d_add7_68d8));
+}
+
+/// The s0 crash at tick 900 blocks every later write that waits for ALL.
+#[test]
+fn tunable_all_level_write_reproduces_the_separate_tunable_client() {
+    let spec = TunableSpec { write_level: ConsistencyLevel::All, ..TunableSpec::fastest() };
+    assert_eq!(tunable_golden_run(spec), (2_132, 484, 0xc991_6e74_f586_5d55));
 }

@@ -11,12 +11,17 @@
 //!   merges).
 //!
 //! `admissible_smoke --assert-admissible-floor` is the CI-gated subset of
-//! these curves.
+//! these curves. The index maintenance itself is `fast_read_merge`: one
+//! read's worth of `FastReadState::merge` calls at `sim-wide`'s shape.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use mwr_bench::synthetic_replies;
-use mwr_core::{Admissibility, Snapshot, SnapshotSource, WitnessIndex};
+use mwr_core::{
+    Admissibility, DeltaSnapshot, FastReadState, Snapshot, SnapshotSource, ValueRecord,
+    WitnessIndex,
+};
+use mwr_types::{ClientId, ServerId, Tag, TaggedValue, Value, WriterId};
 
 fn bench_admissible(c: &mut Criterion) {
     let shapes = [(5usize, 1usize, 2usize), (9, 2, 2), (13, 3, 2), (25, 4, 2)];
@@ -79,12 +84,62 @@ fn bench_admissible(c: &mut Criterion) {
     group.finish();
 }
 
+/// One fast read's index maintenance at `sim-wide`'s measured shape
+/// (S = 11, t = 1, 8 writers × 8 readers): a reader whose index holds 22
+/// values merges one delta from each of the 10 servers of its quorum, each
+/// carrying 15 records (7 of them new values) with 52 new registrations and
+/// a GC floor that evicts 6 values from that server's slot. `clone` is the
+/// set-up every iteration repeats (the merges consume the state); the
+/// merge cost is `S11_read` minus `clone`.
+fn bench_fast_read_merge(c: &mut Criterion) {
+    let tv = |ts: u64| TaggedValue::new(Tag::new(ts, WriterId::new(ts as u32 % 8)), Value::new(ts));
+    let writers = |ts: u64| vec![ClientId::writer(ts as u32 % 8)];
+    let servers: Vec<ServerId> = (0..11).map(ServerId::new).collect();
+
+    // Standing state: every server holds the initial value and v1..v21,
+    // each registered with its writer.
+    let mut standing = FastReadState::new();
+    for &s in &servers {
+        let entries = (1..=21).map(|ts| ValueRecord { value: tv(ts), updated: writers(ts) }).collect();
+        standing.merge(
+            s,
+            &DeltaSnapshot { from: 0, version: 21, latest: tv(21), pruned: TaggedValue::initial(), entries },
+        );
+    }
+    assert_eq!(standing.index().len(), 22);
+
+    // The read's delta: v14..v28 (v22.. new), readers registered on each —
+    // four on the first seven records, three on the rest (52 pairs) — and
+    // a floor at v6, which evicts the initial value and v1..v5.
+    let entries: Vec<ValueRecord> = (14..=28)
+        .map(|ts| {
+            let readers = if ts < 21 { 4 } else { 3 };
+            ValueRecord { value: tv(ts), updated: (0..readers).map(ClientId::reader).collect() }
+        })
+        .collect();
+    assert_eq!(entries.iter().map(|r| r.updated.len()).sum::<usize>(), 52);
+    let delta = DeltaSnapshot { from: 21, version: 80, latest: tv(28), pruned: tv(6), entries };
+
+    let mut group = c.benchmark_group("fast_read_merge");
+    group.bench_function("clone", |b| b.iter(|| standing.clone()));
+    group.bench_function("S11_read", |b| {
+        b.iter(|| {
+            let mut state = standing.clone();
+            for &s in &servers[..10] {
+                state.merge(s, &delta);
+            }
+            state
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(20)
         .warm_up_time(std::time::Duration::from_millis(400))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_admissible
+    targets = bench_admissible, bench_fast_read_merge
 }
 criterion_main!(benches);

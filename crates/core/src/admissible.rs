@@ -34,8 +34,9 @@
 //!   per-value masks are built **once** (per read via
 //!   [`WitnessIndex::from_views`], or maintained **incrementally across
 //!   reads** by [`FastReadState`](crate::FastReadState) as delta snapshots
-//!   merge) and shared across every candidate and every degree of the
-//!   selection walk.
+//!   merge, where the index is also the reader's only record of which
+//!   values each server holds) and shared across every candidate and every
+//!   degree of the selection walk.
 //!
 //! # Complexity
 //!
@@ -50,6 +51,7 @@
 //! the fast path's scaling in CI.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use mwr_types::{ClientId, TaggedValue};
 
@@ -336,10 +338,14 @@ fn search(candidates: &[u128], start: usize, acc: u128, remaining: usize, needed
 /// - per read, for full-info replies, via [`WitnessIndex::from_views`];
 /// - across reads, for the delta wire, maintained incrementally by
 ///   [`FastReadState`](crate::FastReadState) as deltas merge — the per-read
-///   cost of selection no longer rebuilds anything at all.
+///   cost of selection no longer rebuilds anything at all. There slot `s`'s
+///   `containing` bits *are* the reader's mirror of server `s`'s store:
+///   nothing else records which values a server holds.
 ///
-/// Values whose `containing` mask goes empty (GC eviction) are dropped, so
-/// the index stays bounded by live protocol state.
+/// Both paths take a reply's entries sorted by value, so recording them is
+/// one forward pass over the sorted index. Values whose `containing` mask
+/// goes empty (GC eviction, one sweep over the prefix below a floor) are
+/// dropped, so the index stays bounded by live protocol state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WitnessIndex {
     /// value → witness masks, sorted by value ascending. Post-GC the live
@@ -350,19 +356,19 @@ pub struct WitnessIndex {
 
 /// The masks recorded for one candidate value.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct ValueWitness {
+struct ValueWitness {
     /// Bit `s`: slot `s` currently holds this value.
-    pub(crate) containing: u128,
+    containing: u128,
     /// Client → slots where the client is registered on this value, sorted
     /// by client. Every set bit here is also set in `containing` (a
     /// registration implies the slot holds the value).
-    pub(crate) witnesses: Vec<(ClientId, u128)>,
+    witnesses: Vec<(ClientId, u128)>,
 }
 
 impl ValueWitness {
     /// Marks `client` registered on this value at `slot` (which therefore
     /// holds the value).
-    pub(crate) fn record(&mut self, slot: usize, client: ClientId) {
+    fn record(&mut self, slot: usize, client: ClientId) {
         let bit = 1u128 << slot;
         self.containing |= bit;
         match self.witnesses.binary_search_by_key(&client, |e| e.0) {
@@ -378,7 +384,7 @@ impl ValueWitness {
     /// both the wire's `updated` lists and `witnesses` are sorted by
     /// client. Out-of-order elements (a non-conforming peer) fall back to
     /// the searched insert, preserving set semantics.
-    pub(crate) fn record_sorted(&mut self, slot: usize, clients: &[ClientId]) {
+    fn record_sorted(&mut self, slot: usize, clients: &[ClientId]) {
         let bit = 1u128 << slot;
         self.containing |= bit;
         let mut i = 0;
@@ -424,15 +430,41 @@ impl WitnessIndex {
         for (slot, view) in views.into_iter().enumerate() {
             assert!(slot < MAX_SLOTS, "at most 128 server replies supported");
             slots = slot + 1;
-            for (value, clients) in view.entries() {
-                let w = index.witness_entry(value);
-                w.containing |= 1u128 << slot;
-                for &c in clients {
-                    w.record(slot, c);
-                }
-            }
+            index.record_entries(slot, view.entries());
         }
         (index, mask_of(slots))
+    }
+
+    /// Records that slot `slot` holds each entry's value with the entry's
+    /// clients registered on it — a snapshot's entries or a delta's
+    /// records, both sorted by value. Sorted input is merged in with one
+    /// forward cursor over the sorted index; an entry out of order (a
+    /// non-conforming peer) falls back to the searched insert, preserving
+    /// set semantics.
+    pub(crate) fn record_entries<'a>(
+        &mut self,
+        slot: usize,
+        entries: impl IntoIterator<Item = (TaggedValue, &'a [ClientId])>,
+    ) {
+        // Every entry before `cursor` is below every in-order value still to
+        // come; a searched insert (a value below `prev`) keeps that true.
+        let mut cursor = 0;
+        let mut prev: Option<TaggedValue> = None;
+        for (value, clients) in entries {
+            let w = if prev.is_some_and(|p| value <= p) {
+                self.witness_entry(value)
+            } else {
+                prev = Some(value);
+                while self.entries.get(cursor).is_some_and(|e| e.0 < value) {
+                    cursor += 1;
+                }
+                if self.entries.get(cursor).is_none_or(|e| e.0 != value) {
+                    self.entries.insert(cursor, (value, ValueWitness::default()));
+                }
+                &mut self.entries[cursor].1
+            };
+            w.record_sorted(slot, clients);
+        }
     }
 
     /// Records that slot `slot` holds `value` (with no new registrations).
@@ -456,9 +488,8 @@ impl WitnessIndex {
         self.witness_entry(value).record(slot, client);
     }
 
-    /// The mutable witness entry for `value` — one probe that a merge
-    /// amortizes over a whole record's registrations.
-    pub(crate) fn witness_entry(&mut self, value: TaggedValue) -> &mut ValueWitness {
+    /// The mutable witness entry for `value`, created empty if absent.
+    fn witness_entry(&mut self, value: TaggedValue) -> &mut ValueWitness {
         match self.entries.binary_search_by_key(&value, |e| e.0) {
             Ok(i) => &mut self.entries[i].1,
             Err(i) => {
@@ -469,22 +500,58 @@ impl WitnessIndex {
     }
 
     /// Forgets everything slot `slot` recorded about `value` (the slot's
-    /// store pruned it); drops the value entirely once no slot holds it.
+    /// store pruned it); drops the value entirely once no slot holds it —
+    /// the one-value case of the sweep a delta's GC floor runs.
     pub fn evict(&mut self, slot: usize, value: TaggedValue) {
+        let found = self.entries.binary_search_by_key(&value, |e| e.0);
+        self.sweep(slot, found.map_or(0..0, |at| at..at + 1), None);
+    }
+
+    /// Mirrors one server's GC: forgets everything slot `slot` recorded
+    /// about the values below `floor`, except `spare` (the server's
+    /// `latest`, which it never prunes) — one sweep over the index prefix
+    /// below the floor.
+    pub(crate) fn evict_below(&mut self, slot: usize, floor: TaggedValue, spare: TaggedValue) {
+        let end = self.entries.partition_point(|e| e.0 < floor);
+        self.sweep(slot, 0..end, Some(spare));
+    }
+
+    /// Forgets everything slot `slot` recorded.
+    pub(crate) fn evict_slot(&mut self, slot: usize) {
+        self.sweep(slot, 0..self.entries.len(), None);
+    }
+
+    /// Clears slot `slot`'s bits on the entries at positions `range`
+    /// (except `spare`'s), then drops every value no slot holds any more in
+    /// one `retain`.
+    fn sweep(&mut self, slot: usize, range: Range<usize>, spare: Option<TaggedValue>) {
         assert!(slot < MAX_SLOTS, "slot {slot} out of bitmask range");
-        let keep = !(1u128 << slot);
-        if let Ok(i) = self.entries.binary_search_by_key(&value, |e| e.0) {
-            let w = &mut self.entries[i].1;
-            w.containing &= keep;
+        let bit = 1u128 << slot;
+        let mut emptied = false;
+        for (value, w) in &mut self.entries[range] {
+            if w.containing & bit == 0 || Some(*value) == spare {
+                continue;
+            }
+            w.containing &= !bit;
             if w.containing == 0 {
-                self.entries.remove(i);
-                return;
+                emptied = true;
+                continue;
             }
             w.witnesses.retain_mut(|e| {
-                e.1 &= keep;
+                e.1 &= !bit;
                 e.1 != 0
             });
         }
+        if emptied {
+            self.entries.retain(|(_, w)| w.containing != 0);
+        }
+    }
+
+    /// Whether some slot in `mask` currently holds `value`.
+    pub(crate) fn holds(&self, mask: u128, value: TaggedValue) -> bool {
+        self.entries
+            .binary_search_by_key(&value, |e| e.0)
+            .is_ok_and(|i| self.entries[i].1.containing & mask != 0)
     }
 
     /// The values some slot in `mask` currently holds, ascending — what a

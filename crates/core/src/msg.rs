@@ -103,8 +103,16 @@ impl Snapshot {
 /// `(from, version]` identifies precisely the store mutations this delta
 /// carries. A reader that merges deltas contiguously (its acknowledged
 /// version always equals the previous delta's `version`; per-link FIFO and
-/// one-operation-at-a-time clients guarantee this) reconstructs the server's
-/// full store byte-for-byte.
+/// one-operation-at-a-time clients guarantee this) reconstructs the part of
+/// the server's store that GC has not condemned:
+/// `store ∩ ({v ≥ pruned} ∪ {latest})`, every value with its full
+/// registration set. That is the whole store except in one corner: the
+/// server prunes only when its floor moves and keeps its `latest` through
+/// the prune even below the floor, while the reader drops everything below
+/// `pruned` but the *current* `latest` — so once a newer value arrives, the
+/// server still stores the former maximum and the mirror no longer does.
+/// Nothing can return such a value (it is below every client's completed
+/// floor; see the server module's GC argument).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeltaSnapshot {
     /// The reader-acknowledged version this delta starts from (exclusive).
@@ -183,15 +191,15 @@ pub struct RegisterTransfer {
 /// A single merge-join over the two sorted sequences
 /// (`O(|queue| + |known|)`), instead of a tree probe per queue entry per
 /// server.
-fn unacknowledged_from<'a>(
-    known: impl Iterator<Item = &'a TaggedValue>,
+fn unacknowledged_from(
+    known: impl Iterator<Item = TaggedValue>,
     val_queue: &BTreeSet<TaggedValue>,
 ) -> Vec<TaggedValue> {
     let mut out = Vec::new();
     let mut known = known.peekable();
     for &v in val_queue {
-        while known.next_if(|k| **k < v).is_some() {}
-        if known.peek().copied() != Some(&v) {
+        while known.next_if(|k| *k < v).is_some() {}
+        if known.peek() != Some(&v) {
             out.push(v);
         }
     }
@@ -255,10 +263,12 @@ impl FromIterator<ClientId> for ClientSet {
 /// A reader's cached copy of one server's store, maintained by merging
 /// [`DeltaSnapshot`]s — the client-side dual of the delta wire.
 ///
-/// Contiguous versioned deltas over FIFO links keep the cache an exact
-/// mirror of the server's store (including server-side GC pruning, which
-/// always retains the server's `latest`), so [`reconstruct`](Self::reconstruct)
-/// equals the full-info [`Snapshot`] byte-for-byte.
+/// Contiguous versioned deltas over FIFO links keep the cache equal to
+/// `store ∩ ({v ≥ pruned} ∪ {latest})` with full registration sets, so
+/// [`reconstruct`](Self::reconstruct) equals the full-info [`Snapshot`]
+/// minus the one corner [`DeltaSnapshot`] describes: a former `latest`
+/// below the GC floor, which the server keeps and the cache drops once
+/// `latest` moves on.
 #[derive(Debug, Clone)]
 pub struct SnapshotCache {
     /// The last merged [`DeltaSnapshot::version`]; sent back as `acked`.
@@ -289,7 +299,7 @@ impl SnapshotCache {
     /// The entries of `val_queue` this server is *not* known to hold — the
     /// `new_values` of the next delta request.
     pub fn unacknowledged(&self, val_queue: &BTreeSet<TaggedValue>) -> Vec<TaggedValue> {
-        unacknowledged_from(self.entries.iter().map(|e| &e.0), val_queue)
+        unacknowledged_from(self.entries.iter().map(|e| e.0), val_queue)
     }
 
     /// The registered clients cached for `value`, if the server is known to
@@ -335,8 +345,8 @@ impl SnapshotCache {
             }
         }
         self.version = self.version.max(delta.version);
-        // Mirror the server's GC: drop what it dropped (it keeps `latest`
-        // unconditionally), so the reconstruction stays exact.
+        // Mirror the server's GC: drop everything below its floor but its
+        // `latest` (see the type docs for the one value this drops early).
         let (pruned, latest) = (delta.pruned, delta.latest);
         self.entries.retain(|(v, _)| *v >= pruned || *v == latest);
     }
@@ -362,28 +372,20 @@ impl Default for SnapshotCache {
     }
 }
 
-/// Slim per-server state for the indexed fast-read path: the acknowledged
-/// version plus the sorted list of values the server is known to hold.
-///
-/// Client registrations live only in the shared [`WitnessIndex`] (as slot
-/// bits) — the witness bit *is* the membership test — so the merge flood
-/// pays one binary search per registration instead of maintaining a
-/// parallel client set per server (that duplicate lives on in
-/// [`SnapshotCache`] for the naive/standalone path).
-#[derive(Debug, Clone, Default)]
-pub struct ReaderCache {
+/// What a [`FastReadState`] knows about one server, borrowed: the
+/// acknowledged version, and which values the server is known to hold —
+/// read straight off the server's slot in the shared [`WitnessIndex`],
+/// whose `containing` bits are the reader's only mirror of each store.
+#[derive(Debug, Clone, Copy)]
+pub struct ReaderCache<'a> {
     /// The last merged [`DeltaSnapshot::version`]; sent back as `acked`.
     version: u64,
-    /// Values the server is known to hold, sorted ascending.
-    values: Vec<TaggedValue>,
+    /// The server's slot bit in `index`.
+    bit: u128,
+    index: &'a WitnessIndex,
 }
 
-impl ReaderCache {
-    /// Seeded like a fresh server's store: the initial value, version 0.
-    fn new() -> Self {
-        ReaderCache { version: 0, values: vec![TaggedValue::initial()] }
-    }
-
+impl ReaderCache<'_> {
     /// The acknowledged version to send with the next
     /// [`Msg::ReadFastDelta`].
     pub fn acked_version(&self) -> u64 {
@@ -393,37 +395,34 @@ impl ReaderCache {
     /// Whether the server is known to hold `value` (such entries are
     /// omitted from the request's `new_values`).
     pub fn knows(&self, value: TaggedValue) -> bool {
-        self.values.binary_search(&value).is_ok()
+        self.index.holds(self.bit, value)
     }
 
     /// The entries of `val_queue` this server is *not* known to hold — the
     /// `new_values` of the next delta request.
     pub fn unacknowledged(&self, val_queue: &BTreeSet<TaggedValue>) -> Vec<TaggedValue> {
-        unacknowledged_from(self.values.iter(), val_queue)
-    }
-
-    /// Records that the server holds `value`.
-    fn add_value(&mut self, value: TaggedValue) {
-        if let Err(i) = self.values.binary_search(&value) {
-            self.values.insert(i, value);
-        }
+        unacknowledged_from(self.index.values_in(self.bit), val_queue)
     }
 }
 
-/// A reader's complete fast-read state for the delta wire: slim per-server
-/// [`ReaderCache`]s plus a [`WitnessIndex`] over all of them, maintained
-/// *incrementally* as deltas merge.
+/// A reader's complete fast-read state for the delta wire: each server's
+/// acknowledged version plus one [`WitnessIndex`] over every server's
+/// store, maintained *incrementally* as deltas merge.
 ///
-/// Index slot `s` is server `s` (at most 128 servers). Because every cache
-/// mutation — registration, value arrival, GC eviction, even lazy cache
-/// creation — updates the index in the same call, a read's return-value
-/// selection needs no per-read reconstruction or indexing at all: it masks
-/// the standing index down to the servers that replied
-/// ([`WitnessIndex::selector`]) and walks it once. Owned by the client's
-/// [`RoundMachine`](crate::RoundMachine), which both drivers share.
+/// Index slot `s` is server `s` (at most 128 servers), and the index is the
+/// only mirror kept: which values a server holds is its slot's
+/// `containing` bit, which clients it registered on them its witness bits.
+/// A merge is one forward pass of the delta's sorted records over the
+/// sorted index plus, for the server's GC, one sweep over the index prefix
+/// below its floor; a read's return-value selection needs no per-read
+/// reconstruction or indexing at all: it masks the standing index down to
+/// the servers that replied ([`WitnessIndex::selector`]) and walks it once.
+/// Owned by the client's [`RoundMachine`](crate::RoundMachine), which both
+/// drivers share.
 #[derive(Debug, Clone, Default)]
 pub struct FastReadState {
-    caches: BTreeMap<ServerId, ReaderCache>,
+    /// Acknowledged version per server contacted so far.
+    versions: BTreeMap<ServerId, u64>,
     index: WitnessIndex,
 }
 
@@ -449,52 +448,40 @@ impl FastReadState {
         1u128 << Self::slot(server)
     }
 
-    /// The cache mirroring `server`'s store, created on first use (a fresh
-    /// cache mirrors a fresh store: the initial value, no registrations —
-    /// and the index learns that entry immediately).
-    pub fn cache(&mut self, server: ServerId) -> &ReaderCache {
-        self.cache_mut(server)
+    /// What the reader knows about `server`'s store, created on first use
+    /// (a fresh mirror mirrors a fresh store: the initial value, no
+    /// registrations, version 0).
+    pub fn cache(&mut self, server: ServerId) -> ReaderCache<'_> {
+        let version = *self.version_mut(server);
+        ReaderCache { version, bit: Self::mask_bit(server), index: &self.index }
     }
 
-    fn cache_mut(&mut self, server: ServerId) -> &mut ReaderCache {
+    /// `server`'s acknowledged version; on first contact the index learns
+    /// the fresh store's one entry in the same call.
+    fn version_mut(&mut self, server: ServerId) -> &mut u64 {
         let slot = Self::slot(server);
         let index = &mut self.index;
-        self.caches.entry(server).or_insert_with(|| {
+        self.versions.entry(server).or_insert_with(|| {
             index.record_value(slot, TaggedValue::initial());
-            ReaderCache::new()
+            0
         })
     }
 
-    /// Merges one delta from `server`, keeping cache and index exact in one
-    /// pass: new registrations set witness bits, GC evictions clear them.
+    /// Merges one delta from `server` into the index: one forward pass
+    /// records the delta's values and registrations, one sweep mirrors the
+    /// server's GC.
     ///
     /// Applies exactly [`SnapshotCache::merge`]'s store semantics (pinned
     /// by `tests/witness_equivalence.rs` against a from-scratch rebuild
-    /// over `SnapshotCache` mirrors), with one index probe per record and
-    /// one idempotent witness-bit probe per registration.
+    /// over `SnapshotCache` mirrors).
     pub fn merge(&mut self, server: ServerId, delta: &DeltaSnapshot) {
+        let version = self.version_mut(server);
+        *version = (*version).max(delta.version);
         let slot = Self::slot(server);
-        let bit = 1u128 << slot;
-        self.cache_mut(server);
-        let FastReadState { caches, index } = self;
-        let cache = caches.get_mut(&server).expect("cache_mut created the entry");
-        for rec in &delta.entries {
-            cache.add_value(rec.value);
-            let w = index.witness_entry(rec.value);
-            w.containing |= bit;
-            w.record_sorted(slot, &rec.updated);
-        }
-        cache.version = cache.version.max(delta.version);
-        // Mirror the server's GC: drop what it dropped (it keeps `latest`
-        // unconditionally), evicting the dropped entries' index bits too.
-        let (pruned, latest) = (delta.pruned, delta.latest);
-        cache.values.retain(|v| {
-            let keep = *v >= pruned || *v == latest;
-            if !keep {
-                index.evict(slot, *v);
-            }
-            keep
-        });
+        self.index
+            .record_entries(slot, delta.entries.iter().map(|r| (r.value, r.updated.as_slice())));
+        // Drop what the server dropped; it keeps `latest` unconditionally.
+        self.index.evict_below(slot, delta.pruned, delta.latest);
     }
 
     /// The standing witness index over every cached server store.
@@ -514,12 +501,9 @@ impl FastReadState {
     /// so merging it right after this call makes the mirror exact again.
     pub fn reset(&mut self, server: ServerId) {
         let slot = Self::slot(server);
-        let Some(cache) = self.caches.get_mut(&server) else { return };
-        for value in cache.values.drain(..) {
-            self.index.evict(slot, value);
-        }
-        cache.values.push(TaggedValue::initial());
-        cache.version = 0;
+        let Some(version) = self.versions.get_mut(&server) else { return };
+        *version = 0;
+        self.index.evict_slot(slot);
         self.index.record_value(slot, TaggedValue::initial());
     }
 }

@@ -31,9 +31,12 @@
 //! server, the last version it merged (`acked`); the server's reply covers
 //! exactly the registrations in `(acked, now]`. Because links are FIFO and
 //! clients run one operation at a time, the deltas a reader merges are
-//! contiguous, so its cached copy of the server's store is always exact:
-//! the reconstruction equals the full-info [`Snapshot`] byte-for-byte, and
-//! `admissible(·)` selection is unchanged.
+//! contiguous, so its cached copy of the server's store is exact above the
+//! GC floor: the reconstruction equals the full-info [`Snapshot`] of
+//! `store ∩ ({v ≥ pruned} ∪ {latest})` (a former `latest` the server kept
+//! through a prune is the one value outside it; see
+//! [`DeltaSnapshot`](crate::msg::DeltaSnapshot)), and `admissible(·)`
+//! selection is unchanged.
 //!
 //! Two details keep the *registration* behavior identical to full-info:
 //!
@@ -678,10 +681,14 @@ impl ServerState {
     /// for why the fast read's fallback never needs the pruned entries.
     pub fn prune_below(&mut self, floor: TaggedValue) -> usize {
         let latest = self.latest;
+        let keep = |val: &TaggedValue| *val >= floor || *val == latest;
         let before = self.store.len();
-        self.store.retain(|val, _| *val >= floor || *val == latest);
-        let store = &self.store;
-        self.additions.retain(|(_, val)| store.contains_key(val));
+        self.store.retain(|val, _| keep(val));
+        // Every logged addition is a stored value (each insert path logs
+        // the value it stores), so the store's own predicate filters the
+        // log without probing the store.
+        self.additions.retain(|(_, val)| keep(val));
+        debug_assert!(self.additions.iter().all(|(_, val)| self.store.contains_key(val)));
         before - self.store.len()
     }
 }
@@ -1123,6 +1130,33 @@ mod tests {
         let dropped = s.prune_below(tv(9, 0, 0));
         assert_eq!(dropped, 1);
         assert!(s.updated_set(s.latest()).is_some());
+    }
+
+    /// What a delta mirror holds is `store ∩ ({v ≥ pruned} ∪ {latest})`,
+    /// which is not always the whole store: a server keeps its `latest`
+    /// through a prune even below the floor, and still stores it after a
+    /// newer value arrives, while a mirror drops it then.
+    #[test]
+    fn a_delta_mirror_is_the_store_above_the_floor_plus_latest() {
+        use crate::msg::SnapshotCache;
+        let (v1, v2, v3) = (tv(1, 0, 1), tv(2, 0, 2), tv(3, 0, 3));
+        let mut s = ServerState::with_gc(1);
+        s.update(v1, ClientId::writer(0));
+        // The writer's floor is a write this server missed: the prune at v2
+        // keeps v1, the current maximum.
+        s.record_floor(ClientId::writer(0), v2);
+        assert_eq!((s.pruned_floor(), s.latest()), (v2, v1));
+        s.update(v3, ClientId::writer(0));
+
+        let mut mirror = SnapshotCache::new();
+        mirror.merge(&s.delta_since(0));
+        let stored = |v| s.updated_set(v).is_some();
+        assert!(stored(v1) && stored(v3), "the server still stores v1 and v3");
+        assert!(!mirror.knows(v1) && mirror.knows(v3), "the mirror holds v3 only");
+        for v in [TaggedValue::initial(), v1, v2, v3] {
+            let kept = v >= s.pruned_floor() || v == s.latest();
+            assert_eq!(mirror.knows(v), stored(v) && kept, "mirror vs store at {v}");
+        }
     }
 
     /// A contacted client that has not yet reported a floor holds pruning

@@ -171,4 +171,69 @@ proptest! {
             );
         }
     }
+
+    /// Mirror equivalence: what `FastReadState` answers about each server —
+    /// which values it holds, the acknowledged version, and the next
+    /// request's `new_values` — is exactly what a `SnapshotCache` fed the
+    /// same deltas answers, through resets (a rejoined server) and through
+    /// records that arrive out of tag order (a non-conforming peer).
+    #[test]
+    fn reader_state_answers_like_per_server_mirrors(
+        moves in vec(
+            (
+                0usize..4,                                  // server
+                vec((0usize..7, 0u16..256), 0..5),          // delta entries
+                0u64..20,                                   // version
+                0usize..8,                                  // pruned (7 = initial)
+                0usize..7,                                  // latest
+                0u8..8,      // 0 reset, 1–2 descending, 3 repeated, else ascending
+            ),
+            0..16,
+        ),
+        queue_bits in 0u8..128,
+    ) {
+        let mut state = FastReadState::new();
+        let mut mirror: BTreeMap<ServerId, SnapshotCache> = BTreeMap::new();
+        for (server, entries, version, pruned, latest, kind) in &moves {
+            let sid = ServerId::new(*server as u32);
+            let cache = mirror.entry(sid).or_default();
+            if *kind == 0 {
+                state.reset(sid);
+                *cache = SnapshotCache::new();
+                continue;
+            }
+            let mut records = snapshot(entries).entries;
+            match kind {
+                1 | 2 => records.reverse(),
+                3 => records.extend(records.clone()),
+                _ => {}
+            }
+            let delta = DeltaSnapshot {
+                from: 0,
+                version: *version,
+                latest: pool_value(*latest),
+                pruned: pool_value((*pruned).min(POOL)),
+                entries: records,
+            };
+            state.merge(sid, &delta);
+            cache.merge(&delta);
+        }
+
+        let queue: BTreeSet<TaggedValue> =
+            (0..=POOL).filter(|i| queue_bits & (1 << i) != 0).map(pool_value).collect();
+        for s in 0..4u32 {
+            let sid = ServerId::new(s);
+            let expect = mirror.get(&sid).cloned().unwrap_or_default();
+            let cache = state.cache(sid);
+            for i in 0..=POOL {
+                let v = pool_value(i);
+                prop_assert_eq!(cache.knows(v), expect.knows(v), "server {} knows({})", s, v);
+            }
+            prop_assert_eq!(cache.acked_version(), expect.acked_version(), "server {}", s);
+            prop_assert_eq!(cache.unacknowledged(&queue), expect.unacknowledged(&queue));
+            mirror.insert(sid, expect);
+        }
+        let (rebuilt, _) = WitnessIndex::from_views(mirror.values().map(SnapshotSource::view));
+        prop_assert_eq!(state.index(), &rebuilt);
+    }
 }

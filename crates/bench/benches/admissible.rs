@@ -12,16 +12,17 @@
 //!
 //! `admissible_smoke --assert-admissible-floor` is the CI-gated subset of
 //! these curves. The index maintenance itself is `fast_read_merge`: one
-//! read's worth of `FastReadState::merge` calls at `sim-wide`'s shape.
+//! read's worth of `FastReadState::merge` calls at `sim-wide`'s shape; the
+//! server's side of the same round is `server_fast_read`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use mwr_bench::synthetic_replies;
 use mwr_core::{
-    Admissibility, DeltaSnapshot, FastReadState, Snapshot, SnapshotSource, ValueRecord,
-    WitnessIndex,
+    Admissibility, DeltaSnapshot, FastReadState, Msg, OpHandle, OpId, RegisterServer, Snapshot,
+    SnapshotSource, ValueRecord, WitnessIndex,
 };
-use mwr_types::{ClientId, ServerId, Tag, TaggedValue, Value, WriterId};
+use mwr_types::{ClientId, ProcessId, ServerId, Tag, TaggedValue, Value, WriterId};
 
 fn bench_admissible(c: &mut Criterion) {
     let shapes = [(5usize, 1usize, 2usize), (9, 2, 2), (13, 3, 2), (25, 4, 2)];
@@ -134,12 +135,69 @@ fn bench_fast_read_merge(c: &mut Criterion) {
     group.finish();
 }
 
+/// One fast read's server side at `sim-wide`'s measured shape (8 writers ×
+/// 8 readers, GC on): a `ReadFastRuns` through `RegisterServer::handle` on a
+/// server storing 22 values, whose reader catches up on the 8 values
+/// first added between its previous two reads and gets a reply carrying
+/// 48 registrations. `clone` is the set-up every iteration repeats (the
+/// read mutates the server); the read's cost is `read` minus `clone`.
+fn bench_server_fast_read(c: &mut Criterion) {
+    let tv = |ts: u64| TaggedValue::new(Tag::new(ts, WriterId::new(ts as u32 % 8)), Value::new(ts));
+    let op = |client| OpHandle { op: OpId { client, seq: 0 }, phase: 1 };
+    let runs = |r: u32, acked, floor| Msg::ReadFastRuns {
+        handle: op(ClientId::reader(r)),
+        acked,
+        floor,
+        new_values: Vec::new(),
+    };
+    let mut server = RegisterServer::with_gc(16);
+    let mut acked = [0u64; 8];
+    // Round k: eight writes (each writer's floor its previous write), then
+    // reads by `readers` in order, their floors thirteen writes behind.
+    let rounds: [(u64, &[u32]); 3] =
+        [(0, &[0, 1, 2, 3, 4, 5, 6, 7]), (1, &[1, 2, 3, 4, 5, 6, 7, 0]), (2, &[1, 2, 3, 4])];
+    for (k, readers) in rounds {
+        for ts in 8 * k + 1..=8 * k + 8 {
+            let w = ts as u32 % 8;
+            let value = tv(ts);
+            let floor = tv(ts.saturating_sub(8));
+            let update = Msg::Update { handle: op(ClientId::writer(w)), value, floor };
+            server.handle(ProcessId::writer(w), &update);
+        }
+        for &r in readers {
+            let floor = tv((8 * k + 8).saturating_sub(13));
+            match server.handle(ProcessId::reader(r), &runs(r, acked[r as usize], floor)) {
+                Some(Msg::ReadFastRunsAck { delta, .. }) => acked[r as usize] = delta.version,
+                other => panic!("not a runs ack: {other:?}"),
+            }
+        }
+    }
+    let request = runs(0, acked[0], tv(11));
+    let reader = ProcessId::reader(0);
+    let Some(Msg::ReadFastRunsAck { delta, .. }) = server.clone().handle(reader, &request) else {
+        panic!("not a runs ack")
+    };
+    let regs = delta.entries.iter().map(|r| r.updated.len()).sum::<usize>();
+    assert_eq!((server.state().stored_values(), regs), (22, 48));
+
+    let mut group = c.benchmark_group("server_fast_read");
+    group.bench_function("clone", |b| b.iter(|| server.clone()));
+    group.bench_function("read", |b| {
+        b.iter(|| {
+            let mut server = server.clone();
+            server.handle(reader, &request);
+            server
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(20)
         .warm_up_time(std::time::Duration::from_millis(400))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_admissible, bench_fast_read_merge
+    targets = bench_admissible, bench_fast_read_merge, bench_server_fast_read
 }
 criterion_main!(benches);

@@ -230,6 +230,17 @@ impl ClientSet {
         }
     }
 
+    /// Removes `client`, returning whether it was present.
+    pub fn remove(&mut self, client: ClientId) -> bool {
+        match self.0.binary_search(&client) {
+            Ok(i) => {
+                self.0.remove(i);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
     /// Whether `client` is in the set.
     pub fn contains(&self, client: ClientId) -> bool {
         self.0.binary_search(&client).is_ok()
@@ -1543,6 +1554,9 @@ mod tests {
         let from_iter: ClientSet =
             [ClientId::writer(1), ClientId::reader(0), ClientId::writer(1)].into_iter().collect();
         assert_eq!(from_iter, set);
+        assert!(set.remove(ClientId::reader(0)));
+        assert!(!set.remove(ClientId::reader(0)), "removing an absent client is a no-op");
+        assert_eq!(set.as_slice(), &[ClientId::writer(1)]);
     }
 
     fn delta(version: u64, latest: TaggedValue, pruned: TaggedValue, entries: Vec<ValueRecord>) -> DeltaSnapshot {

@@ -48,7 +48,10 @@
 //!    ([`ServerState::catch_up_registrations`]): any value first added at
 //!    version ≤ `acked` is provably in the reader's `valQueue` (the reader
 //!    merged the delta that introduced it), exactly the set full-info
-//!    re-sends would have registered.
+//!    re-sends would have registered. Each stored value keeps the version
+//!    it was added at, and each reader a mark (the largest `acked` it was
+//!    caught up to), so catch-up is the window `(mark, acked]` of added
+//!    versions, found in one walk over the store.
 //!
 //! # Acknowledged-floor GC — correctness argument
 //!
@@ -146,30 +149,31 @@
 //! # Client churn: floor-safe departure
 //!
 //! A departing client broadcasts [`Msg::Depart`]; [`ServerState::depart`]
-//! removes it from the GC membership and floor map, drops its catch-up
-//! high-water mark and its registrations, and re-evaluates pruning (the
-//! departed client may have been the one unreported floor holding GC off,
-//! or the minimum floor holding it down). Safety: removing a departed
-//! client's registrations only *shrinks* witness sets, which makes
-//! admissibility more conservative, and every reader keeps the degree-1
-//! guarantee on its own `valQueue` through its own registrations — the
-//! departed client is simply a client that (provably) never speaks again,
-//! a special case of the client-crash fault model the protocol already
-//! tolerates. Liveness: `seen` and `floors` shrink together, so the
-//! engagement condition is re-checked on departure and a
-//! registered-then-silent client can un-wedge GC by departing.
+//! removes it from the GC membership (`seen`) and the floor reports
+//! (`floors`), drops its catch-up mark and its registrations, and
+//! re-evaluates pruning (the departed client may have been the one
+//! unreported floor holding GC off, or the minimum floor holding it down).
+//! Safety: removing a departed client's registrations only *shrinks*
+//! witness sets, which makes admissibility more conservative, and every
+//! reader keeps the degree-1 guarantee on its own `valQueue` through its
+//! own registrations — the departed client is simply a client that
+//! (provably) never speaks again, a special case of the client-crash fault
+//! model the protocol already tolerates. Liveness: the client leaves `seen` and `floors` together, so
+//! the engagement condition (`floors` covers `seen`) is re-checked on
+//! departure and a registered-then-silent client can un-wedge GC by
+//! departing.
 //!
 //! [`StateTransfer`]: crate::msg::StateTransfer
 //! [`Msg::Depart`]: crate::msg::Msg::Depart
 //! [`FastReadState::reset`]: crate::msg::FastReadState::reset
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use mwr_sim::{Automaton, Context};
 use mwr_types::{ClientId, ConfigEpoch, ProcessId, TaggedValue};
 
 use crate::events::ClientEvent;
-use crate::msg::{DeltaSnapshot, FloorReport, Msg, Snapshot, StateTransfer, ValueRecord};
+use crate::msg::{ClientSet, DeltaSnapshot, FloorReport, Msg, Snapshot, StateTransfer, ValueRecord};
 
 /// One stored value's bookkeeping: which clients are registered on it and
 /// when (in registration-version terms) each one arrived.
@@ -179,7 +183,10 @@ struct Entry {
     /// got (a flat Vec: populations are tens of clients, and this is the
     /// hottest per-registration probe on the server).
     updated: Vec<(ClientId, u64)>,
-    /// The version at which this value first entered the store.
+    /// The version at which this value entered the store (a value pruned
+    /// and inserted again gets a new one). It is the catch-up key: a reader
+    /// whose acknowledgement reaches it merged the delta that introduced
+    /// the value (see [`ServerState::catch_up_registrations`]).
     first_added: u64,
     /// The highest registration version in `updated` — the version counter
     /// is globally monotone, so this is just the version of the most recent
@@ -188,6 +195,18 @@ struct Entry {
     /// overstate after a [`ServerState::depart`] removal (harmless: the
     /// scan then finds nothing and emits no record).
     max_reg: u64,
+}
+
+impl Entry {
+    /// Registers `c` on this value unless it already is, stamping the
+    /// registration with the next version.
+    fn register(&mut self, c: ClientId, version: &mut u64) {
+        if let Err(i) = self.updated.binary_search_by_key(&c, |r| r.0) {
+            *version += 1;
+            self.updated.insert(i, (c, *version));
+            self.max_reg = *version;
+        }
+    }
 }
 
 /// Acknowledged-floor GC bookkeeping.
@@ -203,9 +222,9 @@ struct GcState {
     quorum: Option<usize>,
     /// Every client this server has heard any message from. Pruning is
     /// membership-aware: it engages once `floors` covers `seen`.
-    seen: BTreeSet<ClientId>,
-    /// Latest floor reported per client.
-    floors: BTreeMap<ClientId, TaggedValue>,
+    seen: ClientSet,
+    /// Latest floor reported per client, sorted by client.
+    floors: Vec<(ClientId, TaggedValue)>,
     /// The minimum of `floors` as of the last engagement scan — lets
     /// [`ServerState::record_floor`] skip the rescan when the reporting
     /// client provably did not hold the minimum (the common case on the
@@ -236,15 +255,15 @@ struct GcState {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerState {
     latest: TaggedValue,
-    store: BTreeMap<TaggedValue, Entry>,
+    /// Every stored value with its bookkeeping, sorted by value.
+    store: Vec<(TaggedValue, Entry)>,
     /// Monotone registration counter; every new `(value, client)` pair gets
     /// the next version.
     version: u64,
-    /// Value-addition log ordered by version, for reader catch-up.
-    additions: Vec<(u64, TaggedValue)>,
-    /// Per-reader catch-up high-water mark: the largest acknowledged
-    /// version whose values this reader has already been re-registered on.
-    registered_up_to: BTreeMap<ClientId, u64>,
+    /// Per-reader catch-up high-water mark, sorted by reader: the largest
+    /// acknowledged version whose values this reader has already been
+    /// re-registered on.
+    registered_up_to: Vec<(ClientId, u64)>,
     /// `Some` iff acknowledged-floor GC is enabled.
     gc: Option<GcState>,
     /// The version high-water recorded by the last [`install`](Self::install):
@@ -258,14 +277,11 @@ impl ServerState {
     /// A fresh server holding only the initial value `((0, ⊥), 0)` with an
     /// empty `updated` set (Algorithm 2, initialization). GC is off.
     pub fn new() -> Self {
-        let mut store = BTreeMap::new();
-        store.insert(TaggedValue::initial(), Entry::default());
         ServerState {
             latest: TaggedValue::initial(),
-            store,
+            store: vec![(TaggedValue::initial(), Entry::default())],
             version: 0,
-            additions: Vec::new(),
-            registered_up_to: BTreeMap::new(),
+            registered_up_to: Vec::new(),
             gc: None,
             reset_floor: 0,
         }
@@ -281,8 +297,8 @@ impl ServerState {
         state.gc = Some(GcState {
             population,
             quorum: None,
-            seen: BTreeSet::new(),
-            floors: BTreeMap::new(),
+            seen: ClientSet::new(),
+            floors: Vec::new(),
             min_reported: TaggedValue::initial(),
             pruned_floor: TaggedValue::initial(),
         });
@@ -362,27 +378,12 @@ impl ServerState {
     }
 
     fn update_impl(&mut self, val: TaggedValue, c: ClientId, force: bool) {
-        if !force
-            && val < self.pruned_floor()
-            && val <= self.latest
-            && !self.store.contains_key(&val)
-        {
+        let below = !force && val < self.pruned_floor() && val <= self.latest;
+        if below && self.find(val).is_err() {
             return; // dead on arrival: a late duplicate below the GC floor
         }
-        let version = &mut self.version;
-        let entry = match self.store.entry(val) {
-            std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::btree_map::Entry::Vacant(e) => {
-                *version += 1;
-                self.additions.push((*version, val));
-                e.insert(Entry { updated: Vec::new(), first_added: *version, max_reg: 0 })
-            }
-        };
-        if let Err(i) = entry.updated.binary_search_by_key(&c, |r| r.0) {
-            *version += 1;
-            entry.updated.insert(i, (c, *version));
-            entry.max_reg = *version;
-        }
+        let i = self.insert(val);
+        self.store[i].1.register(c, &mut self.version);
         if val > self.latest {
             self.latest = val;
         }
@@ -398,33 +399,30 @@ impl ServerState {
     /// Re-registers `reader` on every stored value it provably knows —
     /// those first added at a version `≤ acked` (the reader merged the
     /// delta that introduced them, so they are in its `valQueue`). This is
-    /// the delta protocol's stand-in for full-info's `valQueue` re-send;
-    /// amortized O(new values) via the per-reader high-water mark.
+    /// the delta protocol's stand-in for full-info's `valQueue` re-send.
+    /// Values first added at or below the reader's mark (the largest
+    /// `acked` it was caught up to) were covered then, so one walk over the
+    /// store registers it on the window `(mark, acked]` and on the initial
+    /// value: O(|store|), like [`delta_since`](Self::delta_since).
     pub fn catch_up_registrations(&mut self, reader: ClientId, acked: u64) {
-        // The initial value is in every reader's `valQueue` from birth and
-        // never enters the addition log; full-info re-sends it every read.
-        if self.store.contains_key(&TaggedValue::initial()) {
-            self.update(TaggedValue::initial(), reader);
-        }
-        let from = self.registered_up_to.get(&reader).copied().unwrap_or(0);
-        if acked <= from {
-            return; // late duplicate request: nothing new to catch up on
-        }
-        let start = self.additions.partition_point(|&(v, _)| v <= from);
-        // `update` on an already-stored value never touches `additions`
-        // (and pruned values are skipped), so the log can be lent out for
-        // the walk instead of collected into a fresh Vec per request.
-        let additions = std::mem::take(&mut self.additions);
-        for &(_, val) in
-            additions[start..].iter().take_while(|&&(v, _)| v <= acked)
-        {
-            if self.store.contains_key(&val) {
-                self.update(val, reader);
+        let i = match self.registered_up_to.binary_search_by_key(&reader, |r| r.0) {
+            Ok(i) => i,
+            Err(i) => {
+                self.registered_up_to.insert(i, (reader, 0));
+                i
+            }
+        };
+        let mark = self.registered_up_to[i].1;
+        self.registered_up_to[i].1 = mark.max(acked);
+        let version = &mut self.version;
+        for (val, entry) in &mut self.store {
+            // The initial value is in every reader's `valQueue` from birth;
+            // full-info re-sends it every read.
+            let window = mark < entry.first_added && entry.first_added <= acked;
+            if window || *val == TaggedValue::initial() {
+                entry.register(reader, version);
             }
         }
-        debug_assert!(self.additions.is_empty());
-        self.additions = additions;
-        self.registered_up_to.insert(reader, acked);
     }
 
     /// Records that `client` has contacted this server (any message).
@@ -443,13 +441,13 @@ impl ServerState {
     pub fn record_floor(&mut self, client: ClientId, floor: TaggedValue) {
         let Some(gc) = &mut self.gc else { return };
         gc.seen.insert(client);
-        match gc.floors.entry(client) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                let old = *e.get();
+        match gc.floors.binary_search_by_key(&client, |r| r.0) {
+            Ok(i) => {
+                let old = gc.floors[i].1;
                 if floor <= old {
                     return; // floor is monotone: nothing changed
                 }
-                e.insert(floor);
+                gc.floors[i].1 = floor;
                 // Raising a floor that was not the minimum cannot move the
                 // minimum, and the membership did not change, so the
                 // engagement condition is unchanged too: skip the rescan.
@@ -457,9 +455,7 @@ impl ServerState {
                     return;
                 }
             }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(floor);
-            }
+            Err(i) => gc.floors.insert(i, (client, floor)),
         }
         self.maybe_prune();
     }
@@ -478,7 +474,7 @@ impl ServerState {
         if !engaged {
             return;
         }
-        let min = gc.floors.values().copied().min().unwrap_or_default();
+        let min = gc.floors.iter().map(|&(_, floor)| floor).min().unwrap_or_default();
         gc.min_reported = min;
         if min > gc.pruned_floor {
             gc.pruned_floor = min;
@@ -493,15 +489,15 @@ impl ServerState {
     /// floor holding it down. See the module docs for why shrinking
     /// witness sets is safe.
     pub fn depart(&mut self, client: ClientId) {
-        self.registered_up_to.remove(&client);
-        for entry in self.store.values_mut() {
+        self.registered_up_to.retain(|&(c, _)| c != client);
+        for (_, entry) in &mut self.store {
             if let Ok(i) = entry.updated.binary_search_by_key(&client, |r| r.0) {
                 entry.updated.remove(i);
             }
         }
         if let Some(gc) = &mut self.gc {
-            gc.seen.remove(&client);
-            gc.floors.remove(&client);
+            gc.seen.remove(client);
+            gc.floors.retain(|&(c, _)| c != client);
         }
         self.maybe_prune();
     }
@@ -511,11 +507,8 @@ impl ServerState {
     pub fn export(&self) -> StateTransfer {
         let (seen, floors) = match &self.gc {
             Some(gc) => (
-                gc.seen.iter().copied().collect(),
-                gc.floors
-                    .iter()
-                    .map(|(&client, &floor)| FloorReport { client, floor })
-                    .collect(),
+                gc.seen.as_slice().to_vec(),
+                gc.floors.iter().map(|&(client, floor)| FloorReport { client, floor }).collect(),
             ),
             None => (Vec::new(), Vec::new()),
         };
@@ -572,14 +565,7 @@ impl ServerState {
             if clients.is_empty() {
                 // A value with no surviving registrations still needs a
                 // versioned addition so later reader catch-up covers it.
-                if !self.store.contains_key(&val) {
-                    self.version += 1;
-                    self.additions.push((self.version, val));
-                    self.store.insert(
-                        val,
-                        Entry { updated: Vec::new(), first_added: self.version, max_reg: 0 },
-                    );
-                }
+                self.insert(val);
             } else {
                 for &c in clients {
                     self.update_impl(val, c, true);
@@ -590,19 +576,19 @@ impl ServerState {
             self.latest = latest;
         }
         if let Some(gc) = &mut self.gc {
-            for t in transfers {
-                gc.seen.extend(t.seen.iter().copied());
-                for fr in &t.floors {
-                    let known = gc.floors.entry(fr.client).or_insert(fr.floor);
-                    *known = (*known).max(fr.floor);
-                }
-            }
+            let seen = transfers.iter().flat_map(|t| &t.seen);
+            gc.seen = gc.seen.as_slice().iter().chain(seen).copied().collect();
+            let floors = transfers.iter().flat_map(|t| &t.floors);
+            gc.floors.extend(floors.map(|fr| (fr.client, fr.floor)));
+            // Keep each client's highest report.
+            gc.floors.sort_unstable_by_key(|&(c, floor)| (c, std::cmp::Reverse(floor)));
+            gc.floors.dedup_by_key(|&mut (c, _)| c);
             gc.pruned_floor = gc.pruned_floor.max(pruned);
             // The direct floor merge bypassed `record_floor`, so refresh the
             // cached minimum: a stale-low cache would let every later
             // `record_floor` skip the rescan (its floor compares above the
             // stale minimum) and wedge pruning on reconfigured servers.
-            gc.min_reported = gc.floors.values().copied().min().unwrap_or_default();
+            gc.min_reported = gc.floors.iter().map(|&(_, floor)| floor).min().unwrap_or_default();
         }
         if pruned > TaggedValue::initial() {
             // Drops the seeded initial value (and anything else dead) while
@@ -634,7 +620,7 @@ impl ServerState {
     /// registration log, no sort, and one allocation per emitted record.
     pub fn delta_since(&self, from: u64) -> DeltaSnapshot {
         let mut entries: Vec<ValueRecord> = Vec::with_capacity(self.store.len());
-        for (&val, entry) in &self.store {
+        for (val, entry) in &self.store {
             if entry.max_reg <= from {
                 continue; // nothing registered on this value since `from`
             }
@@ -650,7 +636,7 @@ impl ServerState {
                 updated
             };
             if !updated.is_empty() {
-                entries.push(ValueRecord { value: val, updated });
+                entries.push(ValueRecord { value: *val, updated });
             }
         }
         DeltaSnapshot {
@@ -667,10 +653,25 @@ impl ServerState {
         self.store.len()
     }
 
-
     /// The `updated` set registered for `val`, if stored.
     pub fn updated_set(&self, val: TaggedValue) -> Option<Vec<ClientId>> {
-        self.store.get(&val).map(|e| e.updated.iter().map(|r| r.0).collect())
+        let i = self.find(val).ok()?;
+        Some(self.store[i].1.updated.iter().map(|r| r.0).collect())
+    }
+
+    /// Where `val` is (`Ok`) or would be inserted (`Err`) in the store.
+    fn find(&self, val: TaggedValue) -> Result<usize, usize> {
+        self.store.binary_search_by_key(&val, |&(v, _)| v)
+    }
+
+    /// The store index of `val`, which is added (at the next version) if
+    /// it is not stored.
+    fn insert(&mut self, val: TaggedValue) -> usize {
+        self.find(val).unwrap_or_else(|i| {
+            self.version += 1;
+            self.store.insert(i, (val, Entry { first_added: self.version, ..Entry::default() }));
+            i
+        })
     }
 
     /// Garbage-collects values strictly below `floor`, keeping the current
@@ -681,14 +682,8 @@ impl ServerState {
     /// for why the fast read's fallback never needs the pruned entries.
     pub fn prune_below(&mut self, floor: TaggedValue) -> usize {
         let latest = self.latest;
-        let keep = |val: &TaggedValue| *val >= floor || *val == latest;
         let before = self.store.len();
-        self.store.retain(|val, _| keep(val));
-        // Every logged addition is a stored value (each insert path logs
-        // the value it stores), so the store's own predicate filters the
-        // log without probing the store.
-        self.additions.retain(|(_, val)| keep(val));
-        debug_assert!(self.additions.iter().all(|(_, val)| self.store.contains_key(val)));
+        self.store.retain(|&(val, _)| val >= floor || val == latest);
         before - self.store.len()
     }
 }
@@ -1556,6 +1551,130 @@ mod tests {
         let reply = srv.handle(ProcessId::reader(0), &Msg::Depart { handle });
         assert_eq!(reply, Some(Msg::DepartAck { handle }));
         assert!(srv.state().export().seen.is_empty(), "membership is clean after departure");
+    }
+
+    fn runs(seq: u64, acked: u64) -> Msg {
+        Msg::ReadFastRuns {
+            handle: rhandle(seq),
+            acked,
+            floor: TaggedValue::initial(),
+            new_values: vec![],
+        }
+    }
+
+    fn write(srv: &mut RegisterServer, value: TaggedValue, floor: TaggedValue) {
+        let handle = OpHandle { op: OpId { client: ClientId::writer(0), seq: 0 }, phase: 2 };
+        srv.handle(ProcessId::writer(0), &Msg::Update { handle, value, floor });
+    }
+
+    fn delta_of(reply: Option<Msg>) -> DeltaSnapshot {
+        match reply {
+            Some(Msg::ReadFastRunsAck { delta, .. }) => delta,
+            other => panic!("not a runs ack: {other:?}"),
+        }
+    }
+
+    fn registered(s: &ServerState, v: TaggedValue, c: ClientId) -> bool {
+        s.updated_set(v).is_some_and(|u| u.contains(&c))
+    }
+
+    /// Catch-up covers `(mark, acked]`: a value first added at exactly
+    /// `acked` is caught up, one first added at the reader's previous mark
+    /// is not. The mark is set before its value exists so the lower edge is
+    /// observable — a reader caught up to its mark is already registered on
+    /// everything first added at or below it.
+    #[test]
+    fn catch_up_covers_values_first_added_after_the_mark_up_to_acked() {
+        let r = ClientId::reader(0);
+        let mut s = ServerState::new();
+        s.catch_up_registrations(r, 2);
+        assert_eq!(s.version(), 1, "only the registration on the initial value");
+        let (v1, v2, v3) = (tv(1, 0, 1), tv(2, 0, 2), tv(3, 0, 3));
+        for v in [v1, v2, v3] {
+            s.update(v, ClientId::writer(0));
+        }
+        // First added at versions 2 (the mark), 4 and 6.
+        s.catch_up_registrations(r, 4);
+        assert!(!registered(&s, v1, r), "first added at the previous mark");
+        assert!(registered(&s, v2, r), "first added at exactly acked");
+        assert!(!registered(&s, v3, r), "first added after acked");
+        assert!(registered(&s, TaggedValue::initial(), r));
+    }
+
+    /// A value pruned and then re-inserted by a full-info `ReadFast` is a
+    /// new addition: catch-up covers it once an acknowledgement reaches its
+    /// new `first_added`, never under the one it had before the prune.
+    #[test]
+    fn a_resurrected_value_is_caught_up_under_its_new_first_added() {
+        let mut srv = RegisterServer::with_gc(3);
+        let (r0, r1) = (ProcessId::reader(0), ProcessId::reader(1));
+        let reader = ClientId::reader(0);
+        let v = |i| tv(i, 0, i);
+        for i in 1..=3 {
+            write(&mut srv, v(i), v(i));
+        }
+        assert!(srv.state().updated_set(v(1)).is_none(), "v1 is pruned");
+        let a1 = delta_of(srv.handle(r0, &runs(0, 0))).version;
+        srv.handle(r1, &Msg::ReadFast { handle: rhandle(0), val_queue: vec![v(1)] });
+        assert!(srv.state().updated_set(v(1)).is_some(), "v1 is back, first added after a1");
+        let a2 = delta_of(srv.handle(r0, &runs(1, a1))).version;
+        assert!(!registered(srv.state(), v(1), reader), "window (0, a1] predates v1's return");
+        srv.handle(r0, &runs(2, a2));
+        assert!(registered(srv.state(), v(1), reader), "window (a1, a2] holds it");
+    }
+
+    /// After `install_from` on a running server, a pre-install `acked`
+    /// draws the version-0 refresh, which catches up on nothing; the next
+    /// read's acknowledgement covers the installed values.
+    #[test]
+    fn after_an_install_the_refresh_catches_up_nothing_and_the_next_read_everything() {
+        let mut srv = RegisterServer::with_gc(3);
+        let r0 = ProcessId::reader(0);
+        let reader = ClientId::reader(0);
+        let (v1, v2, v3) = (tv(1, 0, 1), tv(2, 1, 2), tv(3, 1, 3));
+        write(&mut srv, v1, TaggedValue::initial());
+        let a1 = delta_of(srv.handle(r0, &runs(0, 0))).version;
+        let a2 = delta_of(srv.handle(r0, &runs(1, a1))).version;
+        let mut donor = ServerState::new();
+        donor.update(v2, ClientId::writer(1));
+        donor.update(v3, ClientId::writer(1));
+        srv.install_from(&[donor.export()]);
+        assert!(a2 < srv.state().reset_floor());
+
+        let refresh = delta_of(srv.handle(r0, &runs(2, a2)));
+        assert_eq!(refresh.from, 0, "a pre-install ack is answered from version 0");
+        let values: Vec<TaggedValue> = refresh.entries.iter().map(|r| r.value).collect();
+        assert!(values.contains(&v2) && values.contains(&v3));
+        assert!(!registered(srv.state(), v2, reader), "the refresh catches up on nothing");
+        assert!(registered(srv.state(), v3, reader), "the reader is registered on latest");
+
+        srv.handle(r0, &runs(3, refresh.version));
+        assert!(registered(srv.state(), v2, reader), "the next read covers installed values");
+    }
+
+    /// A request whose `acked` is at or below the reader's mark (a repeat,
+    /// or an older acknowledgement) registers the reader on the initial
+    /// value and the latest one only.
+    #[test]
+    fn an_ack_at_or_below_the_mark_registers_only_the_initial_value_and_latest() {
+        let mut srv = RegisterServer::new();
+        let r0 = ProcessId::reader(0);
+        let reader = ClientId::reader(0);
+        let (v1, v2, v3) = (tv(1, 0, 1), tv(2, 0, 2), tv(3, 0, 3));
+        write(&mut srv, v1, TaggedValue::initial());
+        let a1 = delta_of(srv.handle(r0, &runs(0, 0))).version;
+        delta_of(srv.handle(r0, &runs(1, a1)));
+        write(&mut srv, v2, v1);
+        write(&mut srv, v3, v2);
+        for (seq, acked) in [(2, a1), (3, 0)] {
+            let before = srv.state().version();
+            srv.handle(r0, &runs(seq, acked));
+            assert!(!registered(srv.state(), v2, reader), "acked {acked}: nothing caught up");
+            assert!(registered(srv.state(), v3, reader), "acked {acked}: latest");
+            assert!(registered(srv.state(), TaggedValue::initial(), reader));
+            let expected = u64::from(seq == 2);
+            assert_eq!(srv.state().version() - before, expected, "acked {acked}: registrations");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! What the fast-read round allocates at the handler level, counted by the
-//! allocator itself.
+//! What the fast-read round and a write's store round allocate at the
+//! handler level, counted by the allocator itself.
 //!
-//! Two pins. The reader's side: merging a delta that brings no new value
+//! Three pins. The reader's side: merging a delta that brings no new value
 //! and no new `(value, client)` pair — the steady state of a reader that
 //! re-reads a quiet register, GC eviction included — allocates nothing,
 //! because the witness index is the reader's only mirror of each server's
@@ -9,7 +9,11 @@
 //! `ReadFastRuns` handled by `RegisterServer::handle` allocates a fixed
 //! number of times for a fixed history (the figure and where it comes from
 //! are written at the assertion), so a change to what a fast-read reply
-//! registers or carries shows here as a different count.
+//! registers or carries shows here as a different count. And an `Update`
+//! for a `(value, client)` pair the server already holds — a retried or
+//! repeated write on a warm, GC-engaged server — allocates nothing: the
+//! floor report, the membership check and the registration probe are
+//! binary searches over sorted vectors that need no new memory.
 //!
 //! Only the measuring thread counts, and only while it is armed, so tests
 //! running beside each other (and the harness's own threads) cannot move
@@ -172,4 +176,26 @@ fn a_runs_fast_read_allocates_the_recorded_figure() {
     // (four). The floor report, the prune, catch-up and the registration
     // on v5 all land in capacity the server already holds.
     assert_eq!(allocations, 5, "allocations for one ReadFastRuns");
+}
+
+#[test]
+fn a_repeated_update_on_a_warm_server_allocates_nothing() {
+    let mut server = RegisterServer::with_gc(3);
+    let handle = OpHandle { op: OpId { client: ClientId::writer(0), seq: 0 }, phase: 2 };
+    let update = |value, floor| Msg::Update { handle, value, floor };
+    let runs = |floor| Msg::ReadFastRuns { handle, acked: 0, floor, new_values: Vec::new() };
+    for ts in 1..=6 {
+        server.handle(ProcessId::writer(0), &update(tv(ts, 0), tv(ts - 1, 0)));
+        server.handle(ProcessId::writer(1), &update(tv(ts, 1), tv(ts - 1, 1)));
+        server.handle(ProcessId::reader(0), &runs(tv(ts - 1, 1)));
+    }
+    assert!(server.state().pruned_floor() > TaggedValue::initial(), "GC is engaged");
+
+    // Writer 0 repeats its last write (a retried second round): the value
+    // is stored, the writer is registered on it, its floor does not move.
+    let repeat = update(tv(6, 0), tv(5, 0));
+    let (reply, allocations) = counted(|| server.handle(ProcessId::writer(0), &repeat));
+    assert!(matches!(reply, Some(Msg::UpdateAck { .. })), "{reply:?}");
+    // Recorded at 2db20b3.
+    assert_eq!(allocations, 0, "allocations for an Update already registered");
 }

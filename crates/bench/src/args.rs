@@ -14,8 +14,8 @@ use std::fmt::Write as _;
 /// ```
 /// use mwr_bench::args::Args;
 ///
-/// let args = Args::from_vec(vec!["--assert-bounded".into(), "--ops".into(), "300".into()]);
-/// assert!(args.flag("assert-bounded"));
+/// let args = Args::from_vec(vec!["--assert-growth".into(), "--ops".into(), "300".into()]);
+/// assert!(args.flag("assert-growth"));
 /// assert_eq!(args.get_u64("ops", 200), 300);
 /// assert!(!args.flag("verbose"));
 /// ```
@@ -125,8 +125,8 @@ mod tests {
 
     #[test]
     fn flags_are_detected() {
-        let a = args(&["--assert-bounded", "--ops", "50"]);
-        assert!(a.flag("assert-bounded"));
+        let a = args(&["--assert-growth", "--ops", "50"]);
+        assert!(a.flag("assert-growth"));
         assert!(!a.flag("ops-missing"));
         // An option's *value* is not a flag.
         assert!(!a.flag("50"));
@@ -161,8 +161,8 @@ mod tests {
 
     #[test]
     fn known_arguments_validate() {
-        let a = args(&["--assert-bounded", "--runs", "5", "--seed=7"]);
-        assert!(a.check_known("bin", &["assert-bounded"], &["runs", "seed"]).is_ok());
+        let a = args(&["--assert-growth", "--runs", "5", "--seed=7"]);
+        assert!(a.check_known("bin", &["assert-growth"], &["runs", "seed"]).is_ok());
     }
 
     #[test]

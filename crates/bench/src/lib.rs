@@ -1,15 +1,14 @@
 //! Shared helpers for the experiment binaries and benches.
 //!
 //! The binaries in `src/bin/` regenerate the paper's tables and figures;
-//! see `EXPERIMENTS.md` at the workspace root for the index. This library
-//! hosts the pieces they share: argument parsing ([`args`]), schedule
-//! generators and verdict helpers. Clusters are constructed through the
-//! `mwr-register` facade throughout.
+//! README's *Experiments* section is the index. This library hosts the
+//! pieces they share: argument parsing ([`args`]), schedule generators and
+//! verdict helpers. Clusters are constructed through the `mwr-register`
+//! facade throughout.
 
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod report;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -364,15 +364,6 @@ impl RoundMachine {
         self.current.is_some()
     }
 
-    /// Whether the round in flight is a fast read's combined round — the
-    /// one whose payload grows with history on the full-info wire.
-    pub fn in_fast_round(&self) -> bool {
-        matches!(
-            self.current,
-            Some(InFlight { phase: Phase::ReadFast { .. } | Phase::ReadFastDelta, .. })
-        )
-    }
-
     /// Starts an operation; an operation still in flight is abandoned (its
     /// late acks no longer match any handle).
     ///
@@ -902,5 +893,49 @@ mod tests {
         reader.rescope(level(2));
         assert_eq!(run(&mut reader, &mut servers, &[3, 4], OpKind::Read), (TaggedValue::initial(), 1));
         assert!(!reader.in_flight(), "the initial value is never repaired");
+    }
+
+    /// Wire bytes of one fast read: its frame to every target plus the
+    /// replies of [`QUORUM`], which must complete it in one round.
+    fn fast_read_bytes(reader: &mut RoundMachine, servers: &mut [RegisterServer]) -> usize {
+        use mwr_types::codec::Wire as _;
+        reader.begin(OpKind::Read);
+        let mut bytes: usize = reader.frames().map(|(_, request)| request.encoded_len()).sum();
+        let mut step = Step::Wait;
+        for &to in QUORUM {
+            let reply = reply(reader, servers, to);
+            bytes += reply.encoded_len();
+            step = reader.on_reply(ServerId::new(to), reply);
+        }
+        assert!(matches!(step, Step::Done(OpResult::Read(_))), "one round: {step:?}");
+        bytes
+    }
+
+    #[test]
+    fn fast_read_payload_stays_flat_on_the_delta_wires_and_grows_on_full_info() {
+        const PAIRS: usize = 600;
+        const WINDOW: usize = 100;
+        // One writer and one reader, so every operation advances a floor
+        // (a full-info reader reports none, so its servers never prune).
+        let config = ClusterConfig::new(5, 1, 1, 1).unwrap();
+        let growth = |wire: FastWire| {
+            let mut servers = servers();
+            let mut writer = RoundMachine::writer(WriterId::new(0), config, WriteMode::Slow);
+            let mut reader = RoundMachine::reader(ReaderId::new(0), config, ReadMode::Fast, wire);
+            let bytes: Vec<usize> = (1..=PAIRS as u64)
+                .map(|i| {
+                    run(&mut writer, &mut servers, QUORUM, OpKind::Write(Value::new(i)));
+                    fast_read_bytes(&mut reader, &mut servers)
+                })
+                .collect();
+            let mean = |window: &[usize]| window.iter().sum::<usize>() as f64 / WINDOW as f64;
+            (mean(&bytes[..WINDOW]), mean(&bytes[PAIRS - WINDOW..]))
+        };
+        for wire in [FastWire::Delta, FastWire::Runs] {
+            let (first, last) = growth(wire);
+            assert!(last <= 1.05 * first, "{wire:?} grew with history: {first} -> {last} B/read");
+        }
+        let (first, last) = growth(FastWire::FullInfo);
+        assert!(last >= 5.0 * first, "full-info must grow with history: {first} -> {last} B/read");
     }
 }

@@ -8,8 +8,8 @@
 //! fast read's `admissible(·)` selection are the machine's, in `mwr-core`.
 //! This file owns *how bytes move and how long to wait*: the endpoint,
 //! [`Msg::ForRegister`] and epoch framing, the deadline, [`RetryPolicy`]
-//! attempts, polling the shared [`ClusterView`], the [`AuditTap`] and
-//! payload accounting — around one receive loop (`LiveClient::round`).
+//! attempts, polling the shared [`ClusterView`] and the [`AuditTap`] —
+//! around one receive loop (`LiveClient::round`).
 //!
 //! [`RegisterClient`]: mwr_core::RegisterClient
 
@@ -19,7 +19,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mwr_core::{FastWire, Msg, OpKind, ReadMode, RoundMachine, Scope, Step, WriteMode};
-use mwr_types::codec::Wire;
 use mwr_types::{
     ClusterConfig, ConfigEpoch, ProcessId, ReaderId, RegisterId, ServerId, TaggedValue, Value,
     WriterId,
@@ -126,9 +125,6 @@ pub struct LiveClient<E: Endpoint, Id> {
     tap: Option<AuditTap>,
     /// The shared configuration view, when the cluster reconfigures live.
     view: Option<Arc<ClusterView>>,
-    measure_payload: bool,
-    /// Bytes the current operation's fast-read round has moved.
-    moved: u64,
     role: PhantomData<Id>,
 }
 
@@ -189,24 +185,6 @@ impl<E: Endpoint> LiveReader<E> {
         Self::drive(endpoint, RoundMachine::reader(id, config, mode, wire))
     }
 
-    /// Enables payload accounting (builder-style): each fast read
-    /// additionally encodes its requests and processed replies to count
-    /// logical wire bytes (the bench harness turns this on; it is off by
-    /// default because the extra encode costs O(payload) inside the
-    /// operation).
-    pub fn with_measure_payload(mut self, on: bool) -> Self {
-        self.measure_payload = on;
-        self
-    }
-
-    /// Wire bytes the last fast read moved (encoded requests to all servers
-    /// plus every processed reply); 0 for slow reads or when payload
-    /// accounting is off. The regression signal for payload growth:
-    /// full-info grows with history, delta stays flat.
-    pub fn last_read_payload_bytes(&self) -> u64 {
-        self.moved
-    }
-
     /// Reads the register, blocking until the protocol's round-trips
     /// complete.
     ///
@@ -229,8 +207,6 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
             retry: RetryPolicy::default(),
             tap: None,
             view: None,
-            measure_payload: false,
-            moved: 0,
             role: PhantomData,
         }
     }
@@ -321,7 +297,6 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
             tap.invoked(op.client, op.seq, kind);
         }
         let floor_before = self.machine.gc_floor();
-        self.moved = 0;
         let Step::Done(result) = self.run()? else {
             unreachable!("reads and writes end in a result")
         };
@@ -386,14 +361,9 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
                 let (ProcessId::Server(server), Some(msg)) = (from, self.unwrap(msg)) else {
                     continue;
                 };
-                let len = if self.measuring() { msg.encoded_len() as u64 } else { 0 };
                 match self.machine.on_reply(server, msg) {
-                    Step::Ignored => {}
-                    Step::Wait => self.moved += len,
-                    complete => {
-                        self.moved += len;
-                        return Ok(complete);
-                    }
+                    Step::Ignored | Step::Wait => {}
+                    complete => return Ok(complete),
                 }
             }
         }
@@ -417,11 +387,6 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
             .then(|| self.machine.rescope(view.scope_parts(self.wrap)))
     }
 
-    /// Whether the bytes moving now count toward the payload figure.
-    fn measuring(&self) -> bool {
-        self.measure_payload && self.machine.in_fast_round()
-    }
-
     /// One round attempt on the wire: the machine's frames, wrapped for the
     /// bound register and tagged with the scope's epoch, in one batched
     /// broadcast — the transport amortizes its locking over the whole
@@ -429,15 +394,11 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
     /// tolerates (`send_batch` is best-effort by contract). Mixed-register
     /// backlog coalesces into the same per-peer pipelines.
     fn broadcast(&mut self) {
-        let (wrap, epoch, measuring) = (self.wrap, self.machine.scope().epoch, self.measuring());
-        let mut moved = 0;
+        let (wrap, epoch) = (self.wrap, self.machine.scope().epoch);
         let batch: Vec<(ProcessId, Msg)> = self
             .machine
             .frames()
             .map(|(server, request)| {
-                if measuring {
-                    moved += request.encoded_len() as u64;
-                }
                 let request = match wrap {
                     Some(register) => Msg::ForRegister { register, inner: Box::new(request) },
                     None => request,
@@ -448,7 +409,6 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
                 (ProcessId::Server(server), request.in_epoch(epoch))
             })
             .collect();
-        self.moved += moved;
         self.endpoint.send_batch(batch);
     }
 

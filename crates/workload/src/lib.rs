@@ -2,7 +2,8 @@
 //!
 //! - [`run_closed_loop`] — closed-loop clients over the simulator, generic
 //!   over every [`SimCluster`](mwr_core::SimCluster) protocol family; the
-//!   engine behind the latency figures in `EXPERIMENTS.md`.
+//!   engine behind the `mwr-bench` latency figures (README's
+//!   *Experiments*).
 //! - [`drive`] — the one live drive (threads over channels or TCP): closed
 //!   or open loop, one register or a Zipf-keyed keyspace with per-key
 //!   scoped clients multiplexed over one endpoint per thread, with or

@@ -41,8 +41,8 @@ fn contended_live_closed_loop_stays_wait_free() {
     // The new scenario the facade opens: contended closed-loop workloads
     // (2 writers + 2 readers issuing concurrently) on the live runtime.
     // Every client keeps completing operations — no timeout ever fires —
-    // on both live transports. (Latency *ordering* across protocols is
-    // asserted on the wire-bound TCP numbers by `live_latency`; the
+    // on both live transports. (No test asserts latency *ordering* across
+    // protocols: wall-clock latency is measured by `benchmark/`, and the
     // CPU-bound in-memory transport does not price round-trips.)
     let config = ClusterConfig::new(5, 1, 2, 2).unwrap();
     for backend in [Backend::InMemory, Backend::Tcp] {

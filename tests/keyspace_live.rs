@@ -15,13 +15,23 @@
 //!   backwards across the crash/rejoin boundary;
 //! - exactly the touched registers were audited — the rejoin manufactures
 //!   no phantom registers.
+//!
+//! The same keyspace shape then runs `KeyspaceHandle::run_chaos` under two
+//! [`FaultPlan`]s (a rolling restart over TCP, a churn storm in memory) on
+//! Zipf-keyed traffic: the plan must run as written and heal, and every
+//! touched register's auditor must accept its history.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 use std::time::Duration;
 
-use mwr::keyspace::{AuditConfig, Keyspace, KeyspaceConfig, RegisterId, RetryPolicy};
+use mwr::keyspace::{
+    AuditConfig, AuditReport, FaultPlan, Keyspace, KeyspaceConfig, Protocol, RegisterId,
+    RetryPolicy,
+};
 use mwr::types::{Tag, Value};
+use mwr::workload::ChaosReport;
 
 /// Each register writes values in its own namespace so a cross-key leak
 /// is visible in the payload itself.
@@ -288,4 +298,63 @@ fn audited_multi_key_reconfigure_over_tcp() {
         );
         assert!(report.stats.audited > 0, "register {key} audited no operations");
     }
+}
+
+/// The keyspace chaos shape: 5 servers, t = 1, groups of 3, 8 shards,
+/// 2 readers + 2 writers on W2Ra, the fault-window client idiom (short
+/// per-round timeout, many retries), every operation audited.
+fn chaos_keyspace(plan: FaultPlan) -> Keyspace {
+    Keyspace::new(KeyspaceConfig::new(5, 1, 3, 8, 2, 2).unwrap())
+        .protocol(Protocol::W2Ra)
+        .timeout(Duration::from_millis(400))
+        .retry(RetryPolicy { attempts: 10, backoff: Duration::from_millis(10) })
+        .audit(AuditConfig::default())
+        .inject(plan)
+}
+
+/// Four Zipf(1.1)-skewed keys, seeded.
+const CHAOS_KEYS: usize = 4;
+const CHAOS_ZIPF: f64 = 1.1;
+const CHAOS_SEED: u64 = 7;
+
+/// The plan ran exactly as written (`(crashes, rejoins, churn clients)`),
+/// every fault healed, and every touched register stayed atomic.
+fn assert_plan_healed_atomically(
+    report: &ChaosReport,
+    plan: (u32, u32, u32),
+    verdicts: &BTreeMap<RegisterId, AuditReport>,
+) {
+    assert!(report.healed(), "every fault healed, zero failed ops: {report:?}");
+    assert_eq!(
+        (report.crashes, report.rejoins, report.churn_joined, report.churn_departed),
+        (plan.0, plan.1, plan.2, plan.2),
+        "the plan ran as written: {report:?}"
+    );
+    assert!(!verdicts.is_empty(), "the drive touched and audited registers");
+    for (key, audit) in verdicts {
+        assert!(audit.verdict.is_ok(), "register {key} not atomic under the plan: {audit}");
+    }
+}
+
+/// Every server of the keyspace crashes and rejoins once (per-shard
+/// quorum state transfer under Zipf-keyed traffic) over loopback TCP.
+#[test]
+fn audited_keyspace_rolling_restart_over_tcp_heals_and_stays_atomic() {
+    let mut handle = chaos_keyspace(FaultPlan::rolling_restart(5, 100)).tcp().unwrap();
+    let report =
+        handle.run_chaos(CHAOS_KEYS, CHAOS_ZIPF, Duration::from_secs(4), CHAOS_SEED).unwrap();
+    assert_eq!(report.live_servers, vec![0, 1, 2, 3, 4], "every server rejoined");
+    let (_handled, verdicts) = handle.shutdown_audited();
+    assert_plan_healed_atomically(&report, (5, 5, 0), &verdicts);
+}
+
+/// 200 short-lived readers join, read twice and depart floor-safely
+/// against the in-memory keyspace while stable clients keep serving.
+#[test]
+fn audited_keyspace_churn_storm_departs_every_client() {
+    let mut handle = chaos_keyspace(FaultPlan::churn_storm(200, 2, 20)).in_memory().unwrap();
+    let report =
+        handle.run_chaos(CHAOS_KEYS, CHAOS_ZIPF, Duration::from_secs(1), CHAOS_SEED).unwrap();
+    let (_handled, verdicts) = handle.shutdown_audited();
+    assert_plan_healed_atomically(&report, (0, 0, 200), &verdicts);
 }

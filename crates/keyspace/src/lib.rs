@@ -25,6 +25,11 @@
 //!   per register, with per-register GC floors; crash recovery transfers
 //!   state shard by shard, each shard requiring its own quorum.
 //!
+//! The builder, its [`DeployError`] and the live handle are
+//! `mwr-register`'s — [`Keyspace`] is its
+//! [`Deployment`](mwr_register::Deployment) over a [`KeyspaceConfig`] —
+//! and this crate gathers the keyspace vocabulary in one place.
+//!
 //! # Examples
 //!
 //! ```
@@ -45,251 +50,12 @@
 //! ```
 
 #![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
-mod handle;
-
-pub use handle::{AnyKeyspaceHandle, KeyReader, KeyWriter, KeyspaceHandle};
 
 // The vocabulary a keyspace user needs without naming the member crates.
 pub use mwr_check::AuditReport;
 pub use mwr_core::{Protocol, Router};
-pub use mwr_register::{AuditConfig, OnViolation};
+pub use mwr_register::{
+    AuditConfig, Backend, DeployError, KeyReader, KeyWriter, Keyspace, KeyspaceHandle, OnViolation,
+};
 pub use mwr_runtime::{FaultEvent, FaultPlan, KeyspaceCluster, RetryPolicy, TransportError};
 pub use mwr_types::{KeyspaceConfig, RegisterId};
-
-use std::fmt;
-use std::time::Duration;
-
-use mwr_runtime::{InMemoryTransport, TcpRegistry};
-
-/// Where a keyspace runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Crossbeam channels on threads — tests and examples.
-    #[default]
-    InMemory,
-    /// Loopback TCP sockets with the length-prefixed wire codec.
-    Tcp,
-}
-
-/// Why a keyspace could not be assembled or operated.
-#[derive(Debug)]
-pub enum KeyspaceError {
-    /// The chosen protocol reads fast, but the *group* does not satisfy
-    /// the paper's feasibility bound `t(R + 2) < g` — within a shard the
-    /// group plays the role of `S`.
-    FastReadInfeasible {
-        /// Servers per shard group.
-        group_size: usize,
-        /// Tolerated faults.
-        max_faults: usize,
-        /// Configured readers.
-        readers: usize,
-    },
-    /// A drive already opened every client endpoint (or clients were
-    /// already minted), so the requested operation cannot share them.
-    HandlesInUse,
-    /// The transport failed (endpoint open, bind, or rejoin quorum).
-    Transport(TransportError),
-    /// A client operation failed during a drive.
-    Runtime(mwr_runtime::RuntimeError),
-    /// The audit sidecar thread could not be spawned.
-    Audit(std::io::Error),
-    /// A fault-plan conflict: an armed plan driven with the wrong drive,
-    /// a chaos drive without a plan, or a plan that does not fit the
-    /// configuration.
-    Faults(&'static str),
-}
-
-impl fmt::Display for KeyspaceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            KeyspaceError::FastReadInfeasible { group_size, max_faults, readers } => write!(
-                f,
-                "fast reads infeasible inside a shard group: t(R+2) < g requires \
-                 {max_faults}*({readers}+2) < {group_size}; pick W2R2/W2Ra or grow the group"
-            ),
-            KeyspaceError::HandlesInUse => {
-                write!(f, "client endpoints are already in use by minted clients or a drive")
-            }
-            KeyspaceError::Transport(e) => write!(f, "transport: {e}"),
-            KeyspaceError::Runtime(e) => write!(f, "runtime: {e}"),
-            KeyspaceError::Audit(e) => write!(f, "audit sidecar: {e}"),
-            KeyspaceError::Faults(reason) => write!(f, "fault plan: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for KeyspaceError {}
-
-impl From<TransportError> for KeyspaceError {
-    fn from(e: TransportError) -> Self {
-        KeyspaceError::Transport(e)
-    }
-}
-
-impl From<mwr_runtime::RuntimeError> for KeyspaceError {
-    fn from(e: mwr_runtime::RuntimeError) -> Self {
-        KeyspaceError::Runtime(e)
-    }
-}
-
-/// Builder for a sharded keyspace deployment: what cluster, which
-/// protocol inside each shard group, where it runs, and the client knobs
-/// applied to every per-key client the handle mints.
-///
-/// ```text
-/// Keyspace::new(config)            what cluster: S, t, g, shards, R, W
-///     .protocol(p)                 W2R2 / W2R1 / W2Ra inside each group
-///     .backend(Backend::Tcp)       where it runs
-///     .audit(cfg) .timeout(..)     optional knobs
-///     .retry(..)
-///     .in_memory() / .tcp() / .deploy()
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Keyspace {
-    config: KeyspaceConfig,
-    protocol: Protocol,
-    backend: Backend,
-    audit: Option<AuditConfig>,
-    timeout: Option<Duration>,
-    retry: RetryPolicy,
-    faults: Option<FaultPlan>,
-}
-
-impl Keyspace {
-    /// Starts a blueprint for `config` with the adaptive [`Protocol::W2Ra`]
-    /// (safe for any group size; reads go fast whenever their snapshots
-    /// admit it) on the in-memory backend.
-    pub fn new(config: KeyspaceConfig) -> Self {
-        Keyspace {
-            config,
-            protocol: Protocol::W2Ra,
-            backend: Backend::InMemory,
-            audit: None,
-            timeout: None,
-            retry: RetryPolicy::default(),
-            faults: None,
-        }
-    }
-
-    /// Selects the protocol run inside each shard group.
-    pub fn protocol(mut self, protocol: Protocol) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
-    /// Selects the backend [`deploy`](Self::deploy) dispatches to.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Arms continuous linearizability auditing: one streaming auditor
-    /// **per touched register** (atomicity is a per-register property),
-    /// created lazily the first time a key's client is minted.
-    pub fn audit(mut self, cfg: AuditConfig) -> Self {
-        self.audit = Some(cfg);
-        self
-    }
-
-    /// Applies a per-operation timeout to every client the handle mints.
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
-        self
-    }
-
-    /// Applies a bounded retry policy to every client the handle mints.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Arms the keyspace with a deterministic [`FaultPlan`]: when the
-    /// handle is driven with
-    /// [`KeyspaceHandle::run_chaos`](crate::KeyspaceHandle::run_chaos),
-    /// an injector walks the plan in order — crashing servers, rejoining
-    /// them through per-shard quorum state transfer, running churn
-    /// bursts, and live joint-quorum reconfigurations — while the
-    /// Zipf-keyed drive measures whether the keyed service held up.
-    pub fn inject(mut self, faults: FaultPlan) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-
-    /// Validates the protocol against the *group* configuration: inside a
-    /// shard the group plays the paper's `S`, so fast reads need
-    /// `t(R + 2) < g`.
-    fn validate(&self) -> Result<(), KeyspaceError> {
-        let group = self.config.group_config();
-        if self.protocol.read_mode() == mwr_core::ReadMode::Fast && !group.fast_read_feasible() {
-            return Err(KeyspaceError::FastReadInfeasible {
-                group_size: self.config.group_size(),
-                max_faults: self.config.max_faults(),
-                readers: self.config.readers(),
-            });
-        }
-        if let Some(plan) = self.faults {
-            if let Some(max) = plan.max_server() {
-                if max as usize >= self.config.servers() {
-                    return Err(KeyspaceError::Faults(
-                        "the plan crashes or rejoins a server index outside the \
-                         keyspace's configuration",
-                    ));
-                }
-            }
-            let churny =
-                plan.steps().iter().any(|s| matches!(s.event, FaultEvent::ChurnBurst { .. }));
-            if churny && self.config.readers() < 2 {
-                return Err(KeyspaceError::Faults(
-                    "churn bursts reserve the highest reader slot for short-lived \
-                     clients; the configuration needs at least 2 readers so one \
-                     stable reader remains",
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Deploys on in-memory channels.
-    ///
-    /// # Errors
-    ///
-    /// [`KeyspaceError::FastReadInfeasible`] if the protocol reads fast
-    /// but the group bound fails; a [`KeyspaceError::Transport`] if an
-    /// endpoint cannot be opened.
-    pub fn in_memory(self) -> Result<KeyspaceHandle<InMemoryTransport>, KeyspaceError> {
-        self.validate()?;
-        let cluster =
-            KeyspaceCluster::start_on(InMemoryTransport::new(), self.config, self.protocol)?;
-        Ok(KeyspaceHandle::new(cluster, self.timeout, self.retry, self.audit, self.faults))
-    }
-
-    /// Deploys on loopback TCP.
-    ///
-    /// # Errors
-    ///
-    /// [`KeyspaceError::FastReadInfeasible`] if the protocol reads fast
-    /// but the group bound fails; a [`KeyspaceError::Transport`] if a
-    /// socket cannot be bound.
-    pub fn tcp(self) -> Result<KeyspaceHandle<TcpRegistry>, KeyspaceError> {
-        self.validate()?;
-        let cluster = KeyspaceCluster::start_on(TcpRegistry::new(), self.config, self.protocol)?;
-        Ok(KeyspaceHandle::new(cluster, self.timeout, self.retry, self.audit, self.faults))
-    }
-
-    /// Deploys on whichever backend the blueprint selected, for callers
-    /// that dispatch at run time; statically-known backends should prefer
-    /// [`in_memory`](Self::in_memory) / [`tcp`](Self::tcp).
-    ///
-    /// # Errors
-    ///
-    /// As the typed constructors.
-    pub fn deploy(self) -> Result<AnyKeyspaceHandle, KeyspaceError> {
-        match self.backend {
-            Backend::InMemory => Ok(AnyKeyspaceHandle::InMemory(self.in_memory()?)),
-            Backend::Tcp => Ok(AnyKeyspaceHandle::Tcp(self.tcp()?)),
-        }
-    }
-}

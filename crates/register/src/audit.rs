@@ -1,19 +1,19 @@
 //! Continuous linearizability auditing of live deployments.
 //!
 //! [`Deployment::audit`](crate::Deployment::audit) arms a live deployment
-//! with an [`AuditConfig`]. The resulting
-//! [`LiveHandle`](crate::LiveHandle) then owns an **audit sidecar**: every
-//! client the handle mints (or its workload drivers mint) carries an
-//! [`AuditTap`](mwr_runtime::AuditTap) emitting sampled operation records,
-//! and a dedicated thread folds those records into `mwr-check`'s
-//! [`StreamingAuditor`](mwr_check::StreamingAuditor) — atomicity is
-//! checked *while the traffic runs*, with the auditor's window truncation
-//! keeping memory bounded under indefinite load.
+//! — a register or a keyspace — with an [`AuditConfig`]. The resulting
+//! [`LiveHandle`](crate::LiveHandle) then owns one **audit sidecar per
+//! register**: every client the handle mints (or its drives mint) carries
+//! its register's [`AuditTap`](mwr_runtime::AuditTap) emitting sampled
+//! operation records, and a dedicated thread folds those records into
+//! `mwr-check`'s [`StreamingAuditor`](mwr_check::StreamingAuditor) —
+//! atomicity is checked *while the traffic runs*, with the auditor's
+//! window truncation keeping memory bounded under indefinite load.
 //!
-//! Collect the verdict with
-//! [`LiveHandle::shutdown_audited`](crate::LiveHandle::shutdown_audited),
-//! which drains the tap, finalizes the auditor, and returns the
-//! [`AuditReport`] next to the usual handled-requests count.
+//! Collect the verdicts with `LiveHandle::shutdown_audited`, which drains
+//! the taps, finalizes the auditors, and returns the [`AuditReport`]s
+//! (a register's one, a keyspace's per touched key) next to the usual
+//! handled-requests count.
 //!
 //! # Examples
 //!
@@ -37,10 +37,16 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Mutex;
 use std::thread::{self, JoinHandle};
 
 use mwr_check::{AuditReport, StreamConfig, StreamingAuditor};
-use mwr_runtime::{AuditReceiver, AuditTap, DEFAULT_TAP_CAPACITY};
+use mwr_runtime::{AuditReceiver, AuditTap, TransportError, DEFAULT_TAP_CAPACITY};
+use mwr_types::RegisterId;
+
+use crate::error::DeployError;
 
 /// What the audit sidecar does the moment the streaming verdict turns
 /// into a violation.
@@ -52,7 +58,7 @@ pub enum OnViolation {
     Record,
     /// Panic the sidecar thread immediately — fail fast for CI fault
     /// scenarios. The panic is re-raised on the thread that collects the
-    /// report via [`shutdown_audited`](crate::LiveHandle::shutdown_audited).
+    /// report via `LiveHandle::shutdown_audited`.
     Panic,
 }
 
@@ -90,60 +96,74 @@ impl AuditConfig {
     }
 }
 
-/// The armed sidecar a [`LiveHandle`](crate::LiveHandle) owns: the tap its
-/// clients write into, plus the thread folding tap records into the
-/// streaming auditor.
-///
-/// Public so the keyspace facade (`mwr-keyspace`) can arm one sidecar per
-/// register: atomicity is a per-register property, so each register's
-/// clients share a tap and get their own verdict.
+/// The per-register audit sidecars a live handle owns: atomicity is a
+/// per-register property, so each register gets its own streaming
+/// auditor — a tap and the thread folding the tap's records — and every
+/// client of that register (across writer/reader indices) shares its tap.
+/// A register deployment is key [`RegisterId::DEFAULT`].
 #[derive(Debug)]
-pub struct AuditSidecar {
-    tap: AuditTap,
-    join: JoinHandle<AuditReport>,
+pub(crate) struct AuditHub {
+    cfg: AuditConfig,
+    sidecars: Mutex<HashMap<RegisterId, (AuditTap, JoinHandle<AuditReport>)>>,
 }
 
-impl AuditSidecar {
-    /// Creates the tap and spawns the consuming thread.
+impl AuditHub {
+    pub(crate) fn new(cfg: AuditConfig) -> Self {
+        AuditHub { cfg, sidecars: Mutex::new(HashMap::new()) }
+    }
+
+    /// The tap for `key`'s register, spawning its sidecar on first touch.
     ///
     /// # Errors
     ///
-    /// Returns an [`std::io::Error`] if the OS refuses to spawn the
-    /// sidecar thread.
-    pub fn spawn(cfg: AuditConfig) -> std::io::Result<AuditSidecar> {
-        let (tap, rx) = AuditTap::bounded(cfg.sample_rate, DEFAULT_TAP_CAPACITY);
-        let stream = StreamConfig { window: cfg.window.max(1), ..StreamConfig::default() };
-        let on_violation = cfg.on_violation;
-        let join = thread::Builder::new()
-            .name("mwr-audit".into())
-            .spawn(move || sidecar_loop(&rx, stream, on_violation))?;
-        Ok(AuditSidecar { tap, join })
+    /// A [`DeployError::Transport`] if the OS refuses to spawn the sidecar
+    /// thread.
+    pub(crate) fn tap(&self, key: RegisterId) -> Result<AuditTap, DeployError> {
+        let mut sidecars = self.sidecars.lock().expect("audit hub poisoned");
+        let (tap, _) = match sidecars.entry(key) {
+            Entry::Occupied(sidecar) => sidecar.into_mut(),
+            Entry::Vacant(slot) => {
+                let cfg = self.cfg;
+                let (tap, rx) = AuditTap::bounded(cfg.sample_rate, DEFAULT_TAP_CAPACITY);
+                let join = thread::Builder::new()
+                    .name("mwr-audit".into())
+                    .spawn(move || sidecar_loop(&rx, cfg))
+                    .map_err(|e| TransportError::Io { kind: e.kind() })?;
+                slot.insert((tap, join))
+            }
+        };
+        Ok(tap.clone())
     }
 
-    /// The tap to clone into every client this deployment mints.
-    pub fn tap(&self) -> &AuditTap {
-        &self.tap
+    /// A drive's taps: each key's clients carry [`tap`](Self::tap)`(key)`.
+    /// A drive's mint cannot fail, so a sidecar that cannot spawn there
+    /// panics the client thread, and the drive re-raises the panic.
+    pub(crate) fn taps(&self) -> impl Fn(RegisterId) -> AuditTap + Sync + '_ {
+        |key| self.tap(key).unwrap_or_else(|e| panic!("audit sidecar for register {key}: {e}"))
     }
 
-    /// Drops the handle's tap clone and joins the sidecar. Minted clients
-    /// hold their own tap clones, so the join completes once they are all
-    /// dropped; a sidecar that panicked ([`OnViolation::Panic`]) re-raises
-    /// here.
-    pub fn finish(self) -> AuditReport {
-        let AuditSidecar { tap, join } = self;
-        drop(tap);
-        match join.join() {
-            Ok(report) => report,
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
+    /// Drops the hub's tap clones and joins every sidecar. Minted clients
+    /// hold their own tap clones, so each join completes once they are
+    /// all dropped; a sidecar that panicked ([`OnViolation::Panic`])
+    /// re-raises here.
+    pub(crate) fn finish(self) -> BTreeMap<RegisterId, AuditReport> {
+        let sidecars = self.sidecars.into_inner().expect("audit hub poisoned");
+        sidecars
+            .into_iter()
+            .map(|(key, (tap, join))| {
+                drop(tap);
+                (key, join.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            })
+            .collect()
     }
 }
 
-fn sidecar_loop(rx: &AuditReceiver, cfg: StreamConfig, on_violation: OnViolation) -> AuditReport {
-    let mut auditor = StreamingAuditor::new(cfg);
+fn sidecar_loop(rx: &AuditReceiver, cfg: AuditConfig) -> AuditReport {
+    let mut auditor =
+        StreamingAuditor::new(StreamConfig { window: cfg.window, ..StreamConfig::default() });
     while let Ok(record) = rx.recv() {
         auditor.observe(record);
-        if on_violation == OnViolation::Panic && !auditor.verdict().is_ok() {
+        if cfg.on_violation == OnViolation::Panic && !auditor.verdict().is_ok() {
             panic!("live linearizability violation: {:?}", auditor.verdict());
         }
     }

@@ -1,27 +1,37 @@
-//! The [`Deployment`] builder: one validated path from (config, spec,
-//! backend, knobs) to a running register.
+//! The [`Deployment`] builder: one validated path from (shape, spec,
+//! backend, knobs) to a running register or keyspace.
 
+use std::borrow::BorrowMut;
+use std::cell::Cell;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use mwr_almost::TunableCluster;
 use mwr_byz::{ByzBehavior, ByzCluster, ByzConfig, ByzReadMode};
-use mwr_core::{ClientEvent, Cluster, FastWire, Msg, Protocol, SimCluster};
+use mwr_core::{ClientEvent, Cluster, FastWire, Msg, Protocol, ReadMode, SimCluster};
 use mwr_runtime::{
-    FaultEvent, FaultPlan, InMemoryTransport, RetryPolicy, RuntimeCluster, TcpRegistry, TcpTuning,
+    EndpointFactory, FaultEvent, FaultPlan, InMemoryTransport, KeyspaceCluster, RetryPolicy,
+    RuntimeCluster, TcpRegistry, TcpTuning, TransportError,
 };
 use mwr_sim::Simulation;
-use mwr_types::ClusterConfig;
+use mwr_types::{ClusterConfig, KeyspaceConfig, RegisterId};
 use mwr_workload::{WorkloadReport, WorkloadSpec};
 
-use crate::audit::{AuditConfig, AuditSidecar};
+use crate::audit::{AuditConfig, AuditHub};
 use crate::error::DeployError;
-use crate::handle::{Handle, LiveHandle, SimHandle};
+use crate::handle::{KeyspaceHandle, LiveHandle, SimHandle};
 use crate::spec::{Backend, Spec};
 
-/// A deployment blueprint: cluster configuration, protocol spec, backend,
-/// and knobs, validated as a whole before anything starts.
+/// A deployment blueprint: a shape, a protocol spec, a backend and knobs,
+/// validated as a whole before anything starts.
 ///
-/// See the [crate docs](crate) for the full walkthrough; the short form:
+/// The shape is the configuration type: one register over a
+/// [`ClusterConfig`] (the default), or a [`Keyspace`] over a
+/// [`KeyspaceConfig`]. The simulator entry points ([`sim`](Self::sim),
+/// [`sim_cluster`](Self::sim_cluster), [`byz`](Self::byz),
+/// [`backend`](Self::backend), [`gc`](Self::gc),
+/// [`run_closed_loop`](Self::run_closed_loop)) exist on the register shape
+/// only. See the [crate docs](crate) for the walkthrough; the short form:
 ///
 /// ```
 /// use mwr_core::Protocol;
@@ -41,10 +51,10 @@ use crate::spec::{Backend, Spec};
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Copy)]
-pub struct Deployment {
-    config: ClusterConfig,
-    spec: Spec,
-    backend: Backend,
+pub struct Deployment<S = ClusterConfig> {
+    config: S,
+    spec: Option<Spec>,
+    backend: Option<Backend>,
     wire: Option<FastWire>,
     gc: Option<bool>,
     timeout: Option<Duration>,
@@ -54,14 +64,55 @@ pub struct Deployment {
     faults: Option<FaultPlan>,
 }
 
-impl Deployment {
-    /// Creates a blueprint for `config` with the defaults: the paper's
-    /// W2R1 on the simulator backend with seed 0.
-    pub fn new(config: ClusterConfig) -> Self {
+/// A sharded keyspace blueprint: the [`Deployment`] builder over a
+/// [`KeyspaceConfig`].
+///
+/// ```text
+/// Keyspace::new(config)            what cluster: S, t, g, shards, R, W
+///     .protocol(p)                 W2R2 / W2R1 / W2Ra inside each group
+///     .audit(cfg) .timeout(..)     the register's knobs, validated alike
+///     .retry(..) .inject(..)
+///     .in_memory() / .tcp()
+/// ```
+///
+/// A keyspace runs live only: it has no simulator, so the register's
+/// `backend` and `gc` knobs do not exist on it.
+///
+/// ```compile_fail
+/// use mwr_register::{Backend, Keyspace};
+/// use mwr_types::KeyspaceConfig;
+///
+/// let config = KeyspaceConfig::new(5, 1, 3, 8, 1, 1).unwrap();
+/// let _ = Keyspace::new(config).backend(Backend::Sim { seed: 1 });
+/// ```
+pub type Keyspace = Deployment<KeyspaceConfig>;
+
+/// What the one validation needs to know that the knobs alone do not say,
+/// with the unset protocol resolved for the shape.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    /// The servers one register's protocol runs on: the whole cluster, or
+    /// a keyspace's shard group.
+    group: ClusterConfig,
+    /// Servers in the deployment.
+    servers: usize,
+    /// Whether registers are sharded: a keyspace's fast reads need
+    /// `t(R + 2) < g`, and its audit sidecars start per key as keys are
+    /// minted.
+    sharded: bool,
+    spec: Spec,
+}
+
+impl<S: Copy> Deployment<S> {
+    /// Creates a blueprint for `config` with every knob unset. An unset
+    /// protocol resolves per shape at deploy time: the paper's W2R1 for a
+    /// register, the adaptive W2Ra for a keyspace (safe for any group
+    /// size).
+    pub fn new(config: S) -> Self {
         Deployment {
             config,
-            spec: Spec::Core(Protocol::W2R1),
-            backend: Backend::Sim { seed: 0 },
+            spec: None,
+            backend: None,
             wire: None,
             gc: None,
             timeout: None,
@@ -72,52 +123,25 @@ impl Deployment {
         }
     }
 
-    /// Creates a Byzantine deployment straight from the masking-quorum
-    /// arithmetic: the crash-view [`ClusterConfig`] (`t = b`) is derived
-    /// from `config` instead of hand-supplied, so it cannot disagree.
-    pub fn byz(config: ByzConfig, read_mode: ByzReadMode, behavior: ByzBehavior) -> Self {
-        let crash_view = ClusterConfig::new(
-            config.servers(),
-            config.byz(),
-            config.readers(),
-            config.writers(),
-        )
-        .expect("every valid ByzConfig has a valid crash view (S ≥ 4b + 1 > b)");
-        Deployment::new(crash_view).protocol(Spec::Byz { config, read_mode, behavior })
-    }
-
     /// Selects the protocol: a core [`Protocol`], a
     /// [`TunableSpec`](mwr_almost::TunableSpec), or a full [`Spec`]
     /// (required for [`Spec::Byz`]; see also [`byz`](Self::byz), which
-    /// derives the matching cluster config for you).
+    /// derives the matching cluster config for you). A keyspace runs core
+    /// protocols only.
     pub fn protocol(mut self, spec: impl Into<Spec>) -> Self {
-        self.spec = spec.into();
+        self.spec = Some(spec.into());
         self
     }
 
-    /// Selects the execution backend.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Selects the fast-read wire format. Core protocols only
-    /// ([`FastWire::FullInfo`] restores the paper's O(history) payloads).
+    /// Selects the fast-read wire format of every reader. Core protocols
+    /// only ([`FastWire::FullInfo`] restores the paper's O(history)
+    /// payloads).
     pub fn fast_wire(mut self, wire: FastWire) -> Self {
         self.wire = Some(wire);
         self
     }
 
-    /// Enables or disables acknowledged-floor GC on the servers. Core
-    /// protocols on the simulator backend only — the live runtime always
-    /// runs with GC on.
-    pub fn gc(mut self, gc: bool) -> Self {
-        self.gc = Some(gc);
-        self
-    }
-
-    /// Sets the per-round-trip quorum timeout for live clients. Live
-    /// backends only — the simulator runs in virtual time.
+    /// Sets the per-round-trip quorum timeout of live clients. Live backends only.
     pub fn timeout(mut self, timeout: Duration) -> Self {
         self.timeout = Some(timeout);
         self
@@ -125,23 +149,20 @@ impl Deployment {
 
     /// Tunes the TCP send path: writer-pipeline coalescing batch, bounded
     /// per-peer queue depth, reconnect backoff and write timeout (there is
-    /// one send path; nothing here selects another). TCP backend only — the
-    /// in-memory transport delivers straight into the destination's channel
-    /// with no pipeline to tune, and the simulator has no sockets at all.
+    /// one send path; nothing here selects another). TCP backend only.
     pub fn tcp_tuning(mut self, tuning: TcpTuning) -> Self {
         self.tcp_tuning = Some(tuning);
         self
     }
 
-    /// Arms the deployment with a streaming linearizability auditor: every
-    /// client the live handle mints emits sampled operation records into a
+    /// Arms the deployment with streaming linearizability auditing: one
     /// sidecar thread running `mwr-check`'s
-    /// [`StreamingAuditor`](mwr_check::StreamingAuditor), so workloads and
-    /// fault scenarios run continuously verified. Live backends only — the
-    /// simulator's histories are checked post-hoc with
-    /// [`check_atomicity`](mwr_check::check_atomicity). Collect the
-    /// verdict with
-    /// [`LiveHandle::shutdown_audited`](crate::LiveHandle::shutdown_audited).
+    /// [`StreamingAuditor`](mwr_check::StreamingAuditor) **per register**
+    /// (atomicity is a per-register property), fed sampled operation
+    /// records by every client the live handle mints or drives. A
+    /// register's sidecar starts at deploy; a keyspace's start the first
+    /// time a key's client is minted. Live backends only. Collect the
+    /// verdicts with `LiveHandle::shutdown_audited`.
     pub fn audit(mut self, audit: AuditConfig) -> Self {
         self.audit = Some(audit);
         self
@@ -152,36 +173,183 @@ impl Deployment {
     /// spike): a timed-out round is re-broadcast up to `attempts` times,
     /// `backoff` apart. Safe because every protocol round is idempotent
     /// and acknowledgements deduplicate by server across attempts. Live
-    /// backends only — the simulator has no timeouts to retry. The
-    /// default (no knob) is one attempt: fail fast, exactly the old
-    /// behavior.
+    /// backends only; the default is one attempt: fail fast.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = Some(retry);
         self
     }
 
     /// Arms the deployment with a deterministic [`FaultPlan`]: when the
-    /// live handle is driven with
-    /// [`LiveHandle::run_chaos`](crate::LiveHandle::run_chaos), an
-    /// injector walks the plan in order — crashing servers, rejoining
-    /// them through quorum state transfer, running churn bursts of
-    /// short-lived depart-cleanly clients — while the drive measures
-    /// whether the service held up. Live backends only; the simulator
-    /// schedules crashes natively in virtual time (and has no rejoin —
-    /// simulated crashes are permanent by construction).
+    /// live handle is driven with `run_chaos`, an injector walks the plan
+    /// in order — crashing servers, rejoining them through (per-shard)
+    /// quorum state transfer, running churn bursts of short-lived
+    /// depart-cleanly clients, reconfiguring the member set — while the
+    /// drive measures whether the service held up. Live backends only.
     pub fn inject(mut self, faults: FaultPlan) -> Self {
         self.faults = Some(faults);
         self
     }
 
-    /// The cluster configuration.
-    pub fn config(&self) -> ClusterConfig {
+    /// The cluster (or keyspace) configuration.
+    pub fn config(&self) -> S {
         self.config
     }
 
-    /// The protocol spec.
+    /// The one validation of both shapes: checks the whole combination —
+    /// shape × spec × backend × knobs — and explains the first unsupported
+    /// pairing. A knob a shape accepts is applied; a knob it cannot honour
+    /// is refused here, never ignored, with the reason the rule gives.
+    fn check(&self, shape: &Shape, backend: Backend) -> Result<(), DeployError> {
+        let live = !matches!(backend, Backend::Sim { .. });
+        let group = shape.group;
+        let core = matches!(shape.spec, Spec::Core(_));
+        if live && !core {
+            return Err(DeployError::Unsupported {
+                family: shape.spec.family(),
+                backend: backend.name(),
+                reason: "its servers and clients exist only as simulator automata; the live \
+                         runtime has not been wired to them yet",
+            });
+        }
+        let fast = matches!(shape.spec, Spec::Core(p) if p.read_mode() == ReadMode::Fast);
+        if shape.sharded && fast && !group.fast_read_feasible() {
+            return Err(DeployError::FastReadInfeasible {
+                group_size: group.servers(),
+                max_faults: group.max_faults(),
+                readers: group.readers(),
+            });
+        }
+        if let Spec::Byz { config: byz, .. } = shape.spec {
+            let crash_view = (byz.servers(), byz.byz(), byz.readers(), byz.writers());
+            if crash_view != (group.servers(), group.max_faults(), group.readers(), group.writers())
+            {
+                return Err(DeployError::ByzMismatch {
+                    detail: format!(
+                        "ByzConfig is {byz} (crash view S={} t={} R={} W={}) but the \
+                         deployment config is {group}; they must agree with t = b",
+                        crash_view.0, crash_view.1, crash_view.2, crash_view.3,
+                    ),
+                });
+            }
+        }
+        let refuse = |knob, reason| Err(DeployError::Knob { knob, reason });
+        let core_only = [("fast_wire", self.wire.is_some()), ("gc", self.gc.is_some())];
+        if let Some(&(knob, _)) = core_only.iter().find(|&&(_, set)| set && !core) {
+            return refuse(knob, "tunable servers are plain and byz stays full-info deliberately");
+        }
+        if self.gc.is_some() && live {
+            return refuse("gc", "the live runtime always runs acknowledged-floor GC");
+        }
+        let live_only = [
+            ("timeout", self.timeout.is_some()),
+            ("audit", self.audit.is_some()),
+            ("retry", self.retry.is_some()),
+            ("faults", self.faults.is_some()),
+        ];
+        if let Some(&(knob, _)) = live_only.iter().find(|&&(_, set)| set && !live) {
+            return refuse(knob, "the simulator runs in virtual time and is checked post hoc");
+        }
+        if let Some(tuning) = self.tcp_tuning {
+            if backend != Backend::Tcp {
+                return refuse("tcp_tuning", "only the TCP transport has writer pipelines");
+            }
+            if tuning.batch == 0 || tuning.queue_depth == 0 {
+                return refuse("tcp_tuning", "a zero-capacity pipeline could never move a frame");
+            }
+        }
+        if let Some(audit) = self.audit {
+            if !(audit.sample_rate > 0.0 && audit.sample_rate <= 1.0) {
+                return refuse("audit", "sample_rate must be in (0, 1]");
+            }
+            if audit.window == 0 {
+                return refuse("audit", "window must be at least 1");
+            }
+        }
+        if self.retry.is_some_and(|retry| retry.attempts == 0) {
+            return refuse("retry", "zero attempts could never issue the operation");
+        }
+        if let Some(plan) = self.faults {
+            if plan.max_server().is_some_and(|s| s as usize >= shape.servers) {
+                return refuse("faults", "the plan names a server outside the configuration");
+            }
+            let churny =
+                plan.steps().iter().any(|s| matches!(s.event, FaultEvent::ChurnBurst { .. }));
+            if churny && group.readers() < 2 {
+                return refuse("faults", "churn needs a second reader: it reserves the top slot");
+            }
+        }
+        Ok(())
+    }
+
+    /// Starts a cluster for `shape`, checked for a live backend, on
+    /// `factory` (a TCP registry carries the tuning knob) and wraps it with
+    /// every other live knob applied.
+    fn launch<F: EndpointFactory, C: BorrowMut<KeyspaceCluster<F>>>(
+        &self,
+        shape: Shape,
+        factory: F,
+        start: fn(F, S, Protocol) -> Result<C, TransportError>,
+    ) -> Result<LiveHandle<F, C>, DeployError> {
+        let Spec::Core(protocol) = shape.spec else {
+            unreachable!("check() rejects non-core specs on live backends");
+        };
+        let audit = self.audit.map(AuditHub::new);
+        if let (Some(hub), false) = (&audit, shape.sharded) {
+            // A register's one sidecar starts now, so an armed register
+            // always has a verdict to report.
+            hub.tap(RegisterId::DEFAULT)?;
+        }
+        Ok(LiveHandle {
+            cluster: start(factory, self.config, protocol)?,
+            wire: self.wire.unwrap_or_default(),
+            timeout: self.timeout,
+            retry: self.retry.unwrap_or_default(),
+            audit,
+            faults: self.faults,
+            endpoints: Mutex::default(),
+            minted: Cell::default(),
+            driven: Cell::default(),
+        })
+    }
+}
+
+impl Deployment<ClusterConfig> {
+    /// Creates a Byzantine deployment straight from the masking-quorum
+    /// arithmetic: the crash-view [`ClusterConfig`] (`t = b`) is derived
+    /// from `config` instead of hand-supplied, so it cannot disagree.
+    pub fn byz(config: ByzConfig, read_mode: ByzReadMode, behavior: ByzBehavior) -> Self {
+        let crash_view =
+            ClusterConfig::new(config.servers(), config.byz(), config.readers(), config.writers())
+                .expect("every valid ByzConfig has a valid crash view (S ≥ 4b + 1 > b)");
+        Deployment::new(crash_view).protocol(Spec::Byz { config, read_mode, behavior })
+    }
+
+    /// Selects the execution backend (the simulator with seed 0 when
+    /// unset).
+    pub fn backend(mut self, backend: Backend) -> Self {
+        self.backend = Some(backend);
+        self
+    }
+
+    /// Enables or disables acknowledged-floor GC on the servers. Core
+    /// protocols on the simulator backend only.
+    pub fn gc(mut self, gc: bool) -> Self {
+        self.gc = Some(gc);
+        self
+    }
+
+    /// The protocol spec (the paper's W2R1 when unset).
     pub fn spec(&self) -> Spec {
-        self.spec
+        self.spec.unwrap_or(Spec::Core(Protocol::W2R1))
+    }
+
+    fn configured(&self) -> Backend {
+        self.backend.unwrap_or(Backend::Sim { seed: 0 })
+    }
+
+    fn shape(&self) -> Shape {
+        let (group, spec) = (self.config, self.spec());
+        Shape { group, servers: group.servers(), sharded: false, spec }
     }
 
     /// Checks the whole combination — spec × backend × knobs — and
@@ -192,164 +360,19 @@ impl Deployment {
     /// [`DeployError::Unsupported`], [`DeployError::Knob`] or
     /// [`DeployError::ByzMismatch`], with the offending pair named.
     pub fn validate(&self) -> Result<(), DeployError> {
-        let live = !matches!(self.backend, Backend::Sim { .. });
-        match &self.spec {
-            Spec::Core(_) => {}
-            Spec::Tunable(_) if live => {
-                return Err(DeployError::Unsupported {
-                    family: self.spec.family(),
-                    backend: self.backend.name(),
-                    reason: "tunable-quorum clients exist only as simulator automata; \
-                             a live tunable client has not been wired yet",
-                });
-            }
-            Spec::Byz { .. } if live => {
-                return Err(DeployError::Unsupported {
-                    family: self.spec.family(),
-                    backend: self.backend.name(),
-                    reason: "Byzantine servers and vouching clients exist only as \
-                             simulator automata; the live runtime has not been wired yet",
-                });
-            }
-            Spec::Tunable(_) => {}
-            Spec::Byz { config: byz, .. } => {
-                let crash_view = (byz.servers(), byz.byz(), byz.readers(), byz.writers());
-                let deployed = (
-                    self.config.servers(),
-                    self.config.max_faults(),
-                    self.config.readers(),
-                    self.config.writers(),
-                );
-                if crash_view != deployed {
-                    return Err(DeployError::ByzMismatch {
-                        detail: format!(
-                            "ByzConfig is {byz} (crash view S={} t={} R={} W={}) but the \
-                             deployment config is {}; they must agree with t = b",
-                            crash_view.0, crash_view.1, crash_view.2, crash_view.3, self.config,
-                        ),
-                    });
-                }
-            }
+        self.check(&self.shape(), self.configured())
+    }
+
+    /// The validated shape, if the configured backend is `requested`.
+    fn live(&self, requested: Backend) -> Result<Shape, DeployError> {
+        self.validate()?;
+        match self.configured() {
+            configured if configured == requested => Ok(self.shape()),
+            configured => Err(DeployError::WrongBackend {
+                requested: requested.name(),
+                configured: configured.name(),
+            }),
         }
-        if self.wire.is_some() && !matches!(self.spec, Spec::Core(_)) {
-            return Err(DeployError::Knob {
-                knob: "fast_wire",
-                reason: "only the core protocols have a fast-read wire format \
-                         (tunable reads are threshold reads; byz stays full-info deliberately)",
-            });
-        }
-        if let Some(_gc) = self.gc {
-            if !matches!(self.spec, Spec::Core(_)) {
-                return Err(DeployError::Knob {
-                    knob: "gc",
-                    reason: "only the core servers run acknowledged-floor GC \
-                             (tunable servers are plain; byz stays full-info deliberately)",
-                });
-            }
-            if live {
-                return Err(DeployError::Knob {
-                    knob: "gc",
-                    reason: "the live runtime always runs acknowledged-floor GC; \
-                             the knob exists to restore the paper-faithful model in the simulator",
-                });
-            }
-        }
-        if self.timeout.is_some() && !live {
-            return Err(DeployError::Knob {
-                knob: "timeout",
-                reason: "timeouts are wall-clock; the simulator runs in virtual time \
-                         and never blocks",
-            });
-        }
-        if let Some(tuning) = self.tcp_tuning {
-            if self.backend != Backend::Tcp {
-                return Err(DeployError::Knob {
-                    knob: "tcp_tuning",
-                    reason: "writer pipelines and frame coalescing exist only on the TCP \
-                             transport; the in-memory transport delivers directly and the \
-                             simulator has no sockets",
-                });
-            }
-            if tuning.batch == 0 || tuning.queue_depth == 0 {
-                return Err(DeployError::Knob {
-                    knob: "tcp_tuning",
-                    reason: "batch and queue_depth must both be at least 1 \
-                             (a zero-capacity pipeline could never move a frame)",
-                });
-            }
-        }
-        if let Some(audit) = self.audit {
-            if !live {
-                return Err(DeployError::Knob {
-                    knob: "audit",
-                    reason: "the streaming auditor taps live clients; simulator \
-                             histories are deterministic and checked post-hoc with \
-                             mwr_check::check_atomicity",
-                });
-            }
-            if !(audit.sample_rate.is_finite()
-                && audit.sample_rate > 0.0
-                && audit.sample_rate <= 1.0)
-            {
-                return Err(DeployError::Knob {
-                    knob: "audit",
-                    reason: "sample_rate must be in (0, 1]",
-                });
-            }
-            if audit.window == 0 {
-                return Err(DeployError::Knob {
-                    knob: "audit",
-                    reason: "window must be at least 1 (the auditor needs to retain \
-                             something to check)",
-                });
-            }
-        }
-        if let Some(retry) = self.retry {
-            if !live {
-                return Err(DeployError::Knob {
-                    knob: "retry",
-                    reason: "retries re-broadcast after wall-clock timeouts; the simulator \
-                             runs in virtual time and never times out",
-                });
-            }
-            if retry.attempts == 0 {
-                return Err(DeployError::Knob {
-                    knob: "retry",
-                    reason: "attempts must be at least 1 (zero attempts could never \
-                             issue the operation)",
-                });
-            }
-        }
-        if let Some(plan) = self.faults {
-            if !live {
-                return Err(DeployError::Knob {
-                    knob: "faults",
-                    reason: "the fault injector crashes and rejoins live server threads; \
-                             simulator crashes are scheduled natively in virtual time and \
-                             are permanent (no rejoin path exists there)",
-                });
-            }
-            if let Some(max) = plan.max_server() {
-                if max as usize >= self.config.servers() {
-                    return Err(DeployError::Knob {
-                        knob: "faults",
-                        reason: "the plan crashes or rejoins a server index outside the \
-                                 deployment's configuration",
-                    });
-                }
-            }
-            let churny =
-                plan.steps().iter().any(|s| matches!(s.event, FaultEvent::ChurnBurst { .. }));
-            if churny && self.config.readers() < 2 {
-                return Err(DeployError::Knob {
-                    knob: "faults",
-                    reason: "churn bursts reserve the highest reader slot for short-lived \
-                             clients; the configuration needs at least 2 readers so one \
-                             stable reader remains",
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Builds the validated sim-side cluster blueprint — the
@@ -366,7 +389,7 @@ impl Deployment {
         // knobs): this path exists precisely to give live deployments a
         // simulated twin.
         let sim_view = Deployment {
-            backend: Backend::Sim { seed: 0 },
+            backend: Some(Backend::Sim { seed: 0 }),
             timeout: None,
             tcp_tuning: None,
             audit: None,
@@ -375,7 +398,7 @@ impl Deployment {
             ..*self
         };
         sim_view.validate()?;
-        Ok(match self.spec {
+        Ok(match self.spec() {
             Spec::Core(protocol) => {
                 let mut cluster = Cluster::new(self.config, protocol);
                 if let Some(wire) = self.wire {
@@ -401,13 +424,10 @@ impl Deployment {
     /// deployment is configured for a live backend.
     pub fn sim(&self) -> Result<SimHandle, DeployError> {
         self.validate()?;
-        let Backend::Sim { seed } = self.backend else {
-            return Err(DeployError::WrongBackend {
-                requested: "sim",
-                configured: self.backend.name(),
-            });
-        };
-        Ok(SimHandle::new(&self.sim_cluster()?, seed))
+        match self.configured() {
+            Backend::Sim { seed } => Ok(SimHandle::new(&self.sim_cluster()?, seed)),
+            live => Err(DeployError::WrongBackend { requested: "sim", configured: live.name() }),
+        }
     }
 
     /// Deploys on the in-memory live backend: every server on its own
@@ -415,17 +435,12 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// Validation errors, or [`DeployError::WrongBackend`] if the
-    /// deployment is configured for another backend.
+    /// Validation errors, [`DeployError::WrongBackend`] if the deployment
+    /// is configured for another backend, or a [`DeployError::Transport`]
+    /// if the audit sidecar cannot spawn.
     pub fn in_memory(&self) -> Result<LiveHandle<InMemoryTransport>, DeployError> {
-        self.validate()?;
-        if self.backend != Backend::InMemory {
-            return Err(DeployError::WrongBackend {
-                requested: "in-memory",
-                configured: self.backend.name(),
-            });
-        }
-        self.live_on(InMemoryTransport::new())
+        let shape = self.live(Backend::InMemory)?;
+        self.launch(shape, InMemoryTransport::new(), RuntimeCluster::start_on)
     }
 
     /// Deploys on the TCP live backend: every server on its own thread
@@ -434,57 +449,12 @@ impl Deployment {
     /// # Errors
     ///
     /// Validation errors, [`DeployError::WrongBackend`] if the deployment
-    /// is configured for another backend, or a
-    /// [`DeployError::Transport`] if a socket cannot be bound.
+    /// is configured for another backend, or a [`DeployError::Transport`]
+    /// if a socket cannot be bound or the audit sidecar cannot spawn.
     pub fn tcp(&self) -> Result<LiveHandle<TcpRegistry>, DeployError> {
-        self.validate()?;
-        if self.backend != Backend::Tcp {
-            return Err(DeployError::WrongBackend {
-                requested: "tcp",
-                configured: self.backend.name(),
-            });
-        }
-        self.live_on(TcpRegistry::new().with_tuning(self.tcp_tuning.unwrap_or_default()))
-    }
-
-    fn live_on<F: mwr_runtime::EndpointFactory>(
-        &self,
-        factory: F,
-    ) -> Result<LiveHandle<F>, DeployError> {
-        let Spec::Core(protocol) = self.spec else {
-            unreachable!("validate() rejects non-core specs on live backends");
-        };
-        let sidecar = match self.audit {
-            Some(cfg) => Some(AuditSidecar::spawn(cfg).map_err(|e| {
-                DeployError::Transport(mwr_runtime::TransportError::Io { kind: e.kind() })
-            })?),
-            None => None,
-        };
-        let cluster = RuntimeCluster::start_on(factory, self.config, protocol)?;
-        Ok(LiveHandle::new(
-            cluster,
-            self.wire.unwrap_or_default(),
-            self.timeout,
-            sidecar,
-            self.retry.unwrap_or_default(),
-            self.faults,
-        ))
-    }
-
-    /// Deploys on whichever backend this deployment is configured for,
-    /// returning the dispatching [`Handle`]. Prefer the typed
-    /// [`sim`](Self::sim) / [`in_memory`](Self::in_memory) /
-    /// [`tcp`](Self::tcp) when the backend is statically known.
-    ///
-    /// # Errors
-    ///
-    /// Validation and transport errors, as for the typed constructors.
-    pub fn deploy(&self) -> Result<Handle, DeployError> {
-        Ok(match self.backend {
-            Backend::Sim { .. } => Handle::Sim(self.sim()?),
-            Backend::InMemory => Handle::InMemory(self.in_memory()?),
-            Backend::Tcp => Handle::Tcp(self.tcp()?),
-        })
+        let shape = self.live(Backend::Tcp)?;
+        let registry = TcpRegistry::new().with_tuning(self.tcp_tuning.unwrap_or_default());
+        self.launch(shape, registry, RuntimeCluster::start_on)
     }
 
     /// Runs one closed-loop contended workload on this deployment's
@@ -502,24 +472,64 @@ impl Deployment {
     ///
     /// Validation, simulator, and runtime errors.
     pub fn run_closed_loop(&self, spec: WorkloadSpec) -> Result<WorkloadReport, DeployError> {
-        match self.backend {
+        match self.configured() {
             Backend::Sim { .. } => {
-                let seeded = Deployment { backend: Backend::Sim { seed: spec.seed }, ..*self };
+                let seeded =
+                    Deployment { backend: Some(Backend::Sim { seed: spec.seed }), ..*self };
                 Ok(seeded.sim()?.run_closed_loop(spec)?)
             }
-            Backend::InMemory => {
-                let handle = self.in_memory()?;
-                let report = handle.run_closed_loop(spec);
-                handle.shutdown();
-                report
-            }
-            Backend::Tcp => {
-                let handle = self.tcp()?;
-                let report = handle.run_closed_loop(spec);
-                handle.shutdown();
-                report
-            }
+            Backend::InMemory => closed_loop_once(self.in_memory()?, spec),
+            Backend::Tcp => closed_loop_once(self.tcp()?, spec),
         }
+    }
+}
+
+/// One closed-loop run on a fresh live register, shut down after.
+fn closed_loop_once<F: EndpointFactory>(
+    handle: LiveHandle<F>,
+    spec: WorkloadSpec,
+) -> Result<WorkloadReport, DeployError> {
+    let report = handle.run_closed_loop(spec);
+    handle.shutdown();
+    report
+}
+
+impl Deployment<KeyspaceConfig> {
+    /// The shape, validated for `backend`.
+    fn live(&self, backend: Backend) -> Result<Shape, DeployError> {
+        let shape = Shape {
+            group: self.config.group_config(),
+            servers: self.config.servers(),
+            sharded: true,
+            spec: self.spec.unwrap_or(Spec::Core(Protocol::W2Ra)),
+        };
+        self.check(&shape, backend)?;
+        Ok(shape)
+    }
+
+    /// Deploys the keyspace on in-memory channels.
+    ///
+    /// # Errors
+    ///
+    /// Validation errors — among them
+    /// [`DeployError::FastReadInfeasible`] if the protocol reads fast but
+    /// the group bound fails —, or a [`DeployError::Transport`] if an
+    /// endpoint cannot be opened.
+    pub fn in_memory(&self) -> Result<KeyspaceHandle<InMemoryTransport>, DeployError> {
+        let shape = self.live(Backend::InMemory)?;
+        self.launch(shape, InMemoryTransport::new(), KeyspaceCluster::start_on)
+    }
+
+    /// Deploys the keyspace on loopback TCP.
+    ///
+    /// # Errors
+    ///
+    /// As [`in_memory`](Self::in_memory), or a [`DeployError::Transport`]
+    /// if a socket cannot be bound.
+    pub fn tcp(&self) -> Result<KeyspaceHandle<TcpRegistry>, DeployError> {
+        let shape = self.live(Backend::Tcp)?;
+        let registry = TcpRegistry::new().with_tuning(self.tcp_tuning.unwrap_or_default());
+        self.launch(shape, registry, KeyspaceCluster::start_on)
     }
 }
 
@@ -602,8 +612,12 @@ mod tests {
     fn unsupported_family_backend_pairs_are_rejected_with_reasons() {
         for backend in [Backend::InMemory, Backend::Tcp] {
             for spec in [Spec::Tunable(mwr_almost::TunableSpec::fastest()), byz_spec()] {
-                let err =
-                    Deployment::new(config()).protocol(spec).backend(backend).deploy().unwrap_err();
+                let dep = Deployment::new(config()).protocol(spec).backend(backend);
+                let err = match backend {
+                    Backend::Tcp => dep.tcp().map(drop),
+                    _ => dep.in_memory().map(drop),
+                }
+                .unwrap_err();
                 let DeployError::Unsupported { backend: b, .. } = err else {
                     panic!("expected Unsupported, got {err}");
                 };
@@ -642,11 +656,14 @@ mod tests {
     fn tcp_tuning_is_validated_per_backend() {
         // TCP-only: the other backends have no writer pipelines.
         for backend in [Backend::Sim { seed: 0 }, Backend::InMemory] {
-            let err = Deployment::new(config())
+            let dep = Deployment::new(config())
                 .backend(backend)
-                .tcp_tuning(TcpTuning::default())
-                .deploy()
-                .unwrap_err();
+                .tcp_tuning(TcpTuning::default());
+            let err = match backend {
+                Backend::Sim { .. } => dep.sim().map(drop),
+                _ => dep.in_memory().map(drop),
+            }
+            .unwrap_err();
             assert!(matches!(err, DeployError::Knob { knob: "tcp_tuning", .. }), "{err}");
         }
         // Degenerate pipeline dimensions are rejected up front.
@@ -821,6 +838,20 @@ mod tests {
         );
     }
 
+    /// A register's one sidecar starts at deploy, so an armed register
+    /// reports even when nothing was minted or driven.
+    #[test]
+    fn an_armed_register_reports_with_nothing_minted() {
+        let handle = Deployment::new(config())
+            .backend(Backend::InMemory)
+            .audit(crate::audit::AuditConfig::default())
+            .in_memory()
+            .unwrap();
+        let (_, audit) = handle.shutdown_audited();
+        let audit = audit.expect("deployment was armed");
+        assert!(audit.verdict.is_ok() && audit.stats.audited == 0, "{audit}");
+    }
+
     #[test]
     fn unaudited_handles_report_no_audit() {
         let handle =
@@ -871,21 +902,22 @@ mod tests {
                 .protocol(Protocol::W2R1)
                 .backend(backend)
                 .timeout(Duration::from_secs(5));
-            let handle = dep.deploy().unwrap();
-            let (written, read, handled) = match handle {
-                Handle::InMemory(h) => {
+            let (written, read, handled) = match backend {
+                Backend::InMemory => {
+                    let h = dep.in_memory().unwrap();
                     let mut w = h.writer(0).unwrap();
                     let mut r = h.reader(0).unwrap();
                     let written = w.write(Value::new(7)).unwrap();
                     (written, r.read().unwrap(), h.shutdown())
                 }
-                Handle::Tcp(h) => {
+                Backend::Tcp => {
+                    let h = dep.tcp().unwrap();
                     let mut w = h.writer(0).unwrap();
                     let mut r = h.reader(0).unwrap();
                     let written = w.write(Value::new(7)).unwrap();
                     (written, r.read().unwrap(), h.shutdown())
                 }
-                Handle::Sim(_) => unreachable!("live backend configured"),
+                Backend::Sim { .. } => unreachable!("live backend configured"),
             };
             assert_eq!(read, written, "{}", backend.name());
             assert!(handled > 0);
@@ -943,6 +975,18 @@ mod tests {
         assert!(matches!(err, DeployError::HandlesInUse), "{err}");
         let err = handle.writer(0).unwrap_err();
         assert!(matches!(err, DeployError::HandlesInUse), "{err}");
+        handle.shutdown();
+    }
+
+    /// The message names both directions of the guard, checked here on
+    /// the writer-after-drive path.
+    #[test]
+    fn handles_in_use_explains_both_directions() {
+        let handle = Deployment::new(config()).backend(Backend::InMemory).in_memory().unwrap();
+        handle.run_open_loop(Duration::from_millis(5)).unwrap();
+        let message = handle.writer(0).unwrap_err().to_string();
+        assert!(message.contains("no minted writer()/reader() clients"), "{message}");
+        assert!(message.contains("after a drive has run"), "{message}");
         handle.shutdown();
     }
 

@@ -5,7 +5,8 @@ use std::fmt;
 use mwr_runtime::{RuntimeError, TransportError};
 use mwr_sim::SimError;
 
-/// Why a [`Deployment`](crate::Deployment) could not be built or run.
+/// Why a [`Deployment`](crate::Deployment) — a register or a
+/// [`Keyspace`](crate::Keyspace) — could not be built or run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeployError {
     /// The protocol family is not wired to the requested backend (yet).
@@ -17,10 +18,11 @@ pub enum DeployError {
         /// What is missing.
         reason: &'static str,
     },
-    /// A knob was set that the chosen protocol/backend combination does
-    /// not accept.
+    /// A knob was set that the chosen shape, protocol and backend do not
+    /// accept, or set to a value nothing could honour.
     Knob {
-        /// The offending knob (`fast_wire`, `gc`, `timeout`).
+        /// The offending knob (`backend`, `fast_wire`, `gc`, `timeout`,
+        /// `tcp_tuning`, `audit`, `retry`, `faults`).
         knob: &'static str,
         /// Why the combination rejects it.
         reason: &'static str,
@@ -31,6 +33,17 @@ pub enum DeployError {
         /// Rendered description of the disagreement.
         detail: String,
     },
+    /// A keyspace's protocol reads fast, but its *group* does not satisfy
+    /// the paper's feasibility bound `t(R + 2) < g` — within a shard the
+    /// group plays the role of `S`.
+    FastReadInfeasible {
+        /// Servers per shard group.
+        group_size: usize,
+        /// Tolerated faults.
+        max_faults: usize,
+        /// Configured readers.
+        readers: usize,
+    },
     /// A typed start method was called for a backend other than the one
     /// configured with [`Deployment::backend`](crate::Deployment::backend).
     WrongBackend {
@@ -39,13 +52,14 @@ pub enum DeployError {
         /// The backend the deployment is configured for.
         configured: &'static str,
     },
-    /// `run_closed_loop` was called on a live handle that had already
-    /// minted `writer()`/`reader()` clients; the closed-loop driver needs
-    /// the client endpoints for itself. Deploy a fresh handle (or use
-    /// `Deployment::run_closed_loop`, which always does).
+    /// The client endpoints of a live handle are taken: a drive
+    /// (`run_closed_loop`, `run_open_loop`, `run_chaos`) was asked for after
+    /// `writer()`/`reader()` minted a client, or a drive was asked for — or
+    /// a client minted — after a drive already ran. Deploy a fresh handle
+    /// (`Deployment::run_closed_loop` always does).
     HandlesInUse,
-    /// The live transport failed while starting servers or opening client
-    /// endpoints.
+    /// The live transport failed while starting servers, opening client
+    /// endpoints or spawning an audit sidecar thread.
     Transport(TransportError),
     /// The simulator reported an error while driving a workload.
     Sim(SimError),
@@ -65,6 +79,11 @@ impl fmt::Display for DeployError {
             DeployError::ByzMismatch { detail } => {
                 write!(f, "byzantine spec disagrees with the deployment config: {detail}")
             }
+            DeployError::FastReadInfeasible { group_size, max_faults, readers } => write!(
+                f,
+                "fast reads infeasible inside a shard group: t(R+2) < g requires \
+                 {max_faults}*({readers}+2) < {group_size}; pick W2R2/W2Ra or grow the group"
+            ),
             DeployError::WrongBackend { requested, configured } => write!(
                 f,
                 "deployment is configured for the {configured} backend, not {requested}; \
@@ -72,8 +91,9 @@ impl fmt::Display for DeployError {
             ),
             DeployError::HandlesInUse => write!(
                 f,
-                "run_closed_loop needs a freshly deployed live handle: writer()/reader() \
-                 clients were already minted on this one"
+                "the live handle's client endpoints are taken: a drive needs a handle with \
+                 no minted writer()/reader() clients, and nothing can be minted or driven \
+                 after a drive has run; deploy a fresh handle"
             ),
             DeployError::Transport(e) => write!(f, "transport: {e}"),
             DeployError::Sim(e) => write!(f, "simulator: {e}"),

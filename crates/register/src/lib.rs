@@ -1,5 +1,6 @@
 //! One register API: the [`Deployment`] facade over every `mwr` protocol
-//! family and every backend.
+//! family, every backend, and both shapes — one register, or a sharded
+//! [`Keyspace`] of many.
 //!
 //! The paper's contribution is a *design space* — W2R1/W2R2/W2Ra and the
 //! provably-impossible fast-write points — and the workspace grows three
@@ -16,12 +17,20 @@
 //!     .fast_wire(..) .gc(..)        optional knobs, validated per combination
 //!     .timeout(..) .audit(..)
 //!     .retry(..) .inject(..)
-//!     .sim() / .in_memory() / .tcp() / .deploy()
+//!     .sim() / .in_memory() / .tcp()
 //! ```
 //!
 //! Unsupported combinations (e.g. a Byzantine cluster over TCP, which is
 //! not wired yet) are rejected with a [`DeployError`] explaining exactly
 //! which pair is unsupported, instead of failing deep inside a transport.
+//!
+//! A keyspace is the same builder over a `KeyspaceConfig`:
+//! [`Keyspace`]` = Deployment<KeyspaceConfig>`. Each of its registers runs
+//! the paper's emulation inside a shard group of `g` servers, and a
+//! register is the one-key case — key `RegisterId::DEFAULT` on a group of
+//! all `S` servers. Both shapes share the knobs, the validation, the error
+//! type and one [`LiveHandle`]; only client minting, the drives and the
+//! audit verdict's shape differ, and the simulator is register-only.
 //!
 //! # Examples
 //!
@@ -68,10 +77,10 @@ mod error;
 mod handle;
 mod spec;
 
-pub use audit::{AuditConfig, AuditSidecar, OnViolation};
-pub use deploy::{AnySimCluster, Deployment};
+pub use audit::{AuditConfig, OnViolation};
+pub use deploy::{AnySimCluster, Deployment, Keyspace};
 pub use error::DeployError;
-pub use handle::{Handle, LiveHandle, Reader, SimHandle, Writer};
+pub use handle::{KeyReader, KeyWriter, KeyspaceHandle, LiveHandle, Reader, SimHandle, Writer};
 pub use spec::{Backend, Spec};
 
 // The vocabulary a facade user needs without naming the member crates.

@@ -27,9 +27,9 @@ use crate::transport::{EndpointFactory, InMemoryTransport, TransportError};
 /// `reconfigure`, `members`, `epoch`, `view`, `live_servers`, ….
 ///
 /// Most callers should not name this type: construct clusters through the
-/// `mwr-register` facade (`mwr::register::Deployment`), which picks the
-/// factory from its backend knob and layers wire/timeout configuration on
-/// top.
+/// `mwr-register` facade (`mwr::register::Deployment`), whose `LiveHandle`
+/// owns one — or, for a keyspace, a [`KeyspaceCluster`] — and layers the
+/// wire, timeout, retry and audit knobs on top.
 ///
 /// # Examples
 ///

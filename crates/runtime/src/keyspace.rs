@@ -46,8 +46,8 @@ const COORDINATOR: ProcessId = ProcessId::Server(ServerId::new(u32::MAX - 1));
 type Gathered = BTreeMap<u32, BTreeMap<ProcessId, Vec<RegisterTransfer>>>;
 
 /// A running live cluster over any [`EndpointFactory`]: every server hosts
-/// a [`ServerBank`], clients are minted per key by the `mwr-keyspace`
-/// facade (or, for the one-register shape, by
+/// a [`ServerBank`], clients are minted per key by the `mwr-register`
+/// facade's keyspace handle (or, for the one-register shape, by
 /// [`RuntimeCluster`](crate::RuntimeCluster)).
 ///
 /// # Examples

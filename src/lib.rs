@@ -13,8 +13,8 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`register`] | `mwr-register` | **start here** — the [`Deployment`](register::Deployment) facade over every protocol family and backend |
-//! | [`keyspace`] | `mwr-keyspace` | many named registers over one cluster: rendezvous-sharded groups, multiplexed endpoints, per-register audit |
+//! | [`register`] | `mwr-register` | **start here** — the one facade: [`Deployment`](register::Deployment) over every protocol family, backend and shape, one [`DeployError`](register::DeployError), one [`LiveHandle`](register::LiveHandle) |
+//! | [`keyspace`] | `mwr-keyspace` | the keyspace vocabulary — [`Keyspace`](register::Keyspace) (`Deployment<KeyspaceConfig>`), [`KeyspaceHandle`](register::KeyspaceHandle), per-key clients, `Router` — re-exported from `mwr-register`: many named registers over one cluster, rendezvous-sharded groups, multiplexed endpoints, per-register audit |
 //! | [`types`] | `mwr-types` | ids, tags, values, cluster config, wire codec |
 //! | [`sim`] | `mwr-sim` | deterministic discrete-event simulator |
 //! | [`core`] | `mwr-core` | protocols: W2R2, W2R1 (the paper), ABD, Dutta, naive fast writes |

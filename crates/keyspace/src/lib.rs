@@ -18,8 +18,8 @@
 //!   tests.
 //! - **Multiplexing** ([`Msg::ForRegister`](mwr_core::Msg)): one compact
 //!   frame header carries the register id; every per-key client of a
-//!   process shares *one* endpoint (one inbox, one set of per-peer TCP
-//!   pipelines), so mixed-register backlog coalesces into single syscalls.
+//!   process shares *one* endpoint (one inbox, one TCP connection and send
+//!   lock per peer), so every key's frames ride the same sockets.
 //! - **Per-register server state** ([`ServerBank`](mwr_core::ServerBank)):
 //!   each server lazily instantiates an independent Algorithm 2 automaton
 //!   per register, with per-register GC floors; crash recovery transfers

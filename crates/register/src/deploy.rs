@@ -147,9 +147,9 @@ impl<S: Copy> Deployment<S> {
         self
     }
 
-    /// Tunes the TCP send path: writer-pipeline coalescing batch, bounded
-    /// per-peer queue depth, reconnect backoff and write timeout (there is
-    /// one send path; nothing here selects another). TCP backend only.
+    /// Tunes the TCP send path: reconnect backoff and write timeout (there
+    /// is one send path, one lock and one write per frame; nothing here
+    /// selects another). TCP backend only.
     pub fn tcp_tuning(mut self, tuning: TcpTuning) -> Self {
         self.tcp_tuning = Some(tuning);
         self
@@ -249,13 +249,8 @@ impl<S: Copy> Deployment<S> {
         if let Some(&(knob, _)) = live_only.iter().find(|&&(_, set)| set && !live) {
             return refuse(knob, "the simulator runs in virtual time and is checked post hoc");
         }
-        if let Some(tuning) = self.tcp_tuning {
-            if backend != Backend::Tcp {
-                return refuse("tcp_tuning", "only the TCP transport has writer pipelines");
-            }
-            if tuning.batch == 0 || tuning.queue_depth == 0 {
-                return refuse("tcp_tuning", "a zero-capacity pipeline could never move a frame");
-            }
+        if self.tcp_tuning.is_some() && backend != Backend::Tcp {
+            return refuse("tcp_tuning", "only the TCP transport has writer pipelines");
         }
         if let Some(audit) = self.audit {
             if !(audit.sample_rate > 0.0 && audit.sample_rate <= 1.0) {
@@ -666,18 +661,11 @@ mod tests {
             .unwrap_err();
             assert!(matches!(err, DeployError::Knob { knob: "tcp_tuning", .. }), "{err}");
         }
-        // Degenerate pipeline dimensions are rejected up front.
-        let err = Deployment::new(config())
-            .backend(Backend::Tcp)
-            .tcp_tuning(TcpTuning { batch: 0, ..TcpTuning::default() })
-            .tcp()
-            .unwrap_err();
-        assert!(matches!(err, DeployError::Knob { knob: "tcp_tuning", .. }), "{err}");
         // A valid tuning reaches the registry and the cluster works.
         let handle = Deployment::new(config())
             .protocol(Protocol::W2R1)
             .backend(Backend::Tcp)
-            .tcp_tuning(TcpTuning { batch: 8, queue_depth: 32, ..TcpTuning::default() })
+            .tcp_tuning(TcpTuning { reconnect_backoff: Duration::from_millis(5), ..TcpTuning::default() })
             .tcp()
             .unwrap();
         let mut w = handle.writer(0).unwrap();

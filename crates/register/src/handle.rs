@@ -817,7 +817,8 @@ mod tests {
     #[test]
     fn keyspace_knobs_reach_the_registry_and_the_readers() {
         let config = KeyspaceConfig::new(5, 1, 3, 8, 1, 1).unwrap();
-        let tuning = TcpTuning { batch: 8, queue_depth: 32, ..TcpTuning::default() };
+        let tuning =
+            TcpTuning { reconnect_backoff: Duration::from_millis(5), write_timeout: Duration::from_millis(500) };
         let handle =
             Keyspace::new(config).tcp_tuning(tuning).fast_wire(FastWire::FullInfo).tcp().unwrap();
         assert_eq!(handle.cluster().factory().tuning(), tuning);

@@ -391,8 +391,8 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
     /// bound register and tagged with the scope's epoch, in one batched
     /// broadcast — the transport amortizes its locking over the whole
     /// fan-out, and a dead server is exactly the failure the quorum
-    /// tolerates (`send_batch` is best-effort by contract). Mixed-register
-    /// backlog coalesces into the same per-peer pipelines.
+    /// tolerates (`send_batch` is best-effort by contract). Every register's
+    /// frames to a server share that server's one connection.
     fn broadcast(&mut self) {
         let (wrap, epoch) = (self.wrap, self.machine.scope().epoch);
         let batch: Vec<(ProcessId, Msg)> = self

@@ -1,5 +1,5 @@
 //! A TCP transport: length-prefixed frames carrying the hand-rolled wire
-//! codec from `mwr-types`, sent through per-peer writer pipelines over
+//! codec from `mwr-types`, each written by the sending thread itself over
 //! **one TCP connection per pair of processes**.
 //!
 //! Every process owns a listening socket; a registry maps process ids to
@@ -37,30 +37,33 @@
 //!   dial at the same instant each keeps the connection it dialed for its
 //!   own direction (the other one is read, never written): two sockets
 //!   for that pair until one dies, each direction still on exactly one.
-//! - **Per-peer writer pipelines.** Each destination gets its own I/O
-//!   state (cached connection + reusable encode buffer) behind its own
-//!   lock, plus a bounded queue drained by a dedicated thread. When the
-//!   peer is idle, a send writes **inline** on the sender's thread — one
-//!   lock, one encode, one `write_all`, no handoff. When the peer's I/O is
-//!   busy (another thread mid-write, a write blocked on a slow peer, a
-//!   reconnect in progress), the sender enqueues and moves on: one
-//!   stalled destination cannot stall the rest of a broadcast.
-//! - **Frame coalescing.** Whatever backlog accumulates for one peer
-//!   (up to [`TcpTuning::batch`] frames) is encoded into one reusable
-//!   buffer and written with a single `write_all` — one syscall per
-//!   batch, sized exactly via `Wire::encoded_len`, no per-message buffer.
-//!   The inline path writes length-prefix and body as one syscall too.
+//! - **One send path: one lock, one encode, one write.** Each destination
+//!   has its own I/O state (the connection in use, a reusable encode
+//!   buffer, the reconnect negative cache) behind its own lock. A send
+//!   takes that lock, encodes its frame — length prefix and body, sized
+//!   exactly via `Wire::encoded_len` — into the buffer and writes it with
+//!   one `write_all` on the sender's own thread: no queue, no hand-off, no
+//!   thread per peer. The lock keeps each frame whole and a peer's frames
+//!   in order. Every runtime shape sends through an endpoint from one
+//!   thread (a bank thread, a client thread, a keyspace drive thread or a
+//!   rejoin fetch), so the lock is never contended there. Should a second
+//!   thread send to a stalled peer through the same endpoint, it waits on
+//!   that peer's lock until the stalled write gives up (see below) instead
+//!   of queueing, then drops its frame to the negative cache.
 //! - **Reconnect backoff + stall bounding.** Dialing lives inside the
-//!   pipeline: a failed `connect` is negative-cached for
+//!   send: a failed `connect` is negative-cached for
 //!   [`TcpTuning::reconnect_backoff`], so a crashed peer costs one failed
 //!   syscall per backoff window instead of one per message, and every
 //!   socket (dialed or accepted) carries a [`TcpTuning::write_timeout`] so
-//!   a stalled peer (connected but not reading) can block a sender for at
-//!   most the timeout before being retired and negative-cached too.
-//!   Frames to an unreachable peer are dropped — precisely the crash model
-//!   the quorum protocols tolerate. Only an attempt that *failed* renews
-//!   the cache: batches dropped because the cache said so leave it alone,
-//!   so a sender that never pauses still re-dials once per backoff. The
+//!   a stalled peer (connected but not reading) can block a sender for
+//!   about the timeout (it applies to each `write` syscall of the frame)
+//!   before being retired and negative-cached too. A write that failed on
+//!   a dead connection is retried once; one that timed out is not, since a
+//!   redial to a stalled peer would stall again. Frames to an unreachable
+//!   peer are dropped — precisely the crash model the quorum protocols
+//!   tolerate. Only an attempt that *failed* renews the cache: frames
+//!   dropped because the cache said so leave it alone, so a sender that
+//!   never pauses still re-dials once per backoff. The
 //!   cache is **forgiven early by inbound traffic**: a frame arriving
 //!   *from* a negative-cached peer after its last failure is proof the
 //!   peer is back, so the next send reconnects immediately — and when that
@@ -101,14 +104,14 @@
 //!   no readiness queue — `Poller::new` fails anywhere but Linux — `bind`
 //!   returns the error), the last endpoint dropped stops and joins it.
 //!
-//! An endpoint runs two kinds of thread of its own — the acceptor, and a
-//! drain thread for each peer that ever fell behind — and `drop` joins
-//! them all: the acceptor stops, queued frames are flushed and writer
-//! threads join, and the endpoint is detached from the reactor, which
-//! closes every connection of this endpoint — and of no other — *before*
-//! `drop` returns, observable through [`TcpEndpoint::connection_gauge`].
-//! No thread and no descriptor of the endpoint outlives it, and none of
-//! the registry's outlives its last endpoint.
+//! An endpoint runs one thread of its own, the acceptor; sends run on
+//! their callers' threads, so nothing is ever queued to flush. `drop`
+//! stops and joins the acceptor and detaches the endpoint from the
+//! reactor, which closes every connection of this endpoint — and of no
+//! other — *before* `drop` returns, observable through
+//! [`TcpEndpoint::connection_gauge`]. No thread and no descriptor of the
+//! endpoint outlives it, and none of the registry's outlives its last
+//! endpoint.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -120,7 +123,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use bytes::{BufMut as _, BytesMut};
-use crossbeam::channel::{bounded, unbounded, Receiver, SendError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use polling::{Event, Poller};
 
@@ -146,50 +149,40 @@ fn io_err(e: std::io::Error) -> TransportError {
     TransportError::Io { kind: e.kind() }
 }
 
-/// Tuning knobs for the per-peer writer pipelines.
+/// Tuning knobs for the TCP send path.
 ///
 /// The defaults are right for the loopback clusters the workspace runs;
 /// the `mwr-register` facade exposes them as a TCP-only deployment knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpTuning {
-    /// Maximum frames one writer-pipeline batch coalesces into a single
-    /// `write_all` syscall.
-    pub batch: usize,
-    /// Bounded per-peer queue depth; senders block (backpressure) while a
-    /// live peer's queue is full.
-    pub queue_depth: usize,
-    /// After a failed `connect` (or a failed/timed-out write cycle),
-    /// frames to that peer are dropped without another syscall until this
-    /// much time has passed.
+    /// After a failed `connect` (or a failed or timed-out write), frames
+    /// to that peer are dropped without another syscall until this much
+    /// time has passed.
     pub reconnect_backoff: Duration,
-    /// Socket write timeout for pipeline connections, bounding how long a
+    /// Socket write timeout for every connection, bounding how long a
     /// stalled peer (connected but not reading, TCP window full) can
-    /// block a sender or a teardown flush; the frames are then dropped
-    /// and the peer negative-cached like a failed connect.
-    /// `Duration::ZERO` disables the timeout.
+    /// block a sender — and any other sender waiting on that peer's lock
+    /// behind it; the frame is then dropped and the peer negative-cached
+    /// like a failed connect. `Duration::ZERO` disables the timeout.
     pub write_timeout: Duration,
 }
 
 impl Default for TcpTuning {
     fn default() -> Self {
-        TcpTuning {
-            batch: 64,
-            queue_depth: 1024,
-            reconnect_backoff: Duration::from_millis(50),
-            write_timeout: Duration::from_secs(1),
-        }
+        TcpTuning { reconnect_backoff: Duration::from_millis(50), write_timeout: Duration::from_secs(1) }
     }
 }
 
-/// Counters of one peer pipeline, for tests and diagnostics. Snapshot via
-/// [`TcpEndpoint::peer_stats`].
+/// Counters of one peer's send path, for tests and diagnostics. Snapshot
+/// via [`TcpEndpoint::peer_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PeerStats {
     /// `connect` syscalls attempted (capped by the reconnect backoff).
     pub connect_attempts: u64,
     /// Frames written to the socket.
     pub frames_sent: u64,
-    /// Coalesced `write_all` batches issued (≤ `frames_sent`).
+    /// `write_all` calls that delivered a frame: one per frame, so always
+    /// `frames_sent`.
     pub batches: u64,
     /// Frames dropped because the peer stayed unreachable.
     pub frames_dropped: u64,
@@ -199,16 +192,16 @@ pub struct PeerStats {
 struct PipelineStats {
     connect_attempts: AtomicU64,
     frames_sent: AtomicU64,
-    batches: AtomicU64,
     frames_dropped: AtomicU64,
 }
 
 impl PipelineStats {
     fn snapshot(&self) -> PeerStats {
+        let frames_sent = self.frames_sent.load(Ordering::Relaxed);
         PeerStats {
             connect_attempts: self.connect_attempts.load(Ordering::Relaxed),
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
+            frames_sent,
+            batches: frames_sent,
             frames_dropped: self.frames_dropped.load(Ordering::Relaxed),
         }
     }
@@ -368,9 +361,8 @@ impl Conn {
 }
 
 /// The I/O half of a peer pipeline: the connection in use, the reusable
-/// encode buffer, and the reconnect negative cache. Shared by the inline
-/// fast path (sender thread) and the drain thread, under one per-peer
-/// mutex — which also makes this the only writer of the connection.
+/// encode buffer, and the reconnect negative cache, behind the peer's
+/// lock — which also makes its holder the only writer of the connection.
 #[derive(Debug)]
 struct PeerIo {
     from: ProcessId,
@@ -389,52 +381,48 @@ struct PeerIo {
 }
 
 impl PeerIo {
-    /// Encodes `msgs` as one coalesced frame batch and writes it with a
-    /// single `write_all` on the peer's live connection, dialing (under
-    /// the negative-cache backoff) only when there is none; on a dead
-    /// connection, finds or dials another once and retries the whole
-    /// batch (parity with the old per-message retry). An unreachable peer
-    /// drops the batch — the crash model's message loss.
-    fn write_frames(&mut self, msgs: &[Msg], stats: &PipelineStats) {
-        self.buf.clear();
-        let mut framed = 0u64;
-        for msg in msgs {
-            let len = self.from.encoded_len() + msg.encoded_len();
-            // Enforce the receiver's frame bound on the send side too: an
-            // oversized message would make the peer drop the connection
-            // (taking every coalesced neighbour with it) on every retry.
-            if len as u64 > u64::from(MAX_FRAME) {
-                stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            framed += 1;
-            self.buf.put_u32(len as u32);
-            self.from.encode(&mut self.buf);
-            msg.encode(&mut self.buf);
-        }
-        if framed == 0 {
+    /// Encodes `msg` as one frame and writes it with a single `write_all`
+    /// on the peer's live connection, dialing (under the negative-cache
+    /// backoff) only when there is none. A write that failed on a dead
+    /// connection is retried once, on the connection the peer opened
+    /// meanwhile or a fresh dial; one that timed out is not, because the
+    /// peer is stalled and a redial would hold the sender again. An
+    /// unreachable peer drops the frame — the crash model's message loss.
+    fn write_frame(&mut self, msg: &Msg, stats: &PipelineStats) {
+        let len = self.from.encoded_len() + msg.encoded_len();
+        // Enforce the receiver's frame bound on the send side too: an
+        // oversized message would make the peer drop the connection (and
+        // whatever follows it on the wire) on every retry.
+        if len as u64 > u64::from(MAX_FRAME) {
+            stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
+        self.buf.clear();
+        self.buf.put_u32(len as u32);
+        self.from.encode(&mut self.buf);
+        msg.encode(&mut self.buf);
         let mut delivered = false;
         let mut write_failed = false;
         for _ in 0..2 {
             self.ensure_conn(stats);
             let Some(conn) = &self.conn else { break };
-            if (&conn.stream).write_all(&self.buf).is_ok() {
+            let Err(e) = (&conn.stream).write_all(&self.buf) else {
                 delivered = true;
                 break;
-            }
+            };
             write_failed = true;
             self.retire_conn();
+            if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) {
+                break;
+            }
         }
         if delivered {
-            stats.batches.fetch_add(1, Ordering::Relaxed);
-            stats.frames_sent.fetch_add(framed, Ordering::Relaxed);
+            stats.frames_sent.fetch_add(1, Ordering::Relaxed);
         } else {
             // A write that failed in this call (dead socket, stalled peer
             // hitting the write timeout) negative-caches the peer like a
-            // failed connect, so the next batches drop fast instead of
-            // stalling the sender for another timeout each. A batch
+            // failed connect, so the next frames drop fast instead of
+            // stalling the sender for another timeout each. A frame
             // dropped *because* the cache said so must not renew it: the
             // window would slide with every send, and a sender that never
             // pauses for a whole backoff would never re-dial a peer that
@@ -442,7 +430,7 @@ impl PeerIo {
             if write_failed {
                 self.last_failed = Some(Instant::now());
             }
-            stats.frames_dropped.fetch_add(framed, Ordering::Relaxed);
+            stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
         }
         // Don't let one full-info burst pin its high-water capacity for
         // the pipeline's lifetime.
@@ -503,57 +491,19 @@ impl PeerIo {
     }
 }
 
-/// The drain thread's spawn-once state: the queue's receiver is parked
-/// here until the first fallback enqueue needs a drain thread.
+/// One destination's send path: its I/O state behind its own lock, and
+/// its counters beside the lock, so [`TcpEndpoint::peer_stats`] never
+/// waits on a stalled write.
+///
+/// A send is one lock, one encode into the reusable buffer and one
+/// `write_all`, on the sender's thread. Holding the lock makes the sender
+/// the connection's only writer, so frames go out whole and in order. A
+/// second sender to the same peer waits for the lock, at worst until a
+/// stalled write times out ([`TcpTuning::write_timeout`]).
 #[derive(Debug)]
-struct DrainState {
-    rx: Option<Receiver<Msg>>,
-    join: Option<JoinHandle<()>>,
-}
-
-/// The part of a pipeline its drain thread shares with senders.
-#[derive(Debug)]
-struct PipelineCore {
-    from: ProcessId,
-    to: ProcessId,
-    tuning: TcpTuning,
-    /// Frames enqueued but not yet written/dropped by the drain thread.
-    /// Checked (under the I/O lock) by the inline path: writing inline
-    /// while a queued frame is pending would reorder the peer's stream.
-    pending: AtomicU64,
+struct PeerPipeline {
     io: Mutex<PeerIo>,
     stats: PipelineStats,
-}
-
-/// Everything a sender needs of one pipeline. The drain thread holds only
-/// the [`PipelineCore`], so dropping the last `PipelineShared` drops the
-/// queue's sender and lets that thread flush and exit.
-#[derive(Debug)]
-struct PipelineShared {
-    core: Arc<PipelineCore>,
-    tx: Sender<Msg>,
-    drain: Mutex<DrainState>,
-}
-
-/// One destination's writer pipeline: per-peer I/O state behind its own
-/// lock, a bounded overflow queue, and a lazily-spawned drain thread.
-///
-/// The fast path writes **inline** on the sender's thread — when the peer
-/// is idle (queue empty, I/O lock free) a send is one lock, one encode
-/// into the reusable buffer, one `write_all`. The queue + drain thread
-/// take over exactly when that would hurt: the peer's I/O is busy (another
-/// thread mid-write, or a write blocked on a slow peer), so the sender
-/// enqueues and moves on — one stalled destination cannot stall the rest
-/// of a broadcast — and the drain thread coalesces the backlog into
-/// batched writes. The drain thread is spawned on the first fallback, so
-/// uncontended endpoints (the common case: one sending thread per
-/// endpoint) never pay a parked thread per peer.
-///
-/// A clone is one reference-count bump: senders take one under the
-/// endpoint's pipeline map lock and do all I/O and enqueueing outside it.
-#[derive(Debug, Clone)]
-struct PeerPipeline {
-    shared: Arc<PipelineShared>,
 }
 
 impl PeerPipeline {
@@ -563,124 +513,14 @@ impl PeerPipeline {
         registry: TcpRegistry,
         tuning: TcpTuning,
         endpoint: Arc<EndpointShared>,
-    ) -> PeerPipeline {
-        // Clamp at the transport layer, not just in the facade's knob
-        // validation: a zero-capacity bounded channel can never accept a
-        // frame, which would wedge the first fallback send forever.
-        let (tx, rx) = bounded(tuning.queue_depth.max(1));
-        let core = PipelineCore {
-            from,
-            to,
-            tuning,
-            pending: AtomicU64::new(0),
-            io: Mutex::new(PeerIo {
-                from,
-                to,
-                registry,
-                tuning,
-                endpoint,
-                conn: None,
-                buf: BytesMut::new(),
-                last_failed: None,
-            }),
-            stats: PipelineStats::default(),
-        };
-        PeerPipeline {
-            shared: Arc::new(PipelineShared {
-                core: Arc::new(core),
-                tx,
-                drain: Mutex::new(DrainState { rx: Some(rx), join: None }),
-            }),
-        }
+    ) -> Arc<PeerPipeline> {
+        let io =
+            PeerIo { from, to, registry, tuning, endpoint, conn: None, buf: BytesMut::new(), last_failed: None };
+        Arc::new(PeerPipeline { io: Mutex::new(io), stats: PipelineStats::default() })
     }
 
-    /// Sends `msg` through the fast inline path when the peer is idle,
-    /// falling back to the queue + drain thread when it is busy. Blocks
-    /// only when a live peer's bounded queue is full (backpressure); a
-    /// dead peer's pipeline drains by dropping, so it cannot exert
-    /// backpressure on the sender.
-    fn send(&self, msg: Msg) -> Result<(), SendError<Msg>> {
-        let core = &self.shared.core;
-        if let Some(mut io) = core.io.try_lock() {
-            // Holding the I/O lock proves the drain thread is not
-            // mid-write; zero pending frames proves none are waiting to
-            // be written. Together they make the inline write FIFO-safe.
-            if core.pending.load(Ordering::SeqCst) == 0 {
-                io.write_frames(std::slice::from_ref(&msg), &core.stats);
-                return Ok(());
-            }
-        }
-        // The drain thread must exist before anything is queued behind the
-        // bounded channel, or a full queue would have no consumer. If the
-        // OS refuses the thread, the frame is dropped like any other
-        // unreachable-peer loss rather than wedging the sender.
-        if self.ensure_drain().is_err() {
-            core.stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-        core.pending.fetch_add(1, Ordering::SeqCst);
-        self.shared.tx.send(msg)
-    }
-
-    /// Spawns the drain thread on first use.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the OS refuses the thread — including on every later
-    /// call once a spawn has failed (the receiver was consumed by the
-    /// failed attempt), so fallback sends keep dropping instead of
-    /// queueing onto a consumer-less channel.
-    fn ensure_drain(&self) -> std::io::Result<()> {
-        let mut drain = self.shared.drain.lock();
-        if let Some(rx) = drain.rx.take() {
-            // Deliberately never touches the per-peer io lock: the drain
-            // thread is being spawned precisely because that lock may be
-            // held across a stalled write right now.
-            let core = Arc::clone(&self.shared.core);
-            drain.join = Some(
-                thread::Builder::new()
-                    .name(format!("tcp-writer-{}-{}", core.from, core.to))
-                    .spawn(move || drain_loop(&rx, &core))?,
-            );
-        } else if drain.join.is_none() {
-            // A previous spawn failed and consumed the receiver: this
-            // pipeline can never drain a queue, so the caller must keep
-            // dropping.
-            return Err(std::io::Error::from(std::io::ErrorKind::WouldBlock));
-        }
-        Ok(())
-    }
-
-    /// Drops the queue's sender (letting any drain thread flush what is
-    /// queued and exit) and joins it. Only the endpoint's `Drop` calls
-    /// this, on the map's own handle: no sender can still hold a clone.
-    fn shutdown(self) {
-        let join = self.shared.drain.lock().join.take();
-        drop(self);
-        if let Some(join) = join {
-            let _ = join.join();
-        }
-    }
-}
-
-fn drain_loop(rx: &Receiver<Msg>, core: &PipelineCore) {
-    let mut batch: Vec<Msg> = Vec::with_capacity(core.tuning.batch);
-    // `recv` keeps yielding queued frames after the endpoint drops its
-    // sender, so teardown flushes the queue before the thread exits.
-    while let Ok(first) = rx.recv() {
-        let mut io = core.io.lock();
-        batch.push(first);
-        while batch.len() < core.tuning.batch {
-            match rx.try_recv() {
-                Ok(msg) => batch.push(msg),
-                Err(_) => break,
-            }
-        }
-        io.write_frames(&batch, &core.stats);
-        // Decrement before releasing the I/O lock: an inline sender that
-        // acquires it next must see these frames accounted as written.
-        core.pending.fetch_sub(batch.len() as u64, Ordering::SeqCst);
-        batch.clear();
+    fn send(&self, msg: &Msg) {
+        self.io.lock().write_frame(msg, &self.stats);
     }
 }
 
@@ -1122,14 +962,14 @@ fn reap(shared: &ReactorShared, conn: &SharedConn) {
 }
 
 /// One process's TCP endpoint: an acceptor feeding the registry's reactor,
-/// which feeds the inbox, plus a writer pipeline per destination.
+/// which feeds the inbox, plus a send path per destination.
 #[derive(Debug)]
 pub struct TcpEndpoint {
     id: ProcessId,
     registry: TcpRegistry,
     inbox: Receiver<Inbound>,
     tuning: TcpTuning,
-    pipelines: Mutex<HashMap<ProcessId, PeerPipeline>>,
+    pipelines: Mutex<HashMap<ProcessId, Arc<PeerPipeline>>>,
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
@@ -1200,10 +1040,10 @@ impl TcpEndpoint {
         self.local_addr
     }
 
-    /// A snapshot of the writer-pipeline counters for `to`, or `None` if
+    /// A snapshot of the send-path counters for `to`, or `None` if
     /// nothing was ever sent there.
     pub fn peer_stats(&self, to: ProcessId) -> Option<PeerStats> {
-        self.pipelines.lock().get(&to).map(|p| p.shared.core.stats.snapshot())
+        self.pipelines.lock().get(&to).map(|p| p.stats.snapshot())
     }
 
     /// A snapshot of this endpoint's share of the reactor's work: `wakes`
@@ -1227,7 +1067,7 @@ impl TcpEndpoint {
         Arc::clone(&self.shared.conns)
     }
 
-    fn new_pipeline(&self, to: ProcessId) -> PeerPipeline {
+    fn new_pipeline(&self, to: ProcessId) -> Arc<PeerPipeline> {
         PeerPipeline::new(self.id, to, self.registry.clone(), self.tuning, Arc::clone(&self.shared))
     }
 }
@@ -1246,17 +1086,8 @@ impl Drop for TcpEndpoint {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        // Tear down the writer pipelines: each drains its queued frames
-        // and exits once its sender is gone; joining bounds the teardown
-        // so no writer thread outlives the endpoint. The endpoint is still
-        // attached, so a flush that has to dial can hand its connection
-        // over.
-        let pipelines: Vec<PeerPipeline> =
-            self.pipelines.lock().drain().map(|(_, p)| p).collect();
-        for pipeline in pipelines {
-            pipeline.shutdown();
-        }
-        // Detach from the reactor last (no acceptor or pipeline is left to
+        // Detach from the reactor last (the acceptor is gone, and no send
+        // can run while `drop` holds the endpoint, so nothing is left to
         // hand it a socket) and wait for it: that makes connection
         // teardown synchronous — every connection of this endpoint is
         // closed and the gauge reads zero before Drop returns. If this was
@@ -1292,8 +1123,8 @@ impl Endpoint for TcpEndpoint {
         self.id
     }
 
-    /// Hands `msg` to the writer pipeline for `to`, spawning it on first
-    /// use.
+    /// Writes `msg` to `to` on the caller's thread, creating the peer's
+    /// pipeline on first use.
     ///
     /// Destinations that were never registered fail synchronously with
     /// [`TransportError::UnknownDestination`] (a map probe, never a
@@ -1303,21 +1134,22 @@ impl Endpoint for TcpEndpoint {
     /// rather than by re-checking the shared registry lock per send.
     fn send(&self, to: ProcessId, msg: Msg) -> Result<(), TransportError> {
         // Take a handle on the pipeline under the map lock, but do all
-        // I/O and enqueueing outside it: one peer's backpressure must not
-        // serialize sends to the others.
+        // I/O outside it: one stalled peer must not serialize sends to the
+        // others.
         let pipeline = {
             let mut pipelines = self.pipelines.lock();
             match pipelines.entry(to) {
-                Entry::Occupied(e) => e.get().clone(),
+                Entry::Occupied(e) => Arc::clone(e.get()),
                 Entry::Vacant(e) => {
                     if self.registry.lookup(to).is_none() {
                         return Err(TransportError::UnknownDestination { to });
                     }
-                    e.insert(self.new_pipeline(to)).clone()
+                    Arc::clone(e.insert(self.new_pipeline(to)))
                 }
             }
         };
-        pipeline.send(msg).map_err(|_| TransportError::Disconnected { to })
+        pipeline.send(&msg);
+        Ok(())
     }
 
     /// A broadcast takes the pipeline map lock once for the whole batch,
@@ -1336,11 +1168,11 @@ impl Endpoint for TcpEndpoint {
                         e.insert(self.new_pipeline(to))
                     }
                 };
-                staged.push((pipeline.clone(), msg));
+                staged.push((Arc::clone(pipeline), msg));
             }
         }
         for (pipeline, msg) in staged {
-            let _ = pipeline.send(msg);
+            pipeline.send(&msg);
         }
     }
 
@@ -2138,6 +1970,7 @@ mod tests {
     /// the connection is retired and the peer negative-cached — and the
     /// reader thread, which shares that socket, is never held at all.
     #[test]
+    #[allow(clippy::needless_update)] // Names the knobs it needs; the rest stay default.
     fn stalled_peer_on_an_accepted_connection_holds_a_replier_at_most_the_write_timeout() {
         let write_timeout = Duration::from_millis(200);
         let tuning = TcpTuning {
@@ -2196,5 +2029,102 @@ mod tests {
         wait_until("stalled connection never reaped", || {
             hub.reader_stats().open_connections == 1
         });
+    }
+
+    /// Threads of this process named `tcp-…` that are neither the reactor
+    /// nor an acceptor.
+    fn other_transport_threads() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .expect("procfs")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_owned())
+            .filter(|name| name.starts_with("tcp-") && name != "tcp-reactor" && !name.starts_with("tcp-acceptor"))
+            .collect()
+    }
+
+    /// Two threads share the hub's endpoint. A fills a stalled peer's
+    /// socket until its `write_all` blocks; B then broadcasts to the stalled
+    /// peer and to a healthy one. B waits on the stalled peer's lock — no
+    /// queue, no thread spawned for it — and is held about as long as a
+    /// stalled write is; the healthy peer gets its frame. Once a write has
+    /// timed out, the peer is negative-cached: frames to it drop without a
+    /// dial.
+    ///
+    /// The timeout is well under TCP's 200 ms minimum zero-window probe
+    /// interval: a receiver that never reads still grows its buffer when
+    /// probed, so a longer timeout would let a stalled write creep forward
+    /// instead of giving up.
+    #[test]
+    fn a_second_sender_to_a_stalled_peer_waits_on_its_lock_at_most_the_write_timeout() {
+        let write_timeout = Duration::from_millis(50);
+        let tuning = TcpTuning { write_timeout, reconnect_backoff: Duration::from_secs(30) };
+        let registry = TcpRegistry::new().with_tuning(tuning);
+        let hub = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+        let good = TcpEndpoint::bind(ProcessId::writer(0), &registry).unwrap();
+
+        // The stalled peer lists an address nobody listens on and never
+        // reads the connection it opened to the hub.
+        let stalled_id = ProcessId::reader(7);
+        let nobody = TcpListener::bind("127.0.0.1:0").unwrap();
+        registry.insert(stalled_id, nobody.local_addr().unwrap());
+        drop(nobody);
+        let mut stalled = TcpStream::connect(hub.local_addr()).unwrap();
+        stalled.write_all(&raw_frame(stalled_id, &Msg::InvokeRead)).unwrap();
+        let (from, _) = hub.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(from, stalled_id);
+
+        let bulky = Msg::ReadFast {
+            handle: OpHandle { op: OpId { client: ClientId::Reader(ReaderId::new(7)), seq: 0 }, phase: 1 },
+            val_queue: vec![TaggedValue::initial(); 8 * 1024],
+        };
+        let handled = || hub.peer_stats(stalled_id).map_or(0, |s| s.frames_sent + s.frames_dropped);
+        // When A's send in progress began, in µs since `base` plus one;
+        // zero while A is between sends.
+        let base = Instant::now();
+        let sending = AtomicU64::new(0);
+        let micros = |at: Instant| at.duration_since(base).as_micros() as u64 + 1;
+        let (before_b, after_b, b_took, others) = thread::scope(|scope| {
+            scope.spawn(|| {
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while hub.peer_stats(stalled_id).map_or(0, |s| s.frames_dropped) == 0 {
+                    sending.store(micros(Instant::now()), Ordering::Release);
+                    hub.send(stalled_id, bulky.clone()).unwrap();
+                    sending.store(0, Ordering::Release);
+                    assert!(Instant::now() < deadline, "the stalled socket never filled up");
+                }
+            });
+            // A has been inside one send for half the timeout: its
+            // `write_all` is blocked on the full socket, holding the lock,
+            // and its frame is not counted yet (the counters are read
+            // before A is seen still inside that send).
+            let before_b = std::cell::Cell::new(0);
+            wait_until("A's writes never blocked", || {
+                before_b.set(handled());
+                let at = sending.load(Ordering::Acquire);
+                at != 0 && micros(Instant::now()) >= at + (write_timeout / 2).as_micros() as u64
+            });
+            let sent = Instant::now();
+            hub.send_batch(vec![(stalled_id, bulky.clone()), (good.id(), Msg::InvokeWrite(Value::new(5)))]);
+            let b_took = sent.elapsed();
+            (before_b.get(), handled(), b_took, other_transport_threads())
+        });
+
+        assert!(
+            b_took < write_timeout + Duration::from_millis(500),
+            "B was held {b_took:?}, write_timeout is {write_timeout:?}"
+        );
+        let (from, msg) = good.inbox().recv_timeout(Duration::from_secs(5)).expect("the healthy peer's frame");
+        assert_eq!((from, msg), (hub.id(), Msg::InvokeWrite(Value::new(5))));
+        assert!(others.is_empty(), "a send spawned a thread: {others:?}");
+        assert!(
+            after_b >= before_b + 2,
+            "B's frame was handled before A's blocked one ({before_b} → {after_b}): B went past the lock"
+        );
+        // A stopped at a timed-out write: the peer is negative-cached.
+        let sent = Instant::now();
+        hub.send(stalled_id, bulky).unwrap();
+        assert!(sent.elapsed() < write_timeout / 2, "a cached peer must drop fast");
+        let stats = hub.peer_stats(stalled_id).unwrap();
+        assert_eq!(stats.connect_attempts, 0, "a timed-out write must negative-cache the peer: {stats:?}");
     }
 }

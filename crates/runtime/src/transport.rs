@@ -91,11 +91,11 @@ pub trait Endpoint: Send + Sync {
     /// Delivery is best-effort past the transport's bookkeeping: a
     /// destination the transport has never heard of fails with
     /// [`TransportError::UnknownDestination`], but a known peer that has
-    /// since crashed may be reported asynchronously — on TCP the writer
-    /// pipeline accepts the frame and later drops it when the connection
-    /// cannot be (re)established, which is exactly the crash model's
-    /// message loss. Callers that need to *observe* a dead peer must use
-    /// timeouts (as the quorum round-trips do), not this result.
+    /// since crashed need not be reported — on TCP the frame is dropped
+    /// inside `send` when the connection cannot be (re)established, and
+    /// `send` returns `Ok`: exactly the crash model's message loss.
+    /// Callers that need to *observe* a dead peer must use timeouts (as
+    /// the quorum round-trips do), not this result.
     ///
     /// # Errors
     ///
@@ -111,8 +111,9 @@ pub trait Endpoint: Send + Sync {
     ///
     /// This is the transport's batching seam: a round-trip broadcast is one
     /// call, so implementations can amortize their lookup locking across
-    /// the whole fan-out (and, on TCP, hand all frames to the per-peer
-    /// writer pipelines in one pass). The default just loops over `send`.
+    /// the whole fan-out (on TCP, one pipeline-map lock for all the
+    /// frames, then one write per frame). The default just loops over
+    /// `send`.
     fn send_batch(&self, batch: Vec<(ProcessId, Msg)>) {
         for (to, msg) in batch {
             let _ = self.send(to, msg);
@@ -127,9 +128,9 @@ pub trait Endpoint: Send + Sync {
 /// `Arc<E>` delegates directly.
 ///
 /// This is the keyspace multiplexing seam — one physical endpoint (one
-/// inbox, one set of per-peer TCP pipelines) shared by the many per-register
-/// clients a keyspace handle mints, so mixed-register traffic coalesces
-/// into the same connections instead of opening one socket set per key.
+/// inbox, one TCP connection and send lock per peer) shared by the many
+/// per-register clients a keyspace handle mints, so mixed-register traffic
+/// shares the same connections instead of opening one socket set per key.
 impl<E: Endpoint> Endpoint for Arc<E> {
     fn id(&self) -> ProcessId {
         (**self).id()

@@ -38,8 +38,8 @@ fn threads_named(prefix: &str) -> usize {
 /// returns when the kernel wakes the joiner, a moment before it takes the
 /// ended task off the list; and a thread spawned by a `bind` may not
 /// carry its name yet. A failure prints the whole census, which tells a
-/// thread not yet named from one nobody expected (a lazily spawned
-/// `tcp-writer-*`, say).
+/// thread not yet named from one nobody expected (a thread per peer,
+/// say).
 fn assert_threads(prefix: &str, n: usize, what: &str) {
     let settled = Instant::now() + Duration::from_secs(1);
     while threads_named(prefix) != n && Instant::now() < settled {
@@ -70,8 +70,8 @@ fn a_registry_runs_one_reactor_thread_however_many_endpoints_it_has() {
     let mut endpoints = ring(&registry, 8);
     assert_threads("tcp-reactor", 1, "one reactor for eight endpoints");
     assert_threads("tcp-acceptor", 8, "one acceptor per endpoint");
-    // Nothing else: no reader of an endpoint's own under any name (and one
-    // sender per endpoint never needs a drain thread).
+    // Nothing else: no reader of an endpoint's own under any name, and no
+    // writer either (a send runs on its caller's thread).
     assert_threads("tcp-", 9, "the reactor and the acceptors are all there is");
 
     // The reactor belongs to the endpoints jointly: it outlives any of

@@ -104,22 +104,17 @@ fn liveness_boundary_at_t_crashes() {
     cluster.shutdown();
 }
 
-/// Transport-level stress on the batched writer pipelines: many senders
-/// hammer one endpoint concurrently — both through their own endpoints
-/// (one connection each) and through one *shared* endpoint (contending on
-/// its per-peer pipeline, which forces the queue + drain-thread path and
-/// coalesced batches). Every frame must decode cleanly (no torn or
-/// interleaved writes) and per-sender FIFO must hold.
+/// Transport-level stress on the per-peer send path: many senders hammer
+/// one endpoint concurrently — both through their own endpoints (one
+/// connection each) and through one *shared* endpoint (six threads
+/// contending on its per-peer lock, each send waiting for the write
+/// ahead of it). Every frame must decode cleanly (no torn or interleaved
+/// writes) and per-sender FIFO must hold.
 #[test]
 fn tcp_pipeline_stress_keeps_frames_whole_and_fifo() {
     const SENDERS: usize = 6;
     const MSGS: u64 = 300;
-    let registry = TcpRegistry::new().with_tuning(TcpTuning {
-        // A small queue keeps the drain thread engaged under contention.
-        queue_depth: 64,
-        batch: 16,
-        ..TcpTuning::default()
-    });
+    let registry = TcpRegistry::new();
     let hub = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
 
     // Lane ids 0..SENDERS use dedicated endpoints; lanes SENDERS..2*SENDERS
@@ -175,7 +170,7 @@ fn tcp_pipeline_stress_keeps_frames_whole_and_fifo() {
     }
     assert!(hub.inbox().is_empty(), "no duplicated frames");
     // The shared endpoint funneled 6 threads through one pipeline: its
-    // stats must account for every frame, coalesced into fewer batches.
+    // stats must account for every frame, one write each.
     let stats = shared.peer_stats(ProcessId::server(0)).unwrap();
     assert_eq!(stats.frames_sent, SENDERS as u64 * MSGS, "{stats:?}");
     assert!(stats.batches <= stats.frames_sent, "{stats:?}");

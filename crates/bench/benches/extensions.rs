@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mwr_almost::StalenessReport;
 use mwr_byz::{safe_max_tag, vouched_snapshots};
 use mwr_check::History;
-use mwr_core::{Admissibility, Protocol, Snapshot, ValueRecord};
+use mwr_core::{Protocol, Snapshot, SnapshotSource, ValueRecord, WitnessIndex};
 use mwr_register::Deployment;
 use mwr_types::{ClientId, ClusterConfig, Tag, TaggedValue, Value, WriterId};
 use mwr_workload::{run_closed_loop, WorkloadSpec};
@@ -46,6 +46,11 @@ fn bench_vouching(c: &mut Criterion) {
     group.finish();
 }
 
+/// What an adaptive read runs on full-info replies (`RoundMachine`'s
+/// `ReadMode::Adaptive` arm): index the replies, then the maximum
+/// candidate and its degree under the adaptive cap. The naive
+/// `Admissibility` reference is timed in `admissible.rs`'s
+/// `admissible_select` group.
 fn bench_adaptive_selection(c: &mut Criterion) {
     let mut group = c.benchmark_group("adaptive_selection");
     group.sample_size(20);
@@ -57,9 +62,11 @@ fn bench_adaptive_selection(c: &mut Criterion) {
             |b, snaps| {
                 b.iter(|| {
                     let cap = mwr_core::adaptive_degree_cap(5, 1, 2);
-                    let adm = Admissibility::new(std::hint::black_box(snaps), 5, 1, cap);
-                    let max = adm.candidates_descending().into_iter().next().unwrap();
-                    adm.degree(max)
+                    let replies = std::hint::black_box(snaps).iter().map(SnapshotSource::view);
+                    let (index, mask) = WitnessIndex::from_views(replies);
+                    let mut selector = index.selector(mask, 5, 1, cap);
+                    let max = selector.max_candidate().unwrap();
+                    selector.degree(max)
                 })
             },
         );

@@ -11,7 +11,7 @@ use mwr_byz::{ByzBehavior, ByzCluster, ByzConfig, ByzReadMode};
 use mwr_core::{ClientEvent, Cluster, FastWire, Msg, Protocol, ReadMode, SimCluster};
 use mwr_runtime::{
     EndpointFactory, FaultEvent, FaultPlan, InMemoryTransport, KeyspaceCluster, RetryPolicy,
-    RuntimeCluster, TcpRegistry, TcpTuning, TransportError,
+    RuntimeCluster, TcpRegistry, TransportError,
 };
 use mwr_sim::Simulation;
 use mwr_types::{ClusterConfig, KeyspaceConfig, RegisterId};
@@ -58,7 +58,6 @@ pub struct Deployment<S = ClusterConfig> {
     wire: Option<FastWire>,
     gc: Option<bool>,
     timeout: Option<Duration>,
-    tcp_tuning: Option<TcpTuning>,
     audit: Option<AuditConfig>,
     retry: Option<RetryPolicy>,
     faults: Option<FaultPlan>,
@@ -116,7 +115,6 @@ impl<S: Copy> Deployment<S> {
             wire: None,
             gc: None,
             timeout: None,
-            tcp_tuning: None,
             audit: None,
             retry: None,
             faults: None,
@@ -144,14 +142,6 @@ impl<S: Copy> Deployment<S> {
     /// Sets the per-round-trip quorum timeout of live clients. Live backends only.
     pub fn timeout(mut self, timeout: Duration) -> Self {
         self.timeout = Some(timeout);
-        self
-    }
-
-    /// Tunes the TCP send path: reconnect backoff and write timeout (there
-    /// is one send path, one lock and one write per frame; nothing here
-    /// selects another). TCP backend only.
-    pub fn tcp_tuning(mut self, tuning: TcpTuning) -> Self {
-        self.tcp_tuning = Some(tuning);
         self
     }
 
@@ -249,9 +239,6 @@ impl<S: Copy> Deployment<S> {
         if let Some(&(knob, _)) = live_only.iter().find(|&&(_, set)| set && !live) {
             return refuse(knob, "the simulator runs in virtual time and is checked post hoc");
         }
-        if self.tcp_tuning.is_some() && backend != Backend::Tcp {
-            return refuse("tcp_tuning", "only the TCP transport has writer pipelines");
-        }
         if let Some(audit) = self.audit {
             if !(audit.sample_rate > 0.0 && audit.sample_rate <= 1.0) {
                 return refuse("audit", "sample_rate must be in (0, 1]");
@@ -277,8 +264,7 @@ impl<S: Copy> Deployment<S> {
     }
 
     /// Starts a cluster for `shape`, checked for a live backend, on
-    /// `factory` (a TCP registry carries the tuning knob) and wraps it with
-    /// every other live knob applied.
+    /// `factory` and wraps it with every live knob applied.
     fn launch<F: EndpointFactory, C: BorrowMut<KeyspaceCluster<F>>>(
         &self,
         shape: Shape,
@@ -386,7 +372,6 @@ impl Deployment<ClusterConfig> {
         let sim_view = Deployment {
             backend: Some(Backend::Sim { seed: 0 }),
             timeout: None,
-            tcp_tuning: None,
             audit: None,
             retry: None,
             faults: None,
@@ -448,8 +433,7 @@ impl Deployment<ClusterConfig> {
     /// if a socket cannot be bound or the audit sidecar cannot spawn.
     pub fn tcp(&self) -> Result<LiveHandle<TcpRegistry>, DeployError> {
         let shape = self.live(Backend::Tcp)?;
-        let registry = TcpRegistry::new().with_tuning(self.tcp_tuning.unwrap_or_default());
-        self.launch(shape, registry, RuntimeCluster::start_on)
+        self.launch(shape, TcpRegistry::new(), RuntimeCluster::start_on)
     }
 
     /// Runs one closed-loop contended workload on this deployment's
@@ -523,8 +507,7 @@ impl Deployment<KeyspaceConfig> {
     /// if a socket cannot be bound.
     pub fn tcp(&self) -> Result<KeyspaceHandle<TcpRegistry>, DeployError> {
         let shape = self.live(Backend::Tcp)?;
-        let registry = TcpRegistry::new().with_tuning(self.tcp_tuning.unwrap_or_default());
-        self.launch(shape, registry, KeyspaceCluster::start_on)
+        self.launch(shape, TcpRegistry::new(), KeyspaceCluster::start_on)
     }
 }
 
@@ -645,39 +628,6 @@ mod tests {
             .in_memory()
             .unwrap_err();
         assert!(matches!(err, DeployError::Knob { knob: "gc", .. }), "{err}");
-    }
-
-    #[test]
-    fn tcp_tuning_is_validated_per_backend() {
-        // TCP-only: the other backends have no writer pipelines.
-        for backend in [Backend::Sim { seed: 0 }, Backend::InMemory] {
-            let dep = Deployment::new(config())
-                .backend(backend)
-                .tcp_tuning(TcpTuning::default());
-            let err = match backend {
-                Backend::Sim { .. } => dep.sim().map(drop),
-                _ => dep.in_memory().map(drop),
-            }
-            .unwrap_err();
-            assert!(matches!(err, DeployError::Knob { knob: "tcp_tuning", .. }), "{err}");
-        }
-        // A valid tuning reaches the registry and the cluster works.
-        let handle = Deployment::new(config())
-            .protocol(Protocol::W2R1)
-            .backend(Backend::Tcp)
-            .tcp_tuning(TcpTuning { reconnect_backoff: Duration::from_millis(5), ..TcpTuning::default() })
-            .tcp()
-            .unwrap();
-        let mut w = handle.writer(0).unwrap();
-        let mut r = handle.reader(0).unwrap();
-        let written = w.write(Value::new(3)).unwrap();
-        assert_eq!(r.read().unwrap(), written);
-        handle.shutdown();
-        // And a live deployment carrying the knob still gets a sim twin.
-        let dep = Deployment::new(config())
-            .backend(Backend::Tcp)
-            .tcp_tuning(TcpTuning::default());
-        assert!(dep.sim_cluster().is_ok());
     }
 
     #[test]

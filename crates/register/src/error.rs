@@ -22,7 +22,7 @@ pub enum DeployError {
     /// accept, or set to a value nothing could honour.
     Knob {
         /// The offending knob (`backend`, `fast_wire`, `gc`, `timeout`,
-        /// `tcp_tuning`, `audit`, `retry`, `faults`).
+        /// `audit`, `retry`, `faults`).
         knob: &'static str,
         /// Why the combination rejects it.
         reason: &'static str,

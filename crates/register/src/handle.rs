@@ -671,7 +671,6 @@ impl<F: EndpointFactory> KeyspaceHandle<F> {
 mod tests {
     use super::*;
     use crate::{AuditConfig, Keyspace};
-    use mwr_runtime::TcpTuning;
     use mwr_types::Value;
 
     #[test]
@@ -811,17 +810,13 @@ mod tests {
         handle.shutdown();
     }
 
-    /// Every knob the keyspace accepts reaches what it tunes: the TCP
-    /// tuning its registry, the wire its readers, and an unset protocol
-    /// resolves to W2Ra (a register's to W2R1).
+    /// Every knob the keyspace accepts reaches what it tunes: the wire its
+    /// readers, and an unset protocol resolves to W2Ra (a register's to
+    /// W2R1).
     #[test]
     fn keyspace_knobs_reach_the_registry_and_the_readers() {
         let config = KeyspaceConfig::new(5, 1, 3, 8, 1, 1).unwrap();
-        let tuning =
-            TcpTuning { reconnect_backoff: Duration::from_millis(5), write_timeout: Duration::from_millis(500) };
-        let handle =
-            Keyspace::new(config).tcp_tuning(tuning).fast_wire(FastWire::FullInfo).tcp().unwrap();
-        assert_eq!(handle.cluster().factory().tuning(), tuning);
+        let handle = Keyspace::new(config).fast_wire(FastWire::FullInfo).tcp().unwrap();
         assert_eq!(handle.cluster().protocol(), Protocol::W2Ra);
         let key = RegisterId::new(3);
         let mut w = handle.writer(0, key).unwrap();
@@ -837,13 +832,5 @@ mod tests {
             .unwrap();
         assert_eq!(register.cluster().protocol(), Protocol::W2R1);
         register.shutdown();
-    }
-
-    /// What a keyspace cannot honour is refused, never ignored.
-    #[test]
-    fn keyspace_refuses_tcp_tuning_off_tcp() {
-        let config = KeyspaceConfig::new(5, 1, 3, 8, 1, 1).unwrap();
-        let err = Keyspace::new(config).tcp_tuning(TcpTuning::default()).in_memory();
-        assert!(matches!(err, Err(DeployError::Knob { knob: "tcp_tuning", .. })), "{err:?}");
     }
 }

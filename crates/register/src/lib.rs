@@ -86,5 +86,5 @@ pub use spec::{Backend, Spec};
 // The vocabulary a facade user needs without naming the member crates.
 pub use mwr_check::{AuditReport, AuditStats, Verdict, Violation};
 pub use mwr_core::{FastWire, Protocol, ScheduledOp, SimCluster};
-pub use mwr_runtime::{FaultEvent, FaultPlan, FaultStep, FaultTrigger, RetryPolicy, TcpTuning};
+pub use mwr_runtime::{FaultEvent, FaultPlan, FaultStep, FaultTrigger, RetryPolicy};
 pub use mwr_workload::ChaosReport;

@@ -2,8 +2,8 @@
 //! fixed operation counts or elapsed times.
 //!
 //! A [`FaultPlan`] is pure data — a bounded, `Copy` schedule that rides on
-//! the `mwr-register` facade's `Deployment` knob the same way `TcpTuning`
-//! does. Execution lives in the workload driver (`mwr-workload`), which
+//! the `mwr-register` facade's `Deployment::inject` knob like any other
+//! knob value. Execution lives in the workload driver (`mwr-workload`), which
 //! owns the cluster handle and the shared completed-op counter: an
 //! injector thread walks the plan in order and fires each step when its
 //! [`FaultTrigger`] comes due. Steps fire **in plan order** even if a

@@ -16,8 +16,9 @@
 //!   that either side of a pair may fill. *Who dials:* whoever has a frame
 //!   for a peer and finds no live entry — in a cluster that is the client
 //!   (or a rejoining server fetching state), never a server answering.
+//!   A restarted peer that talks first has no connection, so it dials too.
 //!   The dialer enters the socket under the peer it dialed and hands it to
-//!   the reactor; the acceptor's side enters it under the `from` of the
+//!   the reactor; the reactor enters an accepted one under the `from` of the
 //!   first frame read from it. *Who replies where:* a send looks the peer
 //!   up and writes on the live connection, so a server's ack travels back
 //!   on the socket the request arrived on, the kernel piggybacks its TCP
@@ -63,16 +64,16 @@
 //!   peer are dropped — precisely the crash model the quorum protocols
 //!   tolerate. Only an attempt that *failed* renews the cache: frames
 //!   dropped because the cache said so leave it alone, so a sender that
-//!   never pauses still re-dials once per backoff. The
-//!   cache is **forgiven early by inbound traffic**: a frame arriving
-//!   *from* a negative-cached peer after its last failure is proof the
-//!   peer is back, so the next send reconnects immediately — and when that
-//!   frame came in on a connection the peer dialed, the send simply uses
-//!   it and never consults the cache.
-//! - **One reactor per registry.** Every connection of every endpoint
-//!   opened through one [`TcpRegistry`], dialed as well as accepted, is
-//!   read by a single thread (`tcp-reactor`) sleeping in a single
-//!   readiness queue (`epoll`, through the vendored `polling` stand-in):
+//!   never pauses still re-dials once per backoff. A negative-cached peer
+//!   that comes back and talks first is not waited out: it dialed, its
+//!   connection entered the table on its first frame, and a send consults
+//!   the table before the cache. The reactor reads a known peer's EOF
+//!   ahead of a new connection's first frame, so the previous
+//!   incarnation's dead entry never keeps the new one out.
+//! - **One reactor per registry.** Every listener and every connection of
+//!   every endpoint opened through one [`TcpRegistry`], dialed as well as
+//!   accepted, is served by a single thread (`tcp-reactor`) sleeping in
+//!   one readiness queue (`epoll`, through the vendored `polling` stand-in):
 //!   one wake-up reports every ready socket of the registry at once,
 //!   whichever endpoint it belongs to, instead of one thread per endpoint
 //!   waking for its own two or three. *What that buys depends on how many
@@ -86,11 +87,15 @@
 //!   many-endpoint registry on many cores, where one thread now decodes
 //!   what several did in parallel. Both cases are unverified, not implied
 //!   by that figure (see ROADMAP item 4). The reactor owns the queue,
-//!   the map from readiness key to connection and owning endpoint, and a
-//!   command queue (*adopt this connection for that endpoint*, *detach
-//!   that endpoint*); what is an endpoint's own stays with it — its
-//!   connection table, its heard-from marks, its inbox, its counters and
-//!   gauge. Sender and handler threads write on the sockets the reactor
+//!   the maps from readiness key to listener or connection and owning
+//!   endpoint, and a command queue (*listen on this socket*, *adopt this
+//!   dialed connection*, *detach that endpoint*); what is an endpoint's
+//!   own stays with it — its connection table, its inbox, its counters
+//!   and gauge. A ready listener (non-blocking) is accepted on until
+//!   `WouldBlock`, each socket adopted on the spot; a full descriptor
+//!   table (`EMFILE`) withdraws it from the queue for `ACCEPT_RETRY_PAUSE`
+//!   rather than spin on it.
+//!   Sender and handler threads write on the sockets the reactor
 //!   reads, so the sockets stay *blocking* (`O_NONBLOCK` is shared by both
 //!   directions) and the reactor does exactly one `read` per readiness
 //!   event: a reported socket has bytes or an EOF waiting, so that read
@@ -104,18 +109,18 @@
 //!   no readiness queue — `Poller::new` fails anywhere but Linux — `bind`
 //!   returns the error), the last endpoint dropped stops and joins it.
 //!
-//! An endpoint runs one thread of its own, the acceptor; sends run on
-//! their callers' threads, so nothing is ever queued to flush. `drop`
-//! stops and joins the acceptor and detaches the endpoint from the
-//! reactor, which closes every connection of this endpoint — and of no
-//! other — *before* `drop` returns, observable through
-//! [`TcpEndpoint::connection_gauge`]. No thread and no descriptor of the
-//! endpoint outlives it, and none of the registry's outlives its last
-//! endpoint.
+//! An endpoint runs no thread of its own: the reactor accepts and reads
+//! for it, and sends run on their callers' threads, so nothing is ever
+//! queued to flush. `drop` is one step: it detaches the endpoint from the
+//! reactor, which closes its listener (the port is free) and every
+//! connection of this endpoint — and of no other — *before* `drop`
+//! returns, observable through [`TcpEndpoint::connection_gauge`]. No
+//! descriptor of the endpoint outlives it, and no thread or descriptor of
+//! the registry's outlives its last endpoint.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::io::{Read as _, Write as _};
+use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -139,11 +144,6 @@ const MAX_FRAME: u32 = 16 * 1024 * 1024;
 /// Largest buffer capacity a pipeline or an adopted connection retains
 /// across frames; anything bigger (a full-info burst) is released after use.
 const BUF_RETAIN: usize = 1024 * 1024;
-
-/// How often the reactor re-marks a peer as heard-from. Coarser than
-/// per-frame so a busy connection costs one map update per interval, but
-/// far finer than any sensible [`TcpTuning::reconnect_backoff`].
-const INBOUND_MARK_INTERVAL: Duration = Duration::from_millis(5);
 
 fn io_err(e: std::io::Error) -> TransportError {
     TransportError::Io { kind: e.kind() }
@@ -214,12 +214,12 @@ impl PipelineStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReaderStats {
     /// For an endpoint: reactor wake-ups in which at least one of *its*
-    /// sockets was ready. For a registry: the reactor's own wake-ups that
-    /// reported at least one ready socket, of whichever endpoint — not the
-    /// sum over endpoints, which would count a wake once per endpoint it
-    /// served. Every wake reads *all* ready sockets, so under load this is
-    /// far smaller than `frames` — the fan-in batching the reactor exists
-    /// for.
+    /// connections was ready. For a registry: the reactor's own wake-ups
+    /// that reported at least one ready socket, listening sockets included,
+    /// of whichever endpoint — not the sum over endpoints, which would
+    /// count a wake once per endpoint it served. Every wake reads *all*
+    /// ready sockets, so under load this is far smaller than `frames` —
+    /// the fan-in batching the reactor exists for.
     pub wakes: u64,
     /// Frames decoded and delivered to the inbox (summed, for a registry).
     pub frames: u64,
@@ -253,11 +253,6 @@ impl TcpRegistry {
     pub fn with_tuning(mut self, tuning: TcpTuning) -> Self {
         self.tuning = tuning;
         self
-    }
-
-    /// The pipeline tuning endpoints are opened with.
-    pub fn tuning(&self) -> TcpTuning {
-        self.tuning
     }
 
     /// Records where a process listens.
@@ -367,8 +362,8 @@ impl Conn {
 struct PeerIo {
     from: ProcessId,
     to: ProcessId,
+    /// Where `to` listens, and the tuning this pipeline runs with.
     registry: TcpRegistry,
-    tuning: TcpTuning,
     /// The endpoint's receive side, whose connection table this pipeline
     /// sends through.
     endpoint: Arc<EndpointShared>,
@@ -460,19 +455,13 @@ impl PeerIo {
 
     /// Attempts one connection, respecting the negative cache: after a
     /// failed connect, no syscall is issued until the backoff has elapsed
-    /// — unless the peer has been *heard from* since the failure, which
-    /// forgives the cache immediately (a restarted peer that already
-    /// resumed sending must not keep losing our frames for the rest of
-    /// the backoff window). The new connection enters the table and is
-    /// handed to the reactor, so replies come back on it.
+    /// (a restarted peer that talked first is in the table, which
+    /// [`PeerIo::ensure_conn`] consults before this). The new connection
+    /// enters the table and is handed to the reactor, so replies come back
+    /// on it.
     fn try_connect(&mut self, stats: &PipelineStats) -> Option<Arc<Conn>> {
-        if let Some(at) = self.last_failed {
-            let forgiven = self.endpoint.heard.lock().get(&self.to).is_some_and(|&seen| seen > at);
-            if forgiven {
-                self.last_failed = None;
-            } else if at.elapsed() < self.tuning.reconnect_backoff {
-                return None;
-            }
+        if self.last_failed.is_some_and(|at| at.elapsed() < self.registry.tuning.reconnect_backoff) {
+            return None;
         }
         // A deregistered peer (crashed server) costs a map lookup, never a
         // connect syscall.
@@ -481,7 +470,7 @@ impl PeerIo {
         match TcpStream::connect(addr) {
             Ok(stream) => {
                 self.last_failed = None;
-                Some(self.endpoint.enter_dialed(self.to, Conn::new(stream, self.tuning)))
+                Some(self.endpoint.enter_dialed(self.to, Conn::new(stream, self.registry.tuning)))
             }
             Err(_) => {
                 self.last_failed = Some(Instant::now());
@@ -507,15 +496,8 @@ struct PeerPipeline {
 }
 
 impl PeerPipeline {
-    fn new(
-        from: ProcessId,
-        to: ProcessId,
-        registry: TcpRegistry,
-        tuning: TcpTuning,
-        endpoint: Arc<EndpointShared>,
-    ) -> Arc<PeerPipeline> {
-        let io =
-            PeerIo { from, to, registry, tuning, endpoint, conn: None, buf: BytesMut::new(), last_failed: None };
+    fn new(from: ProcessId, to: ProcessId, registry: TcpRegistry, endpoint: Arc<EndpointShared>) -> Arc<Self> {
+        let io = PeerIo { from, to, registry, endpoint, conn: None, buf: BytesMut::new(), last_failed: None };
         Arc::new(PeerPipeline { io: Mutex::new(io), stats: PipelineStats::default() })
     }
 
@@ -536,21 +518,24 @@ const READ_CHUNK: usize = 64 * 1024;
 /// it.
 const READ_GUARD: Duration = Duration::from_millis(5);
 
-/// How long the acceptor waits after a failed `accept` before the next.
+/// How long a listener stays out of the readiness queue after a failed
+/// `accept` (a full descriptor table) before the reactor tries it again.
 const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(1);
 
-/// A connection on its way to the reactor: accepted ones come with no peer
-/// (the first frame names it), dialed ones with the peer dialed.
+/// An endpoint's listening socket, non-blocking, accepted on by the
+/// reactor, with what it needs to adopt the connections it accepts.
 #[derive(Debug)]
-struct Adoption {
-    conn: Arc<Conn>,
-    peer: Option<ProcessId>,
+struct Listener {
+    socket: TcpListener,
+    owner: Arc<EndpointShared>,
+    tuning: TcpTuning,
 }
 
 /// What is one endpoint's own on the receive path, shared between the
-/// reactor (which reads the endpoint's connections into its inbox), its
-/// acceptor and writer pipelines (which hand fresh sockets over and look
-/// up the connection table), and its owner (stats, detach).
+/// reactor (which accepts on the endpoint's listener and reads its
+/// connections into its inbox), its writer pipelines (which hand dialed
+/// sockets over and look up the connection table), and its owner (stats,
+/// detach).
 #[derive(Debug)]
 struct EndpointShared {
     reactor: Arc<ReactorShared>,
@@ -559,11 +544,6 @@ struct EndpointShared {
     /// or by the reactor for an accepted connection's first frame — only
     /// while none is live, and emptied by [`EndpointShared::retire`].
     table: Mutex<HashMap<ProcessId, Arc<Conn>>>,
-    /// When each peer was last *heard from* (an inbound frame decoded with
-    /// its id): the reactor writes the marks, the writer pipelines read
-    /// them in [`PeerIo::try_connect`] to forgive the reconnect negative
-    /// cache early.
-    heard: Mutex<HashMap<ProcessId, Instant>>,
     /// The sending half of the endpoint's inbox. Unbounded: the reactor
     /// reads for every endpoint and must never wait for one consumer.
     inbox: Sender<Inbound>,
@@ -602,13 +582,9 @@ impl EndpointShared {
     fn enter_dialed(self: &Arc<Self>, peer: ProcessId, conn: Arc<Conn>) -> Arc<Conn> {
         let entry = self.enter(peer, Arc::clone(&conn));
         if Arc::ptr_eq(&entry, &conn) {
-            self.adopt(Adoption { conn, peer: Some(peer) });
+            self.reactor.submit(Command::Adopt { endpoint: Arc::clone(self), conn, peer });
         }
         entry
-    }
-
-    fn adopt(self: &Arc<Self>, adoption: Adoption) {
-        self.reactor.submit(Command::Adopt { endpoint: Arc::clone(self), adoption });
     }
 
     /// Kills `conn` and empties its table entry, if it has one. Called by
@@ -632,8 +608,9 @@ impl EndpointShared {
         }
     }
 
-    /// Has the reactor close every connection of this endpoint, and of no
-    /// other, and returns once it has: they are reaped, withdrawn from the
+    /// Has the reactor close this endpoint's listener and every connection
+    /// of this endpoint, and of no other, and returns once it has: the
+    /// port is free, the connections are reaped, withdrawn from the
     /// readiness queue and closed, and the gauge reads zero.
     fn detach(self: &Arc<Self>) {
         let (done, closed) = bounded::<()>(1);
@@ -647,15 +624,14 @@ impl EndpointShared {
 }
 
 #[cfg(unix)]
-fn stream_fd(stream: &TcpStream) -> polling::Source {
-    use std::os::unix::io::AsRawFd as _;
-    stream.as_raw_fd()
+fn fd(socket: &impl std::os::unix::io::AsRawFd) -> polling::Source {
+    socket.as_raw_fd()
 }
 
 #[cfg(not(unix))]
-fn stream_fd(_stream: &TcpStream) -> polling::Source {
+fn fd<S>(_socket: &S) -> polling::Source {
     // Unreachable: `Poller::new` fails on every target but Linux, so `bind`
-    // returns its error and no endpoint exists to adopt a socket.
+    // returns its error and no endpoint exists to hand the reactor a socket.
     -1
 }
 
@@ -670,15 +646,9 @@ struct SharedConn {
     peer: Option<ProcessId>,
     buf: Vec<u8>,
     filled: usize,
-    last_mark: Option<Instant>,
 }
 
 impl SharedConn {
-    fn new(owner: Arc<EndpointShared>, adoption: Adoption) -> SharedConn {
-        let Adoption { conn, peer } = adoption;
-        SharedConn { conn, owner, peer, buf: Vec::new(), filled: 0, last_mark: None }
-    }
-
     /// Does the one `read` a readiness event pays for and decodes every
     /// complete frame accumulated in the buffer; whatever the read left in
     /// the socket is re-reported by the level-triggered queue. Returns
@@ -740,16 +710,6 @@ impl SharedConn {
                 }
             }
             self.owner.frames.fetch_add(1, Ordering::Relaxed);
-            // Throttled heard-from mark, so writer pipelines forgive their
-            // negative caches early.
-            let now = Instant::now();
-            match self.last_mark {
-                Some(at) if now.duration_since(at) < INBOUND_MARK_INTERVAL => {}
-                _ => {
-                    self.owner.heard.lock().insert(from, now);
-                    self.last_mark = Some(now);
-                }
-            }
             if self.owner.inbox.send((from, msg)).is_err() {
                 return false;
             }
@@ -774,10 +734,12 @@ impl SharedConn {
 /// A request to the reactor thread, queued by [`ReactorShared::submit`].
 #[derive(Debug)]
 enum Command {
-    /// Read this connection for that endpoint.
-    Adopt { endpoint: Arc<EndpointShared>, adoption: Adoption },
-    /// Close every connection read for that endpoint, then drop `done`
-    /// (see [`EndpointShared::detach`]).
+    /// Accept on this listening socket for its endpoint.
+    Listen(Listener),
+    /// Read this connection, dialed to `peer`, for that endpoint.
+    Adopt { endpoint: Arc<EndpointShared>, conn: Arc<Conn>, peer: ProcessId },
+    /// Close that endpoint's listener and every connection read for it,
+    /// then drop `done` (see [`EndpointShared::detach`]).
     Detach { endpoint: Arc<EndpointShared>, done: Sender<()> },
     /// Close everything and leave the loop: the last endpoint is gone.
     Stop,
@@ -785,21 +747,22 @@ enum Command {
 
 impl Command {
     /// Disposes of a command the reactor will never run, because it has
-    /// left its loop and closed every connection on the way out. A
+    /// left its loop and closed every socket on the way out. A listener
+    /// nobody accepts on is closed here, so dials to it are refused. A
     /// connection nobody will read is unusable: retired, so the peer
     /// reconnects or is given up (crash model). A detach has nothing left
     /// to close; dropping it tells the endpoint waiting on `done` so.
     fn refuse(self) {
-        if let Command::Adopt { endpoint, adoption } = self {
-            endpoint.retire(adoption.peer, &adoption.conn);
+        if let Command::Adopt { endpoint, conn, peer } = self {
+            endpoint.retire(Some(peer), &conn);
         }
     }
 }
 
-/// What the reactor thread shares with the endpoints it reads for. Holds no
+/// What the reactor thread shares with the endpoints it serves. Holds no
 /// [`Reactor`], and neither does the [`EndpointShared`] the thread keeps
-/// per connection: the thread can never be the one that drops the last
-/// owning handle, which would be joining itself.
+/// per listener and connection: the thread can never be the one that drops
+/// the last owning handle, which would be joining itself.
 #[derive(Debug)]
 struct ReactorShared {
     poller: Poller,
@@ -827,7 +790,7 @@ impl ReactorShared {
 }
 
 /// The owning handle of a registry's reactor thread, held jointly by the
-/// endpoints it reads for: dropping the last one stops and joins it.
+/// endpoints it serves: dropping the last one stops and joins it.
 #[derive(Debug)]
 struct Reactor {
     shared: Arc<ReactorShared>,
@@ -859,21 +822,84 @@ impl Drop for Reactor {
     }
 }
 
-/// The connections the reactor reads, by readiness key. Dropping it is the
-/// reactor's way out, whatever opened it — stopped, the readiness queue
-/// failed, or the thread is unwinding: every connection is closed, then
-/// the command queue, so that what is in it and whatever is submitted from
-/// then on is refused instead of waiting for a thread that is gone.
-struct Adopted<'a> {
+/// The sockets the reactor serves, by readiness key (one key space for
+/// listeners and connections). Dropping it is the reactor's way out,
+/// whatever opened it — stopped, the readiness queue failed, or the thread
+/// is unwinding: every connection and listener is closed, then the command
+/// queue, so that what is in it and whatever is submitted from then on is
+/// refused instead of waiting for a thread that is gone.
+struct Sockets<'a> {
     shared: &'a ReactorShared,
     conns: HashMap<usize, SharedConn>,
+    /// Closing a listener withdraws it from the readiness queue: nothing
+    /// else holds its descriptor.
+    listeners: HashMap<usize, Listener>,
+    /// Listeners out of the readiness queue after a failed `accept`, all
+    /// due back at `unpark_at`.
+    parked: Vec<usize>,
+    unpark_at: Option<Instant>,
+    next_key: usize,
 }
 
-impl Drop for Adopted<'_> {
+impl Sockets<'_> {
+    /// Reads `conn` for `owner` from the next wait on.
+    fn adopt(&mut self, owner: Arc<EndpointShared>, conn: Arc<Conn>, peer: Option<ProcessId>) {
+        self.next_key += 1;
+        // Unreadable, so unusable: the peer reconnects (crash model).
+        if self.shared.poller.add(fd(&conn.stream), Event::readable(self.next_key)).is_err() {
+            owner.retire(peer, &conn);
+            return;
+        }
+        owner.conns.fetch_add(1, Ordering::SeqCst);
+        self.conns.insert(self.next_key, SharedConn { conn, owner, peer, buf: Vec::new(), filled: 0 });
+    }
+
+    /// Puts listener `key` in the readiness queue, or parks it should the
+    /// queue refuse it. A listener detached while parked is gone.
+    fn arm(&mut self, key: usize) {
+        let Some(listener) = self.listeners.get(&key) else { return };
+        if self.shared.poller.add(fd(&listener.socket), Event::readable(key)).is_err() {
+            self.park(key);
+        }
+    }
+
+    fn park(&mut self, key: usize) {
+        self.parked.push(key);
+        self.unpark_at.get_or_insert_with(|| Instant::now() + ACCEPT_RETRY_PAUSE);
+    }
+
+    /// Accepts on listener `key` until `WouldBlock`, adopting every socket
+    /// on the spot. Not a listener's key: nothing to do.
+    fn accept(&mut self, key: usize) {
+        while let Some(listener) = self.listeners.get(&key) {
+            match listener.socket.accept() {
+                Ok((stream, _)) => {
+                    let (owner, conn) = (Arc::clone(&listener.owner), Conn::new(stream, listener.tuning));
+                    self.adopt(owner, conn, None);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                // A signal, or the peer reset before it was taken.
+                Err(e) if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::ConnectionAborted) => {}
+                // The descriptor table is full (`EMFILE`/`ENFILE`): the
+                // connection stays queued and the listener ready, so every
+                // wait would report it at once. Withdraw it for a pause
+                // instead of spinning; giving up would leave an endpoint
+                // that dials out but is never reachable again.
+                Err(_) => {
+                    let _ = self.shared.poller.delete(fd(&listener.socket));
+                    return self.park(key);
+                }
+            }
+        }
+    }
+}
+
+impl Drop for Sockets<'_> {
     fn drop(&mut self) {
         for (_, conn) in self.conns.drain() {
             reap(self.shared, &conn);
         }
+        self.listeners.clear();
         let unrun = self.shared.commands.lock().take();
         for command in unrun.into_iter().flatten() {
             command.refuse();
@@ -881,48 +907,59 @@ impl Drop for Adopted<'_> {
     }
 }
 
-/// The reactor: sleeps in the readiness queue until any adopted socket of
-/// any endpoint is readable (or a command is submitted), then reads every
-/// ready socket once into its owner's inbox before sleeping again.
+/// The reactor: sleeps in the readiness queue until any listener or
+/// adopted socket of any endpoint is ready (or a command is submitted, or
+/// parked listeners are due back), then accepts on every ready listener
+/// and reads every ready connection once into its owner's inbox before
+/// sleeping again.
 fn reactor_loop(shared: &ReactorShared) {
-    let mut adopted = Adopted { shared, conns: HashMap::new() };
-    let conns = &mut adopted.conns;
-    let mut next_key = 0usize;
+    let mut sockets = Sockets {
+        shared,
+        conns: HashMap::new(),
+        listeners: HashMap::new(),
+        parked: Vec::new(),
+        unpark_at: None,
+        next_key: 0,
+    };
     let mut events: Vec<Event> = Vec::new();
     let mut wake = 0u64;
     loop {
         events.clear();
-        if shared.poller.wait(&mut events, None).is_err() {
+        // A timeout only while a listener is parked.
+        let timeout = sockets.unpark_at.map(|at| at.saturating_duration_since(Instant::now()));
+        if shared.poller.wait(&mut events, timeout).is_err() {
             return;
         }
-        // Run the commands submitted since the last wake. Any bytes
-        // already waiting on a connection adopted here surface on the next
-        // (level-triggered) wait.
+        if sockets.unpark_at.is_some_and(|at| at <= Instant::now()) {
+            sockets.unpark_at = None;
+            for key in std::mem::take(&mut sockets.parked) {
+                sockets.arm(key);
+            }
+        }
+        // Run the commands submitted since the last wake. Any bytes or
+        // connections already waiting on a socket added here surface on
+        // the next (level-triggered) wait.
         let commands = std::mem::take(
             shared.commands.lock().as_mut().expect("only this thread closes the queue, on its way out"),
         );
         let mut stop = false;
         for command in commands {
             match command {
-                Command::Adopt { endpoint, adoption } => {
-                    let key = next_key;
-                    next_key += 1;
-                    // Unreadable, so unusable: the peer reconnects (crash model).
-                    if shared.poller.add(stream_fd(&adoption.conn.stream), Event::readable(key)).is_err() {
-                        endpoint.retire(adoption.peer, &adoption.conn);
-                        continue;
-                    }
-                    endpoint.conns.fetch_add(1, Ordering::SeqCst);
-                    conns.insert(key, SharedConn::new(endpoint, adoption));
+                Command::Listen(listener) => {
+                    sockets.next_key += 1;
+                    sockets.listeners.insert(sockets.next_key, listener);
+                    sockets.arm(sockets.next_key);
                 }
+                Command::Adopt { endpoint, conn, peer } => sockets.adopt(endpoint, conn, Some(peer)),
                 Command::Detach { endpoint, done } => {
-                    conns.retain(|_, conn| {
+                    sockets.conns.retain(|_, conn| {
                         let theirs = Arc::ptr_eq(&conn.owner, &endpoint);
                         if theirs {
                             reap(shared, conn);
                         }
                         !theirs
                     });
+                    sockets.listeners.retain(|_, listener| !Arc::ptr_eq(&listener.owner, &endpoint));
                     drop(done);
                 }
                 Command::Stop => stop = true,
@@ -939,13 +976,18 @@ fn reactor_loop(shared: &ReactorShared) {
         // (sent before the new one could dial) and the first frame of the
         // new connection can surface in the same wake: the dead entry must
         // be retired before the new connection asks for its place.
+        let conns = &sockets.conns;
         events.sort_by_key(|event| conns.get(&event.key).is_some_and(|conn| conn.peer.is_none()));
         for event in &events {
-            // Reported, then detached by a command of this same wake: gone.
-            let Some(conn) = conns.get_mut(&event.key) else { continue };
+            let Some(conn) = sockets.conns.get_mut(&event.key) else {
+                // A listener's key — or a socket reported, then detached
+                // by a command of this same wake: gone.
+                sockets.accept(event.key);
+                continue;
+            };
             conn.owner.count_wake(wake);
             if !conn.read_ready() {
-                let conn = conns.remove(&event.key).expect("read conn is present");
+                let conn = sockets.conns.remove(&event.key).expect("read conn is present");
                 reap(shared, &conn);
             }
         }
@@ -957,24 +999,22 @@ fn reactor_loop(shared: &ReactorShared) {
 /// descriptor).
 fn reap(shared: &ReactorShared, conn: &SharedConn) {
     conn.owner.retire(conn.peer, &conn.conn);
-    let _ = shared.poller.delete(stream_fd(&conn.conn.stream));
+    let _ = shared.poller.delete(fd(&conn.conn.stream));
     conn.owner.conns.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// One process's TCP endpoint: an acceptor feeding the registry's reactor,
-/// which feeds the inbox, plus a send path per destination.
+/// One process's TCP endpoint: a listener and connections the registry's
+/// reactor serves into the inbox, plus a send path per destination. It
+/// runs no thread of its own.
 #[derive(Debug)]
 pub struct TcpEndpoint {
     id: ProcessId,
     registry: TcpRegistry,
     inbox: Receiver<Inbound>,
-    tuning: TcpTuning,
     pipelines: Mutex<HashMap<ProcessId, Arc<PeerPipeline>>>,
     local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
     /// This endpoint's side of the receive path: connection table,
-    /// heard-from marks, counters, gauge.
+    /// counters, gauge.
     shared: Arc<EndpointShared>,
     /// This endpoint's share in the registry's reactor: the last endpoint
     /// to drop its handle stops and joins the thread.
@@ -982,54 +1022,45 @@ pub struct TcpEndpoint {
 }
 
 impl TcpEndpoint {
-    /// Binds a listener on `127.0.0.1` (ephemeral port), joins the
-    /// registry's reactor (starting it if this is the registry's only
-    /// endpoint), spawns the acceptor that feeds it, and registers the
-    /// address.
+    /// Binds a non-blocking listener on `127.0.0.1` (ephemeral port),
+    /// hands it to the registry's reactor (starting it if this is the
+    /// registry's only endpoint), which accepts on it from its next
+    /// wake-up, and registers the address.
     ///
     /// # Errors
     ///
-    /// Returns a [`TransportError`] if binding fails, if the OS refuses a
-    /// thread, or if the target has no readiness queue for the reactor.
+    /// Returns a [`TransportError`] if binding fails, if the OS refuses the
+    /// reactor a thread, or if the target has no readiness queue for it.
     /// Registering the address is the last step, after the last one that
     /// can fail: an `Err` leaves nothing behind — no thread, no listener,
     /// no registry entry resolving to one (a reactor started for this call
     /// alone is stopped and joined as the error is returned).
     pub fn bind(id: ProcessId, registry: &TcpRegistry) -> Result<TcpEndpoint, TransportError> {
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(io_err)?;
-        let local_addr = listener.local_addr().map_err(io_err)?;
+        let socket = TcpListener::bind("127.0.0.1:0").map_err(io_err)?;
+        let local_addr = socket.local_addr().map_err(io_err)?;
+        socket.set_nonblocking(true).map_err(io_err)?;
         let reactor = registry.reactor().map_err(io_err)?;
         let (tx, rx) = unbounded();
-        let stop = Arc::new(AtomicBool::new(false));
-        let tuning = registry.tuning();
 
         let shared = Arc::new(EndpointShared {
             reactor: Arc::clone(&reactor.shared),
             table: Mutex::new(HashMap::new()),
-            heard: Mutex::new(HashMap::new()),
             inbox: tx,
             wakes: AtomicU64::new(0),
             last_wake: AtomicU64::new(0),
             frames: AtomicU64::new(0),
             conns: Arc::new(AtomicUsize::new(0)),
         });
-        let acceptor_stop = Arc::clone(&stop);
-        let acceptor_shared = Arc::clone(&shared);
-        let acceptor = thread::Builder::new()
-            .name(format!("tcp-acceptor-{id}"))
-            .spawn(move || acceptor_loop(&listener, &acceptor_stop, &acceptor_shared, tuning))
-            .map_err(io_err)?;
+        let listener = Listener { socket, owner: Arc::clone(&shared), tuning: registry.tuning };
+        reactor.shared.submit(Command::Listen(listener));
         reactor.shared.endpoints.lock().push(Arc::downgrade(&shared));
         registry.insert(id, local_addr);
         Ok(TcpEndpoint {
             id,
             registry: registry.clone(),
             inbox: rx,
-            tuning,
             pipelines: Mutex::new(HashMap::new()),
             local_addr,
-            stop,
-            acceptor: Some(acceptor),
             shared,
             _reactor: reactor,
         })
@@ -1047,9 +1078,10 @@ impl TcpEndpoint {
     }
 
     /// A snapshot of this endpoint's share of the reactor's work: `wakes`
-    /// counts the reactor wake-ups in which one of this endpoint's sockets
-    /// was ready, so `wakes ≤ frames` holds per endpoint as it did when
-    /// each had a reader thread of its own.
+    /// counts the reactor wake-ups in which one of this endpoint's
+    /// connections was ready (its listener's readiness is not counted),
+    /// so `wakes ≤ frames` holds per endpoint as it did when each had a
+    /// reader thread of its own.
     pub fn reader_stats(&self) -> ReaderStats {
         ReaderStats {
             wakes: self.shared.wakes.load(Ordering::Relaxed),
@@ -1068,53 +1100,17 @@ impl TcpEndpoint {
     }
 
     fn new_pipeline(&self, to: ProcessId) -> Arc<PeerPipeline> {
-        PeerPipeline::new(self.id, to, self.registry.clone(), self.tuning, Arc::clone(&self.shared))
+        PeerPipeline::new(self.id, to, self.registry.clone(), Arc::clone(&self.shared))
     }
 }
 
 impl Drop for TcpEndpoint {
     fn drop(&mut self) {
-        // Stop the acceptor so the listener closes and the port is freed:
-        // set the flag, poke the listener awake with a throwaway
-        // connection, then *join* the acceptor thread. The join makes stop
-        // synchronous: once Drop returns, the listener socket is closed
-        // and the port free, so a crash–rebind on the same address can
-        // never race a zombie acceptor that steals one connection.
-        // Best-effort — never fail in Drop.
-        self.stop.store(true, Ordering::Release);
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // Detach from the reactor last (the acceptor is gone, and no send
-        // can run while `drop` holds the endpoint, so nothing is left to
-        // hand it a socket) and wait for it: that makes connection
-        // teardown synchronous — every connection of this endpoint is
-        // closed and the gauge reads zero before Drop returns. If this was
-        // the registry's last endpoint, dropping the reactor handle then
-        // stops and joins the thread.
+        // One synchronous step: the listener (the port is free for a
+        // crash–rebind) and every connection of this endpoint are closed
+        // when it returns. If this was the registry's last endpoint,
+        // dropping the reactor handle then stops and joins the thread.
         self.shared.detach();
-    }
-}
-
-/// Hands every accepted socket to the reactor until `stop` is set.
-fn acceptor_loop(listener: &TcpListener, stop: &AtomicBool, endpoint: &Arc<EndpointShared>, tuning: TcpTuning) {
-    loop {
-        let accepted = listener.accept();
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        match accepted {
-            Ok((stream, _)) => endpoint.adopt(Adoption { conn: Conn::new(stream, tuning), peer: None }),
-            // A failed `accept` says nothing about the listener: the peer
-            // reset the connection before it was taken (`ECONNABORTED`), or
-            // the descriptor table is full (`EMFILE`/`ENFILE`). Giving up
-            // here would leave an endpoint that dials out but is never
-            // reachable again. A full table leaves the connection queued,
-            // so the next `accept` fails at once too: pause instead of
-            // spinning until a descriptor is freed.
-            Err(_) => thread::sleep(ACCEPT_RETRY_PAUSE),
-        }
     }
 }
 
@@ -1274,10 +1270,10 @@ mod tests {
         assert!(stats.batches <= stats.frames_sent);
     }
 
-    /// Dropping an endpoint joins the acceptor thread, so the listener is
-    /// provably closed before Drop returns: an immediate rebind of the
-    /// same process id never races a zombie acceptor that could steal the
-    /// rebound endpoint's first connection. Exercised in a tight loop —
+    /// Dropping an endpoint has the reactor close its listener before Drop
+    /// returns: an immediate rebind of the same process id never races a
+    /// zombie listener that could steal the rebound endpoint's first
+    /// connection. Exercised in a tight loop —
     /// the old race window was exactly this crash/rebind interleaving.
     #[test]
     fn crash_rebind_loop_never_leaves_a_zombie_acceptor() {
@@ -1365,6 +1361,11 @@ mod tests {
         }
     }
 
+    /// A negative-cached peer that comes back and talks first is reached at
+    /// once, long before the backoff expires. This pins the table path: the
+    /// restarted peer dialed, its connection entered the table on its first
+    /// frame, and the next send finds it there before it consults the
+    /// negative cache.
     #[test]
     fn inbound_traffic_forgives_a_negative_cached_peer() {
         // Backoff far longer than the test: if the recovered peer gets a
@@ -2031,14 +2032,13 @@ mod tests {
         });
     }
 
-    /// Threads of this process named `tcp-…` that are neither the reactor
-    /// nor an acceptor.
+    /// Threads of this process named `tcp-…` other than the reactor.
     fn other_transport_threads() -> Vec<String> {
         std::fs::read_dir("/proc/self/task")
             .expect("procfs")
             .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
             .map(|name| name.trim_end().to_owned())
-            .filter(|name| name.starts_with("tcp-") && name != "tcp-reactor" && !name.starts_with("tcp-acceptor"))
+            .filter(|name| name.starts_with("tcp-") && name != "tcp-reactor")
             .collect()
     }
 

@@ -1,5 +1,6 @@
-//! A failed `accept` must not be the endpoint's last: the acceptor keeps
-//! listening after the descriptor table was full for a while.
+//! A failed `accept` must not be the endpoint's last: the reactor keeps
+//! accepting on its listener after the descriptor table was full for a
+//! while, and does not spin on the listener while it is full.
 //!
 //! This file holds exactly one test, so nothing else in the process needs
 //! a descriptor while the test has taken them all.
@@ -54,14 +55,22 @@ fn acceptor_survives_a_full_descriptor_table() {
     }
     assert!(hoard.len() > 1, "nothing to exhaust");
     // Give one back for the dialing end of a connection to the hub. The
-    // connection completes in the kernel, the hub's acceptor wakes, and
-    // its `accept` finds no descriptor for the accepted end (`EMFILE`).
+    // connection completes in the kernel, the reactor wakes for the hub's
+    // listener, and its `accept` finds no descriptor for the accepted end
+    // (`EMFILE`).
     hoard.pop();
+    let wakes_before = registry.reader_totals().wakes;
     let _dialed = TcpStream::connect(hub.local_addr()).expect("one descriptor was free");
-    // Nothing outside the acceptor shows that it has tried. Should it not
-    // be scheduled within this pause, the test passes without having
-    // tested anything; it cannot fail for that reason.
+    // Nothing but the reactor's wake count shows that it has tried.
+    // Should it not be scheduled within this pause, the test passes
+    // without having tested anything; it cannot fail for that reason.
     std::thread::sleep(Duration::from_millis(100));
+    // The connection stays queued while the table is full, so the listener
+    // stays ready. A reactor that withdraws it and retries every 1 ms
+    // wakes about 100 times in this hold; one that retries at once spins
+    // through orders of magnitude more.
+    let wakes = registry.reader_totals().wakes - wakes_before;
+    assert!(wakes < 1_000, "the reactor spun on the full descriptor table: {wakes} wakes in 100 ms");
     drop(hoard);
 
     // Descriptors are available again: the next peer must get through.

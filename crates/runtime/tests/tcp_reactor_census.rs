@@ -1,6 +1,7 @@
 //! The reactor counted from outside the transport, by thread name: a
-//! registry's endpoints, however many, are read by exactly one thread,
-//! which goes with the last of them and comes back with the next.
+//! registry's endpoints, however many, are served — accepted on and read —
+//! by exactly one thread, which goes with the last of them and comes back
+//! with the next.
 //!
 //! This file holds exactly one test, so every `tcp-*` thread in the
 //! process is this registry's — in `src/tcp.rs` the neighbouring unit
@@ -69,23 +70,23 @@ fn a_registry_runs_one_reactor_thread_however_many_endpoints_it_has() {
 
     let mut endpoints = ring(&registry, 8);
     assert_threads("tcp-reactor", 1, "one reactor for eight endpoints");
-    assert_threads("tcp-acceptor", 8, "one acceptor per endpoint");
-    // Nothing else: no reader of an endpoint's own under any name, and no
-    // writer either (a send runs on its caller's thread).
-    assert_threads("tcp-", 9, "the reactor and the acceptors are all there is");
+    assert_threads("tcp-acceptor", 0, "the reactor accepts: no thread per listener");
+    // Nothing else: no reader or acceptor of an endpoint's own under any
+    // name, and no writer either (a send runs on its caller's thread).
+    assert_threads("tcp-", 1, "the reactor is all there is");
 
     // The reactor belongs to the endpoints jointly: it outlives any of
     // them, and goes with the last — while the registry is still here.
     endpoints.truncate(3);
-    assert_threads("tcp-", 4, "three acceptors and the reactor stay");
     assert_threads("tcp-reactor", 1, "the reactor outlives five endpoints");
+    assert_threads("tcp-", 1, "three endpoints add no thread to the reactor");
     drop(endpoints);
     assert_threads("tcp-", 0, "a thread outlived the registry's last endpoint");
 
     // A second generation on the same registry: one reactor again.
     let endpoints = ring(&registry, 2);
     assert_threads("tcp-reactor", 1, "the second generation starts one reactor");
-    assert_threads("tcp-", 3, "the second generation's reactor and two acceptors");
+    assert_threads("tcp-", 1, "and nothing else");
     drop(endpoints);
     assert_threads("tcp-", 0, "a thread outlived the second generation");
 }

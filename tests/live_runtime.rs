@@ -191,8 +191,8 @@ fn tcp_pipeline_stress_keeps_frames_whole_and_fifo() {
 /// over and over, each incarnation sending a frame and receiving a reply
 /// before its socket dies. Each teardown EOFs the hub's adopted inbound
 /// connection and leaves the hub's reply pipeline pointing at a dead
-/// address (the negative-cache path the next incarnation's inbound frame
-/// forgives). The shared reader must reap every EOF'd socket — the gauge
+/// address (a negative-cached peer, reached again on the connection the
+/// next incarnation dials and enters in the hub's table). The shared reader must reap every EOF'd socket — the gauge
 /// settles back to the live-connection count instead of accumulating one
 /// leaked buffer per storm round — and endpoint drop closes the rest.
 #[test]
@@ -338,7 +338,8 @@ fn crash_under_load_stays_atomic_under_full_audit() {
 /// servers' cached reply connections pointing at a dead socket; every
 /// re-bind registers a new address, so replies only resume once the
 /// reply pipelines notice the failure, negative-cache the peer, and then
-/// *forgive* the cache on the re-bound reader's next inbound request.
+/// find the re-bound reader's next inbound request's connection in their
+/// endpoint's table, which a send consults before the cache.
 /// The storm reader is minted straight off the runtime cluster (no audit
 /// tap: a re-bound endpoint restarts its op sequence numbers, which would
 /// collide in the auditor's window); the audited stable clients assert

@@ -93,7 +93,7 @@ fn main() {
             let reader = ClientId::reader(90);
             // The round mutates the server, so each iteration works on a
             // clone; timing the clone alone and subtracting isolates the
-            // register + catch-up + assemble cost the column reports.
+            // registration walk + assemble cost the column reports.
             let clone_ns = time_ns(iters, || {
                 std::hint::black_box(server.clone());
             });
@@ -101,7 +101,6 @@ fn main() {
                 let mut s = server.clone();
                 let acked = s.version();
                 s.catch_up_registrations(reader, acked);
-                s.register_on_latest(reader);
                 std::hint::black_box(s.delta_since(acked));
             }) - clone_ns)
                 .max(0.0);

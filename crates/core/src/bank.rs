@@ -45,6 +45,9 @@ use crate::server::RegisterServer;
 pub struct ServerBank {
     /// Client population (`R + W`) for per-register membership-aware GC.
     population: usize,
+    /// Read only through [`Router::shard_of`] (which shard a `ShardFetch`
+    /// exports), and that depends on the shard count alone, which no
+    /// reconfiguration changes: the bank never needs a newer router.
     router: Router,
     /// Version floor inherited from a pre-crash incarnation: every register
     /// created after recovery — even one absent from every peer transfer —
@@ -75,9 +78,9 @@ impl ServerBank {
     /// Creates a recovering bank: each register named in `transfers` is
     /// rebuilt from its own quorum of peer snapshots (exactly the
     /// single-register [`RegisterServer::recovered`] path), and
-    /// `version_floor` — the crashed bank's version beacon — bounds every
-    /// register's version counter, including registers instantiated lazily
-    /// later.
+    /// `version_floor` — the version the crashed bank's thread returned
+    /// when it exited — bounds every register's version counter, including
+    /// registers instantiated lazily later.
     pub fn recovered(
         population: usize,
         router: Router,
@@ -99,11 +102,6 @@ impl ServerBank {
         }
     }
 
-    /// The bank's routing table.
-    pub fn router(&self) -> &Router {
-        &self.router
-    }
-
     /// The highest configuration epoch this bank has observed.
     pub fn epoch(&self) -> ConfigEpoch {
         self.epoch
@@ -112,14 +110,6 @@ impl ServerBank {
     /// Advances the bank's epoch (monotone; a lower epoch is a no-op).
     pub fn set_epoch(&mut self, epoch: ConfigEpoch) {
         self.epoch = self.epoch.adopt(epoch);
-    }
-
-    /// Re-keys the bank onto a reconfigured member set. Shard *hashing* is
-    /// untouched (`shard_of` depends only on the shard count), so existing
-    /// per-register state stays valid; only group membership — who answers
-    /// future `ShardFetch`es — moves.
-    pub fn set_router(&mut self, router: Router) {
-        self.router = router;
     }
 
     /// Read access to one register's server, if it has been instantiated.
@@ -132,11 +122,11 @@ impl ServerBank {
         self.registers.iter().map(|(&r, s)| (r, s))
     }
 
-    /// The bank's version beacon: the maximum registration version across
-    /// all registers (and any inherited recovery floor). Publishing a single
-    /// maximum is sound because [`RegisterServer::recovered`] treats the
-    /// floor as a lower bound — an overestimate only makes a rebuilt
-    /// register resume its counter higher.
+    /// The bank's version high-water: the maximum registration version
+    /// across all registers (and any inherited recovery floor). One maximum
+    /// for the whole bank is a sound recovery floor because
+    /// [`RegisterServer::recovered`] treats the floor as a lower bound — an
+    /// overestimate only makes a rebuilt register resume its counter higher.
     pub fn max_version(&self) -> u64 {
         self.registers
             .values()
@@ -166,9 +156,13 @@ impl ServerBank {
     /// answered with every instantiated register of that shard. Bare legacy
     /// frames go to [`RegisterId::DEFAULT`] and reply bare.
     ///
-    /// Epoch handling mirrors [`RegisterServer::handle`]: an
-    /// [`Msg::InEpoch`] header advances the bank's epoch before the payload
-    /// is processed, and past epoch 0 every reply is epoch-tagged.
+    /// Epoch handling: an [`Msg::InEpoch`] header advances the bank's epoch
+    /// to `max(own, frame)` before the payload is processed, and once the
+    /// bank is past epoch 0 *every* reply — even to a bare legacy frame —
+    /// carries the epoch header, so a client whose view is stale learns of
+    /// the reconfiguration from its next acknowledgement. At epoch 0
+    /// replies stay legacy, byte for byte. The registers themselves hold
+    /// no epoch.
     pub fn handle(&mut self, from: ProcessId, msg: &Msg) -> Option<Msg> {
         if let Msg::InEpoch { epoch, inner } = msg {
             self.epoch = self.epoch.adopt(*epoch);
@@ -307,12 +301,39 @@ mod tests {
         assert_eq!(bank.epoch(), e1);
         let (_, inner) = reply.into_epoch_parts();
         assert!(matches!(inner, Msg::ForRegister { .. }), "epoch wraps the register frame");
-        // The per-register automaton stays at epoch 0: the bank is the
-        // process-level authority.
-        assert_eq!(bank.register(RegisterId::new(1)).unwrap().epoch(), ConfigEpoch::ZERO);
         // Bare legacy traffic now draws tagged replies too.
         let reply = bank.handle(ProcessId::writer(0), &update(1, 2, 20)).unwrap();
         assert_eq!(reply.epoch(), e1);
+    }
+
+    /// An epoch header advances the bank; from then on every reply —
+    /// even to a bare legacy frame — carries the epoch, so stale clients
+    /// learn of the reconfiguration from their next acknowledgement.
+    #[test]
+    fn epoch_adoption_is_monotone_and_tags_replies() {
+        let mut bank = ServerBank::new(2, Router::new(3, 3, 1));
+        assert_eq!(bank.epoch(), ConfigEpoch::ZERO);
+        // Epoch 0: replies are legacy, byte for byte.
+        let q = Msg::Query {
+            handle: OpHandle { op: OpId { client: ClientId::reader(0), seq: 0 }, phase: 1 },
+        };
+        let reply = bank.handle(ProcessId::reader(0), &q).unwrap();
+        assert!(matches!(reply, Msg::QueryAck { .. }), "epoch 0 replies stay bare");
+
+        // A frame at epoch 2 advances the bank and gets a tagged reply.
+        let e2 = ConfigEpoch::new(2);
+        let reply = bank.handle(ProcessId::reader(0), &q.clone().in_epoch(e2)).unwrap();
+        assert_eq!(reply.epoch(), e2);
+        assert_eq!(bank.epoch(), e2);
+
+        // A *stale* bare frame now still draws a tagged reply…
+        let reply = bank.handle(ProcessId::reader(0), &q).unwrap();
+        assert_eq!(reply.epoch(), e2, "post-reconfig replies always carry the epoch");
+        // …and a lower-epoch frame cannot move the bank backwards.
+        bank.handle(ProcessId::reader(0), &q.clone().in_epoch(ConfigEpoch::new(1)));
+        assert_eq!(bank.epoch(), e2);
+        bank.set_epoch(ConfigEpoch::new(1));
+        assert_eq!(bank.epoch(), e2, "set_epoch is monotone too");
     }
 
     #[test]

@@ -111,12 +111,6 @@ impl JointQuorum {
         }
         old_got >= self.old_required && new_got >= self.new_required
     }
-
-    /// An upper bound on useful acknowledgements: once every union member
-    /// has replied, waiting longer cannot change the verdict.
-    pub fn max_acks(&self) -> usize {
-        self.union().len()
-    }
 }
 
 impl fmt::Display for JointQuorum {
@@ -145,7 +139,6 @@ mod tests {
         // Old {0..4} t=1 → 4 required; new {2..6} t=1 → 4 required.
         let joint = JointQuorum::new(ids(&[0, 1, 2, 3, 4]), 4, ids(&[2, 3, 4, 5, 6]), 4);
         assert_eq!(joint.union(), ids(&[0, 1, 2, 3, 4, 5, 6]));
-        assert_eq!(joint.max_acks(), 7);
 
         // An old quorum alone does not complete the round…
         assert!(!joint.satisfied(ids(&[0, 1, 2, 3])));

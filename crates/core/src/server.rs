@@ -14,15 +14,18 @@
 //!   second round of writes and by slow-read write-backs. Carries the
 //!   sender's completed-operation floor for GC.
 //! - **ReadFast** (mutating + query): apply `update(val, rj)` for every
-//!   value in the reader's `valQueue`, register the reader on the current
-//!   maximum value, then reply with the full store. This is the fast-read
-//!   round of Algorithm 1/2; registering the reader before replying is what
-//!   the admissibility degrees count (Lemma 8: *"every server which replies
-//!   to r2 … adds r2 to its updated set before replying"*).
+//!   value in the reader's `valQueue`, then `update(vali, rj)` — the reader
+//!   registered on the current maximum — then reply with the full store.
+//!   This is the fast-read round of Algorithm 1/2; registering the reader
+//!   before replying is what the admissibility degrees count (Lemma 8:
+//!   *"every server which replies to r2 … adds r2 to its updated set before
+//!   replying"*).
 //! - **ReadFastDelta** (mutating + query): the bounded-state fast read.
 //!   Semantically identical to **ReadFast** — the reader ends up registered
-//!   on exactly its `valQueue` and receives (logically) the full store —
-//!   but only *new information* crosses the wire in either direction.
+//!   on exactly its `valQueue` and `vali`, and receives (logically) the
+//!   full store — but only *new information* crosses the wire in either
+//!   direction. Past the values it sends, the reader is registered in one
+//!   walk over the store ([`ServerState::catch_up_registrations`]).
 //!
 //! # The delta protocol
 //!
@@ -51,7 +54,10 @@
 //!    re-sends would have registered. Each stored value keeps the version
 //!    it was added at, and each reader a mark (the largest `acked` it was
 //!    caught up to), so catch-up is the window `(mark, acked]` of added
-//!    versions, found in one walk over the store.
+//!    versions. One walk over the store registers the reader on that
+//!    window, on the initial value and on `vali`; `vali` is the store's
+//!    maximum and so its last entry, so its registration is minted last,
+//!    as full-info's `update(vali, rj)` after the re-sent `valQueue` is.
 //!
 //! # Acknowledged-floor GC — correctness argument
 //!
@@ -66,9 +72,7 @@
 //! never used — from wedging GC forever: clients the server has never
 //! heard from simply do not participate in the minimum. A *contacted*
 //! client that never reports (e.g. a full-info reader, whose `ReadFast`
-//! carries no floor) still holds pruning off — the conservative direction
-//! — unless the [`ServerState::with_gc_quorum`] escape hatch is configured
-//! for such permanently-silent members.
+//! carries no floor) still holds pruning off — the conservative direction.
 //!
 //! Why this is safe: let `f = min` reported floor. Every reader has
 //! completed an operation returning (or writing back) a value `≥ f`, and a
@@ -133,9 +137,10 @@
 //!    acknowledged version minted by the *previous* incarnation — describes
 //!    a store that no longer exists. The rejoined server resumes its
 //!    counter strictly above both the peers' high-waters and its own
-//!    pre-crash version (the cluster preserves a one-word monotone version
-//!    beacon across the crash — the customary stable-storage bootstrap
-//!    record of crash-recover models), then installs every transferred
+//!    pre-crash version (the live runtime's bank thread returns its final
+//!    version high-water when it exits, and the cluster keeps that one word
+//!    across the crash — the customary stable-storage bootstrap record of
+//!    crash-recover models), then installs every transferred
 //!    value and registration as *fresh* versioned events and records the
 //!    resulting high-water as its *reset floor*. A `ReadFastDelta` whose
 //!    `acked` falls below the reset floor is answered from version 0 — the
@@ -170,7 +175,7 @@
 use std::collections::BTreeMap;
 
 use mwr_sim::{Automaton, Context};
-use mwr_types::{ClientId, ConfigEpoch, ProcessId, TaggedValue};
+use mwr_types::{ClientId, ProcessId, TaggedValue};
 
 use crate::events::ClientEvent;
 use crate::msg::{ClientSet, DeltaSnapshot, FloorReport, Msg, Snapshot, StateTransfer, ValueRecord};
@@ -212,14 +217,8 @@ impl Entry {
 /// Acknowledged-floor GC bookkeeping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct GcState {
-    /// The cluster's full client population (R + W), kept for diagnostics
-    /// and as the upper bound a floor quorum is validated against.
+    /// The cluster's full client population (R + W), kept for diagnostics.
     population: usize,
-    /// Optional floor-report quorum: pruning additionally engages once this
-    /// many clients have reported, even if other *contacted* clients never
-    /// report — the documented escape hatch for permanently-silent members
-    /// (see the module docs).
-    quorum: Option<usize>,
     /// Every client this server has heard any message from. Pruning is
     /// membership-aware: it engages once `floors` covers `seen`.
     seen: ClientSet,
@@ -296,32 +295,11 @@ impl ServerState {
         let mut state = ServerState::new();
         state.gc = Some(GcState {
             population,
-            quorum: None,
             seen: ClientSet::new(),
             floors: Vec::new(),
             min_reported: TaggedValue::initial(),
             pruned_floor: TaggedValue::initial(),
         });
-        state
-    }
-
-    /// Like [`with_gc`](Self::with_gc), with a floor-report quorum: pruning
-    /// additionally engages once `quorum` clients have reported, even if
-    /// other *contacted* clients never report a floor.
-    ///
-    /// This is the escape hatch for permanently-silent members — clients
-    /// that keep sending messages but never complete operations, or
-    /// full-info readers (whose `ReadFast` carries no floor). The tradeoff:
-    /// a client excluded from the quorum's minimum may find its entire
-    /// `valQueue` below the pruned floor; delta readers detect this
-    /// (`pruned > floor`) and pay a write-back round, but full-info readers
-    /// never learn the floor, so the quorum should only be used with
-    /// delta-wire clients. `quorum` is clamped to at least 1.
-    pub fn with_gc_quorum(population: usize, quorum: usize) -> Self {
-        let mut state = ServerState::with_gc(population);
-        if let Some(gc) = &mut state.gc {
-            gc.quorum = Some(quorum.clamp(1, population.max(1)));
-        }
         state
     }
 
@@ -389,21 +367,17 @@ impl ServerState {
         }
     }
 
-    /// Registers `c` on the current maximum value without changing it —
-    /// the fast-read bookkeeping applied before a `ReadFastAck`.
-    pub fn register_on_latest(&mut self, c: ClientId) {
-        let latest = self.latest;
-        self.update(latest, c);
-    }
-
-    /// Re-registers `reader` on every stored value it provably knows —
-    /// those first added at a version `≤ acked` (the reader merged the
-    /// delta that introduced them, so they are in its `valQueue`). This is
-    /// the delta protocol's stand-in for full-info's `valQueue` re-send.
-    /// Values first added at or below the reader's mark (the largest
-    /// `acked` it was caught up to) were covered then, so one walk over the
-    /// store registers it on the window `(mark, acked]` and on the initial
-    /// value: O(|store|), like [`delta_since`](Self::delta_since).
+    /// Registers a delta fast reader before its reply: on every stored
+    /// value it provably knows — those first added at a version `≤ acked`
+    /// (the reader merged the delta that introduced them, so they are in
+    /// its `valQueue`) — and on the current maximum `vali`. This is the
+    /// delta protocol's stand-in for full-info's `valQueue` re-send and its
+    /// `update(vali, rj)`. Values first added at or below the reader's mark
+    /// (the largest `acked` it was caught up to) were covered then, so one
+    /// walk over the store registers it on the window `(mark, acked]`, on
+    /// the initial value and on `latest`: O(|store|), like
+    /// [`delta_since`](Self::delta_since). `latest` is the store's maximum
+    /// and so its last entry: its registration is minted after the window's.
     pub fn catch_up_registrations(&mut self, reader: ClientId, acked: u64) {
         let i = match self.registered_up_to.binary_search_by_key(&reader, |r| r.0) {
             Ok(i) => i,
@@ -414,12 +388,13 @@ impl ServerState {
         };
         let mark = self.registered_up_to[i].1;
         self.registered_up_to[i].1 = mark.max(acked);
+        let latest = self.latest;
         let version = &mut self.version;
         for (val, entry) in &mut self.store {
             // The initial value is in every reader's `valQueue` from birth;
             // full-info re-sends it every read.
             let window = mark < entry.first_added && entry.first_added <= acked;
-            if window || *val == TaggedValue::initial() {
+            if window || *val == TaggedValue::initial() || *val == latest {
                 entry.register(reader, version);
             }
         }
@@ -436,8 +411,7 @@ impl ServerState {
     }
 
     /// Records `client`'s completed-operation floor and prunes once the
-    /// floors cover the contacted membership (or the configured floor
-    /// quorum, if any, is reached). No-op when GC is off.
+    /// floors cover the contacted membership. No-op when GC is off.
     pub fn record_floor(&mut self, client: ClientId, floor: TaggedValue) {
         let Some(gc) = &mut self.gc else { return };
         gc.seen.insert(client);
@@ -468,10 +442,7 @@ impl ServerState {
         // Floors is a subset of seen, so equal sizes means every contacted
         // client has reported; an empty floor map never engages (the
         // minimum over nothing is meaningless).
-        let engaged = !gc.floors.is_empty()
-            && (gc.floors.len() == gc.seen.len()
-                || gc.quorum.is_some_and(|q| gc.floors.len() >= q));
-        if !engaged {
+        if gc.floors.is_empty() || gc.floors.len() != gc.seen.len() {
             return;
         }
         let min = gc.floors.iter().map(|&(_, floor)| floor).min().unwrap_or_default();
@@ -699,41 +670,27 @@ impl Default for ServerState {
 #[derive(Debug, Clone, Default)]
 pub struct RegisterServer {
     state: ServerState,
-    /// The highest configuration epoch this server has observed — adopted
-    /// from any [`Msg::InEpoch`] frame or set directly by the runtime's
-    /// reconfiguration coordinator; never moves backwards. While past epoch
-    /// 0 every reply is epoch-tagged so stale clients learn of the
-    /// reconfiguration from their very next acknowledgement.
-    epoch: ConfigEpoch,
 }
 
 impl RegisterServer {
     /// Creates a fresh server (GC off — faithful to the paper's full-info
     /// model).
     pub fn new() -> Self {
-        RegisterServer { state: ServerState::new(), epoch: ConfigEpoch::ZERO }
+        RegisterServer { state: ServerState::new() }
     }
 
     /// Creates a server with acknowledged-floor GC enabled for a cluster of
     /// `population` clients (`R + W`). Pruning is membership-aware — see
     /// [`ServerState::with_gc`].
     pub fn with_gc(population: usize) -> Self {
-        RegisterServer { state: ServerState::with_gc(population), epoch: ConfigEpoch::ZERO }
-    }
-
-    /// Creates a GC-enabled server with a floor-report quorum escape hatch
-    /// — see [`ServerState::with_gc_quorum`].
-    pub fn with_gc_quorum(population: usize, quorum: usize) -> Self {
-        RegisterServer {
-            state: ServerState::with_gc_quorum(population, quorum),
-            epoch: ConfigEpoch::ZERO,
-        }
+        RegisterServer { state: ServerState::with_gc(population) }
     }
 
     /// Creates a recovering server: GC-enabled for `population` clients,
     /// with a quorum of peers' catch-up snapshots installed on top (see
     /// [`ServerState::install`]). `version_floor` is the server's own
-    /// pre-crash version bound (the cluster's version beacon).
+    /// pre-crash version bound (the version its bank thread returned when
+    /// it exited).
     pub fn recovered(
         population: usize,
         version_floor: u64,
@@ -741,29 +698,12 @@ impl RegisterServer {
     ) -> Self {
         let mut state = ServerState::with_gc(population);
         state.install(version_floor, transfers);
-        RegisterServer { state, epoch: ConfigEpoch::ZERO }
+        RegisterServer { state }
     }
 
     /// Read access to the server's state (useful in tests).
     pub fn state(&self) -> &ServerState {
         &self.state
-    }
-
-    /// Mutable access to the server's state, for harnesses that drive the
-    /// state machine's public steps directly (CPU attribution, tests).
-    pub fn state_mut(&mut self) -> &mut ServerState {
-        &mut self.state
-    }
-
-    /// The highest configuration epoch this server has observed.
-    pub fn epoch(&self) -> ConfigEpoch {
-        self.epoch
-    }
-
-    /// Advances the server's epoch (the coordinator's announcement path).
-    /// Adoption is monotone: a lower epoch is a no-op.
-    pub fn set_epoch(&mut self, epoch: ConfigEpoch) {
-        self.epoch = self.epoch.adopt(epoch);
     }
 
     /// Merges a quorum of peer state into this *running* server — the
@@ -782,22 +722,7 @@ impl RegisterServer {
     /// Returns `None` for messages a server never receives (acks, invokes);
     /// those indicate a routing bug and are ignored defensively here — the
     /// simulator's topology enforcement catches genuine mistakes loudly.
-    ///
-    /// Epoch handling: an [`Msg::InEpoch`] header advances the server's
-    /// epoch to `max(own, frame)` before the payload is processed, and once
-    /// the server is past epoch 0 *every* reply — even to a bare legacy
-    /// frame — carries the epoch header, so a client whose view is stale
-    /// learns of the reconfiguration from its next acknowledgement. At
-    /// epoch 0 replies stay legacy, byte for byte.
     pub fn handle(&mut self, from: ProcessId, msg: &Msg) -> Option<Msg> {
-        if let Msg::InEpoch { epoch, inner } = msg {
-            self.epoch = self.epoch.adopt(*epoch);
-            return self.handle(from, inner);
-        }
-        self.handle_payload(from, msg).map(|reply| reply.in_epoch(self.epoch))
-    }
-
-    fn handle_payload(&mut self, from: ProcessId, msg: &Msg) -> Option<Msg> {
         // Server-to-server recovery and reconfiguration traffic is matched
         // before the client gate: only peers may fetch or install state, and
         // servers never enter the GC membership.
@@ -826,7 +751,8 @@ impl RegisterServer {
                 for val in val_queue {
                     self.state.update_resurrecting(*val, client);
                 }
-                self.state.register_on_latest(client);
+                let latest = self.state.latest();
+                self.state.update(latest, client);
                 Some(Msg::ReadFastAck {
                     handle: *handle,
                     snapshot: self.state.snapshot(),
@@ -875,7 +801,6 @@ impl RegisterServer {
             self.state.update(*val, client);
         }
         self.state.catch_up_registrations(client, acked);
-        self.state.register_on_latest(client);
         self.state.delta_since(acked)
     }
 }
@@ -933,19 +858,6 @@ mod tests {
             s.updated_set(v),
             Some(vec![ClientId::reader(1), ClientId::writer(0)])
         );
-    }
-
-    #[test]
-    fn register_on_latest_targets_current_maximum() {
-        let mut s = ServerState::new();
-        s.update(tv(3, 0, 30), ClientId::writer(0));
-        s.register_on_latest(ClientId::reader(0));
-        assert!(s
-            .updated_set(tv(3, 0, 30))
-            .unwrap()
-            .contains(&ClientId::reader(0)));
-        // The initial value's set is untouched.
-        assert_eq!(s.updated_set(TaggedValue::initial()), Some(vec![]));
     }
 
     #[test]
@@ -1197,26 +1109,6 @@ mod tests {
         assert_eq!(s.stored_values(), 1, "memory stays bounded: only the latest survives");
     }
 
-    /// The `gc_floor_quorum` escape hatch: a *contacted* client that never
-    /// reports a floor (a permanently-silent member) normally holds GC off;
-    /// with a quorum configured, pruning engages on the reporters alone.
-    #[test]
-    fn gc_floor_quorum_overrides_a_contacted_silent_member() {
-        let mut wedged = ServerState::with_gc(3);
-        let mut quorate = ServerState::with_gc_quorum(3, 2);
-        for s in [&mut wedged, &mut quorate] {
-            for i in 1..=4 {
-                s.update(tv(i, 0, i), ClientId::writer(0));
-            }
-            // Reader 1 keeps sending messages but never completes an op.
-            s.note_contact(ClientId::reader(1));
-            s.record_floor(ClientId::writer(0), tv(4, 0, 4));
-            s.record_floor(ClientId::reader(0), tv(3, 0, 3));
-        }
-        assert_eq!(wedged.pruned_floor(), TaggedValue::initial(), "no quorum: conservative");
-        assert_eq!(quorate.pruned_floor(), tv(3, 0, 3), "quorum of 2 reporters engages GC");
-    }
-
     /// The full-info fast-read path re-registers a late-joining reader's
     /// `valQueue` even below the GC floor (it cannot learn the floor from a
     /// `ReadFastAck`), restoring the degree-1 admissibility witness.
@@ -1382,8 +1274,8 @@ mod tests {
         peer.record_floor(ClientId::reader(0), tv(2, 0, 2));
         assert_eq!(peer.pruned_floor(), tv(2, 0, 2));
 
-        let mut srv = RegisterServer::recovered(2, 0, &[peer.export()]);
-        let s = srv.state_mut();
+        let mut s = ServerState::with_gc(2);
+        s.install(0, &[peer.export()]);
         assert_eq!(s.pruned_floor(), tv(2, 0, 2), "inherits the peer floor");
         // Both clients raise their (inherited) floors. No departures and no
         // first-time reports ever happen on this server, so these calls are
@@ -1474,34 +1366,6 @@ mod tests {
         assert_eq!(state.seen, vec![ClientId::writer(0)]);
     }
 
-    /// An epoch header advances the server; from then on every reply —
-    /// even to a bare legacy frame — carries the epoch, so stale clients
-    /// learn of the reconfiguration from their next acknowledgement.
-    #[test]
-    fn epoch_adoption_is_monotone_and_tags_replies() {
-        let mut srv = RegisterServer::with_gc(2);
-        assert_eq!(srv.epoch(), ConfigEpoch::ZERO);
-        // Epoch 0: replies are legacy, byte for byte.
-        let q = Msg::Query { handle: rhandle(0) };
-        let reply = srv.handle(ProcessId::reader(0), &q).unwrap();
-        assert!(matches!(reply, Msg::QueryAck { .. }), "epoch 0 replies stay bare");
-
-        // A frame at epoch 2 advances the server and gets a tagged reply.
-        let e2 = ConfigEpoch::new(2);
-        let reply = srv.handle(ProcessId::reader(0), &q.clone().in_epoch(e2)).unwrap();
-        assert_eq!(reply.epoch(), e2);
-        assert_eq!(srv.epoch(), e2);
-
-        // A *stale* bare frame now still draws a tagged reply…
-        let reply = srv.handle(ProcessId::reader(0), &q).unwrap();
-        assert_eq!(reply.epoch(), e2, "post-reconfig replies always carry the epoch");
-        // …and a lower-epoch frame cannot move the server backwards.
-        srv.handle(ProcessId::reader(0), &q.clone().in_epoch(ConfigEpoch::new(1)));
-        assert_eq!(srv.epoch(), e2);
-        srv.set_epoch(ConfigEpoch::new(1));
-        assert_eq!(srv.epoch(), e2, "set_epoch is monotone too");
-    }
-
     /// Only peers may push installs; the install merges like a rejoin
     /// (version above the transfer's high-water, reset floor stamped).
     #[test]
@@ -1589,16 +1453,38 @@ mod tests {
         let mut s = ServerState::new();
         s.catch_up_registrations(r, 2);
         assert_eq!(s.version(), 1, "only the registration on the initial value");
-        let (v1, v2, v3) = (tv(1, 0, 1), tv(2, 0, 2), tv(3, 0, 3));
-        for v in [v1, v2, v3] {
+        let (v1, v2, v3, v4) = (tv(1, 0, 1), tv(2, 0, 2), tv(3, 0, 3), tv(4, 0, 4));
+        for v in [v1, v2, v3, v4] {
             s.update(v, ClientId::writer(0));
         }
-        // First added at versions 2 (the mark), 4 and 6.
+        // First added at versions 2 (the mark), 4, 6 and 8; v4 is latest.
         s.catch_up_registrations(r, 4);
         assert!(!registered(&s, v1, r), "first added at the previous mark");
         assert!(registered(&s, v2, r), "first added at exactly acked");
         assert!(!registered(&s, v3, r), "first added after acked");
+        assert!(registered(&s, v4, r), "latest");
         assert!(registered(&s, TaggedValue::initial(), r));
+    }
+
+    /// The walk registers the reader on the current maximum, and mints that
+    /// registration last: `latest` is the store's last entry, so the
+    /// version order is the one a separate `update(latest, reader)` after
+    /// the catch-up would give.
+    #[test]
+    fn catch_up_registers_the_reader_on_latest_last() {
+        let r = ClientId::reader(0);
+        let mut s = ServerState::new();
+        let (v1, v3) = (tv(1, 0, 10), tv(3, 0, 30));
+        s.update(v1, ClientId::writer(0));
+        let acked = s.version();
+        s.update(v3, ClientId::writer(1));
+        let before = s.version();
+        s.catch_up_registrations(r, acked);
+        assert_eq!(s.version(), before + 3, "initial, v1 (the window) and latest");
+        let last = s.delta_since(s.version() - 1);
+        let values: Vec<TaggedValue> = last.entries.iter().map(|rec| rec.value).collect();
+        assert_eq!(values, vec![v3], "the registration on latest is the newest");
+        assert_eq!(last.entries[0].updated, vec![r]);
     }
 
     /// A value pruned and then re-inserted by a full-info `ReadFast` is a

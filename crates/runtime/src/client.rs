@@ -478,7 +478,7 @@ mod tests {
         let read = reader.read().unwrap();
         assert_eq!(read, written);
         for s in servers {
-            assert!(s.shutdown() > 0);
+            assert!(s.shutdown().0 > 0);
         }
     }
 

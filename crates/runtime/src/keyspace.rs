@@ -74,8 +74,9 @@ pub struct KeyspaceCluster<F: EndpointFactory> {
     router: Router,
     factory: F,
     servers: Vec<ServerHandle>,
-    /// Bank-wide version beacons captured at crash time (max over the
-    /// bank's registers): the floor every rebuilt register resumes above.
+    /// The version high-water each crashed bank's thread returned when it
+    /// stopped (the max over the bank's registers): the floor every rebuilt
+    /// register resumes above.
     crashed: HashMap<u32, u64>,
     /// Monotone nonce distinguishing state-fetch rounds, so a straggler
     /// snapshot from an earlier rejoin can never corrupt a later one.
@@ -85,8 +86,6 @@ pub struct KeyspaceCluster<F: EndpointFactory> {
     /// server can never be confused with a later member; the router's
     /// member bitset tracks the current set.
     next_server_id: u32,
-    /// The configuration epoch the cluster is in (the view's epoch).
-    epoch: ConfigEpoch,
     /// The shared view every client follows through reconfigurations.
     view: Arc<ClusterView>,
 }
@@ -133,7 +132,6 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
             servers: Vec::with_capacity(config.servers()),
             crashed: HashMap::new(),
             fetch_nonce: 0,
-            epoch: ConfigEpoch::ZERO,
             view: ClusterView::new(router, config.max_faults()),
         };
         for s in config.server_ids() {
@@ -185,7 +183,7 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
     /// reconfiguration, then `+2` per completed (or aborted) handover —
     /// one step into the joint window, one step out.
     pub fn epoch(&self) -> ConfigEpoch {
-        self.epoch
+        self.view.epoch()
     }
 
     /// The shared configuration view clients follow. Facade layers attach
@@ -196,11 +194,13 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
     }
 
     /// Crashes server `idx`: removes it from the transport's delivery map,
-    /// stops its bank thread, and records the bank's version beacon (the
-    /// max across its registers) as the floor a rejoin resumes above. At
-    /// most `t` crashes per group keep its registers wait-free; on TCP the
-    /// crashed server's listener closes, so cached client connections fail
-    /// exactly like connections to a dead host.
+    /// stops its bank thread, and records the version high-water the thread
+    /// returns (the max across the bank's registers) as the floor a rejoin
+    /// resumes above. The thread stops at its next message, so requests
+    /// still in its inbox are lost with the crash. At most `t` crashes per
+    /// group keep its registers wait-free; on TCP the crashed server's
+    /// listener closes, so cached client connections fail exactly like
+    /// connections to a dead host.
     ///
     /// # Panics
     ///
@@ -209,14 +209,12 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
         let handle = self
             .withdraw(idx)
             .unwrap_or_else(|| panic!("server {idx} already crashed or unknown"));
-        let beacon = handle.beacon();
-        handle.shutdown();
-        // Read the beacon *after* the join: it then covers every message
-        // the bank ever processed. This is the stable-storage version
-        // record crash–recover models assume, shared by all of the bank's
-        // registers; rejoin resumes above it.
-        self.crashed
-            .insert(idx, beacon.load(std::sync::atomic::Ordering::Acquire));
+        // Returned after the thread stopped, the version covers every
+        // message the bank ever processed. This is the stable-storage
+        // version record crash–recover models assume, shared by all of the
+        // bank's registers; rejoin resumes above it.
+        let (_, version) = handle.shutdown();
+        self.crashed.insert(idx, version);
     }
 
     /// Brings a crashed server back with per-shard state transfer: opens a
@@ -288,13 +286,13 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
         for export in gathered.into_values().flat_map(BTreeMap::into_values).flatten() {
             transfers.entry(export.register).or_default().push(export.state);
         }
-        let bank = ServerBank::recovered(self.population(), self.router, version_floor, &transfers);
-        let handle = spawn_bank_with(endpoint, bank);
+        let mut bank =
+            ServerBank::recovered(self.population(), self.router, version_floor, &transfers);
         // The rejoined incarnation resumes in the cluster's current epoch:
         // its replies are tagged like every other member's, so a stale
         // client learns of any reconfiguration from its first ack.
-        handle.announce_epoch(self.epoch);
-        self.servers.push(handle);
+        bank.set_epoch(self.epoch());
+        self.servers.push(spawn_bank_with(endpoint, bank));
         self.crashed.remove(&idx);
         Ok(())
     }
@@ -478,10 +476,10 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
     /// fence: by the time any server can tag a reply with the new epoch,
     /// clients can already read the plan that describes it.
     fn enter_epoch(&mut self, plan: ViewPlan) {
-        self.epoch = self.epoch.next();
-        self.view.install(ViewState { epoch: self.epoch, plan });
+        let epoch = self.epoch().next();
+        self.view.install(ViewState { epoch, plan });
         for h in &self.servers {
-            h.announce_epoch(self.epoch);
+            h.announce_epoch(epoch);
         }
     }
 
@@ -558,7 +556,7 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
 
     /// Shuts down all remaining servers; returns total requests handled.
     pub fn shutdown(self) -> u64 {
-        self.servers.into_iter().map(ServerHandle::shutdown).sum()
+        self.servers.into_iter().map(|h| h.shutdown().0).sum()
     }
 }
 
@@ -760,6 +758,29 @@ mod tests {
         assert!(a2 >= d2, "k2 never rewinds below its pre-rejoin write");
         assert_eq!(a2.value(), Value::new(21), "k2 state survived via transfer");
         drop((w1, r1, w2, r2));
+        cluster.shutdown();
+    }
+
+    /// The floor a rejoin resumes above is the version the crashed bank's
+    /// thread returned when it stopped. With server 2 down, server 1 is in
+    /// every quorum, so each completed write inserted its value there and
+    /// registered the writer on it: at least two versions a write.
+    #[test]
+    fn a_crash_keeps_the_version_the_bank_thread_returns() {
+        const WRITES: u64 = 25;
+        let config = KeyspaceConfig::new(3, 1, 3, 1, 1, 1).unwrap();
+        let mut cluster =
+            KeyspaceCluster::start_on(InMemoryTransport::new(), config, Protocol::W2R2).unwrap();
+        let hub = ClientHub::new(&cluster);
+        let (mut w, r) = hub.scoped(&cluster, RegisterId::new(1));
+        cluster.crash_server(2);
+        for i in 0..WRITES {
+            w.write(Value::new(i)).unwrap();
+        }
+        cluster.crash_server(1);
+        let floor = cluster.crashed[&1];
+        assert!(floor >= 2 * WRITES, "server 1 crashed at version {floor}");
+        drop((w, r));
         cluster.shutdown();
     }
 

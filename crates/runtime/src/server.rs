@@ -1,26 +1,30 @@
 //! Thread-per-server execution of the Algorithm 2 server: one thread body
 //! driving a [`ServerBank`] of [`RegisterServer`](mwr_core::RegisterServer)s
 //! (a single-register cluster is a bank of one).
+//!
+//! The bank owns all of its state, its configuration epoch included. The
+//! thread shares no cell with its [`ServerHandle`]: the handle reaches it
+//! through one control channel — an announced epoch travels on it, and
+//! dropping it stops the thread — and the thread hands back its version
+//! high-water when it exits.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
-use crossbeam::channel::{bounded, select, Sender};
+use crossbeam::channel::{select, unbounded, Sender};
 
 use mwr_core::ServerBank;
 use mwr_types::{ConfigEpoch, ProcessId};
 
 use crate::transport::Endpoint;
 
-/// A running server thread.
+/// A running server thread: its id, the sending end of its control channel
+/// and the thread itself, which returns what [`shutdown`](Self::shutdown)
+/// reports.
 #[derive(Debug)]
 pub struct ServerHandle {
     id: ProcessId,
-    shutdown: Sender<()>,
-    join: Option<JoinHandle<u64>>,
-    version: Arc<AtomicU64>,
-    epoch: Arc<AtomicU32>,
+    control: Sender<ConfigEpoch>,
+    join: Option<JoinHandle<(u64, u64)>>,
 }
 
 impl ServerHandle {
@@ -29,117 +33,107 @@ impl ServerHandle {
         self.id
     }
 
-    /// The server's published version high-water mark: the state's
-    /// monotone version counter, updated by the server thread after every
-    /// handled message.
-    ///
-    /// This is the live runtime's stand-in for the one stable-storage
-    /// record crash–recover models customarily assume: a recovering
-    /// process knows a bound on the state stamps it issued before the
-    /// crash. [`KeyspaceCluster::crash_server`](crate::KeyspaceCluster::crash_server)
-    /// — the one cluster manager's, whichever shape it runs — captures it at
-    /// crash time and feeds it back to [`ServerBank::recovered`] on rejoin
-    /// so the new incarnation resumes its version counter *above*
-    /// everything the old one ever acknowledged to readers.
-    pub fn version_floor(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
-    }
-
-    /// The beacon cell itself, so a crash can join the thread first and
-    /// *then* read the final version (the last message's bump included).
-    pub(crate) fn beacon(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.version)
-    }
-
     /// Announces a configuration epoch to the running server — the
-    /// reconfiguration coordinator's fence. The server thread adopts the
-    /// cell *before* handling each message, so from the moment this store
-    /// returns, every reply the server produces is tagged `≥ epoch`: any
-    /// round that later completes on lower-epoch acknowledgements had all
-    /// its server-side effects before the announcement, and is therefore
-    /// covered by any old-configuration quorum the handover's state
-    /// transfer reads afterwards.
+    /// reconfiguration coordinator's fence. The server thread polls its
+    /// control channel *before* its inbox, so from the moment this send
+    /// returns, every message the server takes from its inbox is answered
+    /// with a reply tagged `≥ epoch`: any round that later completes on
+    /// lower-epoch acknowledgements had all its server-side effects before
+    /// the announcement, and is therefore covered by any old-configuration
+    /// quorum the handover's state transfer reads afterwards.
     ///
-    /// Monotone (`fetch_max`): announcements racing a frame-carried
-    /// adoption can only move the epoch forward.
+    /// Adoption is monotone ([`ServerBank::set_epoch`]): an announcement
+    /// racing a frame-carried adoption can only move the epoch forward.
     pub fn announce_epoch(&self, epoch: ConfigEpoch) {
-        self.epoch.fetch_max(epoch.get(), Ordering::AcqRel);
+        // The thread outlives every announcement: only `shutdown` or `drop`
+        // disconnects the channel.
+        let _ = self.control.send(epoch);
     }
 
-    /// Signals shutdown and waits for the thread; returns the number of
-    /// requests the server handled.
-    pub fn shutdown(mut self) -> u64 {
-        let _ = self.shutdown.send(());
-        self.join
-            .take()
-            .expect("handle joined twice")
-            .join()
-            .expect("server thread panicked")
+    /// Stops the thread and waits for it. Returns the number of requests
+    /// the server answered and the bank's final version high-water
+    /// ([`ServerBank::max_version`]).
+    ///
+    /// The version is the live runtime's stand-in for the one
+    /// stable-storage record crash–recover models customarily assume: a
+    /// recovering process knows a bound on the state stamps it issued
+    /// before the crash. [`KeyspaceCluster::crash_server`](crate::KeyspaceCluster::crash_server)
+    /// keeps it and feeds it back to [`ServerBank::recovered`] on rejoin, so
+    /// the new incarnation resumes its version counter *above* everything
+    /// the old one ever acknowledged to readers. It is read after the
+    /// thread has stopped, so it covers every message the bank handled.
+    ///
+    /// The thread stops at its next message: requests still in its inbox
+    /// are dropped, which the crash model allows (clients retry).
+    pub fn shutdown(mut self) -> (u64, u64) {
+        self.stop().expect("server thread panicked")
+    }
+
+    /// Disconnects the control channel and joins the thread.
+    fn stop(&mut self) -> thread::Result<(u64, u64)> {
+        // Dropping the only sender is the disconnect; a sender whose
+        // receiver is already gone takes its place.
+        drop(std::mem::replace(&mut self.control, unbounded().0));
+        self.join.take().expect("handle joined twice").join()
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         // Best-effort shutdown; never block or fail in Drop (C-DTOR-FAIL).
-        let _ = self.shutdown.send(());
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
+        if self.join.is_some() {
+            let _ = self.stop();
         }
     }
 }
 
 /// Spawns a live cluster's server: a [`ServerBank`] of per-register
 /// automata behind one endpoint, multiplexing every register by frame
-/// header (bare frames are the default register's). The thread receives,
-/// fences, handles, publishes and replies, one message at a time.
+/// header (bare frames are the default register's). The thread adopts any
+/// announced epoch, then receives, handles and replies, one message at a
+/// time; it serves in the epoch `bank` already holds
+/// ([`ServerBank::set_epoch`]) until an announcement moves it.
 ///
-/// The returned handle's version beacon publishes the bank's *maximum*
-/// version across registers — a conservative bound that a rejoin feeds back
-/// as every rebuilt register's version floor (see
-/// [`ServerBank::max_version`] for why an overestimate is sound).
+/// When the handle disconnects the control channel the thread returns the
+/// requests it answered and the bank's *maximum* version across registers
+/// — a conservative bound that a rejoin feeds back as every rebuilt
+/// register's version floor (see [`ServerBank::max_version`] for why an
+/// overestimate is sound).
 ///
 /// # Panics
 ///
 /// Panics if the OS refuses to spawn a thread.
 pub fn spawn_bank_with(endpoint: impl Endpoint + 'static, mut bank: ServerBank) -> ServerHandle {
     let id = endpoint.id();
-    let (shutdown_tx, shutdown_rx) = bounded::<()>(1);
-    let version = Arc::new(AtomicU64::new(bank.max_version()));
-    let beacon = Arc::clone(&version);
-    let epoch = Arc::new(AtomicU32::new(bank.epoch().get()));
-    let epoch_cell = Arc::clone(&epoch);
+    let (control, announced) = unbounded::<ConfigEpoch>();
     let join = thread::Builder::new()
         .name(format!("mwr-bank-{id}"))
         .spawn(move || {
             let mut handled: u64 = 0;
             loop {
+                // `select!` polls its arms in order: an announcement sent
+                // before a frame arrived is adopted before that frame is
+                // handled (the fence — see `ServerHandle::announce_epoch`).
                 select! {
+                    recv(announced) -> epoch => match epoch {
+                        Ok(epoch) => bank.set_epoch(epoch),
+                        Err(_) => return (handled, bank.max_version()),
+                    },
                     recv(endpoint.inbox()) -> inbound => {
-                        let Ok((from, msg)) = inbound else { return handled };
-                        // Adopt any announced epoch before the message is
-                        // processed: every reply from here on is tagged with
-                        // at least the announced epoch (the reconfiguration
-                        // fence — see `ServerHandle::announce_epoch`).
-                        bank.set_epoch(ConfigEpoch::new(epoch_cell.load(Ordering::Acquire)));
-                        let reply = bank.handle(from, &msg);
-                        // Publish the version high-water *before* the reply
-                        // leaves, so no reader ever holds an acknowledged
-                        // version the beacon has not yet reported — a crash
-                        // immediately after the send still recovers a floor
-                        // covering that ack.
-                        beacon.store(bank.max_version(), Ordering::Release);
-                        if let Some(reply) = reply {
+                        let Ok((from, msg)) = inbound else {
+                            return (handled, bank.max_version());
+                        };
+                        if let Some(reply) = bank.handle(from, &msg) {
                             handled += 1;
                             // A dead client is not a server error.
                             let _ = endpoint.send(from, reply);
                         }
                     }
-                    recv(shutdown_rx) -> _ => return handled,
                 }
             }
         })
         .expect("failed to spawn server thread");
-    ServerHandle { id, shutdown: shutdown_tx, join: Some(join), version, epoch }
+    ServerHandle { id, control, join: Some(join) }
 }
 
 #[cfg(test)]
@@ -165,7 +159,29 @@ mod tests {
             .expect("reply");
         assert_eq!(from, ProcessId::server(0));
         assert_eq!(reply, Msg::QueryAck { handle: op, latest: TaggedValue::initial() });
-        assert_eq!(handle.shutdown(), 1);
+        assert_eq!(handle.shutdown(), (1, 0), "a query registers nothing");
+    }
+
+    /// The reconfiguration fence: once `announce_epoch(e)` has returned, a
+    /// request sent afterwards is answered at epoch `≥ e`, however soon it
+    /// follows the announcement.
+    #[test]
+    fn a_query_sent_after_an_announcement_is_answered_in_its_epoch() {
+        let transport = InMemoryTransport::new();
+        let server_ep = transport.register(ProcessId::server(0));
+        let client_ep = transport.register(ProcessId::reader(0));
+        let handle = spawn_bank_with(server_ep, ServerBank::new(1, Router::new(1, 1, 1)));
+        for e in 1..=200u32 {
+            let epoch = ConfigEpoch::new(e);
+            handle.announce_epoch(epoch);
+            let op = OpId { client: ClientId::reader(0), seq: u64::from(e) };
+            let query = Msg::Query { handle: OpHandle { op, phase: 1 } };
+            client_ep.send(ProcessId::server(0), query).unwrap();
+            let (_, reply) =
+                client_ep.inbox().recv_timeout(Duration::from_secs(5)).expect("reply");
+            assert!(reply.epoch() >= epoch, "announced {e}, answered {:?}", reply.epoch());
+        }
+        assert_eq!(handle.shutdown().0, 200);
     }
 
     /// Four clients on four threads send one bank 5 000 queries each, in
@@ -213,6 +229,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(handle.shutdown(), u64::from(CLIENTS) * BURSTS * BURST);
+        assert_eq!(handle.shutdown().0, u64::from(CLIENTS) * BURSTS * BURST);
     }
 }

@@ -118,26 +118,6 @@ impl ClusterConfig {
         })
     }
 
-    /// Starts building a configuration fluently.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mwr_types::ClusterConfig;
-    ///
-    /// let c = ClusterConfig::builder()
-    ///     .servers(7)
-    ///     .max_faults(2)
-    ///     .readers(1)
-    ///     .writers(2)
-    ///     .build()?;
-    /// assert_eq!(c.quorum_size(), 5);
-    /// # Ok::<(), mwr_types::ConfigError>(())
-    /// ```
-    pub fn builder() -> ClusterConfigBuilder {
-        ClusterConfigBuilder::default()
-    }
-
     /// Number of servers `S`.
     pub const fn servers(&self) -> usize {
         self.servers
@@ -181,12 +161,6 @@ impl ClusterConfig {
         self.max_faults == 0 || self.max_faults * (self.readers + 2) < self.servers
     }
 
-    /// Whether this is a genuinely multi-writer configuration (`W ≥ 2`), the
-    /// setting of the paper's impossibility theorems.
-    pub const fn is_multi_writer(&self) -> bool {
-        self.writers >= 2
-    }
-
     /// Iterates over all server identifiers `s1 … sS`.
     pub fn server_ids(&self) -> impl Iterator<Item = ServerId> + '_ {
         (0..self.servers as u32).map(ServerId::new)
@@ -228,50 +202,6 @@ impl fmt::Display for ClusterConfig {
             "S={} t={} R={} W={}",
             self.servers, self.max_faults, self.readers, self.writers
         )
-    }
-}
-
-/// Builder for [`ClusterConfig`] (non-consuming, per C-BUILDER).
-#[derive(Debug, Clone, Default)]
-pub struct ClusterConfigBuilder {
-    servers: usize,
-    max_faults: usize,
-    readers: usize,
-    writers: usize,
-}
-
-impl ClusterConfigBuilder {
-    /// Sets the number of servers `S`.
-    pub fn servers(&mut self, servers: usize) -> &mut Self {
-        self.servers = servers;
-        self
-    }
-
-    /// Sets the fault bound `t`.
-    pub fn max_faults(&mut self, max_faults: usize) -> &mut Self {
-        self.max_faults = max_faults;
-        self
-    }
-
-    /// Sets the number of readers `R`.
-    pub fn readers(&mut self, readers: usize) -> &mut Self {
-        self.readers = readers;
-        self
-    }
-
-    /// Sets the number of writers `W`.
-    pub fn writers(&mut self, writers: usize) -> &mut Self {
-        self.writers = writers;
-        self
-    }
-
-    /// Validates and builds the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ClusterConfig::new`].
-    pub fn build(&self) -> Result<ClusterConfig, ConfigError> {
-        ClusterConfig::new(self.servers, self.max_faults, self.readers, self.writers)
     }
 }
 
@@ -399,24 +329,6 @@ impl KeyspaceConfig {
     pub fn writer_ids(&self) -> impl Iterator<Item = WriterId> + '_ {
         (0..self.writers as u32).map(WriterId::new)
     }
-
-    /// The keyspace one reconfiguration epoch would commit: the same
-    /// `t`, `g`, shards, `R`, `W` over a different server count —
-    /// revalidated from scratch (the group must still fit: `g ≤ S'`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KeyspaceConfig::new`].
-    pub fn reconfigured(&self, servers: usize) -> Result<Self, ConfigError> {
-        KeyspaceConfig::new(
-            servers,
-            self.max_faults,
-            self.group_size,
-            self.shards,
-            self.readers,
-            self.writers,
-        )
-    }
 }
 
 impl fmt::Display for KeyspaceConfig {
@@ -505,19 +417,5 @@ mod tests {
             KeyspaceConfig::new(9, 3, 3, 4, 1, 1),
             Err(ConfigError::TooManyFaults { max_faults: 3, servers: 3 })
         );
-    }
-
-    #[test]
-    fn builder_matches_direct_construction() {
-        let direct = ClusterConfig::new(5, 1, 2, 3).unwrap();
-        let built = ClusterConfig::builder()
-            .servers(5)
-            .max_faults(1)
-            .readers(2)
-            .writers(3)
-            .build()
-            .unwrap();
-        assert_eq!(direct, built);
-        assert_eq!(built.to_string(), "S=5 t=1 R=2 W=3");
     }
 }

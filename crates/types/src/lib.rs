@@ -47,7 +47,7 @@ mod ids;
 mod tag;
 mod value;
 
-pub use config::{ClusterConfig, ClusterConfigBuilder, ConfigError, KeyspaceConfig};
+pub use config::{ClusterConfig, ConfigError, KeyspaceConfig};
 pub use epoch::ConfigEpoch;
 pub use ids::{ClientId, ProcessId, ReaderId, RegisterId, ServerId, WriterId};
 pub use tag::{Tag, WriterSlot};

@@ -88,8 +88,8 @@ impl<F: EndpointFactory> BorrowMut<KeyspaceCluster<F>> for RuntimeCluster<F> {
 }
 
 impl<F: EndpointFactory> RuntimeCluster<F> {
-    /// Starts every server of `config` on its own thread over endpoints
-    /// from `factory`, with acknowledged-floor GC enabled: a keyspace of
+    /// Starts every server of `config` on an endpoint from `factory`, with
+    /// acknowledged-floor GC enabled: a keyspace of
     /// one shard whose group is the whole cluster, and stays the whole
     /// cluster through reconfigurations.
     ///

@@ -23,8 +23,8 @@ pub const MAX_FAULT_STEPS: usize = 32;
 /// What a fault step does to the cluster when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEvent {
-    /// Crash server `idx` (keep the version its bank thread returns for the
-    /// rejoin).
+    /// Crash server `idx` (keep the version its bank reports once it stops
+    /// serving, for the rejoin).
     CrashServer(u32),
     /// Bring server `idx` back through quorum state transfer.
     RejoinServer(u32),

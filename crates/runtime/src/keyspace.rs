@@ -1,4 +1,4 @@
-//! The live cluster manager: one [`ServerBank`] thread per server, with
+//! The live cluster manager: one served [`ServerBank`] per server, with
 //! crash, rejoin and reconfiguration walked once for every deployment shape.
 //!
 //! A live server is a bank of Algorithm 2 automata, lazily instantiated per
@@ -74,9 +74,9 @@ pub struct KeyspaceCluster<F: EndpointFactory> {
     router: Router,
     factory: F,
     servers: Vec<ServerHandle>,
-    /// The version high-water each crashed bank's thread returned when it
-    /// stopped (the max over the bank's registers): the floor every rebuilt
-    /// register resumes above.
+    /// The version high-water each crashed server's bank reported once it
+    /// stopped serving (the max over the bank's registers): the floor every
+    /// rebuilt register resumes above.
     crashed: HashMap<u32, u64>,
     /// Monotone nonce distinguishing state-fetch rounds, so a straggler
     /// snapshot from an earlier rejoin can never corrupt a later one.
@@ -97,9 +97,9 @@ pub type LiveKeyspaceCluster = KeyspaceCluster<InMemoryTransport>;
 pub type TcpKeyspaceCluster = KeyspaceCluster<TcpRegistry>;
 
 impl<F: EndpointFactory> KeyspaceCluster<F> {
-    /// Starts every server of `config` as a [`ServerBank`] thread over
-    /// endpoints from `factory`, with acknowledged-floor GC sized to the
-    /// client population (per register).
+    /// Starts every server of `config` as a [`ServerBank`] served on an
+    /// endpoint from `factory` ([`spawn_bank_with`]), with acknowledged-floor
+    /// GC sized to the client population (per register).
     ///
     /// # Errors
     ///
@@ -194,13 +194,14 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
     }
 
     /// Crashes server `idx`: removes it from the transport's delivery map,
-    /// stops its bank thread, and records the version high-water the thread
-    /// returns (the max across the bank's registers) as the floor a rejoin
-    /// resumes above. The thread stops at its next message, so requests
-    /// still in its inbox are lost with the crash. At most `t` crashes per
-    /// group keep its registers wait-free; on TCP the crashed server's
-    /// listener closes, so cached client connections fail exactly like
-    /// connections to a dead host.
+    /// stops serving it ([`ServerHandle::shutdown`]), and records the
+    /// version high-water its bank then reports (the max across the bank's
+    /// registers) as the floor a rejoin resumes above. Requests it has not
+    /// handled yet are lost with the crash: in memory those still in its
+    /// inbox, on TCP those still unread on its sockets. At most `t` crashes
+    /// per group keep its registers wait-free; on TCP the crashed server's
+    /// listener and connections close, so cached client connections fail
+    /// exactly like connections to a dead host.
     ///
     /// # Panics
     ///
@@ -209,8 +210,8 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
         let handle = self
             .withdraw(idx)
             .unwrap_or_else(|| panic!("server {idx} already crashed or unknown"));
-        // Returned after the thread stopped, the version covers every
-        // message the bank ever processed. This is the stable-storage
+        // Read after serving stopped, the version covers every message the
+        // bank ever processed. This is the stable-storage
         // version record crash–recover models assume, shared by all of the
         // bank's registers; rejoin resumes above it.
         let (_, version) = handle.shutdown();
@@ -231,7 +232,10 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
     /// empty transfer is vacuously complete.
     ///
     /// Client requests arriving during the fetch window are dropped, which
-    /// is indistinguishable from the crash lasting a moment longer.
+    /// is indistinguishable from the crash lasting a moment longer — and on
+    /// TCP so are those the reactor queued to the endpoint's inbox before
+    /// it took the bank's handler over: a rejoined bank never reads its
+    /// inbox.
     ///
     /// # Errors
     ///
@@ -344,7 +348,7 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
     ///    quorum. No quorum, no commit.
     /// 3. **Commit** — the view flips to a stable epoch `e+2` over the new
     ///    router, the epoch is announced, and the removed banks are torn
-    ///    down (endpoints closed, threads joined). Straggler acks from
+    ///    down (serving stopped, endpoints closed). Straggler acks from
     ///    removed servers no longer count: stable satisfaction counts
     ///    members only. Shards route only within their own groups, so a
     ///    handover on one shard never moves another shard's floors (no
@@ -529,14 +533,14 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
     }
 
     /// Takes running server `id` off the transport's delivery map and out
-    /// of the running set; the caller joins its thread.
+    /// of the running set; the caller stops serving it.
     fn withdraw(&mut self, id: u32) -> Option<ServerHandle> {
         let pos = self.servers.iter().position(|h| h.id() == ProcessId::server(id))?;
         self.factory.close(ProcessId::server(id));
         Some(self.servers.swap_remove(pos))
     }
 
-    /// Closes and joins the named banks (reconfiguration teardown: the
+    /// Stops and closes the named banks (reconfiguration teardown: the
     /// crash path without crash bookkeeping — these ids never come back).
     fn teardown(&mut self, ids: &[u32]) {
         for &id in ids {
@@ -761,8 +765,8 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// The floor a rejoin resumes above is the version the crashed bank's
-    /// thread returned when it stopped. With server 2 down, server 1 is in
+    /// The floor a rejoin resumes above is the version the crashed bank
+    /// reported once it stopped serving. With server 2 down, server 1 is in
     /// every quorum, so each completed write inserted its value there and
     /// registered the writer on it: at least two versions a write.
     #[test]

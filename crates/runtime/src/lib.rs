@@ -1,15 +1,17 @@
-//! Live thread-per-process runtime for the `mwr` register protocols.
+//! Live runtime for the `mwr` register protocols.
 //!
 //! The simulator (`mwr-sim`) answers *analysis* questions deterministically;
-//! this crate runs the same protocols for real: each server is a thread
-//! executing `mwr-core`'s Algorithm 2 [`RegisterServer`] verbatim — one
-//! per register, behind a [`ServerBank`](mwr_core::ServerBank) — and
+//! this crate runs the same protocols for real: each server is a served
+//! endpoint executing `mwr-core`'s Algorithm 2 [`RegisterServer`] verbatim
+//! — one per register, behind a [`ServerBank`](mwr_core::ServerBank) — and
 //! clients are blocking handles implementing the round-trip schema of §2.2
 //! over a pluggable [`Endpoint`]:
 //!
-//! - [`InMemoryTransport`] — crossbeam channels, for tests and examples;
+//! - [`InMemoryTransport`] — crossbeam channels, for tests and examples; a
+//!   server runs on a thread of its own over its inbox;
 //! - [`TcpEndpoint`] / [`TcpRegistry`] — real sockets with length-prefixed
-//!   frames over the hand-rolled wire codec from `mwr-types`.
+//!   frames over the hand-rolled wire codec from `mwr-types`; a server runs
+//!   on the registry's reactor thread, where its requests are read.
 //!
 //! [`RegisterServer`]: mwr_core::RegisterServer
 //!
@@ -65,5 +67,5 @@ pub use server::{spawn_bank_with, ServerHandle};
 pub use tap::{AuditReceiver, AuditTap, DEFAULT_TAP_CAPACITY};
 pub use tcp::{PeerStats, ReaderStats, TcpEndpoint, TcpRegistry, TcpTuning};
 pub use transport::{
-    Endpoint, EndpointFactory, InMemoryEndpoint, InMemoryTransport, Inbound, TransportError,
+    Endpoint, EndpointFactory, InMemoryEndpoint, InMemoryTransport, Inbound, Serving, TransportError,
 };

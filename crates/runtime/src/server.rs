@@ -1,30 +1,47 @@
-//! Thread-per-server execution of the Algorithm 2 server: one thread body
-//! driving a [`ServerBank`] of [`RegisterServer`](mwr_core::RegisterServer)s
-//! (a single-register cluster is a bank of one).
+//! A live server: a [`ServerBank`] of [`RegisterServer`](mwr_core::RegisterServer)s
+//! answering through one served endpoint (a single-register cluster is a
+//! bank of one).
 //!
-//! The bank owns all of its state, its configuration epoch included. The
-//! thread shares no cell with its [`ServerHandle`]: the handle reaches it
-//! through one control channel — an announced epoch travels on it, and
-//! dropping it stops the thread — and the thread hands back its version
-//! high-water when it exits.
+//! The bank sits behind one lock, which the handler takes for each request
+//! and [`ServerHandle::announce_epoch`] takes to move its epoch; the bank
+//! holds the epoch and counts the requests it answered. Where the handler
+//! runs is the transport's business ([`Endpoint::serve`]): on TCP the
+//! registry's reactor calls it on each frame it reads, and the reply leaves
+//! on the socket the request came in on; in memory it runs on a thread of
+//! its own over the endpoint's inbox.
 
-use std::thread::{self, JoinHandle};
+use std::sync::Arc;
 
-use crossbeam::channel::{select, unbounded, Sender};
+use parking_lot::Mutex;
 
-use mwr_core::ServerBank;
+use mwr_core::{Msg, ServerBank};
 use mwr_types::{ConfigEpoch, ProcessId};
 
-use crate::transport::Endpoint;
+use crate::transport::{Endpoint, Serving};
 
-/// A running server thread: its id, the sending end of its control channel
-/// and the thread itself, which returns what [`shutdown`](Self::shutdown)
-/// reports.
+/// The bank and the count of requests it answered, behind the server's one
+/// lock.
+#[derive(Debug)]
+struct Bank {
+    bank: ServerBank,
+    handled: u64,
+}
+
+impl Bank {
+    fn handle(&mut self, from: ProcessId, msg: &Msg) -> Option<Msg> {
+        let reply = self.bank.handle(from, msg);
+        self.handled += u64::from(reply.is_some());
+        reply
+    }
+}
+
+/// A running server: its id, its bank, and the endpoint serving it, which
+/// [`shutdown`](Self::shutdown) stops.
 #[derive(Debug)]
 pub struct ServerHandle {
     id: ProcessId,
-    control: Sender<ConfigEpoch>,
-    join: Option<JoinHandle<(u64, u64)>>,
+    bank: Arc<Mutex<Bank>>,
+    serving: Serving,
 }
 
 impl ServerHandle {
@@ -34,24 +51,24 @@ impl ServerHandle {
     }
 
     /// Announces a configuration epoch to the running server — the
-    /// reconfiguration coordinator's fence. The server thread polls its
-    /// control channel *before* its inbox, so from the moment this send
-    /// returns, every message the server takes from its inbox is answered
-    /// with a reply tagged `≥ epoch`: any round that later completes on
-    /// lower-epoch acknowledgements had all its server-side effects before
-    /// the announcement, and is therefore covered by any old-configuration
-    /// quorum the handover's state transfer reads afterwards.
+    /// reconfiguration coordinator's fence. It takes the bank's lock, which
+    /// the handler holds for each request it answers, so from the moment
+    /// this returns every request the server handles is answered with a
+    /// reply tagged `≥ epoch`, on every transport: any round that later
+    /// completes on lower-epoch acknowledgements had all its server-side
+    /// effects before the announcement, and is therefore covered by any
+    /// old-configuration quorum the handover's state transfer reads
+    /// afterwards.
     ///
     /// Adoption is monotone ([`ServerBank::set_epoch`]): an announcement
     /// racing a frame-carried adoption can only move the epoch forward.
     pub fn announce_epoch(&self, epoch: ConfigEpoch) {
-        // The thread outlives every announcement: only `shutdown` or `drop`
-        // disconnects the channel.
-        let _ = self.control.send(epoch);
+        self.bank.lock().bank.set_epoch(epoch);
     }
 
-    /// Stops the thread and waits for it. Returns the number of requests
-    /// the server answered and the bank's final version high-water
+    /// Stops serving — the handler is dropped and the endpoint closed
+    /// before this returns — and reports the number of requests the server
+    /// answered and the bank's final version high-water
     /// ([`ServerBank::max_version`]).
     ///
     /// The version is the live runtime's stand-in for the one
@@ -60,88 +77,55 @@ impl ServerHandle {
     /// before the crash. [`KeyspaceCluster::crash_server`](crate::KeyspaceCluster::crash_server)
     /// keeps it and feeds it back to [`ServerBank::recovered`] on rejoin, so
     /// the new incarnation resumes its version counter *above* everything
-    /// the old one ever acknowledged to readers. It is read after the
-    /// thread has stopped, so it covers every message the bank handled.
+    /// the old one ever acknowledged to readers. It is read once serving
+    /// has stopped, so it covers every message the bank handled.
     ///
-    /// The thread stops at its next message: requests still in its inbox
-    /// are dropped, which the crash model allows (clients retry).
-    pub fn shutdown(mut self) -> (u64, u64) {
-        self.stop().expect("server thread panicked")
-    }
-
-    /// Disconnects the control channel and joins the thread.
-    fn stop(&mut self) -> thread::Result<(u64, u64)> {
-        // Dropping the only sender is the disconnect; a sender whose
-        // receiver is already gone takes its place.
-        drop(std::mem::replace(&mut self.control, unbounded().0));
-        self.join.take().expect("handle joined twice").join()
+    /// Requests not yet handled are dropped, which the crash model allows
+    /// (clients retry).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handler panicked while serving.
+    pub fn shutdown(self) -> (u64, u64) {
+        self.serving.stop().expect("server handler panicked");
+        let bank = self.bank.lock();
+        (bank.handled, bank.bank.max_version())
     }
 }
 
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        // Best-effort shutdown; never block or fail in Drop (C-DTOR-FAIL).
-        if self.join.is_some() {
-            let _ = self.stop();
-        }
-    }
-}
-
-/// Spawns a live cluster's server: a [`ServerBank`] of per-register
+/// Starts a live cluster's server: a [`ServerBank`] of per-register
 /// automata behind one endpoint, multiplexing every register by frame
-/// header (bare frames are the default register's). The thread adopts any
-/// announced epoch, then receives, handles and replies, one message at a
-/// time; it serves in the epoch `bank` already holds
-/// ([`ServerBank::set_epoch`]) until an announcement moves it.
+/// header (bare frames are the default register's). The server answers one
+/// request at a time under the bank's lock, in the epoch `bank` already
+/// holds ([`ServerBank::set_epoch`]) until an announcement or a frame
+/// moves it.
 ///
-/// When the handle disconnects the control channel the thread returns the
-/// requests it answered and the bank's *maximum* version across registers
-/// — a conservative bound that a rejoin feeds back as every rebuilt
-/// register's version floor (see [`ServerBank::max_version`] for why an
-/// overestimate is sound).
+/// [`ServerHandle::shutdown`] reports the requests it answered and the
+/// bank's *maximum* version across registers — a conservative bound that a
+/// rejoin feeds back as every rebuilt register's version floor (see
+/// [`ServerBank::max_version`] for why an overestimate is sound).
 ///
 /// # Panics
 ///
-/// Panics if the OS refuses to spawn a thread.
-pub fn spawn_bank_with(endpoint: impl Endpoint + 'static, mut bank: ServerBank) -> ServerHandle {
+/// As [`Endpoint::serve`]: the default panics if the OS refuses a thread.
+pub fn spawn_bank_with(endpoint: impl Endpoint + 'static, bank: ServerBank) -> ServerHandle {
     let id = endpoint.id();
-    let (control, announced) = unbounded::<ConfigEpoch>();
-    let join = thread::Builder::new()
-        .name(format!("mwr-bank-{id}"))
-        .spawn(move || {
-            let mut handled: u64 = 0;
-            loop {
-                // `select!` polls its arms in order: an announcement sent
-                // before a frame arrived is adopted before that frame is
-                // handled (the fence — see `ServerHandle::announce_epoch`).
-                select! {
-                    recv(announced) -> epoch => match epoch {
-                        Ok(epoch) => bank.set_epoch(epoch),
-                        Err(_) => return (handled, bank.max_version()),
-                    },
-                    recv(endpoint.inbox()) -> inbound => {
-                        let Ok((from, msg)) = inbound else {
-                            return (handled, bank.max_version());
-                        };
-                        if let Some(reply) = bank.handle(from, &msg) {
-                            handled += 1;
-                            // A dead client is not a server error.
-                            let _ = endpoint.send(from, reply);
-                        }
-                    }
-                }
-            }
-        })
-        .expect("failed to spawn server thread");
-    ServerHandle { id, control, join: Some(join) }
+    let bank = Arc::new(Mutex::new(Bank { bank, handled: 0 }));
+    let serving = endpoint.serve({
+        let bank = Arc::clone(&bank);
+        move |from, msg| bank.lock().handle(from, msg)
+    });
+    ServerHandle { id, bank, serving }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tcp::{TcpEndpoint, TcpRegistry};
     use crate::transport::InMemoryTransport;
-    use mwr_core::{Msg, OpHandle, OpId, Router};
+    use mwr_core::{OpHandle, OpId, Router};
     use mwr_types::{ClientId, TaggedValue};
+    use std::thread;
     use std::time::{Duration, Instant};
 
     #[test]
@@ -170,6 +154,28 @@ mod tests {
         let transport = InMemoryTransport::new();
         let server_ep = transport.register(ProcessId::server(0));
         let client_ep = transport.register(ProcessId::reader(0));
+        let handle = spawn_bank_with(server_ep, ServerBank::new(1, Router::new(1, 1, 1)));
+        for e in 1..=200u32 {
+            let epoch = ConfigEpoch::new(e);
+            handle.announce_epoch(epoch);
+            let op = OpId { client: ClientId::reader(0), seq: u64::from(e) };
+            let query = Msg::Query { handle: OpHandle { op, phase: 1 } };
+            client_ep.send(ProcessId::server(0), query).unwrap();
+            let (_, reply) =
+                client_ep.inbox().recv_timeout(Duration::from_secs(5)).expect("reply");
+            assert!(reply.epoch() >= epoch, "announced {e}, answered {:?}", reply.epoch());
+        }
+        assert_eq!(handle.shutdown().0, 200);
+    }
+
+    /// The fence on TCP, where the bank answers on the registry's reactor
+    /// and no thread of its own polls anything: the announcement takes the
+    /// bank's lock, so a query sent after it returns is answered at `≥ e`.
+    #[test]
+    fn a_query_sent_after_an_announcement_is_answered_in_its_epoch_over_tcp() {
+        let registry = TcpRegistry::new();
+        let server_ep = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+        let client_ep = TcpEndpoint::bind(ProcessId::reader(0), &registry).unwrap();
         let handle = spawn_bank_with(server_ep, ServerBank::new(1, Router::new(1, 1, 1)));
         for e in 1..=200u32 {
             let epoch = ConfigEpoch::new(e);

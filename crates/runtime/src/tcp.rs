@@ -1,6 +1,7 @@
 //! A TCP transport: length-prefixed frames carrying the hand-rolled wire
-//! codec from `mwr-types`, each written by the sending thread itself over
-//! **one TCP connection per pair of processes**.
+//! codec from `mwr-types` over **one TCP connection per pair of
+//! processes**. A request is written by the thread that sends it; a served
+//! endpoint's reply is written by the reactor that read the request.
 //!
 //! Every process owns a listening socket; a registry maps process ids to
 //! socket addresses. Frames are `u32` big-endian length followed by
@@ -19,57 +20,76 @@
 //!   A restarted peer that talks first has no connection, so it dials too.
 //!   The dialer enters the socket under the peer it dialed and hands it to
 //!   the reactor; the reactor enters an accepted one under the `from` of the
-//!   first frame read from it. *Who replies where:* a send looks the peer
-//!   up and writes on the live connection, so a server's ack travels back
-//!   on the socket the request arrived on, the kernel piggybacks its TCP
-//!   ACK on that reply (one segment per `send` instead of two), and a
-//!   peer that re-binds is answered on the connection its new incarnation
-//!   opened — no pipeline is left pointing at the previous incarnation's
-//!   address. *When an entry is retired:* the moment the reactor sees EOF,
-//!   an I/O error, a corrupt or oversized frame, or a frame naming a
-//!   different sender than the connection's first one — or a writer's
-//!   `write` fails or times out. Retiring marks the connection dead, shuts
-//!   the socket down and empties the entry, so no later send pushes a
-//!   frame into a socket already known dead; the next one uses whatever
-//!   connection the peer opened meanwhile, or dials. *Why FIFO holds:* an
-//!   entry is filled only while none is live, so a sender never
+//!   first frame read from it. *Who replies where:* a served endpoint's
+//!   reply is written by the reactor on the very connection the request was
+//!   read from, so the kernel piggybacks its TCP ACK on that reply (one
+//!   segment per `send` instead of two), and a peer that re-binds is
+//!   answered on the connection its new incarnation opened — no pipeline
+//!   is left pointing at the previous incarnation's address. A send looks
+//!   the peer up in the table and writes on the live connection. *When an
+//!   entry is retired:* the moment the reactor sees EOF, an I/O error, a
+//!   corrupt or oversized frame, or a frame naming a different sender than
+//!   the connection's first one — or a writer's `write` fails or times
+//!   out, or a reply tail stalls (below). Retiring marks the connection
+//!   dead, shuts the socket down and empties the entry, so no later send
+//!   pushes a frame into a socket already known dead; the next one uses
+//!   whatever connection the peer opened meanwhile, or dials. *Why FIFO
+//!   holds:* an entry is filled only while none is live, so a sender never
 //!   alternates between two live connections to one peer, and all writes
-//!   to a peer are serialized by its pipeline's lock. When both sides
-//!   dial at the same instant each keeps the connection it dialed for its
-//!   own direction (the other one is read, never written): two sockets
-//!   for that pair until one dies, each direction still on exactly one.
-//! - **One send path: one lock, one encode, one write.** Each destination
-//!   has its own I/O state (the connection in use, a reusable encode
-//!   buffer, the reconnect negative cache) behind its own lock. A send
-//!   takes that lock, encodes its frame — length prefix and body, sized
-//!   exactly via `Wire::encoded_len` — into the buffer and writes it with
-//!   one `write_all` on the sender's own thread: no queue, no hand-off, no
-//!   thread per peer. The lock keeps each frame whole and a peer's frames
-//!   in order. Every runtime shape sends through an endpoint from one
-//!   thread (a bank thread, a client thread, a keyspace drive thread or a
-//!   rejoin fetch), so the lock is never contended there. Should a second
+//!   to a peer are serialized by its pipeline's lock — or, for a served
+//!   endpoint, made by the reactor alone. When both sides dial at the same
+//!   instant each keeps the connection it dialed for its own direction (the
+//!   other one is read, never written): two sockets for that pair until one
+//!   dies, each direction still on exactly one.
+//! - **Who writes which socket.** A socket is written by exactly one
+//!   party. *A served endpoint's sockets* ([`TcpEndpoint::serve`] took the
+//!   endpoint, so nothing sends through it) are the reactor's alone: it
+//!   calls the handler on each frame it decodes and writes the replies.
+//!   *Every other endpoint's sockets* are written by its senders, one send
+//!   path per destination: a send takes that peer's lock, encodes its
+//!   frame — length prefix and body, sized exactly via `Wire::encoded_len`
+//!   — into a reusable buffer and writes it with one `write_all` on the
+//!   sender's own thread: no queue, no hand-off, no thread per peer. The
+//!   lock keeps each frame whole and a peer's frames in order. Each such
+//!   endpoint sends from one thread in every runtime shape (a client
+//!   thread, a keyspace drive thread, a rejoin fetch or a reconfiguration
+//!   coordinator), so the lock is never contended there. Should a second
 //!   thread send to a stalled peer through the same endpoint, it waits on
 //!   that peer's lock until the stalled write gives up (see below) instead
 //!   of queueing, then drops its frame to the negative cache.
+//! - **The reactor's replies never block it.** A served endpoint's sockets
+//!   are non-blocking (the reactor is their only reader and writer, so
+//!   `O_NONBLOCK`, which both directions share, is safe). The replies to
+//!   the frames of one read are encoded into the connection's out buffer
+//!   and offered to the kernel with one `write`. What it does not take
+//!   stays in that buffer as the connection's *tail*: the connection is
+//!   then watched for room instead of bytes — it is not read, so a peer
+//!   that does not read its answers cannot pile up more of them — and the
+//!   tail goes out as room appears. A request whose connection is gone
+//!   gets no reply (the reactor never dials); the client retries.
 //! - **Reconnect backoff + stall bounding.** Dialing lives inside the
 //!   send: a failed `connect` is negative-cached for
 //!   [`TcpTuning::reconnect_backoff`], so a crashed peer costs one failed
-//!   syscall per backoff window instead of one per message, and every
-//!   socket (dialed or accepted) carries a [`TcpTuning::write_timeout`] so
-//!   a stalled peer (connected but not reading) can block a sender for
+//!   syscall per backoff window instead of one per message. A stalled peer
+//!   (connected but not reading, TCP window full) is bounded by
+//!   [`TcpTuning::write_timeout`] on both write paths. A sender's socket
+//!   carries it as its write timeout, so the stall holds the sender for
 //!   about the timeout (it applies to each `write` syscall of the frame)
-//!   before being retired and negative-cached too. A write that failed on
-//!   a dead connection is retried once; one that timed out is not, since a
-//!   redial to a stalled peer would stall again. Frames to an unreachable
-//!   peer are dropped — precisely the crash model the quorum protocols
-//!   tolerate. Only an attempt that *failed* renews the cache: frames
-//!   dropped because the cache said so leave it alone, so a sender that
-//!   never pauses still re-dials once per backoff. A negative-cached peer
-//!   that comes back and talks first is not waited out: it dialed, its
-//!   connection entered the table on its first frame, and a send consults
-//!   the table before the cache. The reactor reads a known peer's EOF
-//!   ahead of a new connection's first frame, so the previous
-//!   incarnation's dead entry never keeps the new one out.
+//!   before the connection is retired and the peer negative-cached too. A
+//!   reply tail that has made no progress for the timeout retires its
+//!   connection the same way, holding up no thread meanwhile: the reactor
+//!   wakes for it. A write that failed on a dead connection is retried
+//!   once; one that timed out is not, since a redial to a stalled peer
+//!   would stall again. Frames to an unreachable peer are dropped —
+//!   precisely the crash model the quorum protocols tolerate. Only an
+//!   attempt that *failed* renews the cache: frames dropped because the
+//!   cache said so leave it alone, so a sender that never pauses still
+//!   re-dials once per backoff. A negative-cached peer that comes back and
+//!   talks first is not waited out: it dialed, its connection entered the
+//!   table on its first frame, and a send consults the table before the
+//!   cache. The reactor reads a known peer's EOF ahead of a new
+//!   connection's first frame, so the previous incarnation's dead entry
+//!   never keeps the new one out.
 //! - **One reactor per registry.** Every listener and every connection of
 //!   every endpoint opened through one [`TcpRegistry`], dialed as well as
 //!   accepted, is served by a single thread (`tcp-reactor`) sleeping in
@@ -85,43 +105,51 @@
 //!   through a command queue, and what remains is `epoll` in place of
 //!   `poll(2)` — not measured on its own side of the spread. Nor is a
 //!   many-endpoint registry on many cores, where one thread now decodes
-//!   what several did in parallel. Both cases are unverified, not implied
-//!   by that figure (see ROADMAP item 4). The reactor owns the queue,
-//!   the maps from readiness key to listener or connection and owning
-//!   endpoint, and a command queue (*listen on this socket*, *adopt this
-//!   dialed connection*, *detach that endpoint*); what is an endpoint's
-//!   own stays with it — its connection table, its inbox, its counters
-//!   and gauge. A ready listener (non-blocking) is accepted on until
-//!   `WouldBlock`, each socket adopted on the spot; a full descriptor
-//!   table (`EMFILE`) withdraws it from the queue for `ACCEPT_RETRY_PAUSE`
-//!   rather than spin on it.
-//!   Sender and handler threads write on the sockets the reactor
-//!   reads, so the sockets stay *blocking* (`O_NONBLOCK` is shared by both
-//!   directions) and the reactor does exactly one `read` per readiness
-//!   event: a reported socket has bytes or an EOF waiting, so that read
-//!   returns at once, and the level-triggered queue re-reports whatever
-//!   it left behind — no trailing `WouldBlock` probe, and a fire-hosing
-//!   socket gets one chunk per wake-up like everyone else. Each adopted
-//!   socket keeps a reusable buffer that frames are decoded from in
-//!   place, and inboxes are unbounded, so the reactor never waits for a
-//!   consumer. Endpoints own the reactor jointly and the registry only
-//!   finds it: the first [`TcpEndpoint::bind`] starts it (on a target with
-//!   no readiness queue — `Poller::new` fails anywhere but Linux — `bind`
-//!   returns the error), the last endpoint dropped stops and joins it.
+//!   — and, for served endpoints, handles — what several did in parallel.
+//!   Both cases are unverified, not implied by that figure (see ROADMAP
+//!   item 4). The reactor owns the queue, the maps from readiness key to
+//!   listener or connection and owning endpoint, the served endpoints'
+//!   handlers, and a command queue (*listen on this socket*, *adopt this
+//!   dialed connection*, *serve that endpoint*, *detach that endpoint*);
+//!   what is an endpoint's own stays with it — its connection table, its
+//!   inbox, its counters and gauge. A ready listener (non-blocking) is
+//!   accepted on until `WouldBlock`, each socket adopted on the spot; a
+//!   full descriptor table (`EMFILE`) withdraws it from the queue for
+//!   `ACCEPT_RETRY_PAUSE` rather than spin on it. An endpoint that does not
+//!   serve has sender threads writing on the sockets the reactor reads, so
+//!   those sockets stay *blocking*. Either way the reactor does exactly one
+//!   `read` per readiness event: a reported socket has bytes or an EOF
+//!   waiting, so that read returns at once, and the level-triggered queue
+//!   re-reports whatever it left behind — no trailing `WouldBlock` probe,
+//!   and a fire-hosing socket gets one chunk per wake-up like everyone
+//!   else. Each adopted socket keeps a reusable buffer that frames are
+//!   decoded from in place; a frame for an endpoint that does not serve
+//!   goes to its inbox, unbounded, so the reactor never waits for a
+//!   consumer. A handler that panics is caught: it crashes its own endpoint
+//!   (handler dropped, listener and connections closed) and no other.
+//!   Endpoints own the reactor jointly and the registry only finds it: the
+//!   first [`TcpEndpoint::bind`] starts it (on a target with no readiness
+//!   queue — `Poller::new` fails anywhere but Linux — `bind` returns the
+//!   error), the last endpoint dropped stops and joins it.
 //!
-//! An endpoint runs no thread of its own: the reactor accepts and reads
-//! for it, and sends run on their callers' threads, so nothing is ever
-//! queued to flush. `drop` is one step: it detaches the endpoint from the
-//! reactor, which closes its listener (the port is free) and every
-//! connection of this endpoint — and of no other — *before* `drop`
-//! returns, observable through [`TcpEndpoint::connection_gauge`]. No
-//! descriptor of the endpoint outlives it, and no thread or descriptor of
-//! the registry's outlives its last endpoint.
+//! An endpoint runs no thread of its own, served or not: the reactor
+//! accepts, reads and answers for it, and sends run on their callers'
+//! threads, so nothing is ever queued to flush. `drop` is one step: it
+//! detaches the endpoint from the reactor, which drops its handler and
+//! closes its listener (the port is free) and every connection of this
+//! endpoint — and of no other — *before* `drop` returns, observable through
+//! [`TcpEndpoint::connection_gauge`]. No descriptor of the endpoint
+//! outlives it, and no thread or descriptor of the registry's outlives its
+//! last endpoint.
 
+use std::any::Any;
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::{self, JoinHandle};
@@ -136,7 +164,7 @@ use mwr_core::Msg;
 use mwr_types::codec::Wire;
 use mwr_types::ProcessId;
 
-use crate::transport::{Endpoint, EndpointFactory, Inbound, TransportError};
+use crate::transport::{Endpoint, EndpointFactory, Inbound, Serving, TransportError};
 
 /// Maximum accepted frame size (16 MiB) — guards against corrupt peers.
 const MAX_FRAME: u32 = 16 * 1024 * 1024;
@@ -149,7 +177,7 @@ fn io_err(e: std::io::Error) -> TransportError {
     TransportError::Io { kind: e.kind() }
 }
 
-/// Tuning knobs for the TCP send path.
+/// Tuning knobs for the TCP write paths.
 ///
 /// The defaults are right for the loopback clusters the workspace runs;
 /// the `mwr-register` facade exposes them as a TCP-only deployment knob.
@@ -159,11 +187,12 @@ pub struct TcpTuning {
     /// to that peer are dropped without another syscall until this much
     /// time has passed.
     pub reconnect_backoff: Duration,
-    /// Socket write timeout for every connection, bounding how long a
-    /// stalled peer (connected but not reading, TCP window full) can
-    /// block a sender — and any other sender waiting on that peer's lock
-    /// behind it; the frame is then dropped and the peer negative-cached
-    /// like a failed connect. `Duration::ZERO` disables the timeout.
+    /// How long a stalled peer (connected but not reading, TCP window
+    /// full) can hold a write: a sender — and any other sender waiting on
+    /// that peer's lock behind it — before the frame is dropped and the
+    /// peer negative-cached like a failed connect, and a served endpoint's
+    /// reply tail, which retires its connection after this long without
+    /// progress. `Duration::ZERO` disables the timeout.
     pub write_timeout: Duration,
 }
 
@@ -318,7 +347,8 @@ impl EndpointFactory for TcpRegistry {
 }
 
 /// One TCP connection, shared by the reactor (which reads it) and the one
-/// pipeline that writes it (`&TcpStream` is both `Read` and `Write`).
+/// pipeline that writes it (`&TcpStream` is both `Read` and `Write`) — or,
+/// for a served endpoint, the reactor's alone.
 #[derive(Debug)]
 struct Conn {
     stream: TcpStream,
@@ -330,8 +360,9 @@ struct Conn {
 
 impl Conn {
     /// Wraps a fresh socket, dialed or accepted: no Nagle delay on either
-    /// direction, writes bounded by [`TcpTuning::write_timeout`], reads by
-    /// [`READ_GUARD`].
+    /// direction, blocking writes bounded by [`TcpTuning::write_timeout`],
+    /// blocking reads by [`READ_GUARD`] (a served endpoint's socket blocks
+    /// neither way).
     fn new(stream: TcpStream, tuning: TcpTuning) -> Arc<Conn> {
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(READ_GUARD));
@@ -523,12 +554,24 @@ const READ_GUARD: Duration = Duration::from_millis(5);
 const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(1);
 
 /// An endpoint's listening socket, non-blocking, accepted on by the
-/// reactor, with what it needs to adopt the connections it accepts.
+/// reactor for its owner.
 #[derive(Debug)]
 struct Listener {
     socket: TcpListener,
     owner: Arc<EndpointShared>,
-    tuning: TcpTuning,
+}
+
+/// A served endpoint's request handler (see [`TcpEndpoint::serve`]), run on
+/// the reactor thread.
+struct Handler(Box<Answer>);
+
+/// What a handler does with one request from a peer: the reply, if any.
+type Answer = dyn FnMut(ProcessId, &Msg) -> Option<Msg> + Send;
+
+impl std::fmt::Debug for Handler {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Handler")
+    }
 }
 
 /// What is one endpoint's own on the receive path, shared between the
@@ -538,6 +581,9 @@ struct Listener {
 /// detach).
 #[derive(Debug)]
 struct EndpointShared {
+    id: ProcessId,
+    /// The registry's tuning: a served connection's stall bound.
+    tuning: TcpTuning,
     reactor: Arc<ReactorShared>,
     /// The connection table: for each peer, the one connection frames to
     /// it are written on. An entry is filled — by a pipeline that dialed,
@@ -553,6 +599,9 @@ struct EndpointShared {
     frames: AtomicU64,
     /// Adopted-connection gauge — the endpoint's [`TcpEndpoint::connection_gauge`].
     conns: Arc<AtomicUsize>,
+    /// The payload of a panic the endpoint's handler raised on the reactor,
+    /// which crashed the endpoint; its [`Serving`] reports it when stopped.
+    panicked: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl EndpointShared {
@@ -639,6 +688,10 @@ fn fd<S>(_socket: &S) -> polling::Source {
 /// read for, the peer it belongs to (fixed by the first frame, or by the
 /// dial) and its reusable receive buffer (`buf[..filled]` holds bytes read
 /// but not yet decoded), carried across wake-ups.
+///
+/// A served endpoint's connection also carries the endpoint's handler and
+/// the replies it produced: `out[written..]` is what the socket has not
+/// taken yet, and `stalled_since` is set while that tail waits for room.
 #[derive(Debug)]
 struct SharedConn {
     conn: Arc<Conn>,
@@ -646,61 +699,82 @@ struct SharedConn {
     peer: Option<ProcessId>,
     buf: Vec<u8>,
     filled: usize,
+    handler: Option<Rc<RefCell<Handler>>>,
+    out: BytesMut,
+    written: usize,
+    /// Since when the tail has waited without progress; `None` while there
+    /// is no tail.
+    stalled_since: Option<Instant>,
+}
+
+/// What became of a connection the reactor just read or wrote.
+enum Outcome {
+    /// Still open.
+    Open,
+    /// Finished — EOF, an I/O error, a corrupt, oversized or foreign frame —
+    /// and to be reaped.
+    Closed,
+    /// The owner's handler panicked on a frame read from it: the owner is
+    /// crashed.
+    Panicked(Box<dyn Any + Send>),
 }
 
 impl SharedConn {
-    /// Does the one `read` a readiness event pays for and decodes every
+    /// Does the one `read` a readiness event pays for and handles every
     /// complete frame accumulated in the buffer; whatever the read left in
-    /// the socket is re-reported by the level-triggered queue. Returns
-    /// `false` when the connection must be dropped (EOF, I/O error, or a
-    /// corrupt/oversized/foreign frame).
-    fn read_ready(&mut self) -> bool {
+    /// the socket is re-reported by the level-triggered queue. The replies
+    /// a served endpoint's handler gave go out with one `write`.
+    fn read_ready(&mut self) -> Outcome {
         if self.buf.len() < self.filled + READ_CHUNK {
             self.buf.resize(self.filled + READ_CHUNK, 0);
         }
-        let alive = match (&self.conn.stream).read(&mut self.buf[self.filled..]) {
-            Ok(0) => false,
+        let outcome = match (&self.conn.stream).read(&mut self.buf[self.filled..]) {
+            Ok(0) => Outcome::Closed,
             Ok(n) => {
                 self.filled += n;
                 self.decode_frames()
             }
             // No bytes after all (see `READ_GUARD`): wait for the next event.
-            Err(e) => matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock
-                    | std::io::ErrorKind::TimedOut
-                    | std::io::ErrorKind::Interrupted
-            ),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted) => {
+                Outcome::Open
+            }
+            Err(_) => Outcome::Closed,
         };
-        if alive {
-            self.release();
+        if !matches!(outcome, Outcome::Open) {
+            return outcome;
         }
-        alive
+        self.release();
+        if self.out.is_empty() {
+            Outcome::Open
+        } else {
+            self.write_out()
+        }
     }
 
-    /// Decodes every complete frame in `buf[..filled]` in place and
-    /// compacts the leftover partial frame (if any) to the front.
-    fn decode_frames(&mut self) -> bool {
+    /// Decodes every complete frame in `buf[..filled]` in place — into the
+    /// owner's inbox, or through its handler if it serves — and compacts
+    /// the leftover partial frame (if any) to the front.
+    fn decode_frames(&mut self) -> Outcome {
         let mut parsed = 0usize;
         while self.filled - parsed >= 4 {
             let len = u32::from_be_bytes(self.buf[parsed..parsed + 4].try_into().expect("4 bytes"));
             if len > MAX_FRAME {
-                return false;
+                return Outcome::Closed;
             }
             let total = 4 + len as usize;
             if self.filled - parsed < total {
                 break;
             }
             let mut cursor: &[u8] = &self.buf[parsed + 4..parsed + total];
-            let Ok(from) = ProcessId::decode(&mut cursor) else { return false };
-            let Ok(msg) = Msg::decode(&mut cursor) else { return false };
+            let Ok(from) = ProcessId::decode(&mut cursor) else { return Outcome::Closed };
+            let Ok(msg) = Msg::decode(&mut cursor) else { return Outcome::Closed };
             parsed += total;
             match self.peer {
                 Some(peer) if peer == from => {}
                 // One connection, one peer: replies to `peer` are written
                 // here, so a frame under another name would have its
                 // answer sent to the wrong process. Corrupt; drop it.
-                Some(_) => return false,
+                Some(_) => return Outcome::Closed,
                 // An accepted connection's first frame says whose it is:
                 // from now on frames for that peer go out on it, unless
                 // the table already holds a live connection to them.
@@ -710,15 +784,77 @@ impl SharedConn {
                 }
             }
             self.owner.frames.fetch_add(1, Ordering::Relaxed);
-            if self.owner.inbox.send((from, msg)).is_err() {
-                return false;
+            let Some(handler) = &self.handler else {
+                if self.owner.inbox.send((from, msg)).is_err() {
+                    return Outcome::Closed;
+                }
+                continue;
+            };
+            match catch_unwind(AssertUnwindSafe(|| (handler.borrow_mut().0)(from, &msg))) {
+                Ok(Some(reply)) => self.queue(&reply),
+                Ok(None) => {}
+                Err(payload) => return Outcome::Panicked(payload),
             }
         }
         if parsed > 0 {
             self.buf.copy_within(parsed..self.filled, 0);
             self.filled -= parsed;
         }
-        true
+        Outcome::Open
+    }
+
+    /// Appends `reply` to the out buffer as one frame from the owner. A
+    /// reply past the frame bound is dropped: the peer would drop the
+    /// connection over it, and whatever follows it on the wire.
+    fn queue(&mut self, reply: &Msg) {
+        let len = self.owner.id.encoded_len() + reply.encoded_len();
+        if len as u64 > u64::from(MAX_FRAME) {
+            return;
+        }
+        self.out.put_u32(len as u32);
+        self.owner.id.encode(&mut self.out);
+        reply.encode(&mut self.out);
+    }
+
+    /// Hands this connection's frames to `handler`. The socket is made
+    /// non-blocking first: the reactor is its only reader and writer from
+    /// now on, and must never wait on it. A socket that refuses stays
+    /// unserved and is never written: its requests go unanswered, as a
+    /// crashed server's would.
+    fn serve(&mut self, handler: &Rc<RefCell<Handler>>) {
+        if self.conn.stream.set_nonblocking(true).is_ok() {
+            self.handler = Some(Rc::clone(handler));
+        }
+    }
+
+    /// Offers the out buffer's tail to the non-blocking socket with one
+    /// `write`. What the kernel does not take stays for the next writable
+    /// event; the stall clock restarts whenever some of it is taken.
+    fn write_out(&mut self) -> Outcome {
+        match (&self.conn.stream).write(&self.out[self.written..]) {
+            Ok(n) => {
+                self.written += n;
+                if self.written < self.out.len() {
+                    if n > 0 || self.stalled_since.is_none() {
+                        self.stalled_since = Some(Instant::now());
+                    }
+                    return Outcome::Open;
+                }
+                self.written = 0;
+                self.stalled_since = None;
+                self.out.clear();
+                // Don't let one full-info burst pin its high-water capacity.
+                if self.out.capacity() > BUF_RETAIN {
+                    self.out = BytesMut::new();
+                }
+                Outcome::Open
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                self.stalled_since.get_or_insert_with(Instant::now);
+                Outcome::Open
+            }
+            Err(_) => Outcome::Closed,
+        }
     }
 
     /// Releases a full-info burst's high-water capacity once drained.
@@ -738,6 +874,8 @@ enum Command {
     Listen(Listener),
     /// Read this connection, dialed to `peer`, for that endpoint.
     Adopt { endpoint: Arc<EndpointShared>, conn: Arc<Conn>, peer: ProcessId },
+    /// Answer every frame of that endpoint's connections with `handler`.
+    Serve { endpoint: Arc<EndpointShared>, handler: Handler },
     /// Close that endpoint's listener and every connection read for it,
     /// then drop `done` (see [`EndpointShared::detach`]).
     Detach { endpoint: Arc<EndpointShared>, done: Sender<()> },
@@ -823,17 +961,22 @@ impl Drop for Reactor {
 }
 
 /// The sockets the reactor serves, by readiness key (one key space for
-/// listeners and connections). Dropping it is the reactor's way out,
-/// whatever opened it — stopped, the readiness queue failed, or the thread
-/// is unwinding: every connection and listener is closed, then the command
-/// queue, so that what is in it and whatever is submitted from then on is
-/// refused instead of waiting for a thread that is gone.
+/// listeners and connections), and the handlers of the endpoints it
+/// answers for. Dropping it is the reactor's way out, whatever opened it —
+/// stopped, the readiness queue failed, or the thread is unwinding: every
+/// connection and listener is closed and every handler dropped, then the
+/// command queue, so that what is in it and whatever is submitted from
+/// then on is refused instead of waiting for a thread that is gone.
 struct Sockets<'a> {
     shared: &'a ReactorShared,
     conns: HashMap<usize, SharedConn>,
     /// Closing a listener withdraws it from the readiness queue: nothing
     /// else holds its descriptor.
     listeners: HashMap<usize, Listener>,
+    /// The served endpoints, each with the handler its connections share.
+    served: Vec<(Arc<EndpointShared>, Rc<RefCell<Handler>>)>,
+    /// Connections whose reply tail waited for room when last looked at.
+    stalled: Vec<usize>,
     /// Listeners out of the readiness queue after a failed `accept`, all
     /// due back at `unpark_at`.
     parked: Vec<usize>,
@@ -842,7 +985,8 @@ struct Sockets<'a> {
 }
 
 impl Sockets<'_> {
-    /// Reads `conn` for `owner` from the next wait on.
+    /// Reads `conn` for `owner` from the next wait on — and, if `owner`
+    /// serves, answers its frames.
     fn adopt(&mut self, owner: Arc<EndpointShared>, conn: Arc<Conn>, peer: Option<ProcessId>) {
         self.next_key += 1;
         // Unreadable, so unusable: the peer reconnects (crash model).
@@ -851,7 +995,108 @@ impl Sockets<'_> {
             return;
         }
         owner.conns.fetch_add(1, Ordering::SeqCst);
-        self.conns.insert(self.next_key, SharedConn { conn, owner, peer, buf: Vec::new(), filled: 0 });
+        let handler = self.served.iter().find(|(served, _)| Arc::ptr_eq(served, &owner)).map(|(_, h)| h);
+        let mut conn = SharedConn {
+            conn,
+            owner,
+            peer,
+            buf: Vec::new(),
+            filled: 0,
+            handler: None,
+            out: BytesMut::new(),
+            written: 0,
+            stalled_since: None,
+        };
+        if let Some(handler) = handler {
+            conn.serve(handler);
+        }
+        self.conns.insert(self.next_key, conn);
+    }
+
+    /// Has `endpoint`'s connections, present and future, answered by
+    /// `handler`.
+    fn serve(&mut self, endpoint: Arc<EndpointShared>, handler: Handler) {
+        let handler = Rc::new(RefCell::new(handler));
+        for conn in self.conns.values_mut().filter(|conn| Arc::ptr_eq(&conn.owner, &endpoint)) {
+            conn.serve(&handler);
+        }
+        self.served.push((endpoint, handler));
+    }
+
+    /// Closes `endpoint`'s listener and every connection read for it, and
+    /// drops its handler.
+    fn detach(&mut self, endpoint: &Arc<EndpointShared>) {
+        let shared = self.shared;
+        self.conns.retain(|_, conn| {
+            let theirs = Arc::ptr_eq(&conn.owner, endpoint);
+            if theirs {
+                reap(shared, conn);
+            }
+            !theirs
+        });
+        self.listeners.retain(|_, listener| !Arc::ptr_eq(&listener.owner, endpoint));
+        self.served.retain(|(served, _)| !Arc::ptr_eq(served, endpoint));
+    }
+
+    fn close(&mut self, key: usize) {
+        if let Some(conn) = self.conns.remove(&key) {
+            reap(self.shared, &conn);
+        }
+    }
+
+    /// Acts on what connection `key` just did, `stalled` being whether its
+    /// reply tail was waiting for room before: a connection is watched for
+    /// room while a tail waits and for bytes otherwise, a closed one is
+    /// reaped, and a panicking handler crashes its endpoint — its handler
+    /// goes, its listener and connections close — while every other
+    /// endpoint of the registry carries on.
+    fn settle(&mut self, key: usize, stalled: bool, outcome: Outcome) {
+        match outcome {
+            Outcome::Open => {
+                let conn = &self.conns[&key];
+                if conn.stalled_since.is_some() == stalled {
+                    return;
+                }
+                let interest = if stalled { Event::readable(key) } else { Event::writable(key) };
+                if self.shared.poller.modify(fd(&conn.conn.stream), interest).is_err() {
+                    self.close(key);
+                } else if !stalled && !self.stalled.contains(&key) {
+                    self.stalled.push(key);
+                }
+            }
+            Outcome::Closed => self.close(key),
+            Outcome::Panicked(payload) => {
+                let owner = Arc::clone(&self.conns[&key].owner);
+                *owner.panicked.lock() = Some(payload);
+                self.detach(&owner);
+            }
+        }
+    }
+
+    /// Reaps every connection whose reply tail has made no progress for its
+    /// endpoint's [`TcpTuning::write_timeout`] — the stall bound, held
+    /// without holding up any thread — and returns when the next one is
+    /// due, if any tail is waiting.
+    fn reap_stalled(&mut self) -> Option<Instant> {
+        if self.stalled.is_empty() {
+            return None;
+        }
+        let now = Instant::now();
+        let mut next: Option<Instant> = None;
+        for key in std::mem::take(&mut self.stalled) {
+            // Gone, drained, or unbounded (`Duration::ZERO`): nothing to time.
+            let Some(conn) = self.conns.get(&key) else { continue };
+            let timeout = conn.owner.tuning.write_timeout;
+            let Some(since) = conn.stalled_since.filter(|_| !timeout.is_zero()) else { continue };
+            let due = since + timeout;
+            if due <= now {
+                self.close(key);
+            } else {
+                self.stalled.push(key);
+                next = Some(next.map_or(due, |next| next.min(due)));
+            }
+        }
+        next
     }
 
     /// Puts listener `key` in the readiness queue, or parks it should the
@@ -874,8 +1119,8 @@ impl Sockets<'_> {
         while let Some(listener) = self.listeners.get(&key) {
             match listener.socket.accept() {
                 Ok((stream, _)) => {
-                    let (owner, conn) = (Arc::clone(&listener.owner), Conn::new(stream, listener.tuning));
-                    self.adopt(owner, conn, None);
+                    let conn = Conn::new(stream, listener.owner.tuning);
+                    self.adopt(Arc::clone(&listener.owner), conn, None);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 // A signal, or the peer reset before it was taken.
@@ -900,6 +1145,7 @@ impl Drop for Sockets<'_> {
             reap(self.shared, &conn);
         }
         self.listeners.clear();
+        self.served.clear();
         let unrun = self.shared.commands.lock().take();
         for command in unrun.into_iter().flatten() {
             command.refuse();
@@ -908,15 +1154,19 @@ impl Drop for Sockets<'_> {
 }
 
 /// The reactor: sleeps in the readiness queue until any listener or
-/// adopted socket of any endpoint is ready (or a command is submitted, or
-/// parked listeners are due back), then accepts on every ready listener
-/// and reads every ready connection once into its owner's inbox before
+/// adopted socket of any endpoint is ready (or a command is submitted,
+/// parked listeners are due back, or a stalled reply tail runs out of
+/// time), then accepts on every ready listener, reads every readable
+/// connection once — into its owner's inbox, or through its owner's
+/// handler — and writes every waiting reply tail that has room, before
 /// sleeping again.
 fn reactor_loop(shared: &ReactorShared) {
     let mut sockets = Sockets {
         shared,
         conns: HashMap::new(),
         listeners: HashMap::new(),
+        served: Vec::new(),
+        stalled: Vec::new(),
         parked: Vec::new(),
         unpark_at: None,
         next_key: 0,
@@ -925,8 +1175,9 @@ fn reactor_loop(shared: &ReactorShared) {
     let mut wake = 0u64;
     loop {
         events.clear();
-        // A timeout only while a listener is parked.
-        let timeout = sockets.unpark_at.map(|at| at.saturating_duration_since(Instant::now()));
+        // A timeout only while a listener is parked or a reply tail waits.
+        let due = [sockets.unpark_at, sockets.reap_stalled()].into_iter().flatten().min();
+        let timeout = due.map(|at| at.saturating_duration_since(Instant::now()));
         if shared.poller.wait(&mut events, timeout).is_err() {
             return;
         }
@@ -951,15 +1202,9 @@ fn reactor_loop(shared: &ReactorShared) {
                     sockets.arm(sockets.next_key);
                 }
                 Command::Adopt { endpoint, conn, peer } => sockets.adopt(endpoint, conn, Some(peer)),
+                Command::Serve { endpoint, handler } => sockets.serve(endpoint, handler),
                 Command::Detach { endpoint, done } => {
-                    sockets.conns.retain(|_, conn| {
-                        let theirs = Arc::ptr_eq(&conn.owner, &endpoint);
-                        if theirs {
-                            reap(shared, conn);
-                        }
-                        !theirs
-                    });
-                    sockets.listeners.retain(|_, listener| !Arc::ptr_eq(&listener.owner, &endpoint));
+                    sockets.detach(&endpoint);
                     drop(done);
                 }
                 Command::Stop => stop = true,
@@ -980,16 +1225,17 @@ fn reactor_loop(shared: &ReactorShared) {
         events.sort_by_key(|event| conns.get(&event.key).is_some_and(|conn| conn.peer.is_none()));
         for event in &events {
             let Some(conn) = sockets.conns.get_mut(&event.key) else {
-                // A listener's key — or a socket reported, then detached
-                // by a command of this same wake: gone.
+                // A listener's key — or a socket reported, then closed by a
+                // command or a crash of this same wake: gone.
                 sockets.accept(event.key);
                 continue;
             };
             conn.owner.count_wake(wake);
-            if !conn.read_ready() {
-                let conn = sockets.conns.remove(&event.key).expect("read conn is present");
-                reap(shared, &conn);
-            }
+            // A connection with a reply tail waiting is watched for room
+            // only: it is not read again until the tail has gone out.
+            let stalled = conn.stalled_since.is_some();
+            let outcome = if stalled { conn.write_out() } else { conn.read_ready() };
+            sockets.settle(event.key, stalled, outcome);
         }
     }
 }
@@ -1004,8 +1250,9 @@ fn reap(shared: &ReactorShared, conn: &SharedConn) {
 }
 
 /// One process's TCP endpoint: a listener and connections the registry's
-/// reactor serves into the inbox, plus a send path per destination. It
-/// runs no thread of its own.
+/// reactor reads into the inbox — or, once the endpoint
+/// [serves](TcpEndpoint::serve), answers on the spot — plus a send path
+/// per destination. It runs no thread of its own.
 #[derive(Debug)]
 pub struct TcpEndpoint {
     id: ProcessId,
@@ -1043,6 +1290,8 @@ impl TcpEndpoint {
         let (tx, rx) = unbounded();
 
         let shared = Arc::new(EndpointShared {
+            id,
+            tuning: registry.tuning,
             reactor: Arc::clone(&reactor.shared),
             table: Mutex::new(HashMap::new()),
             inbox: tx,
@@ -1050,8 +1299,9 @@ impl TcpEndpoint {
             last_wake: AtomicU64::new(0),
             frames: AtomicU64::new(0),
             conns: Arc::new(AtomicUsize::new(0)),
+            panicked: Mutex::new(None),
         });
-        let listener = Listener { socket, owner: Arc::clone(&shared), tuning: registry.tuning };
+        let listener = Listener { socket, owner: Arc::clone(&shared) };
         reactor.shared.submit(Command::Listen(listener));
         reactor.shared.endpoints.lock().push(Arc::downgrade(&shared));
         registry.insert(id, local_addr);
@@ -1174,6 +1424,36 @@ impl Endpoint for TcpEndpoint {
 
     fn inbox(&self) -> &Receiver<Inbound> {
         &self.inbox
+    }
+
+    /// Answers on the reactor: from its next wake-up, every frame one of
+    /// this endpoint's connections carries is handed to `handler` on the
+    /// reactor thread as soon as it is decoded, and the reply is written on
+    /// that connection — no inbox, no wake, no thread. The connections are
+    /// non-blocking from then on; a reply the kernel cannot take at once
+    /// waits in the connection's buffer (see the module docs), and one
+    /// whose connection is gone is dropped: the reactor never dials.
+    ///
+    /// Frames decoded before the reactor takes the handler over stay in the
+    /// inbox, unanswered, like requests to a server still starting.
+    ///
+    /// A handler that panics crashes this endpoint alone: its handler is
+    /// dropped and its listener and connections close, while every other
+    /// endpoint of the registry carries on; [`Serving::stop`] returns the
+    /// panic. Stopping drops the endpoint, which detaches it (see `drop`).
+    fn serve<H>(self, handler: H) -> Serving
+    where
+        Self: Sized + 'static,
+        H: FnMut(ProcessId, &Msg) -> Option<Msg> + Send + 'static,
+    {
+        let handler = Handler(Box::new(handler));
+        self.shared.reactor.submit(Command::Serve { endpoint: Arc::clone(&self.shared), handler });
+        Serving::new(move || {
+            let shared = Arc::clone(&self.shared);
+            drop(self);
+            let panicked = shared.panicked.lock().take();
+            panicked.map_or(Ok(()), Err)
+        })
     }
 }
 
@@ -2030,6 +2310,150 @@ mod tests {
         wait_until("stalled connection never reaped", || {
             hub.reader_stats().open_connections == 1
         });
+    }
+
+    fn query(seq: u64) -> Msg {
+        Msg::Query { handle: OpHandle { op: OpId { client: ClientId::reader(0), seq }, phase: 1 } }
+    }
+
+    /// A served endpoint's handler: answers every query — and panics on
+    /// the one numbered `panic_on`.
+    fn answering(panic_on: u64) -> impl FnMut(ProcessId, &Msg) -> Option<Msg> + Send + 'static {
+        move |_, msg| match msg {
+            Msg::Query { handle } if handle.op.seq == panic_on => panic!("marked query"),
+            Msg::Query { handle } => Some(Msg::QueryAck { handle: *handle, latest: TaggedValue::initial() }),
+            _ => None,
+        }
+    }
+
+    /// Sends `query(seq)` to `server` and waits for its answer.
+    fn round_trip(client: &TcpEndpoint, server: ProcessId, seq: u64) {
+        client.send(server, query(seq)).unwrap();
+        let (from, reply) = client.inbox().recv_timeout(Duration::from_secs(5)).expect("no answer");
+        assert_eq!(from, server);
+        assert!(matches!(reply, Msg::QueryAck { handle, .. } if handle.op.seq == seq), "{reply:?}");
+    }
+
+    /// A handler runs on the reactor that serves every endpoint of the
+    /// registry, so one that panics must take down its own endpoint and no
+    /// other: its handler is dropped and its listener and connections
+    /// close, the other served endpoint answers on, and stopping the
+    /// crashed one reports the panic.
+    #[test]
+    fn a_panicking_handler_crashes_its_endpoint_and_no_other() {
+        let registry = TcpRegistry::new();
+        let doomed = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+        let healthy = TcpEndpoint::bind(ProcessId::server(1), &registry).unwrap();
+        let client = TcpEndpoint::bind(ProcessId::reader(0), &registry).unwrap();
+        let (gauge, addr) = (doomed.connection_gauge(), doomed.local_addr());
+        let doomed = doomed.serve(answering(u64::MAX));
+        let healthy = healthy.serve(answering(u64::MAX));
+        round_trip(&client, ProcessId::server(0), 0);
+        round_trip(&client, ProcessId::server(1), 0);
+        assert_eq!(gauge.load(Ordering::SeqCst), 1);
+
+        client.send(ProcessId::server(0), query(u64::MAX)).unwrap();
+        wait_until("the crashed endpoint's connections never closed", || gauge.load(Ordering::SeqCst) == 0);
+        assert!(TcpStream::connect(addr).is_err(), "the crashed endpoint's listener still accepts");
+        for seq in 1..=100 {
+            round_trip(&client, ProcessId::server(1), seq);
+        }
+        let panic = doomed.stop().expect_err("the handler's panic is reported");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"marked query"));
+        healthy.stop().expect("the other handler never panicked");
+    }
+
+    /// A reply far larger than a socket takes at once, between two
+    /// endpoints of one registry: the reactor writes what the kernel takes,
+    /// watches the socket for room and sends the rest as it drains — while
+    /// it reads the fetching endpoint's side of that same connection. A
+    /// blocking write here would wait for a reader that is itself.
+    #[test]
+    fn an_eight_megabyte_reply_between_two_endpoints_of_one_registry_arrives() {
+        const REGISTERS: u32 = 50_000;
+        let mut bank = mwr_core::ServerBank::new(1, mwr_core::Router::new(2, 2, 1));
+        for k in 0..REGISTERS {
+            let handle = OpHandle { op: OpId { client: ClientId::writer(0), seq: u64::from(k) }, phase: 1 };
+            let value = TaggedValue::new(mwr_types::Tag::new(1, mwr_types::WriterId::new(0)), Value::new(7));
+            let update = Msg::Update { handle, value, floor: TaggedValue::initial() };
+            let msg = Msg::ForRegister { register: mwr_types::RegisterId::new(k), inner: Box::new(update) };
+            bank.handle(ProcessId::writer(0), &msg);
+        }
+        let registry = TcpRegistry::new();
+        let server =
+            crate::server::spawn_bank_with(TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap(), bank);
+        let fetcher = TcpEndpoint::bind(ProcessId::server(1), &registry).unwrap();
+        fetcher.send(ProcessId::server(0), Msg::ShardFetch { shard: 0, nonce: 1 }).unwrap();
+        let (_, reply) = fetcher.inbox().recv_timeout(Duration::from_secs(5)).expect("the reply never arrived");
+        assert!(reply.encoded_len() > 8_000_000, "{} bytes", reply.encoded_len());
+        let Msg::ShardSnapshot { registers, .. } = reply else { panic!("{reply:?}") };
+        assert_eq!(registers.len(), REGISTERS as usize);
+        assert_eq!(server.shutdown().0, 1);
+    }
+
+    /// A raw client sends queries and never reads its answers. Once the
+    /// socket is full its reply tail waits, and the connection is retired
+    /// after about `write_timeout` without progress — while a client of a
+    /// second endpoint of the same registry gets every answer, none later
+    /// than `write_timeout` + 50 ms: no thread is held by the stall.
+    #[test]
+    fn a_stalled_client_is_retired_while_another_endpoint_answers_on_time() {
+        let write_timeout = Duration::from_millis(50);
+        let registry = TcpRegistry::new().with_tuning(TcpTuning { write_timeout, ..TcpTuning::default() });
+        let stalled_at = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+        let other = TcpEndpoint::bind(ProcessId::server(1), &registry).unwrap();
+        let client = TcpEndpoint::bind(ProcessId::reader(0), &registry).unwrap();
+        let (gauge, addr) = (stalled_at.connection_gauge(), stalled_at.local_addr());
+        let stalled_at = stalled_at.serve(answering(u64::MAX));
+        let other = other.serve(answering(u64::MAX));
+
+        // A thousand queries a burst, written whole, one after the other,
+        // until the endpoint hangs up.
+        let burst: Vec<u8> = (0..1000).flat_map(|seq| raw_frame(ProcessId::reader(7), &query(seq))).collect();
+        let raw = TcpStream::connect(addr).unwrap();
+        raw.set_nonblocking(true).unwrap();
+        let done = AtomicBool::new(false);
+        let (quiet_for, slowest, answered) = thread::scope(|scope| {
+            // How long after its last progress the client saw its
+            // connection close; `None` if it never did.
+            let flooder = scope.spawn(|| {
+                let (mut at, mut last_progress, mut closed) = (0, Instant::now(), false);
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while !closed && Instant::now() < deadline {
+                    match (&raw).write(&burst[at..]) {
+                        Ok(n) => {
+                            at = (at + n) % burst.len();
+                            last_progress = Instant::now();
+                        }
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(Duration::from_millis(1)),
+                        Err(_) => closed = true,
+                    }
+                }
+                done.store(true, Ordering::Release);
+                closed.then(|| last_progress.elapsed())
+            });
+            let (mut slowest, mut answered) = (Duration::ZERO, 0u64);
+            while !done.load(Ordering::Acquire) {
+                let sent = Instant::now();
+                round_trip(&client, ProcessId::server(1), answered);
+                slowest = slowest.max(sent.elapsed());
+                answered += 1;
+            }
+            (flooder.join().unwrap(), slowest, answered)
+        });
+        let quiet_for = quiet_for.expect("the stalled connection was never retired");
+        assert!(
+            quiet_for < write_timeout + Duration::from_millis(500),
+            "retired {quiet_for:?} after the client's last progress; write_timeout is {write_timeout:?}"
+        );
+        assert_eq!(gauge.load(Ordering::SeqCst), 0, "the stalled connection is still open");
+        assert!(answered > 0);
+        assert!(
+            slowest < write_timeout + Duration::from_millis(50),
+            "an answer took {slowest:?} over {answered} queries"
+        );
+        stalled_at.stop().unwrap();
+        other.stop().unwrap();
     }
 
     /// Threads of this process named `tcp-…` other than the reactor.

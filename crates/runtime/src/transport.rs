@@ -2,10 +2,11 @@
 
 use std::fmt;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, select, unbounded, Receiver, Sender};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::thread;
 
 use mwr_core::Msg;
 use mwr_types::ProcessId;
@@ -122,6 +123,95 @@ pub trait Endpoint: Send + Sync {
 
     /// The receiving side of this endpoint's inbox.
     fn inbox(&self) -> &Receiver<Inbound>;
+
+    /// Makes this endpoint a server: every request it receives from now on
+    /// is answered with `handler(from, &request)` (no reply for `None`),
+    /// until the returned [`Serving`] is stopped or dropped. Where the
+    /// handler runs is the transport's choice, which is why the endpoint is
+    /// taken by value: nothing else sends through a served endpoint.
+    ///
+    /// The default is a thread of its own (`mwr-bank-<id>`) over the inbox,
+    /// replying with [`send`](Endpoint::send). Stopping it is checked
+    /// before each next frame, so the thread stops at its next message and
+    /// what its inbox still holds is dropped. [`TcpEndpoint`](crate::TcpEndpoint)
+    /// overrides it: there the registry's reactor runs the handler on each
+    /// frame it decodes and writes the reply on the connection the frame
+    /// came in on, with no thread or inbox in between.
+    ///
+    /// # Panics
+    ///
+    /// The default panics if the OS refuses to spawn a thread.
+    fn serve<H>(self, mut handler: H) -> Serving
+    where
+        Self: Sized + 'static,
+        H: FnMut(ProcessId, &Msg) -> Option<Msg> + Send + 'static,
+    {
+        // Never sent on: dropping the sender is the stop.
+        let (stop, stopped) = bounded::<()>(0);
+        let join = thread::Builder::new()
+            .name(format!("mwr-bank-{}", self.id()))
+            .spawn(move || loop {
+                // `select!` polls its arms in order: a stop is seen before
+                // the next frame is taken.
+                select! {
+                    recv(stopped) -> _ => return,
+                    recv(self.inbox()) -> inbound => {
+                        let Ok((from, msg)) = inbound else { return };
+                        if let Some(reply) = handler(from, &msg) {
+                            // A dead client is not a server error.
+                            let _ = self.send(from, reply);
+                        }
+                    }
+                }
+            })
+            .expect("failed to spawn server thread");
+        Serving::new(move || {
+            drop(stop);
+            join.join()
+        })
+    }
+}
+
+/// A served endpoint (see [`Endpoint::serve`]): stopping it — explicitly
+/// or by dropping it — stops the handler, drops it and closes the endpoint
+/// before it returns.
+pub struct Serving {
+    /// Stops serving; `Err` carries the payload of a handler that panicked.
+    stop: Option<Box<dyn FnOnce() -> thread::Result<()> + Send + Sync>>,
+}
+
+impl Serving {
+    /// A serving whose [`stop`](Self::stop) runs `stop`, for transports that
+    /// override [`Endpoint::serve`].
+    pub fn new(stop: impl FnOnce() -> thread::Result<()> + Send + Sync + 'static) -> Serving {
+        Serving { stop: Some(Box::new(stop)) }
+    }
+
+    /// Stops serving and waits until the handler is dropped and the
+    /// endpoint closed.
+    ///
+    /// # Errors
+    ///
+    /// Returns the panic payload if the handler panicked; it has stopped
+    /// serving at that frame.
+    pub fn stop(mut self) -> thread::Result<()> {
+        self.stop.take().map_or(Ok(()), |stop| stop())
+    }
+}
+
+impl fmt::Debug for Serving {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Serving").field("running", &self.stop.is_some()).finish()
+    }
+}
+
+impl Drop for Serving {
+    fn drop(&mut self) {
+        // Best effort; never fail in Drop (C-DTOR-FAIL).
+        if let Some(stop) = self.stop.take() {
+            let _ = stop();
+        }
+    }
 }
 
 /// A shared endpoint is an endpoint: every method takes `&self`, so an

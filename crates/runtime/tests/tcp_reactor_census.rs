@@ -3,18 +3,24 @@
 //! by exactly one thread, which goes with the last of them and comes back
 //! with the next.
 //!
-//! This file holds exactly one test, so every `tcp-*` thread in the
-//! process is this registry's — in `src/tcp.rs` the neighbouring unit
-//! tests run reactors of their own, and a census there counts theirs.
+//! And a server on TCP runs no thread at all: its handler runs on that
+//! reactor, while an in-memory server keeps a thread of its own.
+//!
+//! Every `tcp-*` thread in the process must be the registry's under count:
+//! in `src/tcp.rs` the neighbouring unit tests run reactors of their own,
+//! and a census there counts theirs. So the first test counts in this
+//! process, which runs nothing else, and the second in a child process
+//! that runs only it.
 
 #![cfg(target_os = "linux")]
 
 use std::collections::BTreeMap;
+use std::process::Command;
 use std::time::{Duration, Instant};
 
-use mwr_core::Msg;
-use mwr_runtime::{Endpoint as _, TcpEndpoint, TcpRegistry};
-use mwr_types::{ProcessId, Value};
+use mwr_core::{Msg, Protocol};
+use mwr_runtime::{Endpoint as _, EndpointFactory, InMemoryTransport, RuntimeCluster, TcpEndpoint, TcpRegistry};
+use mwr_types::{ClusterConfig, ProcessId, Value};
 
 /// Every thread of this process by name (as the kernel keeps it: the
 /// first 15 bytes), with how many threads carry it.
@@ -89,4 +95,40 @@ fn a_registry_runs_one_reactor_thread_however_many_endpoints_it_has() {
     assert_threads("tcp-", 1, "and nothing else");
     drop(endpoints);
     assert_threads("tcp-", 0, "a thread outlived the second generation");
+}
+
+/// One write and one read through `cluster`: its servers answer.
+fn write_and_read<F: EndpointFactory>(cluster: &RuntimeCluster<F>) {
+    let (mut writer, mut reader) = (cluster.writer(0).unwrap(), cluster.reader(0).unwrap());
+    let written = writer.write(Value::new(1)).unwrap();
+    assert_eq!(reader.read().unwrap(), written);
+}
+
+/// Set in the child process the second test runs itself in.
+const ALONE: &str = "MWR_CENSUS_ALONE";
+
+#[test]
+fn a_tcp_server_runs_no_thread_and_an_in_memory_one_runs_one() {
+    if std::env::var_os(ALONE).is_none() {
+        let status = Command::new(std::env::current_exe().expect("the test binary"))
+            .args(["--exact", "a_tcp_server_runs_no_thread_and_an_in_memory_one_runs_one", "--test-threads=1", "-q"])
+            .env(ALONE, "1")
+            .status()
+            .expect("the census runs alone in a child process");
+        assert!(status.success(), "the census failed in its child process: {status}");
+        return;
+    }
+    let config = ClusterConfig::new(5, 1, 1, 1).unwrap();
+    let tcp = RuntimeCluster::start_on(TcpRegistry::new(), config, Protocol::W2R1).unwrap();
+    write_and_read(&tcp);
+    assert_threads("mwr-bank", 0, "a TCP server answers on the reactor");
+    assert_threads("tcp-", 1, "five servers and their clients run one reactor and nothing else");
+    tcp.shutdown();
+    assert_threads("tcp-", 0, "a thread outlived the TCP cluster");
+
+    let memory = RuntimeCluster::start_on(InMemoryTransport::new(), config, Protocol::W2R1).unwrap();
+    write_and_read(&memory);
+    assert_threads("mwr-bank", 5, "an in-memory server runs a thread of its own");
+    memory.shutdown();
+    assert_threads("mwr-bank", 0, "a bank thread outlived its cluster");
 }

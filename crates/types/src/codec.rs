@@ -505,20 +505,13 @@ impl Wire for Tag {
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
         let ts = u64::decode(buf)?;
         let writer = WriterSlot::decode(buf)?;
-        Ok(match writer {
-            WriterSlot::Bottom => {
-                // Only (0, ⊥) is a legal bottom tag, but round-tripping any
-                // ts keeps the codec total; protocols never produce others.
-                let mut tag = Tag::initial();
-                if ts != 0 {
-                    tag = Tag::new(ts, WriterId::new(0));
-                    // Unreachable in practice; see module docs.
-                    debug_assert!(ts == 0, "bottom tag with nonzero ts on the wire");
-                }
-                tag
-            }
-            WriterSlot::Writer(w) => Tag::new(ts, w),
-        })
+        match writer {
+            WriterSlot::Bottom if ts == 0 => Ok(Tag::initial()),
+            // Only (0, ⊥) is a bottom tag: no `Tag` encodes to any other, so
+            // one on the wire is a corrupt or hostile frame.
+            WriterSlot::Bottom => Err(DecodeError::InvalidDiscriminant { context: "Tag (⊥ with ts > 0)", value: 0 }),
+            WriterSlot::Writer(w) => Ok(Tag::new(ts, w)),
+        }
     }
 }
 
@@ -598,6 +591,16 @@ mod tests {
         round_trip(&Tag::initial());
         round_trip(&Tag::new(9, WriterId::new(4)));
         round_trip(&TaggedValue::new(Tag::new(1, WriterId::new(0)), Value::new(77)));
+    }
+
+    /// No `Tag` encodes a timestamp beside the ⊥ writer, so a frame that
+    /// carries one is refused — in every build, and without a panic: on
+    /// TCP the decoder runs on the reactor every endpoint depends on.
+    #[test]
+    fn a_bottom_tag_with_a_timestamp_is_refused() {
+        let mut bytes = Tag::initial().to_bytes().to_vec();
+        bytes[..8].copy_from_slice(&5u64.to_be_bytes());
+        assert!(matches!(Tag::decode(&mut &bytes[..]), Err(DecodeError::InvalidDiscriminant { .. })));
     }
 
     #[test]

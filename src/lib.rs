@@ -20,7 +20,7 @@
 //! | [`core`] | `mwr-core` | protocols: W2R2, W2R1 (the paper), ABD, Dutta, naive fast writes |
 //! | [`check`] | `mwr-check` | histories, atomicity/regular/safe checkers, MWA0–MWA4 |
 //! | [`chains`] | `mwr-chains` | mechanized Theorem 1, sieve, fast-read lower bound |
-//! | [`runtime`] | `mwr-runtime` | thread-per-process live clusters (channels, TCP) |
+//! | [`runtime`] | `mwr-runtime` | live clusters (channels, TCP) |
 //! | [`workload`] | `mwr-workload` | closed-loop drivers (sim + live), latency stats, tables |
 //! | [`almost`] | `mwr-almost` | tunable-quorum clients + staleness quantification (§7 future work) |
 //! | [`byz`] | `mwr-byz` | Byzantine servers, masking-quorum clients, vouched fast reads (§5 extension) |

@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bytes::{Buf, BytesMut};
+use bytes::{Buf, BufMut};
 use serde::{Deserialize, Serialize};
 
 use mwr_types::codec::{client_runs, reservation, DecodeError, Wire, MAX_COLLECTION_LEN};
@@ -792,13 +792,9 @@ impl Msg {
 // --- wire codec -------------------------------------------------------------
 
 impl Wire for OpId {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         self.client.encode(buf);
         self.seq.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.client.encoded_len() + self.seq.encoded_len()
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -807,13 +803,9 @@ impl Wire for OpId {
 }
 
 impl Wire for OpHandle {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         self.op.encode(buf);
         self.phase.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.op.encoded_len() + self.phase.encoded_len()
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -822,13 +814,9 @@ impl Wire for OpHandle {
 }
 
 impl Wire for ValueRecord {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         self.value.encode(buf);
         self.updated.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.value.encoded_len() + self.updated.encoded_len()
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -840,12 +828,8 @@ impl Wire for ValueRecord {
 }
 
 impl Wire for Snapshot {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         self.entries.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.entries.encoded_len()
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -854,20 +838,12 @@ impl Wire for Snapshot {
 }
 
 impl Wire for DeltaSnapshot {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         self.from.encode(buf);
         self.version.encode(buf);
         self.latest.encode(buf);
         self.pruned.encode(buf);
         self.entries.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.from.encoded_len()
-            + self.version.encoded_len()
-            + self.latest.encoded_len()
-            + self.pruned.encoded_len()
-            + self.entries.encoded_len()
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -882,13 +858,9 @@ impl Wire for DeltaSnapshot {
 }
 
 impl Wire for FloorReport {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         self.client.encode(buf);
         self.floor.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.client.encoded_len() + self.floor.encoded_len()
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -897,22 +869,13 @@ impl Wire for FloorReport {
 }
 
 impl Wire for StateTransfer {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         self.version.encode(buf);
         self.latest.encode(buf);
         self.pruned.encode(buf);
         self.entries.encode(buf);
         self.seen.encode(buf);
         self.floors.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.version.encoded_len()
-            + self.latest.encoded_len()
-            + self.pruned.encoded_len()
-            + self.entries.encoded_len()
-            + self.seen.encoded_len()
-            + self.floors.encoded_len()
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -928,13 +891,9 @@ impl Wire for StateTransfer {
 }
 
 impl Wire for RegisterTransfer {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         self.register.encode(buf);
         self.state.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.register.encoded_len() + self.state.encoded_len()
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -946,8 +905,7 @@ impl Wire for RegisterTransfer {
 }
 
 impl Wire for Msg {
-    fn encode(&self, buf: &mut BytesMut) {
-        use bytes::BufMut;
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         match self {
             Msg::InvokeRead => buf.put_u8(0),
             Msg::InvokeWrite(v) => {
@@ -1072,71 +1030,6 @@ impl Wire for Msg {
                     rec.value.encode(buf);
                     client_runs::encode(&rec.updated, buf);
                 }
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            Msg::InvokeRead => 0,
-            Msg::InvokeWrite(v) => v.encoded_len(),
-            Msg::Query { handle } => handle.encoded_len(),
-            Msg::Update { handle, value, floor } => {
-                handle.encoded_len() + value.encoded_len() + floor.encoded_len()
-            }
-            Msg::ReadFast { handle, val_queue } => handle.encoded_len() + val_queue.encoded_len(),
-            Msg::QueryAck { handle, latest } => handle.encoded_len() + latest.encoded_len(),
-            Msg::UpdateAck { handle } => handle.encoded_len(),
-            Msg::ReadFastAck { handle, snapshot } => {
-                handle.encoded_len() + snapshot.encoded_len()
-            }
-            Msg::ReadFastDelta { handle, acked, floor, new_values } => {
-                handle.encoded_len()
-                    + acked.encoded_len()
-                    + floor.encoded_len()
-                    + new_values.encoded_len()
-            }
-            Msg::ReadFastDeltaAck { handle, delta } => handle.encoded_len() + delta.encoded_len(),
-            Msg::StateFetch { nonce } => nonce.encoded_len(),
-            Msg::StateSnapshot { nonce, state } => nonce.encoded_len() + state.encoded_len(),
-            Msg::Depart { handle } => handle.encoded_len(),
-            Msg::DepartAck { handle } => handle.encoded_len(),
-            Msg::ForRegister { register, inner } => {
-                register.encoded_len() + inner.encoded_len()
-            }
-            Msg::ShardFetch { shard, nonce } => shard.encoded_len() + nonce.encoded_len(),
-            Msg::ShardSnapshot { nonce, shard, registers } => {
-                nonce.encoded_len() + shard.encoded_len() + registers.encoded_len()
-            }
-            Msg::InEpoch { epoch, inner } => epoch.encoded_len() + inner.encoded_len(),
-            Msg::StateInstall { nonce, transfers } => {
-                nonce.encoded_len() + transfers.encoded_len()
-            }
-            Msg::StateInstallAck { nonce } => nonce.encoded_len(),
-            Msg::ShardInstall { nonce, shard, registers } => {
-                nonce.encoded_len() + shard.encoded_len() + registers.encoded_len()
-            }
-            Msg::ShardInstallAck { nonce, shard } => nonce.encoded_len() + shard.encoded_len(),
-            Msg::ReadFastRuns { handle, acked, floor, new_values } => {
-                handle.encoded_len()
-                    + acked.encoded_len()
-                    + floor.encoded_len()
-                    + new_values.encoded_len()
-            }
-            Msg::ReadFastRunsAck { handle, delta } => {
-                handle.encoded_len()
-                    + delta.from.encoded_len()
-                    + delta.version.encoded_len()
-                    + delta.latest.encoded_len()
-                    + delta.pruned.encoded_len()
-                    + 8
-                    + delta
-                        .entries
-                        .iter()
-                        .map(|rec| {
-                            rec.value.encoded_len() + client_runs::encoded_len(&rec.updated)
-                        })
-                        .sum::<usize>()
             }
         }
     }

@@ -55,7 +55,7 @@
 pub use mwr_check::AuditReport;
 pub use mwr_core::{Protocol, Router};
 pub use mwr_register::{
-    AuditConfig, Backend, DeployError, KeyReader, KeyWriter, Keyspace, KeyspaceHandle, OnViolation,
+    AuditConfig, Backend, DeployError, KeyReader, KeyWriter, Keyspace, KeyspaceHandle,
 };
 pub use mwr_runtime::{FaultEvent, FaultPlan, KeyspaceCluster, RetryPolicy, TransportError};
 pub use mwr_types::{KeyspaceConfig, RegisterId};

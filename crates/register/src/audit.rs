@@ -48,20 +48,6 @@ use mwr_types::RegisterId;
 
 use crate::error::DeployError;
 
-/// What the audit sidecar does the moment the streaming verdict turns
-/// into a violation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OnViolation {
-    /// Keep consuming records; the violation is carried (sticky) in the
-    /// final [`AuditReport`].
-    #[default]
-    Record,
-    /// Panic the sidecar thread immediately — fail fast for CI fault
-    /// scenarios. The panic is re-raised on the thread that collects the
-    /// report via `LiveHandle::shutdown_audited`.
-    Panic,
-}
-
 /// Continuous-audit knob for live deployments, set via
 /// [`Deployment::audit`](crate::Deployment::audit).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,24 +59,17 @@ pub struct AuditConfig {
     /// Bound on completed operations the auditor retains before forcing a
     /// check-and-truncate pass (the streaming window).
     pub window: usize,
-    /// What to do when a violation surfaces mid-run.
-    pub on_violation: OnViolation,
 }
 
 impl Default for AuditConfig {
     fn default() -> Self {
-        let stream = StreamConfig::default();
-        AuditConfig {
-            sample_rate: 1.0,
-            window: stream.window,
-            on_violation: OnViolation::Record,
-        }
+        AuditConfig { sample_rate: 1.0, window: StreamConfig::default().window }
     }
 }
 
 impl AuditConfig {
     /// Audit a `rate` fraction of reads (writes are always recorded),
-    /// with the default window and [`OnViolation::Record`].
+    /// with the default window.
     pub fn sampled(rate: f64) -> Self {
         AuditConfig { sample_rate: rate, ..AuditConfig::default() }
     }
@@ -144,8 +123,7 @@ impl AuditHub {
 
     /// Drops the hub's tap clones and joins every sidecar. Minted clients
     /// hold their own tap clones, so each join completes once they are
-    /// all dropped; a sidecar that panicked ([`OnViolation::Panic`])
-    /// re-raises here.
+    /// all dropped; a sidecar that panicked re-raises here.
     pub(crate) fn finish(self) -> BTreeMap<RegisterId, AuditReport> {
         let sidecars = self.sidecars.into_inner().expect("audit hub poisoned");
         sidecars
@@ -163,9 +141,6 @@ fn sidecar_loop(rx: &AuditReceiver, cfg: AuditConfig) -> AuditReport {
         StreamingAuditor::new(StreamConfig { window: cfg.window, ..StreamConfig::default() });
     while let Ok(record) = rx.recv() {
         auditor.observe(record);
-        if cfg.on_violation == OnViolation::Panic && !auditor.verdict().is_ok() {
-            panic!("live linearizability violation: {:?}", auditor.verdict());
-        }
     }
     auditor.finish()
 }

@@ -423,8 +423,8 @@ impl Deployment<ClusterConfig> {
         self.launch(shape, InMemoryTransport::new(), RuntimeCluster::start_on)
     }
 
-    /// Deploys on the TCP live backend: every server on its own thread
-    /// behind a loopback socket.
+    /// Deploys on the TCP live backend: every server behind a loopback
+    /// socket, answered on the registry's one reactor thread.
     ///
     /// # Errors
     ///

@@ -428,9 +428,8 @@ impl<F: EndpointFactory> LiveHandle<F> {
     ///
     /// Joining the sidecar requires every tap clone to be gone: drop all
     /// minted [`Writer`]/[`Reader`] clients before calling, or the join
-    /// blocks until they drop. A sidecar configured with
-    /// [`OnViolation::Panic`](crate::OnViolation::Panic) that hit a
-    /// violation re-raises its panic here.
+    /// blocks until they drop. A sidecar that panicked re-raises its
+    /// panic here.
     pub fn shutdown_audited(self) -> (u64, Option<AuditReport>) {
         let (cluster, mut reports) = self.finish();
         (cluster.shutdown(), reports.remove(&RegisterId::DEFAULT))

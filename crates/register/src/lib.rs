@@ -77,7 +77,7 @@ mod error;
 mod handle;
 mod spec;
 
-pub use audit::{AuditConfig, OnViolation};
+pub use audit::AuditConfig;
 pub use deploy::{AnySimCluster, Deployment, Keyspace};
 pub use error::DeployError;
 pub use handle::{KeyReader, KeyWriter, KeyspaceHandle, LiveHandle, Reader, SimHandle, Writer};

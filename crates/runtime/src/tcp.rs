@@ -47,16 +47,17 @@
 //!   calls the handler on each frame it decodes and writes the replies.
 //!   *Every other endpoint's sockets* are written by its senders, one send
 //!   path per destination: a send takes that peer's lock, encodes its
-//!   frame — length prefix and body, sized exactly via `Wire::encoded_len`
-//!   — into a reusable buffer and writes it with one `write_all` on the
-//!   sender's own thread: no queue, no hand-off, no thread per peer. The
-//!   lock keeps each frame whole and a peer's frames in order. Each such
-//!   endpoint sends from one thread in every runtime shape (a client
-//!   thread, a keyspace drive thread, a rejoin fetch or a reconfiguration
-//!   coordinator), so the lock is never contended there. Should a second
-//!   thread send to a stalled peer through the same endpoint, it waits on
-//!   that peer's lock until the stalled write gives up (see below) instead
-//!   of queueing, then drops its frame to the negative cache.
+//!   frame into a reusable buffer — the body once, its length patched into
+//!   the prefix afterwards (both write paths frame through `put_frame`) —
+//!   and writes it with one `write_all` on the sender's own thread: no
+//!   queue, no hand-off, no thread per peer. The lock keeps each frame
+//!   whole and a peer's frames in order. Each such endpoint sends from
+//!   one thread in every runtime shape (a client thread, a keyspace drive
+//!   thread, a rejoin fetch or a reconfiguration coordinator), so the lock
+//!   is never contended there. Should a second thread send to a stalled
+//!   peer through the same endpoint, it waits on that peer's lock until
+//!   the stalled write gives up (see below) instead of queueing, then
+//!   drops its frame to the negative cache.
 //! - **The reactor's replies never block it.** A served endpoint's sockets
 //!   are non-blocking (the reactor is their only reader and writer, so
 //!   `O_NONBLOCK`, which both directions share, is safe). The replies to
@@ -173,14 +174,37 @@ const MAX_FRAME: u32 = 16 * 1024 * 1024;
 /// across frames; anything bigger (a full-info burst) is released after use.
 const BUF_RETAIN: usize = 1024 * 1024;
 
+/// Appends one frame from `from` carrying `msg` to `buf`, walking the
+/// message once: a placeholder prefix, the body encoded after it, then the
+/// body's length patched into the prefix. A body past [`MAX_FRAME`] is taken
+/// back off and `false` returned: the peer would drop the connection over
+/// it, and whatever follows it on the wire.
+fn put_frame(buf: &mut BytesMut, from: ProcessId, msg: &Msg) -> bool {
+    let start = buf.len();
+    buf.put_u32(0);
+    from.encode(buf);
+    msg.encode(buf);
+    match u32::try_from(buf.len() - start - 4) {
+        Ok(len) if len <= MAX_FRAME => {
+            buf[start..start + 4].copy_from_slice(&len.to_be_bytes());
+            true
+        }
+        _ => {
+            buf.truncate(start);
+            false
+        }
+    }
+}
+
 fn io_err(e: std::io::Error) -> TransportError {
     TransportError::Io { kind: e.kind() }
 }
 
 /// Tuning knobs for the TCP write paths.
 ///
-/// The defaults are right for the loopback clusters the workspace runs;
-/// the `mwr-register` facade exposes them as a TCP-only deployment knob.
+/// The defaults are right for the loopback clusters the workspace runs,
+/// and the `mwr-register` facade always runs them; a registry built by
+/// hand can select others with [`TcpRegistry::with_tuning`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpTuning {
     /// After a failed `connect` (or a failed or timed-out write), frames
@@ -415,21 +439,14 @@ impl PeerIo {
     /// peer is stalled and a redial would hold the sender again. An
     /// unreachable peer drops the frame — the crash model's message loss.
     fn write_frame(&mut self, msg: &Msg, stats: &PipelineStats) {
-        let len = self.from.encoded_len() + msg.encoded_len();
-        // Enforce the receiver's frame bound on the send side too: an
-        // oversized message would make the peer drop the connection (and
-        // whatever follows it on the wire) on every retry.
-        if len as u64 > u64::from(MAX_FRAME) {
-            stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
         self.buf.clear();
-        self.buf.put_u32(len as u32);
-        self.from.encode(&mut self.buf);
-        msg.encode(&mut self.buf);
+        // The receiver's frame bound holds on the send side too: an
+        // oversized frame is dropped unwritten, as the peer would refuse it
+        // on every retry.
+        let attempts = if put_frame(&mut self.buf, self.from, msg) { 2 } else { 0 };
         let mut delivered = false;
         let mut write_failed = false;
-        for _ in 0..2 {
+        for _ in 0..attempts {
             self.ensure_conn(stats);
             let Some(conn) = &self.conn else { break };
             let Err(e) = (&conn.stream).write_all(&self.buf) else {
@@ -791,7 +808,10 @@ impl SharedConn {
                 continue;
             };
             match catch_unwind(AssertUnwindSafe(|| (handler.borrow_mut().0)(from, &msg))) {
-                Ok(Some(reply)) => self.queue(&reply),
+                // A reply past the frame bound is left out (see `put_frame`).
+                Ok(Some(reply)) => {
+                    put_frame(&mut self.out, self.owner.id, &reply);
+                }
                 Ok(None) => {}
                 Err(payload) => return Outcome::Panicked(payload),
             }
@@ -801,19 +821,6 @@ impl SharedConn {
             self.filled -= parsed;
         }
         Outcome::Open
-    }
-
-    /// Appends `reply` to the out buffer as one frame from the owner. A
-    /// reply past the frame bound is dropped: the peer would drop the
-    /// connection over it, and whatever follows it on the wire.
-    fn queue(&mut self, reply: &Msg) {
-        let len = self.owner.id.encoded_len() + reply.encoded_len();
-        if len as u64 > u64::from(MAX_FRAME) {
-            return;
-        }
-        self.out.put_u32(len as u32);
-        self.owner.id.encode(&mut self.out);
-        reply.encode(&mut self.out);
     }
 
     /// Hands this connection's frames to `handler`. The socket is made
@@ -843,10 +850,7 @@ impl SharedConn {
                 self.written = 0;
                 self.stalled_since = None;
                 self.out.clear();
-                // Don't let one full-info burst pin its high-water capacity.
-                if self.out.capacity() > BUF_RETAIN {
-                    self.out = BytesMut::new();
-                }
+                self.release();
                 Outcome::Open
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
@@ -857,12 +861,16 @@ impl SharedConn {
         }
     }
 
-    /// Releases a full-info burst's high-water capacity once drained.
+    /// Releases the high-water capacity a full-info burst, or a reply taken
+    /// back as oversized, left in either buffer once that buffer drains.
     fn release(&mut self) {
         if self.buf.capacity() > BUF_RETAIN && self.filled <= BUF_RETAIN {
             let mut fresh = Vec::with_capacity(self.filled.max(READ_CHUNK));
             fresh.extend_from_slice(&self.buf[..self.filled]);
             self.buf = fresh;
+        }
+        if self.out.is_empty() && self.out.capacity() > BUF_RETAIN {
+            self.out = BytesMut::new();
         }
     }
 }
@@ -2389,6 +2397,63 @@ mod tests {
         let Msg::ShardSnapshot { registers, .. } = reply else { panic!("{reply:?}") };
         assert_eq!(registers.len(), REGISTERS as usize);
         assert_eq!(server.shutdown().0, 1);
+    }
+
+    /// A message whose frame is past `MAX_FRAME`: 800 000 tagged values of
+    /// 21 bytes each.
+    fn oversized() -> Msg {
+        let value = TaggedValue::new(mwr_types::Tag::new(1, mwr_types::WriterId::new(0)), Value::new(7));
+        let handle = OpHandle { op: OpId { client: ClientId::reader(0), seq: 0 }, phase: 1 };
+        let msg = Msg::ReadFast { handle, val_queue: vec![value; 800_000] };
+        assert!(msg.encoded_len() > MAX_FRAME as usize);
+        msg
+    }
+
+    /// The peer would drop the connection over a frame past `MAX_FRAME`,
+    /// and whatever follows it on the wire, so the sender drops that frame
+    /// and counts it: the next one arrives on the same connection.
+    #[test]
+    fn an_oversized_frame_is_dropped_by_its_sender_and_the_connection_stays() {
+        let registry = TcpRegistry::new();
+        let client = TcpEndpoint::bind(ProcessId::writer(0), &registry).unwrap();
+        let server = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+        let gauge = server.connection_gauge();
+        let delivered = |seq| {
+            client.send(ProcessId::server(0), Msg::InvokeWrite(Value::new(seq))).unwrap();
+            let (from, msg) = server.inbox().recv_timeout(Duration::from_secs(5)).expect("no frame");
+            assert_eq!((from, msg), (ProcessId::writer(0), Msg::InvokeWrite(Value::new(seq))));
+        };
+        delivered(1);
+        assert_eq!(gauge.load(Ordering::SeqCst), 1);
+        client.send(ProcessId::server(0), oversized()).unwrap();
+        delivered(2);
+        let stats = client.peer_stats(ProcessId::server(0)).unwrap();
+        assert_eq!((stats.connect_attempts, stats.frames_sent, stats.frames_dropped), (1, 2, 1), "{stats:?}");
+        assert_eq!(gauge.load(Ordering::SeqCst), 1);
+    }
+
+    /// The same bound on a served endpoint's replies: an oversized reply is
+    /// dropped, and the next reply arrives on the connection the request
+    /// came in on.
+    #[test]
+    fn an_oversized_reply_is_dropped_and_the_connection_stays() {
+        let registry = TcpRegistry::new();
+        let server = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+        let client = TcpEndpoint::bind(ProcessId::reader(0), &registry).unwrap();
+        let gauge = server.connection_gauge();
+        let mut answer = answering(u64::MAX);
+        let server = server.serve(move |from, msg| match msg {
+            Msg::Query { handle } if handle.op.seq == 1 => Some(oversized()),
+            _ => answer(from, msg),
+        });
+        round_trip(&client, ProcessId::server(0), 0);
+        assert_eq!(gauge.load(Ordering::SeqCst), 1);
+        client.send(ProcessId::server(0), query(1)).unwrap();
+        round_trip(&client, ProcessId::server(0), 2);
+        let stats = client.peer_stats(ProcessId::server(0)).unwrap();
+        assert_eq!(stats.connect_attempts, 1, "{stats:?}");
+        assert_eq!(gauge.load(Ordering::SeqCst), 1);
+        server.stop().expect("the handler never panicked");
     }
 
     /// A raw client sends queries and never reads its answers. Once the

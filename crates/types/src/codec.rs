@@ -96,21 +96,26 @@ pub fn reservation<T, B: Buf>(declared: u64, buf: &B) -> usize {
 /// Binary encoding/decoding of a value for network transport.
 ///
 /// Implementations must be deterministic: `decode(encode(x)) == x` for every
-/// `x`, and [`encoded_len`](Wire::encoded_len) must equal the number of
-/// bytes [`encode`](Wire::encode) appends (checked by property tests in
-/// this module and in `mwr-runtime`).
+/// `x`. The byte layout is written twice, once in [`encode`](Wire::encode)
+/// and once in [`decode`](Wire::decode); [`encoded_len`](Wire::encoded_len)
+/// is derived from `encode` and never written by hand.
 ///
-/// Decoding is generic over [`Buf`], so hot paths can decode straight out
-/// of a reusable read buffer (`&mut &[u8]`) without first copying the frame
-/// into an owned [`Bytes`].
+/// Encoding is generic over [`BufMut`] and decoding over [`Buf`], so hot
+/// paths can encode straight into a reusable frame buffer and decode
+/// straight out of a reusable read buffer (`&mut &[u8]`) without first
+/// copying the frame into an owned [`Bytes`].
 pub trait Wire: Sized {
     /// Appends the encoded representation of `self` to `buf`.
-    fn encode(&self, buf: &mut BytesMut);
+    fn encode<B: BufMut>(&self, buf: &mut B);
 
     /// The exact number of bytes [`encode`](Wire::encode) appends for
-    /// `self` — lets framing code size buffers and write length prefixes
-    /// without encoding twice or allocating.
-    fn encoded_len(&self) -> usize;
+    /// `self`: `encode` run into a sink that only counts, so it allocates
+    /// nothing and cannot disagree with the bytes on the wire.
+    fn encoded_len(&self) -> usize {
+        let mut count = ByteCount(0);
+        self.encode(&mut count);
+        count.0
+    }
 
     /// Decodes a value from the front of `buf`, consuming exactly the bytes
     /// written by [`encode`](Wire::encode).
@@ -129,6 +134,15 @@ pub trait Wire: Sized {
     }
 }
 
+/// A [`BufMut`] that keeps nothing but the number of bytes put into it.
+struct ByteCount(usize);
+
+impl BufMut for ByteCount {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
+    }
+}
+
 fn need(buf: &impl Buf, n: usize, context: &'static str) -> Result<(), DecodeError> {
     if buf.remaining() < n {
         Err(DecodeError::UnexpectedEof { context })
@@ -138,12 +152,8 @@ fn need(buf: &impl Buf, n: usize, context: &'static str) -> Result<(), DecodeErr
 }
 
 impl Wire for u8 {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         buf.put_u8(*self);
-    }
-
-    fn encoded_len(&self) -> usize {
-        1
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -153,12 +163,8 @@ impl Wire for u8 {
 }
 
 impl Wire for u32 {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         buf.put_u32(*self);
-    }
-
-    fn encoded_len(&self) -> usize {
-        4
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -168,12 +174,8 @@ impl Wire for u32 {
 }
 
 impl Wire for u64 {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         buf.put_u64(*self);
-    }
-
-    fn encoded_len(&self) -> usize {
-        8
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -183,12 +185,8 @@ impl Wire for u64 {
 }
 
 impl Wire for bool {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         buf.put_u8(u8::from(*self));
-    }
-
-    fn encoded_len(&self) -> usize {
-        1
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -201,7 +199,7 @@ impl Wire for bool {
 }
 
 impl<T: Wire> Wire for Option<T> {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         match self {
             None => buf.put_u8(0),
             Some(v) => {
@@ -209,10 +207,6 @@ impl<T: Wire> Wire for Option<T> {
                 v.encode(buf);
             }
         }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, Wire::encoded_len)
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -225,15 +219,11 @@ impl<T: Wire> Wire for Option<T> {
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         buf.put_u64(self.len() as u64);
         for item in self {
             item.encode(buf);
         }
-    }
-
-    fn encoded_len(&self) -> usize {
-        8 + self.iter().map(Wire::encoded_len).sum::<usize>()
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -252,12 +242,8 @@ impl<T: Wire> Wire for Vec<T> {
 macro_rules! wire_id {
     ($name:ident) => {
         impl Wire for $name {
-            fn encode(&self, buf: &mut BytesMut) {
+            fn encode<B: BufMut>(&self, buf: &mut B) {
                 self.index().encode(buf);
-            }
-
-            fn encoded_len(&self) -> usize {
-                4
             }
 
             fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -273,12 +259,8 @@ wire_id!(WriterId);
 wire_id!(RegisterId);
 
 impl Wire for ConfigEpoch {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         self.get().encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        4
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -287,7 +269,7 @@ impl Wire for ConfigEpoch {
 }
 
 impl Wire for ClientId {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         match self {
             ClientId::Reader(r) => {
                 buf.put_u8(0);
@@ -298,10 +280,6 @@ impl Wire for ClientId {
                 w.encode(buf);
             }
         }
-    }
-
-    fn encoded_len(&self) -> usize {
-        5
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -328,13 +306,9 @@ pub struct ClientRun {
 }
 
 impl Wire for ClientRun {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         self.start.encode(buf);
         self.len.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.start.encoded_len() + self.len.encoded_len()
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -350,7 +324,7 @@ impl Wire for ClientRun {
 /// lists with dense index runs — which is what the registration gossip
 /// produces.
 pub mod client_runs {
-    use super::{Buf, BytesMut, ClientId, ClientRun, DecodeError, Wire, MAX_COLLECTION_LEN};
+    use super::{Buf, BufMut, ByteCount, ClientId, ClientRun, DecodeError, Wire, MAX_COLLECTION_LEN};
 
     struct Runs<'a> {
         ids: &'a [ClientId],
@@ -387,14 +361,17 @@ pub mod client_runs {
         runs(ids).count() as u64
     }
 
-    /// Exact wire size of [`encode`]'s output for `ids`.
+    /// Exact wire size of [`encode`]'s output for `ids`, counted as
+    /// [`Wire::encoded_len`] counts.
     pub fn encoded_len(ids: &[ClientId]) -> usize {
-        8 + count(ids) as usize * ClientRun { start: ClientId::reader(0), len: 1 }.encoded_len()
+        let mut count = ByteCount(0);
+        encode(ids, &mut count);
+        count.0
     }
 
     /// Appends `ids` as a length-prefixed run list (run count as `u64`,
     /// then each run).
-    pub fn encode(ids: &[ClientId], buf: &mut BytesMut) {
+    pub fn encode<B: BufMut>(ids: &[ClientId], buf: &mut B) {
         count(ids).encode(buf);
         for run in runs(ids) {
             run.encode(buf);
@@ -436,7 +413,7 @@ pub mod client_runs {
 }
 
 impl Wire for ProcessId {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         match self {
             ProcessId::Server(s) => {
                 buf.put_u8(0);
@@ -446,13 +423,6 @@ impl Wire for ProcessId {
                 buf.put_u8(1);
                 c.encode(buf);
             }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ProcessId::Server(s) => s.encoded_len(),
-            ProcessId::Client(c) => c.encoded_len(),
         }
     }
 
@@ -466,20 +436,13 @@ impl Wire for ProcessId {
 }
 
 impl Wire for WriterSlot {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         match self {
             WriterSlot::Bottom => buf.put_u8(0),
             WriterSlot::Writer(w) => {
                 buf.put_u8(1);
                 w.encode(buf);
             }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            WriterSlot::Bottom => 1,
-            WriterSlot::Writer(w) => 1 + w.encoded_len(),
         }
     }
 
@@ -493,13 +456,9 @@ impl Wire for WriterSlot {
 }
 
 impl Wire for Tag {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         self.ts().encode(buf);
         self.writer().encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        8 + self.writer().encoded_len()
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -516,12 +475,8 @@ impl Wire for Tag {
 }
 
 impl Wire for Value {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         self.get().encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        8
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -530,13 +485,9 @@ impl Wire for Value {
 }
 
 impl Wire for TaggedValue {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         self.tag().encode(buf);
         self.value().encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.tag().encoded_len() + self.value().encoded_len()
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {

@@ -284,7 +284,7 @@ fn crash_under_load_stays_atomic_under_full_audit() {
         .protocol(Protocol::W2R1)
         .backend(Backend::Tcp)
         .timeout(Duration::from_secs(10))
-        .audit(AuditConfig { sample_rate: 1.0, window: 64, ..AuditConfig::default() })
+        .audit(AuditConfig { sample_rate: 1.0, window: 64 })
         .tcp()
         .unwrap();
     let mut writers: Vec<_> = (0..2).map(|w| cluster.writer(w).unwrap()).collect();
@@ -351,7 +351,7 @@ fn reconnect_storm_stays_atomic_under_full_audit() {
         .protocol(Protocol::W2R1)
         .backend(Backend::Tcp)
         .timeout(Duration::from_secs(10))
-        .audit(AuditConfig { sample_rate: 1.0, window: 64, ..AuditConfig::default() })
+        .audit(AuditConfig { sample_rate: 1.0, window: 64 })
         .tcp()
         .unwrap();
     let mut writers: Vec<_> = (0..2).map(|w| cluster.writer(w).unwrap()).collect();
@@ -424,7 +424,7 @@ fn audited_crash_rejoin_then_other_minority_over_tcp() {
         .backend(Backend::Tcp)
         .timeout(Duration::from_secs(5))
         .retry(RetryPolicy { attempts: 4, backoff: Duration::from_millis(20) })
-        .audit(AuditConfig { sample_rate: 1.0, window: 64, ..AuditConfig::default() })
+        .audit(AuditConfig { sample_rate: 1.0, window: 64 })
         .tcp()
         .unwrap();
     let mut w = cluster.writer(0).unwrap();
@@ -481,7 +481,7 @@ fn audited_rolling_restart_over_tcp_heals_and_stays_atomic() {
         .backend(Backend::Tcp)
         .timeout(Duration::from_millis(400))
         .retry(RetryPolicy { attempts: 10, backoff: Duration::from_millis(10) })
-        .audit(AuditConfig { sample_rate: 1.0, window: 64, ..AuditConfig::default() })
+        .audit(AuditConfig { sample_rate: 1.0, window: 64 })
         .inject(FaultPlan::rolling_restart(3, 150))
         .tcp()
         .unwrap();
@@ -540,7 +540,7 @@ fn audited_churn_storm_departs_every_client() {
         .protocol(Protocol::W2R1)
         .backend(Backend::InMemory)
         .timeout(Duration::from_secs(5))
-        .audit(AuditConfig { sample_rate: 1.0, window: 64, ..AuditConfig::default() })
+        .audit(AuditConfig { sample_rate: 1.0, window: 64 })
         .inject(FaultPlan::churn_storm(200, 2, 20))
         .in_memory()
         .unwrap();
@@ -598,7 +598,7 @@ fn audited_reconfigure_over_tcp_swaps_servers_mid_traffic() {
         .backend(Backend::Tcp)
         .timeout(Duration::from_millis(400))
         .retry(RetryPolicy { attempts: 10, backoff: Duration::from_millis(10) })
-        .audit(AuditConfig { sample_rate: 1.0, window: 64, ..AuditConfig::default() })
+        .audit(AuditConfig { sample_rate: 1.0, window: 64 })
         .inject(FaultPlan::reconfigure(2, 2, 150))
         .tcp()
         .unwrap();

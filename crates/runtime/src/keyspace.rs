@@ -232,10 +232,11 @@ impl<F: EndpointFactory> KeyspaceCluster<F> {
     /// empty transfer is vacuously complete.
     ///
     /// Client requests arriving during the fetch window are dropped, which
-    /// is indistinguishable from the crash lasting a moment longer — and on
-    /// TCP so are those the reactor queued to the endpoint's inbox before
-    /// it took the bank's handler over: a rejoined bank never reads its
-    /// inbox.
+    /// is indistinguishable from the crash lasting a moment longer — and so
+    /// are those still in the endpoint's inbox when the bank is served, on
+    /// both transports: a served endpoint answers what arrives from then on
+    /// (in memory inside the sender's `send`, on TCP on the reactor), and a
+    /// rejoined bank never reads its inbox.
     ///
     /// # Errors
     ///

@@ -5,10 +5,12 @@
 //! The bank sits behind one lock, which the handler takes for each request
 //! and [`ServerHandle::announce_epoch`] takes to move its epoch; the bank
 //! holds the epoch and counts the requests it answered. Where the handler
-//! runs is the transport's business ([`Endpoint::serve`]): on TCP the
-//! registry's reactor calls it on each frame it reads, and the reply leaves
-//! on the socket the request came in on; in memory it runs on a thread of
-//! its own over the endpoint's inbox.
+//! runs is the transport's business ([`Endpoint::serve`]), and on both it
+//! runs where the request arrives: on TCP the registry's reactor calls it
+//! on each frame it reads, and the reply leaves on the socket the request
+//! came in on; in memory the sender's `send` calls it, and the reply goes
+//! into the sender's inbox. A `mwr-bank-<id>` thread over the inbox is only
+//! the default, for an endpoint decorator that does not delegate `serve`.
 
 use std::sync::Arc;
 
@@ -190,11 +192,35 @@ mod tests {
         assert_eq!(handle.shutdown().0, 200);
     }
 
+    /// A handler that panics crashes its server, and shutting it down says
+    /// so.
+    #[test]
+    #[should_panic(expected = "server handler panicked")]
+    fn shutting_down_a_server_whose_handler_panicked_panics() {
+        let transport = InMemoryTransport::new();
+        let client_ep = transport.register(ProcessId::reader(0));
+        let bank = Bank { bank: ServerBank::new(1, Router::new(1, 1, 1)), handled: 0 };
+        let handle = ServerHandle {
+            id: ProcessId::server(0),
+            bank: Arc::new(Mutex::new(bank)),
+            serving: transport.register(ProcessId::server(0)).serve(|_, _| panic!("bank fault")),
+        };
+        // The first send crashes it, which takes its route.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while client_ep.send(ProcessId::server(0), Msg::InvokeRead).is_ok() {
+            assert!(Instant::now() < deadline, "the server never crashed");
+            thread::yield_now();
+        }
+        handle.shutdown();
+    }
+
     /// Four clients on four threads send one bank 5 000 queries each, in
-    /// bursts of 50 with every reply awaited before the next burst, so the
-    /// server thread keeps alternating between draining a backlog and
-    /// parking in its `select!` until whichever client is first wakes it. A
-    /// wake-up it sleeps through is a client that runs its watchdog down.
+    /// bursts of 50 with every reply awaited before the next burst. In
+    /// memory the bank answers inside each client's `send`, so the four
+    /// contend for its handler's lock and its bank's; on a thread path (a
+    /// decorator that does not delegate `serve`) the server thread keeps
+    /// alternating between draining a backlog and parking in its `select!`.
+    /// A reply lost to either is a client that runs its watchdog down.
     #[test]
     fn a_bank_answers_every_query_of_four_bursting_clients() {
         const CLIENTS: u32 = 4;

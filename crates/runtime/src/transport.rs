@@ -1,9 +1,11 @@
 //! Message transports for the live runtime.
 
+use std::any::Any;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crossbeam::channel::{bounded, select, unbounded, Receiver, Sender};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
@@ -52,9 +54,51 @@ impl std::error::Error for TransportError {}
 /// An inbound message: sender plus payload.
 pub type Inbound = (ProcessId, Msg);
 
-/// Registered inboxes by process id, each stamped with the registration
+/// Registered routes by process id, each stamped with the registration
 /// generation that minted it.
-type InboxMap = HashMap<ProcessId, (u64, Sender<Inbound>)>;
+type RouteMap = HashMap<ProcessId, (u64, Route)>;
+
+/// Where a message to a registered in-memory endpoint goes.
+#[derive(Debug)]
+enum Route {
+    /// Into its inbox.
+    Inbox(Sender<Inbound>),
+    /// Through its handler, on the sender's thread (see
+    /// [`InMemoryEndpoint::serve`]).
+    Served(Arc<Served>),
+}
+
+/// A request handler, as [`Endpoint::serve`] takes it.
+type Handler = Box<dyn FnMut(ProcessId, &Msg) -> Option<Msg> + Send>;
+
+/// A served in-memory endpoint's handler, called by whichever thread sends
+/// to the endpoint, one call at a time.
+struct Served {
+    /// `None` once serving stopped or the handler panicked.
+    handler: Mutex<Option<Handler>>,
+    /// The payload of the panic that crashed the handler.
+    panicked: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Served {
+    /// Answers `msg` from `from`, or nothing once the handler is gone.
+    /// `Err` if the handler panicked on it, which drops the handler.
+    fn answer(&self, from: ProcessId, msg: &Msg) -> Result<Option<Msg>, ()> {
+        let mut handler = self.handler.lock();
+        let Some(call) = handler.as_mut() else { return Ok(None) };
+        catch_unwind(AssertUnwindSafe(|| call(from, msg))).map_err(|payload| {
+            *handler = None;
+            *self.panicked.lock() = Some(payload);
+        })
+    }
+}
+
+impl fmt::Debug for Served {
+    /// Takes no lock: a handler may be running.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Served").finish_non_exhaustive()
+    }
+}
 
 /// A transport that can mint [`Endpoint`]s on demand: the one seam the
 /// generic live cluster needs. [`InMemoryTransport`] and
@@ -130,13 +174,18 @@ pub trait Endpoint: Send + Sync {
     /// handler runs is the transport's choice, which is why the endpoint is
     /// taken by value: nothing else sends through a served endpoint.
     ///
-    /// The default is a thread of its own (`mwr-bank-<id>`) over the inbox,
-    /// replying with [`send`](Endpoint::send). Stopping it is checked
-    /// before each next frame, so the thread stops at its next message and
-    /// what its inbox still holds is dropped. [`TcpEndpoint`](crate::TcpEndpoint)
-    /// overrides it: there the registry's reactor runs the handler on each
-    /// frame it decodes and writes the reply on the connection the frame
-    /// came in on, with no thread or inbox in between.
+    /// Both transports override it to answer where a message arrives, with
+    /// no thread or inbox in between: [`InMemoryEndpoint`] runs the handler
+    /// inside the sender's `send` and pushes the reply into the sender's
+    /// inbox; on [`TcpEndpoint`](crate::TcpEndpoint) the registry's reactor
+    /// runs it on each frame it decodes and writes the reply on the
+    /// connection the frame came in on.
+    ///
+    /// The default, which a decorator that does not delegate `serve` runs
+    /// (`Arc<E>`, for one), is a thread of its own (`mwr-bank-<id>`) over
+    /// the inbox, replying with [`send`](Endpoint::send). Stopping it is
+    /// checked before each next frame, so the thread stops at its next
+    /// message and what its inbox still holds is dropped.
     ///
     /// # Panics
     ///
@@ -241,6 +290,10 @@ impl<E: Endpoint> Endpoint for Arc<E> {
 
 /// A process-addressed in-memory transport over crossbeam channels.
 ///
+/// A message to an endpoint goes into its inbox — unless the endpoint is
+/// served ([`InMemoryEndpoint::serve`]): then `send` runs its handler on
+/// the sender's thread and only the reply crosses a channel.
+///
 /// # Examples
 ///
 /// ```
@@ -259,7 +312,7 @@ impl<E: Endpoint> Endpoint for Arc<E> {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct InMemoryTransport {
-    inboxes: Arc<RwLock<InboxMap>>,
+    routes: Arc<RwLock<RouteMap>>,
     /// Monotone registration generation, so a late-dropped old endpoint
     /// can never evict a newer registration for the same id (churn mints
     /// and drops endpoints for the same slot concurrently).
@@ -287,32 +340,55 @@ impl InMemoryTransport {
         let generation = self
             .generation
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let prev = self.inboxes.write().insert(id, (generation, tx));
+        let prev = self.routes.write().insert(id, (generation, Route::Inbox(tx)));
         assert!(prev.is_none(), "duplicate endpoint {id}");
         InMemoryEndpoint { id, generation, transport: self.clone(), inbox: rx }
     }
 
-    /// Removes a process's inbox (future sends to it fail).
+    /// Removes a process's route (future sends to it fail).
     pub fn deregister(&self, id: ProcessId) {
-        self.inboxes.write().remove(&id);
+        self.routes.write().remove(&id);
     }
 
     /// Removes `id` only if its registration generation still matches —
     /// the endpoint-Drop path, which must not race a re-registration.
     fn deregister_generation(&self, id: ProcessId, generation: u64) {
-        let mut guard = self.inboxes.write();
+        let mut guard = self.routes.write();
         if guard.get(&id).is_some_and(|(g, _)| *g == generation) {
             guard.remove(&id);
         }
     }
 
+    /// Delivers `msg` into `to`'s inbox, or answers it with `to`'s handler
+    /// and delivers the reply into `from`'s. The handler runs with no lock
+    /// of the transport held.
     fn send_from(&self, from: ProcessId, to: ProcessId, msg: Msg) -> Result<(), TransportError> {
-        let guard = self.inboxes.read();
-        let (_, tx) = guard
-            .get(&to)
-            .ok_or(TransportError::UnknownDestination { to })?;
-        tx.send((from, msg))
-            .map_err(|_| TransportError::Disconnected { to })
+        let guard = self.routes.read();
+        let (generation, route) =
+            guard.get(&to).ok_or(TransportError::UnknownDestination { to })?;
+        let served = match route {
+            Route::Inbox(tx) => {
+                return tx.send((from, msg)).map_err(|_| TransportError::Disconnected { to })
+            }
+            Route::Served(served) => Arc::clone(served),
+        };
+        let generation = *generation;
+        let reply_to = match guard.get(&from) {
+            Some((_, Route::Inbox(tx))) => Some(tx.clone()),
+            _ => None,
+        };
+        drop(guard);
+        match served.answer(from, &msg) {
+            Ok(reply) => {
+                if let (Some(tx), Some(reply)) = (reply_to, reply) {
+                    // A dead client is not a server error.
+                    let _ = tx.send((to, reply));
+                }
+            }
+            // The panic crashed `to` alone; its sender sees message loss.
+            Err(()) => self.deregister_generation(to, generation),
+        }
+        Ok(())
     }
 }
 
@@ -333,7 +409,9 @@ impl EndpointFactory for InMemoryTransport {
     }
 }
 
-/// One process's handle on an [`InMemoryTransport`].
+/// One process's handle on an [`InMemoryTransport`]. A served one
+/// ([`serve`](Endpoint::serve)) has no thread: its handler runs on the
+/// thread of whoever sends to it.
 ///
 /// Dropping the endpoint deregisters its process from the transport —
 /// generation-guarded, so dropping a stale endpoint after the same id has
@@ -361,26 +439,52 @@ impl Endpoint for InMemoryEndpoint {
         self.transport.send_from(self.id, to, msg)
     }
 
-    /// One read-lock acquisition for the whole broadcast instead of one
-    /// per destination.
-    fn send_batch(&self, batch: Vec<(ProcessId, Msg)>) {
-        let guard = self.transport.inboxes.read();
-        for (to, msg) in batch {
-            if let Some((_, tx)) = guard.get(&to) {
-                let _ = tx.send((self.id, msg));
-            }
-        }
-    }
-
     fn inbox(&self) -> &Receiver<Inbound> {
         &self.inbox
+    }
+
+    /// Serving swaps this endpoint's route from its inbox to `handler`: a
+    /// `send` to it runs the handler on the sender's thread, one call at a
+    /// time, and pushes the reply into the sender's inbox. No thread, no
+    /// wake, one channel hop per round trip. Frames already in the inbox
+    /// stay there unanswered, as on TCP.
+    ///
+    /// A handler that panics crashes this endpoint alone: the sender's
+    /// `send` returns `Ok` (the crash model's message loss), the handler is
+    /// dropped and the route removed, and [`Serving::stop`] returns the
+    /// panic. Stopping removes the route, then drops the handler once a
+    /// call in flight returns, so no call starts after it returns.
+    fn serve<H>(self, handler: H) -> Serving
+    where
+        Self: Sized + 'static,
+        H: FnMut(ProcessId, &Msg) -> Option<Msg> + Send + 'static,
+    {
+        let served = Arc::new(Served {
+            handler: Mutex::new(Some(Box::new(handler))),
+            panicked: Mutex::new(None),
+        });
+        if let Some((generation, route)) = self.transport.routes.write().get_mut(&self.id) {
+            if *generation == self.generation {
+                *route = Route::Served(Arc::clone(&served));
+            }
+        }
+        Serving::new(move || {
+            self.transport.deregister_generation(self.id, self.generation);
+            drop(served.handler.lock().take());
+            let panicked = served.panicked.lock().take();
+            panicked.map_or(Ok(()), Err)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mwr_types::Value;
+    use mwr_core::{OpHandle, OpId};
+    use mwr_types::{ClientId, TaggedValue, Value};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn messages_flow_between_endpoints() {
@@ -471,5 +575,184 @@ mod tests {
         drop(stale); // generation mismatch: no-op
         client.send(ProcessId::reader(7), Msg::InvokeRead).unwrap();
         assert_eq!(fresh.inbox().len(), 1);
+    }
+
+    /// Spins (yielding) until `cond` holds; panics with `what` after 5 s.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(Instant::now() < deadline, "{what}");
+            thread::yield_now();
+        }
+    }
+
+    /// Runs `body` on a thread of its own and fails if it has not returned
+    /// within 10 s, so that a deadlock fails the test instead of hanging
+    /// the suite. The thread is detached on purpose (a deadlocked one
+    /// cannot be joined); its outcome, panic included, comes back over the
+    /// channel.
+    fn watched(body: fn()) {
+        let (done, finished) = bounded(1);
+        thread::spawn(move || {
+            let _ = done.send(catch_unwind(body));
+        });
+        let outcome =
+            finished.recv_timeout(Duration::from_secs(10)).expect("deadlocked: no return within 10 s");
+        outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+    }
+
+    fn query(seq: u64) -> Msg {
+        Msg::Query { handle: OpHandle { op: OpId { client: ClientId::reader(0), seq }, phase: 1 } }
+    }
+
+    fn answer(msg: &Msg) -> Option<Msg> {
+        match msg {
+            Msg::Query { handle } => {
+                Some(Msg::QueryAck { handle: *handle, latest: TaggedValue::initial() })
+            }
+            _ => None,
+        }
+    }
+
+    /// A served endpoint's handler: answers every query — and panics on
+    /// the one numbered `panic_on`.
+    fn answering(panic_on: u64) -> impl FnMut(ProcessId, &Msg) -> Option<Msg> + Send + 'static {
+        move |_, msg| match msg {
+            Msg::Query { handle } if handle.op.seq == panic_on => panic!("marked query"),
+            msg => answer(msg),
+        }
+    }
+
+    /// Sends `query(seq)` to `server` and waits for its answer.
+    fn round_trip(client: &InMemoryEndpoint, server: ProcessId, seq: u64) {
+        client.send(server, query(seq)).unwrap();
+        let (from, reply) = client.inbox().recv_timeout(Duration::from_secs(5)).expect("no answer");
+        assert_eq!(from, server);
+        assert!(matches!(reply, Msg::QueryAck { handle, .. } if handle.op.seq == seq), "{reply:?}");
+    }
+
+    /// A handler runs on whichever thread sends to its endpoint, so one
+    /// that panics must crash its own endpoint and no other — and not the
+    /// sender: its `send` returns `Ok` (the crash model's message loss),
+    /// the crashed endpoint's route goes, a sibling answers on, and
+    /// stopping the crashed one reports the panic.
+    #[test]
+    fn a_panicking_handler_crashes_its_endpoint_and_no_other() {
+        watched(|| {
+            let t = InMemoryTransport::new();
+            let doomed = t.register(ProcessId::server(0)).serve(answering(7));
+            let healthy = t.register(ProcessId::server(1)).serve(answering(u64::MAX));
+            let client = t.register(ProcessId::reader(0));
+            round_trip(&client, ProcessId::server(0), 0);
+            round_trip(&client, ProcessId::server(1), 0);
+
+            let sent =
+                catch_unwind(AssertUnwindSafe(|| client.send(ProcessId::server(0), query(7))));
+            assert!(matches!(sent, Ok(Ok(()))), "the sender saw the handler's panic: {sent:?}");
+            wait_until("the crashed endpoint is still routed", || {
+                client.send(ProcessId::server(0), query(8)).is_err()
+            });
+            assert!(
+                client.inbox().recv_timeout(Duration::from_millis(50)).is_err(),
+                "the crashed endpoint answered"
+            );
+            for seq in 1..=100 {
+                round_trip(&client, ProcessId::server(1), seq);
+            }
+            let panic = doomed.stop().expect_err("the handler's panic is reported");
+            assert_eq!(panic.downcast_ref::<&str>(), Some(&"marked query"));
+            healthy.stop().expect("the other handler never panicked");
+        });
+    }
+
+    /// Sets its flag when dropped.
+    struct DropFlag(Arc<AtomicBool>);
+
+    impl Drop for DropFlag {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Stopping is synchronous however many threads keep sending: once
+    /// `stop` returns the handler is dropped and no call of it starts, and
+    /// every later send is dropped, never answered.
+    #[test]
+    fn stopping_is_synchronous_while_four_threads_keep_sending() {
+        const SENDERS: u32 = 4;
+        let t = InMemoryTransport::new();
+        let (calls, late) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let (stopped, dropped) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
+        let serving = t.register(ProcessId::server(0)).serve({
+            let (calls, stopped) = (Arc::clone(&calls), Arc::clone(&stopped));
+            let late = Arc::clone(&late);
+            let flag = DropFlag(Arc::clone(&dropped));
+            move |_, msg| {
+                let _holds = &flag; // dropped with the handler
+                late.fetch_add(u64::from(stopped.load(Ordering::SeqCst)), Ordering::SeqCst);
+                calls.fetch_add(1, Ordering::SeqCst);
+                thread::yield_now();
+                answer(msg)
+            }
+        });
+        let after_stop = Arc::new(AtomicU64::new(0));
+        let answered: u64 = thread::scope(|scope| {
+            let senders: Vec<_> = (0..SENDERS)
+                .map(|c| {
+                    let endpoint = t.register(ProcessId::reader(c));
+                    let (stopped, after_stop) = (Arc::clone(&stopped), Arc::clone(&after_stop));
+                    scope.spawn(move || {
+                        let mut answered = 0u64;
+                        // Each sender keeps going well past the stop.
+                        let mut past_stop = 0;
+                        for seq in 0.. {
+                            let was_stopped = stopped.load(Ordering::SeqCst);
+                            let sent = endpoint.send(ProcessId::server(0), query(seq));
+                            if sent.is_ok() && was_stopped {
+                                after_stop.fetch_add(1, Ordering::SeqCst);
+                            }
+                            answered += endpoint.inbox().try_iter().count() as u64;
+                            past_stop += u32::from(was_stopped);
+                            if past_stop == 1_000 {
+                                break;
+                            }
+                        }
+                        // A reply in flight lands before the sender's
+                        // `send` returns, or in the server's thread's time.
+                        while endpoint.inbox().recv_timeout(Duration::from_millis(50)).is_ok() {
+                            answered += 1;
+                        }
+                        answered
+                    })
+                })
+                .collect();
+            wait_until("the senders never got going", || calls.load(Ordering::SeqCst) >= 4_000);
+            serving.stop().expect("the handler never panicked");
+            stopped.store(true, Ordering::SeqCst);
+            assert!(dropped.load(Ordering::SeqCst), "the handler outlived `stop`");
+            senders.into_iter().map(|s| s.join().expect("a sender panicked")).sum()
+        });
+        assert_eq!(late.load(Ordering::SeqCst), 0, "a handler call started after `stop` returned");
+        let calls = calls.load(Ordering::SeqCst);
+        assert_eq!(answered, calls, "every call answered once, and nothing else");
+        assert_eq!(after_stop.load(Ordering::SeqCst), 0, "a send after `stop` found the endpoint");
+    }
+
+    /// A frame already in the inbox when the endpoint is served stays
+    /// there unanswered, as on TCP: serving answers what is sent from
+    /// then on.
+    #[test]
+    fn a_frame_queued_before_serving_stays_unanswered() {
+        let t = InMemoryTransport::new();
+        let server = t.register(ProcessId::server(0));
+        let client = t.register(ProcessId::reader(0));
+        client.send(ProcessId::server(0), query(0)).unwrap();
+        let serving = server.serve(answering(u64::MAX));
+        round_trip(&client, ProcessId::server(0), 1);
+        assert!(
+            client.inbox().recv_timeout(Duration::from_millis(50)).is_err(),
+            "the frame sent before serving was answered"
+        );
+        serving.stop().expect("the handler never panicked");
     }
 }

@@ -4,8 +4,9 @@
 //!
 //! One thread per configured writer and reader issues operations until
 //! `duration` elapses, `think` apart (zero is the open loop: back to back,
-//! the offered load set by the client population). A register is the
-//! one-key keyspace, so what differs between workloads is input, not mode:
+//! yielding the CPU in between, the offered load set by the client
+//! population). A register is the one-key keyspace, so what differs between
+//! workloads is input, not mode:
 //!
 //! - **Clients.** Each thread gets a `mint(key) -> client` closure from its
 //!   caller, called the first time the thread draws a key; that client then
@@ -353,7 +354,14 @@ fn serve<E: Endpoint, Id>(
             Ok(_) => {
                 lat.record(SimTime::from_ticks(t0.elapsed().as_micros() as u64));
                 shared.completed.fetch_add(1, Ordering::Relaxed);
-                if !spec.think.is_zero() {
+                if spec.think.is_zero() {
+                    // An in-memory client never blocks (it runs every
+                    // server's handler itself), so without a yield here the
+                    // scheduler preempts it mid-operation, and a streaming
+                    // auditor can settle nothing the other clients complete
+                    // until that operation does.
+                    thread::yield_now();
+                } else {
                     thread::sleep(spec.think);
                 }
             }

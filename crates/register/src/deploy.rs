@@ -140,6 +140,12 @@ impl<S: Copy> Deployment<S> {
     }
 
     /// Sets the per-round-trip quorum timeout of live clients. Live backends only.
+    ///
+    /// The timeout bounds the wait for replies that have not arrived; replies
+    /// already queued in a client's inbox are always taken, so a zero timeout
+    /// still completes a round whose replies came back inside its broadcast,
+    /// as in-memory servers' replies do. Taking them ends because an inbox
+    /// holds only frames its endpoint asked for.
     pub fn timeout(mut self, timeout: Duration) -> Self {
         self.timeout = Some(timeout);
         self

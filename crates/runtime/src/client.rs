@@ -18,6 +18,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crossbeam::channel::TryRecvError;
 use mwr_core::{FastWire, Msg, OpKind, ReadMode, RoundMachine, Scope, Step, WriteMode};
 use mwr_types::{
     ClusterConfig, ConfigEpoch, ProcessId, ReaderId, RegisterId, ServerId, TaggedValue, Value,
@@ -242,6 +243,12 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
 
     /// Selects the per-round-trip quorum timeout (builder-style, like
     /// `Cluster::with_gc`).
+    ///
+    /// The timeout bounds the wait for replies that have not arrived; a
+    /// reply already queued in the inbox is always taken, so even
+    /// `Duration::ZERO` completes a round whose replies came back inside
+    /// its broadcast (an in-memory bank answers there). Draining the queue
+    /// ends because the inbox holds only frames this endpoint asked for.
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = timeout;
         self
@@ -324,8 +331,10 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
     /// Runs the round in flight: broadcasts it and blocks, feeding the
     /// machine every reply, until the machine says the round is complete.
     ///
-    /// Each attempt re-broadcasts the *same* round and waits up to
-    /// `timeout`; the machine counts acks per server for as long as the
+    /// Each attempt re-broadcasts the *same* round and waits until one
+    /// deadline, `timeout` past the broadcast. A queued reply is taken with
+    /// no clock read; the clock is read only to park on an empty inbox.
+    /// The machine counts acks per server for as long as the
     /// round is in flight, so a duplicate reply to a re-broadcast can never
     /// double-count and a straggler from an earlier attempt still completes
     /// a later one.
@@ -347,12 +356,22 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
             // A timeout too long to be a point in time ("never") is no deadline.
             let deadline = Instant::now().checked_add(self.timeout);
             loop {
-                let left = deadline
-                    .map_or(Duration::MAX, |at| at.saturating_duration_since(Instant::now()));
-                if left.is_zero() {
-                    break;
-                }
-                let Ok((from, msg)) = self.endpoint.inbox().recv_timeout(left) else { break };
+                // A queued reply is taken without a look at the clock: the
+                // deadline bounds only the wait for one that has not come.
+                let (from, msg) = match self.endpoint.inbox().try_recv() {
+                    Ok(inbound) => inbound,
+                    Err(TryRecvError::Disconnected) => break,
+                    Err(TryRecvError::Empty) => {
+                        let left = deadline.map_or(Duration::MAX, |at| {
+                            at.saturating_duration_since(Instant::now())
+                        });
+                        if left.is_zero() {
+                            break;
+                        }
+                        let Ok(inbound) = self.endpoint.inbox().recv_timeout(left) else { break };
+                        inbound
+                    }
+                };
                 match self.follow_view() {
                     None => {}
                     Some(Step::Wait) => self.broadcast(),
@@ -571,6 +590,35 @@ mod tests {
         reader.read().unwrap();
         reader.depart().unwrap();
         writer.depart().unwrap();
+        for s in servers {
+            s.shutdown();
+        }
+    }
+
+    /// The timeout bounds only the wait for replies that have not arrived:
+    /// an in-memory bank answers inside the client's broadcast, so every
+    /// reply is queued before the round starts waiting, and a zero timeout
+    /// still completes every round.
+    #[test]
+    fn queued_replies_complete_a_round_with_a_zero_timeout() {
+        let config = ClusterConfig::new(5, 1, 1, 1).unwrap();
+        let (transport, servers) = cluster(config);
+        let mut writer = LiveWriter::new(
+            transport.register(ProcessId::writer(0)),
+            WriterId::new(0),
+            config,
+            WriteMode::Slow,
+        )
+        .with_timeout(Duration::ZERO);
+        let mut reader = LiveReader::new(
+            transport.register(ProcessId::reader(0)),
+            ReaderId::new(0),
+            config,
+            ReadMode::Fast,
+        )
+        .with_timeout(Duration::ZERO);
+        let written = writer.write(Value::new(3)).unwrap();
+        assert_eq!(reader.read().unwrap(), written);
         for s in servers {
             s.shutdown();
         }

@@ -74,6 +74,10 @@ type Handler = Box<dyn FnMut(ProcessId, &Msg) -> Option<Msg> + Send>;
 /// A served in-memory endpoint's handler, called by whichever thread sends
 /// to the endpoint, one call at a time.
 struct Served {
+    /// The served endpoint's id and registration generation: the route a
+    /// panic removes.
+    id: ProcessId,
+    generation: u64,
     /// `None` once serving stopped or the handler panicked.
     handler: Mutex<Option<Handler>>,
     /// The payload of the panic that crashed the handler.
@@ -156,9 +160,14 @@ pub trait Endpoint: Send + Sync {
     ///
     /// This is the transport's batching seam: a round-trip broadcast is one
     /// call, so implementations can amortize their lookup locking across
-    /// the whole fan-out (on TCP, one pipeline-map lock for all the
-    /// frames, then one write per frame). The default just loops over
-    /// `send`.
+    /// the whole fan-out. Both transports override it: on TCP, one
+    /// pipeline-map lock for all the frames, then one write per frame; in
+    /// memory ([`InMemoryEndpoint`]), one read of the route map and one
+    /// clone of the sender's inbox `Sender`, then the served destinations'
+    /// handlers. Either way no lock of the transport is held while a frame
+    /// is written or a handler runs, so a handler may open or close
+    /// endpoints on the transport it serves on. The default just loops
+    /// over `send`.
     fn send_batch(&self, batch: Vec<(ProcessId, Msg)>) {
         for (to, msg) in batch {
             let _ = self.send(to, msg);
@@ -292,7 +301,9 @@ impl<E: Endpoint> Endpoint for Arc<E> {
 ///
 /// A message to an endpoint goes into its inbox — unless the endpoint is
 /// served ([`InMemoryEndpoint::serve`]): then `send` runs its handler on
-/// the sender's thread and only the reply crosses a channel.
+/// the sender's thread and only the reply crosses a channel. A broadcast
+/// ([`Endpoint::send_batch`]) resolves its routes once, under one read of
+/// the route map, and runs its handlers after that read is released.
 ///
 /// # Examples
 ///
@@ -364,31 +375,74 @@ impl InMemoryTransport {
     /// of the transport held.
     fn send_from(&self, from: ProcessId, to: ProcessId, msg: Msg) -> Result<(), TransportError> {
         let guard = self.routes.read();
-        let (generation, route) =
-            guard.get(&to).ok_or(TransportError::UnknownDestination { to })?;
-        let served = match route {
-            Route::Inbox(tx) => {
+        let served = match guard.get(&to) {
+            None => return Err(TransportError::UnknownDestination { to }),
+            Some((_, Route::Inbox(tx))) => {
                 return tx.send((from, msg)).map_err(|_| TransportError::Disconnected { to })
             }
-            Route::Served(served) => Arc::clone(served),
+            Some((_, Route::Served(served))) => Arc::clone(served),
         };
-        let generation = *generation;
-        let reply_to = match guard.get(&from) {
-            Some((_, Route::Inbox(tx))) => Some(tx.clone()),
-            _ => None,
-        };
+        let reply_to = inbox_of(&guard, from);
         drop(guard);
-        match served.answer(from, &msg) {
+        self.run_handler(&served, from, &msg, reply_to.as_ref());
+        Ok(())
+    }
+
+    /// Sends `from`'s broadcast under one read of the route map: a frame to
+    /// an inbox is pushed while it is held, and each served destination's
+    /// handler runs after it is released, its reply pushed into `from`'s
+    /// inbox. Unknown and closed destinations are skipped.
+    fn broadcast_from(&self, from: ProcessId, batch: Vec<(ProcessId, Msg)>) {
+        let guard = self.routes.read();
+        let reply_to = inbox_of(&guard, from);
+        // `(Arc<Served>, Msg)` is the size of the batch's pairs, so the
+        // collect can reuse the batch's buffer.
+        let served: Vec<(Arc<Served>, Msg)> = batch
+            .into_iter()
+            .filter_map(|(to, msg)| match guard.get(&to)? {
+                (_, Route::Inbox(tx)) => {
+                    let _ = tx.send((from, msg));
+                    None
+                }
+                (_, Route::Served(served)) => Some((Arc::clone(served), msg)),
+            })
+            .collect();
+        drop(guard);
+        for (served, msg) in served {
+            self.run_handler(&served, from, &msg, reply_to.as_ref());
+        }
+    }
+
+    /// Answers `msg` from `from` with a served endpoint's handler, which no
+    /// lock of the transport may be held around, and pushes the reply into
+    /// `reply_to`.
+    fn run_handler(
+        &self,
+        served: &Served,
+        from: ProcessId,
+        msg: &Msg,
+        reply_to: Option<&Sender<Inbound>>,
+    ) {
+        match served.answer(from, msg) {
             Ok(reply) => {
                 if let (Some(tx), Some(reply)) = (reply_to, reply) {
                     // A dead client is not a server error.
-                    let _ = tx.send((to, reply));
+                    let _ = tx.send((served.id, reply));
                 }
             }
-            // The panic crashed `to` alone; its sender sees message loss.
-            Err(()) => self.deregister_generation(to, generation),
+            // The panic crashed the served endpoint alone; its sender sees
+            // message loss.
+            Err(()) => self.deregister_generation(served.id, served.generation),
         }
-        Ok(())
+    }
+}
+
+/// The inbox `Sender` of `id`, if it is registered and not served: where a
+/// handler's replies to `id` go.
+fn inbox_of(routes: &RouteMap, id: ProcessId) -> Option<Sender<Inbound>> {
+    match routes.get(&id) {
+        Some((_, Route::Inbox(tx))) => Some(tx.clone()),
+        _ => None,
     }
 }
 
@@ -411,7 +465,10 @@ impl EndpointFactory for InMemoryTransport {
 
 /// One process's handle on an [`InMemoryTransport`]. A served one
 /// ([`serve`](Endpoint::serve)) has no thread: its handler runs on the
-/// thread of whoever sends to it.
+/// thread of whoever sends to it. A client's broadcast
+/// ([`send_batch`](Endpoint::send_batch)) runs every served destination's
+/// handler in turn, so the round's replies are in its inbox when the call
+/// returns.
 ///
 /// Dropping the endpoint deregisters its process from the transport —
 /// generation-guarded, so dropping a stale endpoint after the same id has
@@ -439,6 +496,14 @@ impl Endpoint for InMemoryEndpoint {
         self.transport.send_from(self.id, to, msg)
     }
 
+    /// One read of the route map and one clone of this endpoint's inbox
+    /// `Sender` for the whole broadcast, not one of each per destination.
+    /// The served destinations' handlers run after the read is released,
+    /// so a handler may open or close endpoints on this transport.
+    fn send_batch(&self, batch: Vec<(ProcessId, Msg)>) {
+        self.transport.broadcast_from(self.id, batch);
+    }
+
     fn inbox(&self) -> &Receiver<Inbound> {
         &self.inbox
     }
@@ -460,6 +525,8 @@ impl Endpoint for InMemoryEndpoint {
         H: FnMut(ProcessId, &Msg) -> Option<Msg> + Send + 'static,
     {
         let served = Arc::new(Served {
+            id: self.id,
+            generation: self.generation,
             handler: Mutex::new(Some(Box::new(handler))),
             panicked: Mutex::new(None),
         });
@@ -736,6 +803,81 @@ mod tests {
         let calls = calls.load(Ordering::SeqCst);
         assert_eq!(answered, calls, "every call answered once, and nothing else");
         assert_eq!(after_stop.load(Ordering::SeqCst), 0, "a send after `stop` found the endpoint");
+    }
+
+    /// A broadcast runs every served destination's handler with no lock of
+    /// the transport held: a handler that opens and drops an endpoint on
+    /// the same transport (the route map's write lock) returns when a
+    /// `send_batch` reaches it. And a handler that panics in the middle of
+    /// a batch crashes its own endpoint alone: the sender does not unwind,
+    /// the destinations before and after it are answered, and only its
+    /// route goes.
+    #[test]
+    fn a_broadcast_runs_its_handlers_with_no_transport_lock_held() {
+        watched(|| {
+            let t = InMemoryTransport::new();
+            let minting = t.register(ProcessId::server(0)).serve({
+                let t = t.clone();
+                move |_, msg| {
+                    drop(t.register(ProcessId::reader(9)));
+                    answer(msg)
+                }
+            });
+            let plain = t.register(ProcessId::server(1));
+            let client = t.register(ProcessId::reader(0));
+            client.send_batch(vec![
+                (ProcessId::server(0), query(0)),
+                (ProcessId::server(1), query(0)),
+            ]);
+            let (from, reply) = client.inbox().try_recv().expect("the minting handler's answer");
+            assert_eq!(from, ProcessId::server(0));
+            assert!(matches!(reply, Msg::QueryAck { .. }), "{reply:?}");
+            assert_eq!(plain.inbox().len(), 1, "the unserved destination's frame");
+            minting.stop().expect("the handler never panicked");
+        });
+        watched(|| {
+            let t = InMemoryTransport::new();
+            // The middle destination panics on query 7.
+            let servings: Vec<Serving> = [u64::MAX, 7, u64::MAX]
+                .into_iter()
+                .zip(0..)
+                .map(|(panic_on, s)| t.register(ProcessId::server(s)).serve(answering(panic_on)))
+                .collect();
+            let client = t.register(ProcessId::reader(0));
+            let broadcast = |seq| {
+                let batch = (0..3).map(|s| (ProcessId::server(s), query(seq))).collect();
+                catch_unwind(AssertUnwindSafe(|| client.send_batch(batch)))
+            };
+            // Who answered since the last look, and to which query.
+            let answered = || {
+                let mut answers: Vec<(ProcessId, u64)> = client
+                    .inbox()
+                    .try_iter()
+                    .map(|(from, reply)| match reply {
+                        Msg::QueryAck { handle, .. } => (from, handle.op.seq),
+                        reply => panic!("not an answer: {reply:?}"),
+                    })
+                    .collect();
+                answers.sort();
+                answers
+            };
+            let from = |servers: &[u32], seq| -> Vec<(ProcessId, u64)> {
+                servers.iter().map(|&s| (ProcessId::server(s), seq)).collect()
+            };
+            assert!(broadcast(0).is_ok());
+            assert_eq!(answered(), from(&[0, 1, 2], 0));
+            assert!(broadcast(7).is_ok(), "the sender saw the handler's panic");
+            assert_eq!(answered(), from(&[0, 2], 7), "a neighbour went unanswered");
+            let crashed = client.send(ProcessId::server(1), query(8));
+            assert!(crashed.is_err(), "the crashed route stayed");
+            round_trip(&client, ProcessId::server(0), 9);
+            round_trip(&client, ProcessId::server(2), 9);
+            let mut stopped = servings.into_iter().map(Serving::stop);
+            assert!(stopped.next().unwrap().is_ok());
+            let panic = stopped.next().unwrap().expect_err("the handler's panic is reported");
+            assert_eq!(panic.downcast_ref::<&str>(), Some(&"marked query"));
+            assert!(stopped.next().unwrap().is_ok());
+        });
     }
 
     /// A frame already in the inbox when the endpoint is served stays

@@ -8,9 +8,9 @@
 //! Two queue depths, 16 and 1 024 (the 8 × 8 `sim-wide` cluster has ≈ 87
 //! events pending), and two payloads: a unit message, and a 120-byte one,
 //! the size of `mwr_core::Msg`. The gap between the two payloads at one
-//! depth is what carrying the message through the queue costs; it should be
-//! small, because the heap orders 24-byte keys and the payload stays where
-//! it was written.
+//! depth is what carrying the message through the queue costs: an event is
+//! queued by value, so the wide payload is copied in when it is scheduled
+//! and out when it fires, and never boxed or sifted.
 //!
 //! One iteration is 1 000 events, and the rate is printed in events:
 //! `cargo bench -p mwr-bench --bench sim_engine` (`taskset -c 0` to read it

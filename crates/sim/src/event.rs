@@ -1,9 +1,8 @@
-//! Scheduled events and link selectors.
+//! Event payloads and link selectors.
 
 use mwr_types::ProcessId;
 
 use crate::automaton::TimerId;
-use crate::time::SimTime;
 
 /// Selects a set of directed links, with `None` acting as a wildcard.
 ///
@@ -109,40 +108,6 @@ impl<M> EventKind<M> {
     }
 }
 
-/// An event in the priority queue: ordered by `(at, seq)` so that ties in
-/// virtual time are broken deterministically by scheduling order.
-///
-/// This is the *key* of an event, 24 bytes whatever `M` is: the payload is
-/// written to its box once, when the event is scheduled, and read from it
-/// once, when the event fires, so the heap sifts three words per level and
-/// never a message.
-#[derive(Debug)]
-pub(crate) struct Scheduled<M> {
-    pub at: SimTime,
-    pub seq: u64,
-    pub kind: Box<EventKind<M>>,
-}
-
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<M> Eq for Scheduled<M> {}
-
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,23 +137,5 @@ mod tests {
         let sels = EventKind::<()>::link_between(r, s);
         assert!(sels.iter().any(|sel| sel.matches(r, s)));
         assert!(sels.iter().any(|sel| sel.matches(s, r)));
-    }
-
-    #[test]
-    fn scheduled_orders_by_time_then_seq() {
-        let at = |ticks, seq| Scheduled::<()> {
-            at: SimTime::from_ticks(ticks),
-            seq,
-            kind: Box::new(EventKind::Crash { process: ProcessId::server(0) }),
-        };
-        let (a, b, c) = (at(1, 5), at(1, 6), at(2, 0));
-        assert!(a < b);
-        assert!(b < c);
-    }
-
-    #[test]
-    fn a_queued_event_is_three_words_whatever_the_message() {
-        assert_eq!(std::mem::size_of::<Scheduled<[u64; 15]>>(), 24);
-        assert_eq!(std::mem::size_of::<Scheduled<()>>(), 24);
     }
 }

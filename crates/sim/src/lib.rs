@@ -17,14 +17,14 @@
 //! Determinism: every run is a pure function of the seed and the scheduled
 //! inputs. Ties in virtual time are broken by schedule order.
 //!
-//! Cost per event: the event queue orders 24-byte keys — `(time, sequence
-//! number, where the payload is)` — and an event's payload is written once,
-//! to its own box, when it is scheduled and read once when it fires, so a
-//! message is never moved by the heap. An automaton runs where it is stored:
-//! its callback can only fill the buffers of its [`Context`], which the
-//! engine owns, lends out empty and applies after the callback has returned,
-//! so the callback never sees the engine and the engine allocates nothing
-//! for it. A link's delay stream is a function of `(seed, from, to)` alone
+//! Cost per event: the event queue is one FIFO bucket per pending instant,
+//! so an event is appended by value when it is scheduled and taken from the
+//! front of the earliest bucket when it fires — nothing is boxed or sifted,
+//! and a bucket that empties is reused by the next new instant. An
+//! automaton runs where it is stored: its callback can only fill the
+//! buffers of its [`Context`], which the engine owns, lends out empty and
+//! applies after the callback has returned, so the callback never sees the
+//! engine and the engine allocates nothing for it. A link's delay stream is a function of `(seed, from, to)` alone
 //! and comes into being when the link first *draws* a delay; a
 //! [`DelayModel::Constant`] link never does, and a stream that does not
 //! exist is indistinguishable from one that was never sampled. None of this

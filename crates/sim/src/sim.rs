@@ -4,12 +4,12 @@
 //! every simulated suite pays half a million times per run, so the engine
 //! keeps three things out of the per-event path:
 //!
-//! - **The queue orders keys, payloads stay put.** The heap holds
-//!   [`Scheduled`] keys — `(at, seq)` and the box the [`EventKind`] was
-//!   written to when it was scheduled — so a sift moves 24 bytes per level
-//!   whatever the message type is (a protocol message is 120). Order is
-//!   `(at, seq)` and `seq` is unique, so ties in virtual time fire in
-//!   scheduling order and the payload never takes part in a comparison.
+//! - **The queue is a FIFO per instant.** Pending events sit by value in
+//!   one bucket per instant, kept in a map ordered by instant; scheduling
+//!   appends to its instant's bucket and firing takes the front of the
+//!   earliest. Ties in virtual time therefore fire in scheduling order with
+//!   nothing to compare or sift, and the payload is never boxed. A bucket
+//!   that empties is kept and handed to the next new instant.
 //! - **Dispatch is in place.** The automaton is borrowed where it lives for
 //!   the length of its callback. That is sound because a callback cannot
 //!   reach the engine: everything it does goes into its [`Context`]'s
@@ -17,15 +17,14 @@
 //!   engine fields the context does borrow (the shared RNG and the timer
 //!   counter) are disjoint from the automaton table. The buffers are the
 //!   engine's own, lent to each context empty and taken back drained, so an
-//!   event in steady state allocates nothing here but its payload's box.
+//!   event in steady state allocates nothing here.
 //! - **A delay stream exists once its link draws.** A link's stream is a
 //!   function of `(seed, from, to)` alone, created on first use, and
 //!   [`DelayModel::Constant`](crate::DelayModel::Constant) never draws: a
 //!   stream that was never created is indistinguishable from one that was
 //!   never sampled, so only a link whose model draws is looked up.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use rand::rngs::SmallRng;
@@ -35,7 +34,7 @@ use mwr_types::ProcessId;
 
 use crate::automaton::{Automaton, Buffers, Context};
 use crate::delay::DelayModel;
-use crate::event::{ControlAction, EventKind, LinkSelector, Scheduled};
+use crate::event::{ControlAction, EventKind, LinkSelector};
 use crate::network::{Network, Topology};
 use crate::time::SimTime;
 use crate::trace::Trace;
@@ -148,8 +147,10 @@ struct ParkedMsg<M> {
 /// end-to-end example.
 pub struct Simulation<M, N> {
     now: SimTime,
-    seq: u64,
-    heap: BinaryHeap<Reverse<Scheduled<M>>>,
+    /// Pending events: one FIFO bucket per instant, in scheduling order.
+    queue: BTreeMap<SimTime, VecDeque<EventKind<M>>>,
+    /// Buckets emptied by firing, kept for the next new instant.
+    spare: Vec<VecDeque<EventKind<M>>>,
     automata: BTreeMap<ProcessId, Box<dyn Automaton<M, N>>>,
     network: Network,
     parked: Vec<ParkedMsg<M>>,
@@ -180,7 +181,7 @@ impl<M: fmt::Debug, N> fmt::Debug for Simulation<M, N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Simulation")
             .field("now", &self.now)
-            .field("pending_events", &self.heap.len())
+            .field("pending_events", &self.queue.values().map(VecDeque::len).sum::<usize>())
             .field("processes", &self.automata.len())
             .field("parked", &self.parked.len())
             .field("stats", &self.stats)
@@ -201,8 +202,8 @@ impl<M: Clone + fmt::Debug, N> Simulation<M, N> {
     pub fn with_topology(seed: u64, topology: Topology) -> Self {
         Simulation {
             now: SimTime::ZERO,
-            seq: 0,
-            heap: BinaryHeap::new(),
+            queue: BTreeMap::new(),
+            spare: Vec::new(),
             automata: BTreeMap::new(),
             network: Network::new(topology),
             parked: Vec::new(),
@@ -357,8 +358,8 @@ impl<M: Clone + fmt::Debug, N> Simulation<M, N> {
     pub fn run_until(&mut self, deadline: SimTime) -> Result<RunStats, SimError> {
         self.ensure_started();
         let mut processed: u64 = 0;
-        while let Some(Reverse(next)) = self.heap.peek() {
-            if next.at > deadline {
+        while let Some((&at, _)) = self.queue.first_key_value() {
+            if at > deadline {
                 break;
             }
             self.step();
@@ -377,12 +378,17 @@ impl<M: Clone + fmt::Debug, N> Simulation<M, N> {
     /// use. Returns a payload-erased summary of what happened.
     pub fn step(&mut self) -> Option<SteppedEvent> {
         self.ensure_started();
-        let Reverse(ev) = self.heap.pop()?;
-        debug_assert!(ev.at >= self.now, "time went backwards");
-        self.now = ev.at;
+        let mut bucket = self.queue.first_entry()?;
+        let at = *bucket.key();
+        let event = bucket.get_mut().pop_front().expect("an empty bucket is never left queued");
+        if bucket.get().is_empty() {
+            self.spare.push(bucket.remove());
+        }
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
         self.stats.events_processed += 1;
         self.stats.end_time = self.now;
-        let kind = match *ev.kind {
+        let kind = match event {
             EventKind::Deliver { from, to, msg } => {
                 if self.network.is_crashed(to) {
                     self.stats.messages_dropped_crash += 1;
@@ -535,9 +541,8 @@ impl<M: Clone + fmt::Debug, N> Simulation<M, N> {
     }
 
     fn push_event(&mut self, at: SimTime, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Scheduled { at: at.max(self.now), seq, kind: Box::new(kind) }));
+        let spare = &mut self.spare;
+        self.queue.entry(at.max(self.now)).or_insert_with(|| spare.pop().unwrap_or_default()).push_back(kind);
     }
 }
 

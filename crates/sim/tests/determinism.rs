@@ -6,8 +6,14 @@
 //! seed ⇒ different delay draws, and — because delays come from per-link
 //! streams — traffic on one link must never perturb another link's delays.
 
-use mwr_sim::{Automaton, Context, DelayModel, Simulation, SimTime, TraceEntry};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
+
+use mwr_sim::{Automaton, Context, DelayModel, Simulation, SimTime, TimerId, TraceEntry};
 use mwr_types::ProcessId;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 #[derive(Clone, Debug, PartialEq)]
 enum Msg {
@@ -221,4 +227,154 @@ fn the_trace_of_seed_42_is_the_one_the_parent_of_pr_19_recorded() {
         (144, 72, 0x49b3_3416_1c31_aaeb),
         "the engine no longer reproduces the parent's run delivery for delivery"
     );
+}
+
+/// One schedule's bookkeeping, shared by the harness and every automaton:
+/// the instant each event was scheduled for, indexed by the order it was
+/// scheduled in, and every firing as `(now, index)`.
+#[derive(Default)]
+struct Ledger {
+    due: Vec<SimTime>,
+    fired: Vec<(SimTime, u64)>,
+}
+
+impl Ledger {
+    /// Records an event due at `at` and returns its scheduling index.
+    fn schedule(&mut self, at: SimTime) -> u64 {
+        self.due.push(at);
+        self.due.len() as u64 - 1
+    }
+}
+
+/// A token that lives `hops` more deliveries, named by its scheduling index.
+#[derive(Clone, Debug)]
+struct Token {
+    id: u64,
+    hops: u32,
+}
+
+/// Logs every callback and, while the token it was handed has hops left,
+/// sends zero to two tokens to random peers and sometimes sets a timer.
+/// Sends are made before the timer because the engine schedules a
+/// callback's sends before its timers, so the ledger's indices are the
+/// engine's scheduling order.
+struct Relay {
+    ledger: Rc<RefCell<Ledger>>,
+    delays: Rc<BTreeMap<(ProcessId, ProcessId), u64>>,
+    peers: Vec<ProcessId>,
+    rng: SmallRng,
+    timers: HashMap<TimerId, (u64, u32)>,
+}
+
+impl Relay {
+    fn fire(&mut self, id: u64, hops: u32, ctx: &mut Context<'_, Token, ()>) {
+        let now = ctx.now();
+        let mut ledger = self.ledger.borrow_mut();
+        ledger.fired.push((now, id));
+        let Some(hops) = hops.checked_sub(1) else { return };
+        for _ in 0..self.rng.gen_range(0..=2u32) {
+            let peer = self.peers[self.rng.gen_range(0..self.peers.len())];
+            let delay = self.delays[&(ctx.self_id(), peer)];
+            let id = ledger.schedule(now + SimTime::from_ticks(delay));
+            ctx.send(peer, Token { id, hops });
+        }
+        if self.rng.gen_bool(0.4) {
+            let delay = SimTime::from_ticks(self.rng.gen_range(0..=80u64));
+            let id = ledger.schedule(now + delay);
+            self.timers.insert(ctx.set_timer(delay), (id, hops));
+        }
+    }
+}
+
+impl Automaton<Token, ()> for Relay {
+    fn on_message(&mut self, _: ProcessId, token: Token, ctx: &mut Context<'_, Token, ()>) {
+        self.fire(token.id, token.hops, ctx);
+    }
+
+    fn on_external(&mut self, token: Token, ctx: &mut Context<'_, Token, ()>) {
+        self.fire(token.id, token.hops, ctx);
+    }
+
+    fn on_timer(&mut self, timer: TimerId, ctx: &mut Context<'_, Token, ()>) {
+        let (id, hops) = self.timers.remove(&timer).expect("a timer fires once");
+        self.fire(id, hops, ctx);
+    }
+}
+
+/// Runs one seeded schedule over three readers and three servers whose
+/// eighteen directed links each have a constant delay of 0–80 ticks:
+/// externals at random instants (some 10 000 ticks or more ahead), tokens
+/// relayed and timers set by the automata, and the clock moved by
+/// `run_until` jumps between batches of externals. Returns the ledger.
+fn random_schedule(seed: u64) -> Ledger {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let ledger = Rc::new(RefCell::new(Ledger::default()));
+    let clients: Vec<ProcessId> = (0..3).map(ProcessId::reader).collect();
+    let servers: Vec<ProcessId> = (0..3).map(ProcessId::server).collect();
+    let mut delays = BTreeMap::new();
+    for &c in &clients {
+        for &s in &servers {
+            delays.insert((c, s), rng.gen_range(0..=80u64));
+            delays.insert((s, c), rng.gen_range(0..=80u64));
+        }
+    }
+    let mut sim: Simulation<Token, ()> = Simulation::new(seed);
+    for (&(from, to), &ticks) in &delays {
+        sim.network_mut().set_link_delay(from, to, DelayModel::Constant(SimTime::from_ticks(ticks)));
+    }
+    let delays = Rc::new(delays);
+    for (own, peers) in [(&clients, &servers), (&servers, &clients)] {
+        for &p in own {
+            sim.add_process(
+                p,
+                Relay {
+                    ledger: Rc::clone(&ledger),
+                    delays: Rc::clone(&delays),
+                    peers: peers.clone(),
+                    rng: SmallRng::seed_from_u64(rng.gen_range(0..u64::MAX)),
+                    timers: HashMap::new(),
+                },
+            );
+        }
+    }
+    let processes: Vec<ProcessId> = clients.iter().chain(&servers).copied().collect();
+    for _ in 0..8 {
+        for _ in 0..rng.gen_range(1..=4u32) {
+            let ahead = if rng.gen_bool(0.15) { rng.gen_range(10_000..=20_000u64) } else { rng.gen_range(0..=120u64) };
+            let at = sim.now() + SimTime::from_ticks(ahead);
+            let to = processes[rng.gen_range(0..processes.len())];
+            let id = ledger.borrow_mut().schedule(at);
+            sim.schedule_external(at, to, Token { id, hops: rng.gen_range(0..=5u32) }).unwrap();
+        }
+        let deadline = sim.now() + SimTime::from_ticks(rng.gen_range(0..=150u64));
+        sim.run_until(deadline).unwrap();
+    }
+    sim.run_until_quiescent().unwrap();
+    drop(sim);
+    Rc::try_unwrap(ledger).ok().expect("the simulation is gone").into_inner()
+}
+
+/// The queue's contract, checked against what it is stated in rather than
+/// against a recorded run: an event fires at the instant it was scheduled
+/// for, exactly once, and events of one instant fire in the order they were
+/// scheduled, whatever their kind and whoever scheduled them.
+#[test]
+fn delivery_is_sorted_by_instant_then_scheduling_order() {
+    let (mut events, mut shared_instants) = (0, 0);
+    for seed in 0..200 {
+        let Ledger { due, fired } = random_schedule(seed);
+        for &(at, id) in &fired {
+            assert_eq!(due[id as usize], at, "seed {seed}: event {id} fired off its instant");
+        }
+        if let Some(w) = fired.windows(2).find(|w| w[0] >= w[1]) {
+            panic!("seed {seed}: {:?} fired before {:?}", w[0], w[1]);
+        }
+        let mut ids: Vec<u64> = fired.iter().map(|&(_, id)| id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..due.len() as u64).collect::<Vec<_>>(), "seed {seed}: not every event fired once");
+        events += fired.len();
+        shared_instants += fired.windows(2).filter(|w| w[0].0 == w[1].0).count();
+    }
+    assert!(events > 20_000, "{events} events in 200 schedules");
+    assert!(shared_instants > 2_000, "ties must be exercised: {shared_instants}");
 }

@@ -1,7 +1,8 @@
 //! A TCP transport: length-prefixed frames carrying the hand-rolled wire
-//! codec from `mwr-types` over **one TCP connection per pair of
-//! processes**. A request is written by the thread that sends it; a served
-//! endpoint's reply is written by the reactor that read the request.
+//! codec from `mwr-types`. A request is written by the thread that sends
+//! it, on the connection that sender dialed; a served endpoint's reply is
+//! written by the reactor that read the request, on the request's own
+//! connection — so a client and a server share **one TCP connection**.
 //!
 //! Every process owns a listening socket; a registry maps process ids to
 //! socket addresses. Frames are `u32` big-endian length followed by
@@ -12,35 +13,28 @@
 //! The paper prices an operation in round trips, so the cost of one
 //! request/reply exchange is what this module is built around:
 //!
-//! - **One connection per peer pair, replies ride the request's socket.**
-//!   Each endpoint keeps a connection table (`peer → live connection`)
-//!   that either side of a pair may fill. *Who dials:* whoever has a frame
-//!   for a peer and finds no live entry — in a cluster that is the client
-//!   (or a rejoining server fetching state), never a server answering.
-//!   A restarted peer that talks first has no connection, so it dials too.
-//!   The dialer enters the socket under the peer it dialed and hands it to
-//!   the reactor; the reactor enters an accepted one under the `from` of the
-//!   first frame read from it. *Who replies where:* a served endpoint's
-//!   reply is written by the reactor on the very connection the request was
-//!   read from, so the kernel piggybacks its TCP ACK on that reply (one
-//!   segment per `send` instead of two), and a peer that re-binds is
-//!   answered on the connection its new incarnation opened — no pipeline
-//!   is left pointing at the previous incarnation's address. A send looks
-//!   the peer up in the table and writes on the live connection. *When an
-//!   entry is retired:* the moment the reactor sees EOF, an I/O error, a
-//!   corrupt or oversized frame, or a frame naming a different sender than
-//!   the connection's first one — or a writer's `write` fails or times
-//!   out, or a reply tail stalls (below). Retiring marks the connection
-//!   dead, shuts the socket down and empties the entry, so no later send
-//!   pushes a frame into a socket already known dead; the next one uses
-//!   whatever connection the peer opened meanwhile, or dials. *Why FIFO
-//!   holds:* an entry is filled only while none is live, so a sender never
-//!   alternates between two live connections to one peer, and all writes
-//!   to a peer are serialized by its pipeline's lock — or, for a served
-//!   endpoint, made by the reactor alone. When both sides dial at the same
-//!   instant each keeps the connection it dialed for its own direction (the
-//!   other one is read, never written): two sockets for that pair until one
-//!   dies, each direction still on exactly one.
+//! - **A sender writes on the connection it dialed, a reply rides the
+//!   request's.** *Who dials:* every sender, for itself. A pipeline writes
+//!   only on the connection it dialed to its peer, and hands that socket to
+//!   the reactor, so that whatever comes back on it is read; a socket the
+//!   peer dialed is only ever read. *Who replies where:* a served endpoint
+//!   never sends. Its reply is written by the reactor on the very
+//!   connection the request was read from, so the kernel piggybacks its TCP
+//!   ACK on that reply (one segment per `send` instead of two), and a peer
+//!   that re-binds is answered on the connection its new incarnation
+//!   opened. A client–server pair thus holds exactly one connection; two
+//!   endpoints that both send to each other without serving hold two, one
+//!   per direction. *When a connection is retired:* the moment the reactor
+//!   sees EOF, an I/O error, a corrupt or oversized frame, or a frame
+//!   naming a different sender than the connection's first one — or a
+//!   writer's `write` fails or times out, or a reply tail stalls (below).
+//!   Retiring marks the connection dead and shuts the socket down, so no
+//!   later send pushes a frame into a socket already known dead: the next
+//!   one dials. *Why FIFO holds:* each direction of a pair runs on one
+//!   connection at a time — a sender's own dial, or the request's
+//!   connection for a reply — written by its pipeline under the peer's
+//!   lock, or by the reactor alone; a sender moves to a fresh dial only
+//!   once the old connection is dead.
 //! - **Who writes which socket.** A socket is written by exactly one
 //!   party. *A served endpoint's sockets* ([`TcpEndpoint::serve`] took the
 //!   endpoint, so nothing sends through it) are the reactor's alone: it
@@ -85,12 +79,9 @@
 //!   precisely the crash model the quorum protocols tolerate. Only an
 //!   attempt that *failed* renews the cache: frames dropped because the
 //!   cache said so leave it alone, so a sender that never pauses still
-//!   re-dials once per backoff. A negative-cached peer that comes back and
-//!   talks first is not waited out: it dialed, its connection entered the
-//!   table on its first frame, and a send consults the table before the
-//!   cache. The reactor reads a known peer's EOF ahead of a new
-//!   connection's first frame, so the previous incarnation's dead entry
-//!   never keeps the new one out.
+//!   re-dials once per backoff. Nothing else clears it: a peer that comes
+//!   back is dialed once the backoff has passed, even if it talked first
+//!   (a server never does; a client that re-binds is the one that dials).
 //! - **One reactor per registry.** Every listener and every connection of
 //!   every endpoint opened through one [`TcpRegistry`], dialed as well as
 //!   accepted, is served by a single thread (`tcp-reactor`) sleeping in
@@ -112,13 +103,13 @@
 //!   listener or connection and owning endpoint, the served endpoints'
 //!   handlers, and a command queue (*listen on this socket*, *adopt this
 //!   dialed connection*, *serve that endpoint*, *detach that endpoint*);
-//!   what is an endpoint's own stays with it — its connection table, its
-//!   inbox, its counters and gauge. A ready listener (non-blocking) is
-//!   accepted on until `WouldBlock`, each socket adopted on the spot; a
-//!   full descriptor table (`EMFILE`) withdraws it from the queue for
-//!   `ACCEPT_RETRY_PAUSE` rather than spin on it. An endpoint that does not
-//!   serve has sender threads writing on the sockets the reactor reads, so
-//!   those sockets stay *blocking*. Either way the reactor does exactly one
+//!   what is an endpoint's own stays with it — its inbox, its counters and
+//!   gauge. A ready listener (non-blocking) is accepted on until
+//!   `WouldBlock`, each socket adopted on the spot; a full descriptor table
+//!   (`EMFILE`) withdraws it from the queue for `ACCEPT_RETRY_PAUSE` rather
+//!   than spin on it. An endpoint that does not serve has sender threads
+//!   writing on the sockets it dialed, which the reactor reads, so its
+//!   sockets stay *blocking*. Either way the reactor does exactly one
 //!   `read` per readiness event: a reported socket has bytes or an EOF
 //!   waiting, so that read returns at once, and the level-triggered queue
 //!   re-reports whatever it left behind — no trailing `WouldBlock` probe,
@@ -277,8 +268,8 @@ pub struct ReaderStats {
     /// Frames decoded and delivered to the inbox (summed, for a registry).
     pub frames: u64,
     /// Connections the reactor currently reads for the endpoint, dialed
-    /// and accepted alike: one per peer it is talking to (summed, for a
-    /// registry).
+    /// and accepted alike: one per peer it sends to and one per peer that
+    /// sends to it (summed, for a registry).
     pub open_connections: usize,
 }
 
@@ -370,9 +361,10 @@ impl EndpointFactory for TcpRegistry {
     }
 }
 
-/// One TCP connection, shared by the reactor (which reads it) and the one
-/// pipeline that writes it (`&TcpStream` is both `Read` and `Write`) — or,
-/// for a served endpoint, the reactor's alone.
+/// One TCP connection: a dialed one is shared by the reactor (which reads
+/// it) and the pipeline that dialed and writes it (`&TcpStream` is both
+/// `Read` and `Write`); an accepted one is the reactor's alone, read — and,
+/// for a served endpoint, answered on.
 #[derive(Debug)]
 struct Conn {
     stream: TcpStream,
@@ -410,21 +402,22 @@ impl Conn {
     }
 }
 
-/// The I/O half of a peer pipeline: the connection in use, the reusable
+/// The I/O half of a peer pipeline: the connection it dialed, the reusable
 /// encode buffer, and the reconnect negative cache, behind the peer's
 /// lock — which also makes its holder the only writer of the connection.
+/// A pipeline writes on no connection but its own: a socket the peer
+/// dialed is only ever read here.
 #[derive(Debug)]
 struct PeerIo {
     from: ProcessId,
     to: ProcessId,
     /// Where `to` listens, and the tuning this pipeline runs with.
     registry: TcpRegistry,
-    /// The endpoint's receive side, whose connection table this pipeline
-    /// sends through.
+    /// The endpoint's receive side, to which a dialed connection is handed
+    /// so that the peer's frames on it are read.
     endpoint: Arc<EndpointShared>,
-    /// The connection last written on: the table's entry for `to` for as
-    /// long as it is live, cached here so a steady-state send costs one
-    /// atomic load, not a table lookup.
+    /// The connection this pipeline dialed to `to`, written on for as long
+    /// as it is live: a steady-state send costs one atomic load.
     conn: Option<Arc<Conn>>,
     buf: BytesMut,
     last_failed: Option<Instant>,
@@ -432,12 +425,12 @@ struct PeerIo {
 
 impl PeerIo {
     /// Encodes `msg` as one frame and writes it with a single `write_all`
-    /// on the peer's live connection, dialing (under the negative-cache
-    /// backoff) only when there is none. A write that failed on a dead
-    /// connection is retried once, on the connection the peer opened
-    /// meanwhile or a fresh dial; one that timed out is not, because the
-    /// peer is stalled and a redial would hold the sender again. An
-    /// unreachable peer drops the frame — the crash model's message loss.
+    /// on the connection to the peer, dialing (under the negative-cache
+    /// backoff) only when it is not live. A write that failed on a dead
+    /// connection is retried once, on a fresh dial; one that timed out is
+    /// not, because the peer is stalled and a redial would hold the sender
+    /// again. An unreachable peer drops the frame — the crash model's
+    /// message loss.
     fn write_frame(&mut self, msg: &Msg, stats: &PipelineStats) {
         self.buf.clear();
         // The receiver's frame bound holds on the send side too: an
@@ -482,31 +475,28 @@ impl PeerIo {
         }
     }
 
-    /// Leaves in `self.conn` the connection to write on: the cached one
-    /// while it is live, else the table's live entry for the peer (a
-    /// connection the peer dialed), else a fresh dial — or `None` when the
-    /// peer is unreachable.
+    /// Leaves in `self.conn` the connection to write on: the dialed one
+    /// while it is live, else a fresh dial — or `None` when the peer is
+    /// unreachable.
     fn ensure_conn(&mut self, stats: &PipelineStats) {
         if self.conn.as_ref().is_some_and(|conn| conn.is_live()) {
             return;
         }
-        self.conn = self.endpoint.live(self.to).or_else(|| self.try_connect(stats));
+        self.conn = self.try_connect(stats);
     }
 
     /// Gives up the connection after a failed write: a partial frame may
     /// be on the wire, so nothing more can be sent on it.
     fn retire_conn(&mut self) {
         if let Some(conn) = self.conn.take() {
-            self.endpoint.retire(Some(self.to), &conn);
+            conn.kill();
         }
     }
 
     /// Attempts one connection, respecting the negative cache: after a
-    /// failed connect, no syscall is issued until the backoff has elapsed
-    /// (a restarted peer that talked first is in the table, which
-    /// [`PeerIo::ensure_conn`] consults before this). The new connection
-    /// enters the table and is handed to the reactor, so replies come back
-    /// on it.
+    /// failed connect, no syscall is issued until the backoff has elapsed.
+    /// The new connection is handed to the reactor, so the peer's replies
+    /// are read off it.
     fn try_connect(&mut self, stats: &PipelineStats) -> Option<Arc<Conn>> {
         if self.last_failed.is_some_and(|at| at.elapsed() < self.registry.tuning.reconnect_backoff) {
             return None;
@@ -518,7 +508,10 @@ impl PeerIo {
         match TcpStream::connect(addr) {
             Ok(stream) => {
                 self.last_failed = None;
-                Some(self.endpoint.enter_dialed(self.to, Conn::new(stream, self.registry.tuning)))
+                let conn = Conn::new(stream, self.registry.tuning);
+                let endpoint = Arc::clone(&self.endpoint);
+                self.endpoint.reactor.submit(Command::Adopt { endpoint, conn: Arc::clone(&conn), peer: self.to });
+                Some(conn)
             }
             Err(_) => {
                 self.last_failed = Some(Instant::now());
@@ -594,19 +587,13 @@ impl std::fmt::Debug for Handler {
 /// What is one endpoint's own on the receive path, shared between the
 /// reactor (which accepts on the endpoint's listener and reads its
 /// connections into its inbox), its writer pipelines (which hand dialed
-/// sockets over and look up the connection table), and its owner (stats,
-/// detach).
+/// sockets over), and its owner (stats, detach).
 #[derive(Debug)]
 struct EndpointShared {
     id: ProcessId,
     /// The registry's tuning: a served connection's stall bound.
     tuning: TcpTuning,
     reactor: Arc<ReactorShared>,
-    /// The connection table: for each peer, the one connection frames to
-    /// it are written on. An entry is filled — by a pipeline that dialed,
-    /// or by the reactor for an accepted connection's first frame — only
-    /// while none is live, and emptied by [`EndpointShared::retire`].
-    table: Mutex<HashMap<ProcessId, Arc<Conn>>>,
     /// The sending half of the endpoint's inbox. Unbounded: the reactor
     /// reads for every endpoint and must never wait for one consumer.
     inbox: Sender<Inbound>,
@@ -622,50 +609,6 @@ struct EndpointShared {
 }
 
 impl EndpointShared {
-    /// The live connection to `peer`, if the table holds one.
-    fn live(&self, peer: ProcessId) -> Option<Arc<Conn>> {
-        self.table.lock().get(&peer).filter(|conn| conn.is_live()).cloned()
-    }
-
-    /// Enters `conn` as the connection to `peer` unless a live one is
-    /// already there, and returns the entry either way: a sender never
-    /// has two live connections to choose between.
-    fn enter(&self, peer: ProcessId, conn: Arc<Conn>) -> Arc<Conn> {
-        let mut table = self.table.lock();
-        match table.get(&peer) {
-            Some(entry) if entry.is_live() => Arc::clone(entry),
-            _ => {
-                table.insert(peer, Arc::clone(&conn));
-                conn
-            }
-        }
-    }
-
-    /// Enters a connection a pipeline just dialed and hands it to the
-    /// reactor, so the peer's replies are read off it. If the peer's own
-    /// dial was entered in the meantime, that one is used and the fresh
-    /// socket is closed unwritten.
-    fn enter_dialed(self: &Arc<Self>, peer: ProcessId, conn: Arc<Conn>) -> Arc<Conn> {
-        let entry = self.enter(peer, Arc::clone(&conn));
-        if Arc::ptr_eq(&entry, &conn) {
-            self.reactor.submit(Command::Adopt { endpoint: Arc::clone(self), conn, peer });
-        }
-        entry
-    }
-
-    /// Kills `conn` and empties its table entry, if it has one. Called by
-    /// the reactor the moment it sees the connection end and by a writer
-    /// whose `write` failed; whoever comes second finds nothing to do.
-    fn retire(&self, peer: Option<ProcessId>, conn: &Arc<Conn>) {
-        conn.kill();
-        if let Some(peer) = peer {
-            let mut table = self.table.lock();
-            if table.get(&peer).is_some_and(|entry| Arc::ptr_eq(entry, conn)) {
-                table.remove(&peer);
-            }
-        }
-    }
-
     /// Counts reactor wake-up number `wake` for this endpoint — once,
     /// however many of its sockets are ready in it. Reactor thread only.
     fn count_wake(&self, wake: u64) {
@@ -788,17 +731,13 @@ impl SharedConn {
             parsed += total;
             match self.peer {
                 Some(peer) if peer == from => {}
-                // One connection, one peer: replies to `peer` are written
-                // here, so a frame under another name would have its
-                // answer sent to the wrong process. Corrupt; drop it.
+                // One connection, one peer: a served endpoint's replies to
+                // `peer` are written here, so a frame under another name
+                // would have its answer sent to the wrong process.
+                // Corrupt; drop it.
                 Some(_) => return Outcome::Closed,
-                // An accepted connection's first frame says whose it is:
-                // from now on frames for that peer go out on it, unless
-                // the table already holds a live connection to them.
-                None => {
-                    self.peer = Some(from);
-                    self.owner.enter(from, Arc::clone(&self.conn));
-                }
+                // An accepted connection's first frame says whose it is.
+                None => self.peer = Some(from),
             }
             self.owner.frames.fetch_add(1, Ordering::Relaxed);
             let Some(handler) = &self.handler else {
@@ -895,12 +834,12 @@ impl Command {
     /// Disposes of a command the reactor will never run, because it has
     /// left its loop and closed every socket on the way out. A listener
     /// nobody accepts on is closed here, so dials to it are refused. A
-    /// connection nobody will read is unusable: retired, so the peer
-    /// reconnects or is given up (crash model). A detach has nothing left
-    /// to close; dropping it tells the endpoint waiting on `done` so.
+    /// connection nobody will read is unusable: killed, so its pipeline
+    /// redials or gives the peer up (crash model). A detach has nothing
+    /// left to close; dropping it tells the endpoint waiting on `done` so.
     fn refuse(self) {
-        if let Command::Adopt { endpoint, conn, peer } = self {
-            endpoint.retire(Some(peer), &conn);
+        if let Command::Adopt { conn, .. } = self {
+            conn.kill();
         }
     }
 }
@@ -997,9 +936,9 @@ impl Sockets<'_> {
     /// serves, answers its frames.
     fn adopt(&mut self, owner: Arc<EndpointShared>, conn: Arc<Conn>, peer: Option<ProcessId>) {
         self.next_key += 1;
-        // Unreadable, so unusable: the peer reconnects (crash model).
+        // Unreadable, so unusable: its dialer reconnects (crash model).
         if self.shared.poller.add(fd(&conn.stream), Event::readable(self.next_key)).is_err() {
-            owner.retire(peer, &conn);
+            conn.kill();
             return;
         }
         owner.conns.fetch_add(1, Ordering::SeqCst);
@@ -1224,13 +1163,6 @@ fn reactor_loop(shared: &ReactorShared) {
         if !events.is_empty() {
             wake = shared.wakes.fetch_add(1, Ordering::Relaxed) + 1;
         }
-        // Connections whose peer is known are read first. When a peer
-        // re-binds, the EOF of the connection to its previous incarnation
-        // (sent before the new one could dial) and the first frame of the
-        // new connection can surface in the same wake: the dead entry must
-        // be retired before the new connection asks for its place.
-        let conns = &sockets.conns;
-        events.sort_by_key(|event| conns.get(&event.key).is_some_and(|conn| conn.peer.is_none()));
         for event in &events {
             let Some(conn) = sockets.conns.get_mut(&event.key) else {
                 // A listener's key — or a socket reported, then closed by a
@@ -1248,11 +1180,11 @@ fn reactor_loop(shared: &ReactorShared) {
     }
 }
 
-/// Retires an adopted connection and withdraws it from the readiness queue
+/// Kills an adopted connection and withdraws it from the readiness queue
 /// (before the reactor's `Arc` drops, which may be what closes the
 /// descriptor).
 fn reap(shared: &ReactorShared, conn: &SharedConn) {
-    conn.owner.retire(conn.peer, &conn.conn);
+    conn.conn.kill();
     let _ = shared.poller.delete(fd(&conn.conn.stream));
     conn.owner.conns.fetch_sub(1, Ordering::SeqCst);
 }
@@ -1268,8 +1200,7 @@ pub struct TcpEndpoint {
     inbox: Receiver<Inbound>,
     pipelines: Mutex<HashMap<ProcessId, Arc<PeerPipeline>>>,
     local_addr: SocketAddr,
-    /// This endpoint's side of the receive path: connection table,
-    /// counters, gauge.
+    /// This endpoint's side of the receive path: inbox, counters, gauge.
     shared: Arc<EndpointShared>,
     /// This endpoint's share in the registry's reactor: the last endpoint
     /// to drop its handle stops and joins the thread.
@@ -1301,7 +1232,6 @@ impl TcpEndpoint {
             id,
             tuning: registry.tuning,
             reactor: Arc::clone(&reactor.shared),
-            table: Mutex::new(HashMap::new()),
             inbox: tx,
             wakes: AtomicU64::new(0),
             last_wake: AtomicU64::new(0),
@@ -1349,7 +1279,7 @@ impl TcpEndpoint {
     }
 
     /// The gauge of connections the reactor currently reads for this
-    /// endpoint: every connection of the table, dialed or accepted. The
+    /// endpoint: every connection it dialed and every one it accepted. The
     /// `Arc` outlives the endpoint, so tests can assert teardown really
     /// closed everything: the gauge reads zero by the time `drop` returns
     /// (the endpoint is detached from the reactor synchronously).
@@ -1538,8 +1468,11 @@ mod tests {
         assert_eq!(msg, Msg::InvokeWrite(Value::new(7)));
     }
 
+    /// Each direction rides the connection its own sender dialed: the
+    /// reply does not reuse the request's socket, because `b` does not
+    /// serve (a served endpoint's reactor would answer on it).
     #[test]
-    fn bidirectional_traffic_reuses_connections() {
+    fn each_direction_rides_the_connection_its_sender_dialed() {
         let registry = TcpRegistry::new();
         let a = TcpEndpoint::bind(ProcessId::reader(0), &registry).unwrap();
         let b = TcpEndpoint::bind(ProcessId::server(1), &registry).unwrap();
@@ -1556,6 +1489,8 @@ mod tests {
         assert_eq!(stats.frames_sent, 10, "all frames delivered: {stats:?}");
         assert_eq!(stats.connect_attempts, 1, "one connection reused: {stats:?}");
         assert!(stats.batches <= stats.frames_sent);
+        let stats = b.peer_stats(ProcessId::reader(0)).unwrap();
+        assert_eq!(stats.connect_attempts, 1, "the reply dialed once: {stats:?}");
     }
 
     /// Dropping an endpoint has the reactor close its listener before Drop
@@ -1647,64 +1582,6 @@ mod tests {
             assert!(Instant::now() < deadline, "pipeline never drained: {stats:?}");
             thread::yield_now();
         }
-    }
-
-    /// A negative-cached peer that comes back and talks first is reached at
-    /// once, long before the backoff expires. This pins the table path: the
-    /// restarted peer dialed, its connection entered the table on its first
-    /// frame, and the next send finds it there before it consults the
-    /// negative cache.
-    #[test]
-    fn inbound_traffic_forgives_a_negative_cached_peer() {
-        // Backoff far longer than the test: if the recovered peer gets a
-        // frame at all, it got it because inbound traffic forgave the
-        // cache, not because the backoff expired.
-        let tuning = TcpTuning { reconnect_backoff: Duration::from_secs(30), ..TcpTuning::default() };
-        let registry = TcpRegistry::new().with_tuning(tuning);
-        let a = TcpEndpoint::bind(ProcessId::writer(0), &registry).unwrap();
-        let b = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
-
-        // Healthy traffic establishes a's pipeline to b.
-        a.send(ProcessId::server(0), Msg::InvokeWrite(Value::new(1))).unwrap();
-        b.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
-
-        // Crash b and keep sending until the pipeline negative-caches it
-        // (the first write after a close can still land in the OS buffer,
-        // so poll for the drop instead of assuming the first send fails).
-        drop(b);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            a.send(ProcessId::server(0), Msg::InvokeRead).unwrap();
-            let stats = a.peer_stats(ProcessId::server(0)).unwrap();
-            if stats.frames_dropped > 0 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "crashed peer never negative-cached: {stats:?}");
-            thread::sleep(Duration::from_millis(1));
-        }
-
-        // Restart b under the same id: `bind` re-registers the (new)
-        // address. Its first outbound frame is the proof-of-life that must
-        // forgive a's negative cache.
-        let b2 = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
-        b2.send(ProcessId::writer(0), Msg::InvokeRead).unwrap();
-        // Receiving it means a's reader thread decoded (and marked) the
-        // peer before handing the frame to the inbox.
-        let (from, _) = a.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(from, ProcessId::server(0));
-
-        // The very next send must go through — 30 s before the backoff
-        // would have allowed a reconnect.
-        a.send(ProcessId::server(0), Msg::InvokeWrite(Value::new(42))).unwrap();
-        let (_, msg) = b2.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(msg, Msg::InvokeWrite(Value::new(42)), "send resumed after forgiveness");
-
-        let stats = a.peer_stats(ProcessId::server(0)).unwrap();
-        assert!(stats.frames_dropped >= 1, "crash phase dropped frames: {stats:?}");
-        assert!(
-            stats.connect_attempts <= 4,
-            "forgiveness must not open a connect storm: {stats:?}"
-        );
     }
 
     #[test]
@@ -1989,7 +1866,7 @@ mod tests {
         assert_eq!(first_frame_through(&a, &b), 0);
         assert_eq!(first_frame_through(&b, &a), 0);
         let totals = registry.reader_totals();
-        assert_eq!((totals.frames, totals.open_connections), (2, 2), "{totals:?}");
+        assert_eq!((totals.frames, totals.open_connections), (2, 4), "{totals:?}");
     }
 
     /// Regression: the registry kept one `Weak` per `bind` and pruned them
@@ -2062,28 +1939,26 @@ mod tests {
         assert!(c.inbox().recv_timeout(Duration::from_secs(5)).is_ok());
     }
 
-    /// The connection model's point: a request/reply exchange runs over the
-    /// one connection the requester dialed. The replier never connects,
-    /// and each side's reader holds exactly that one socket.
+    /// The connection model's point: a request/reply exchange with a served
+    /// endpoint runs over the one connection the requester dialed. The
+    /// reply rides it back, and each side's reactor holds exactly that one
+    /// socket.
     #[test]
     fn request_reply_exchange_uses_one_connection() {
         let registry = TcpRegistry::new();
         let client = TcpEndpoint::bind(ProcessId::writer(0), &registry).unwrap();
         let server = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
-        for i in 0..10 {
-            client.send(ProcessId::server(0), Msg::InvokeWrite(Value::new(i))).unwrap();
-            let (from, _) = server.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
-            server.send(from, Msg::InvokeRead).unwrap();
-            let (from, _) = client.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(from, ProcessId::server(0));
+        let gauge = server.connection_gauge();
+        let server = server.serve(answering(u64::MAX));
+        for seq in 0..10 {
+            round_trip(&client, ProcessId::server(0), seq);
         }
-        let replier = server.peer_stats(ProcessId::writer(0)).unwrap();
-        assert_eq!(replier.connect_attempts, 0, "replies ride the request's socket: {replier:?}");
-        assert_eq!(replier.frames_sent, 10, "{replier:?}");
         let requester = client.peer_stats(ProcessId::server(0)).unwrap();
         assert_eq!(requester.connect_attempts, 1, "{requester:?}");
+        assert_eq!(requester.frames_sent, 10, "{requester:?}");
         assert_eq!(client.reader_stats().open_connections, 1);
-        assert_eq!(server.reader_stats().open_connections, 1);
+        assert_eq!(gauge.load(Ordering::SeqCst), 1, "replies ride the request's socket");
+        server.stop().expect("the handler never panicked");
     }
 
     /// Regression: the negative cache used to be renewed by every batch it
@@ -2114,8 +1989,8 @@ mod tests {
             wait_until("crashed peer never negative-cached", || {
                 a.peer_stats(ProcessId::server(0)).unwrap().frames_dropped > 0
             });
-            // b2 never sends, so nothing forgives the cache early: only
-            // its expiry can get the sender to dial the new address.
+            // Only the cache's expiry can get the sender to dial the new
+            // address.
             let b2 = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
             let rebound = Instant::now();
             let heard = b2.inbox().recv_timeout(Duration::from_secs(5));
@@ -2174,8 +2049,6 @@ mod tests {
             assert!(lost <= 1, "round {round}: {lost} frames went into a socket known dead");
             replier.send(ProcessId::writer(0), Msg::InvokeRead).unwrap();
             requester.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
-            let stats = replier.peer_stats(ProcessId::writer(0)).unwrap();
-            assert_eq!(stats.connect_attempts, 0, "round {round}: {stats:?}");
             // Crash mid-conversation; the next round re-binds the id.
         }
         let stats = requester.peer_stats(ProcessId::server(0)).unwrap();
@@ -2183,9 +2056,8 @@ mod tests {
     }
 
     /// The requester crashes and re-binds under traffic. The survivor's
-    /// next frames reach the new incarnation — by a re-dial if it speaks
-    /// first, on the new inbound connection if the requester does — and
-    /// never go into the dead socket twice.
+    /// next frames reach the new incarnation by a re-dial, whoever speaks
+    /// first, and never go into the dead socket twice.
     #[test]
     fn replier_reaches_a_rebound_requester_on_a_fresh_connection() {
         let registry = TcpRegistry::new();
@@ -2198,27 +2070,25 @@ mod tests {
                 assert!(lost <= 1, "round {round}: {lost} frames went into a socket known dead");
             } else {
                 // The new incarnation speaks first. Once the old socket's
-                // EOF has been seen, its connection takes the old one's
-                // place in the table and the reply rides it.
+                // EOF has been seen, the survivor's next frame dials.
                 wait_until("dead connection never reaped", || {
                     replier.reader_stats().open_connections == 0
                 });
-                let dials = replier.peer_stats(ProcessId::writer(0)).unwrap().connect_attempts;
                 requester.send(ProcessId::server(0), Msg::InvokeRead).unwrap();
                 replier.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
                 assert_eq!(first_frame_through(&replier, &requester), 0, "round {round}");
-                let stats = replier.peer_stats(ProcessId::writer(0)).unwrap();
-                assert_eq!(stats.connect_attempts, dials, "round {round}: reply dialed: {stats:?}");
             }
-            wait_until("the pair never settled on one connection", || {
-                replier.reader_stats().open_connections == 1
+            // One connection per direction that carried a frame.
+            let directions = if round % 2 == 0 { 1 } else { 2 };
+            wait_until("the pair never settled on one connection per direction", || {
+                replier.reader_stats().open_connections == directions
             });
         }
     }
 
-    /// Both sides dial at the same instant. Each may end up writing on the
-    /// connection it dialed (two sockets for the pair), but each direction
-    /// stays on one connection: sequence numbers arrive in order.
+    /// Both sides dial at the same instant. Each writes on the connection
+    /// it dialed (two sockets for the pair), so each direction stays on one
+    /// connection: sequence numbers arrive in order.
     #[test]
     fn simultaneous_dials_keep_each_direction_in_order() {
         const FRAMES: u64 = 500;
@@ -2244,23 +2114,26 @@ mod tests {
                     assert_eq!(from, peer.id());
                     assert_eq!(msg, Msg::InvokeWrite(Value::new(seq)), "FIFO per direction");
                 }
+            }
+            // Both directions have been read, so both dials were adopted.
+            for (me, peer) in [(&a, &b), (&b, &a)] {
                 let stats = me.peer_stats(peer.id()).unwrap();
                 assert!(stats.connect_attempts <= 1, "{stats:?}");
                 assert_eq!(stats.frames_dropped, 0, "{stats:?}");
                 let open = me.reader_stats().open_connections;
-                assert!((1..=2).contains(&open), "{open} connections for one pair");
+                assert_eq!(open, 2, "{open} connections for one pair");
             }
         }
     }
 
-    /// A peer that connected, introduced itself and then stopped reading
-    /// gets its replies on the connection it opened. Once the TCP window
-    /// fills, a replying thread is held for at most `write_timeout` before
-    /// the connection is retired and the peer negative-cached — and the
-    /// reader thread, which shares that socket, is never held at all.
+    /// A peer that listens but never reads: the hub dials it and writes.
+    /// Once the TCP window fills, the sending thread is held for at most
+    /// `write_timeout` before the connection is retired and the peer
+    /// negative-cached — and the reactor, which reads that socket too, is
+    /// never held at all.
     #[test]
     #[allow(clippy::needless_update)] // Names the knobs it needs; the rest stay default.
-    fn stalled_peer_on_an_accepted_connection_holds_a_replier_at_most_the_write_timeout() {
+    fn stalled_peer_holds_a_sender_at_most_the_write_timeout() {
         let write_timeout = Duration::from_millis(200);
         let tuning = TcpTuning {
             write_timeout,
@@ -2271,16 +2144,11 @@ mod tests {
         let hub = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
         let good = TcpEndpoint::bind(ProcessId::writer(0), &registry).unwrap();
 
-        // The stalled peer lists an address nobody listens on (so the hub
-        // cannot dial its way around the stall) and never reads its socket.
+        // The stalled peer listens but never accepts: the kernel completes
+        // the hub's dial from the listen backlog, and nothing reads it.
         let stalled_id = ProcessId::reader(7);
-        let nobody = TcpListener::bind("127.0.0.1:0").unwrap();
-        registry.insert(stalled_id, nobody.local_addr().unwrap());
-        drop(nobody);
-        let mut stalled = TcpStream::connect(hub.local_addr()).unwrap();
-        stalled.write_all(&raw_frame(stalled_id, &Msg::InvokeRead)).unwrap();
-        let (from, _) = hub.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(from, stalled_id);
+        let stalled = TcpListener::bind("127.0.0.1:0").unwrap();
+        registry.insert(stalled_id, stalled.local_addr().unwrap());
 
         let bulky = Msg::ReadFast {
             handle: OpHandle { op: OpId { client: ClientId::Reader(ReaderId::new(7)), seq: 0 }, phase: 1 },
@@ -2314,7 +2182,7 @@ mod tests {
         hub.send(stalled_id, bulky).unwrap();
         assert!(sent.elapsed() < write_timeout / 2, "a cached peer must drop fast");
         let stats = hub.peer_stats(stalled_id).unwrap();
-        assert!(stats.connect_attempts <= 1, "{stats:?}");
+        assert_eq!(stats.connect_attempts, 1, "{stats:?}");
         wait_until("stalled connection never reaped", || {
             hub.reader_stats().open_connections == 1
         });
@@ -2551,16 +2419,11 @@ mod tests {
         let hub = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
         let good = TcpEndpoint::bind(ProcessId::writer(0), &registry).unwrap();
 
-        // The stalled peer lists an address nobody listens on and never
-        // reads the connection it opened to the hub.
+        // The stalled peer listens but never accepts: the kernel completes
+        // the hub's dial from the listen backlog, and nothing reads it.
         let stalled_id = ProcessId::reader(7);
-        let nobody = TcpListener::bind("127.0.0.1:0").unwrap();
-        registry.insert(stalled_id, nobody.local_addr().unwrap());
-        drop(nobody);
-        let mut stalled = TcpStream::connect(hub.local_addr()).unwrap();
-        stalled.write_all(&raw_frame(stalled_id, &Msg::InvokeRead)).unwrap();
-        let (from, _) = hub.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(from, stalled_id);
+        let stalled = TcpListener::bind("127.0.0.1:0").unwrap();
+        registry.insert(stalled_id, stalled.local_addr().unwrap());
 
         let bulky = Msg::ReadFast {
             handle: OpHandle { op: OpId { client: ClientId::Reader(ReaderId::new(7)), seq: 0 }, phase: 1 },
@@ -2614,6 +2477,6 @@ mod tests {
         hub.send(stalled_id, bulky).unwrap();
         assert!(sent.elapsed() < write_timeout / 2, "a cached peer must drop fast");
         let stats = hub.peer_stats(stalled_id).unwrap();
-        assert_eq!(stats.connect_attempts, 0, "a timed-out write must negative-cache the peer: {stats:?}");
+        assert_eq!(stats.connect_attempts, 1, "a timed-out write must negative-cache the peer: {stats:?}");
     }
 }

@@ -41,9 +41,9 @@ fn endpoint_drop_leaves_no_socket_open() {
     let hub = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
     let peers: Vec<TcpEndpoint> =
         (0..4).map(|i| TcpEndpoint::bind(ProcessId::writer(i), &registry).unwrap()).collect();
-    // Every kind of connection an endpoint can hold: dialed and written
-    // (peer → hub), accepted and replied on (hub → peer), and dialed
-    // towards a peer that never answers (hub → last peer).
+    // Every kind of connection an endpoint can hold: accepted and read
+    // (peer → hub), dialed for a reply and written (hub → peer), and
+    // dialed towards a peer that never answers (hub → last peer).
     for peer in &peers[..3] {
         peer.send(ProcessId::server(0), Msg::InvokeWrite(Value::new(1))).unwrap();
         let (from, _) = hub.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
@@ -60,10 +60,14 @@ fn endpoint_drop_leaves_no_socket_open() {
     // The hub's reader counts the connection the hub dialed on its next
     // wake-up, which can come after the peer has already been heard.
     let adopted = Instant::now() + Duration::from_secs(5);
-    while gauges[4].load(Ordering::SeqCst) < 4 && Instant::now() < adopted {
+    while gauges[4].load(Ordering::SeqCst) < 7 && Instant::now() < adopted {
         std::thread::yield_now();
     }
-    assert_eq!(gauges[4].load(Ordering::SeqCst), 4, "one connection per peer pair");
+    assert_eq!(
+        gauges[4].load(Ordering::SeqCst),
+        7,
+        "three accepted, three dialed for replies and one dialed to the silent peer"
+    );
     // Half the peers go first (the hub reaps their EOFs or not — either
     // way its own drop must close what is left), then the hub, then the
     // peers whose connections the hub's drop just killed.

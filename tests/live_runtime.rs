@@ -190,9 +190,10 @@ fn tcp_pipeline_stress_keeps_frames_whole_and_fifo() {
 /// A transport-level reconnect storm against one endpoint: a peer re-binds
 /// over and over, each incarnation sending a frame and receiving a reply
 /// before its socket dies. Each teardown EOFs the hub's adopted inbound
-/// connection and leaves the hub's reply pipeline pointing at a dead
-/// address (a negative-cached peer, reached again on the connection the
-/// next incarnation dials and enters in the hub's table). The shared reader must reap every EOF'd socket — the gauge
+/// connection and the one the hub dialed for its reply, and leaves the
+/// hub's pipeline pointing at a dead socket or a negative-cached peer,
+/// reached again by a fresh dial once the backoff has passed. The shared
+/// reader must reap every EOF'd socket — the gauge
 /// settles back to the live-connection count instead of accumulating one
 /// leaked buffer per storm round — and endpoint drop closes the rest.
 #[test]
@@ -207,9 +208,9 @@ fn tcp_reconnect_storm_does_not_leak_adopted_connections() {
         let peer = TcpEndpoint::bind(ProcessId::reader(0), &registry).unwrap();
         peer.send(ProcessId::server(0), Msg::InvokeRead).unwrap();
         hub.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
-        // The reply exercises the hub's writer pipeline against a peer
-        // that keeps dying: failed cycles negative-cache it, the next
-        // incarnation's inbound frame forgives the cache.
+        // The reply exercises the hub's pipeline against a peer that
+        // keeps dying: it dials each incarnation it can reach, and a
+        // failed cycle negative-caches the peer for one backoff.
         let _ = hub.send(ProcessId::reader(0), Msg::InvokeRead);
         drop(peer);
     }
@@ -334,12 +335,11 @@ fn crash_under_load_stays_atomic_under_full_audit() {
 
 /// A reconnect storm, continuously verified: reader slot 1's endpoint is
 /// torn down and re-bound over and over while fully audited writers and a
-/// stable reader keep the cluster under load. Every teardown leaves the
-/// servers' cached reply connections pointing at a dead socket; every
-/// re-bind registers a new address, so replies only resume once the
-/// reply pipelines notice the failure, negative-cache the peer, and then
-/// find the re-bound reader's next inbound request's connection in their
-/// endpoint's table, which a send consults before the cache.
+/// stable reader keep the cluster under load. Every teardown closes the
+/// storm reader's connections to the servers; every re-bind registers a
+/// new address, and the new incarnation dials each server afresh. A
+/// server answers on the connection a request came in on, so it never
+/// looks the reader up by address and holds no pipeline to it.
 /// The storm reader is minted straight off the runtime cluster (no audit
 /// tap: a re-bound endpoint restarts its op sequence numbers, which would
 /// collide in the auditor's window); the audited stable clients assert
@@ -383,10 +383,9 @@ fn reconnect_storm_stays_atomic_under_full_audit() {
                     .reader(1)
                     .expect("storm reader re-binds its endpoint")
                     .with_timeout(Duration::from_millis(250));
-                // The first request after a re-bind may lose its replies to
-                // the stale connections it is about to invalidate; a later
-                // one must get through once the pipelines forgive the
-                // negative-cached peer (within one backoff, not after it).
+                // A re-bound reader is answered on the connections it just
+                // dialed, so a read normally completes at once; the retries
+                // cover one that times out under the stable clients' load.
                 let ok = (0..8).any(|_| churn.read().is_ok());
                 assert!(ok, "storm round {round}: reply pipelines never forgave the re-bound reader");
             }
@@ -495,9 +494,9 @@ fn audited_rolling_restart_over_tcp_heals_and_stays_atomic() {
     // The rejoined incarnations must serve quorums on their own: crash a
     // minority and drive fresh (untapped) clients through the remaining
     // pair, both of which are post-restart incarnations. The re-bound
-    // client slots need the short-timeout-plus-retry idiom: the servers'
-    // reply pipelines still point at the drive-era addresses until the
-    // first inbound request makes them forgive and re-resolve.
+    // client slots keep the short-timeout-plus-retry idiom for a round
+    // that times out; routing needs no retry, since each server answers
+    // on the connection the fresh client dialed.
     cluster.crash_server(2);
     let runtime = cluster.cluster();
     let rebind_retry = RetryPolicy { attempts: 10, backoff: Duration::from_millis(10) };

@@ -172,10 +172,12 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Creates a blueprint with the bounded-state defaults: delta-snapshot
-    /// fast reads and acknowledged-floor GC on the servers. Use
+    /// Creates a blueprint with the bounded-state defaults every live
+    /// deployment runs: [`FastWire::Runs`] fast reads and
+    /// acknowledged-floor GC on the servers. Use
     /// [`with_fast_wire`](Self::with_fast_wire) /
-    /// [`with_gc`](Self::with_gc) for the paper-faithful full-info model.
+    /// [`with_gc`](Self::with_gc) for the paper-faithful full-info model,
+    /// the simulator's oracle.
     pub fn new(config: ClusterConfig, protocol: Protocol) -> Self {
         Cluster { config, protocol, wire: FastWire::default(), gc: true }
     }
@@ -201,11 +203,6 @@ impl Cluster {
     /// The protocol in use.
     pub fn protocol(&self) -> Protocol {
         self.protocol
-    }
-
-    /// The fast-read wire format clients will use.
-    pub fn fast_wire(&self) -> FastWire {
-        self.wire
     }
 }
 

@@ -65,7 +65,7 @@ pub struct ValueRecord {
 /// This follows the paper's *full-info* inclination (§4.1): servers report
 /// everything they hold; practical deployments would prune, which is an
 /// optimization the analysis deliberately ignores. The delta protocol
-/// ([`Msg::ReadFastDelta`]/[`DeltaSnapshot`]) is that optimization: clients
+/// ([`Msg::ReadFastRuns`]/[`DeltaSnapshot`]) is that optimization: clients
 /// reconstruct this exact snapshot from cached per-server state instead of
 /// receiving it whole on every read.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -296,7 +296,8 @@ impl SnapshotCache {
         SnapshotCache { version: 0, entries: vec![(TaggedValue::initial(), ClientSet::new())] }
     }
 
-    /// The acknowledged version to send with the next [`Msg::ReadFastDelta`].
+    /// The acknowledged version a reader sends with its next
+    /// [`Msg::ReadFastRuns`].
     pub fn acked_version(&self) -> u64 {
         self.version
     }
@@ -398,7 +399,7 @@ pub struct ReaderCache<'a> {
 
 impl ReaderCache<'_> {
     /// The acknowledged version to send with the next
-    /// [`Msg::ReadFastDelta`].
+    /// [`Msg::ReadFastRuns`].
     pub fn acked_version(&self) -> u64 {
         self.version
     }
@@ -555,10 +556,11 @@ pub enum Msg {
         /// Every tagged value the reader has ever observed.
         val_queue: Vec<TaggedValue>,
     },
-    /// The bounded-state fast read: only `valQueue` entries the reader does
-    /// not already know this server holds, plus the reader's acknowledged
-    /// snapshot version and completed-operation floor. The server replies
-    /// with a [`DeltaSnapshot`] instead of its full store.
+    /// The bounded-state fast read (wire version 3): only `valQueue`
+    /// entries the reader does not already know this server holds, plus the
+    /// reader's acknowledged snapshot version and completed-operation floor.
+    /// The server replies with a [`DeltaSnapshot`] instead of its full
+    /// store. Servers still answer it; readers send [`Msg::ReadFastRuns`].
     ReadFastDelta {
         /// Operation phase this round belongs to.
         handle: OpHandle,
@@ -729,7 +731,9 @@ pub enum Msg {
     /// with [`Msg::ReadFastRunsAck`] instead of [`Msg::ReadFastDeltaAck`].
     /// A v3 peer keeps sending discriminant 8 and keeps receiving
     /// discriminant 9, byte for byte — version negotiation is carried by
-    /// the request discriminant alone.
+    /// the request discriminant alone. Servers still answer v3 for that
+    /// decode compatibility, but no reader in this workspace sends it:
+    /// every delta fast read is this message.
     ReadFastRuns {
         /// Operation phase this round belongs to.
         handle: OpHandle,

@@ -108,26 +108,24 @@ pub enum ReadMode {
     Adaptive,
 }
 
-/// How fast-read rounds move information on the wire.
+/// How fast-read rounds move information on the wire. Every live reader
+/// runs [`FastWire::Runs`]; [`FastWire::FullInfo`] is the simulator's
+/// paper-faithful oracle, chosen through
+/// [`Cluster::with_fast_wire`](crate::Cluster::with_fast_wire).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FastWire {
     /// Full-information payloads, faithful to the paper's model (§4.1):
     /// the whole `valQueue` out, whole server snapshots back. O(history)
     /// per read.
     FullInfo,
-    /// Delta payloads: only unacknowledged `valQueue` entries out, only
-    /// store changes above the reader's per-server acknowledged version
-    /// back ([`Msg::ReadFastDelta`]). The reader reconstructs each
-    /// server's logical snapshot from cached state, so `admissible(·)`
-    /// selection is byte-for-byte unchanged. O(new information) per read.
-    Delta,
-    /// Delta payloads with run-length-encoded registration gossip (wire
-    /// version 4, [`Msg::ReadFastRuns`]): identical information flow to
-    /// [`FastWire::Delta`] — the ack decodes to the same
-    /// [`DeltaSnapshot`](crate::DeltaSnapshot) — but each record's sorted
-    /// `updated` list travels as consecutive-id runs, collapsing the
-    /// O(W×R) catch-up re-registration stream to one run per value on the
-    /// wire. In-memory semantics are byte-for-byte [`FastWire::Delta`].
+    /// Delta payloads (wire version 4, [`Msg::ReadFastRuns`]): only
+    /// unacknowledged `valQueue` entries out, only store changes above the
+    /// reader's per-server acknowledged version back, as a
+    /// [`DeltaSnapshot`](crate::DeltaSnapshot) whose records' sorted
+    /// `updated` lists travel as consecutive-id runs — one run per value
+    /// for the O(W×R) catch-up re-registration stream. The reader
+    /// reconstructs each server's logical snapshot from cached state, so
+    /// `admissible(·)` selection is unchanged. O(new information) per read.
     #[default]
     Runs,
 }
@@ -226,7 +224,7 @@ struct Reader {
     /// on each fast read.
     val_queue: BTreeSet<TaggedValue>,
     /// Per-server snapshot caches plus the incrementally-maintained
-    /// witness index over them (delta wires only).
+    /// witness index over them (the runs wire only).
     state: FastReadState,
     /// The largest server-announced GC floor seen; local state below it
     /// is pruned (every client has completed an operation above it).
@@ -245,7 +243,7 @@ enum Phase {
     Store { result: OpResult },
     /// Fast read over the full-info wire: collecting whole snapshots.
     ReadFast { replies: BTreeMap<ServerId, Snapshot> },
-    /// Fast read over a delta wire: the deltas merge straight into the
+    /// Fast read over the runs wire: the deltas merge straight into the
     /// reader's caches and index on arrival, nothing is held or cloned.
     ReadFastDelta,
     /// Read repair: storing an unsecured read's returned value after the
@@ -416,7 +414,7 @@ impl RoundMachine {
 
     /// The bare protocol request each server of the scope gets in the round
     /// in flight, in target order. Calling it again is a retry: the same
-    /// [`OpHandle`], and on the delta wires whatever each server has still
+    /// [`OpHandle`], and on the runs wire whatever each server has still
     /// not acknowledged.
     ///
     /// # Panics
@@ -471,10 +469,7 @@ impl RoundMachine {
             {
                 replies.insert(from, snapshot);
             }
-            (
-                Msg::ReadFastDeltaAck { handle, delta } | Msg::ReadFastRunsAck { handle, delta },
-                Phase::ReadFastDelta,
-            ) if handle == expected => {
+            (Msg::ReadFastRunsAck { handle, delta }, Phase::ReadFastDelta) if handle == expected => {
                 let Role::Reader(reader) = &mut self.role else {
                     unreachable!("only readers run fast rounds")
                 };
@@ -564,23 +559,18 @@ enum FastRead {
 }
 
 impl Reader {
-    /// A delta-wire request: only what `server` has not acknowledged yet.
-    /// The Runs wire differs solely in the frame discriminant (which selects
-    /// the run-length ack encoding on the way back).
+    /// A runs-wire request: only what `server` has not acknowledged yet.
     fn delta_request(&mut self, server: ServerId, handle: OpHandle, floor: TaggedValue) -> Msg {
         let cache = self.state.cache(server);
         let (acked, new_values) = (cache.acked_version(), cache.unacknowledged(&self.val_queue));
-        match self.wire {
-            FastWire::Runs => Msg::ReadFastRuns { handle, acked, floor, new_values },
-            _ => Msg::ReadFastDelta { handle, acked, floor, new_values },
-        }
+        Msg::ReadFastRuns { handle, acked, floor, new_values }
     }
 
     /// The tail of a fast read once its quorum is in: fold what the quorum
     /// holds into the `valQueue`, apply GC pruning, then run the mode's
     /// return-value selection over the witness index — built once from the
     /// borrowed snapshots on the full-info wire, the standing one masked to
-    /// the servers that replied on the delta wires. `S` is the scope's
+    /// the servers that replied on the runs wire. `S` is the scope's
     /// size: a scoped reader's world is its register's group, so the
     /// selector's `needed = S − a·t` uses it; the degree cap keeps the
     /// global `R` — an upper bound on the readers actually touching this
@@ -912,7 +902,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_read_payload_stays_flat_on_the_delta_wires_and_grows_on_full_info() {
+    fn fast_read_payload_stays_flat_on_the_runs_wire_and_grows_on_full_info() {
         const PAIRS: usize = 600;
         const WINDOW: usize = 100;
         // One writer and one reader, so every operation advances a floor
@@ -931,10 +921,8 @@ mod tests {
             let mean = |window: &[usize]| window.iter().sum::<usize>() as f64 / WINDOW as f64;
             (mean(&bytes[..WINDOW]), mean(&bytes[PAIRS - WINDOW..]))
         };
-        for wire in [FastWire::Delta, FastWire::Runs] {
-            let (first, last) = growth(wire);
-            assert!(last <= 1.05 * first, "{wire:?} grew with history: {first} -> {last} B/read");
-        }
+        let (first, last) = growth(FastWire::Runs);
+        assert!(last <= 1.05 * first, "Runs grew with history: {first} -> {last} B/read");
         let (first, last) = growth(FastWire::FullInfo);
         assert!(last >= 5.0 * first, "full-info must grow with history: {first} -> {last} B/read");
     }

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use mwr_almost::TunableCluster;
 use mwr_byz::{ByzBehavior, ByzCluster, ByzConfig, ByzReadMode};
-use mwr_core::{ClientEvent, Cluster, FastWire, Msg, Protocol, ReadMode, SimCluster};
+use mwr_core::{ClientEvent, Cluster, Msg, Protocol, ReadMode, SimCluster};
 use mwr_runtime::{
     EndpointFactory, FaultEvent, FaultPlan, InMemoryTransport, KeyspaceCluster, RetryPolicy,
     RuntimeCluster, TcpRegistry, TransportError,
@@ -29,7 +29,7 @@ use crate::spec::{Backend, Spec};
 /// [`ClusterConfig`] (the default), or a [`Keyspace`] over a
 /// [`KeyspaceConfig`]. The simulator entry points ([`sim`](Self::sim),
 /// [`sim_cluster`](Self::sim_cluster), [`byz`](Self::byz),
-/// [`backend`](Self::backend), [`gc`](Self::gc),
+/// [`backend`](Self::backend),
 /// [`run_closed_loop`](Self::run_closed_loop)) exist on the register shape
 /// only. See the [crate docs](crate) for the walkthrough; the short form:
 ///
@@ -55,8 +55,6 @@ pub struct Deployment<S = ClusterConfig> {
     config: S,
     spec: Option<Spec>,
     backend: Option<Backend>,
-    wire: Option<FastWire>,
-    gc: Option<bool>,
     timeout: Option<Duration>,
     audit: Option<AuditConfig>,
     retry: Option<RetryPolicy>,
@@ -75,7 +73,7 @@ pub struct Deployment<S = ClusterConfig> {
 /// ```
 ///
 /// A keyspace runs live only: it has no simulator, so the register's
-/// `backend` and `gc` knobs do not exist on it.
+/// `backend` knob does not exist on it.
 ///
 /// ```compile_fail
 /// use mwr_register::{Backend, Keyspace};
@@ -112,8 +110,6 @@ impl<S: Copy> Deployment<S> {
             config,
             spec: None,
             backend: None,
-            wire: None,
-            gc: None,
             timeout: None,
             audit: None,
             retry: None,
@@ -128,14 +124,6 @@ impl<S: Copy> Deployment<S> {
     /// protocols only.
     pub fn protocol(mut self, spec: impl Into<Spec>) -> Self {
         self.spec = Some(spec.into());
-        self
-    }
-
-    /// Selects the fast-read wire format of every reader. Core protocols
-    /// only ([`FastWire::FullInfo`] restores the paper's O(history)
-    /// payloads).
-    pub fn fast_wire(mut self, wire: FastWire) -> Self {
-        self.wire = Some(wire);
         self
     }
 
@@ -229,13 +217,6 @@ impl<S: Copy> Deployment<S> {
             }
         }
         let refuse = |knob, reason| Err(DeployError::Knob { knob, reason });
-        let core_only = [("fast_wire", self.wire.is_some()), ("gc", self.gc.is_some())];
-        if let Some(&(knob, _)) = core_only.iter().find(|&&(_, set)| set && !core) {
-            return refuse(knob, "tunable servers are plain and byz stays full-info deliberately");
-        }
-        if self.gc.is_some() && live {
-            return refuse("gc", "the live runtime always runs acknowledged-floor GC");
-        }
         let live_only = [
             ("timeout", self.timeout.is_some()),
             ("audit", self.audit.is_some()),
@@ -288,7 +269,6 @@ impl<S: Copy> Deployment<S> {
         }
         Ok(LiveHandle {
             cluster: start(factory, self.config, protocol)?,
-            wire: self.wire.unwrap_or_default(),
             timeout: self.timeout,
             retry: self.retry.unwrap_or_default(),
             audit,
@@ -315,13 +295,6 @@ impl Deployment<ClusterConfig> {
     /// unset).
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = Some(backend);
-        self
-    }
-
-    /// Enables or disables acknowledged-floor GC on the servers. Core
-    /// protocols on the simulator backend only.
-    pub fn gc(mut self, gc: bool) -> Self {
-        self.gc = Some(gc);
         self
     }
 
@@ -385,16 +358,7 @@ impl Deployment<ClusterConfig> {
         };
         sim_view.validate()?;
         Ok(match self.spec() {
-            Spec::Core(protocol) => {
-                let mut cluster = Cluster::new(self.config, protocol);
-                if let Some(wire) = self.wire {
-                    cluster = cluster.with_fast_wire(wire);
-                }
-                if let Some(gc) = self.gc {
-                    cluster = cluster.with_gc(gc);
-                }
-                AnySimCluster::Core(cluster)
-            }
+            Spec::Core(protocol) => AnySimCluster::Core(Cluster::new(self.config, protocol)),
             Spec::Tunable(spec) => AnySimCluster::Tunable(TunableCluster::new(self.config, spec)),
             Spec::Byz { config, read_mode, behavior } => {
                 AnySimCluster::Byz(ByzCluster::new(config, read_mode, behavior))
@@ -618,22 +582,6 @@ mod tests {
             .sim()
             .unwrap_err();
         assert!(matches!(err, DeployError::Knob { knob: "timeout", .. }), "{err}");
-        // fast_wire and gc are core-only knobs.
-        let err = Deployment::new(config())
-            .protocol(mwr_almost::TunableSpec::fastest())
-            .fast_wire(FastWire::FullInfo)
-            .sim()
-            .unwrap_err();
-        assert!(matches!(err, DeployError::Knob { knob: "fast_wire", .. }), "{err}");
-        let err = Deployment::new(config()).protocol(byz_spec()).gc(false).sim().unwrap_err();
-        assert!(matches!(err, DeployError::Knob { knob: "gc", .. }), "{err}");
-        // gc cannot be toggled on the live runtime.
-        let err = Deployment::new(config())
-            .backend(Backend::InMemory)
-            .gc(false)
-            .in_memory()
-            .unwrap_err();
-        assert!(matches!(err, DeployError::Knob { knob: "gc", .. }), "{err}");
     }
 
     #[test]

@@ -21,8 +21,8 @@ pub enum DeployError {
     /// A knob was set that the chosen shape, protocol and backend do not
     /// accept, or set to a value nothing could honour.
     Knob {
-        /// The offending knob (`backend`, `fast_wire`, `gc`, `timeout`,
-        /// `audit`, `retry`, `faults`).
+        /// The offending knob (`backend`, `timeout`, `audit`, `retry`,
+        /// `faults`).
         knob: &'static str,
         /// Why the combination rejects it.
         reason: &'static str,

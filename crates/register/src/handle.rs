@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mwr_check::AuditReport;
-use mwr_core::{ClientEvent, FastWire, Msg, Protocol, Router, ScheduledOp, SimCluster};
+use mwr_core::{ClientEvent, Msg, Protocol, Router, ScheduledOp, SimCluster};
 use mwr_runtime::{
     ClusterView, Endpoint, EndpointFactory, FaultPlan, KeyspaceCluster, LiveClient, LiveReader,
     LiveWriter, RetryPolicy, RuntimeCluster, RuntimeError, TransportError,
@@ -124,8 +124,8 @@ impl SimHandle {
 }
 
 /// A deployed register or keyspace on a live backend: servers running,
-/// blocking clients on demand, with the deployment's wire, timeout, retry
-/// and audit knobs applied to every client it mints or drives.
+/// blocking clients on demand, with the deployment's timeout, retry and
+/// audit knobs applied to every client it mints or drives.
 ///
 /// `C` is the cluster the handle owns: a [`RuntimeCluster`] for a register
 /// (the default), a [`KeyspaceCluster`] for a keyspace ([`KeyspaceHandle`]).
@@ -146,7 +146,6 @@ impl SimHandle {
 #[derive(Debug)]
 pub struct LiveHandle<F: EndpointFactory, C = RuntimeCluster<F>> {
     pub(crate) cluster: C,
-    pub(crate) wire: FastWire,
     pub(crate) timeout: Option<Duration>,
     /// The bounded retry policy of every client this handle mints or
     /// drives. Default: one attempt, no backoff.
@@ -169,9 +168,8 @@ pub struct LiveHandle<F: EndpointFactory, C = RuntimeCluster<F>> {
 }
 
 /// A shape's one live drive: each thread's mint over `Target`'s cluster,
-/// with the handle's wire and audit taps.
-type Run<C> =
-    fn(Target<'_, C>, FastWire, Option<TapFor<'_>>, DriveSpec) -> Result<ChaosReport, RuntimeError>;
+/// with the handle's audit taps.
+type Run<C> = fn(Target<'_, C>, Option<TapFor<'_>>, DriveSpec) -> Result<ChaosReport, RuntimeError>;
 
 impl<F: EndpointFactory, C: BorrowMut<KeyspaceCluster<F>>> LiveHandle<F, C> {
     /// The underlying runtime cluster, for transport-level access.
@@ -286,7 +284,7 @@ impl<F: EndpointFactory, C: BorrowMut<KeyspaceCluster<F>>> LiveHandle<F, C> {
         let spec = self.claim(spec, true)?;
         let taps = self.audit.as_ref().map(AuditHub::taps);
         let tap = taps.as_ref().map(|taps| taps as TapFor<'_>);
-        Ok(run(Target::Steady(&self.cluster), self.wire, tap, spec)?.into_throughput()?)
+        Ok(run(Target::Steady(&self.cluster), tap, spec)?.into_throughput()?)
     }
 
     /// Runs the shape's drive while executing the armed plan (an unarmed
@@ -296,7 +294,7 @@ impl<F: EndpointFactory, C: BorrowMut<KeyspaceCluster<F>>> LiveHandle<F, C> {
         let plan = self.faults.unwrap_or_default();
         let taps = self.audit.as_ref().map(AuditHub::taps);
         let tap = taps.as_ref().map(|taps| taps as TapFor<'_>);
-        Ok(run(Target::Faulted(&mut self.cluster, &plan), self.wire, tap, spec)?)
+        Ok(run(Target::Faulted(&mut self.cluster, &plan), tap, spec)?)
     }
 
     /// Joins every audit sidecar and hands back the still-running cluster
@@ -332,8 +330,8 @@ impl<F: EndpointFactory> LiveHandle<F> {
         self.mint(RegisterId::DEFAULT, || self.cluster.writer(idx))
     }
 
-    /// Creates reader `idx`'s blocking client, with the deployment's wire
-    /// format, timeout, retry policy and audit tap applied.
+    /// Creates reader `idx`'s blocking client, with the deployment's
+    /// timeout, retry policy and audit tap applied.
     ///
     /// # Errors
     ///
@@ -343,7 +341,7 @@ impl<F: EndpointFactory> LiveHandle<F> {
     ///
     /// Panics if `idx` is out of range or the reader was already created.
     pub fn reader(&self, idx: u32) -> Result<Reader<F::Endpoint>, DeployError> {
-        self.mint(RegisterId::DEFAULT, || self.cluster.reader_with_wire(idx, self.wire))
+        self.mint(RegisterId::DEFAULT, || self.cluster.reader(idx))
     }
 
     /// Drives this cluster with closed-loop clients (the one live drive,
@@ -392,11 +390,9 @@ impl<F: EndpointFactory> LiveHandle<F> {
     }
 
     /// The one live drive over this register: each thread's mint hands out
-    /// its one unscoped client, on its own endpoint with the deployment's
-    /// wire.
+    /// its one unscoped client, on its own endpoint.
     fn run_drive(
         target: Target<'_, RuntimeCluster<F>>,
-        wire: FastWire,
         tap: Option<TapFor<'_>>,
         spec: DriveSpec,
     ) -> Result<ChaosReport, RuntimeError> {
@@ -407,7 +403,7 @@ impl<F: EndpointFactory> LiveHandle<F> {
                 Ok(move |_| client.take().expect("a register thread draws one key"))
             },
             |cluster, r| {
-                let mut client = Some(cluster.reader_with_wire(r.index(), wire)?);
+                let mut client = Some(cluster.reader(r.index())?);
                 Ok(move |_| client.take().expect("a register thread draws one key"))
             },
             tap,
@@ -462,17 +458,15 @@ struct Mint {
     protocol: Protocol,
     router: Router,
     view: Arc<ClusterView>,
-    wire: FastWire,
 }
 
 impl Mint {
-    fn of<F: EndpointFactory>(cluster: &KeyspaceCluster<F>, wire: FastWire) -> Self {
+    fn of<F: EndpointFactory>(cluster: &KeyspaceCluster<F>) -> Self {
         Mint {
             config: cluster.config().group_config(),
             protocol: cluster.protocol(),
             router: *cluster.router(),
             view: cluster.view(),
-            wire,
         }
     }
 
@@ -484,10 +478,9 @@ impl Mint {
             .with_view(Arc::clone(&self.view))
     }
 
-    /// Reader `id`'s client for `key` over `ep`, on the deployment's wire,
-    /// scoped like a writer's.
+    /// Reader `id`'s client for `key` over `ep`, scoped like a writer's.
     fn reader<E: Endpoint>(&self, ep: Arc<E>, id: ReaderId, key: RegisterId) -> KeyReader<E> {
-        LiveReader::with_wire(ep, id, self.config, self.protocol.read_mode(), self.wire)
+        LiveReader::new(ep, id, self.config, self.protocol.read_mode())
             .with_scope(key, self.router.group_of(key))
             .with_view(Arc::clone(&self.view))
     }
@@ -536,13 +529,13 @@ impl<F: EndpointFactory> KeyspaceHandle<F> {
         assert!((idx as usize) < self.config().writers(), "writer {idx} out of range");
         let id = WriterId::new(idx);
         self.mint(key, || {
-            Ok(Mint::of(self.cluster(), self.wire).writer(self.endpoint(id.into())?, id, key))
+            Ok(Mint::of(self.cluster()).writer(self.endpoint(id.into())?, id, key))
         })
     }
 
     /// Creates reader `idx`'s blocking client for `key` — the reader-side
-    /// mirror of [`writer`](Self::writer), on the deployment's wire, with
-    /// the same sharing and the same one-client-per-`(idx, key)` rule.
+    /// mirror of [`writer`](Self::writer), with the same sharing and the
+    /// same one-client-per-`(idx, key)` rule.
     ///
     /// # Errors
     ///
@@ -555,7 +548,7 @@ impl<F: EndpointFactory> KeyspaceHandle<F> {
         assert!((idx as usize) < self.config().readers(), "reader {idx} out of range");
         let id = ReaderId::new(idx);
         self.mint(key, || {
-            Ok(Mint::of(self.cluster(), self.wire).reader(self.endpoint(id.into())?, id, key))
+            Ok(Mint::of(self.cluster()).reader(self.endpoint(id.into())?, id, key))
         })
     }
 
@@ -628,7 +621,6 @@ impl<F: EndpointFactory> KeyspaceHandle<F> {
     /// [`writer`](Self::writer) / [`reader`](Self::reader) do.
     fn run_drive(
         target: Target<'_, KeyspaceCluster<F>>,
-        wire: FastWire,
         tap: Option<TapFor<'_>>,
         spec: DriveSpec,
     ) -> Result<ChaosReport, RuntimeError> {
@@ -636,12 +628,12 @@ impl<F: EndpointFactory> KeyspaceHandle<F> {
             target,
             |cluster, w| {
                 let ep = Arc::new(cluster.factory().open(w.into())?);
-                let mint = Mint::of(cluster, wire);
+                let mint = Mint::of(cluster);
                 Ok(move |key| mint.writer(Arc::clone(&ep), w, key))
             },
             |cluster, r| {
                 let ep = Arc::new(cluster.factory().open(r.into())?);
-                let mint = Mint::of(cluster, wire);
+                let mint = Mint::of(cluster);
                 Ok(move |key| mint.reader(Arc::clone(&ep), r, key))
             },
             tap,
@@ -809,18 +801,18 @@ mod tests {
         handle.shutdown();
     }
 
-    /// Every knob the keyspace accepts reaches what it tunes: the wire its
-    /// readers, and an unset protocol resolves to W2Ra (a register's to
-    /// W2R1).
+    /// Every knob the keyspace accepts reaches what it tunes: its readers
+    /// speak the runs wire, and an unset protocol resolves to W2Ra (a
+    /// register's to W2R1).
     #[test]
     fn keyspace_knobs_reach_the_registry_and_the_readers() {
         let config = KeyspaceConfig::new(5, 1, 3, 8, 1, 1).unwrap();
-        let handle = Keyspace::new(config).fast_wire(FastWire::FullInfo).tcp().unwrap();
+        let handle = Keyspace::new(config).tcp().unwrap();
         assert_eq!(handle.cluster().protocol(), Protocol::W2Ra);
         let key = RegisterId::new(3);
         let mut w = handle.writer(0, key).unwrap();
         let mut r = handle.reader(0, key).unwrap();
-        assert!(format!("{r:?}").contains("wire: FullInfo"), "{r:?}");
+        assert!(format!("{r:?}").contains("wire: Runs"), "{r:?}");
         let written = w.write(Value::new(8)).unwrap();
         assert_eq!(r.read().unwrap(), written);
         drop((w, r));

@@ -14,8 +14,7 @@
 //! Deployment::new(config)           what cluster: S, t, R, W
 //!     .protocol(spec)               which family/protocol: Spec::{Core,Tunable,Byz}
 //!     .backend(backend)             where it runs: Backend::{Sim, InMemory, Tcp}
-//!     .fast_wire(..) .gc(..)        optional knobs, validated per combination
-//!     .timeout(..) .audit(..)
+//!     .timeout(..) .audit(..)       optional knobs, validated per combination
 //!     .retry(..) .inject(..)
 //!     .sim() / .in_memory() / .tcp()
 //! ```
@@ -85,6 +84,6 @@ pub use spec::{Backend, Spec};
 
 // The vocabulary a facade user needs without naming the member crates.
 pub use mwr_check::{AuditReport, AuditStats, Verdict, Violation};
-pub use mwr_core::{FastWire, Protocol, ScheduledOp, SimCluster};
+pub use mwr_core::{Protocol, ScheduledOp, SimCluster};
 pub use mwr_runtime::{FaultEvent, FaultPlan, FaultStep, FaultTrigger, RetryPolicy};
 pub use mwr_workload::ChaosReport;

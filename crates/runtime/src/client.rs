@@ -78,7 +78,7 @@ impl From<TransportError> for RuntimeError {
 /// quorum started by its predecessor.
 ///
 /// Every retried round is idempotent: `Query` is a pure read,
-/// and `Update`/`ReadFast`/`ReadFastDelta` re-apply to the same state
+/// and `Update`/`ReadFastRuns` re-apply to the same state
 /// (registration and store inserts are set-unions keyed by the same
 /// handle's data).
 ///
@@ -161,29 +161,14 @@ impl<E: Endpoint> LiveWriter<E> {
 }
 
 impl<E: Endpoint> LiveReader<E> {
-    /// Creates a reader over an endpoint with the default
-    /// [`FastWire::Runs`] wire format.
+    /// Creates a reader over an endpoint. Its fast reads go out on the
+    /// [`FastWire::Runs`] wire, the one a live reader speaks.
     ///
     /// # Panics
     ///
     /// Panics if the endpoint's identity is not the given reader.
     pub fn new(endpoint: E, id: ReaderId, config: ClusterConfig, mode: ReadMode) -> Self {
-        Self::with_wire(endpoint, id, config, mode, FastWire::default())
-    }
-
-    /// Creates a reader with an explicit fast-read wire format.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the endpoint's identity is not the given reader.
-    pub fn with_wire(
-        endpoint: E,
-        id: ReaderId,
-        config: ClusterConfig,
-        mode: ReadMode,
-        wire: FastWire,
-    ) -> Self {
-        Self::drive(endpoint, RoundMachine::reader(id, config, mode, wire))
+        Self::drive(endpoint, RoundMachine::reader(id, config, mode, FastWire::Runs))
     }
 
     /// Reads the register, blocking until the protocol's round-trips
@@ -454,6 +439,7 @@ mod tests {
     use mwr_core::{Protocol, Router, ServerBank};
     use mwr_types::Tag;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     /// Server `index` of `config` as a one-shard bank whose group is the
     /// whole cluster — what `RuntimeCluster` runs.
@@ -647,11 +633,25 @@ mod tests {
         drop(servers);
     }
 
-    /// An endpoint that counts its broadcasts: one `send_batch` is one
-    /// round attempt.
+    /// An endpoint that counts its broadcasts (one `send_batch` is one
+    /// round attempt) and records every request it sends, stripped of its
+    /// epoch and register frames.
     struct Counting<E> {
         inner: E,
         broadcasts: AtomicUsize,
+        sent: Mutex<Vec<Msg>>,
+    }
+
+    impl<E> Counting<E> {
+        fn record(&self, msg: &Msg) {
+            fn bare(msg: &Msg) -> &Msg {
+                match msg {
+                    Msg::InEpoch { inner, .. } | Msg::ForRegister { inner, .. } => bare(inner),
+                    msg => msg,
+                }
+            }
+            self.sent.lock().unwrap().push(bare(msg).clone());
+        }
     }
 
     impl<E: Endpoint> Endpoint for Counting<E> {
@@ -659,10 +659,12 @@ mod tests {
             self.inner.id()
         }
         fn send(&self, to: ProcessId, msg: Msg) -> Result<(), TransportError> {
+            self.record(&msg);
             self.inner.send(to, msg)
         }
         fn send_batch(&self, batch: Vec<(ProcessId, Msg)>) {
             self.broadcasts.fetch_add(1, Ordering::Relaxed);
+            batch.iter().for_each(|(_, msg)| self.record(msg));
             self.inner.send_batch(batch);
         }
         fn inbox(&self) -> &crossbeam::channel::Receiver<Inbound> {
@@ -689,6 +691,7 @@ mod tests {
             let endpoint = Arc::new(Counting {
                 inner: cluster.factory().open(id.into()).unwrap(),
                 broadcasts: 0.into(),
+                sent: Mutex::default(),
             });
             let mut late =
                 LiveReader::new(Arc::clone(&endpoint), id, config, protocol.read_mode())
@@ -697,6 +700,68 @@ mod tests {
             assert_eq!(endpoint.broadcasts.swap(0, Ordering::Relaxed), 2, "{protocol}: late join");
             assert_eq!(late.read().unwrap(), last, "{protocol}");
             assert_eq!(endpoint.broadcasts.load(Ordering::Relaxed), 1, "{protocol}: caught up");
+            cluster.shutdown();
+        }
+    }
+
+    /// A live reader puts only v4 fast reads on the wire, in both fast
+    /// modes: built as `RuntimeCluster::reader` builds one (its own
+    /// endpoint, bare frames) and as a keyspace handle mints one (an
+    /// `Arc`-shared endpoint, register-wrapped frames), every fast-read
+    /// request it sends is a `ReadFastRuns`.
+    #[test]
+    fn a_live_reader_sends_only_runs_fast_reads() {
+        const READS: usize = 10;
+        for protocol in [Protocol::W2R1, Protocol::W2Ra] {
+            let config = ClusterConfig::new(5, 1, 2, 1).unwrap();
+            let cluster =
+                RuntimeCluster::start_on(InMemoryTransport::new(), config, protocol).unwrap();
+            let counted = |id: ReaderId| {
+                Arc::new(Counting {
+                    inner: cluster.factory().open(id.into()).unwrap(),
+                    broadcasts: 0.into(),
+                    sent: Mutex::default(),
+                })
+            };
+            let (bare_ep, keyed_ep) = (counted(ReaderId::new(0)), counted(ReaderId::new(1)));
+            let (read, write) = (protocol.read_mode(), protocol.write_mode());
+            let mut bare = LiveReader::new(Arc::clone(&bare_ep), ReaderId::new(0), config, read)
+                .with_view(cluster.view());
+            let key = RegisterId::new(7);
+            let group = cluster.router().group_of(key);
+            let w = WriterId::new(0);
+            let writer_ep = Arc::new(cluster.factory().open(w.into()).unwrap());
+            let mut writer = LiveWriter::new(Arc::clone(&writer_ep), w, config, write);
+            let mut keyed_writer = LiveWriter::new(writer_ep, w, config, write)
+                .with_scope(key, group.clone())
+                .with_view(cluster.view());
+            let mut keyed = LiveReader::new(Arc::clone(&keyed_ep), ReaderId::new(1), config, read)
+                .with_scope(key, group)
+                .with_view(cluster.view());
+            for i in 1..=READS as u64 {
+                let written = writer.write(Value::new(i)).unwrap();
+                assert_eq!(bare.read().unwrap(), written, "{protocol}");
+                let written = keyed_writer.write(Value::new(i)).unwrap();
+                assert_eq!(keyed.read().unwrap(), written, "{protocol}");
+            }
+            for (shape, endpoint) in [("bare", &bare_ep), ("keyed", &keyed_ep)] {
+                let sent = endpoint.sent.lock().unwrap();
+                let fast: Vec<&Msg> = sent
+                    .iter()
+                    .filter(|msg| {
+                        matches!(
+                            msg,
+                            Msg::ReadFast { .. }
+                                | Msg::ReadFastDelta { .. }
+                                | Msg::ReadFastRuns { .. }
+                        )
+                    })
+                    .collect();
+                assert_eq!(fast.len(), READS * config.servers(), "{protocol} {shape}: one round");
+                let other = fast.iter().find(|msg| !matches!(msg, Msg::ReadFastRuns { .. }));
+                assert!(other.is_none(), "{protocol} {shape}: a fast read went out as {other:?}");
+            }
+            drop((bare, keyed));
             cluster.shutdown();
         }
     }

@@ -13,7 +13,7 @@
 use std::borrow::{Borrow, BorrowMut};
 use std::ops::{Deref, DerefMut};
 
-use mwr_core::{FastWire, Protocol};
+use mwr_core::Protocol;
 use mwr_types::{ClusterConfig, KeyspaceConfig, ReaderId, WriterId};
 
 use crate::client::{LiveReader, LiveWriter};
@@ -29,7 +29,7 @@ use crate::transport::{EndpointFactory, InMemoryTransport, TransportError};
 /// Most callers should not name this type: construct clusters through the
 /// `mwr-register` facade (`mwr::register::Deployment`), whose `LiveHandle`
 /// owns one — or, for a keyspace, a [`KeyspaceCluster`] — and layers the
-/// wire, timeout, retry and audit knobs on top.
+/// timeout, retry and audit knobs on top.
 ///
 /// # Examples
 ///
@@ -142,8 +142,9 @@ impl<F: EndpointFactory> RuntimeCluster<F> {
         .with_view(self.view()))
     }
 
-    /// Creates reader `idx`'s blocking client on the default
-    /// [`FastWire::Runs`] wire.
+    /// Creates reader `idx`'s blocking client, on the
+    /// [`FastWire::Runs`](mwr_core::FastWire::Runs) wire like every live
+    /// reader.
     ///
     /// # Errors
     ///
@@ -154,35 +155,14 @@ impl<F: EndpointFactory> RuntimeCluster<F> {
     ///
     /// Panics if `idx` is out of range or the reader was already created.
     pub fn reader(&self, idx: u32) -> Result<LiveReader<F::Endpoint>, TransportError> {
-        self.reader_with_wire(idx, FastWire::default())
-    }
-
-    /// Creates reader `idx`'s blocking client with an explicit fast-read
-    /// wire format ([`FastWire::FullInfo`] restores the paper's O(history)
-    /// payloads, for comparison runs).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TransportError`] if the client endpoint cannot be
-    /// opened.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range or the reader was already created.
-    pub fn reader_with_wire(
-        &self,
-        idx: u32,
-        wire: FastWire,
-    ) -> Result<LiveReader<F::Endpoint>, TransportError> {
         let config = self.config();
         assert!((idx as usize) < config.readers(), "reader {idx} out of range");
         let id = ReaderId::new(idx);
-        Ok(LiveReader::with_wire(
+        Ok(LiveReader::new(
             self.factory().open(id.into())?,
             id,
             config,
             self.protocol().read_mode(),
-            wire,
         )
         .with_view(self.view()))
     }

@@ -10,7 +10,7 @@
 
 use mwr::almost::{TunableCluster, TunableSpec};
 use mwr::byz::{ByzBehavior, ByzCluster, ByzConfig, ByzReadMode};
-use mwr::core::{Cluster, FastWire, Protocol, ScheduledOp, SimCluster};
+use mwr::core::{Cluster, Protocol, ScheduledOp, SimCluster};
 use mwr::register::{Backend, Deployment, Spec};
 use mwr::sim::SimTime;
 use mwr::types::{ClusterConfig, Value};
@@ -68,36 +68,6 @@ fn facade_reproduces_every_core_protocol_byte_for_byte() {
                 direct, facade,
                 "{protocol} seed {seed}: facade changed the event stream"
             );
-        }
-    }
-}
-
-/// The fast-wire and GC knobs thread through identically.
-#[test]
-fn facade_threads_wire_and_gc_knobs_identically() {
-    let config = ClusterConfig::new(5, 1, 2, 2).unwrap();
-    for (wire, gc) in [
-        (FastWire::FullInfo, false),
-        (FastWire::FullInfo, true),
-        (FastWire::Delta, false),
-    ] {
-        for seed in 0..SEEDS {
-            let schedule = random_schedule(seed * 7 + 3, 2, 2, 16);
-            let direct = Cluster::new(config, Protocol::W2R1)
-                .with_fast_wire(wire)
-                .with_gc(gc)
-                .run_schedule(seed, &schedule)
-                .unwrap();
-            let facade = Deployment::new(config)
-                .protocol(Protocol::W2R1)
-                .fast_wire(wire)
-                .gc(gc)
-                .backend(Backend::Sim { seed })
-                .sim()
-                .unwrap()
-                .run_schedule(&schedule)
-                .unwrap();
-            assert_eq!(direct, facade, "{wire:?}/gc={gc} seed {seed}");
         }
     }
 }

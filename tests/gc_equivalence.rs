@@ -3,11 +3,11 @@
 //!
 //! Two tiers of equivalence are asserted over randomized schedules:
 //!
-//! 1. **Byte-for-byte** (delta wire, GC off): the reader reconstructs each
+//! 1. **Byte-for-byte** (the runs wire, GC off): the reader reconstructs each
 //!    server's logical snapshot exactly, so every operation returns the
 //!    identical tagged value at the identical simulated time — the whole
 //!    event stream matches the full-info run.
-//! 2. **Verdict-identity** (delta wire, GC on): pruning drops only values
+//! 2. **Verdict-identity** (the runs wire, GC on): pruning drops only values
 //!    below every client's completed-operation floor, so histories remain
 //!    atomicity-equivalent to full-info runs even though server stores are
 //!    bounded.
@@ -56,7 +56,7 @@ fn delta_wire_reproduces_full_info_byte_for_byte() {
                 .run_schedule(seed, &schedule)
                 .unwrap();
             let delta = Cluster::new(config, protocol)
-                .with_fast_wire(FastWire::Delta)
+                .with_fast_wire(FastWire::Runs)
                 .with_gc(false)
                 .run_schedule(seed, &schedule)
                 .unwrap();
@@ -82,7 +82,7 @@ fn gc_histories_are_verdict_identical_to_full_info() {
             .run_schedule(seed, &schedule)
             .unwrap();
         let gc = Cluster::new(config, Protocol::W2R1)
-            .with_fast_wire(FastWire::Delta)
+            .with_fast_wire(FastWire::Runs)
             .with_gc(true)
             .run_schedule(seed, &schedule)
             .unwrap();

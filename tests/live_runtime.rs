@@ -506,7 +506,7 @@ fn audited_rolling_restart_over_tcp_heals_and_stays_atomic() {
         .with_timeout(Duration::from_millis(400))
         .with_retry(rebind_retry);
     let mut r = runtime
-        .reader_with_wire(0, mwr::register::FastWire::default())
+        .reader(0)
         .unwrap()
         .with_timeout(Duration::from_millis(400))
         .with_retry(rebind_retry);

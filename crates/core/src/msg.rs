@@ -6,13 +6,25 @@
 //! servers). The fast read of Algorithm 1 uses a combined round-trip that
 //! both updates (the reader's `valQueue`, plus registering the reader in the
 //! `updated` bookkeeping) and queries (the server's value store).
+//!
+//! Each wire type's byte layout is stated once, by a
+//! [`wire_layout!`](mwr_types::codec::wire_layout) row next to its
+//! declaration — [`Msg`]'s table, one row per variant with its
+//! discriminant, follows the enum — and the macro writes both `encode` and
+//! `decode`. Two fields travel in a form of their own, each through a
+//! field codec module below: [`Msg::ReadFastRunsAck`]'s `delta`, whose
+//! `updated` lists are run-length encoded, and a frame header's `inner`.
+//! A frame carries at most two headers ([`Msg::InEpoch`] and
+//! [`Msg::ForRegister`], in either order); a third is refused
+//! ([`DecodeError::TooDeep`](mwr_types::codec::DecodeError::TooDeep))
+//! before its payload is decoded, so no frame recurses the decoder deeper
+//! than that.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bytes::{Buf, BufMut};
 use serde::{Deserialize, Serialize};
 
-use mwr_types::codec::{client_runs, reservation, DecodeError, Wire, MAX_COLLECTION_LEN};
+use mwr_types::codec::wire_layout;
 use mwr_types::{ClientId, ConfigEpoch, RegisterId, ServerId, TaggedValue, Value};
 
 use crate::admissible::WitnessIndex;
@@ -26,6 +38,8 @@ pub struct OpId {
     /// The client-local sequence number (0, 1, 2, …).
     pub seq: u64,
 }
+
+wire_layout! { struct OpId { client, seq } }
 
 impl std::fmt::Display for OpId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -42,6 +56,8 @@ pub struct OpHandle {
     /// The round-trip number within the operation (1 or 2).
     pub phase: u8,
 }
+
+wire_layout! { struct OpHandle { op, phase } }
 
 impl std::fmt::Display for OpHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -60,6 +76,8 @@ pub struct ValueRecord {
     pub updated: Vec<ClientId>,
 }
 
+wire_layout! { struct ValueRecord { value, updated } }
+
 /// A server's reply to the fast-read round-trip: its full value store.
 ///
 /// This follows the paper's *full-info* inclination (§4.1): servers report
@@ -73,6 +91,8 @@ pub struct Snapshot {
     /// All stored values with their `updated` sets, sorted by tag.
     pub entries: Vec<ValueRecord>,
 }
+
+wire_layout! { struct Snapshot { entries } }
 
 impl Snapshot {
     /// The largest tagged value in the snapshot, if any.
@@ -131,6 +151,8 @@ pub struct DeltaSnapshot {
     pub entries: Vec<ValueRecord>,
 }
 
+wire_layout! { struct DeltaSnapshot { from, version, latest, pruned, entries } }
+
 /// One client's reported completed-operation floor, as carried inside a
 /// [`StateTransfer`] so a recovering server inherits its peers' GC progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -141,6 +163,8 @@ pub struct FloorReport {
     /// transferring server.
     pub floor: TaggedValue,
 }
+
+wire_layout! { struct FloorReport { client, floor } }
 
 /// A catch-up snapshot of one server's full state, shipped to a recovering
 /// peer during rejoin ([`Msg::StateFetch`] / [`Msg::StateSnapshot`]).
@@ -169,6 +193,8 @@ pub struct StateTransfer {
     pub floors: Vec<FloorReport>,
 }
 
+wire_layout! { struct StateTransfer { version, latest, pruned, entries, seen, floors } }
+
 /// One register's catch-up snapshot inside a shard-wide transfer
 /// ([`Msg::ShardSnapshot`]).
 ///
@@ -185,6 +211,8 @@ pub struct RegisterTransfer {
     /// single-register rejoin path.
     pub state: StateTransfer,
 }
+
+wire_layout! { struct RegisterTransfer { register, state } }
 
 /// The entries of `val_queue` not present in the sorted `known` sequence —
 /// the `new_values` of the next delta request, shared by both cache kinds.
@@ -763,6 +791,37 @@ pub enum Msg {
     },
 }
 
+// `Msg`'s wire layout, its one statement: each variant's discriminant, then
+// its fields in wire order.
+wire_layout! {
+    enum Msg {
+        0 => InvokeRead,
+        1 => InvokeWrite(value),
+        2 => Query { handle },
+        3 => Update { handle, value, floor },
+        4 => ReadFast { handle, val_queue },
+        5 => QueryAck { handle, latest },
+        6 => UpdateAck { handle },
+        7 => ReadFastAck { handle, snapshot },
+        8 => ReadFastDelta { handle, acked, floor, new_values },
+        9 => ReadFastDeltaAck { handle, delta },
+        10 => StateFetch { nonce },
+        11 => StateSnapshot { nonce, state },
+        12 => Depart { handle },
+        13 => DepartAck { handle },
+        14 => ForRegister { register, inner via header_payload },
+        15 => ShardFetch { shard, nonce },
+        16 => ShardSnapshot { nonce, shard, registers },
+        17 => InEpoch { epoch, inner via header_payload },
+        18 => StateInstall { nonce, transfers },
+        19 => StateInstallAck { nonce },
+        20 => ShardInstall { nonce, shard, registers },
+        21 => ShardInstallAck { nonce, shard },
+        22 => ReadFastRuns { handle, acked, floor, new_values },
+        23 => ReadFastRunsAck { handle, delta via runs_delta },
+    }
+}
+
 impl Msg {
     /// The epoch this frame was tagged with: the header epoch for
     /// [`Msg::InEpoch`] frames, epoch 0 for legacy frames.
@@ -793,353 +852,90 @@ impl Msg {
     }
 }
 
-// --- wire codec -------------------------------------------------------------
+/// The frame headers one message may carry: `InEpoch` and `ForRegister`,
+/// in either order. No sender wraps more (`InEpoch ⊃ ForRegister ⊃
+/// payload`), and a third is refused before its payload is decoded, so a
+/// hostile frame cannot recurse the decoder off its thread's stack.
+const MAX_HEADERS: usize = 2;
 
-impl Wire for OpId {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.client.encode(buf);
-        self.seq.encode(buf);
+/// The field codec of a frame header's payload (`inner`): the message
+/// itself, decoded only while fewer than [`MAX_HEADERS`] headers are open
+/// on this thread.
+mod header_payload {
+    use std::cell::Cell;
+
+    use mwr_types::codec::{Buf, BufMut, DecodeError, Wire};
+
+    use super::{Msg, MAX_HEADERS};
+
+    thread_local! {
+        /// The headers whose payloads this thread is decoding.
+        static OPEN: Cell<usize> = const { Cell::new(0) };
     }
 
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        Ok(OpId { client: ClientId::decode(buf)?, seq: u64::decode(buf)? })
-    }
-}
-
-impl Wire for OpHandle {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.op.encode(buf);
-        self.phase.encode(buf);
+    pub fn encode(inner: &Msg, buf: &mut impl BufMut) {
+        inner.encode(buf);
     }
 
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        Ok(OpHandle { op: OpId::decode(buf)?, phase: u8::decode(buf)? })
-    }
-}
-
-impl Wire for ValueRecord {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.value.encode(buf);
-        self.updated.encode(buf);
-    }
-
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        Ok(ValueRecord {
-            value: TaggedValue::decode(buf)?,
-            updated: Vec::<ClientId>::decode(buf)?,
-        })
-    }
-}
-
-impl Wire for Snapshot {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.entries.encode(buf);
-    }
-
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        Ok(Snapshot { entries: Vec::<ValueRecord>::decode(buf)? })
+    pub fn decode(buf: &mut impl Buf) -> Result<Box<Msg>, DecodeError> {
+        let open = OPEN.get();
+        if open == MAX_HEADERS {
+            return Err(DecodeError::TooDeep { context: "Msg (a third frame header)" });
+        }
+        OPEN.set(open + 1);
+        // Decoding never panics (`tests/hostile_handle.rs`), so the count
+        // is restored on every path out.
+        let inner = Msg::decode(buf);
+        OPEN.set(open);
+        inner.map(Box::new)
     }
 }
 
-impl Wire for DeltaSnapshot {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.from.encode(buf);
-        self.version.encode(buf);
-        self.latest.encode(buf);
-        self.pruned.encode(buf);
-        self.entries.encode(buf);
-    }
+/// The field codec of [`Msg::ReadFastRunsAck`]'s `delta`: a
+/// [`DeltaSnapshot`]'s layout with each record's `updated` list run-length
+/// encoded ([`client_runs`]).
+mod runs_delta {
+    use mwr_types::codec::{client_runs, reservation, Buf, BufMut, DecodeError, Wire, MAX_COLLECTION_LEN};
+    use mwr_types::TaggedValue;
 
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        Ok(DeltaSnapshot {
-            from: u64::decode(buf)?,
-            version: u64::decode(buf)?,
-            latest: TaggedValue::decode(buf)?,
-            pruned: TaggedValue::decode(buf)?,
-            entries: Vec::<ValueRecord>::decode(buf)?,
-        })
-    }
-}
+    use super::{DeltaSnapshot, ValueRecord};
 
-impl Wire for FloorReport {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.client.encode(buf);
-        self.floor.encode(buf);
-    }
-
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        Ok(FloorReport { client: ClientId::decode(buf)?, floor: TaggedValue::decode(buf)? })
-    }
-}
-
-impl Wire for StateTransfer {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.version.encode(buf);
-        self.latest.encode(buf);
-        self.pruned.encode(buf);
-        self.entries.encode(buf);
-        self.seen.encode(buf);
-        self.floors.encode(buf);
-    }
-
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        Ok(StateTransfer {
-            version: u64::decode(buf)?,
-            latest: TaggedValue::decode(buf)?,
-            pruned: TaggedValue::decode(buf)?,
-            entries: Vec::<ValueRecord>::decode(buf)?,
-            seen: Vec::<ClientId>::decode(buf)?,
-            floors: Vec::<FloorReport>::decode(buf)?,
-        })
-    }
-}
-
-impl Wire for RegisterTransfer {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.register.encode(buf);
-        self.state.encode(buf);
-    }
-
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        Ok(RegisterTransfer {
-            register: RegisterId::decode(buf)?,
-            state: StateTransfer::decode(buf)?,
-        })
-    }
-}
-
-impl Wire for Msg {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        match self {
-            Msg::InvokeRead => buf.put_u8(0),
-            Msg::InvokeWrite(v) => {
-                buf.put_u8(1);
-                v.encode(buf);
-            }
-            Msg::Query { handle } => {
-                buf.put_u8(2);
-                handle.encode(buf);
-            }
-            Msg::Update { handle, value, floor } => {
-                buf.put_u8(3);
-                handle.encode(buf);
-                value.encode(buf);
-                floor.encode(buf);
-            }
-            Msg::ReadFast { handle, val_queue } => {
-                buf.put_u8(4);
-                handle.encode(buf);
-                val_queue.encode(buf);
-            }
-            Msg::QueryAck { handle, latest } => {
-                buf.put_u8(5);
-                handle.encode(buf);
-                latest.encode(buf);
-            }
-            Msg::UpdateAck { handle } => {
-                buf.put_u8(6);
-                handle.encode(buf);
-            }
-            Msg::ReadFastAck { handle, snapshot } => {
-                buf.put_u8(7);
-                handle.encode(buf);
-                snapshot.encode(buf);
-            }
-            Msg::ReadFastDelta { handle, acked, floor, new_values } => {
-                buf.put_u8(8);
-                handle.encode(buf);
-                acked.encode(buf);
-                floor.encode(buf);
-                new_values.encode(buf);
-            }
-            Msg::ReadFastDeltaAck { handle, delta } => {
-                buf.put_u8(9);
-                handle.encode(buf);
-                delta.encode(buf);
-            }
-            Msg::StateFetch { nonce } => {
-                buf.put_u8(10);
-                nonce.encode(buf);
-            }
-            Msg::StateSnapshot { nonce, state } => {
-                buf.put_u8(11);
-                nonce.encode(buf);
-                state.encode(buf);
-            }
-            Msg::Depart { handle } => {
-                buf.put_u8(12);
-                handle.encode(buf);
-            }
-            Msg::DepartAck { handle } => {
-                buf.put_u8(13);
-                handle.encode(buf);
-            }
-            Msg::ForRegister { register, inner } => {
-                buf.put_u8(14);
-                register.encode(buf);
-                inner.encode(buf);
-            }
-            Msg::ShardFetch { shard, nonce } => {
-                buf.put_u8(15);
-                shard.encode(buf);
-                nonce.encode(buf);
-            }
-            Msg::ShardSnapshot { nonce, shard, registers } => {
-                buf.put_u8(16);
-                nonce.encode(buf);
-                shard.encode(buf);
-                registers.encode(buf);
-            }
-            Msg::InEpoch { epoch, inner } => {
-                buf.put_u8(17);
-                epoch.encode(buf);
-                inner.encode(buf);
-            }
-            Msg::StateInstall { nonce, transfers } => {
-                buf.put_u8(18);
-                nonce.encode(buf);
-                transfers.encode(buf);
-            }
-            Msg::StateInstallAck { nonce } => {
-                buf.put_u8(19);
-                nonce.encode(buf);
-            }
-            Msg::ShardInstall { nonce, shard, registers } => {
-                buf.put_u8(20);
-                nonce.encode(buf);
-                shard.encode(buf);
-                registers.encode(buf);
-            }
-            Msg::ShardInstallAck { nonce, shard } => {
-                buf.put_u8(21);
-                nonce.encode(buf);
-                shard.encode(buf);
-            }
-            Msg::ReadFastRuns { handle, acked, floor, new_values } => {
-                buf.put_u8(22);
-                handle.encode(buf);
-                acked.encode(buf);
-                floor.encode(buf);
-                new_values.encode(buf);
-            }
-            Msg::ReadFastRunsAck { handle, delta } => {
-                buf.put_u8(23);
-                handle.encode(buf);
-                delta.from.encode(buf);
-                delta.version.encode(buf);
-                delta.latest.encode(buf);
-                delta.pruned.encode(buf);
-                (delta.entries.len() as u64).encode(buf);
-                for rec in &delta.entries {
-                    rec.value.encode(buf);
-                    client_runs::encode(&rec.updated, buf);
-                }
-            }
+    pub fn encode(delta: &DeltaSnapshot, buf: &mut impl BufMut) {
+        delta.from.encode(buf);
+        delta.version.encode(buf);
+        delta.latest.encode(buf);
+        delta.pruned.encode(buf);
+        (delta.entries.len() as u64).encode(buf);
+        for rec in &delta.entries {
+            rec.value.encode(buf);
+            client_runs::encode(&rec.updated, buf);
         }
     }
 
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        match u8::decode(buf)? {
-            0 => Ok(Msg::InvokeRead),
-            1 => Ok(Msg::InvokeWrite(Value::decode(buf)?)),
-            2 => Ok(Msg::Query { handle: OpHandle::decode(buf)? }),
-            3 => Ok(Msg::Update {
-                handle: OpHandle::decode(buf)?,
+    pub fn decode(buf: &mut impl Buf) -> Result<DeltaSnapshot, DecodeError> {
+        let from = u64::decode(buf)?;
+        let version = u64::decode(buf)?;
+        let latest = TaggedValue::decode(buf)?;
+        let pruned = TaggedValue::decode(buf)?;
+        let declared = u64::decode(buf)?;
+        if declared > MAX_COLLECTION_LEN {
+            return Err(DecodeError::LengthOverflow { declared });
+        }
+        let mut entries = Vec::with_capacity(reservation::<ValueRecord, _>(declared, buf));
+        for _ in 0..declared {
+            entries.push(ValueRecord {
                 value: TaggedValue::decode(buf)?,
-                floor: TaggedValue::decode(buf)?,
-            }),
-            4 => Ok(Msg::ReadFast {
-                handle: OpHandle::decode(buf)?,
-                val_queue: Vec::<TaggedValue>::decode(buf)?,
-            }),
-            5 => Ok(Msg::QueryAck {
-                handle: OpHandle::decode(buf)?,
-                latest: TaggedValue::decode(buf)?,
-            }),
-            6 => Ok(Msg::UpdateAck { handle: OpHandle::decode(buf)? }),
-            7 => Ok(Msg::ReadFastAck {
-                handle: OpHandle::decode(buf)?,
-                snapshot: Snapshot::decode(buf)?,
-            }),
-            8 => Ok(Msg::ReadFastDelta {
-                handle: OpHandle::decode(buf)?,
-                acked: u64::decode(buf)?,
-                floor: TaggedValue::decode(buf)?,
-                new_values: Vec::<TaggedValue>::decode(buf)?,
-            }),
-            9 => Ok(Msg::ReadFastDeltaAck {
-                handle: OpHandle::decode(buf)?,
-                delta: DeltaSnapshot::decode(buf)?,
-            }),
-            10 => Ok(Msg::StateFetch { nonce: u64::decode(buf)? }),
-            11 => Ok(Msg::StateSnapshot {
-                nonce: u64::decode(buf)?,
-                state: Box::new(StateTransfer::decode(buf)?),
-            }),
-            12 => Ok(Msg::Depart { handle: OpHandle::decode(buf)? }),
-            13 => Ok(Msg::DepartAck { handle: OpHandle::decode(buf)? }),
-            14 => Ok(Msg::ForRegister {
-                register: RegisterId::decode(buf)?,
-                inner: Box::new(Msg::decode(buf)?),
-            }),
-            15 => Ok(Msg::ShardFetch { shard: u32::decode(buf)?, nonce: u64::decode(buf)? }),
-            16 => Ok(Msg::ShardSnapshot {
-                nonce: u64::decode(buf)?,
-                shard: u32::decode(buf)?,
-                registers: Vec::<RegisterTransfer>::decode(buf)?,
-            }),
-            17 => Ok(Msg::InEpoch {
-                epoch: ConfigEpoch::decode(buf)?,
-                inner: Box::new(Msg::decode(buf)?),
-            }),
-            18 => Ok(Msg::StateInstall {
-                nonce: u64::decode(buf)?,
-                transfers: Vec::<StateTransfer>::decode(buf)?,
-            }),
-            19 => Ok(Msg::StateInstallAck { nonce: u64::decode(buf)? }),
-            20 => Ok(Msg::ShardInstall {
-                nonce: u64::decode(buf)?,
-                shard: u32::decode(buf)?,
-                registers: Vec::<RegisterTransfer>::decode(buf)?,
-            }),
-            21 => Ok(Msg::ShardInstallAck { nonce: u64::decode(buf)?, shard: u32::decode(buf)? }),
-            22 => Ok(Msg::ReadFastRuns {
-                handle: OpHandle::decode(buf)?,
-                acked: u64::decode(buf)?,
-                floor: TaggedValue::decode(buf)?,
-                new_values: Vec::<TaggedValue>::decode(buf)?,
-            }),
-            23 => {
-                let handle = OpHandle::decode(buf)?;
-                let from = u64::decode(buf)?;
-                let version = u64::decode(buf)?;
-                let latest = TaggedValue::decode(buf)?;
-                let pruned = TaggedValue::decode(buf)?;
-                let declared = u64::decode(buf)?;
-                if declared > MAX_COLLECTION_LEN {
-                    return Err(DecodeError::LengthOverflow { declared });
-                }
-                let mut entries =
-                    Vec::with_capacity(reservation::<ValueRecord, B>(declared, buf));
-                for _ in 0..declared {
-                    entries.push(ValueRecord {
-                        value: TaggedValue::decode(buf)?,
-                        updated: client_runs::decode(buf)?,
-                    });
-                }
-                Ok(Msg::ReadFastRunsAck {
-                    handle,
-                    delta: DeltaSnapshot { from, version, latest, pruned, entries },
-                })
-            }
-            value => Err(DecodeError::InvalidDiscriminant { context: "Msg", value }),
+                updated: client_runs::decode(buf)?,
+            });
         }
+        Ok(DeltaSnapshot { from, version, latest, pruned, entries })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mwr_types::codec::{DecodeError, Wire};
     use mwr_types::{Tag, WriterId};
 
     fn handle() -> OpHandle {
@@ -1315,8 +1111,10 @@ mod tests {
                 },
             },
         ];
+        let mut wire = Vec::new();
         for msg in msgs {
             let mut bytes = msg.to_bytes();
+            wire.extend_from_slice(&bytes);
             assert_eq!(msg.encoded_len(), bytes.len(), "encoded_len matches encode: {msg:?}");
             let mut cursor: &[u8] = &bytes;
             assert_eq!(Msg::decode(&mut cursor).expect("decode from slice"), msg);
@@ -1325,6 +1123,12 @@ mod tests {
             assert_eq!(decoded, msg);
             assert!(bytes.is_empty());
         }
+        // The bytes themselves, pinned: FNV-1a over every encoding above,
+        // recorded before the layouts were declared by `wire_layout!`.
+        let fnv = wire.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((wire.len(), fnv), (1369, 0xda3d9d3b9e5a6bb3), "a layout moved on the wire");
     }
 
     #[test]

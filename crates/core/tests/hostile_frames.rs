@@ -1,17 +1,21 @@
 //! A frame's declared element count is the sender's claim, not a fact: a
 //! few bytes announcing 2²⁴ elements must fail to decode without the
 //! decoder first reserving room for them (ROADMAP: "malformed or hostile
-//! frames can't panic or balloon a server").
+//! frames can't panic or balloon a server"). Nor may a frame's depth be
+//! the sender's choice: a few kilobytes of nested headers must not recurse
+//! the decoder off its thread's stack.
 //!
-//! This binary holds exactly one test so that the counting allocator below
-//! sees only the decoder's allocations.
+//! The counting allocator below counts every thread. Beside the
+//! allocation test runs only the nesting test, which holds about 10 KB at
+//! once: the allocation test's decodes peak near 32 KiB, so its 64 KiB
+//! bound still has room for both.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mwr_core::{DeltaSnapshot, Msg, OpHandle, OpId, ValueRecord};
 use mwr_types::codec::{DecodeError, Wire, MAX_COLLECTION_LEN};
-use mwr_types::{ClientId, TaggedValue};
+use mwr_types::{ClientId, ConfigEpoch, RegisterId, TaggedValue};
 
 /// Bytes currently allocated, and the most that ever were.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -105,5 +109,53 @@ fn a_declared_length_reserves_no_more_than_the_frame_can_hold() {
         let (result, peak) = peak_of(|| Msg::decode(&mut &over[..]));
         assert_eq!(result, Err(DecodeError::LengthOverflow { declared: MAX_COLLECTION_LEN + 1 }));
         assert!(peak < BOUND);
+    }
+}
+
+/// A frame carries at most two headers (`ForRegister`, `InEpoch`), and a
+/// third is refused before its payload is decoded. Decoding recurses once
+/// per header, and a stack overflow is no panic that `catch_unwind` could
+/// stop: unbounded, 2 000 headers (10 KB) abort the process, and on TCP
+/// the decoding thread is the reactor every endpoint of a registry needs.
+#[test]
+fn a_frame_nests_at_most_two_headers() {
+    let handle = OpHandle { op: OpId { client: ClientId::writer(0), seq: 1 }, phase: 1 };
+    let keyed = |msg: Msg| Msg::ForRegister { register: RegisterId::new(2), inner: Box::new(msg) };
+    let epoched = |msg: Msg| Msg::InEpoch { epoch: ConfigEpoch::new(3), inner: Box::new(msg) };
+    let query = Msg::Query { handle };
+
+    // 2 000 epoch headers, decoded on a thread with the reactor's default
+    // 2 MiB stack.
+    let header = epoched(query.clone()).to_bytes().slice(..5);
+    let payload = query.to_bytes();
+    let mut deep = Vec::with_capacity(2_000 * header.len() + payload.len());
+    for _ in 0..2_000 {
+        deep.extend_from_slice(&header);
+    }
+    deep.extend_from_slice(&payload);
+    let result = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || Msg::decode(&mut &deep[..]))
+        .expect("spawn a decoder")
+        .join()
+        .expect("the decoder returns");
+    assert!(matches!(result, Err(DecodeError::TooDeep { .. })), "{result:?}");
+
+    // A third header, even a short way down, is refused as such.
+    let third = epoched(keyed(epoched(query.clone()))).to_bytes();
+    let result = Msg::decode(&mut &third[..]);
+    assert!(matches!(result, Err(DecodeError::TooDeep { .. })), "{result:?}");
+
+    // Every nesting a sender may produce: each header alone, both in either
+    // order, and each twice.
+    for msg in [
+        keyed(query.clone()),
+        epoched(query.clone()),
+        epoched(keyed(query.clone())),
+        keyed(epoched(query.clone())),
+        keyed(keyed(query.clone())),
+        epoched(epoched(query.clone())),
+    ] {
+        assert_eq!(Msg::decode(&mut &msg.to_bytes()[..]).as_ref(), Ok(&msg));
     }
 }

@@ -10,6 +10,18 @@
 //! deliberately non-self-describing — both endpoints are always the same
 //! binary version in this repository.
 //!
+//! A composite type's byte layout is stated once, as a [`wire_layout!`]
+//! row next to the type (its fields in wire order; for an enum, each
+//! variant's discriminant first), and the macro writes both `encode` and
+//! `decode` from that row. Only the leaves are written by hand here: the
+//! integers, `bool`, `Option`, `Vec`, `Box`, the ids, [`Value`],
+//! [`ConfigEpoch`], [`Tag`] (whose decode refuses ⊥ with a timestamp) and
+//! [`TaggedValue`], plus [`client_runs`], the run-length field codec.
+//! A type that contains itself bounds its own depth in its row's field
+//! codec and refuses a deeper value with [`DecodeError::TooDeep`]: a
+//! `Msg` frame carries at most two headers, so no frame recurses the
+//! decoder off the stack of the thread that reads it.
+//!
 //! # Examples
 //!
 //! ```
@@ -28,7 +40,8 @@
 
 use std::fmt;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+pub use bytes::{Buf, BufMut};
+use bytes::{Bytes, BytesMut};
 
 use crate::{
     ClientId, ConfigEpoch, ProcessId, ReaderId, RegisterId, ServerId, Tag, TaggedValue, Value,
@@ -55,6 +68,11 @@ pub enum DecodeError {
         /// The declared length.
         declared: u64,
     },
+    /// A value nested inside itself more often than its type allows.
+    TooDeep {
+        /// What was nested too deep.
+        context: &'static str,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -69,6 +87,7 @@ impl fmt::Display for DecodeError {
             DecodeError::LengthOverflow { declared } => {
                 write!(f, "declared collection length {declared} exceeds sanity bound")
             }
+            DecodeError::TooDeep { context } => write!(f, "{context} nested too deep"),
         }
     }
 }
@@ -96,9 +115,10 @@ pub fn reservation<T, B: Buf>(declared: u64, buf: &B) -> usize {
 /// Binary encoding/decoding of a value for network transport.
 ///
 /// Implementations must be deterministic: `decode(encode(x)) == x` for every
-/// `x`. The byte layout is written twice, once in [`encode`](Wire::encode)
-/// and once in [`decode`](Wire::decode); [`encoded_len`](Wire::encoded_len)
-/// is derived from `encode` and never written by hand.
+/// `x`. A composite type's [`encode`](Wire::encode) and
+/// [`decode`](Wire::decode) are both written by [`wire_layout!`] from one
+/// statement of its layout; [`encoded_len`](Wire::encoded_len) is derived
+/// from `encode` and never written by hand.
 ///
 /// Encoding is generic over [`BufMut`] and decoding over [`Buf`], so hot
 /// paths can encode straight into a reusable frame buffer and decode
@@ -133,6 +153,101 @@ pub trait Wire: Sized {
         buf.freeze()
     }
 }
+
+/// Implements [`Wire`] for a type from one statement of its byte layout.
+///
+/// A struct's row names its fields in wire order. An enum's rows give each
+/// variant's one-byte discriminant, then the variant, then its fields in
+/// wire order (a tuple variant's fields are bound by any names). `encode`
+/// writes the row, `decode` reads it back in the same order, each field by
+/// its own `Wire` impl — or, written `field via codec`, by the `encode` and
+/// `decode` functions of the module `codec`, for a field that travels in a
+/// form of its own.
+///
+/// The rows are checked against the type's declaration: a field left out or
+/// misspelt, or a variant missing, does not compile, and two variants given
+/// one discriminant leave `decode` an unreachable arm (a warning, which CI
+/// denies). Only the field *order* is the row's alone to get right: the
+/// byte pins in `mwr-types`' and `mwr-core`'s round-trip tests hold it.
+///
+/// # Examples
+///
+/// ```
+/// use mwr_types::codec::{wire_layout, Wire};
+/// use mwr_types::{ClientId, Value};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Stamp {
+///     by: ClientId,
+///     at: u64,
+/// }
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Event {
+///     Tick,
+///     Stamped(Stamp),
+///     Wrote { value: Value, stamp: Stamp },
+/// }
+///
+/// wire_layout! { struct Stamp { by, at } }
+/// wire_layout! { enum Event { 0 => Tick, 1 => Stamped(stamp), 2 => Wrote { stamp, value } } }
+///
+/// let event = Event::Wrote { value: Value::new(7), stamp: Stamp { by: ClientId::reader(1), at: 3 } };
+/// let bytes = event.to_bytes();
+/// assert_eq!(bytes.len(), 1 + (5 + 8) + 8);
+/// assert_eq!(Event::decode(&mut &bytes[..])?, event);
+/// # Ok::<(), mwr_types::codec::DecodeError>(())
+/// ```
+#[macro_export]
+macro_rules! wire_layout {
+    (struct $name:ident { $($field:ident $(via $codec:ident)?),* $(,)? }) => {
+        impl $crate::codec::Wire for $name {
+            fn encode<B: $crate::codec::BufMut>(&self, buf: &mut B) {
+                let $name { $($field),* } = self;
+                $($crate::wire_layout!(@encode $field $(via $codec)?, buf);)*
+            }
+
+            fn decode<B: $crate::codec::Buf>(buf: &mut B) -> Result<Self, $crate::codec::DecodeError> {
+                Ok($name { $($field: $crate::wire_layout!(@decode $field $(via $codec)?, buf)),* })
+            }
+        }
+    };
+    (enum $name:ident { $($disc:literal => $variant:ident
+        $(( $($bound:ident),* ))?
+        $({ $($field:ident $(via $codec:ident)?),* })?
+    ),* $(,)? }) => {
+        impl $crate::codec::Wire for $name {
+            fn encode<B: $crate::codec::BufMut>(&self, buf: &mut B) {
+                match self {
+                    $($name::$variant $(($($bound),*))? $({ $($field),* })? => {
+                        buf.put_u8($disc);
+                        $($($crate::wire_layout!(@encode $bound, buf);)*)?
+                        $($($crate::wire_layout!(@encode $field $(via $codec)?, buf);)*)?
+                    })*
+                }
+            }
+
+            fn decode<B: $crate::codec::Buf>(buf: &mut B) -> Result<Self, $crate::codec::DecodeError> {
+                match <u8 as $crate::codec::Wire>::decode(buf)? {
+                    $($disc => Ok($name::$variant
+                        $(($($crate::wire_layout!(@decode $bound, buf)),*))?
+                        $({ $($field: $crate::wire_layout!(@decode $field $(via $codec)?, buf)),* })?
+                    ),)*
+                    value => Err($crate::codec::DecodeError::InvalidDiscriminant {
+                        context: stringify!($name),
+                        value,
+                    }),
+                }
+            }
+        }
+    };
+    (@encode $field:ident, $buf:ident) => { $crate::codec::Wire::encode($field, $buf) };
+    (@encode $field:ident via $codec:ident, $buf:ident) => { $codec::encode($field, $buf) };
+    (@decode $field:ident, $buf:ident) => { $crate::codec::Wire::decode($buf)? };
+    (@decode $field:ident via $codec:ident, $buf:ident) => { $codec::decode($buf)? };
+}
+
+pub use crate::wire_layout;
 
 /// A [`BufMut`] that keeps nothing but the number of bytes put into it.
 struct ByteCount(usize);
@@ -239,6 +354,16 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+impl<T: Wire> Wire for Box<T> {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
+        (**self).encode(buf);
+    }
+
+    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
+        T::decode(buf).map(Box::new)
+    }
+}
+
 macro_rules! wire_id {
     ($name:ident) => {
         impl Wire for $name {
@@ -268,28 +393,7 @@ impl Wire for ConfigEpoch {
     }
 }
 
-impl Wire for ClientId {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        match self {
-            ClientId::Reader(r) => {
-                buf.put_u8(0);
-                r.encode(buf);
-            }
-            ClientId::Writer(w) => {
-                buf.put_u8(1);
-                w.encode(buf);
-            }
-        }
-    }
-
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        match u8::decode(buf)? {
-            0 => Ok(ClientId::Reader(ReaderId::decode(buf)?)),
-            1 => Ok(ClientId::Writer(WriterId::decode(buf)?)),
-            value => Err(DecodeError::InvalidDiscriminant { context: "ClientId", value }),
-        }
-    }
-}
+wire_layout! { enum ClientId { 0 => Reader(reader), 1 => Writer(writer) } }
 
 /// A run of clients with consecutive indices of one kind: `start`,
 /// `start + 1`, …, `start + len − 1` (runs never cross from readers into
@@ -305,16 +409,7 @@ pub struct ClientRun {
     pub len: u32,
 }
 
-impl Wire for ClientRun {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.start.encode(buf);
-        self.len.encode(buf);
-    }
-
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        Ok(ClientRun { start: ClientId::decode(buf)?, len: u32::decode(buf)? })
-    }
-}
+wire_layout! { struct ClientRun { start, len } }
 
 /// Run-length encoding of client-id lists ([`ClientRun`]), streamed
 /// straight to and from the wire without materializing the runs.
@@ -324,7 +419,7 @@ impl Wire for ClientRun {
 /// lists with dense index runs — which is what the registration gossip
 /// produces.
 pub mod client_runs {
-    use super::{Buf, BufMut, ByteCount, ClientId, ClientRun, DecodeError, Wire, MAX_COLLECTION_LEN};
+    use super::{Buf, BufMut, ClientId, ClientRun, DecodeError, Wire, MAX_COLLECTION_LEN};
 
     struct Runs<'a> {
         ids: &'a [ClientId],
@@ -359,14 +454,6 @@ pub mod client_runs {
     /// Number of maximal runs in `ids`.
     pub fn count(ids: &[ClientId]) -> u64 {
         runs(ids).count() as u64
-    }
-
-    /// Exact wire size of [`encode`]'s output for `ids`, counted as
-    /// [`Wire::encoded_len`] counts.
-    pub fn encoded_len(ids: &[ClientId]) -> usize {
-        let mut count = ByteCount(0);
-        encode(ids, &mut count);
-        count.0
     }
 
     /// Appends `ids` as a length-prefixed run list (run count as `u64`,
@@ -412,48 +499,8 @@ pub mod client_runs {
     }
 }
 
-impl Wire for ProcessId {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        match self {
-            ProcessId::Server(s) => {
-                buf.put_u8(0);
-                s.encode(buf);
-            }
-            ProcessId::Client(c) => {
-                buf.put_u8(1);
-                c.encode(buf);
-            }
-        }
-    }
-
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        match u8::decode(buf)? {
-            0 => Ok(ProcessId::Server(ServerId::decode(buf)?)),
-            1 => Ok(ProcessId::Client(ClientId::decode(buf)?)),
-            value => Err(DecodeError::InvalidDiscriminant { context: "ProcessId", value }),
-        }
-    }
-}
-
-impl Wire for WriterSlot {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        match self {
-            WriterSlot::Bottom => buf.put_u8(0),
-            WriterSlot::Writer(w) => {
-                buf.put_u8(1);
-                w.encode(buf);
-            }
-        }
-    }
-
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        match u8::decode(buf)? {
-            0 => Ok(WriterSlot::Bottom),
-            1 => Ok(WriterSlot::Writer(WriterId::decode(buf)?)),
-            value => Err(DecodeError::InvalidDiscriminant { context: "WriterSlot", value }),
-        }
-    }
-}
+wire_layout! { enum ProcessId { 0 => Server(server), 1 => Client(client) } }
+wire_layout! { enum WriterSlot { 0 => Bottom, 1 => Writer(writer) } }
 
 impl Wire for Tag {
     fn encode<B: BufMut>(&self, buf: &mut B) {
@@ -542,6 +589,27 @@ mod tests {
         round_trip(&Tag::initial());
         round_trip(&Tag::new(9, WriterId::new(4)));
         round_trip(&TaggedValue::new(Tag::new(1, WriterId::new(0)), Value::new(77)));
+
+        // The composite layouts' bytes, pinned: FNV-1a over their
+        // encodings, recorded before they were declared by `wire_layout!`.
+        let composites = [
+            ClientId::reader(1).to_bytes(),
+            ClientId::writer(0).to_bytes(),
+            ProcessId::server(2).to_bytes(),
+            ProcessId::reader(3).to_bytes(),
+            ProcessId::writer(4).to_bytes(),
+            WriterSlot::Bottom.to_bytes(),
+            WriterSlot::Writer(WriterId::new(5)).to_bytes(),
+            ClientRun { start: ClientId::writer(6), len: 7 }.to_bytes(),
+        ];
+        round_trip(&WriterSlot::Bottom);
+        round_trip(&WriterSlot::Writer(WriterId::new(5)));
+        round_trip(&ClientRun { start: ClientId::writer(6), len: 7 });
+        let wire: Vec<u8> = composites.iter().flat_map(|bytes| bytes.to_vec()).collect();
+        let fnv = wire.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((wire.len(), fnv), (42, 0x42485f39e2d3670f), "a layout moved on the wire");
     }
 
     /// No `Tag` encodes a timestamp beside the ⊥ writer, so a frame that
@@ -592,11 +660,6 @@ mod tests {
     fn runs_round_trip(ids: &[ClientId]) {
         let mut buf = BytesMut::new();
         client_runs::encode(ids, &mut buf);
-        assert_eq!(
-            client_runs::encoded_len(ids),
-            buf.len(),
-            "client_runs::encoded_len must match encode"
-        );
         let mut cursor: &[u8] = &buf;
         let decoded = client_runs::decode(&mut cursor).expect("decode runs");
         assert_eq!(decoded, ids);
@@ -609,7 +672,9 @@ mod tests {
         // 128 consecutive readers: 8-byte count + one 9-byte run, vs the
         // plain Vec codec's 8 + 128 × 5 bytes.
         assert_eq!(client_runs::count(&ids), 1);
-        assert_eq!(client_runs::encoded_len(&ids), 17);
+        let mut buf = BytesMut::new();
+        client_runs::encode(&ids, &mut buf);
+        assert_eq!(buf.len(), 17);
         runs_round_trip(&ids);
     }
 

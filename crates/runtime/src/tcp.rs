@@ -115,10 +115,16 @@
 //!   re-reports whatever it left behind — no trailing `WouldBlock` probe,
 //!   and a fire-hosing socket gets one chunk per wake-up like everyone
 //!   else. Each adopted socket keeps a reusable buffer that frames are
-//!   decoded from in place; a frame for an endpoint that does not serve
-//!   goes to its inbox, unbounded, so the reactor never waits for a
-//!   consumer. A handler that panics is caught: it crashes its own endpoint
-//!   (handler dropped, listener and connections closed) and no other.
+//!   decoded from in place. A frame for an endpoint that does not serve is
+//!   staged until the pass over the ready sockets ends, and then each such
+//!   endpoint gets the pass's frames, from all of its connections, with
+//!   one push into its inbox: one lock, and at most one wake of a parked
+//!   client, issued after unlocking. Woken per frame, a client pre-empts
+//!   the reactor part-way through its pass on one CPU; woken per pass, it
+//!   finds its round's replies queued. The inbox is unbounded, so the
+//!   reactor never waits for a consumer. A handler that panics is caught:
+//!   it crashes its own endpoint (handler dropped, listener and
+//!   connections closed) and no other.
 //!   Endpoints own the reactor jointly and the registry only finds it: the
 //!   first [`TcpEndpoint::bind`] starts it (on a target with no readiness
 //!   queue — `Poller::new` fails anywhere but Linux — `bind` returns the
@@ -263,10 +269,19 @@ pub struct ReaderStats {
     /// of whichever endpoint — not the sum over endpoints, which would
     /// count a wake once per endpoint it served. Every wake reads *all*
     /// ready sockets, so under load this is far smaller than `frames` —
-    /// the fan-in batching the reactor exists for.
+    /// the fan-in batching the reactor exists for. A wake is one pass:
+    /// an endpoint that does not serve gets at most one `deliveries` in it.
     pub wakes: u64,
-    /// Frames decoded and delivered to the inbox (summed, for a registry).
+    /// Frames decoded: delivered to the inbox, or answered by the handler
+    /// of an endpoint that serves (summed, for a registry).
     pub frames: u64,
+    /// Pushes into the inbox: one per reactor pass that decoded at least
+    /// one frame for an endpoint that does not serve, however many frames
+    /// of however many of its connections the pass decoded — so, for an
+    /// endpoint, `deliveries ≤ wakes` and `deliveries ≤ frames`. Each push
+    /// wakes a parked receiver at most once. Summed, for a registry: at
+    /// most one per such endpoint per wake.
+    pub deliveries: u64,
     /// Connections the reactor currently reads for the endpoint, dialed
     /// and accepted alike: one per peer it sends to and one per peer that
     /// sends to it (summed, for a registry).
@@ -329,6 +344,7 @@ impl TcpRegistry {
             ReaderStats { wakes: reactor.shared.wakes.load(Ordering::Relaxed), ..ReaderStats::default() };
         for endpoint in reactor.shared.endpoints.lock().iter().filter_map(Weak::upgrade) {
             totals.frames += endpoint.frames.load(Ordering::Relaxed);
+            totals.deliveries += endpoint.deliveries.load(Ordering::Relaxed);
             totals.open_connections += endpoint.conns.load(Ordering::SeqCst);
         }
         totals
@@ -601,6 +617,7 @@ struct EndpointShared {
     /// The reactor wake-up `wakes` last counted. Reactor thread only.
     last_wake: AtomicU64,
     frames: AtomicU64,
+    deliveries: AtomicU64,
     /// Adopted-connection gauge — the endpoint's [`TcpEndpoint::connection_gauge`].
     conns: Arc<AtomicUsize>,
     /// The payload of a panic the endpoint's handler raised on the reactor,
@@ -683,8 +700,10 @@ impl SharedConn {
     /// Does the one `read` a readiness event pays for and handles every
     /// complete frame accumulated in the buffer; whatever the read left in
     /// the socket is re-reported by the level-triggered queue. The replies
-    /// a served endpoint's handler gave go out with one `write`.
-    fn read_ready(&mut self) -> Outcome {
+    /// a served endpoint's handler gave go out with one `write`; the frames
+    /// of an endpoint that does not serve wait in `staged` for the end of
+    /// the pass.
+    fn read_ready(&mut self, staged: &mut Staged) -> Outcome {
         if self.buf.len() < self.filled + READ_CHUNK {
             self.buf.resize(self.filled + READ_CHUNK, 0);
         }
@@ -692,7 +711,7 @@ impl SharedConn {
             Ok(0) => Outcome::Closed,
             Ok(n) => {
                 self.filled += n;
-                self.decode_frames()
+                self.decode_frames(staged)
             }
             // No bytes after all (see `READ_GUARD`): wait for the next event.
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted) => {
@@ -711,10 +730,10 @@ impl SharedConn {
         }
     }
 
-    /// Decodes every complete frame in `buf[..filled]` in place — into the
-    /// owner's inbox, or through its handler if it serves — and compacts
-    /// the leftover partial frame (if any) to the front.
-    fn decode_frames(&mut self) -> Outcome {
+    /// Decodes every complete frame in `buf[..filled]` in place — staged
+    /// for the owner's inbox, or through its handler if it serves — and
+    /// compacts the leftover partial frame (if any) to the front.
+    fn decode_frames(&mut self, staged: &mut Staged) -> Outcome {
         let mut parsed = 0usize;
         while self.filled - parsed >= 4 {
             let len = u32::from_be_bytes(self.buf[parsed..parsed + 4].try_into().expect("4 bytes"));
@@ -741,9 +760,7 @@ impl SharedConn {
             }
             self.owner.frames.fetch_add(1, Ordering::Relaxed);
             let Some(handler) = &self.handler else {
-                if self.owner.inbox.send((from, msg)).is_err() {
-                    return Outcome::Closed;
-                }
+                staged.push(&self.owner, (from, msg));
                 continue;
             };
             match catch_unwind(AssertUnwindSafe(|| (handler.borrow_mut().0)(from, &msg))) {
@@ -810,6 +827,53 @@ impl SharedConn {
         }
         if self.out.is_empty() && self.out.capacity() > BUF_RETAIN {
             self.out = BytesMut::new();
+        }
+    }
+}
+
+/// The frames one reactor pass decoded for endpoints that do not serve, by
+/// endpoint in the order each first had one, handed over when the pass
+/// ends: one push per endpoint, so a parked client is woken once, with all
+/// of its frames queued, instead of once per frame — and, on one CPU, does
+/// not pre-empt the reactor part-way through the pass. Each connection's
+/// frames are staged in the order they were decoded, so per-connection
+/// FIFO holds. The buffers outlive the pass, emptied, so a steady state
+/// allocates nothing; the endpoint handles do not, so a detached endpoint
+/// is not kept alive here.
+#[derive(Default)]
+struct Staged {
+    batches: Vec<(Arc<EndpointShared>, Vec<Inbound>)>,
+    /// Emptied buffers, for the next pass's endpoints.
+    spare: Vec<Vec<Inbound>>,
+}
+
+impl Staged {
+    fn push(&mut self, owner: &Arc<EndpointShared>, frame: Inbound) {
+        let at = match self.batches.iter().position(|(staged, _)| Arc::ptr_eq(staged, owner)) {
+            Some(at) => at,
+            None => {
+                self.batches.push((Arc::clone(owner), self.spare.pop().unwrap_or_default()));
+                self.batches.len() - 1
+            }
+        };
+        self.batches[at].1.push(frame);
+    }
+
+    /// Hands every endpoint its staged frames with one push: one lock of
+    /// its inbox and at most one wake of a parked receiver, after unlocking.
+    fn deliver(&mut self) {
+        for (owner, mut batch) in self.batches.drain(..) {
+            // Counted before the push, so a receiver that has the frames
+            // sees the count too.
+            owner.deliveries.fetch_add(1, Ordering::Relaxed);
+            // A push fails only once the inbox's receiver is gone, and
+            // `TcpEndpoint::drop` detaches the endpoint — closing every
+            // connection read for it — before its receiver drops, so no
+            // pass stages frames for it after that. Should one fail all the
+            // same, its frames are dropped with the error, as a crashed
+            // receiver's would be, and the connections they came on stay.
+            let _ = owner.inbox.send_all(batch.drain(..));
+            self.spare.push(batch);
         }
     }
 }
@@ -929,6 +993,8 @@ struct Sockets<'a> {
     parked: Vec<usize>,
     unpark_at: Option<Instant>,
     next_key: usize,
+    /// The current pass's frames for endpoints that do not serve.
+    staged: Staged,
 }
 
 impl Sockets<'_> {
@@ -1104,8 +1170,9 @@ impl Drop for Sockets<'_> {
 /// adopted socket of any endpoint is ready (or a command is submitted,
 /// parked listeners are due back, or a stalled reply tail runs out of
 /// time), then accepts on every ready listener, reads every readable
-/// connection once — into its owner's inbox, or through its owner's
-/// handler — and writes every waiting reply tail that has room, before
+/// connection once — staged for its owner's inbox, or through its owner's
+/// handler — and writes every waiting reply tail that has room. The pass
+/// ends with one push into each inbox that has frames staged, before
 /// sleeping again.
 fn reactor_loop(shared: &ReactorShared) {
     let mut sockets = Sockets {
@@ -1117,6 +1184,7 @@ fn reactor_loop(shared: &ReactorShared) {
         parked: Vec::new(),
         unpark_at: None,
         next_key: 0,
+        staged: Staged::default(),
     };
     let mut events: Vec<Event> = Vec::new();
     let mut wake = 0u64;
@@ -1174,9 +1242,10 @@ fn reactor_loop(shared: &ReactorShared) {
             // A connection with a reply tail waiting is watched for room
             // only: it is not read again until the tail has gone out.
             let stalled = conn.stalled_since.is_some();
-            let outcome = if stalled { conn.write_out() } else { conn.read_ready() };
+            let outcome = if stalled { conn.write_out() } else { conn.read_ready(&mut sockets.staged) };
             sockets.settle(event.key, stalled, outcome);
         }
+        sockets.staged.deliver();
     }
 }
 
@@ -1236,6 +1305,7 @@ impl TcpEndpoint {
             wakes: AtomicU64::new(0),
             last_wake: AtomicU64::new(0),
             frames: AtomicU64::new(0),
+            deliveries: AtomicU64::new(0),
             conns: Arc::new(AtomicUsize::new(0)),
             panicked: Mutex::new(None),
         });
@@ -1274,6 +1344,7 @@ impl TcpEndpoint {
         ReaderStats {
             wakes: self.shared.wakes.load(Ordering::Relaxed),
             frames: self.shared.frames.load(Ordering::Relaxed),
+            deliveries: self.shared.deliveries.load(Ordering::Relaxed),
             open_connections: self.shared.conns.load(Ordering::SeqCst),
         }
     }
@@ -1683,6 +1754,48 @@ mod tests {
         let (_, msg) = hub.inbox().recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(msg, Msg::InvokeWrite(Value::new(9)));
         assert_eq!(hub.reader_stats().open_connections, 1);
+    }
+
+    /// Three frames written at once are read in one reactor pass, so an
+    /// endpoint that does not serve gets them with one push into its inbox.
+    #[test]
+    fn frames_read_in_one_pass_are_one_inbox_push() {
+        let registry = TcpRegistry::new();
+        let hub = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+        let peer = ProcessId::writer(0);
+        let wire: Vec<u8> = (0..3).flat_map(|seq| raw_frame(peer, &Msg::InvokeWrite(Value::new(seq)))).collect();
+        let mut raw = TcpStream::connect(hub.local_addr()).unwrap();
+        raw.write_all(&wire).unwrap();
+        for seq in 0..3 {
+            let inbound = hub.inbox().recv_timeout(Duration::from_secs(5)).expect("a frame was lost");
+            assert_eq!(inbound, (peer, Msg::InvokeWrite(Value::new(seq))));
+        }
+        let stats = hub.reader_stats();
+        assert_eq!((stats.frames, stats.deliveries), (3, 1), "{stats:?}");
+    }
+
+    /// Two connections' frames share the pushes of the passes that read
+    /// both, and each connection's frames still arrive in the order they
+    /// were written.
+    #[test]
+    fn staged_frames_keep_each_connections_order() {
+        let registry = TcpRegistry::new();
+        let hub = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+        let peers = [ProcessId::writer(0), ProcessId::writer(1)];
+        let mut raws: Vec<TcpStream> = peers.iter().map(|_| TcpStream::connect(hub.local_addr()).unwrap()).collect();
+        for chunk in 0..100 {
+            for (raw, peer) in raws.iter_mut().zip(peers) {
+                let wire: Vec<u8> = (chunk * 4..chunk * 4 + 4)
+                    .flat_map(|seq| raw_frame(peer, &Msg::InvokeWrite(Value::new(seq))))
+                    .collect();
+                raw.write_all(&wire).unwrap();
+            }
+        }
+        let mut next = HashMap::new();
+        receive_in_order(&hub, &mut next, |next| peers.iter().all(|peer| next.get(peer) == Some(&400)));
+        let stats = hub.reader_stats();
+        assert_eq!(stats.frames, 800, "{stats:?}");
+        assert!(stats.deliveries <= stats.wakes, "at most one push per pass: {stats:?}");
     }
 
     /// Reads `InvokeWrite(seq)` frames off `at` until `done` says enough,

@@ -13,6 +13,7 @@
 //!
 //! [`RegisterClient`]: mwr_core::RegisterClient
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -26,7 +27,7 @@ use mwr_types::{
 };
 
 use crate::tap::AuditTap;
-use crate::transport::{Endpoint, TransportError};
+use crate::transport::{Endpoint, Inbound, TransportError};
 use crate::view::ClusterView;
 
 /// Errors returned by live operations.
@@ -126,6 +127,13 @@ pub struct LiveClient<E: Endpoint, Id> {
     tap: Option<AuditTap>,
     /// The shared configuration view, when the cluster reconfigures live.
     view: Option<Arc<ClusterView>>,
+    /// Replies taken from the inbox and not fed yet: a round takes
+    /// everything queued at once and may complete before it has fed all of
+    /// it. The next round feeds these before it looks at the inbox again.
+    taken: VecDeque<Inbound>,
+    /// Every reply fed to the machine, and what it made of each.
+    #[cfg(test)]
+    fed: Vec<(ServerId, Step)>,
     role: PhantomData<Id>,
 }
 
@@ -193,6 +201,9 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
             retry: RetryPolicy::default(),
             tap: None,
             view: None,
+            taken: VecDeque::new(),
+            #[cfg(test)]
+            fed: Vec::new(),
             role: PhantomData,
         }
     }
@@ -317,12 +328,14 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
     /// machine every reply, until the machine says the round is complete.
     ///
     /// Each attempt re-broadcasts the *same* round and waits until one
-    /// deadline, `timeout` past the broadcast. A queued reply is taken with
-    /// no clock read; the clock is read only to park on an empty inbox.
-    /// The machine counts acks per server for as long as the
-    /// round is in flight, so a duplicate reply to a re-broadcast can never
-    /// double-count and a straggler from an earlier attempt still completes
-    /// a later one.
+    /// deadline, `timeout` past the broadcast. The replies queued in the
+    /// inbox are taken all at once, with one lock and no clock read, and
+    /// fed one by one; the clock is read only to park on an empty inbox.
+    /// What a round took and did not need is fed to the next one first (a
+    /// straggler: the machine ignores it). The machine counts acks per
+    /// server for as long as the round is in flight, so a duplicate reply
+    /// to a re-broadcast can never double-count and a straggler from an
+    /// earlier attempt still completes a later one.
     ///
     /// When the view's epoch moves mid-round the cluster reconfigured: the
     /// machine is rescoped and the round re-broadcast under the new
@@ -341,21 +354,26 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
             // A timeout too long to be a point in time ("never") is no deadline.
             let deadline = Instant::now().checked_add(self.timeout);
             loop {
-                // A queued reply is taken without a look at the clock: the
+                // Queued replies are taken without a look at the clock: the
                 // deadline bounds only the wait for one that has not come.
-                let (from, msg) = match self.endpoint.inbox().try_recv() {
-                    Ok(inbound) => inbound,
-                    Err(TryRecvError::Disconnected) => break,
-                    Err(TryRecvError::Empty) => {
-                        let left = deadline.map_or(Duration::MAX, |at| {
-                            at.saturating_duration_since(Instant::now())
-                        });
-                        if left.is_zero() {
-                            break;
+                let (from, msg) = match self.taken.pop_front() {
+                    Some(inbound) => inbound,
+                    None => match self.endpoint.inbox().try_recv_all(&mut self.taken) {
+                        Ok(_) => continue,
+                        Err(TryRecvError::Disconnected) => break,
+                        Err(TryRecvError::Empty) => {
+                            let left = deadline.map_or(Duration::MAX, |at| {
+                                at.saturating_duration_since(Instant::now())
+                            });
+                            if left.is_zero() {
+                                break;
+                            }
+                            let Ok(inbound) = self.endpoint.inbox().recv_timeout(left) else {
+                                break;
+                            };
+                            inbound
                         }
-                        let Ok(inbound) = self.endpoint.inbox().recv_timeout(left) else { break };
-                        inbound
-                    }
+                    },
                 };
                 match self.follow_view() {
                     None => {}
@@ -365,7 +383,10 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
                 let (ProcessId::Server(server), Some(msg)) = (from, self.unwrap(msg)) else {
                     continue;
                 };
-                match self.machine.on_reply(server, msg) {
+                let step = self.machine.on_reply(server, msg);
+                #[cfg(test)]
+                self.fed.push((server, step));
+                match step {
                     Step::Ignored | Step::Wait => {}
                     complete => return Ok(complete),
                 }
@@ -435,7 +456,7 @@ mod tests {
     use super::*;
     use crate::cluster::RuntimeCluster;
     use crate::server::{spawn_bank_with, ServerHandle};
-    use crate::transport::{EndpointFactory as _, InMemoryTransport, Inbound};
+    use crate::transport::{EndpointFactory, InMemoryTransport};
     use mwr_core::{Protocol, Router, ServerBank};
     use mwr_types::Tag;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -608,6 +629,76 @@ mod tests {
         for s in servers {
             s.shutdown();
         }
+    }
+
+    /// An endpoint whose broadcast returns only once a reply from every
+    /// destination is queued in its inbox, so that the round after it takes
+    /// all of them at once on either transport.
+    struct Settled<E>(E);
+
+    impl<E: Endpoint> Endpoint for Settled<E> {
+        fn id(&self) -> ProcessId {
+            self.0.id()
+        }
+        fn send(&self, to: ProcessId, msg: Msg) -> Result<(), TransportError> {
+            self.0.send(to, msg)
+        }
+        fn send_batch(&self, batch: Vec<(ProcessId, Msg)>) {
+            let replies = batch.len();
+            self.0.send_batch(batch);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while self.0.inbox().len() < replies {
+                assert!(Instant::now() < deadline, "a reply never came");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        fn inbox(&self) -> &crossbeam::channel::Receiver<Inbound> {
+            self.0.inbox()
+        }
+    }
+
+    /// A round takes every queued reply at once and completes on the
+    /// quorum's last, so the fifth of five is taken and not needed. It
+    /// stays with the client and is the next round's first, which ignores
+    /// it: every reply is fed once, a straggler is never counted, and
+    /// nothing is left in the inbox between operations.
+    fn stragglers_are_fed_once_to_the_next_round<F: EndpointFactory>(factory: F) {
+        const WRITES: usize = 20;
+        let config = ClusterConfig::new(5, 1, 1, 1).unwrap();
+        let cluster = RuntimeCluster::start_on(factory, config, Protocol::W2R1).unwrap();
+        let id = WriterId::new(0);
+        let endpoint = Settled(cluster.factory().open(id.into()).unwrap());
+        let mut writer = LiveWriter::new(endpoint, id, config, WriteMode::Slow);
+        for i in 1..=WRITES as u64 {
+            assert_eq!(writer.write(Value::new(i)).unwrap().value(), Value::new(i));
+            assert_eq!(writer.taken.len(), 1, "write {i}: the last round's fifth reply is held");
+            assert!(writer.endpoint.inbox().is_empty(), "write {i}");
+        }
+        let rounds = 2 * WRITES;
+        assert_eq!(writer.fed.len() + writer.taken.len(), 5 * rounds, "a reply fed twice or lost");
+        // The first round feeds the four it needs; every later one first
+        // the reply the round before it held, which the machine ignores.
+        let (first, rest) = writer.fed.split_at(4);
+        let mut counted: Vec<ServerId> = first.iter().map(|&(server, _)| server).collect();
+        assert!(first.iter().all(|&(_, step)| step != Step::Ignored), "{first:?}");
+        for (round, fed) in rest.chunks(5).enumerate() {
+            let (straggler, step) = fed[0];
+            assert_eq!(step, Step::Ignored, "round {}: {fed:?}", round + 1);
+            assert!(!counted.contains(&straggler), "round {}: it was fed before", round + 1);
+            counted = fed[1..].iter().map(|&(server, _)| server).collect();
+            assert!(fed[1..].iter().all(|&(_, step)| step != Step::Ignored), "{fed:?}");
+        }
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn stragglers_are_fed_once_to_the_next_round_in_memory() {
+        stragglers_are_fed_once_to_the_next_round(InMemoryTransport::new());
+    }
+
+    #[test]
+    fn stragglers_are_fed_once_to_the_next_round_over_tcp() {
+        stragglers_are_fed_once_to_the_next_round(crate::TcpRegistry::new());
     }
 
     #[test]

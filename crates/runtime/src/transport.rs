@@ -2,12 +2,14 @@
 
 use std::any::Any;
 use std::fmt;
+use std::mem;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crossbeam::channel::{bounded, select, unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 use std::thread;
 
 use mwr_core::Msg;
@@ -61,8 +63,10 @@ type RouteMap = HashMap<ProcessId, (u64, Route)>;
 /// Where a message to a registered in-memory endpoint goes.
 #[derive(Debug)]
 enum Route {
-    /// Into its inbox.
-    Inbox(Sender<Inbound>),
+    /// Into its inbox. The route holds the inbox's only strong `Sender`
+    /// (its endpoint holds a [`Weak`] one), so removing the route
+    /// disconnects the inbox.
+    Inbox(Arc<Sender<Inbound>>),
     /// Through its handler, on the sender's thread (see
     /// [`InMemoryEndpoint::serve`]).
     Served(Arc<Served>),
@@ -162,12 +166,13 @@ pub trait Endpoint: Send + Sync {
     /// call, so implementations can amortize their lookup locking across
     /// the whole fan-out. Both transports override it: on TCP, one
     /// pipeline-map lock for all the frames, then one write per frame; in
-    /// memory ([`InMemoryEndpoint`]), one read of the route map and one
-    /// clone of the sender's inbox `Sender`, then the served destinations'
-    /// handlers. Either way no lock of the transport is held while a frame
-    /// is written or a handler runs, so a handler may open or close
-    /// endpoints on the transport it serves on. The default just loops
-    /// over `send`.
+    /// memory ([`InMemoryEndpoint`]), the served destinations' handlers
+    /// through the endpoint's route cache, which reads the route map only
+    /// after the map changed or for a destination that is not served, and
+    /// the handlers' replies pushed into the sender's inbox at once. Either
+    /// way no lock of the transport is held while a frame is written or a
+    /// handler runs, so a handler may open or close endpoints on the
+    /// transport it serves on. The default just loops over `send`.
     fn send_batch(&self, batch: Vec<(ProcessId, Msg)>) {
         for (to, msg) in batch {
             let _ = self.send(to, msg);
@@ -301,9 +306,13 @@ impl<E: Endpoint> Endpoint for Arc<E> {
 ///
 /// A message to an endpoint goes into its inbox — unless the endpoint is
 /// served ([`InMemoryEndpoint::serve`]): then `send` runs its handler on
-/// the sender's thread and only the reply crosses a channel. A broadcast
-/// ([`Endpoint::send_batch`]) resolves its routes once, under one read of
-/// the route map, and runs its handlers after that read is released.
+/// the sender's thread and only the reply crosses a channel. The transport
+/// counts the writes to its route map, and each endpoint keeps the served
+/// destinations it resolved under the count it saw: a send whose
+/// destinations are all cached under the current count reads neither the
+/// map nor its lock, and the others are resolved under one read of the map
+/// per send. No handler runs while that read is held, and a send's replies
+/// go into the sender's inbox with one push.
 ///
 /// # Examples
 ///
@@ -323,11 +332,34 @@ impl<E: Endpoint> Endpoint for Arc<E> {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct InMemoryTransport {
-    routes: Arc<RwLock<RouteMap>>,
-    /// Monotone registration generation, so a late-dropped old endpoint
-    /// can never evict a newer registration for the same id (churn mints
-    /// and drops endpoints for the same slot concurrently).
-    generation: Arc<std::sync::atomic::AtomicU64>,
+    routes: Arc<Routes>,
+}
+
+/// The route map and the count of its writes.
+#[derive(Debug, Default)]
+struct Routes {
+    map: RwLock<RouteMap>,
+    /// Changes made to `map`, each counted under its write lock. A count
+    /// read under the read lock names the map it was read with; a count
+    /// read without the lock that still equals the one an endpoint cached
+    /// its routes under says that none of them moved since. A
+    /// registration's generation is the count of the write that made it,
+    /// so a late-dropped old endpoint can never evict a newer registration
+    /// for the same id (churn mints and drops endpoints for the same slot
+    /// concurrently).
+    writes: AtomicU64,
+    /// Reads of `map` by a send that had to resolve a destination.
+    #[cfg(test)]
+    resolutions: std::sync::atomic::AtomicUsize,
+}
+
+impl Routes {
+    /// Counts one change to the map and returns its number. Called under
+    /// the map's write lock by every change: a registration, a removal, a
+    /// route swapped to a handler.
+    fn count_write(&self) -> u64 {
+        self.writes.fetch_add(1, Ordering::Release) + 1
+    }
 }
 
 impl InMemoryTransport {
@@ -348,101 +380,40 @@ impl InMemoryTransport {
     /// Panics if the process is already registered.
     pub fn register(&self, id: ProcessId) -> InMemoryEndpoint {
         let (tx, rx) = unbounded();
-        let generation = self
-            .generation
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let prev = self.routes.write().insert(id, (generation, Route::Inbox(tx)));
+        let tx = Arc::new(tx);
+        let reply_to = Arc::downgrade(&tx);
+        let (generation, prev) = {
+            let mut map = self.routes.map.write();
+            let generation = self.routes.count_write();
+            (generation, map.insert(id, (generation, Route::Inbox(tx))))
+        };
         assert!(prev.is_none(), "duplicate endpoint {id}");
-        InMemoryEndpoint { id, generation, transport: self.clone(), inbox: rx }
+        InMemoryEndpoint {
+            id,
+            generation,
+            transport: self.clone(),
+            inbox: rx,
+            reply_to,
+            cache: Mutex::default(),
+        }
     }
 
     /// Removes a process's route (future sends to it fail).
     pub fn deregister(&self, id: ProcessId) {
-        self.routes.write().remove(&id);
+        let mut map = self.routes.map.write();
+        if map.remove(&id).is_some() {
+            self.routes.count_write();
+        }
     }
 
     /// Removes `id` only if its registration generation still matches —
     /// the endpoint-Drop path, which must not race a re-registration.
     fn deregister_generation(&self, id: ProcessId, generation: u64) {
-        let mut guard = self.routes.write();
-        if guard.get(&id).is_some_and(|(g, _)| *g == generation) {
-            guard.remove(&id);
+        let mut map = self.routes.map.write();
+        if map.get(&id).is_some_and(|(g, _)| *g == generation) {
+            map.remove(&id);
+            self.routes.count_write();
         }
-    }
-
-    /// Delivers `msg` into `to`'s inbox, or answers it with `to`'s handler
-    /// and delivers the reply into `from`'s. The handler runs with no lock
-    /// of the transport held.
-    fn send_from(&self, from: ProcessId, to: ProcessId, msg: Msg) -> Result<(), TransportError> {
-        let guard = self.routes.read();
-        let served = match guard.get(&to) {
-            None => return Err(TransportError::UnknownDestination { to }),
-            Some((_, Route::Inbox(tx))) => {
-                return tx.send((from, msg)).map_err(|_| TransportError::Disconnected { to })
-            }
-            Some((_, Route::Served(served))) => Arc::clone(served),
-        };
-        let reply_to = inbox_of(&guard, from);
-        drop(guard);
-        self.run_handler(&served, from, &msg, reply_to.as_ref());
-        Ok(())
-    }
-
-    /// Sends `from`'s broadcast under one read of the route map: a frame to
-    /// an inbox is pushed while it is held, and each served destination's
-    /// handler runs after it is released, its reply pushed into `from`'s
-    /// inbox. Unknown and closed destinations are skipped.
-    fn broadcast_from(&self, from: ProcessId, batch: Vec<(ProcessId, Msg)>) {
-        let guard = self.routes.read();
-        let reply_to = inbox_of(&guard, from);
-        // `(Arc<Served>, Msg)` is the size of the batch's pairs, so the
-        // collect can reuse the batch's buffer.
-        let served: Vec<(Arc<Served>, Msg)> = batch
-            .into_iter()
-            .filter_map(|(to, msg)| match guard.get(&to)? {
-                (_, Route::Inbox(tx)) => {
-                    let _ = tx.send((from, msg));
-                    None
-                }
-                (_, Route::Served(served)) => Some((Arc::clone(served), msg)),
-            })
-            .collect();
-        drop(guard);
-        for (served, msg) in served {
-            self.run_handler(&served, from, &msg, reply_to.as_ref());
-        }
-    }
-
-    /// Answers `msg` from `from` with a served endpoint's handler, which no
-    /// lock of the transport may be held around, and pushes the reply into
-    /// `reply_to`.
-    fn run_handler(
-        &self,
-        served: &Served,
-        from: ProcessId,
-        msg: &Msg,
-        reply_to: Option<&Sender<Inbound>>,
-    ) {
-        match served.answer(from, msg) {
-            Ok(reply) => {
-                if let (Some(tx), Some(reply)) = (reply_to, reply) {
-                    // A dead client is not a server error.
-                    let _ = tx.send((served.id, reply));
-                }
-            }
-            // The panic crashed the served endpoint alone; its sender sees
-            // message loss.
-            Err(()) => self.deregister_generation(served.id, served.generation),
-        }
-    }
-}
-
-/// The inbox `Sender` of `id`, if it is registered and not served: where a
-/// handler's replies to `id` go.
-fn inbox_of(routes: &RouteMap, id: ProcessId) -> Option<Sender<Inbound>> {
-    match routes.get(&id) {
-        Some((_, Route::Inbox(tx))) => Some(tx.clone()),
-        _ => None,
     }
 }
 
@@ -479,11 +450,143 @@ pub struct InMemoryEndpoint {
     generation: u64,
     transport: InMemoryTransport,
     inbox: Receiver<Inbound>,
+    /// The `Sender` of this endpoint's own inbox, where the replies of the
+    /// handlers it sends to go. Weak: only the route map keeps the inbox
+    /// connected, so removing this endpoint's route disconnects it (and its
+    /// replies are dropped) as if the endpoint held nothing.
+    reply_to: Weak<Sender<Inbound>>,
+    /// What this endpoint's sends have resolved. A send takes it out for
+    /// its whole length and puts it back after, so no lock of the endpoint
+    /// is held while a handler runs.
+    cache: Mutex<RouteCache>,
+}
+
+/// The served destinations an endpoint has resolved, and the buffer its
+/// sends collect replies in.
+#[derive(Debug, Default)]
+struct RouteCache {
+    /// The route map's write count `served` is valid under.
+    writes: u64,
+    /// Served destinations by id, each with its handler: cached per
+    /// destination, so a send to a different group of them still finds
+    /// the ones it shares. Never an inbox's `Sender`, which would keep a
+    /// removed route's inbox connected.
+    served: Vec<(ProcessId, Arc<Served>)>,
+    /// The send in progress's replies, pushed into the inbox at once.
+    replies: Vec<Inbound>,
 }
 
 impl Drop for InMemoryEndpoint {
     fn drop(&mut self) {
         self.transport.deregister_generation(self.id, self.generation);
+    }
+}
+
+impl InMemoryEndpoint {
+    /// The one send path, for `send` and `send_batch` alike. A destination
+    /// cached as served under the current write count costs no read of the
+    /// route map; every other one is resolved under one read for the whole
+    /// batch: an inbox's frame is pushed there, in order, a served
+    /// destination's handler joins the cache, and an unknown id is an
+    /// error. A handler runs with no lock of the transport or of this
+    /// endpoint held: at once while the send has not read the route map,
+    /// after the read is released once it has. Their replies go into this
+    /// endpoint's inbox with one push. A handler that panics crashes its
+    /// own endpoint: its route goes, the rest of the batch is delivered.
+    ///
+    /// Returns the first destination's failure; the others are still sent.
+    fn deliver(
+        &self,
+        batch: impl IntoIterator<Item = (ProcessId, Msg)>,
+    ) -> Result<(), TransportError> {
+        let routes = &self.transport.routes;
+        let mut cache = mem::take(&mut *self.cache.lock());
+        let RouteCache { writes, served, replies } = &mut cache;
+        // Pairs with the `Release` of `count_write`: a send made after a
+        // change (after `Serving::stop` returned, say) reads its count.
+        if *writes != routes.writes.load(Ordering::Acquire) {
+            served.clear();
+        }
+        let batch = batch.into_iter();
+        // A cold cache and reply buffer are sized once, not grown.
+        let destinations = batch.size_hint().0;
+        if served.is_empty() {
+            served.reserve(destinations);
+        }
+        replies.reserve(destinations);
+        let mut map = None;
+        let mut failed = None;
+        // A frame to a served destination met once the route map has been
+        // read waits for the read's release, by index into `served`. The
+        // waiting calls are the size of the batch's pairs, so a `Vec`
+        // batch's buffer holds them.
+        let waiting: Vec<(usize, Msg)> = batch
+            .filter_map(|(to, msg)| {
+                let at = match served.iter().position(|(id, _)| *id == to) {
+                    Some(at) => at,
+                    None => {
+                        let map = map.get_or_insert_with(|| {
+                            let map = routes.map.read();
+                            #[cfg(test)]
+                            routes.resolutions.fetch_add(1, Ordering::Relaxed);
+                            // A cache emptied above takes this read's count.
+                            // One that still holds entries keeps theirs: what
+                            // this read adds is no older, and a change since
+                            // moves the count past both.
+                            if served.is_empty() {
+                                *writes = routes.writes.load(Ordering::Relaxed);
+                            }
+                            map
+                        });
+                        match map.get(&to) {
+                            Some((_, Route::Served(handler))) => {
+                                served.push((to, Arc::clone(handler)));
+                                served.len() - 1
+                            }
+                            Some((_, Route::Inbox(tx))) => {
+                                if tx.send((self.id, msg)).is_err() {
+                                    failed.get_or_insert(TransportError::Disconnected { to });
+                                }
+                                return None;
+                            }
+                            None => {
+                                failed.get_or_insert(TransportError::UnknownDestination { to });
+                                return None;
+                            }
+                        }
+                    }
+                };
+                if map.is_some() {
+                    return Some((at, msg));
+                }
+                self.call(&served[at].1, &msg, replies);
+                None
+            })
+            .collect();
+        drop(map);
+        for (at, msg) in waiting {
+            self.call(&served[at].1, &msg, replies);
+        }
+        if !replies.is_empty() {
+            if let Some(inbox) = self.reply_to.upgrade() {
+                // A dead client is not a server error.
+                let _ = inbox.send_all(replies.drain(..));
+            }
+            replies.clear();
+        }
+        *self.cache.lock() = cache;
+        failed.map_or(Ok(()), Err)
+    }
+
+    /// Answers `msg` from this endpoint with `handler`, adding the reply to
+    /// `replies`.
+    fn call(&self, handler: &Served, msg: &Msg, replies: &mut Vec<Inbound>) {
+        match handler.answer(self.id, msg) {
+            Ok(reply) => replies.extend(reply.map(|reply| (handler.id, reply))),
+            // The panic crashed the served endpoint alone; its sender sees
+            // message loss.
+            Err(()) => self.transport.deregister_generation(handler.id, handler.generation),
+        }
     }
 }
 
@@ -493,15 +596,18 @@ impl Endpoint for InMemoryEndpoint {
     }
 
     fn send(&self, to: ProcessId, msg: Msg) -> Result<(), TransportError> {
-        self.transport.send_from(self.id, to, msg)
+        self.deliver([(to, msg)])
     }
 
-    /// One read of the route map and one clone of this endpoint's inbox
-    /// `Sender` for the whole broadcast, not one of each per destination.
-    /// The served destinations' handlers run after the read is released,
-    /// so a handler may open or close endpoints on this transport.
+    /// Resolves the routes once per change of the route map, not once per
+    /// broadcast: a broadcast to destinations this endpoint has already
+    /// found served reads neither the route map nor its lock, and clones
+    /// no `Arc` and no `Sender`. The served destinations' handlers run with
+    /// no lock held, so a handler may open or close endpoints on this
+    /// transport, and their replies are pushed into this endpoint's inbox
+    /// with one lock.
     fn send_batch(&self, batch: Vec<(ProcessId, Msg)>) {
-        self.transport.broadcast_from(self.id, batch);
+        let _ = self.deliver(batch);
     }
 
     fn inbox(&self) -> &Receiver<Inbound> {
@@ -518,7 +624,8 @@ impl Endpoint for InMemoryEndpoint {
     /// `send` returns `Ok` (the crash model's message loss), the handler is
     /// dropped and the route removed, and [`Serving::stop`] returns the
     /// panic. Stopping removes the route, then drops the handler once a
-    /// call in flight returns, so no call starts after it returns.
+    /// call in flight returns, so no call starts after it returns — not
+    /// even one by a sender whose cache still holds the handler.
     fn serve<H>(self, handler: H) -> Serving
     where
         Self: Sized + 'static,
@@ -530,9 +637,13 @@ impl Endpoint for InMemoryEndpoint {
             handler: Mutex::new(Some(Box::new(handler))),
             panicked: Mutex::new(None),
         });
-        if let Some((generation, route)) = self.transport.routes.write().get_mut(&self.id) {
-            if *generation == self.generation {
-                *route = Route::Served(Arc::clone(&served));
+        {
+            let mut map = self.transport.routes.map.write();
+            if let Some((generation, route)) = map.get_mut(&self.id) {
+                if *generation == self.generation {
+                    *route = Route::Served(Arc::clone(&served));
+                    self.transport.routes.count_write();
+                }
             }
         }
         Serving::new(move || {
@@ -878,6 +989,209 @@ mod tests {
             assert_eq!(panic.downcast_ref::<&str>(), Some(&"marked query"));
             assert!(stopped.next().unwrap().is_ok());
         });
+    }
+
+    /// The route-map reads sends on `t` have made to resolve a destination.
+    fn resolutions(t: &InMemoryTransport) -> usize {
+        t.routes.resolutions.load(Ordering::Relaxed)
+    }
+
+    /// A handler that answers everything with `value`, to tell handlers apart.
+    fn replying(value: u64) -> impl FnMut(ProcessId, &Msg) -> Option<Msg> + Send + 'static {
+        move |_, _| Some(Msg::InvokeWrite(Value::new(value)))
+    }
+
+    /// Serves `server(s)` for each `s` of `servers`, answering queries.
+    fn serve_all(t: &InMemoryTransport, servers: std::ops::Range<u32>) -> Vec<Serving> {
+        servers.map(|s| t.register(ProcessId::server(s)).serve(answering(u64::MAX))).collect()
+    }
+
+    /// `query(seq)` to each of `servers`.
+    fn to_each(servers: &[u32], seq: u64) -> Vec<(ProcessId, Msg)> {
+        servers.iter().map(|&s| (ProcessId::server(s), query(seq))).collect()
+    }
+
+    /// Takes what `endpoint`'s inbox holds: who sent it, in order.
+    fn senders(endpoint: &InMemoryEndpoint) -> Vec<ProcessId> {
+        endpoint.inbox().try_iter().map(|(from, _)| from).collect()
+    }
+
+    #[test]
+    fn a_thousand_broadcasts_to_one_served_set_resolve_once() {
+        let t = InMemoryTransport::new();
+        let _servings = serve_all(&t, 0..5);
+        let client = t.register(ProcessId::reader(0));
+        for seq in 0..1_000 {
+            client.send_batch(to_each(&[0, 1, 2, 3, 4], seq));
+            let answered = senders(&client);
+            assert_eq!(answered, (0..5).map(ProcessId::server).collect::<Vec<_>>(), "{seq}");
+        }
+        assert_eq!(resolutions(&t), 1);
+    }
+
+    /// Every change to the route map, and only a change, costs the next
+    /// send one more resolution: a registration, a dropped endpoint, a
+    /// served route. Removing an id that is not there changes nothing.
+    #[test]
+    fn one_route_change_between_broadcasts_costs_exactly_one_more_resolution() {
+        let t = InMemoryTransport::new();
+        let _servings = serve_all(&t, 0..3);
+        let client = t.register(ProcessId::reader(0));
+        let broadcast = || {
+            client.send_batch(to_each(&[0, 1, 2], 0));
+            assert_eq!(senders(&client).len(), 3);
+            resolutions(&t)
+        };
+        assert_eq!(broadcast(), 1);
+        assert_eq!(broadcast(), 1);
+        let other = t.register(ProcessId::reader(1));
+        assert_eq!(broadcast(), 2, "a registration");
+        assert_eq!(broadcast(), 2);
+        drop(other);
+        assert_eq!(broadcast(), 3, "a dropped endpoint");
+        t.deregister(ProcessId::server(9));
+        assert_eq!(broadcast(), 3, "no route was there to remove");
+        let unserved = t.register(ProcessId::server(5));
+        assert_eq!(broadcast(), 4, "a registration");
+        let _served = unserved.serve(answering(u64::MAX));
+        assert_eq!(broadcast(), 5, "a route swapped to a handler");
+        assert_eq!(broadcast(), 5);
+    }
+
+    /// Routes are cached per destination, not per batch: two groups that
+    /// share a server cost a resolution each, once.
+    #[test]
+    fn two_alternating_destination_groups_resolve_at_most_twice() {
+        let t = InMemoryTransport::new();
+        let _servings = serve_all(&t, 0..5);
+        let client = t.register(ProcessId::reader(0));
+        for seq in 0..500 {
+            let group: &[u32] = if seq % 2 == 0 { &[0, 1, 2] } else { &[2, 3, 4] };
+            client.send_batch(to_each(group, seq));
+            let answered = senders(&client);
+            assert_eq!(answered, group.iter().map(|&s| ProcessId::server(s)).collect::<Vec<_>>());
+        }
+        assert!(resolutions(&t) <= 2, "{} resolutions", resolutions(&t));
+    }
+
+    /// A sender's cache never outlives the route it resolved: once an id
+    /// is stopped and served again, the next broadcast from the same
+    /// endpoint reaches the new handler and only it.
+    #[test]
+    fn a_re_served_destination_is_answered_by_its_new_handler_only() {
+        let t = InMemoryTransport::new();
+        let old = t.register(ProcessId::server(0)).serve(replying(1));
+        let _steady = t.register(ProcessId::server(1)).serve(replying(7));
+        let client = t.register(ProcessId::reader(0));
+        let broadcast = || {
+            client.send_batch(to_each(&[0, 1], 0));
+            let mut answers: Vec<(ProcessId, Msg)> = client.inbox().try_iter().collect();
+            answers.sort_by_key(|(from, _)| *from);
+            answers
+        };
+        let answer = |s, value| (ProcessId::server(s), Msg::InvokeWrite(Value::new(value)));
+        assert_eq!(broadcast(), [answer(0, 1), answer(1, 7)]);
+        old.stop().expect("the handler never panicked");
+        let _new = t.register(ProcessId::server(0)).serve(replying(2));
+        assert_eq!(broadcast(), [answer(0, 2), answer(1, 7)]);
+        assert_eq!(broadcast(), [answer(0, 2), answer(1, 7)]);
+    }
+
+    /// A destination whose handler panicked drops out of every later
+    /// broadcast from an endpoint that had it cached, and its neighbours
+    /// keep answering.
+    #[test]
+    fn a_destination_whose_handler_panicked_drops_out_while_the_others_answer() {
+        watched(|| {
+            let t = InMemoryTransport::new();
+            let servings: Vec<Serving> = [u64::MAX, 7, u64::MAX]
+                .into_iter()
+                .zip(0..)
+                .map(|(panic_on, s)| t.register(ProcessId::server(s)).serve(answering(panic_on)))
+                .collect();
+            let client = t.register(ProcessId::reader(0));
+            let all = [0, 1, 2].map(ProcessId::server).to_vec();
+            let survivors = vec![ProcessId::server(0), ProcessId::server(2)];
+            for seq in 0..7 {
+                client.send_batch(to_each(&[0, 1, 2], seq));
+                assert_eq!(senders(&client), all);
+            }
+            for seq in 7..20 {
+                client.send_batch(to_each(&[0, 1, 2], seq));
+                assert_eq!(senders(&client), survivors, "query {seq}");
+            }
+            // One at the start, then one per broadcast after the crash: an
+            // id with no route has nothing to cache.
+            assert_eq!(resolutions(&t), 1 + 12);
+            let mut stopped = servings.into_iter().map(Serving::stop);
+            assert!(stopped.next().unwrap().is_ok());
+            assert!(stopped.next().unwrap().is_err(), "the handler's panic is reported");
+            assert!(stopped.next().unwrap().is_ok());
+        });
+    }
+
+    /// A broadcast that mixes served and unserved destinations pushes the
+    /// unserved ones' frames in the batch's order, each time through one
+    /// read of the route map (an inbox is never cached), and the served
+    /// ones' replies in the batch's order too.
+    #[test]
+    fn a_mixed_broadcast_delivers_its_inbox_frames_in_order() {
+        let t = InMemoryTransport::new();
+        let (x, y) = (t.register(ProcessId::server(0)), t.register(ProcessId::server(1)));
+        let _servings = [2, 3].map(|s| t.register(ProcessId::server(s)).serve(answering(u64::MAX)));
+        let client = t.register(ProcessId::reader(0));
+        let seqs = |endpoint: &InMemoryEndpoint| -> Vec<u64> {
+            endpoint
+                .inbox()
+                .try_iter()
+                .map(|(_, msg)| match msg {
+                    Msg::Query { handle } | Msg::QueryAck { handle, .. } => handle.op.seq,
+                    msg => panic!("unexpected {msg:?}"),
+                })
+                .collect()
+        };
+        for round in 1..=2 {
+            client.send_batch(
+                [0, 2, 0, 1, 3, 0]
+                    .into_iter()
+                    .zip(0..)
+                    .map(|(s, seq)| (ProcessId::server(s), query(seq)))
+                    .collect(),
+            );
+            assert_eq!(seqs(&x), [0, 2, 5]);
+            assert_eq!(seqs(&y), [3]);
+            assert_eq!(seqs(&client), [1, 4], "the served ones' answers");
+            assert_eq!(resolutions(&t), round);
+        }
+    }
+
+    /// Nothing a sender resolved keeps an inbox connected: once its route
+    /// is removed, a destination's inbox and the sender's own report
+    /// `Disconnected` as soon as they are drained, as with no cache at all.
+    #[test]
+    fn a_removed_routes_inbox_disconnects_though_a_sender_resolved_it() {
+        let t = InMemoryTransport::new();
+        let inbox = t.register(ProcessId::server(0));
+        let _serving = t.register(ProcessId::server(1)).serve(answering(u64::MAX));
+        let client = t.register(ProcessId::reader(0));
+        for seq in 0..3 {
+            client.send_batch(to_each(&[0, 1], seq));
+        }
+        t.deregister(ProcessId::server(0));
+        t.deregister(ProcessId::reader(0));
+        for endpoint in [&inbox, &client] {
+            assert_eq!(endpoint.inbox().try_iter().count(), 3, "{}", endpoint.id());
+            let started = Instant::now();
+            let gone = endpoint.inbox().recv_timeout(Duration::from_secs(5));
+            let waited = started.elapsed();
+            assert!(gone.is_err() && waited < Duration::from_secs(5), "{}", endpoint.id());
+            assert_eq!(
+                endpoint.inbox().try_recv(),
+                Err(crossbeam::channel::TryRecvError::Disconnected),
+                "{}",
+                endpoint.id()
+            );
+        }
     }
 
     /// A frame already in the inbox when the endpoint is served stays

@@ -19,7 +19,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::TryRecvError;
+use crossbeam::channel::{RecvTimeoutError, TryRecvError};
 use mwr_core::{FastWire, Msg, OpKind, ReadMode, RoundMachine, Scope, Step, WriteMode};
 use mwr_types::{
     ClusterConfig, ConfigEpoch, ProcessId, ReaderId, RegisterId, ServerId, TaggedValue, Value,
@@ -127,13 +127,21 @@ pub struct LiveClient<E: Endpoint, Id> {
     tap: Option<AuditTap>,
     /// The shared configuration view, when the cluster reconfigures live.
     view: Option<Arc<ClusterView>>,
-    /// Replies taken from the inbox and not fed yet: a round takes
-    /// everything queued at once and may complete before it has fed all of
-    /// it. The next round feeds these before it looks at the inbox again.
+    /// The round's frames, kept across rounds so a broadcast allocates no
+    /// batch: [`Endpoint::round_trip`] leaves it empty.
+    batch: Vec<(ProcessId, Msg)>,
+    /// Replies in hand and not fed yet: the ones the endpoint handed over
+    /// inside the round trip, and everything taken from the inbox at once.
+    /// A round may complete before it has fed all of them; the next round
+    /// feeds these before it looks at the inbox again.
     taken: VecDeque<Inbound>,
     /// Every reply fed to the machine, and what it made of each.
     #[cfg(test)]
     fed: Vec<(ServerId, Step)>,
+    /// Times a round went to the inbox: a take, then a park if the take
+    /// found nothing.
+    #[cfg(test)]
+    inbox_takes: usize,
     role: PhantomData<Id>,
 }
 
@@ -201,9 +209,12 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
             retry: RetryPolicy::default(),
             tap: None,
             view: None,
+            batch: Vec::new(),
             taken: VecDeque::new(),
             #[cfg(test)]
             fed: Vec::new(),
+            #[cfg(test)]
+            inbox_takes: 0,
             role: PhantomData,
         }
     }
@@ -328,14 +339,21 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
     /// machine every reply, until the machine says the round is complete.
     ///
     /// Each attempt re-broadcasts the *same* round and waits until one
-    /// deadline, `timeout` past the broadcast. The replies queued in the
-    /// inbox are taken all at once, with one lock and no clock read, and
-    /// fed one by one; the clock is read only to park on an empty inbox.
-    /// What a round took and did not need is fed to the next one first (a
+    /// deadline, `timeout` past the broadcast. The replies the endpoint
+    /// handed over inside the round trip (an in-memory bank's, through no
+    /// channel) are fed first; then the replies queued in the inbox are
+    /// taken all at once, with one lock and no clock read, and fed one by
+    /// one; the clock is read only to park on an empty inbox. What a round
+    /// had in hand and did not need is fed to the next one first (a
     /// straggler: the machine ignores it). The machine counts acks per
     /// server for as long as the round is in flight, so a duplicate reply
     /// to a re-broadcast can never double-count and a straggler from an
     /// earlier attempt still completes a later one.
+    ///
+    /// An inbox found disconnected fails the operation at once with
+    /// [`TransportError::Disconnected`] naming this client: nothing can
+    /// reach it any more (its route was removed), so no attempt or backoff
+    /// is spent waiting.
     ///
     /// When the view's epoch moves mid-round the cluster reconfigured: the
     /// machine is rescoped and the round re-broadcast under the new
@@ -358,22 +376,31 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
                 // deadline bounds only the wait for one that has not come.
                 let (from, msg) = match self.taken.pop_front() {
                     Some(inbound) => inbound,
-                    None => match self.endpoint.inbox().try_recv_all(&mut self.taken) {
-                        Ok(_) => continue,
-                        Err(TryRecvError::Disconnected) => break,
-                        Err(TryRecvError::Empty) => {
-                            let left = deadline.map_or(Duration::MAX, |at| {
-                                at.saturating_duration_since(Instant::now())
-                            });
-                            if left.is_zero() {
-                                break;
-                            }
-                            let Ok(inbound) = self.endpoint.inbox().recv_timeout(left) else {
-                                break;
-                            };
-                            inbound
+                    None => {
+                        #[cfg(test)]
+                        {
+                            self.inbox_takes += 1;
                         }
-                    },
+                        match self.endpoint.inbox().try_recv_all(&mut self.taken) {
+                            Ok(_) => continue,
+                            Err(TryRecvError::Disconnected) => return Err(self.disconnected()),
+                            Err(TryRecvError::Empty) => {
+                                let left = deadline.map_or(Duration::MAX, |at| {
+                                    at.saturating_duration_since(Instant::now())
+                                });
+                                if left.is_zero() {
+                                    break;
+                                }
+                                match self.endpoint.inbox().recv_timeout(left) {
+                                    Ok(inbound) => inbound,
+                                    Err(RecvTimeoutError::Timeout) => break,
+                                    Err(RecvTimeoutError::Disconnected) => {
+                                        return Err(self.disconnected())
+                                    }
+                                }
+                            }
+                        }
+                    }
                 };
                 match self.follow_view() {
                     None => {}
@@ -399,6 +426,11 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
         })
     }
 
+    /// This client's inbox is gone.
+    fn disconnected(&self) -> RuntimeError {
+        RuntimeError::Transport(TransportError::Disconnected { to: self.endpoint.id() })
+    }
+
     /// Re-derives the machine's scope from the shared view when its epoch
     /// moved — the cheap check (one atomic load in the common case) made at
     /// the start of every operation and attempt and before every reply is
@@ -413,28 +445,25 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
     }
 
     /// One round attempt on the wire: the machine's frames, wrapped for the
-    /// bound register and tagged with the scope's epoch, in one batched
-    /// broadcast — the transport amortizes its locking over the whole
-    /// fan-out, and a dead server is exactly the failure the quorum
-    /// tolerates (`send_batch` is best-effort by contract). Every register's
-    /// frames to a server share that server's one connection.
+    /// bound register and tagged with the scope's epoch, in one round trip
+    /// — the transport amortizes its locking over the whole fan-out, and a
+    /// dead server is exactly the failure the quorum tolerates (the send is
+    /// best-effort by contract). The replies the endpoint has in hand when
+    /// the call returns join `taken`. Every register's frames to a server
+    /// share that server's one connection.
     fn broadcast(&mut self) {
         let (wrap, epoch) = (self.wrap, self.machine.scope().epoch);
-        let batch: Vec<(ProcessId, Msg)> = self
-            .machine
-            .frames()
-            .map(|(server, request)| {
-                let request = match wrap {
-                    Some(register) => Msg::ForRegister { register, inner: Box::new(request) },
-                    None => request,
-                };
-                // The epoch header goes outermost (elided at epoch 0, so the
-                // legacy wire is byte-identical): servers adopt it before
-                // unwrapping the register frame.
-                (ProcessId::Server(server), request.in_epoch(epoch))
-            })
-            .collect();
-        self.endpoint.send_batch(batch);
+        self.batch.extend(self.machine.frames().map(|(server, request)| {
+            let request = match wrap {
+                Some(register) => Msg::ForRegister { register, inner: Box::new(request) },
+                None => request,
+            };
+            // The epoch header goes outermost (elided at epoch 0, so the
+            // legacy wire is byte-identical): servers adopt it before
+            // unwrapping the register frame.
+            (ProcessId::Server(server), request.in_epoch(epoch))
+        }));
+        self.endpoint.round_trip(&mut self.batch, &mut self.taken);
     }
 
     /// Strips one inbound frame down to the bare reply the machine takes:
@@ -699,6 +728,111 @@ mod tests {
     #[test]
     fn stragglers_are_fed_once_to_the_next_round_over_tcp() {
         stragglers_are_fed_once_to_the_next_round(crate::TcpRegistry::new());
+    }
+
+    /// Two clients of one identity share one endpoint, as a keyspace
+    /// handle's per-key clients do, each bound to a register of its own.
+    /// Used in turn, each is fed exactly its own rounds' replies: every
+    /// reply is fed once or held by the client whose round asked for it,
+    /// the held one is its own register's, and it is the next round's
+    /// straggler, ignored once.
+    #[test]
+    fn two_clients_on_one_endpoint_each_take_their_own_rounds_replies() {
+        const WRITES: u64 = 20;
+        let config = ClusterConfig::new(5, 1, 1, 1).unwrap();
+        let cluster =
+            RuntimeCluster::start_on(InMemoryTransport::new(), config, Protocol::W2R1).unwrap();
+        let id = WriterId::new(0);
+        let endpoint = Arc::new(cluster.factory().open(id.into()).unwrap());
+        let keys = [RegisterId::new(3), RegisterId::new(8)];
+        let mut clients: Vec<LiveWriter<_>> = keys
+            .iter()
+            .map(|&key| {
+                LiveWriter::new(Arc::clone(&endpoint), id, config, WriteMode::Slow)
+                    .with_scope(key, cluster.router().group_of(key))
+            })
+            .collect();
+        for i in 1..=WRITES {
+            for (client, key) in clients.iter_mut().zip(keys) {
+                assert_eq!(client.write(Value::new(i)).unwrap().value(), Value::new(i));
+                assert_eq!(client.taken.len(), 1, "write {i}: the last round's fifth reply is held");
+                let held = &client.taken[0].1;
+                let own = matches!(held, Msg::ForRegister { register, .. } if *register == key);
+                assert!(own, "write {i}: {key:?} holds {held:?}");
+                assert!(endpoint.inbox().is_empty(), "write {i}");
+            }
+        }
+        let rounds = 2 * WRITES as usize;
+        for client in &clients {
+            assert_eq!(client.fed.len() + client.taken.len(), 5 * rounds, "a reply fed twice or lost");
+            let ignored = client.fed.iter().filter(|&&(_, step)| step == Step::Ignored).count();
+            assert_eq!(ignored, rounds - 1, "every round but the first ignores one straggler");
+        }
+        drop(clients);
+        cluster.shutdown();
+    }
+
+    /// A client whose own inbox is gone (its in-memory route removed) fails
+    /// its operation at once with `Disconnected`, naming itself, instead of
+    /// running down its attempts and backoffs and reporting a wait it never
+    /// made.
+    #[test]
+    fn a_client_whose_route_is_gone_fails_at_once_with_disconnected() {
+        let config = ClusterConfig::new(3, 1, 1, 1).unwrap();
+        let (transport, servers) = cluster(config);
+        let id = ProcessId::writer(0);
+        let mut writer =
+            LiveWriter::new(transport.register(id), WriterId::new(0), config, WriteMode::Slow)
+                .with_timeout(Duration::from_secs(2))
+                .with_retry(RetryPolicy::new(3, Duration::from_millis(500)));
+        writer.write(Value::new(1)).unwrap();
+        transport.deregister(id);
+        let started = Instant::now();
+        let err = writer.write(Value::new(2)).unwrap_err();
+        let waited = started.elapsed();
+        assert_eq!(err, RuntimeError::Transport(TransportError::Disconnected { to: id }));
+        assert!(waited < Duration::from_millis(500), "failed after {waited:?}");
+        for s in servers {
+            s.shutdown();
+        }
+    }
+
+    /// A round on in-memory banks crosses no channel and takes one lock per
+    /// served call: over W2R1 writes and fast reads at S = 5, the transport
+    /// pushes nothing into any inbox, neither client takes from or parks on
+    /// its own (every reply is fed from the round trip's buffer), and each
+    /// bank is locked once per request, through its served slot.
+    #[test]
+    fn an_in_memory_round_crosses_no_channel_and_locks_each_bank_once() {
+        const OPS: u64 = 50;
+        let config = ClusterConfig::new(5, 1, 1, 1).unwrap();
+        let (transport, servers) = cluster(config);
+        let mut writer = LiveWriter::new(
+            transport.register(ProcessId::writer(0)),
+            WriterId::new(0),
+            config,
+            WriteMode::Slow,
+        );
+        let mut reader = LiveReader::new(
+            transport.register(ProcessId::reader(0)),
+            ReaderId::new(0),
+            config,
+            ReadMode::Fast,
+        );
+        for i in 1..=OPS {
+            let written = writer.write(Value::new(i)).unwrap();
+            assert_eq!(reader.read().unwrap(), written);
+        }
+        assert_eq!(transport.pushes(), 0, "inbox pushes");
+        assert_eq!((writer.inbox_takes, reader.inbox_takes), (0, 0), "inbox takes");
+        let fed = |client_fed: usize, rounds: u64| client_fed + 1 == 5 * rounds as usize;
+        assert!(fed(writer.fed.len(), 2 * OPS), "{} replies fed", writer.fed.len());
+        assert!(fed(reader.fed.len(), OPS), "{} replies fed", reader.fed.len());
+        let calls = 5 * 3 * OPS as usize;
+        assert_eq!(servers.iter().map(ServerHandle::locks).sum::<usize>(), calls, "bank locks");
+        for s in servers {
+            s.shutdown();
+        }
     }
 
     #[test]

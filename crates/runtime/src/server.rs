@@ -2,34 +2,34 @@
 //! answering through one served endpoint (a single-register cluster is a
 //! bank of one).
 //!
-//! The bank sits behind one lock, which the handler takes for each request
-//! and [`ServerHandle::announce_epoch`] takes to move its epoch; the bank
-//! holds the epoch and counts the requests it answered. Where the handler
-//! runs is the transport's business ([`Endpoint::serve`]), and on both it
-//! runs where the request arrives: on TCP the registry's reactor calls it
-//! on each frame it reads, and the reply leaves on the socket the request
-//! came in on; in memory the sender's `send` calls it, and the reply goes
-//! into the sender's inbox. A `mwr-bank-<id>` thread over the inbox is only
-//! the default, for an endpoint decorator that does not delegate `serve`.
+//! The bank is the endpoint's handler, so the transport's served slot owns
+//! it: the one lock that slot takes for each request is the bank's only
+//! lock, and [`ServerHandle::announce_epoch`] takes the same lock to move
+//! the bank's epoch. Stopping hands the bank back, and the handle reads
+//! what it answered from it. Where the handler runs is the transport's
+//! business ([`Endpoint::serve`]), and on both it runs where the request
+//! arrives: on TCP the registry's reactor calls it on each frame it reads,
+//! and the reply leaves on the socket the request came in on; in memory
+//! the sender's `send` calls it, and the reply goes straight to the sender.
+//! A `mwr-bank-<id>` thread over the inbox is only the default, for an
+//! endpoint decorator that does not delegate `serve`.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::any::Any;
 
 use mwr_core::{Msg, ServerBank};
 use mwr_types::{ConfigEpoch, ProcessId};
 
-use crate::transport::{Endpoint, Serving};
+use crate::transport::{Endpoint, Handler, Serving};
 
-/// The bank and the count of requests it answered, behind the server's one
-/// lock.
+/// The bank and the count of requests it answered: the server's handler,
+/// owned by its served slot.
 #[derive(Debug)]
 struct Bank {
     bank: ServerBank,
     handled: u64,
 }
 
-impl Bank {
+impl Handler for Bank {
     fn handle(&mut self, from: ProcessId, msg: &Msg) -> Option<Msg> {
         let reply = self.bank.handle(from, msg);
         self.handled += u64::from(reply.is_some());
@@ -37,12 +37,11 @@ impl Bank {
     }
 }
 
-/// A running server: its id, its bank, and the endpoint serving it, which
+/// A running server: its id and the endpoint serving its bank, which
 /// [`shutdown`](Self::shutdown) stops.
 #[derive(Debug)]
 pub struct ServerHandle {
     id: ProcessId,
-    bank: Arc<Mutex<Bank>>,
     serving: Serving,
 }
 
@@ -52,23 +51,30 @@ impl ServerHandle {
         self.id
     }
 
+    /// Locks of the bank's served slot so far.
+    #[cfg(test)]
+    pub(crate) fn locks(&self) -> usize {
+        self.serving.locks()
+    }
+
     /// Announces a configuration epoch to the running server — the
-    /// reconfiguration coordinator's fence. It takes the bank's lock, which
-    /// the handler holds for each request it answers, so from the moment
-    /// this returns every request the server handles is answered with a
-    /// reply tagged `≥ epoch`, on every transport: any round that later
-    /// completes on lower-epoch acknowledgements had all its server-side
-    /// effects before the announcement, and is therefore covered by any
-    /// old-configuration quorum the handover's state transfer reads
-    /// afterwards.
+    /// reconfiguration coordinator's fence. It takes the lock of the
+    /// bank's served slot, which every request the bank answers is
+    /// answered under, so from the moment this returns every request the
+    /// server handles is answered with a reply tagged `≥ epoch`, on every
+    /// transport: any round that later completes on lower-epoch
+    /// acknowledgements had all its server-side effects before the
+    /// announcement, and is therefore covered by any old-configuration
+    /// quorum the handover's state transfer reads afterwards. A server
+    /// whose handler panicked answers nothing, and is not told.
     ///
     /// Adoption is monotone ([`ServerBank::set_epoch`]): an announcement
     /// racing a frame-carried adoption can only move the epoch forward.
     pub fn announce_epoch(&self, epoch: ConfigEpoch) {
-        self.bank.lock().bank.set_epoch(epoch);
+        self.serving.with(|bank: &mut Bank| bank.bank.set_epoch(epoch));
     }
 
-    /// Stops serving — the handler is dropped and the endpoint closed
+    /// Stops serving — the endpoint is closed and the bank handed back
     /// before this returns — and reports the number of requests the server
     /// answered and the bank's final version high-water
     /// ([`ServerBank::max_version`]).
@@ -89,8 +95,8 @@ impl ServerHandle {
     ///
     /// Panics if the handler panicked while serving.
     pub fn shutdown(self) -> (u64, u64) {
-        self.serving.stop().expect("server handler panicked");
-        let bank = self.bank.lock();
+        let handler: Box<dyn Any> = self.serving.stop().expect("server handler panicked");
+        let bank = handler.downcast::<Bank>().expect("a server's handler is its bank");
         (bank.handled, bank.bank.max_version())
     }
 }
@@ -98,9 +104,9 @@ impl ServerHandle {
 /// Starts a live cluster's server: a [`ServerBank`] of per-register
 /// automata behind one endpoint, multiplexing every register by frame
 /// header (bare frames are the default register's). The server answers one
-/// request at a time under the bank's lock, in the epoch `bank` already
-/// holds ([`ServerBank::set_epoch`]) until an announcement or a frame
-/// moves it.
+/// request at a time under its served slot's lock, in the epoch `bank`
+/// already holds ([`ServerBank::set_epoch`]) until an announcement or a
+/// frame moves it.
 ///
 /// [`ServerHandle::shutdown`] reports the requests it answered and the
 /// bank's *maximum* version across registers — a conservative bound that a
@@ -112,12 +118,8 @@ impl ServerHandle {
 /// As [`Endpoint::serve`]: the default panics if the OS refuses a thread.
 pub fn spawn_bank_with(endpoint: impl Endpoint + 'static, bank: ServerBank) -> ServerHandle {
     let id = endpoint.id();
-    let bank = Arc::new(Mutex::new(Bank { bank, handled: 0 }));
-    let serving = endpoint.serve({
-        let bank = Arc::clone(&bank);
-        move |from, msg| bank.lock().handle(from, msg)
-    });
-    ServerHandle { id, bank, serving }
+    let serving = endpoint.serve(Bank { bank, handled: 0 });
+    ServerHandle { id, serving }
 }
 
 #[cfg(test)]
@@ -199,11 +201,10 @@ mod tests {
     fn shutting_down_a_server_whose_handler_panicked_panics() {
         let transport = InMemoryTransport::new();
         let client_ep = transport.register(ProcessId::reader(0));
-        let bank = Bank { bank: ServerBank::new(1, Router::new(1, 1, 1)), handled: 0 };
+        let faulty = |_: ProcessId, _: &Msg| -> Option<Msg> { panic!("bank fault") };
         let handle = ServerHandle {
             id: ProcessId::server(0),
-            bank: Arc::new(Mutex::new(bank)),
-            serving: transport.register(ProcessId::server(0)).serve(|_, _| panic!("bank fault")),
+            serving: transport.register(ProcessId::server(0)).serve(faulty),
         };
         // The first send crashes it, which takes its route.
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -217,7 +218,7 @@ mod tests {
     /// Four clients on four threads send one bank 5 000 queries each, in
     /// bursts of 50 with every reply awaited before the next burst. In
     /// memory the bank answers inside each client's `send`, so the four
-    /// contend for its handler's lock and its bank's; on a thread path (a
+    /// contend for its served slot's lock; on a thread path (a
     /// decorator that does not delegate `serve`) the server thread keeps
     /// alternating between draining a backlog and parking in its `select!`.
     /// A reply lost to either is a client that runs its watchdog down.

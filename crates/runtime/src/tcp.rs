@@ -101,7 +101,7 @@
 //!   Both cases are unverified, not implied by that figure (see ROADMAP
 //!   item 4). The reactor owns the queue, the maps from readiness key to
 //!   listener or connection and owning endpoint, the served endpoints'
-//!   handlers, and a command queue (*listen on this socket*, *adopt this
+//!   handler slots, and a command queue (*listen on this socket*, *adopt this
 //!   dialed connection*, *serve that endpoint*, *detach that endpoint*);
 //!   what is an endpoint's own stays with it — its inbox, its counters and
 //!   gauge. A ready listener (non-blocking) is accepted on until
@@ -133,21 +133,17 @@
 //! An endpoint runs no thread of its own, served or not: the reactor
 //! accepts, reads and answers for it, and sends run on their callers'
 //! threads, so nothing is ever queued to flush. `drop` is one step: it
-//! detaches the endpoint from the reactor, which drops its handler and
-//! closes its listener (the port is free) and every connection of this
+//! detaches the endpoint from the reactor, which lets go of its handler
+//! slot and closes its listener (the port is free) and every connection of this
 //! endpoint — and of no other — *before* `drop` returns, observable through
 //! [`TcpEndpoint::connection_gauge`]. No descriptor of the endpoint
 //! outlives it, and no thread or descriptor of the registry's outlives its
 //! last endpoint.
 
-use std::any::Any;
-use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::{self, JoinHandle};
@@ -162,7 +158,7 @@ use mwr_core::Msg;
 use mwr_types::codec::Wire;
 use mwr_types::ProcessId;
 
-use crate::transport::{Endpoint, EndpointFactory, Inbound, Serving, TransportError};
+use crate::transport::{Endpoint, EndpointFactory, Handler, Inbound, Served, Serving, TransportError};
 
 /// Maximum accepted frame size (16 MiB) — guards against corrupt peers.
 const MAX_FRAME: u32 = 16 * 1024 * 1024;
@@ -587,19 +583,6 @@ struct Listener {
     owner: Arc<EndpointShared>,
 }
 
-/// A served endpoint's request handler (see [`TcpEndpoint::serve`]), run on
-/// the reactor thread.
-struct Handler(Box<Answer>);
-
-/// What a handler does with one request from a peer: the reply, if any.
-type Answer = dyn FnMut(ProcessId, &Msg) -> Option<Msg> + Send;
-
-impl std::fmt::Debug for Handler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Handler")
-    }
-}
-
 /// What is one endpoint's own on the receive path, shared between the
 /// reactor (which accepts on the endpoint's listener and reads its
 /// connections into its inbox), its writer pipelines (which hand dialed
@@ -620,9 +603,6 @@ struct EndpointShared {
     deliveries: AtomicU64,
     /// Adopted-connection gauge — the endpoint's [`TcpEndpoint::connection_gauge`].
     conns: Arc<AtomicUsize>,
-    /// The payload of a panic the endpoint's handler raised on the reactor,
-    /// which crashed the endpoint; its [`Serving`] reports it when stopped.
-    panicked: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl EndpointShared {
@@ -676,7 +656,8 @@ struct SharedConn {
     peer: Option<ProcessId>,
     buf: Vec<u8>,
     filled: usize,
-    handler: Option<Rc<RefCell<Handler>>>,
+    /// The served endpoint's handler slot, locked once per frame.
+    handler: Option<Arc<Served>>,
     out: BytesMut,
     written: usize,
     /// Since when the tail has waited without progress; `None` while there
@@ -692,8 +673,8 @@ enum Outcome {
     /// and to be reaped.
     Closed,
     /// The owner's handler panicked on a frame read from it: the owner is
-    /// crashed.
-    Panicked(Box<dyn Any + Send>),
+    /// crashed (the slot keeps the panic for its `Serving`).
+    Panicked,
 }
 
 impl SharedConn {
@@ -763,13 +744,13 @@ impl SharedConn {
                 staged.push(&self.owner, (from, msg));
                 continue;
             };
-            match catch_unwind(AssertUnwindSafe(|| (handler.borrow_mut().0)(from, &msg))) {
+            match handler.answer(from, &msg) {
                 // A reply past the frame bound is left out (see `put_frame`).
                 Ok(Some(reply)) => {
                     put_frame(&mut self.out, self.owner.id, &reply);
                 }
                 Ok(None) => {}
-                Err(payload) => return Outcome::Panicked(payload),
+                Err(()) => return Outcome::Panicked,
             }
         }
         if parsed > 0 {
@@ -784,9 +765,9 @@ impl SharedConn {
     /// now on, and must never wait on it. A socket that refuses stays
     /// unserved and is never written: its requests go unanswered, as a
     /// crashed server's would.
-    fn serve(&mut self, handler: &Rc<RefCell<Handler>>) {
+    fn serve(&mut self, handler: &Arc<Served>) {
         if self.conn.stream.set_nonblocking(true).is_ok() {
-            self.handler = Some(Rc::clone(handler));
+            self.handler = Some(Arc::clone(handler));
         }
     }
 
@@ -886,7 +867,7 @@ enum Command {
     /// Read this connection, dialed to `peer`, for that endpoint.
     Adopt { endpoint: Arc<EndpointShared>, conn: Arc<Conn>, peer: ProcessId },
     /// Answer every frame of that endpoint's connections with `handler`.
-    Serve { endpoint: Arc<EndpointShared>, handler: Handler },
+    Serve { endpoint: Arc<EndpointShared>, handler: Arc<Served> },
     /// Close that endpoint's listener and every connection read for it,
     /// then drop `done` (see [`EndpointShared::detach`]).
     Detach { endpoint: Arc<EndpointShared>, done: Sender<()> },
@@ -972,10 +953,10 @@ impl Drop for Reactor {
 }
 
 /// The sockets the reactor serves, by readiness key (one key space for
-/// listeners and connections), and the handlers of the endpoints it
+/// listeners and connections), and the handler slots of the endpoints it
 /// answers for. Dropping it is the reactor's way out, whatever opened it —
 /// stopped, the readiness queue failed, or the thread is unwinding: every
-/// connection and listener is closed and every handler dropped, then the
+/// connection and listener is closed and every handler slot let go, then the
 /// command queue, so that what is in it and whatever is submitted from
 /// then on is refused instead of waiting for a thread that is gone.
 struct Sockets<'a> {
@@ -985,7 +966,7 @@ struct Sockets<'a> {
     /// else holds its descriptor.
     listeners: HashMap<usize, Listener>,
     /// The served endpoints, each with the handler its connections share.
-    served: Vec<(Arc<EndpointShared>, Rc<RefCell<Handler>>)>,
+    served: Vec<(Arc<EndpointShared>, Arc<Served>)>,
     /// Connections whose reply tail waited for room when last looked at.
     stalled: Vec<usize>,
     /// Listeners out of the readiness queue after a failed `accept`, all
@@ -1028,8 +1009,7 @@ impl Sockets<'_> {
 
     /// Has `endpoint`'s connections, present and future, answered by
     /// `handler`.
-    fn serve(&mut self, endpoint: Arc<EndpointShared>, handler: Handler) {
-        let handler = Rc::new(RefCell::new(handler));
+    fn serve(&mut self, endpoint: Arc<EndpointShared>, handler: Arc<Served>) {
         for conn in self.conns.values_mut().filter(|conn| Arc::ptr_eq(&conn.owner, &endpoint)) {
             conn.serve(&handler);
         }
@@ -1037,7 +1017,7 @@ impl Sockets<'_> {
     }
 
     /// Closes `endpoint`'s listener and every connection read for it, and
-    /// drops its handler.
+    /// lets go of its handler slot.
     fn detach(&mut self, endpoint: &Arc<EndpointShared>) {
         let shared = self.shared;
         self.conns.retain(|_, conn| {
@@ -1078,9 +1058,8 @@ impl Sockets<'_> {
                 }
             }
             Outcome::Closed => self.close(key),
-            Outcome::Panicked(payload) => {
+            Outcome::Panicked => {
                 let owner = Arc::clone(&self.conns[&key].owner);
-                *owner.panicked.lock() = Some(payload);
                 self.detach(&owner);
             }
         }
@@ -1307,7 +1286,6 @@ impl TcpEndpoint {
             frames: AtomicU64::new(0),
             deliveries: AtomicU64::new(0),
             conns: Arc::new(AtomicUsize::new(0)),
-            panicked: Mutex::new(None),
         });
         let listener = Listener { socket, owner: Arc::clone(&shared) };
         reactor.shared.submit(Command::Listen(listener));
@@ -1446,22 +1424,24 @@ impl Endpoint for TcpEndpoint {
     /// Frames decoded before the reactor takes the handler over stay in the
     /// inbox, unanswered, like requests to a server still starting.
     ///
-    /// A handler that panics crashes this endpoint alone: its handler is
-    /// dropped and its listener and connections close, while every other
-    /// endpoint of the registry carries on; [`Serving::stop`] returns the
-    /// panic. Stopping drops the endpoint, which detaches it (see `drop`).
+    /// The reactor calls the handler through its served slot, taking the
+    /// slot's one lock per frame. A handler that panics crashes this
+    /// endpoint alone: its handler is dropped and its listener and
+    /// connections close, while every other endpoint of the registry
+    /// carries on; [`Serving::stop`] returns the panic. Stopping drops the
+    /// endpoint, which detaches it (see `drop`), then takes the handler out
+    /// of its slot and hands it back.
     fn serve<H>(self, handler: H) -> Serving
     where
         Self: Sized + 'static,
-        H: FnMut(ProcessId, &Msg) -> Option<Msg> + Send + 'static,
+        H: Handler,
     {
-        let handler = Handler(Box::new(handler));
+        let served = Served::new(handler);
+        let handler = Arc::clone(&served);
         self.shared.reactor.submit(Command::Serve { endpoint: Arc::clone(&self.shared), handler });
-        Serving::new(move || {
-            let shared = Arc::clone(&self.shared);
+        Serving::new(served, move || {
             drop(self);
-            let panicked = shared.panicked.lock().take();
-            panicked.map_or(Ok(()), Err)
+            Ok(())
         })
     }
 }
@@ -2074,6 +2054,22 @@ mod tests {
         server.stop().expect("the handler never panicked");
     }
 
+    /// The reactor takes one lock per served frame: the served slot's,
+    /// which owns the handler, once for each request it answers.
+    #[test]
+    fn a_served_frame_takes_one_slot_lock() {
+        const QUERIES: u64 = 100;
+        let registry = TcpRegistry::new();
+        let client = TcpEndpoint::bind(ProcessId::writer(0), &registry).unwrap();
+        let server = TcpEndpoint::bind(ProcessId::server(0), &registry).unwrap();
+        let server = server.serve(answering(u64::MAX));
+        for seq in 0..QUERIES {
+            round_trip(&client, ProcessId::server(0), seq);
+        }
+        assert_eq!(server.locks(), QUERIES as usize);
+        server.stop().expect("the handler never panicked");
+    }
+
     /// Regression: the negative cache used to be renewed by every batch it
     /// dropped, so a sender that never paused for a whole backoff never
     /// re-dialed, and a peer that came back stayed unreachable for as long
@@ -2423,7 +2419,7 @@ mod tests {
         let client = TcpEndpoint::bind(ProcessId::reader(0), &registry).unwrap();
         let gauge = server.connection_gauge();
         let mut answer = answering(u64::MAX);
-        let server = server.serve(move |from, msg| match msg {
+        let server = server.serve(move |from, msg: &Msg| match msg {
             Msg::Query { handle } if handle.op.seq == 1 => Some(oversized()),
             _ => answer(from, msg),
         });

@@ -7,7 +7,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crossbeam::channel::{bounded, select, unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread;
@@ -72,31 +72,81 @@ enum Route {
     Served(Arc<Served>),
 }
 
-/// A request handler, as [`Endpoint::serve`] takes it.
-type Handler = Box<dyn FnMut(ProcessId, &Msg) -> Option<Msg> + Send>;
+/// What a served endpoint answers each request with ([`Endpoint::serve`]):
+/// the reply to `msg` from `from`, if any.
+///
+/// Every `FnMut(ProcessId, &Msg) -> Option<Msg> + Send + 'static` closure
+/// is one; written inline at a `serve` call, its parameters need their
+/// types (`|from, msg: &Msg| …`), which this bound does not supply. A named
+/// type that implements it is handed back when serving stops
+/// ([`Serving::stop`]), which is how a server's bank is owned by its served
+/// slot alone.
+pub trait Handler: Any + Send {
+    /// Answers one request.
+    fn handle(&mut self, from: ProcessId, msg: &Msg) -> Option<Msg>;
+}
 
-/// A served in-memory endpoint's handler, called by whichever thread sends
-/// to the endpoint, one call at a time.
-struct Served {
-    /// The served endpoint's id and registration generation: the route a
-    /// panic removes.
-    id: ProcessId,
-    generation: u64,
+impl<F> Handler for F
+where
+    F: FnMut(ProcessId, &Msg) -> Option<Msg> + Send + 'static,
+{
+    fn handle(&mut self, from: ProcessId, msg: &Msg) -> Option<Msg> {
+        self(from, msg)
+    }
+}
+
+impl fmt::Debug for dyn Handler {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Handler")
+    }
+}
+
+/// A served endpoint's slot: its handler and the stop/panic fence around
+/// it, behind the one lock that every call takes. The transport that
+/// serves the endpoint calls through it (in memory the sender's thread, on
+/// TCP the registry's reactor, by default a thread of the endpoint's own),
+/// and the endpoint's [`Serving`] reaches the handler and takes it back
+/// through the same lock.
+pub(crate) struct Served {
+    slot: Mutex<Slot>,
+    /// Locks of `slot`, counted where they are taken.
+    #[cfg(test)]
+    locks: std::sync::atomic::AtomicUsize,
+}
+
+/// What [`Served`]'s lock guards.
+struct Slot {
     /// `None` once serving stopped or the handler panicked.
-    handler: Mutex<Option<Handler>>,
+    handler: Option<Box<dyn Handler>>,
     /// The payload of the panic that crashed the handler.
-    panicked: Mutex<Option<Box<dyn Any + Send>>>,
+    panicked: Option<Box<dyn Any + Send>>,
 }
 
 impl Served {
-    /// Answers `msg` from `from`, or nothing once the handler is gone.
-    /// `Err` if the handler panicked on it, which drops the handler.
-    fn answer(&self, from: ProcessId, msg: &Msg) -> Result<Option<Msg>, ()> {
-        let mut handler = self.handler.lock();
-        let Some(call) = handler.as_mut() else { return Ok(None) };
-        catch_unwind(AssertUnwindSafe(|| call(from, msg))).map_err(|payload| {
-            *handler = None;
-            *self.panicked.lock() = Some(payload);
+    /// A slot holding `handler`.
+    pub(crate) fn new(handler: impl Handler) -> Arc<Served> {
+        Arc::new(Served {
+            slot: Mutex::new(Slot { handler: Some(Box::new(handler)), panicked: None }),
+            #[cfg(test)]
+            locks: Default::default(),
+        })
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Slot> {
+        #[cfg(test)]
+        self.locks.fetch_add(1, Ordering::Relaxed);
+        self.slot.lock()
+    }
+
+    /// Answers `msg` from `from` under the slot's one lock, or nothing once
+    /// the handler is gone. `Err` if the handler panicked on it, which
+    /// drops the handler and keeps the payload for [`Serving::stop`].
+    pub(crate) fn answer(&self, from: ProcessId, msg: &Msg) -> Result<Option<Msg>, ()> {
+        let mut slot = self.lock();
+        let Some(handler) = slot.handler.as_mut() else { return Ok(None) };
+        catch_unwind(AssertUnwindSafe(|| handler.handle(from, msg))).map_err(|payload| {
+            slot.handler = None;
+            slot.panicked = Some(payload);
         })
     }
 }
@@ -162,36 +212,55 @@ pub trait Endpoint: Send + Sync {
     /// single-destination [`send`](Endpoint::send) is the error-reporting
     /// path).
     ///
-    /// This is the transport's batching seam: a round-trip broadcast is one
-    /// call, so implementations can amortize their lookup locking across
-    /// the whole fan-out. Both transports override it: on TCP, one
-    /// pipeline-map lock for all the frames, then one write per frame; in
-    /// memory ([`InMemoryEndpoint`]), the served destinations' handlers
-    /// through the endpoint's route cache, which reads the route map only
-    /// after the map changed or for a destination that is not served, and
-    /// the handlers' replies pushed into the sender's inbox at once. Either
-    /// way no lock of the transport is held while a frame is written or a
-    /// handler runs, so a handler may open or close endpoints on the
-    /// transport it serves on. The default just loops over `send`.
+    /// This is the transport's batching seam: a broadcast is one call, so
+    /// implementations can amortize their lookup locking across the whole
+    /// fan-out. Both transports override it: on TCP, one pipeline-map lock
+    /// for all the frames, then one write per frame; in memory
+    /// ([`InMemoryEndpoint`]), the served destinations' handlers through the
+    /// endpoint's route cache, which reads the route map only after the map
+    /// changed or for a destination that is not served, and the handlers'
+    /// replies pushed into the sender's inbox at once. Either way no lock of
+    /// the transport is held while a frame is written or a handler runs, so
+    /// a handler may open or close endpoints on the transport it serves on.
+    /// The default just loops over `send`.
     fn send_batch(&self, batch: Vec<(ProcessId, Msg)>) {
         for (to, msg) in batch {
             let _ = self.send(to, msg);
         }
     }
 
+    /// One round trip's requests: sends every pair of `batch`, as
+    /// [`send_batch`](Endpoint::send_batch) does, and leaves `batch` empty.
+    /// A reply the transport has in hand before this returns may be
+    /// appended to `replies` instead of crossing the inbox; every other
+    /// reply arrives through the inbox as usual, so the caller takes
+    /// `replies` first and the inbox after.
+    ///
+    /// The default is `send_batch`, with every reply through the inbox: TCP
+    /// and decorators run it. [`InMemoryEndpoint`] overrides it: a served
+    /// destination's handler runs inside this call, and its reply goes
+    /// straight into `replies`, through no channel. `send`, `send_batch`
+    /// and this differ there only in where the replies go.
+    fn round_trip(&self, batch: &mut Vec<(ProcessId, Msg)>, replies: &mut VecDeque<Inbound>) {
+        let _ = replies;
+        self.send_batch(mem::take(batch));
+    }
+
     /// The receiving side of this endpoint's inbox.
     fn inbox(&self) -> &Receiver<Inbound>;
 
     /// Makes this endpoint a server: every request it receives from now on
-    /// is answered with `handler(from, &request)` (no reply for `None`),
-    /// until the returned [`Serving`] is stopped or dropped. Where the
-    /// handler runs is the transport's choice, which is why the endpoint is
-    /// taken by value: nothing else sends through a served endpoint.
+    /// is answered with `handler` (no reply for `None`), until the returned
+    /// [`Serving`] is stopped or dropped. Where the handler runs is the
+    /// transport's choice, which is why the endpoint is taken by value:
+    /// nothing else sends through a served endpoint. Wherever it runs, the
+    /// handler sits in one served slot, whose one lock each call takes and
+    /// through which [`Serving`] stops it and hands it back.
     ///
     /// Both transports override it to answer where a message arrives, with
     /// no thread or inbox in between: [`InMemoryEndpoint`] runs the handler
-    /// inside the sender's `send` and pushes the reply into the sender's
-    /// inbox; on [`TcpEndpoint`](crate::TcpEndpoint) the registry's reactor
+    /// inside the sender's `send` and hands the reply to the sender at
+    /// once; on [`TcpEndpoint`](crate::TcpEndpoint) the registry's reactor
     /// runs it on each frame it decodes and writes the reply on the
     /// connection the frame came in on.
     ///
@@ -204,31 +273,40 @@ pub trait Endpoint: Send + Sync {
     /// # Panics
     ///
     /// The default panics if the OS refuses to spawn a thread.
-    fn serve<H>(self, mut handler: H) -> Serving
+    fn serve<H>(self, handler: H) -> Serving
     where
         Self: Sized + 'static,
-        H: FnMut(ProcessId, &Msg) -> Option<Msg> + Send + 'static,
+        H: Handler,
     {
+        let served = Served::new(handler);
         // Never sent on: dropping the sender is the stop.
         let (stop, stopped) = bounded::<()>(0);
         let join = thread::Builder::new()
             .name(format!("mwr-bank-{}", self.id()))
-            .spawn(move || loop {
-                // `select!` polls its arms in order: a stop is seen before
-                // the next frame is taken.
-                select! {
-                    recv(stopped) -> _ => return,
-                    recv(self.inbox()) -> inbound => {
-                        let Ok((from, msg)) = inbound else { return };
-                        if let Some(reply) = handler(from, &msg) {
-                            // A dead client is not a server error.
-                            let _ = self.send(from, reply);
+            .spawn({
+                let served = Arc::clone(&served);
+                move || loop {
+                    // `select!` polls its arms in order: a stop is seen before
+                    // the next frame is taken.
+                    select! {
+                        recv(stopped) -> _ => return,
+                        recv(self.inbox()) -> inbound => {
+                            let Ok((from, msg)) = inbound else { return };
+                            match served.answer(from, &msg) {
+                                Ok(Some(reply)) => {
+                                    // A dead client is not a server error.
+                                    let _ = self.send(from, reply);
+                                }
+                                Ok(None) => {}
+                                // The panic crashed this endpoint: it closes.
+                                Err(()) => return,
+                            }
                         }
                     }
                 }
             })
             .expect("failed to spawn server thread");
-        Serving::new(move || {
+        Serving::new(served, move || {
             drop(stop);
             join.join()
         })
@@ -236,29 +314,57 @@ pub trait Endpoint: Send + Sync {
 }
 
 /// A served endpoint (see [`Endpoint::serve`]): stopping it — explicitly
-/// or by dropping it — stops the handler, drops it and closes the endpoint
-/// before it returns.
+/// or by dropping it — stops the handler and closes the endpoint before it
+/// returns, and hands the handler back.
 pub struct Serving {
-    /// Stops serving; `Err` carries the payload of a handler that panicked.
+    /// The handler's slot, shared with the transport that calls it.
+    served: Arc<Served>,
+    /// The transport's part of stopping: once it returns, no call of the
+    /// handler starts. `Err` carries a panic of the serving thread.
     stop: Option<Box<dyn FnOnce() -> thread::Result<()> + Send + Sync>>,
 }
 
 impl Serving {
-    /// A serving whose [`stop`](Self::stop) runs `stop`, for transports that
-    /// override [`Endpoint::serve`].
-    pub fn new(stop: impl FnOnce() -> thread::Result<()> + Send + Sync + 'static) -> Serving {
-        Serving { stop: Some(Box::new(stop)) }
+    /// A serving of the handler in `served` whose transport stops calling
+    /// it with `stop`, for the transports' `serve`.
+    pub(crate) fn new(
+        served: Arc<Served>,
+        stop: impl FnOnce() -> thread::Result<()> + Send + Sync + 'static,
+    ) -> Serving {
+        Serving { served, stop: Some(Box::new(stop)) }
     }
 
-    /// Stops serving and waits until the handler is dropped and the
-    /// endpoint closed.
+    /// Runs `f` on the handler under the lock each of its calls takes, so
+    /// no request is answered while `f` runs and every one answered after
+    /// it returns sees what `f` did. `None` once the handler is gone
+    /// (stopped or panicked), or if it is not an `H`.
+    pub(crate) fn with<H: Handler, R>(&self, f: impl FnOnce(&mut H) -> R) -> Option<R> {
+        let mut slot = self.served.lock();
+        let handler: &mut dyn Any = slot.handler.as_deref_mut()?;
+        handler.downcast_mut().map(f)
+    }
+
+    /// Locks of the handler's slot so far.
+    #[cfg(test)]
+    pub(crate) fn locks(&self) -> usize {
+        self.served.locks.load(Ordering::Relaxed)
+    }
+
+    /// Stops serving and hands the handler back: once this returns the
+    /// endpoint is closed and no call of the handler starts or is still
+    /// running.
     ///
     /// # Errors
     ///
     /// Returns the panic payload if the handler panicked; it has stopped
-    /// serving at that frame.
-    pub fn stop(mut self) -> thread::Result<()> {
-        self.stop.take().map_or(Ok(()), |stop| stop())
+    /// serving at that frame, and is gone.
+    pub fn stop(mut self) -> thread::Result<Box<dyn Handler>> {
+        self.stop.take().map_or(Ok(()), |stop| stop())?;
+        let mut slot = self.served.lock();
+        match slot.panicked.take() {
+            Some(payload) => Err(payload),
+            None => Ok(slot.handler.take().expect("a handler goes only by a panic or a stop")),
+        }
     }
 }
 
@@ -273,6 +379,7 @@ impl Drop for Serving {
         // Best effort; never fail in Drop (C-DTOR-FAIL).
         if let Some(stop) = self.stop.take() {
             let _ = stop();
+            drop(self.served.lock().handler.take());
         }
     }
 }
@@ -297,6 +404,10 @@ impl<E: Endpoint> Endpoint for Arc<E> {
         (**self).send_batch(batch);
     }
 
+    fn round_trip(&self, batch: &mut Vec<(ProcessId, Msg)>, replies: &mut VecDeque<Inbound>) {
+        (**self).round_trip(batch, replies);
+    }
+
     fn inbox(&self) -> &Receiver<Inbound> {
         (**self).inbox()
     }
@@ -306,13 +417,14 @@ impl<E: Endpoint> Endpoint for Arc<E> {
 ///
 /// A message to an endpoint goes into its inbox — unless the endpoint is
 /// served ([`InMemoryEndpoint::serve`]): then `send` runs its handler on
-/// the sender's thread and only the reply crosses a channel. The transport
-/// counts the writes to its route map, and each endpoint keeps the served
+/// the sender's thread, and the reply goes into the sender's inbox, or,
+/// for a [`round_trip`](Endpoint::round_trip), straight into the caller's
+/// reply buffer through no channel at all. The transport counts the
+/// writes to its route map, and each endpoint keeps the served
 /// destinations it resolved under the count it saw: a send whose
 /// destinations are all cached under the current count reads neither the
 /// map nor its lock, and the others are resolved under one read of the map
-/// per send. No handler runs while that read is held, and a send's replies
-/// go into the sender's inbox with one push.
+/// per send. No handler runs while that read is held.
 ///
 /// # Examples
 ///
@@ -351,6 +463,10 @@ struct Routes {
     /// Reads of `map` by a send that had to resolve a destination.
     #[cfg(test)]
     resolutions: std::sync::atomic::AtomicUsize,
+    /// Channel operations by sends: pushes into an inbox, a frame's or a
+    /// send's replies.
+    #[cfg(test)]
+    pushes: std::sync::atomic::AtomicUsize,
 }
 
 impl Routes {
@@ -363,6 +479,12 @@ impl Routes {
 }
 
 impl InMemoryTransport {
+    /// Inbox pushes by this transport's sends so far.
+    #[cfg(test)]
+    pub(crate) fn pushes(&self) -> usize {
+        self.routes.pushes.load(Ordering::Relaxed)
+    }
+
     /// Creates an empty transport.
     pub fn new() -> Self {
         Self::default()
@@ -436,10 +558,11 @@ impl EndpointFactory for InMemoryTransport {
 
 /// One process's handle on an [`InMemoryTransport`]. A served one
 /// ([`serve`](Endpoint::serve)) has no thread: its handler runs on the
-/// thread of whoever sends to it. A client's broadcast
-/// ([`send_batch`](Endpoint::send_batch)) runs every served destination's
-/// handler in turn, so the round's replies are in its inbox when the call
-/// returns.
+/// thread of whoever sends to it. A client's round trip
+/// ([`round_trip`](Endpoint::round_trip)) runs every served destination's
+/// handler in turn and appends their replies to the caller's buffer, so
+/// the round's replies are in hand when the call returns, and no channel
+/// carried them.
 ///
 /// Dropping the endpoint deregisters its process from the transport —
 /// generation-guarded, so dropping a stale endpoint after the same id has
@@ -450,8 +573,8 @@ pub struct InMemoryEndpoint {
     generation: u64,
     transport: InMemoryTransport,
     inbox: Receiver<Inbound>,
-    /// The `Sender` of this endpoint's own inbox, where the replies of the
-    /// handlers it sends to go. Weak: only the route map keeps the inbox
+    /// The `Sender` of this endpoint's own inbox, where the replies to its
+    /// `send` and `send_batch` go. Weak: only the route map keeps the inbox
     /// connected, so removing this endpoint's route disconnects it (and its
     /// replies are dropped) as if the endpoint held nothing.
     reply_to: Weak<Sender<Inbound>>,
@@ -467,13 +590,23 @@ pub struct InMemoryEndpoint {
 struct RouteCache {
     /// The route map's write count `served` is valid under.
     writes: u64,
-    /// Served destinations by id, each with its handler: cached per
-    /// destination, so a send to a different group of them still finds
-    /// the ones it shares. Never an inbox's `Sender`, which would keep a
-    /// removed route's inbox connected.
-    served: Vec<(ProcessId, Arc<Served>)>,
-    /// The send in progress's replies, pushed into the inbox at once.
-    replies: Vec<Inbound>,
+    /// Served destinations by id, each with its registration generation
+    /// and its handler's slot: cached per destination, so a send to a
+    /// different group of them still finds the ones it shares. Never an
+    /// inbox's `Sender`, which would keep a removed route's inbox
+    /// connected.
+    served: Vec<(ProcessId, u64, Arc<Served>)>,
+    /// Whether this endpoint's own route was in the map at its last read:
+    /// a round trip's replies are handed over only then, so an endpoint
+    /// whose route was removed, or whose id a newer endpoint holds, gets
+    /// none. Every such change moves the write count, so the read that
+    /// rebuilds the cache sees it.
+    routed: bool,
+    /// The frames of a send that the cache could not place, waiting for
+    /// the route map's read to resolve them.
+    pending: Vec<(ProcessId, Msg)>,
+    /// A `send` or `send_batch`'s replies, pushed into the inbox at once.
+    replies: VecDeque<Inbound>,
 }
 
 impl Drop for InMemoryEndpoint {
@@ -483,92 +616,91 @@ impl Drop for InMemoryEndpoint {
 }
 
 impl InMemoryEndpoint {
-    /// The one send path, for `send` and `send_batch` alike. A destination
-    /// cached as served under the current write count costs no read of the
-    /// route map; every other one is resolved under one read for the whole
-    /// batch: an inbox's frame is pushed there, in order, a served
-    /// destination's handler joins the cache, and an unknown id is an
-    /// error. A handler runs with no lock of the transport or of this
-    /// endpoint held: at once while the send has not read the route map,
-    /// after the read is released once it has. Their replies go into this
-    /// endpoint's inbox with one push. A handler that panics crashes its
-    /// own endpoint: its route goes, the rest of the batch is delivered.
+    /// The one send path, for `send`, `send_batch` and `round_trip` alike;
+    /// they differ only in where the replies go: `round`'s buffer, or, for
+    /// `None`, this endpoint's inbox with one push.
+    ///
+    /// A destination cached as served under the current write count costs
+    /// no read of the route map, and its handler runs at once. The others
+    /// wait, and are resolved under one read for the whole batch: an
+    /// inbox's frame is pushed there, in order, a served destination joins
+    /// the cache, and an unknown id is an error. Their handlers run after
+    /// the read is released, so no handler runs with a lock of the
+    /// transport or of this endpoint held. A handler that panics crashes
+    /// its own endpoint: its route goes, the rest of the batch is
+    /// delivered.
     ///
     /// Returns the first destination's failure; the others are still sent.
     fn deliver(
         &self,
         batch: impl IntoIterator<Item = (ProcessId, Msg)>,
+        round: Option<&mut VecDeque<Inbound>>,
     ) -> Result<(), TransportError> {
         let routes = &self.transport.routes;
         let mut cache = mem::take(&mut *self.cache.lock());
-        let RouteCache { writes, served, replies } = &mut cache;
+        let RouteCache { writes, served, routed, pending, replies: for_inbox } = &mut cache;
+        let to_inbox = round.is_none();
+        let replies = round.unwrap_or(for_inbox);
+        let before = replies.len();
         // Pairs with the `Release` of `count_write`: a send made after a
         // change (after `Serving::stop` returned, say) reads its count.
         if *writes != routes.writes.load(Ordering::Acquire) {
             served.clear();
         }
-        let batch = batch.into_iter();
-        // A cold cache and reply buffer are sized once, not grown.
-        let destinations = batch.size_hint().0;
-        if served.is_empty() {
-            served.reserve(destinations);
+        let cached = |served: &[(ProcessId, u64, Arc<Served>)], to: &ProcessId| {
+            served.iter().position(|(id, ..)| id == to)
+        };
+        for (to, msg) in batch {
+            match cached(served, &to) {
+                Some(at) => self.call(&served[at], &msg, replies),
+                None => pending.push((to, msg)),
+            }
         }
-        replies.reserve(destinations);
-        let mut map = None;
         let mut failed = None;
-        // A frame to a served destination met once the route map has been
-        // read waits for the read's release, by index into `served`. The
-        // waiting calls are the size of the batch's pairs, so a `Vec`
-        // batch's buffer holds them.
-        let waiting: Vec<(usize, Msg)> = batch
-            .filter_map(|(to, msg)| {
-                let at = match served.iter().position(|(id, _)| *id == to) {
-                    Some(at) => at,
-                    None => {
-                        let map = map.get_or_insert_with(|| {
-                            let map = routes.map.read();
-                            #[cfg(test)]
-                            routes.resolutions.fetch_add(1, Ordering::Relaxed);
-                            // A cache emptied above takes this read's count.
-                            // One that still holds entries keeps theirs: what
-                            // this read adds is no older, and a change since
-                            // moves the count past both.
-                            if served.is_empty() {
-                                *writes = routes.writes.load(Ordering::Relaxed);
-                            }
-                            map
-                        });
-                        match map.get(&to) {
-                            Some((_, Route::Served(handler))) => {
-                                served.push((to, Arc::clone(handler)));
-                                served.len() - 1
-                            }
-                            Some((_, Route::Inbox(tx))) => {
-                                if tx.send((self.id, msg)).is_err() {
-                                    failed.get_or_insert(TransportError::Disconnected { to });
-                                }
-                                return None;
-                            }
-                            None => {
-                                failed.get_or_insert(TransportError::UnknownDestination { to });
-                                return None;
-                            }
-                        }
+        if !pending.is_empty() {
+            let map = routes.map.read();
+            #[cfg(test)]
+            routes.resolutions.fetch_add(1, Ordering::Relaxed);
+            // A cache emptied above takes this read's count. One that still
+            // holds entries keeps theirs: what this read adds is no older,
+            // and a change since moves the count past both.
+            if served.is_empty() {
+                *writes = routes.writes.load(Ordering::Relaxed);
+            }
+            *routed = map.get(&self.id).is_some_and(|(generation, _)| *generation == self.generation);
+            let unserved = pending.extract_if(.., |(to, _)| match map.get(to) {
+                Some((generation, Route::Served(handler))) => {
+                    if cached(served, to).is_none() {
+                        served.push((*to, *generation, Arc::clone(handler)));
                     }
-                };
-                if map.is_some() {
-                    return Some((at, msg));
+                    false
                 }
-                self.call(&served[at].1, &msg, replies);
-                None
-            })
-            .collect();
-        drop(map);
-        for (at, msg) in waiting {
-            self.call(&served[at].1, &msg, replies);
+                _ => true,
+            });
+            for (to, msg) in unserved {
+                let Some((_, Route::Inbox(tx))) = map.get(&to) else {
+                    failed.get_or_insert(TransportError::UnknownDestination { to });
+                    continue;
+                };
+                #[cfg(test)]
+                routes.pushes.fetch_add(1, Ordering::Relaxed);
+                if tx.send((self.id, msg)).is_err() {
+                    failed.get_or_insert(TransportError::Disconnected { to });
+                }
+            }
         }
-        if !replies.is_empty() {
+        for (to, msg) in pending.drain(..) {
+            let at = cached(served, &to).expect("resolved under the read");
+            self.call(&served[at], &msg, replies);
+        }
+        if !to_inbox {
+            if !*routed {
+                replies.truncate(before);
+            }
+        } else if !replies.is_empty() {
             if let Some(inbox) = self.reply_to.upgrade() {
+                #[cfg(test)]
+                routes.pushes.fetch_add(1, Ordering::Relaxed);
                 // A dead client is not a server error.
                 let _ = inbox.send_all(replies.drain(..));
             }
@@ -578,14 +710,19 @@ impl InMemoryEndpoint {
         failed.map_or(Ok(()), Err)
     }
 
-    /// Answers `msg` from this endpoint with `handler`, adding the reply to
-    /// `replies`.
-    fn call(&self, handler: &Served, msg: &Msg, replies: &mut Vec<Inbound>) {
+    /// Answers `msg` from this endpoint with `to`'s handler, adding the
+    /// reply to `replies`.
+    fn call(
+        &self,
+        (to, generation, handler): &(ProcessId, u64, Arc<Served>),
+        msg: &Msg,
+        replies: &mut VecDeque<Inbound>,
+    ) {
         match handler.answer(self.id, msg) {
-            Ok(reply) => replies.extend(reply.map(|reply| (handler.id, reply))),
+            Ok(reply) => replies.extend(reply.map(|reply| (*to, reply))),
             // The panic crashed the served endpoint alone; its sender sees
             // message loss.
-            Err(()) => self.transport.deregister_generation(handler.id, handler.generation),
+            Err(()) => self.transport.deregister_generation(*to, *generation),
         }
     }
 }
@@ -596,7 +733,7 @@ impl Endpoint for InMemoryEndpoint {
     }
 
     fn send(&self, to: ProcessId, msg: Msg) -> Result<(), TransportError> {
-        self.deliver([(to, msg)])
+        self.deliver([(to, msg)], None)
     }
 
     /// Resolves the routes once per change of the route map, not once per
@@ -607,36 +744,41 @@ impl Endpoint for InMemoryEndpoint {
     /// transport, and their replies are pushed into this endpoint's inbox
     /// with one lock.
     fn send_batch(&self, batch: Vec<(ProcessId, Msg)>) {
-        let _ = self.deliver(batch);
+        let _ = self.deliver(batch, None);
+    }
+
+    /// `send_batch`, with the served destinations' replies appended to
+    /// `replies`. A round whose destinations are all cached as served makes
+    /// no channel operation and no `Weak` upgrade, and takes each handler's
+    /// slot lock once and this endpoint's cache lock twice (out and back).
+    /// A round from an endpoint whose own route was removed, or whose id a
+    /// newer endpoint holds, gets no replies, as its inbox would get none.
+    fn round_trip(&self, batch: &mut Vec<(ProcessId, Msg)>, replies: &mut VecDeque<Inbound>) {
+        let _ = self.deliver(batch.drain(..), Some(replies));
     }
 
     fn inbox(&self) -> &Receiver<Inbound> {
         &self.inbox
     }
 
-    /// Serving swaps this endpoint's route from its inbox to `handler`: a
-    /// `send` to it runs the handler on the sender's thread, one call at a
-    /// time, and pushes the reply into the sender's inbox. No thread, no
-    /// wake, one channel hop per round trip. Frames already in the inbox
-    /// stay there unanswered, as on TCP.
+    /// Serving swaps this endpoint's route from its inbox to `handler`'s
+    /// slot: a `send` to it runs the handler on the sender's thread, one
+    /// call at a time under the slot's lock, and hands the reply to the
+    /// sender. No thread, no wake, and for a round trip no channel. Frames
+    /// already in the inbox stay there unanswered, as on TCP.
     ///
     /// A handler that panics crashes this endpoint alone: the sender's
     /// `send` returns `Ok` (the crash model's message loss), the handler is
     /// dropped and the route removed, and [`Serving::stop`] returns the
-    /// panic. Stopping removes the route, then drops the handler once a
+    /// panic. Stopping removes the route, then takes the handler out once a
     /// call in flight returns, so no call starts after it returns — not
-    /// even one by a sender whose cache still holds the handler.
+    /// even one by a sender whose cache still holds the slot.
     fn serve<H>(self, handler: H) -> Serving
     where
         Self: Sized + 'static,
-        H: FnMut(ProcessId, &Msg) -> Option<Msg> + Send + 'static,
+        H: Handler,
     {
-        let served = Arc::new(Served {
-            id: self.id,
-            generation: self.generation,
-            handler: Mutex::new(Some(Box::new(handler))),
-            panicked: Mutex::new(None),
-        });
+        let served = Served::new(handler);
         {
             let mut map = self.transport.routes.map.write();
             if let Some((generation, route)) = map.get_mut(&self.id) {
@@ -646,11 +788,9 @@ impl Endpoint for InMemoryEndpoint {
                 }
             }
         }
-        Serving::new(move || {
+        Serving::new(served, move || {
             self.transport.deregister_generation(self.id, self.generation);
-            drop(served.handler.lock().take());
-            let panicked = served.panicked.lock().take();
-            panicked.map_or(Ok(()), Err)
+            Ok(())
         })
     }
 }
@@ -663,6 +803,19 @@ mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::time::{Duration, Instant};
+
+    /// A closure written inline at a `serve` call takes its signature from
+    /// the call, and `Endpoint::serve` takes any [`Handler`]: the tests'
+    /// endpoints serve closures through this, which names the signature
+    /// and forwards.
+    impl InMemoryEndpoint {
+        fn serve<F>(self, handler: F) -> Serving
+        where
+            F: FnMut(ProcessId, &Msg) -> Option<Msg> + Send + 'static,
+        {
+            Endpoint::serve(self, handler)
+        }
+    }
 
     #[test]
     fn messages_flow_between_endpoints() {
@@ -1192,6 +1345,74 @@ mod tests {
                 endpoint.id()
             );
         }
+    }
+
+    /// A round from an endpoint whose own route is gone gets no replies:
+    /// once it is deregistered, and once its id is registered again by a
+    /// newer endpoint, whose inbox must not receive the stale endpoint's
+    /// answers either. The servers still see the requests, as a crashed
+    /// client's would be seen.
+    #[test]
+    fn a_removed_or_re_registered_endpoints_round_gets_no_replies() {
+        let t = InMemoryTransport::new();
+        let _servings = serve_all(&t, 0..3);
+        let client = t.register(ProcessId::reader(0));
+        let everyone = || to_each(&[0, 1, 2], 0);
+        client.send_batch(everyone());
+        assert_eq!(senders(&client).len(), 3, "a routed endpoint is answered");
+
+        t.deregister(ProcessId::reader(0));
+        client.send_batch(everyone());
+        let gone = Err(crossbeam::channel::TryRecvError::Disconnected);
+        assert_eq!(client.inbox().try_recv(), gone, "a deregistered endpoint was answered");
+
+        // A round trip's replies skip the inbox; it gets none either, and
+        // what the caller's buffer already held stays.
+        let held = (ProcessId::server(7), query(7));
+        let round_trip = |endpoint: &InMemoryEndpoint| {
+            let mut replies = VecDeque::from([held.clone()]);
+            endpoint.round_trip(&mut everyone(), &mut replies);
+            assert_eq!(replies[0], held);
+            replies.len() - 1
+        };
+        assert_eq!(round_trip(&client), 0, "a deregistered endpoint's round was answered");
+
+        let new = t.register(ProcessId::reader(0));
+        client.send_batch(everyone());
+        assert_eq!(client.inbox().try_recv(), gone, "a stale endpoint was answered");
+        assert_eq!(round_trip(&client), 0, "a stale endpoint's round was answered");
+        assert!(new.inbox().is_empty(), "the stale endpoint's answers reached the new one");
+        new.send_batch(everyone());
+        assert_eq!(senders(&new).len(), 3, "the new endpoint is answered");
+        assert_eq!(round_trip(&new), 3, "the new endpoint's round is answered");
+        assert!(new.inbox().is_empty(), "a round trip's answers crossed the inbox");
+    }
+
+    /// A round trip to served destinations crosses no channel and takes one
+    /// lock per call: a thousand rounds to five served endpoints push
+    /// nothing into any inbox, lock each destination's slot once per
+    /// request, read the route map once, and hand every reply over in the
+    /// caller's buffer, in the batch's order.
+    #[test]
+    fn a_round_trip_to_served_destinations_crosses_no_channel_and_locks_each_slot_once() {
+        const ROUNDS: usize = 1_000;
+        let t = InMemoryTransport::new();
+        let servings = serve_all(&t, 0..5);
+        let client = t.register(ProcessId::reader(0));
+        let (mut batch, mut replies) = (Vec::new(), VecDeque::new());
+        for seq in 0..ROUNDS as u64 {
+            batch.extend(to_each(&[0, 1, 2, 3, 4], seq));
+            client.round_trip(&mut batch, &mut replies);
+            assert!(batch.is_empty(), "the batch was not sent whole");
+            let answered: Vec<ProcessId> = replies.drain(..).map(|(from, _)| from).collect();
+            assert_eq!(answered, (0..5).map(ProcessId::server).collect::<Vec<_>>(), "{seq}");
+        }
+        assert!(client.inbox().is_empty());
+        assert_eq!(t.routes.pushes.load(Ordering::Relaxed), 0, "channel operations");
+        for serving in &servings {
+            assert_eq!(serving.locks(), ROUNDS, "slot locks");
+        }
+        assert_eq!(resolutions(&t), 1);
     }
 
     /// A frame already in the inbox when the endpoint is served stays

@@ -20,7 +20,7 @@
 //! before its payload is decoded, so no frame recurses the decoder deeper
 //! than that.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -219,9 +219,9 @@ wire_layout! { struct RegisterTransfer { register, state } }
 /// A single merge-join over the two sorted sequences
 /// (`O(|queue| + |known|)`), instead of a tree probe per queue entry per
 /// server.
-fn unacknowledged_from(
+fn unacknowledged_from<'q>(
     known: impl Iterator<Item = TaggedValue>,
-    val_queue: &BTreeSet<TaggedValue>,
+    val_queue: impl IntoIterator<Item = &'q TaggedValue>,
 ) -> Vec<TaggedValue> {
     let mut out = Vec::new();
     let mut known = known.peekable();
@@ -336,9 +336,13 @@ impl SnapshotCache {
         self.entries.binary_search_by_key(&value, |e| e.0).is_ok()
     }
 
-    /// The entries of `val_queue` this server is *not* known to hold — the
-    /// `new_values` of the next delta request.
-    pub fn unacknowledged(&self, val_queue: &BTreeSet<TaggedValue>) -> Vec<TaggedValue> {
+    /// The entries of `val_queue` (ascending, without repeats: a set or a
+    /// sorted slice) this server is *not* known to hold — the `new_values`
+    /// of the next delta request.
+    pub fn unacknowledged<'q>(
+        &self,
+        val_queue: impl IntoIterator<Item = &'q TaggedValue>,
+    ) -> Vec<TaggedValue> {
         unacknowledged_from(self.entries.iter().map(|e| e.0), val_queue)
     }
 
@@ -438,9 +442,13 @@ impl ReaderCache<'_> {
         self.index.holds(self.bit, value)
     }
 
-    /// The entries of `val_queue` this server is *not* known to hold — the
-    /// `new_values` of the next delta request.
-    pub fn unacknowledged(&self, val_queue: &BTreeSet<TaggedValue>) -> Vec<TaggedValue> {
+    /// The entries of `val_queue` (ascending, without repeats: a set or a
+    /// sorted slice) this server is *not* known to hold — the `new_values`
+    /// of the next delta request.
+    pub fn unacknowledged<'q>(
+        &self,
+        val_queue: impl IntoIterator<Item = &'q TaggedValue>,
+    ) -> Vec<TaggedValue> {
         unacknowledged_from(self.index.values_in(self.bit), val_queue)
     }
 }

@@ -55,12 +55,26 @@
 //!    answers under it, so a scope never replaced proves the round ran
 //!    inside one configuration.
 //!
+//! # The `valQueue`
+//!
+//! A reader's `valQueue` is one sorted `Vec` of tagged values without
+//! repeats. A fast read folds what its quorum holds into it with one
+//! merge-join against the queue (the witness index yields its values
+//! sorted): a value above the queue's maximum, which is what a read mostly
+//! learns, is appended, and the rare one that falls between known values
+//! is appended too and sorted into place once. GC drops what lies below
+//! the announced floor with one `retain`, and what a server has not
+//! acknowledged is one merge-join of the queue against that server's
+//! mirror. A reader that has fallen `n` writes behind pays `n` appends.
+//!
+//! # Duplicate replies
+//!
 //! Merging deltas on arrival has one hazard: a *duplicate* reply (to a
 //! re-broadcast) starts below the version its first copy just advanced the
 //! cache to — exactly what a resync looks like. So "this server already
 //! replied this round" is tested before anything else.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use mwr_types::{
     ClientId, ClusterConfig, ConfigEpoch, ReaderId, ServerId, Tag, TaggedValue, Value, WriterId,
@@ -220,9 +234,10 @@ struct Reader {
     /// Fast-read wire format.
     wire: FastWire,
     /// Algorithm 1's `valQueue`: every tagged value this reader has
-    /// observed and not yet GC-pruned; re-sent (in full or as a delta)
-    /// on each fast read.
-    val_queue: BTreeSet<TaggedValue>,
+    /// observed and not yet GC-pruned, ascending and without repeats;
+    /// re-sent (in full or as a delta) on each fast read. See
+    /// [`extend_sorted`] for how it grows.
+    val_queue: Vec<TaggedValue>,
     /// Per-server snapshot caches plus the incrementally-maintained
     /// witness index over them (the runs wire only).
     state: FastReadState,
@@ -296,7 +311,7 @@ impl RoundMachine {
         let reader = Reader {
             mode,
             wire,
-            val_queue: BTreeSet::from([TaggedValue::initial()]),
+            val_queue: vec![TaggedValue::initial()],
             state: FastReadState::new(),
             gc_floor: TaggedValue::initial(),
         };
@@ -432,7 +447,7 @@ impl RoundMachine {
             (&Phase::Repair { value }, _) => Some(Msg::Update { handle, value, floor }),
             (Phase::Depart, _) => Some(Msg::Depart { handle }),
             (Phase::ReadFast { .. }, Role::Reader(reader)) => {
-                Some(Msg::ReadFast { handle, val_queue: reader.val_queue.iter().copied().collect() })
+                Some(Msg::ReadFast { handle, val_queue: reader.val_queue.clone() })
             }
             _ => None,
         };
@@ -589,14 +604,14 @@ impl Reader {
         let (index, mask) = match &inflight.phase {
             Phase::ReadFast { replies } => {
                 for snapshot in replies.values() {
-                    val_queue.extend(snapshot.entries.iter().map(|e| e.value));
+                    extend_sorted(val_queue, snapshot.entries.iter().map(|e| e.value));
                 }
                 built = WitnessIndex::from_views(replies.values().map(SnapshotView::Full));
                 (&built.0, built.1)
             }
             _ => {
                 let mask = acks.iter().fold(0, |m, &s| m | FastReadState::mask_bit(s));
-                val_queue.extend(state.index().values_in(mask));
+                extend_sorted(val_queue, state.index().values_in(mask));
                 (state.index(), mask)
             }
         };
@@ -638,6 +653,29 @@ impl Reader {
     }
 }
 
+/// Adds the ascending, repeat-free `values` to the ascending, repeat-free
+/// `queue`, keeping both properties: one merge-join against the queue as it
+/// was. A value above the queue's maximum — what a fast read mostly learns —
+/// is appended; one that falls between known values is appended too, and a
+/// single in-place sort at the end puts it where it belongs.
+fn extend_sorted(queue: &mut Vec<TaggedValue>, values: impl IntoIterator<Item = TaggedValue>) {
+    let old = queue.len();
+    let (mut at, mut misplaced) = (0, false);
+    for value in values {
+        while at < old && queue[at] < value {
+            at += 1;
+        }
+        if at < old && queue[at] == value {
+            continue;
+        }
+        misplaced |= at < old;
+        queue.push(value);
+    }
+    if misplaced {
+        queue.sort_unstable();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     //! The machine driven by hand against real servers: no thread, no clock.
@@ -664,6 +702,20 @@ mod tests {
 
     fn stable(members: &[u32], epoch: u32) -> Scope {
         Scope::stable(ids(members), 1, ConfigEpoch::new(epoch))
+    }
+
+    /// The `valQueue` stays ascending and repeat-free whether what a read
+    /// learns lies above it, among it, or is already in it.
+    #[test]
+    fn extend_sorted_appends_merges_and_skips_known_values() {
+        let v = |ts| TaggedValue::new(Tag::new(ts, WriterId::new(0)), Value::new(ts));
+        let mut queue = vec![TaggedValue::initial(), v(2), v(4)];
+        extend_sorted(&mut queue, [v(4), v(5), v(6)]);
+        assert_eq!(queue, [TaggedValue::initial(), v(2), v(4), v(5), v(6)]);
+        extend_sorted(&mut queue, [v(1), v(3), v(6), v(7)]);
+        assert_eq!(queue, [TaggedValue::initial(), v(1), v(2), v(3), v(4), v(5), v(6), v(7)]);
+        extend_sorted(&mut queue, [v(2), v(7)]);
+        assert_eq!(queue.len(), 8, "nothing new");
     }
 
     /// The reply server `to` gives to its frame of the round in flight.

@@ -27,6 +27,20 @@
 //!   direction. Past the values it sends, the reader is registered in one
 //!   walk over the store ([`ServerState::catch_up_registrations`]).
 //!
+//! # The store's layout
+//!
+//! The store is one `Vec` of `(value, entry)` sorted by value, so `vali` is
+//! its last element: storing a new maximum — nearly every write — is a
+//! push with no search, and a prune is one `retain`. An entry holds the
+//! version its value was first added at, the version of its latest
+//! registration, and its `updated` set: each registered client with the
+//! version its registration got, sorted by client. Up to two registrations
+//! live inside the entry — a value's writer and one reader, all that a
+//! value of a one-writer, one-reader register ever gets; a third moves the
+//! set to a `Vec` of its own, which the entry keeps until it is pruned. On
+//! that shape storing, registering on and pruning a value allocate
+//! nothing, however far a reader has fallen behind.
+//!
 //! # The delta protocol
 //!
 //! Every registration the server records — each `(value, client)` pair —
@@ -180,14 +194,88 @@ use mwr_types::{ClientId, ProcessId, TaggedValue};
 use crate::events::ClientEvent;
 use crate::msg::{ClientSet, DeltaSnapshot, FloorReport, Msg, Snapshot, StateTransfer, ValueRecord};
 
+/// How many registrations an entry holds in place before it spills to the
+/// heap: a value of the narrow shape has two, its writer and one reader.
+const INLINE_REGISTRATIONS: usize = 2;
+
+/// One value's `updated` set: the registered clients, sorted, each with the
+/// version its registration got. Up to [`INLINE_REGISTRATIONS`] live in the
+/// entry itself; a value that ever gets more moves them to a `Vec` and keeps
+/// it. Equality is by content, whichever form holds it, so `ServerState`'s
+/// `Eq` still means equal stores.
+#[derive(Debug, Clone)]
+enum Registrations {
+    /// The first `len` of `slots` are the registrations; the rest is filler.
+    Inline { len: u8, slots: [(ClientId, u64); INLINE_REGISTRATIONS] },
+    Spilled(Vec<(ClientId, u64)>),
+}
+
+impl Registrations {
+    fn as_slice(&self) -> &[(ClientId, u64)] {
+        match self {
+            Registrations::Inline { len, slots } => &slots[..usize::from(*len)],
+            Registrations::Spilled(regs) => regs,
+        }
+    }
+
+    /// Where `client`'s registration is (`Ok`) or would go (`Err`).
+    fn find(&self, client: ClientId) -> Result<usize, usize> {
+        self.as_slice().binary_search_by_key(&client, |r| r.0)
+    }
+
+    fn insert(&mut self, i: usize, reg: (ClientId, u64)) {
+        match self {
+            Registrations::Inline { len, slots } if usize::from(*len) < INLINE_REGISTRATIONS => {
+                let n = usize::from(*len);
+                slots.copy_within(i..n, i + 1);
+                slots[i] = reg;
+                *len += 1;
+            }
+            Registrations::Inline { slots, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_REGISTRATIONS);
+                spilled.extend_from_slice(slots);
+                spilled.insert(i, reg);
+                *self = Registrations::Spilled(spilled);
+            }
+            Registrations::Spilled(regs) => regs.insert(i, reg),
+        }
+    }
+
+    fn remove(&mut self, i: usize) {
+        match self {
+            Registrations::Inline { len, slots } => {
+                slots.copy_within(i + 1..usize::from(*len), i);
+                *len -= 1;
+            }
+            Registrations::Spilled(regs) => {
+                regs.remove(i);
+            }
+        }
+    }
+}
+
+impl Default for Registrations {
+    fn default() -> Self {
+        Registrations::Inline { len: 0, slots: [(ClientId::reader(0), 0); INLINE_REGISTRATIONS] }
+    }
+}
+
+impl PartialEq for Registrations {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Registrations {}
+
 /// One stored value's bookkeeping: which clients are registered on it and
 /// when (in registration-version terms) each one arrived.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Entry {
     /// Registered clients, sorted, each with the version its registration
-    /// got (a flat Vec: populations are tens of clients, and this is the
-    /// hottest per-registration probe on the server).
-    updated: Vec<(ClientId, u64)>,
+    /// got (flat: populations are tens of clients, and this is the hottest
+    /// per-registration probe on the server), in place up to two.
+    updated: Registrations,
     /// The version at which this value entered the store (a value pruned
     /// and inserted again gets a new one). It is the catch-up key: a reader
     /// whose acknowledgement reaches it merged the delta that introduced
@@ -206,7 +294,7 @@ impl Entry {
     /// Registers `c` on this value unless it already is, stamping the
     /// registration with the next version.
     fn register(&mut self, c: ClientId, version: &mut u64) {
-        if let Err(i) = self.updated.binary_search_by_key(&c, |r| r.0) {
+        if let Err(i) = self.updated.find(c) {
             *version += 1;
             self.updated.insert(i, (c, *version));
             self.max_reg = *version;
@@ -462,7 +550,7 @@ impl ServerState {
     pub fn depart(&mut self, client: ClientId) {
         self.registered_up_to.retain(|&(c, _)| c != client);
         for (_, entry) in &mut self.store {
-            if let Ok(i) = entry.updated.binary_search_by_key(&client, |r| r.0) {
+            if let Ok(i) = entry.updated.find(client) {
                 entry.updated.remove(i);
             }
         }
@@ -577,7 +665,7 @@ impl ServerState {
                 .iter()
                 .map(|(value, entry)| ValueRecord {
                     value: *value,
-                    updated: entry.updated.iter().map(|r| r.0).collect(),
+                    updated: entry.updated.as_slice().iter().map(|r| r.0).collect(),
                 })
                 .collect(),
         }
@@ -599,9 +687,9 @@ impl ServerState {
                 // The value itself is new since `from`, so every one of its
                 // registrations is too: clone the whole list in one
                 // exact-size allocation (the common case for fresh writes).
-                entry.updated.iter().map(|&(c, _)| c).collect()
+                entry.updated.as_slice().iter().map(|&(c, _)| c).collect()
             } else {
-                let new = entry.updated.iter().filter(|&&(_, v)| v > from);
+                let new = entry.updated.as_slice().iter().filter(|&&(_, v)| v > from);
                 let mut updated = Vec::with_capacity(new.clone().count());
                 updated.extend(new.map(|&(c, _)| c));
                 updated
@@ -627,7 +715,7 @@ impl ServerState {
     /// The `updated` set registered for `val`, if stored.
     pub fn updated_set(&self, val: TaggedValue) -> Option<Vec<ClientId>> {
         let i = self.find(val).ok()?;
-        Some(self.store[i].1.updated.iter().map(|r| r.0).collect())
+        Some(self.store[i].1.updated.as_slice().iter().map(|r| r.0).collect())
     }
 
     /// Where `val` is (`Ok`) or would be inserted (`Err`) in the store.
@@ -636,9 +724,14 @@ impl ServerState {
     }
 
     /// The store index of `val`, which is added (at the next version) if
-    /// it is not stored.
+    /// it is not stored. A new maximum — nearly every write — is appended
+    /// without a search.
     fn insert(&mut self, val: TaggedValue) -> usize {
-        self.find(val).unwrap_or_else(|i| {
+        let at = match self.store.last() {
+            Some(&(max, _)) if max < val => Err(self.store.len()),
+            _ => self.find(val),
+        };
+        at.unwrap_or_else(|i| {
             self.version += 1;
             self.store.insert(i, (val, Entry { first_added: self.version, ..Entry::default() }));
             i

@@ -1,7 +1,7 @@
 //! What the fast-read round and a write's store round allocate at the
 //! handler level, counted by the allocator itself.
 //!
-//! Three pins. The reader's side: merging a delta that brings no new value
+//! Four pins. The reader's side: merging a delta that brings no new value
 //! and no new `(value, client)` pair — the steady state of a reader that
 //! re-reads a quiet register, GC eviction included — allocates nothing,
 //! because the witness index is the reader's only mirror of each server's
@@ -13,7 +13,10 @@
 //! for a `(value, client)` pair the server already holds — a retried or
 //! repeated write on a warm, GC-engaged server — allocates nothing: the
 //! floor report, the membership check and the registration probe are
-//! binary searches over sorted vectors that need no new memory.
+//! binary searches over sorted vectors that need no new memory. Nor does
+//! an `Update` of a new value on such a server, registered on by its writer
+//! and then its reader as on `mem-narrow`: a value's registrations live in
+//! its store entry up to two, and the store appends into capacity it holds.
 //!
 //! Only the measuring thread counts, and only while it is armed, so tests
 //! running beside each other (and the harness's own threads) cannot move
@@ -198,4 +201,38 @@ fn a_repeated_update_on_a_warm_server_allocates_nothing() {
     assert!(matches!(reply, Some(Msg::UpdateAck { .. })), "{reply:?}");
     // Recorded at 2db20b3.
     assert_eq!(allocations, 0, "allocations for an Update already registered");
+}
+
+#[test]
+fn a_write_of_a_new_value_on_a_warm_server_allocates_nothing() {
+    let mut server = RegisterServer::with_gc(2);
+    let writer = |seq| OpHandle { op: OpId { client: ClientId::writer(0), seq }, phase: 2 };
+    let reader = |seq| OpHandle { op: OpId { client: ClientId::reader(0), seq }, phase: 1 };
+    let update = |ts: u64| Msg::Update { handle: writer(ts), value: tv(ts, 0), floor: tv(ts - 1, 0) };
+    let read = |ts: u64, acked| Msg::ReadFastRuns {
+        handle: reader(ts),
+        acked,
+        floor: tv(ts, 0),
+        new_values: Vec::new(),
+    };
+    // Each write followed by a read, as on `mem-narrow`: the reader's
+    // floor follows the writer's, so GC keeps the store at a few values
+    // and every one of them is registered on by the writer and the reader.
+    let mut acked = 0;
+    for ts in 1..=20 {
+        server.handle(ProcessId::writer(0), &update(ts));
+        match server.handle(ProcessId::reader(0), &read(ts, acked)) {
+            Some(Msg::ReadFastRunsAck { delta, .. }) => acked = delta.version,
+            other => panic!("not a runs ack: {other:?}"),
+        }
+    }
+    assert!(server.state().stored_values() <= 3, "GC keeps the store small");
+
+    let (reply, allocations) = counted(|| server.handle(ProcessId::writer(0), &update(21)));
+    assert!(matches!(reply, Some(Msg::UpdateAck { .. })), "{reply:?}");
+    assert_eq!(server.state().latest(), tv(21, 0));
+    // Recorded at the parent: 1, the new value's registration list. A
+    // value's registrations live in its store entry up to two (its writer
+    // and one reader), and the store's capacity is warm.
+    assert_eq!(allocations, 0, "allocations for an Update of a new value");
 }

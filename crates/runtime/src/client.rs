@@ -142,6 +142,9 @@ pub struct LiveClient<E: Endpoint, Id> {
     /// found nothing.
     #[cfg(test)]
     inbox_takes: usize,
+    /// Times a round read the clock: only a park needs it.
+    #[cfg(test)]
+    clock_reads: usize,
     role: PhantomData<Id>,
 }
 
@@ -215,6 +218,8 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
             fed: Vec::new(),
             #[cfg(test)]
             inbox_takes: 0,
+            #[cfg(test)]
+            clock_reads: 0,
             role: PhantomData,
         }
     }
@@ -339,11 +344,12 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
     /// machine every reply, until the machine says the round is complete.
     ///
     /// Each attempt re-broadcasts the *same* round and waits until one
-    /// deadline, `timeout` past the broadcast. The replies the endpoint
-    /// handed over inside the round trip (an in-memory bank's, through no
-    /// channel) are fed first; then the replies queued in the inbox are
-    /// taken all at once, with one lock and no clock read, and fed one by
-    /// one; the clock is read only to park on an empty inbox. What a round
+    /// deadline, `timeout` past the attempt's first park. The replies the
+    /// endpoint handed over inside the round trip (an in-memory bank's,
+    /// through no channel) are fed first; then the replies queued in the
+    /// inbox are taken all at once, with one lock and no clock read, and fed
+    /// one by one; the clock is read only to park on an empty inbox, so a
+    /// round whose replies were all in hand never reads it. What a round
     /// had in hand and did not need is fed to the next one first (a
     /// straggler: the machine ignores it). The machine counts acks per
     /// server for as long as the round is in flight, so a duplicate reply
@@ -369,8 +375,9 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
                 Some(complete) => return Ok(complete),
             }
             self.broadcast();
-            // A timeout too long to be a point in time ("never") is no deadline.
-            let deadline = Instant::now().checked_add(self.timeout);
+            // Fixed at the attempt's first park, `timeout` past it; `Some(None)`
+            // is a timeout too long to be a point in time ("never").
+            let mut deadline: Option<Option<Instant>> = None;
             loop {
                 // Queued replies are taken without a look at the clock: the
                 // deadline bounds only the wait for one that has not come.
@@ -385,9 +392,15 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
                             Ok(_) => continue,
                             Err(TryRecvError::Disconnected) => return Err(self.disconnected()),
                             Err(TryRecvError::Empty) => {
-                                let left = deadline.map_or(Duration::MAX, |at| {
-                                    at.saturating_duration_since(Instant::now())
-                                });
+                                let left = match deadline {
+                                    None => {
+                                        deadline = Some(self.now().checked_add(self.timeout));
+                                        self.timeout
+                                    }
+                                    Some(at) => at.map_or(Duration::MAX, |at| {
+                                        at.saturating_duration_since(self.now())
+                                    }),
+                                };
                                 if left.is_zero() {
                                     break;
                                 }
@@ -424,6 +437,15 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
             collected: self.machine.collected(),
             required: self.machine.scope().quorum,
         })
+    }
+
+    /// The clock, read to park.
+    fn now(&mut self) -> Instant {
+        #[cfg(test)]
+        {
+            self.clock_reads += 1;
+        }
+        Instant::now()
     }
 
     /// This client's inbox is gone.
@@ -800,8 +822,9 @@ mod tests {
     /// A round on in-memory banks crosses no channel and takes one lock per
     /// served call: over W2R1 writes and fast reads at S = 5, the transport
     /// pushes nothing into any inbox, neither client takes from or parks on
-    /// its own (every reply is fed from the round trip's buffer), and each
-    /// bank is locked once per request, through its served slot.
+    /// its own (every reply is fed from the round trip's buffer), so neither
+    /// reads the clock, and each bank is locked once per request, through
+    /// its served slot.
     #[test]
     fn an_in_memory_round_crosses_no_channel_and_locks_each_bank_once() {
         const OPS: u64 = 50;
@@ -825,6 +848,7 @@ mod tests {
         }
         assert_eq!(transport.pushes(), 0, "inbox pushes");
         assert_eq!((writer.inbox_takes, reader.inbox_takes), (0, 0), "inbox takes");
+        assert_eq!((writer.clock_reads, reader.clock_reads), (0, 0), "clock reads");
         let fed = |client_fed: usize, rounds: u64| client_fed + 1 == 5 * rounds as usize;
         assert!(fed(writer.fed.len(), 2 * OPS), "{} replies fed", writer.fed.len());
         assert!(fed(reader.fed.len(), OPS), "{} replies fed", reader.fed.len());

@@ -383,16 +383,14 @@ mod tests {
                     i += 1;
                 }
             });
-            // Judged after the scope: a panic in here would leave the
-            // traffic thread running and the scope waiting for it.
-            let rejoins = [2, 2, 2, 2, 0, 1, 2, 3, 4, 0].map(|victim| {
+            let _stop = crate::keyspace::tests::RaiseOnDrop(&done);
+            // Judged after the scope, which joins the traffic thread first.
+            [2, 2, 2, 2, 0, 1, 2, 3, 4, 0].map(|victim| {
                 cluster.crash_server(victim);
                 let started = Instant::now();
                 let rejoined = cluster.rejoin_server_within(victim, fetch_timeout);
                 (victim, rejoined, started.elapsed())
-            });
-            done.store(true, std::sync::atomic::Ordering::Release);
-            rejoins
+            })
         });
         for (cycle, (victim, rejoined, took)) in rejoins.into_iter().enumerate() {
             rejoined.unwrap();

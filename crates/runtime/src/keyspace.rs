@@ -662,10 +662,22 @@ fn gather<S>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::client::{LiveReader, LiveWriter};
     use mwr_types::{ReaderId, Value, WriterId};
+
+    /// Raises its flag when dropped, returning or unwinding: a scoped test
+    /// holds one over the flag its traffic thread polls, so a panic in the
+    /// scope's body stops that thread and the scope can join it, instead
+    /// of waiting for it forever.
+    pub(crate) struct RaiseOnDrop<'a>(pub(crate) &'a std::sync::atomic::AtomicBool);
+
+    impl Drop for RaiseOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, std::sync::atomic::Ordering::Release);
+        }
+    }
 
     /// Per-key clients over *shared* endpoints, exactly as the facade mints
     /// them: one endpoint per client id, `Arc`-cloned into each key's
@@ -922,16 +934,14 @@ mod tests {
                     i += 1;
                 }
             });
-            // Judged after the scope: a panic in here would leave the
-            // traffic thread running and the scope waiting for it.
-            let rejoins = [2, 2, 2, 2, 0, 1, 2, 3, 4, 0].map(|victim| {
+            let _stop = RaiseOnDrop(&done);
+            // Judged after the scope, which joins the traffic thread first.
+            [2, 2, 2, 2, 0, 1, 2, 3, 4, 0].map(|victim| {
                 cluster.crash_server(victim);
                 let started = Instant::now();
                 let rejoined = cluster.rejoin_server_within(victim, fetch_timeout);
                 (victim, rejoined, started.elapsed())
-            });
-            done.store(true, std::sync::atomic::Ordering::Release);
-            rejoins
+            })
         });
         for (cycle, (victim, rejoined, took)) in rejoins.into_iter().enumerate() {
             rejoined.unwrap();

@@ -141,7 +141,7 @@
 //! last endpoint.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -1336,8 +1336,23 @@ impl TcpEndpoint {
         Arc::clone(&self.shared.conns)
     }
 
-    fn new_pipeline(&self, to: ProcessId) -> Arc<PeerPipeline> {
-        PeerPipeline::new(self.id, to, self.registry.clone(), Arc::clone(&self.shared))
+    /// A handle on `to`'s pipeline, created on first use; `None` if `to`
+    /// was never registered. Taken under the pipeline map lock, but every
+    /// write happens outside it: one stalled peer must not serialize sends
+    /// to the others. Once a pipeline exists, the process-global registry
+    /// is not consulted again: a peer that crashes later is detected inside
+    /// the pipeline (dropped frames, reconnect backoff).
+    fn pipeline(&self, to: ProcessId) -> Option<Arc<PeerPipeline>> {
+        let mut pipelines = self.pipelines.lock();
+        let pipeline = match pipelines.entry(to) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                self.registry.lookup(to)?;
+                let shared = Arc::clone(&self.shared);
+                e.insert(PeerPipeline::new(self.id, to, self.registry.clone(), shared))
+            }
+        };
+        Some(Arc::clone(pipeline))
     }
 }
 
@@ -1361,51 +1376,24 @@ impl Endpoint for TcpEndpoint {
     ///
     /// Destinations that were never registered fail synchronously with
     /// [`TransportError::UnknownDestination`] (a map probe, never a
-    /// syscall). Once a pipeline exists, the process-global registry is
-    /// not consulted again on the hot path: a peer that crashes later is
-    /// detected inside the pipeline (dropped frames, reconnect backoff)
-    /// rather than by re-checking the shared registry lock per send.
+    /// syscall); a registered peer that crashed later is detected inside
+    /// its pipeline (dropped frames, reconnect backoff).
     fn send(&self, to: ProcessId, msg: Msg) -> Result<(), TransportError> {
-        // Take a handle on the pipeline under the map lock, but do all
-        // I/O outside it: one stalled peer must not serialize sends to the
-        // others.
-        let pipeline = {
-            let mut pipelines = self.pipelines.lock();
-            match pipelines.entry(to) {
-                Entry::Occupied(e) => Arc::clone(e.get()),
-                Entry::Vacant(e) => {
-                    if self.registry.lookup(to).is_none() {
-                        return Err(TransportError::UnknownDestination { to });
-                    }
-                    Arc::clone(e.insert(self.new_pipeline(to)))
-                }
-            }
-        };
+        let pipeline = self.pipeline(to).ok_or(TransportError::UnknownDestination { to })?;
         pipeline.send(&msg);
         Ok(())
     }
 
-    /// A broadcast takes the pipeline map lock once for the whole batch,
-    /// then sends with the lock released.
-    fn send_batch(&self, batch: Vec<(ProcessId, Msg)>) {
-        let mut staged = Vec::with_capacity(batch.len());
-        {
-            let mut pipelines = self.pipelines.lock();
-            for (to, msg) in batch {
-                let pipeline = match pipelines.entry(to) {
-                    Entry::Occupied(e) => e.into_mut(),
-                    Entry::Vacant(e) => {
-                        if self.registry.lookup(to).is_none() {
-                            continue; // dead peer: the tolerated failure
-                        }
-                        e.insert(self.new_pipeline(to))
-                    }
-                };
-                staged.push((Arc::clone(pipeline), msg));
+    /// Writes every frame of `batch` from the borrowed buffer, one pipeline
+    /// lookup and one write each, and leaves the buffer empty with its
+    /// capacity: a round allocates no batch. Dead peers are skipped, the
+    /// tolerated failure. Every reply comes back through the inbox.
+    fn round_trip(&self, batch: &mut Vec<(ProcessId, Msg)>, replies: &mut VecDeque<Inbound>) {
+        let _ = replies;
+        for (to, msg) in batch.drain(..) {
+            if let Some(pipeline) = self.pipeline(to) {
+                pipeline.send(&msg);
             }
-        }
-        for (pipeline, msg) in staged {
-            pipeline.send(&msg);
         }
     }
 

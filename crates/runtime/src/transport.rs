@@ -214,15 +214,14 @@ pub trait Endpoint: Send + Sync {
     ///
     /// This is the transport's batching seam: a broadcast is one call, so
     /// implementations can amortize their lookup locking across the whole
-    /// fan-out. Both transports override it: on TCP, one pipeline-map lock
-    /// for all the frames, then one write per frame; in memory
-    /// ([`InMemoryEndpoint`]), the served destinations' handlers through the
-    /// endpoint's route cache, which reads the route map only after the map
-    /// changed or for a destination that is not served, and the handlers'
-    /// replies pushed into the sender's inbox at once. Either way no lock of
-    /// the transport is held while a frame is written or a handler runs, so
-    /// a handler may open or close endpoints on the transport it serves on.
-    /// The default just loops over `send`.
+    /// fan-out. [`InMemoryEndpoint`] overrides it: the served destinations'
+    /// handlers run through the endpoint's route cache, which reads the
+    /// route map only after the map changed or for a destination that is
+    /// not served, and the handlers' replies are pushed into the sender's
+    /// inbox at once. No lock of the transport is held while a frame is
+    /// written or a handler runs, so a handler may open or close endpoints
+    /// on the transport it serves on. The default, which TCP runs, just
+    /// loops over `send`: one pipeline lookup and one write per frame.
     fn send_batch(&self, batch: Vec<(ProcessId, Msg)>) {
         for (to, msg) in batch {
             let _ = self.send(to, msg);
@@ -236,11 +235,15 @@ pub trait Endpoint: Send + Sync {
     /// reply arrives through the inbox as usual, so the caller takes
     /// `replies` first and the inbox after.
     ///
-    /// The default is `send_batch`, with every reply through the inbox: TCP
-    /// and decorators run it. [`InMemoryEndpoint`] overrides it: a served
-    /// destination's handler runs inside this call, and its reply goes
-    /// straight into `replies`, through no channel. `send`, `send_batch`
-    /// and this differ there only in where the replies go.
+    /// The default is `send_batch`, with every reply through the inbox:
+    /// decorators run it, and it hands the caller's buffer over by value, so
+    /// the caller's next round allocates a new one. Both transports override
+    /// it and leave the buffer empty with its capacity. [`InMemoryEndpoint`]:
+    /// a served destination's handler runs inside this call, and its reply
+    /// goes straight into `replies`, through no channel; `send`,
+    /// `send_batch` and this differ there only in where the replies go.
+    /// `TcpEndpoint` writes each frame from the borrowed buffer, and every
+    /// reply comes through the inbox.
     fn round_trip(&self, batch: &mut Vec<(ProcessId, Msg)>, replies: &mut VecDeque<Inbound>) {
         let _ = replies;
         self.send_batch(mem::take(batch));

@@ -16,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mwr_core::Protocol;
-use mwr_runtime::{InMemoryTransport, RuntimeCluster};
+use mwr_runtime::{InMemoryTransport, RuntimeCluster, TcpRegistry};
 use mwr_types::{ClusterConfig, Value};
 
 thread_local! {
@@ -101,15 +101,52 @@ fn a_steady_in_memory_write_and_read_allocate_the_recorded_figures() {
     drop((writer, reader));
     cluster.shutdown();
     // Recorded before a round trip's replies skipped the inbox: 7 040 and
-    // 16 185, one more per round for the broadcast's batch `Vec`. The
-    // client now keeps that buffer across rounds: 5.04 per write (two
-    // rounds) and 15.185 per read (one round), none of them in the
-    // transport. A write's five are each server's registration list for
-    // the new value; a read's are its request's unacknowledged-value list,
-    // each server's delta reply, and the reader's witness index.
+    // 16 185, one more per round for the broadcast's batch `Vec`; then
+    // 5 040 and 15 185 with the client keeping that buffer across rounds.
+    // Five per write were each server's registration list for the new
+    // value: registrations now live in the store's entry up to two, so a
+    // write allocates nothing but the 40 doublings of the five stores,
+    // which grow by the thousand values the reader's floor holds back. A
+    // read's are its request's unacknowledged-value list, each server's
+    // delta reply, and the reader's witness index. The `valQueue` is a
+    // sorted `Vec` now, not a tree: 158 fewer, its nodes less the `Vec`'s
+    // doublings.
     assert_eq!(
         (writes, reads),
-        (5_040, 15_185),
+        (40, 15_027),
         "allocations per {OPS} writes and per {OPS} reads"
     );
+}
+
+/// On TCP a server answers on the reactor, so the client thread's count is
+/// the client's alone: the machine's frames, the round trip and the take
+/// from the inbox. Writes are counted, not reads: a read's count depends on
+/// which four of the five replies complete its round (a straggler is not
+/// merged, so the next request to that server re-announces what it missed),
+/// and that is the scheduler's choice.
+#[test]
+fn a_steady_tcp_write_allocates_nothing_on_the_client_thread() {
+    const WARM: u64 = 200;
+    const OPS: u64 = 1_000;
+    let config = ClusterConfig::new(5, 1, 1, 1).unwrap();
+    let cluster = RuntimeCluster::start_on(TcpRegistry::new(), config, Protocol::W2R1).unwrap();
+    let mut writer = cluster.writer(0).unwrap();
+    let mut reader = cluster.reader(0).unwrap();
+    for i in 1..=WARM {
+        let written = writer.write(Value::new(i)).unwrap();
+        assert_eq!(reader.read().unwrap(), written);
+    }
+    let (last, writes) = counted(|| {
+        (WARM + 1..=WARM + OPS)
+            .map(|i| writer.write(Value::new(i)).unwrap())
+            .last()
+    });
+    assert_eq!(last, Some(reader.read().unwrap()));
+    drop((writer, reader));
+    cluster.shutdown();
+    // Recorded at the parent: 4 000, two per round — the batch `Vec` the
+    // trait's default `round_trip` hands over by value, and the staging
+    // `Vec` of `TcpEndpoint::send_batch`. `TcpEndpoint::round_trip` writes
+    // from the client's kept buffer and stages nothing.
+    assert_eq!(writes, 0, "allocations per {OPS} writes");
 }

@@ -101,7 +101,7 @@ fn bench_fast_read_merge(c: &mut Criterion) {
     // each registered with its writer.
     let mut standing = FastReadState::new();
     for &s in &servers {
-        let entries = (1..=21).map(|ts| ValueRecord { value: tv(ts), updated: writers(ts) }).collect();
+        let entries = (1..=21).map(|ts| ValueRecord { value: tv(ts), updated: writers(ts).into() }).collect();
         standing.merge(
             s,
             &DeltaSnapshot { from: 0, version: 21, latest: tv(21), pruned: TaggedValue::initial(), entries },

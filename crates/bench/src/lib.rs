@@ -102,7 +102,7 @@ pub fn synthetic_replies(
                             Tag::new(v as u64 + 1, WriterId::new((v % 2) as u32)),
                             Value::new(v as u64),
                         ),
-                        updated,
+                        updated: updated.into(),
                     }
                 })
                 .collect(),

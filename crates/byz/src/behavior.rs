@@ -102,7 +102,7 @@ fn stale_version(reply: Msg) -> Msg {
         Msg::ReadFastAck { handle, .. } => Msg::ReadFastAck {
             handle,
             snapshot: Snapshot {
-                entries: vec![ValueRecord { value: TaggedValue::initial(), updated: vec![] }],
+                entries: vec![ValueRecord { value: TaggedValue::initial(), updated: Default::default() }],
             },
         },
         other => other, // acks carry no state to hide
@@ -116,7 +116,7 @@ fn inflated_version(reply: Msg, boost: u64) -> Msg {
             Tag::new(above.tag().ts() + boost, WriterId::new(FORGED_WRITER)),
             Value::new(FORGED_VALUE),
         ),
-        updated,
+        updated: updated.into(),
     };
     match reply {
         Msg::QueryAck { handle, latest } => Msg::QueryAck {
@@ -198,7 +198,7 @@ mod tests {
         let snapshot = Snapshot {
             entries: vec![ValueRecord {
                 value: tv(2, 0, 20),
-                updated: vec![ClientId::writer(0), ClientId::reader(1)],
+                updated: vec![ClientId::writer(0), ClientId::reader(1)].into(),
             }],
         };
         let reply = Msg::ReadFastAck { handle: handle(), snapshot };

@@ -23,7 +23,7 @@ use mwr_types::{Tag, TaggedValue};
 /// let v = TaggedValue::new(Tag::new(1, WriterId::new(0)), Value::new(7));
 /// let forged = TaggedValue::new(Tag::new(99, WriterId::new(9)), Value::new(666));
 /// let with = |vals: &[TaggedValue]| Snapshot {
-///     entries: vals.iter().map(|v| ValueRecord { value: *v, updated: vec![] }).collect(),
+///     entries: vals.iter().map(|v| ValueRecord { value: *v, updated: Default::default() }).collect(),
 /// };
 /// let snaps = [with(&[v]), with(&[v]), with(&[forged])];
 /// assert_eq!(vouched_values(&snaps, 2), vec![v]); // the forgery had one voucher
@@ -108,7 +108,7 @@ mod tests {
         Snapshot {
             entries: vals
                 .iter()
-                .map(|(v, u)| ValueRecord { value: *v, updated: u.clone() })
+                .map(|(v, u)| ValueRecord { value: *v, updated: u.clone().into() })
                 .collect(),
         }
     }

@@ -182,7 +182,7 @@ impl SnapshotSource for SnapshotView<'_> {
 ///
 /// let v = TaggedValue::new(Tag::new(1, WriterId::new(0)), Value::new(7));
 /// let snap = |clients: &[ClientId]| Snapshot {
-///     entries: vec![ValueRecord { value: v, updated: clients.to_vec() }],
+///     entries: vec![ValueRecord { value: v, updated: clients.into() }],
 /// };
 /// // S = 3, t = 1, quorum = 2 replies, both containing v with the writer
 /// // registered: admissible with degree 1.
@@ -714,7 +714,7 @@ mod tests {
         Snapshot {
             entries: entries
                 .iter()
-                .map(|(v, cs)| ValueRecord { value: *v, updated: cs.to_vec() })
+                .map(|(v, cs)| ValueRecord { value: *v, updated: (*cs).into() })
                 .collect(),
         }
     }
@@ -884,7 +884,7 @@ mod tests {
             version: 1,
             latest: v,
             pruned: TaggedValue::initial(),
-            entries: vec![ValueRecord { value: v, updated: vec![W0] }],
+            entries: vec![ValueRecord { value: v, updated: vec![W0].into() }],
         });
         let caches = vec![cache.clone(), cache.clone()];
         let adm = Admissibility::new(&caches, 3, 1, 2);

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use mwr_types::codec::wire_layout;
-use mwr_types::{ClientId, ConfigEpoch, RegisterId, ServerId, TaggedValue, Value};
+use mwr_types::{ClientId, ConfigEpoch, InlineList, RegisterId, ServerId, TaggedValue, Value};
 
 use crate::admissible::WitnessIndex;
 
@@ -67,13 +67,15 @@ impl std::fmt::Display for OpHandle {
 
 /// One entry of a server's value store as reported to a fast read: a tagged
 /// value plus the set of clients recorded in its `updated` set
-/// (Algorithm 2's `valuevector`).
+/// (Algorithm 2's `valuevector`). Up to two clients travel inside the
+/// record, so a record of a one-writer, one-reader value allocates nothing
+/// of its own; on the wire the list is a `Vec`'s layout.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ValueRecord {
     /// The stored tagged value.
     pub value: TaggedValue,
     /// Clients that have been registered on this value, in sorted order.
-    pub updated: Vec<ClientId>,
+    pub updated: InlineList<ClientId>,
 }
 
 wire_layout! { struct ValueRecord { value, updated } }
@@ -403,7 +405,7 @@ impl SnapshotCache {
                 .iter()
                 .map(|(value, updated)| ValueRecord {
                     value: *value,
-                    updated: updated.as_slice().to_vec(),
+                    updated: updated.as_slice().into(),
                 })
                 .collect(),
         }
@@ -958,10 +960,10 @@ mod tests {
     fn snapshot_queries() {
         let snap = Snapshot {
             entries: vec![
-                ValueRecord { value: tv(1, 0, 10), updated: vec![ClientId::writer(0)] },
+                ValueRecord { value: tv(1, 0, 10), updated: vec![ClientId::writer(0)].into() },
                 ValueRecord {
                     value: tv(2, 1, 20),
-                    updated: vec![ClientId::writer(1), ClientId::reader(0)],
+                    updated: vec![ClientId::writer(1), ClientId::reader(0)].into(),
                 },
             ],
         };
@@ -988,7 +990,7 @@ mod tests {
                 snapshot: Snapshot {
                     entries: vec![ValueRecord {
                         value: tv(1, 1, 7),
-                        updated: vec![ClientId::reader(0), ClientId::writer(1)],
+                        updated: vec![ClientId::reader(0), ClientId::writer(1)].into(),
                     }],
                 },
             },
@@ -1007,7 +1009,7 @@ mod tests {
                     pruned: tv(1, 0, 1),
                     entries: vec![ValueRecord {
                         value: tv(3, 0, 3),
-                        updated: vec![ClientId::reader(1)],
+                        updated: vec![ClientId::reader(1)].into(),
                     }],
                 },
             },
@@ -1020,7 +1022,7 @@ mod tests {
                     pruned: tv(2, 0, 22),
                     entries: vec![ValueRecord {
                         value: tv(5, 1, 55),
-                        updated: vec![ClientId::reader(0), ClientId::writer(1)],
+                        updated: vec![ClientId::reader(0), ClientId::writer(1)].into(),
                     }],
                     seen: vec![ClientId::reader(0), ClientId::writer(0)],
                     floors: vec![FloorReport { client: ClientId::writer(0), floor: tv(2, 0, 22) }],
@@ -1048,7 +1050,7 @@ mod tests {
                         pruned: tv(1, 0, 10),
                         entries: vec![ValueRecord {
                             value: tv(2, 0, 20),
-                            updated: vec![ClientId::reader(0)],
+                            updated: vec![ClientId::reader(0)].into(),
                         }],
                         seen: vec![ClientId::reader(0)],
                         floors: vec![],
@@ -1070,7 +1072,7 @@ mod tests {
                     pruned: tv(1, 0, 10),
                     entries: vec![ValueRecord {
                         value: tv(2, 0, 20),
-                        updated: vec![ClientId::reader(0)],
+                        updated: vec![ClientId::reader(0)].into(),
                     }],
                     seen: vec![ClientId::reader(0)],
                     floors: vec![],
@@ -1113,7 +1115,7 @@ mod tests {
                         },
                         ValueRecord {
                             value: tv(2, 1, 2),
-                            updated: vec![ClientId::reader(2), ClientId::writer(1)],
+                            updated: vec![ClientId::reader(2), ClientId::writer(1)].into(),
                         },
                     ],
                 },
@@ -1213,6 +1215,73 @@ mod tests {
         assert_eq!(Msg::decode(&mut cursor).unwrap(), delta_req);
     }
 
+    /// Records of 0, 1, 2, 3 and 64 clients — in place and spilled alike —
+    /// through every codec that carries one: the plain list layout in a
+    /// full-info snapshot, a v3 delta and a state transfer, and the
+    /// run-length layout in a runs ack. The bytes are pinned against
+    /// figures recorded while `ValueRecord::updated` was a `Vec`.
+    #[test]
+    fn records_of_every_length_keep_their_bytes_on_every_codec() {
+        // Sorted like a store's: readers with a gap after every second, then
+        // consecutive writers, so the run-length form has runs to split.
+        let clients = |n: u32| -> Vec<ClientId> {
+            let readers = n.div_ceil(2);
+            (0..readers)
+                .map(|i| ClientId::reader(i + i / 2))
+                .chain((0..n - readers).map(ClientId::writer))
+                .collect()
+        };
+        let records: Vec<ValueRecord> = [0, 1, 2, 3, 64]
+            .into_iter()
+            .enumerate()
+            .map(|(i, n)| ValueRecord {
+                value: tv(i as u64 + 1, n, u64::from(n)),
+                updated: clients(n).into(),
+            })
+            .collect();
+        let delta = DeltaSnapshot {
+            from: 2,
+            version: 80,
+            latest: tv(5, 64, 64),
+            pruned: TaggedValue::initial(),
+            entries: records.clone(),
+        };
+        let msgs = [
+            Msg::ReadFastAck { handle: handle(), snapshot: Snapshot { entries: records.clone() } },
+            Msg::ReadFastDeltaAck { handle: handle(), delta: delta.clone() },
+            Msg::StateSnapshot {
+                nonce: 5,
+                state: Box::new(StateTransfer {
+                    version: 80,
+                    latest: tv(5, 64, 64),
+                    pruned: TaggedValue::initial(),
+                    entries: records,
+                    seen: clients(3),
+                    floors: vec![],
+                }),
+            },
+            Msg::ReadFastRunsAck { handle: handle(), delta },
+        ];
+        let mut pins = Vec::new();
+        for msg in msgs {
+            let bytes = msg.to_bytes();
+            assert_eq!(msg.encoded_len(), bytes.len(), "encoded_len matches encode: {msg:?}");
+            assert_eq!(Msg::decode(&mut &bytes[..]).expect("decode"), msg);
+            let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+            pins.push((bytes.len(), fnv));
+        }
+        // Recorded at the parent of the in-place record list.
+        let recorded = vec![
+            (518, 0xa0ac_a8c3_815c_f776),
+            (572, 0x9f6e_4bc7_2d53_b3b4),
+            (589, 0xe9ae_8dd3_b1fe_1ed2),
+            (420, 0x5eac_894a_40eb_d9c2),
+        ];
+        assert_eq!(pins, recorded, "a record's layout moved on the wire");
+    }
+
     #[test]
     fn runs_ack_compresses_dense_registration_gossip() {
         // The catch-up stream's shape: every reader re-registered on one
@@ -1280,12 +1349,12 @@ mod tests {
             1,
             b,
             TaggedValue::initial(),
-            vec![ValueRecord { value: b, updated: vec![ClientId::writer(0)] }],
+            vec![ValueRecord { value: b, updated: vec![ClientId::writer(0)].into() }],
         ));
         let mut state = FastReadState::new();
         state.merge(
             ServerId::new(0),
-            &delta(1, b, TaggedValue::initial(), vec![ValueRecord { value: b, updated: vec![] }]),
+            &delta(1, b, TaggedValue::initial(), vec![ValueRecord { value: b, updated: vec![].into() }]),
         );
 
         let queue: std::collections::BTreeSet<TaggedValue> =
@@ -1311,7 +1380,7 @@ mod tests {
                 3,
                 v1,
                 TaggedValue::initial(),
-                vec![ValueRecord { value: v1, updated: vec![ClientId::reader(0)] }],
+                vec![ValueRecord { value: v1, updated: vec![ClientId::reader(0)].into() }],
             ),
         );
         assert!(state.cache(s0).knows(v1));
@@ -1331,7 +1400,7 @@ mod tests {
             s0,
             &delta(7, v2, TaggedValue::initial(), vec![ValueRecord {
                 value: v2,
-                updated: vec![ClientId::writer(0)],
+                updated: vec![ClientId::writer(0)].into(),
             }]),
         );
         assert!(state.cache(s0).knows(v2));
@@ -1352,7 +1421,7 @@ mod tests {
                 2,
                 v1,
                 TaggedValue::initial(),
-                vec![ValueRecord { value: v1, updated: vec![ClientId::reader(0)] }],
+                vec![ValueRecord { value: v1, updated: vec![ClientId::reader(0)].into() }],
             ),
         );
         assert!(state.cache(s0).knows(v1));
@@ -1363,7 +1432,7 @@ mod tests {
         // from cache and index alike.
         state.merge(
             s0,
-            &delta(3, v2, v2, vec![ValueRecord { value: v2, updated: vec![ClientId::writer(0)] }]),
+            &delta(3, v2, v2, vec![ValueRecord { value: v2, updated: vec![ClientId::writer(0)].into() }]),
         );
         assert!(!state.cache(s0).knows(v1));
         assert!(state.cache(s0).knows(v2));

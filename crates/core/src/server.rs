@@ -189,84 +189,10 @@
 use std::collections::BTreeMap;
 
 use mwr_sim::{Automaton, Context};
-use mwr_types::{ClientId, ProcessId, TaggedValue};
+use mwr_types::{ClientId, InlineList, ProcessId, TaggedValue};
 
 use crate::events::ClientEvent;
 use crate::msg::{ClientSet, DeltaSnapshot, FloorReport, Msg, Snapshot, StateTransfer, ValueRecord};
-
-/// How many registrations an entry holds in place before it spills to the
-/// heap: a value of the narrow shape has two, its writer and one reader.
-const INLINE_REGISTRATIONS: usize = 2;
-
-/// One value's `updated` set: the registered clients, sorted, each with the
-/// version its registration got. Up to [`INLINE_REGISTRATIONS`] live in the
-/// entry itself; a value that ever gets more moves them to a `Vec` and keeps
-/// it. Equality is by content, whichever form holds it, so `ServerState`'s
-/// `Eq` still means equal stores.
-#[derive(Debug, Clone)]
-enum Registrations {
-    /// The first `len` of `slots` are the registrations; the rest is filler.
-    Inline { len: u8, slots: [(ClientId, u64); INLINE_REGISTRATIONS] },
-    Spilled(Vec<(ClientId, u64)>),
-}
-
-impl Registrations {
-    fn as_slice(&self) -> &[(ClientId, u64)] {
-        match self {
-            Registrations::Inline { len, slots } => &slots[..usize::from(*len)],
-            Registrations::Spilled(regs) => regs,
-        }
-    }
-
-    /// Where `client`'s registration is (`Ok`) or would go (`Err`).
-    fn find(&self, client: ClientId) -> Result<usize, usize> {
-        self.as_slice().binary_search_by_key(&client, |r| r.0)
-    }
-
-    fn insert(&mut self, i: usize, reg: (ClientId, u64)) {
-        match self {
-            Registrations::Inline { len, slots } if usize::from(*len) < INLINE_REGISTRATIONS => {
-                let n = usize::from(*len);
-                slots.copy_within(i..n, i + 1);
-                slots[i] = reg;
-                *len += 1;
-            }
-            Registrations::Inline { slots, .. } => {
-                let mut spilled = Vec::with_capacity(2 * INLINE_REGISTRATIONS);
-                spilled.extend_from_slice(slots);
-                spilled.insert(i, reg);
-                *self = Registrations::Spilled(spilled);
-            }
-            Registrations::Spilled(regs) => regs.insert(i, reg),
-        }
-    }
-
-    fn remove(&mut self, i: usize) {
-        match self {
-            Registrations::Inline { len, slots } => {
-                slots.copy_within(i + 1..usize::from(*len), i);
-                *len -= 1;
-            }
-            Registrations::Spilled(regs) => {
-                regs.remove(i);
-            }
-        }
-    }
-}
-
-impl Default for Registrations {
-    fn default() -> Self {
-        Registrations::Inline { len: 0, slots: [(ClientId::reader(0), 0); INLINE_REGISTRATIONS] }
-    }
-}
-
-impl PartialEq for Registrations {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for Registrations {}
 
 /// One stored value's bookkeeping: which clients are registered on it and
 /// when (in registration-version terms) each one arrived.
@@ -274,8 +200,10 @@ impl Eq for Registrations {}
 struct Entry {
     /// Registered clients, sorted, each with the version its registration
     /// got (flat: populations are tens of clients, and this is the hottest
-    /// per-registration probe on the server), in place up to two.
-    updated: Registrations,
+    /// per-registration probe on the server), in place up to two. Equality
+    /// is by content, whichever form holds it, so `ServerState`'s `Eq`
+    /// means equal stores.
+    updated: InlineList<(ClientId, u64)>,
     /// The version at which this value entered the store (a value pruned
     /// and inserted again gets a new one). It is the catch-up key: a reader
     /// whose acknowledgement reaches it merged the delta that introduced
@@ -291,10 +219,15 @@ struct Entry {
 }
 
 impl Entry {
+    /// Where `client`'s registration is (`Ok`) or would go (`Err`).
+    fn find(&self, client: ClientId) -> Result<usize, usize> {
+        self.updated.binary_search_by_key(&client, |r| r.0)
+    }
+
     /// Registers `c` on this value unless it already is, stamping the
     /// registration with the next version.
     fn register(&mut self, c: ClientId, version: &mut u64) {
-        if let Err(i) = self.updated.find(c) {
+        if let Err(i) = self.find(c) {
             *version += 1;
             self.updated.insert(i, (c, *version));
             self.max_reg = *version;
@@ -550,7 +483,7 @@ impl ServerState {
     pub fn depart(&mut self, client: ClientId) {
         self.registered_up_to.retain(|&(c, _)| c != client);
         for (_, entry) in &mut self.store {
-            if let Ok(i) = entry.updated.find(client) {
+            if let Ok(i) = entry.find(client) {
                 entry.updated.remove(i);
             }
         }
@@ -665,7 +598,7 @@ impl ServerState {
                 .iter()
                 .map(|(value, entry)| ValueRecord {
                     value: *value,
-                    updated: entry.updated.as_slice().iter().map(|r| r.0).collect(),
+                    updated: entry.updated.map(|(c, _)| c),
                 })
                 .collect(),
         }
@@ -676,25 +609,29 @@ impl ServerState {
     /// its registrations stamped with their versions (sorted by client, the
     /// order the wire wants), so the reply is one walk over the live values
     /// — a single comparison skips untouched ones via `max_reg` — with no
-    /// registration log, no sort, and one allocation per emitted record.
+    /// registration log and no sort. A record carries up to two clients in
+    /// place and more in one exact-size allocation; the record list is
+    /// allocated once, at the first record, so an empty reply allocates
+    /// nothing.
     pub fn delta_since(&self, from: u64) -> DeltaSnapshot {
-        let mut entries: Vec<ValueRecord> = Vec::with_capacity(self.store.len());
-        for (val, entry) in &self.store {
+        let mut entries: Vec<ValueRecord> = Vec::new();
+        for (i, (val, entry)) in self.store.iter().enumerate() {
             if entry.max_reg <= from {
                 continue; // nothing registered on this value since `from`
             }
-            let updated: Vec<ClientId> = if entry.first_added > from {
+            let updated: InlineList<ClientId> = if entry.first_added > from {
                 // The value itself is new since `from`, so every one of its
-                // registrations is too: clone the whole list in one
-                // exact-size allocation (the common case for fresh writes).
-                entry.updated.as_slice().iter().map(|&(c, _)| c).collect()
+                // registrations is too (the common case for fresh writes).
+                entry.updated.map(|(c, _)| c)
             } else {
-                let new = entry.updated.as_slice().iter().filter(|&&(_, v)| v > from);
-                let mut updated = Vec::with_capacity(new.clone().count());
+                let new = entry.updated.iter().filter(|&&(_, v)| v > from);
+                let mut updated = InlineList::with_capacity(new.clone().count());
                 updated.extend(new.map(|&(c, _)| c));
                 updated
             };
             if !updated.is_empty() {
+                // Room for a record per value left: a no-op after the first.
+                entries.reserve_exact(self.store.len() - i);
                 entries.push(ValueRecord { value: *val, updated });
             }
         }
@@ -715,7 +652,7 @@ impl ServerState {
     /// The `updated` set registered for `val`, if stored.
     pub fn updated_set(&self, val: TaggedValue) -> Option<Vec<ClientId>> {
         let i = self.find(val).ok()?;
-        Some(self.store[i].1.updated.as_slice().iter().map(|r| r.0).collect())
+        Some(self.store[i].1.updated.iter().map(|r| r.0).collect())
     }
 
     /// Where `val` is (`Ok`) or would be inserted (`Err`) in the store.
@@ -1577,7 +1514,7 @@ mod tests {
         let last = s.delta_since(s.version() - 1);
         let values: Vec<TaggedValue> = last.entries.iter().map(|rec| rec.value).collect();
         assert_eq!(values, vec![v3], "the registration on latest is the newest");
-        assert_eq!(last.entries[0].updated, vec![r]);
+        assert_eq!(last.entries[0].updated.as_slice(), [r]);
     }
 
     /// A value pruned and then re-inserted by a full-info `ReadFast` is a

@@ -90,7 +90,7 @@ fn tv(ts: u64, w: u32) -> TaggedValue {
 }
 
 fn record(value: TaggedValue, clients: &[ClientId]) -> ValueRecord {
-    ValueRecord { value, updated: clients.to_vec() }
+    ValueRecord { value, updated: clients.into() }
 }
 
 #[test]
@@ -175,10 +175,12 @@ fn a_runs_fast_read_allocates_the_recorded_figure() {
     let Msg::ReadFastRunsAck { delta, .. } = &reply else { panic!("not a runs ack: {reply:?}") };
     assert_eq!(delta.pruned, tv(2, 1), "the measured read moved the GC floor");
     assert_eq!(delta.entries.len(), 4, "v2 (reader 1), v3, v4, v5");
-    // Recorded at 506ac05: the reply's record list and one `Vec` per record
-    // (four). The floor report, the prune, catch-up and the registration
-    // on v5 all land in capacity the server already holds.
-    assert_eq!(allocations, 5, "allocations for one ReadFastRuns");
+    // Recorded at 506ac05: 5, the reply's record list and one `Vec` per
+    // record (four). A record carries up to two clients in place now, and
+    // these carry one or two: what is left is the record list. The floor
+    // report, the prune, catch-up and the registration on v5 all land in
+    // capacity the server already holds.
+    assert_eq!(allocations, 1, "allocations for one ReadFastRuns");
 }
 
 #[test]
@@ -235,4 +237,39 @@ fn a_write_of_a_new_value_on_a_warm_server_allocates_nothing() {
     // value's registrations live in its store entry up to two (its writer
     // and one reader), and the store's capacity is warm.
     assert_eq!(allocations, 0, "allocations for an Update of a new value");
+}
+
+#[test]
+fn a_runs_fast_read_with_an_empty_delta_allocates_nothing() {
+    let mut server = RegisterServer::with_gc(2);
+    let writer = OpHandle { op: OpId { client: ClientId::writer(0), seq: 0 }, phase: 2 };
+    let reader = |seq| OpHandle { op: OpId { client: ClientId::reader(0), seq }, phase: 1 };
+    let read = |seq, acked| Msg::ReadFastRuns {
+        handle: reader(seq),
+        acked,
+        floor: tv(1, 0),
+        new_values: Vec::new(),
+    };
+    let initial = TaggedValue::initial();
+    server.handle(ProcessId::writer(0), &Msg::Update { handle: writer, value: tv(1, 0), floor: initial });
+    let acked = match server.handle(ProcessId::reader(0), &read(0, 0)) {
+        Some(Msg::ReadFastRunsAck { delta, .. }) => delta.version,
+        other => panic!("not a runs ack: {other:?}"),
+    };
+
+    // The reader reads again with nothing written since: catch-up and the
+    // registration on the latest value find it registered already, so the
+    // reply has no record.
+    let (delta, allocations) = counted(|| server.state().delta_since(acked));
+    assert!(delta.entries.is_empty(), "{delta:?}");
+    // Recorded at the parent: 1, the record list, reserved for a record
+    // per stored value before a record was found. It is allocated at the
+    // first record now.
+    assert_eq!(allocations, 0, "allocations for an empty delta");
+    let (reply, allocations) = counted(|| server.handle(ProcessId::reader(0), &read(1, acked)));
+    let Some(Msg::ReadFastRunsAck { delta, .. }) = &reply else { panic!("not a runs ack: {reply:?}") };
+    assert!(delta.entries.is_empty(), "{delta:?}");
+    // Recorded at the parent: 1, the same record list; the floor report,
+    // catch-up and the registration probe need no new memory.
+    assert_eq!(allocations, 0, "allocations for a ReadFastRuns with an empty delta");
 }

@@ -106,14 +106,24 @@ fn a_steady_in_memory_write_and_read_allocate_the_recorded_figures() {
     // Five per write were each server's registration list for the new
     // value: registrations now live in the store's entry up to two, so a
     // write allocates nothing but the 40 doublings of the five stores,
-    // which grow by the thousand values the reader's floor holds back. A
-    // read's are its request's unacknowledged-value list, each server's
-    // delta reply, and the reader's witness index. The `valQueue` is a
-    // sorted `Vec` now, not a tree: 158 fewer, its nodes less the `Vec`'s
-    // doublings.
+    // which grow by the thousand values the reader's floor holds back. The
+    // `valQueue` is a sorted `Vec` now, not a tree: 158 fewer reads'
+    // allocations, its nodes less the `Vec`'s doublings (15 027).
+    //
+    // The reads': 1 023 for the first, which catches up on the thousand
+    // writes — one list per value in the reader's witness index, the rest
+    // buffers growing — and 3 009 for the 999 after it: 12 of buffers
+    // growing and 3 each, the record list of the one reply that has
+    // records (from the server whose reply the round before did not merge,
+    // so it re-sends what that reply carried), the request's
+    // unacknowledged-value list to that server, and the selection's degree
+    // buffer. Recorded at the parent: 6 024 and 9 003 (9 each), with a
+    // record list for every server's reply, empty or not, and a `Vec` per
+    // record (5 001 in the first read, 2 in each after): a record carries
+    // up to two clients in place now.
     assert_eq!(
         (writes, reads),
-        (40, 15_027),
+        (40, 4_032),
         "allocations per {OPS} writes and per {OPS} reads"
     );
 }

@@ -14,7 +14,8 @@
 //! row next to the type (its fields in wire order; for an enum, each
 //! variant's discriminant first), and the macro writes both `encode` and
 //! `decode` from that row. Only the leaves are written by hand here: the
-//! integers, `bool`, `Option`, `Vec`, `Box`, the ids, [`Value`],
+//! integers, `bool`, `Option`, `Vec`, [`InlineList`] (laid out as a `Vec`),
+//! `Box`, the ids, [`Value`],
 //! [`ConfigEpoch`], [`Tag`] (whose decode refuses ⊥ with a timestamp) and
 //! [`TaggedValue`], plus [`client_runs`], the run-length field codec.
 //! A type that contains itself bounds its own depth in its row's field
@@ -44,8 +45,8 @@ pub use bytes::{Buf, BufMut};
 use bytes::{Bytes, BytesMut};
 
 use crate::{
-    ClientId, ConfigEpoch, ProcessId, ReaderId, RegisterId, ServerId, Tag, TaggedValue, Value,
-    WriterId, WriterSlot,
+    ClientId, ConfigEpoch, InlineList, ProcessId, ReaderId, RegisterId, ServerId, Tag, TaggedValue,
+    Value, WriterId, WriterSlot,
 };
 
 /// Errors produced while decoding a wire message.
@@ -333,24 +334,52 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+/// A sequence's layout: its length as a `u64`, then each item.
+fn encode_seq<T: Wire, B: BufMut>(items: &[T], buf: &mut B) {
+    buf.put_u64(items.len() as u64);
+    for item in items {
+        item.encode(buf);
+    }
+}
+
+/// Reads [`encode_seq`]'s layout into a collection made by `with_capacity`
+/// for as many items as [`reservation`] trusts the declared length with.
+fn decode_seq<T: Wire, B: Buf, C>(
+    buf: &mut B,
+    with_capacity: impl FnOnce(usize) -> C,
+    mut push: impl FnMut(&mut C, T),
+) -> Result<C, DecodeError> {
+    let len = u64::decode(buf)?;
+    if len > MAX_COLLECTION_LEN {
+        return Err(DecodeError::LengthOverflow { declared: len });
+    }
+    let mut out = with_capacity(reservation::<T, B>(len, buf));
+    for _ in 0..len {
+        push(&mut out, T::decode(buf)?);
+    }
+    Ok(out)
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u64(self.len() as u64);
-        for item in self {
-            item.encode(buf);
-        }
+        encode_seq(self, buf);
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        let len = u64::decode(buf)?;
-        if len > MAX_COLLECTION_LEN {
-            return Err(DecodeError::LengthOverflow { declared: len });
-        }
-        let mut out = Vec::with_capacity(reservation::<T, B>(len, buf));
-        for _ in 0..len {
-            out.push(T::decode(buf)?);
-        }
-        Ok(out)
+        decode_seq(buf, Vec::with_capacity, Vec::push)
+    }
+}
+
+/// Byte for byte the layout of a `Vec<T>` of the same items. Decoding fills
+/// the list straight from the wire: in place up to two items, else in one
+/// `Vec` of the declared length.
+impl<T: Wire + Copy> Wire for InlineList<T> {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
+        encode_seq(self, buf);
+    }
+
+    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
+        decode_seq(buf, InlineList::with_capacity, InlineList::push)
     }
 }
 
@@ -419,7 +448,7 @@ wire_layout! { struct ClientRun { start, len } }
 /// lists with dense index runs — which is what the registration gossip
 /// produces.
 pub mod client_runs {
-    use super::{Buf, BufMut, ClientId, ClientRun, DecodeError, Wire, MAX_COLLECTION_LEN};
+    use super::{Buf, BufMut, ClientId, ClientRun, DecodeError, InlineList, Wire, MAX_COLLECTION_LEN};
 
     struct Runs<'a> {
         ids: &'a [ClientId],
@@ -466,7 +495,9 @@ pub mod client_runs {
     }
 
     /// Decodes a run list back into the flat client list, expanding each
-    /// run in place — `decode(encode(ids)) == ids` for every list.
+    /// run in place — `decode(encode(ids)) == ids` for every list. The
+    /// list holds up to two clients in place; a longer one room for each
+    /// run as it is read, so one run of any length costs one allocation.
     ///
     /// # Errors
     ///
@@ -474,12 +505,12 @@ pub mod client_runs {
     /// [`MAX_COLLECTION_LEN`], and runs whose indices would overflow
     /// `u32` — the declared-length defences of the plain `Vec` codec,
     /// applied to the *expanded* size a hostile frame could claim cheaply.
-    pub fn decode<B: Buf>(buf: &mut B) -> Result<Vec<ClientId>, DecodeError> {
+    pub fn decode<B: Buf>(buf: &mut B) -> Result<InlineList<ClientId>, DecodeError> {
         let declared = u64::decode(buf)?;
         if declared > MAX_COLLECTION_LEN {
             return Err(DecodeError::LengthOverflow { declared });
         }
-        let mut out: Vec<ClientId> = Vec::new();
+        let mut out = InlineList::new();
         let mut total: u64 = 0;
         for _ in 0..declared {
             let run = ClientRun::decode(buf)?;
@@ -662,7 +693,7 @@ mod tests {
         client_runs::encode(ids, &mut buf);
         let mut cursor: &[u8] = &buf;
         let decoded = client_runs::decode(&mut cursor).expect("decode runs");
-        assert_eq!(decoded, ids);
+        assert_eq!(decoded.as_slice(), ids);
         assert!(cursor.is_empty(), "runs decode must consume the whole encoding");
     }
 

@@ -18,6 +18,8 @@
 //! - [`ConfigEpoch`] — one generation of the server set; live
 //!   reconfiguration moves the cluster through a joint epoch to a committed
 //!   one while clients keep serving.
+//! - [`InlineList`] — the per-value client list of a server's store and of a
+//!   fast-read record: two items in place, a `Vec` beyond.
 //! - [`codec`] — a small hand-rolled binary wire codec used by the TCP
 //!   transport (the offline dependency set has no serde binary format).
 //!
@@ -44,11 +46,13 @@ pub mod codec;
 mod config;
 mod epoch;
 mod ids;
+mod inline_list;
 mod tag;
 mod value;
 
 pub use config::{ClusterConfig, ConfigError, KeyspaceConfig};
 pub use epoch::ConfigEpoch;
 pub use ids::{ClientId, ProcessId, ReaderId, RegisterId, ServerId, WriterId};
+pub use inline_list::InlineList;
 pub use tag::{Tag, WriterSlot};
 pub use value::{TaggedValue, Value};

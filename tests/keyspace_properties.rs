@@ -68,7 +68,7 @@ fn inner_strategy() -> impl Strategy<Value = Msg> {
                     snapshot: Snapshot {
                         entries: vec![ValueRecord {
                             value: tv(ts, w, v),
-                            updated: vec![ClientId::reader(0), ClientId::writer(1)],
+                            updated: vec![ClientId::reader(0), ClientId::writer(1)].into(),
                         }],
                     },
                 },

@@ -105,13 +105,16 @@ fn a_reader_a_thousand_writes_behind_catches_up_and_allocates_the_recorded_figur
     );
     drop((writer, reader));
     register.shutdown();
-    // Recorded at the parent: 6 202. The 157 that went were the
-    // `valQueue`'s tree nodes for the 1 000 values learned (a sorted `Vec`
-    // grows by doubling). The parent also paid a registration `Vec` per
-    // value on every server, but its writes allocated those and the second
-    // read's prune only freed them, which is not counted. Still paid per
-    // value behind: one `Vec` per record of each server's delta reply
-    // (5 × 1 000) and one per value in the reader's witness index (1 000);
-    // the rest is growth of the buffers that hold them.
-    assert_eq!(allocations, 6_045, "allocations for the two reads");
+    // Recorded at the parent: 6 045, and 6 202 before that. The 157 that
+    // went first were the `valQueue`'s tree nodes for the 1 000 values
+    // learned (a sorted `Vec` grows by doubling). The 5 007 that went next
+    // were the delta replies' per-record `Vec`s: 5 001 in the first read's
+    // five replies, 6 in the second's. A record carries up to two clients
+    // in place now, and every record here carries one or two. Still paid
+    // per value behind: one list per value in the reader's witness index
+    // (1 000); the other 38 are the requests' unacknowledged-value lists,
+    // the selection's degree buffer and each reply's record list (one
+    // allocation per reply that has a record), and the growth of the
+    // buffers that hold them.
+    assert_eq!(allocations, 1_038, "allocations for the two reads");
 }

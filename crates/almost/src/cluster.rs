@@ -1,15 +1,12 @@
-//! One-call assembly of a tunable-quorum cluster, plugging into
-//! [`mwr_core::SimCluster`].
+//! One-call assembly of a tunable-quorum cluster: a [`mwr_core::Cluster`]
+//! whose clients run at the spec's levels.
 
-use mwr_core::{
-    ClientEvent, Msg, RegisterClient, RegisterServer, RoundMachine, Scope, SimCluster, WriteMode,
-};
-use mwr_sim::Simulation;
+use mwr_core::{Cluster, RegisterClient, RegisterServer, RoundMachine, Scope, WriteMode};
 use mwr_types::{ClusterConfig, ConfigEpoch, ProcessId};
 
 use crate::level::{ConsistencyLevel, TunableSpec, WriteTagging};
 
-/// A tunable cluster blueprint: configuration plus tunables.
+/// A tunable-quorum cluster blueprint: `config` with the tunables `spec`.
 ///
 /// The servers are `mwr-core`'s unmodified [`RegisterServer`]s and the
 /// clients are its [`RegisterClient`]s — the consistency level is purely a
@@ -22,13 +19,13 @@ use crate::level::{ConsistencyLevel, TunableSpec, WriteTagging};
 /// # Examples
 ///
 /// ```
-/// use mwr_almost::{TunableCluster, TunableSpec};
-/// use mwr_core::{ScheduledOp, SimCluster};
+/// use mwr_almost::{tunable_cluster, TunableSpec};
+/// use mwr_core::ScheduledOp;
 /// use mwr_sim::SimTime;
 /// use mwr_types::{ClusterConfig, Value};
 ///
 /// let config = ClusterConfig::new(5, 1, 2, 2)?;
-/// let cluster = TunableCluster::new(config, TunableSpec::quorum_lww());
+/// let cluster = tunable_cluster(config, TunableSpec::quorum_lww());
 /// let events = cluster.run_schedule(
 ///     1,
 ///     &[
@@ -39,32 +36,8 @@ use crate::level::{ConsistencyLevel, TunableSpec, WriteTagging};
 /// assert_eq!(events.len(), 4);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct TunableCluster {
-    config: ClusterConfig,
-    spec: TunableSpec,
-}
-
-impl TunableCluster {
-    /// Creates a blueprint.
-    pub fn new(config: ClusterConfig, spec: TunableSpec) -> Self {
-        TunableCluster { config, spec }
-    }
-
-    /// The cluster configuration.
-    pub fn config(&self) -> ClusterConfig {
-        self.config
-    }
-
-    /// The tunables in use.
-    pub fn spec(&self) -> TunableSpec {
-        self.spec
-    }
-}
-
-impl SimCluster for TunableCluster {
-    fn install(&self, sim: &mut Simulation<Msg, ClientEvent>) {
-        let TunableCluster { config, spec } = *self;
+pub fn tunable_cluster(config: ClusterConfig, spec: TunableSpec) -> Cluster {
+    Cluster::from_installer(config, move |sim| {
         let at_level = |mut machine: RoundMachine, level: ConsistencyLevel| {
             let targets = config.server_ids().collect();
             let quorum = level.acks(&config);
@@ -86,18 +59,14 @@ impl SimCluster for TunableCluster {
             let machine = RoundMachine::unsecured_reader(r, config, spec.read_repair);
             sim.add_process(r.into(), at_level(machine, spec.read_level));
         }
-    }
-
-    fn client_config(&self) -> ClusterConfig {
-        self.config
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mwr_core::{OpResult, ScheduledOp};
-    use mwr_sim::{SimError, SimTime};
+    use mwr_core::{ClientEvent, Msg, OpResult, ScheduledOp};
+    use mwr_sim::{SimError, SimTime, Simulation};
     use mwr_types::{Tag, TaggedValue, Value, WriterId};
 
     fn reads_of(events: &[(SimTime, ClientEvent)]) -> Vec<TaggedValue> {
@@ -124,7 +93,7 @@ mod tests {
             TunableSpec::strong(),
         ] {
             let config = ClusterConfig::new(5, 1, 2, 2).unwrap();
-            let cluster = TunableCluster::new(config, spec);
+            let cluster = tunable_cluster(config, spec);
             let events = cluster.run_schedule(1, &schedule).unwrap();
             let reads = reads_of(&events);
             assert_eq!(reads.len(), 2, "{spec}: both reads complete");
@@ -140,7 +109,7 @@ mod tests {
     #[test]
     fn identical_seeds_reproduce_event_streams() {
         let config = ClusterConfig::new(5, 1, 2, 2).unwrap();
-        let cluster = TunableCluster::new(config, TunableSpec::quorum_lww());
+        let cluster = tunable_cluster(config, TunableSpec::quorum_lww());
         let schedule = [
             (SimTime::ZERO, ScheduledOp::Write { writer: 0, value: Value::new(1) }),
             (SimTime::ZERO, ScheduledOp::Write { writer: 1, value: Value::new(2) }),
@@ -155,7 +124,7 @@ mod tests {
     #[test]
     fn out_of_range_client_is_reported() {
         let config = ClusterConfig::new(3, 1, 1, 1).unwrap();
-        let cluster = TunableCluster::new(config, TunableSpec::fastest());
+        let cluster = tunable_cluster(config, TunableSpec::fastest());
         let err = cluster
             .run_schedule(0, &[(SimTime::ZERO, ScheduledOp::Read { reader: 7 })])
             .unwrap_err();
@@ -167,7 +136,7 @@ mod tests {
     }
 
     fn build_sim(spec: TunableSpec, seed: u64) -> Simulation<Msg, ClientEvent> {
-        TunableCluster::new(config(), spec).build_sim(seed)
+        tunable_cluster(config(), spec).build_sim(seed)
     }
 
     fn completions(events: &[(SimTime, ClientEvent)]) -> Vec<OpResult> {

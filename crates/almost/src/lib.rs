@@ -12,11 +12,13 @@
 //! required to finish in one round-trip, weak consistency has to be
 //! accepted" (§1). This crate makes both halves concrete:
 //!
-//! - [`TunableCluster`] / [`TunableSpec`] — register clients whose write
+//! - [`tunable_cluster`] / [`TunableSpec`] — register clients whose write
 //!   tagging ([`WriteTagging::Local`] = one round-trip, last-writer-wins;
 //!   [`WriteTagging::Queried`] = the paper's two-round-trip tag discipline)
 //!   and per-operation ack thresholds ([`ConsistencyLevel`]) are tunable,
-//!   with optional Cassandra-style asynchronous *read repair*.
+//!   with optional Cassandra-style asynchronous *read repair*. The
+//!   blueprint is a `mwr_core::Cluster`, so every schedule- and
+//!   workload-driven harness runs it like any other protocol family.
 //! - No client of its own: a [`TunableSpec`] configures `mwr-core`'s round
 //!   machine (`RoundMachine`), driven by its simulator client
 //!   (`RegisterClient`) against its unmodified servers. A consistency level
@@ -43,14 +45,14 @@
 //! fast-read bound prove cannot be atomic):
 //!
 //! ```
-//! use mwr_almost::{ConsistencyLevel, StalenessReport, TunableCluster, TunableSpec, WriteTagging};
+//! use mwr_almost::{tunable_cluster, StalenessReport, TunableSpec};
 //! use mwr_check::History;
-//! use mwr_core::{ScheduledOp, SimCluster};
+//! use mwr_core::ScheduledOp;
 //! use mwr_sim::SimTime;
 //! use mwr_types::{ClusterConfig, Value};
 //!
 //! let config = ClusterConfig::new(5, 1, 2, 2)?;
-//! let cluster = TunableCluster::new(config, TunableSpec::fastest());
+//! let cluster = tunable_cluster(config, TunableSpec::fastest());
 //! let mut ops = vec![];
 //! for i in 0..6u64 {
 //!     ops.push((SimTime::from_ticks(i * 2), ScheduledOp::Write {
@@ -75,7 +77,7 @@ mod level;
 mod metrics;
 mod profile;
 
-pub use cluster::TunableCluster;
+pub use cluster::tunable_cluster;
 pub use level::{ConsistencyLevel, TunableSpec, WriteTagging};
 pub use metrics::{ReadStaleness, StalenessReport};
 pub use profile::{ConsistencyClass, ConsistencyProfile};

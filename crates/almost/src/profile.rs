@@ -86,7 +86,7 @@ impl fmt::Display for ConsistencyProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mwr_core::{Cluster, Protocol, ScheduledOp, SimCluster};
+    use mwr_core::{Cluster, Protocol, ScheduledOp};
     use mwr_sim::SimTime;
     use mwr_types::{ClusterConfig, Value};
 

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use mwr_bench::random_schedule;
 use mwr_check::{check_atomicity, search_atomicity, History};
-use mwr_core::{Protocol, SimCluster};
+use mwr_core::Protocol;
 use mwr_register::Deployment;
 use mwr_types::ClusterConfig;
 

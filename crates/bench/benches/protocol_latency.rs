@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use mwr_core::{Protocol, ScheduledOp, SimCluster};
+use mwr_core::{Protocol, ScheduledOp};
 use mwr_register::Deployment;
 use mwr_sim::SimTime;
 use mwr_types::{ClusterConfig, Value};

@@ -24,7 +24,7 @@ use mwr_core::{ClientEvent, OpKind, Protocol};
 use mwr_register::Deployment;
 use mwr_sim::{DelayModel, SimTime};
 use mwr_types::ClusterConfig;
-use mwr_workload::{run_closed_loop_customized, TextTable, WorkloadSpec};
+use mwr_workload::{drive_closed_loop, TextTable, WorkloadSpec};
 
 struct Outcome {
     fast_reads: usize,
@@ -46,10 +46,9 @@ fn measure(config: ClusterConfig, protocol: Protocol, think: u64, seeds: &[u64])
             think_time: SimTime::from_ticks(think),
             seed,
         };
-        let mut report = run_closed_loop_customized(&cluster, spec, |sim| {
-            sim.network_mut().set_default_delay(delay);
-        })
-        .expect("closed loop");
+        let mut sim = cluster.build_sim(seed);
+        sim.network_mut().set_default_delay(delay);
+        let mut report = drive_closed_loop(&mut sim, cluster.config(), spec).expect("closed loop");
         let mut read_ops = std::collections::BTreeSet::new();
         let mut slow_ops = std::collections::BTreeSet::new();
         for (_, e) in &report.events {

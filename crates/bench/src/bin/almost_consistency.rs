@@ -29,7 +29,7 @@ use mwr_core::Protocol;
 use mwr_register::{Deployment, Spec};
 use mwr_sim::{DelayModel, SimTime};
 use mwr_types::ClusterConfig;
-use mwr_workload::{run_closed_loop_customized, TextTable, WorkloadSpec};
+use mwr_workload::{drive_closed_loop, TextTable, WorkloadSpec};
 
 /// A row candidate: either a tunable spec or one of the paper's protocols.
 enum Candidate {
@@ -99,10 +99,9 @@ fn measure(
             .protocol(candidate.spec())
             .sim_cluster()
             .expect("sim deployment");
-        let mut report = run_closed_loop_customized(&cluster, spec, |sim| {
-            sim.network_mut().set_default_delay(delay);
-        })
-        .expect("closed loop");
+        let mut sim = cluster.build_sim(seed);
+        sim.network_mut().set_default_delay(delay);
+        let mut report = drive_closed_loop(&mut sim, cluster.config(), spec).expect("closed loop");
         let history =
             History::from_events(&report.events).expect("quiescent run yields complete history");
         let profile = ConsistencyProfile::measure(&history);

@@ -289,9 +289,9 @@ fn part3_masking_price() {
     // Byzantine: b = 2 → same quorum size, but vouching and safe maxima.
     let byz_config = ByzConfig::new(9, 2, 2, 2).expect("valid");
     for (label, mode) in [("Byz W2R2 (b=2)", ByzReadMode::Slow), ("Byz W2R1 (b=2)", ByzReadMode::Fast)] {
-        // The generic driver gets the scheduling population from the
-        // blueprint itself (SimCluster::client_config) — no hand-derived
-        // scheduling config anymore.
+        // The driver gets the scheduling population from the blueprint
+        // itself (`Cluster::config`, the crash view): no hand-derived
+        // scheduling config.
         let cluster = Deployment::byz(byz_config, mode, ByzBehavior::Honest)
             .sim_cluster()
             .expect("byz sim deployment");

@@ -3,11 +3,11 @@
 //! matrix. W2R1's fast read halves read latency relative to W2R2 at equal
 //! consistency, which is exactly the value of the paper's algorithm.
 
-use mwr_core::{Protocol, SimCluster};
-use mwr_register::{AnySimCluster, Deployment};
+use mwr_core::{Cluster, Protocol};
+use mwr_register::Deployment;
 use mwr_sim::{DelayModel, GeoMatrix, SimTime};
 use mwr_types::{ClusterConfig, ProcessId};
-use mwr_workload::{TextTable, WorkloadSpec};
+use mwr_workload::{drive_closed_loop, TextTable, WorkloadSpec};
 
 fn spec(seed: u64) -> WorkloadSpec {
     WorkloadSpec {
@@ -68,9 +68,7 @@ fn main() {
     println!("latency unchanged (both protocols use the two-round write).");
 }
 
-fn run_with_delays(cluster: &AnySimCluster, spec: WorkloadSpec) -> mwr_workload::WorkloadReport {
-    // run_closed_loop builds its own simulation; model uniform delays by
-    // wrapping through the cluster's default path with a patched network.
+fn run_with_delays(cluster: &Cluster, spec: WorkloadSpec) -> mwr_workload::WorkloadReport {
     run_closed_loop_with(cluster, spec, |sim| {
         sim.network_mut().set_default_delay(DelayModel::Uniform {
             lo: SimTime::from_ticks(50),
@@ -79,14 +77,14 @@ fn run_with_delays(cluster: &AnySimCluster, spec: WorkloadSpec) -> mwr_workload:
     })
 }
 
-fn run_geo(cluster: &AnySimCluster, spec: WorkloadSpec) -> mwr_workload::WorkloadReport {
+fn run_geo(cluster: &Cluster, spec: WorkloadSpec) -> mwr_workload::WorkloadReport {
     run_closed_loop_with(cluster, spec, |sim| {
         let mut geo = GeoMatrix::new(vec![
             vec![SimTime::from_ticks(2), SimTime::from_ticks(40), SimTime::from_ticks(120)],
             vec![SimTime::from_ticks(40), SimTime::from_ticks(2), SimTime::from_ticks(80)],
             vec![SimTime::from_ticks(120), SimTime::from_ticks(80), SimTime::from_ticks(2)],
         ]);
-        let config = cluster.client_config();
+        let config = cluster.config();
         let mut processes = Vec::new();
         for (i, s) in config.server_ids().enumerate() {
             geo.place(ProcessId::Server(s), i % 3);
@@ -104,13 +102,14 @@ fn run_geo(cluster: &AnySimCluster, spec: WorkloadSpec) -> mwr_workload::Workloa
     })
 }
 
-/// `run_closed_loop` with a network-customization hook. Mirrors
-/// `mwr_workload::run_closed_loop` but lets the experiment patch delays.
+/// `run_closed_loop` with a network-customization hook: builds the
+/// simulation, lets the experiment patch delays, then drives it.
 fn run_closed_loop_with(
-    cluster: &AnySimCluster,
+    cluster: &Cluster,
     spec: WorkloadSpec,
     customize: impl FnOnce(&mut mwr_sim::Simulation<mwr_core::Msg, mwr_core::ClientEvent>),
 ) -> mwr_workload::WorkloadReport {
-    mwr_workload::run_closed_loop_customized(cluster, spec, customize)
-        .expect("workload run")
+    let mut sim = cluster.build_sim(spec.seed);
+    customize(&mut sim);
+    drive_closed_loop(&mut sim, cluster.config(), spec).expect("workload run")
 }

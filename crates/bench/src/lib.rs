@@ -14,7 +14,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use mwr_check::{check_atomicity, History, Verdict};
-use mwr_core::{Protocol, ScheduledOp, SimCluster};
+use mwr_core::{Cluster, Protocol, ScheduledOp};
 use mwr_register::Deployment;
 use mwr_sim::{SimError, SimTime};
 use mwr_types::{ClusterConfig, Value};
@@ -117,8 +117,8 @@ pub fn synthetic_replies(
 ///
 /// Propagates simulation errors; history assembly errors are reported as a
 /// panic since generated schedules always run to quiescence.
-pub fn run_and_check<C: SimCluster>(
-    cluster: &C,
+pub fn run_and_check(
+    cluster: &Cluster,
     seed: u64,
     schedule: &[(SimTime, ScheduledOp)],
 ) -> Result<Verdict, SimError> {

@@ -1,33 +1,34 @@
-//! One-call assembly of a Byzantine register cluster, plugging into
-//! [`mwr_core::SimCluster`].
+//! One-call assembly of a Byzantine register cluster: a
+//! [`mwr_core::Cluster`] over this crate's servers and clients.
 
-use mwr_core::{ClientEvent, Msg, SimCluster};
-use mwr_sim::Simulation;
-use mwr_types::{ClusterConfig, ProcessId, ReaderId, WriterId};
+use mwr_core::Cluster;
+use mwr_types::{ProcessId, ReaderId, WriterId};
 
 use crate::behavior::ByzBehavior;
 use crate::client::{ByzClient, ByzReadMode};
 use crate::config::ByzConfig;
 use crate::server::ByzRegisterServer;
 
-/// A Byzantine cluster blueprint: configuration, read mode, and the
+/// A Byzantine cluster blueprint: `config`, the read mode, and the
 /// behavior assigned to the `b` Byzantine servers (servers `0 .. b`; the
 /// rest are honest).
 ///
 /// Placing the adversaries at fixed indices loses no generality in the
 /// simulator: delivery order is seed-driven and clients treat servers
-/// symmetrically.
+/// symmetrically. The blueprint's [`config`](Cluster::config) is
+/// [`ByzConfig::crash_view`]: `t = b`, so the scheduling harnesses address
+/// the same population the masking quorums are sized for.
 ///
 /// # Examples
 ///
 /// ```
-/// use mwr_byz::{ByzBehavior, ByzCluster, ByzConfig, ByzReadMode};
-/// use mwr_core::{ScheduledOp, SimCluster};
+/// use mwr_byz::{byz_cluster, ByzBehavior, ByzConfig, ByzReadMode};
+/// use mwr_core::ScheduledOp;
 /// use mwr_sim::SimTime;
 /// use mwr_types::Value;
 ///
 /// let config = ByzConfig::new(9, 2, 2, 2)?;
-/// let cluster = ByzCluster::new(config, ByzReadMode::Fast, ByzBehavior::StaleReplier);
+/// let cluster = byz_cluster(config, ByzReadMode::Fast, ByzBehavior::StaleReplier);
 /// let events = cluster.run_schedule(
 ///     3,
 ///     &[
@@ -38,82 +39,38 @@ use crate::server::ByzRegisterServer;
 /// assert_eq!(events.len(), 5); // the write's second round is marked
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct ByzCluster {
-    config: ByzConfig,
-    read_mode: ByzReadMode,
-    behavior: ByzBehavior,
-}
-
-impl ByzCluster {
-    /// Creates a blueprint.
-    pub fn new(config: ByzConfig, read_mode: ByzReadMode, behavior: ByzBehavior) -> Self {
-        ByzCluster { config, read_mode, behavior }
-    }
-
-    /// The cluster configuration.
-    pub fn config(&self) -> ByzConfig {
-        self.config
-    }
-
-    /// The read mode in use.
-    pub fn read_mode(&self) -> ByzReadMode {
-        self.read_mode
-    }
-
-    /// The Byzantine behavior in use.
-    pub fn behavior(&self) -> ByzBehavior {
-        self.behavior
-    }
-}
-
-impl SimCluster for ByzCluster {
-    /// Adds all servers (the first `b` Byzantine) and clients to a
-    /// simulation.
-    fn install(&self, sim: &mut Simulation<Msg, ClientEvent>) {
-        for s in 0..self.config.servers() {
-            let behavior = if s < self.config.byz() { self.behavior } else { ByzBehavior::Honest };
+pub fn byz_cluster(config: ByzConfig, read_mode: ByzReadMode, behavior: ByzBehavior) -> Cluster {
+    Cluster::from_installer(config.crash_view(), move |sim| {
+        for s in 0..config.servers() {
+            let behavior = if s < config.byz() { behavior } else { ByzBehavior::Honest };
             sim.add_process(ProcessId::server(s as u32), ByzRegisterServer::new(behavior));
         }
-        for w in 0..self.config.writers() {
+        for w in 0..config.writers() {
             sim.add_process(
                 ProcessId::writer(w as u32),
-                ByzClient::writer(WriterId::new(w as u32), self.config),
+                ByzClient::writer(WriterId::new(w as u32), config),
             );
         }
-        for r in 0..self.config.readers() {
+        for r in 0..config.readers() {
             sim.add_process(
                 ProcessId::reader(r as u32),
-                ByzClient::reader(ReaderId::new(r as u32), self.config, self.read_mode),
+                ByzClient::reader(ReaderId::new(r as u32), config, read_mode),
             );
         }
-    }
-
-    /// The crash-view of the Byzantine configuration: `t = b`, so the
-    /// scheduling harnesses address the same population the masking
-    /// quorums are sized for.
-    fn client_config(&self) -> ClusterConfig {
-        ClusterConfig::new(
-            self.config.servers(),
-            self.config.byz(),
-            self.config.readers(),
-            self.config.writers(),
-        )
-        .expect("every valid ByzConfig has a valid crash view (S ≥ 4b + 1 > b)")
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mwr_core::{OpResult, ScheduledOp};
+    use mwr_core::{ClientEvent, OpResult, ScheduledOp};
     use mwr_sim::SimTime;
     use mwr_types::Value;
 
     #[test]
     fn identical_seeds_reproduce_event_streams() {
         let config = ByzConfig::new(5, 1, 2, 2).unwrap();
-        let cluster = ByzCluster::new(config, ByzReadMode::Fast, ByzBehavior::Equivocator);
+        let cluster = byz_cluster(config, ByzReadMode::Fast, ByzBehavior::Equivocator);
         let schedule = [
             (SimTime::ZERO, ScheduledOp::Write { writer: 0, value: Value::new(1) }),
             (SimTime::from_ticks(1), ScheduledOp::Write { writer: 1, value: Value::new(2) }),
@@ -128,8 +85,8 @@ mod tests {
     #[test]
     fn client_config_is_the_crash_view() {
         let config = ByzConfig::new(9, 2, 3, 2).unwrap();
-        let cluster = ByzCluster::new(config, ByzReadMode::Fast, ByzBehavior::Honest);
-        let cc = cluster.client_config();
+        let cluster = byz_cluster(config, ByzReadMode::Fast, ByzBehavior::Honest);
+        let cc = cluster.config();
         assert_eq!(cc.servers(), 9);
         assert_eq!(cc.max_faults(), 2);
         assert_eq!(cc.readers(), 3);
@@ -152,7 +109,7 @@ mod tests {
             .collect();
         for behavior in ByzBehavior::ADVERSARIAL {
             for mode in [ByzReadMode::Slow, ByzReadMode::Fast] {
-                let cluster = ByzCluster::new(config, mode, behavior);
+                let cluster = byz_cluster(config, mode, behavior);
                 let events = cluster.run_schedule(23, &schedule).unwrap();
                 let completed = events
                     .iter()
@@ -179,7 +136,7 @@ mod tests {
             .collect();
         for mode in [ByzReadMode::Slow, ByzReadMode::Fast] {
             let cluster =
-                ByzCluster::new(config, mode, ByzBehavior::TagInflater { boost: 10_000 });
+                byz_cluster(config, mode, ByzBehavior::TagInflater { boost: 10_000 });
             for seed in 1..=10 {
                 let events = cluster.run_schedule(seed, &schedule).unwrap();
                 for (_, e) in &events {

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use mwr_types::ClusterConfig;
+
 /// Parameters of a Byzantine register cluster: `S` servers of which at most
 /// `b` are Byzantine (arbitrarily corrupting or withholding their replies),
 /// `R` readers and `W` writers. Clients are correct; channels are reliable.
@@ -108,6 +110,14 @@ impl ByzConfig {
     /// Number of writers `W`.
     pub fn writers(&self) -> usize {
         self.writers
+    }
+
+    /// The crash view `(S, t = b, R, W)`: the population as a crash-model
+    /// configuration, the one the scheduling harnesses address and the
+    /// facade validates against.
+    pub fn crash_view(&self) -> ClusterConfig {
+        ClusterConfig::new(self.servers, self.byz, self.readers, self.writers)
+            .expect("every valid ByzConfig has a valid crash view (S ≥ 4b + 1 > b)")
     }
 
     /// The quorum size `q = S − b`: the maximal wait-free quorum,

@@ -25,6 +25,10 @@
 //!   inflation). Two read modes: [`ByzReadMode::Slow`] (vouched maximum +
 //!   write-back — the Byzantine W2R2) and [`ByzReadMode::Fast`] (vouched
 //!   admissibility, one round-trip — the Byzantine W2R1).
+//! - [`byz_cluster`] — the simulated blueprint: a `mwr_core::Cluster`
+//!   over these servers and clients, scheduled against its crash view, so
+//!   every schedule- and workload-driven harness runs it like any other
+//!   protocol family.
 //!
 //! For the fast read the exact feasibility frontier is precisely the open
 //! question the paper leaves; [`ByzConfig::fast_read_conjecture`] states
@@ -38,14 +42,14 @@
 //! crash-tolerant protocol:
 //!
 //! ```
-//! use mwr_byz::{ByzBehavior, ByzCluster, ByzConfig, ByzReadMode};
-//! use mwr_core::{ScheduledOp, SimCluster};
+//! use mwr_byz::{byz_cluster, ByzBehavior, ByzConfig, ByzReadMode};
+//! use mwr_core::ScheduledOp;
 //! use mwr_sim::SimTime;
 //! use mwr_types::Value;
 //!
 //! let config = ByzConfig::new(5, 1, 2, 2)?;
 //! assert!(config.masking_feasible());
-//! let cluster = ByzCluster::new(config, ByzReadMode::Slow, ByzBehavior::TagInflater { boost: 1_000 });
+//! let cluster = byz_cluster(config, ByzReadMode::Slow, ByzBehavior::TagInflater { boost: 1_000 });
 //! let events = cluster.run_schedule(
 //!     1,
 //!     &[
@@ -70,7 +74,7 @@ mod vouch;
 
 pub use behavior::ByzBehavior;
 pub use client::{ByzClient, ByzReadMode};
-pub use cluster::ByzCluster;
+pub use cluster::byz_cluster;
 pub use config::{ByzConfig, ByzConfigError};
 pub use server::ByzRegisterServer;
 pub use vouch::{safe_max_tag, vouched_snapshots, vouched_values};

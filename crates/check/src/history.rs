@@ -133,7 +133,7 @@ impl std::error::Error for HistoryError {}
 ///
 /// ```
 /// use mwr_check::History;
-/// use mwr_core::{Cluster, Protocol, ScheduledOp, SimCluster};
+/// use mwr_core::{Cluster, Protocol, ScheduledOp};
 /// use mwr_sim::SimTime;
 /// use mwr_types::{ClusterConfig, Value};
 ///

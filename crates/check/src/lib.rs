@@ -19,7 +19,7 @@
 //!
 //! ```
 //! use mwr_check::{check_atomicity, History};
-//! use mwr_core::{Cluster, Protocol, ScheduledOp, SimCluster};
+//! use mwr_core::{Cluster, Protocol, ScheduledOp};
 //! use mwr_sim::SimTime;
 //! use mwr_types::{ClusterConfig, Value};
 //!

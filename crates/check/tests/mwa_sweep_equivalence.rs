@@ -30,7 +30,7 @@ use mwr_check::{
     check_atomicity, check_mwa, search_atomicity, History, MwaViolation, Operation, Timestamp,
     Verdict, Violation,
 };
-use mwr_core::{Cluster, OpId, OpKind, OpResult, Protocol, ScheduledOp, SimCluster};
+use mwr_core::{Cluster, OpId, OpKind, OpResult, Protocol, ScheduledOp};
 use mwr_sim::SimTime;
 use mwr_types::{ClientId, ClusterConfig, Tag, TaggedValue, Value, WriterId};
 

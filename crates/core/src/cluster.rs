@@ -1,6 +1,9 @@
-//! One-call assembly of a simulated register cluster, plus the
-//! [`SimCluster`] trait: schedule-driven execution shared by every
-//! protocol family (core, tunable-quorum, Byzantine).
+//! One-call assembly of a simulated register cluster: [`Cluster`] is the
+//! one blueprint every protocol family (core, tunable-quorum, Byzantine)
+//! constructs, and schedule-driven execution is shared by all of them.
+
+use std::fmt;
+use std::sync::Arc;
 
 use mwr_sim::{SimError, SimTime, Simulation};
 use mwr_types::{ClusterConfig, ProcessId, Value};
@@ -56,21 +59,28 @@ impl ScheduledOp {
     }
 }
 
-/// A cluster blueprint that can be installed into the deterministic
-/// simulator: the one interface every protocol family implements.
+/// What a protocol family adds to a simulation: its servers, writers and
+/// readers, in a fixed order.
+type Install = dyn Fn(&mut Simulation<Msg, ClientEvent>) + Send + Sync;
+
+/// A simulated register cluster blueprint: the crash-model
+/// [`ClusterConfig`] that harnesses schedule against, and the protocol
+/// family's installer, which adds every server and client to a simulation.
 ///
-/// Implementors provide [`install`](SimCluster::install) (which processes
-/// make up the cluster) and [`client_config`](SimCluster::client_config)
-/// (the population the harness schedules against); simulation assembly and
-/// schedule-driven execution are shared default methods, so a new protocol
-/// family written against this trait gets `build_sim`/`schedule`/
-/// `run_schedule` — and with them every schedule-driven harness in the
-/// workspace — for free.
+/// A protocol family is a constructor of this one type:
+/// [`new`](Self::new) and [`with_wire`](Self::with_wire) for the core
+/// protocols, `mwr_almost::tunable_cluster` for the tunable-quorum levels
+/// and `mwr_byz::byz_cluster` for the Byzantine extension, each over
+/// [`from_installer`](Self::from_installer). Every schedule- and
+/// workload-driven harness takes a `Cluster`, so it runs every family.
+/// Applications normally go through the `mwr-register` facade
+/// (`mwr::register::Deployment`), which builds these blueprints behind a
+/// single API for every protocol family and backend.
 ///
 /// # Examples
 ///
 /// ```
-/// use mwr_core::{Cluster, Protocol, ScheduledOp, SimCluster};
+/// use mwr_core::{Cluster, Protocol, ScheduledOp};
 /// use mwr_sim::SimTime;
 /// use mwr_types::{ClusterConfig, Value};
 ///
@@ -86,20 +96,66 @@ impl ScheduledOp {
 /// assert_eq!(events.len(), 5); // 2 invocations, 2 completions, 1 second-round marker
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub trait SimCluster {
-    /// Adds all servers, writers and readers to a simulation.
-    fn install(&self, sim: &mut Simulation<Msg, ClientEvent>);
+#[derive(Clone)]
+pub struct Cluster {
+    config: ClusterConfig,
+    install: Arc<Install>,
+}
 
-    /// The client/server population as a crash-model [`ClusterConfig`]:
-    /// what the scheduling and workload harnesses address operations
-    /// against. Families with richer configurations (e.g. Byzantine
-    /// clusters) report their crash-view here.
-    fn client_config(&self) -> ClusterConfig;
+impl Cluster {
+    /// A core protocol with the bounded-state defaults every live
+    /// deployment runs: [`FastWire::Runs`] fast reads and
+    /// acknowledged-floor GC on the servers. [`with_wire`](Self::with_wire)
+    /// chooses both, e.g. the paper-faithful full-info model that is the
+    /// simulator's oracle.
+    pub fn new(config: ClusterConfig, protocol: Protocol) -> Self {
+        Self::with_wire(config, protocol, FastWire::default(), true)
+    }
+
+    /// A core protocol with the fast-read wire format `wire`
+    /// ([`FastWire::FullInfo`] restores the paper's O(history) payloads)
+    /// and acknowledged-floor GC on the servers if `gc`.
+    pub fn with_wire(config: ClusterConfig, protocol: Protocol, wire: FastWire, gc: bool) -> Self {
+        Self::from_installer(config, move |sim| {
+            let population = config.readers() + config.writers();
+            for s in config.server_ids() {
+                let server =
+                    if gc { RegisterServer::with_gc(population) } else { RegisterServer::new() };
+                sim.add_process(ProcessId::Server(s), server);
+            }
+            for w in config.writer_ids() {
+                sim.add_process(w.into(), RegisterClient::writer(w, config, protocol.write_mode()));
+            }
+            for r in config.reader_ids() {
+                sim.add_process(
+                    r.into(),
+                    RegisterClient::reader_with_wire(r, config, protocol.read_mode(), wire),
+                );
+            }
+        })
+    }
+
+    /// A protocol family's blueprint: `install` adds all servers, writers
+    /// and readers to a simulation, and `config` is the population as a
+    /// crash-model configuration, the one the harnesses address operations
+    /// against (families with richer configurations, e.g. Byzantine
+    /// clusters, give their crash view).
+    pub fn from_installer(
+        config: ClusterConfig,
+        install: impl Fn(&mut Simulation<Msg, ClientEvent>) + Send + Sync + 'static,
+    ) -> Self {
+        Cluster { config, install: Arc::new(install) }
+    }
+
+    /// The crash-model configuration operations are scheduled against.
+    pub fn config(&self) -> ClusterConfig {
+        self.config
+    }
 
     /// Builds a fresh simulation with this cluster installed.
-    fn build_sim(&self, seed: u64) -> Simulation<Msg, ClientEvent> {
+    pub fn build_sim(&self, seed: u64) -> Simulation<Msg, ClientEvent> {
         let mut sim = Simulation::new(seed);
-        self.install(&mut sim);
+        (self.install)(&mut sim);
         sim
     }
 
@@ -109,7 +165,7 @@ pub trait SimCluster {
     ///
     /// Returns [`SimError::UnknownProcess`] if the reader/writer index is
     /// out of range for the configuration.
-    fn schedule(
+    pub fn schedule(
         &self,
         sim: &mut Simulation<Msg, ClientEvent>,
         at: SimTime,
@@ -123,7 +179,7 @@ pub trait SimCluster {
     /// # Errors
     ///
     /// Propagates scheduling and simulation errors.
-    fn run_schedule(
+    pub fn run_schedule(
         &self,
         seed: u64,
         ops: &[(SimTime, ScheduledOp)],
@@ -137,107 +193,9 @@ pub trait SimCluster {
     }
 }
 
-/// A cluster blueprint: configuration plus protocol choice.
-///
-/// This is the low-level, paper-faithful assembly of the core protocols.
-/// Applications normally go through the `mwr-register` facade
-/// (`mwr::register::Deployment`), which builds these blueprints behind a
-/// single API for every protocol family and backend.
-///
-/// # Examples
-///
-/// ```
-/// use mwr_core::{Cluster, Protocol, ScheduledOp, SimCluster};
-/// use mwr_sim::SimTime;
-/// use mwr_types::{ClusterConfig, Value};
-///
-/// let config = ClusterConfig::new(5, 1, 2, 2)?;
-/// let cluster = Cluster::new(config, Protocol::W2R1);
-/// let events = cluster.run_schedule(
-///     7,
-///     &[
-///         (SimTime::ZERO, ScheduledOp::Write { writer: 0, value: Value::new(1) }),
-///         (SimTime::from_ticks(100), ScheduledOp::Read { reader: 0 }),
-///     ],
-/// )?;
-/// assert_eq!(events.len(), 5); // 2 invocations, 2 completions, 1 second-round marker
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Cluster {
-    config: ClusterConfig,
-    protocol: Protocol,
-    wire: FastWire,
-    gc: bool,
-}
-
-impl Cluster {
-    /// Creates a blueprint with the bounded-state defaults every live
-    /// deployment runs: [`FastWire::Runs`] fast reads and
-    /// acknowledged-floor GC on the servers. Use
-    /// [`with_fast_wire`](Self::with_fast_wire) /
-    /// [`with_gc`](Self::with_gc) for the paper-faithful full-info model,
-    /// the simulator's oracle.
-    pub fn new(config: ClusterConfig, protocol: Protocol) -> Self {
-        Cluster { config, protocol, wire: FastWire::default(), gc: true }
-    }
-
-    /// Selects the fast-read wire format ([`FastWire::FullInfo`] restores
-    /// the paper's O(history) payloads).
-    pub fn with_fast_wire(mut self, wire: FastWire) -> Self {
-        self.wire = wire;
-        self
-    }
-
-    /// Enables or disables acknowledged-floor GC on the servers.
-    pub fn with_gc(mut self, gc: bool) -> Self {
-        self.gc = gc;
-        self
-    }
-
-    /// The cluster configuration.
-    pub fn config(&self) -> ClusterConfig {
-        self.config
-    }
-
-    /// The protocol in use.
-    pub fn protocol(&self) -> Protocol {
-        self.protocol
-    }
-}
-
-impl SimCluster for Cluster {
-    fn install(&self, sim: &mut Simulation<Msg, ClientEvent>) {
-        let population = self.config.readers() + self.config.writers();
-        for s in self.config.server_ids() {
-            let server = if self.gc {
-                RegisterServer::with_gc(population)
-            } else {
-                RegisterServer::new()
-            };
-            sim.add_process(ProcessId::Server(s), server);
-        }
-        for w in self.config.writer_ids() {
-            sim.add_process(
-                w.into(),
-                RegisterClient::writer(w, self.config, self.protocol.write_mode()),
-            );
-        }
-        for r in self.config.reader_ids() {
-            sim.add_process(
-                r.into(),
-                RegisterClient::reader_with_wire(
-                    r,
-                    self.config,
-                    self.protocol.read_mode(),
-                    self.wire,
-                ),
-            );
-        }
-    }
-
-    fn client_config(&self) -> ClusterConfig {
-        self.config
+impl fmt::Debug for Cluster {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Cluster").field("config", &self.config).finish_non_exhaustive()
     }
 }
 

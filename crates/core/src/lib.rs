@@ -40,7 +40,7 @@
 //! # Examples
 //!
 //! ```
-//! use mwr_core::{Cluster, Protocol, ScheduledOp, SimCluster};
+//! use mwr_core::{Cluster, Protocol, ScheduledOp};
 //! use mwr_sim::SimTime;
 //! use mwr_types::{ClusterConfig, Value};
 //!
@@ -82,7 +82,7 @@ pub use admissible::{
     WitnessIndex, WitnessSelector, MAX_SLOTS,
 };
 pub use client::RegisterClient;
-pub use cluster::{Cluster, ScheduledOp, SimCluster};
+pub use cluster::{Cluster, ScheduledOp};
 pub use events::{ClientEvent, OpKind, OpResult};
 pub use bank::ServerBank;
 pub use msg::{

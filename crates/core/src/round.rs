@@ -125,7 +125,7 @@ pub enum ReadMode {
 /// How fast-read rounds move information on the wire. Every live reader
 /// runs [`FastWire::Runs`]; [`FastWire::FullInfo`] is the simulator's
 /// paper-faithful oracle, chosen through
-/// [`Cluster::with_fast_wire`](crate::Cluster::with_fast_wire).
+/// [`Cluster::with_wire`](crate::Cluster::with_wire).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FastWire {
     /// Full-information payloads, faithful to the paper's model (§4.1):

@@ -6,14 +6,13 @@ use std::cell::Cell;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use mwr_almost::TunableCluster;
-use mwr_byz::{ByzBehavior, ByzCluster, ByzConfig, ByzReadMode};
-use mwr_core::{ClientEvent, Cluster, Msg, Protocol, ReadMode, SimCluster};
+use mwr_almost::tunable_cluster;
+use mwr_byz::{byz_cluster, ByzBehavior, ByzConfig, ByzReadMode};
+use mwr_core::{Cluster, Protocol, ReadMode};
 use mwr_runtime::{
     EndpointFactory, FaultEvent, FaultPlan, InMemoryTransport, KeyspaceCluster, RetryPolicy,
     RuntimeCluster, TcpRegistry, TransportError,
 };
-use mwr_sim::Simulation;
 use mwr_types::{ClusterConfig, KeyspaceConfig, RegisterId};
 use mwr_workload::{WorkloadReport, WorkloadSpec};
 
@@ -285,10 +284,7 @@ impl Deployment<ClusterConfig> {
     /// arithmetic: the crash-view [`ClusterConfig`] (`t = b`) is derived
     /// from `config` instead of hand-supplied, so it cannot disagree.
     pub fn byz(config: ByzConfig, read_mode: ByzReadMode, behavior: ByzBehavior) -> Self {
-        let crash_view =
-            ClusterConfig::new(config.servers(), config.byz(), config.readers(), config.writers())
-                .expect("every valid ByzConfig has a valid crash view (S ≥ 4b + 1 > b)");
-        Deployment::new(crash_view).protocol(Spec::Byz { config, read_mode, behavior })
+        Deployment::new(config.crash_view()).protocol(Spec::Byz { config, read_mode, behavior })
     }
 
     /// Selects the execution backend (the simulator with seed 0 when
@@ -336,7 +332,7 @@ impl Deployment<ClusterConfig> {
     }
 
     /// Builds the validated sim-side cluster blueprint — the
-    /// [`SimCluster`] the workload and checking harnesses accept. Useful
+    /// [`Cluster`] the workload and checking harnesses accept. Useful
     /// when a harness wants to run many seeds against one blueprint;
     /// [`sim`](Self::sim) wraps it into a seeded [`SimHandle`].
     ///
@@ -344,7 +340,7 @@ impl Deployment<ClusterConfig> {
     ///
     /// Validation errors; the backend is *not* consulted, so this also
     /// works for live-backed deployments that want a simulated twin.
-    pub fn sim_cluster(&self) -> Result<AnySimCluster, DeployError> {
+    pub fn sim_cluster(&self) -> Result<Cluster, DeployError> {
         // Validate with the backend forced to sim (shedding the live-only
         // knobs): this path exists precisely to give live deployments a
         // simulated twin.
@@ -358,11 +354,9 @@ impl Deployment<ClusterConfig> {
         };
         sim_view.validate()?;
         Ok(match self.spec() {
-            Spec::Core(protocol) => AnySimCluster::Core(Cluster::new(self.config, protocol)),
-            Spec::Tunable(spec) => AnySimCluster::Tunable(TunableCluster::new(self.config, spec)),
-            Spec::Byz { config, read_mode, behavior } => {
-                AnySimCluster::Byz(ByzCluster::new(config, read_mode, behavior))
-            }
+            Spec::Core(protocol) => Cluster::new(self.config, protocol),
+            Spec::Tunable(spec) => tunable_cluster(self.config, spec),
+            Spec::Byz { config, read_mode, behavior } => byz_cluster(config, read_mode, behavior),
         })
     }
 
@@ -481,42 +475,11 @@ impl Deployment<KeyspaceConfig> {
     }
 }
 
-/// The sim-side cluster blueprint behind a deployment: one type
-/// implementing [`SimCluster`] over all three protocol families, so any
-/// schedule- or workload-driven harness accepts any family.
-#[derive(Debug, Clone, Copy)]
-pub enum AnySimCluster {
-    /// A core crash-tolerant cluster.
-    Core(Cluster),
-    /// A tunable-quorum cluster.
-    Tunable(TunableCluster),
-    /// A Byzantine cluster.
-    Byz(ByzCluster),
-}
-
-impl SimCluster for AnySimCluster {
-    fn install(&self, sim: &mut Simulation<Msg, ClientEvent>) {
-        match self {
-            AnySimCluster::Core(c) => c.install(sim),
-            AnySimCluster::Tunable(c) => c.install(sim),
-            AnySimCluster::Byz(c) => c.install(sim),
-        }
-    }
-
-    fn client_config(&self) -> ClusterConfig {
-        match self {
-            AnySimCluster::Core(c) => c.client_config(),
-            AnySimCluster::Tunable(c) => c.client_config(),
-            AnySimCluster::Byz(c) => c.client_config(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mwr_byz::{ByzBehavior, ByzConfig, ByzReadMode};
-    use mwr_core::ScheduledOp;
+    use mwr_core::{ClientEvent, ScheduledOp};
     use mwr_sim::SimTime;
     use mwr_types::Value;
 

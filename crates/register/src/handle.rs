@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mwr_check::AuditReport;
-use mwr_core::{ClientEvent, Msg, Protocol, Router, ScheduledOp, SimCluster};
+use mwr_core::{ClientEvent, Cluster, Msg, Protocol, Router, ScheduledOp};
 use mwr_runtime::{
     ClusterView, Endpoint, EndpointFactory, FaultPlan, KeyspaceCluster, LiveClient, LiveReader,
     LiveWriter, RetryPolicy, RuntimeCluster, RuntimeError, TransportError,
@@ -24,7 +24,6 @@ use mwr_workload::{
 };
 
 use crate::audit::AuditHub;
-use crate::deploy::AnySimCluster;
 use crate::error::DeployError;
 
 /// A blocking writer handle on a live backend: `write(value)` returns the
@@ -49,8 +48,8 @@ pub struct SimHandle {
 }
 
 impl SimHandle {
-    pub(crate) fn new(cluster: &AnySimCluster, seed: u64) -> Self {
-        SimHandle { config: cluster.client_config(), sim: cluster.build_sim(seed) }
+    pub(crate) fn new(cluster: &Cluster, seed: u64) -> Self {
+        SimHandle { config: cluster.config(), sim: cluster.build_sim(seed) }
     }
 
     /// The crash-view cluster configuration operations are scheduled
@@ -92,7 +91,7 @@ impl SimHandle {
     }
 
     /// Schedules a full harness schedule and runs it to quiescence — the
-    /// facade's equivalent of `SimCluster::run_schedule`, on the seed the
+    /// facade's equivalent of [`Cluster::run_schedule`], on the seed the
     /// deployment's backend fixed.
     ///
     /// # Errors

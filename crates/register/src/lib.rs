@@ -77,13 +77,13 @@ mod handle;
 mod spec;
 
 pub use audit::AuditConfig;
-pub use deploy::{AnySimCluster, Deployment, Keyspace};
+pub use deploy::{Deployment, Keyspace};
 pub use error::DeployError;
 pub use handle::{KeyReader, KeyWriter, KeyspaceHandle, LiveHandle, Reader, SimHandle, Writer};
 pub use spec::{Backend, Spec};
 
 // The vocabulary a facade user needs without naming the member crates.
 pub use mwr_check::{AuditReport, AuditStats, Verdict, Violation};
-pub use mwr_core::{Protocol, ScheduledOp, SimCluster};
+pub use mwr_core::{Cluster, Protocol, ScheduledOp};
 pub use mwr_runtime::{FaultEvent, FaultPlan, FaultStep, FaultTrigger, RetryPolicy};
 pub use mwr_workload::ChaosReport;

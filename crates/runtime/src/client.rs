@@ -254,7 +254,7 @@ impl<E: Endpoint, Id> LiveClient<E, Id> {
     }
 
     /// Selects the per-round-trip quorum timeout (builder-style, like
-    /// `Cluster::with_gc`).
+    /// [`with_tap`](Self::with_tap)).
     ///
     /// The timeout bounds the wait for replies that have not arrived; a
     /// reply already queued in the inbox is always taken, so even

@@ -6,7 +6,7 @@
 //! driver steps the simulation, reacts to completion notifications, and
 //! stops issuing at the deadline, letting in-flight operations drain.
 
-use mwr_core::{ClientEvent, Msg, OpKind, SimCluster};
+use mwr_core::{ClientEvent, Cluster, Msg, OpKind};
 use mwr_sim::{SimError, SimTime};
 use mwr_types::{ClientId, Value};
 
@@ -66,9 +66,11 @@ impl WorkloadReport {
     }
 }
 
-/// Runs a closed-loop workload against any simulated cluster family
-/// (core, tunable-quorum, Byzantine — anything implementing
-/// [`SimCluster`]).
+/// Runs a closed-loop workload against a simulated cluster of any
+/// protocol family (core, tunable-quorum, Byzantine: each is a
+/// [`Cluster`]). To customize the simulation first (delay models, geo
+/// matrices, crash schedules), build it with [`Cluster::build_sim`] and
+/// call [`drive_closed_loop`].
 ///
 /// # Errors
 ///
@@ -96,27 +98,9 @@ impl WorkloadReport {
 /// assert!(reads.p50 <= writes.p50, "W2R1: fast reads beat slow writes");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn run_closed_loop<C: SimCluster>(
-    cluster: &C,
-    spec: WorkloadSpec,
-) -> Result<WorkloadReport, SimError> {
-    run_closed_loop_customized(cluster, spec, |_| {})
-}
-
-/// Like [`run_closed_loop`], with a hook to customize the simulation (delay
-/// models, geo matrices, crash schedules) before the run starts.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn run_closed_loop_customized<C: SimCluster>(
-    cluster: &C,
-    spec: WorkloadSpec,
-    customize: impl FnOnce(&mut mwr_sim::Simulation<Msg, ClientEvent>),
-) -> Result<WorkloadReport, SimError> {
+pub fn run_closed_loop(cluster: &Cluster, spec: WorkloadSpec) -> Result<WorkloadReport, SimError> {
     let mut sim = cluster.build_sim(spec.seed);
-    customize(&mut sim);
-    drive_closed_loop(&mut sim, cluster.client_config(), spec)
+    drive_closed_loop(&mut sim, cluster.config(), spec)
 }
 
 /// Drives an already-assembled simulation closed-loop.

@@ -1,7 +1,8 @@
 //! Workload generation and measurement for `mwr` experiments.
 //!
-//! - [`run_closed_loop`] — closed-loop clients over the simulator, generic
-//!   over every [`SimCluster`](mwr_core::SimCluster) protocol family; the
+//! - [`run_closed_loop`] — closed-loop clients over the simulator, for
+//!   every protocol family's [`Cluster`](mwr_core::Cluster) blueprint (or
+//!   [`drive_closed_loop`] over a simulation the caller customized); the
 //!   engine behind the `mwr-bench` latency figures (README's
 //!   *Experiments*).
 //! - [`drive`] — the one live drive (threads over channels or TCP): closed
@@ -41,9 +42,7 @@ mod stats;
 mod table;
 
 pub use chaos::ChaosReport;
-pub use driver::{
-    drive_closed_loop, run_closed_loop, run_closed_loop_customized, WorkloadReport, WorkloadSpec,
-};
+pub use driver::{drive_closed_loop, run_closed_loop, WorkloadReport, WorkloadSpec};
 pub use live::{drive, DriveSpec, Keys, TapFor, Target, ThroughputReport};
 pub use stats::{LatencyStats, LatencySummary};
 pub use table::TextTable;

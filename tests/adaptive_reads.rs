@@ -3,8 +3,8 @@
 //! the `R < S/t − 2` constraint of Algorithm 1.
 
 use mwr::check::{check_atomicity, History};
-use mwr::core::{ClientEvent, OpKind, Protocol, ScheduledOp, SimCluster};
-use mwr::register::{AnySimCluster, Backend, Deployment};
+use mwr::core::{ClientEvent, Cluster, OpKind, Protocol, ScheduledOp};
+use mwr::register::{Backend, Deployment};
 use mwr::sim::{DelayModel, SimTime};
 use mwr::types::{ClusterConfig, ProcessId, Value};
 
@@ -41,7 +41,7 @@ fn random_schedule(config: &ClusterConfig, ops_per_client: usize, seed: u64) -> 
 /// Runs one schedule under jittered delays and returns (history, fast
 /// reads, slow reads).
 fn run(
-    cluster: &AnySimCluster,
+    cluster: &Cluster,
     seed: u64,
     schedule: &[(SimTime, ScheduledOp)],
     crash: Option<u32>,

@@ -4,8 +4,7 @@
 
 use mwr::almost::{ConsistencyClass, ConsistencyProfile, StalenessReport, TunableSpec};
 use mwr::check::History;
-use mwr::core::{Protocol, ScheduledOp, SimCluster};
-use mwr::register::AnySimCluster;
+use mwr::core::{Cluster, Protocol, ScheduledOp};
 use mwr::sim::{DelayModel, SimTime};
 use mwr::types::{ClusterConfig, ProcessId, Value};
 
@@ -25,7 +24,7 @@ fn contended_schedule(rounds: u64) -> Vec<(SimTime, ScheduledOp)> {
 }
 
 fn run_with_jitter(
-    cluster: &AnySimCluster,
+    cluster: &Cluster,
     seed: u64,
     schedule: &[(SimTime, ScheduledOp)],
 ) -> History {

@@ -6,7 +6,7 @@
 //! checker-visible violations.
 
 use mwr::check::{check_atomicity, check_regular, History};
-use mwr::core::{Protocol, ScheduledOp, SimCluster};
+use mwr::core::{Protocol, ScheduledOp};
 use mwr::sim::SimTime;
 use mwr::types::{ClusterConfig, Value};
 

@@ -4,7 +4,7 @@
 
 use mwr::byz::{ByzBehavior, ByzConfig, ByzReadMode, ByzRegisterServer};
 use mwr::check::{check_atomicity, History};
-use mwr::core::{OpResult, Protocol, RegisterClient, RegisterServer, ScheduledOp, SimCluster};
+use mwr::core::{OpResult, Protocol, RegisterClient, RegisterServer, ScheduledOp};
 use mwr::sim::{SimTime, Simulation};
 use mwr::types::{ClusterConfig, ProcessId, Value};
 

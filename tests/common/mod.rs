@@ -10,16 +10,16 @@
 use mwr::almost::TunableSpec;
 use mwr::byz::{ByzBehavior, ByzConfig, ByzReadMode};
 use mwr::core::Protocol;
-use mwr::register::{AnySimCluster, Deployment};
+use mwr::register::{Cluster, Deployment};
 use mwr::types::ClusterConfig;
 
 /// Facade-built sim blueprint for a core protocol.
-pub fn sim_cluster(config: ClusterConfig, protocol: Protocol) -> AnySimCluster {
+pub fn sim_cluster(config: ClusterConfig, protocol: Protocol) -> Cluster {
     Deployment::new(config).protocol(protocol).sim_cluster().unwrap()
 }
 
 /// Facade-built sim blueprint for a tunable-quorum spec.
-pub fn tunable_cluster(config: ClusterConfig, spec: TunableSpec) -> AnySimCluster {
+pub fn tunable_cluster(config: ClusterConfig, spec: TunableSpec) -> Cluster {
     Deployment::new(config).protocol(spec).sim_cluster().unwrap()
 }
 
@@ -28,6 +28,6 @@ pub fn byz_cluster(
     config: ByzConfig,
     read_mode: ByzReadMode,
     behavior: ByzBehavior,
-) -> AnySimCluster {
+) -> Cluster {
     Deployment::byz(config, read_mode, behavior).sim_cluster().unwrap()
 }

@@ -6,7 +6,7 @@
 use mwr::almost::TunableSpec;
 use mwr::byz::{ByzBehavior, ByzConfig, ByzReadMode};
 use mwr::check::{check_atomicity, History};
-use mwr::core::{ClientEvent, Protocol, ScheduledOp, SimCluster};
+use mwr::core::{ClientEvent, Protocol, ScheduledOp};
 use mwr::sim::{DelayModel, SimTime};
 use mwr::types::{ClusterConfig, ProcessId, Value};
 

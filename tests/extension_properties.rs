@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use mwr::almost::{StalenessReport, TunableSpec};
 use mwr::byz::{safe_max_tag, vouched_snapshots, vouched_values};
 use mwr::check::{check_atomicity, History};
-use mwr::core::{Protocol, ScheduledOp, SimCluster, Snapshot, ValueRecord};
+use mwr::core::{Protocol, ScheduledOp, Snapshot, ValueRecord};
 use mwr::sim::{DelayModel, SimTime};
 use mwr::types::{ClientId, ClusterConfig, Tag, TaggedValue, Value, WriterId};
 

@@ -8,9 +8,9 @@
 //! This test (together with `gc_equivalence`) is the one deliberate user
 //! of the low-level constructors outside the facade crate.
 
-use mwr::almost::{TunableCluster, TunableSpec};
-use mwr::byz::{ByzBehavior, ByzCluster, ByzConfig, ByzReadMode};
-use mwr::core::{Cluster, Protocol, ScheduledOp, SimCluster};
+use mwr::almost::{tunable_cluster, TunableSpec};
+use mwr::byz::{byz_cluster, ByzBehavior, ByzConfig, ByzReadMode};
+use mwr::core::{Cluster, Protocol, ScheduledOp};
 use mwr::register::{Backend, Deployment, Spec};
 use mwr::sim::SimTime;
 use mwr::types::{ClusterConfig, Value};
@@ -81,7 +81,7 @@ fn facade_reproduces_tunable_and_byzantine_families() {
         for seed in 0..SEEDS {
             let schedule = random_schedule(seed * 13 + 5, 2, 2, 16);
             let direct =
-                TunableCluster::new(config, spec).run_schedule(seed, &schedule).unwrap();
+                tunable_cluster(config, spec).run_schedule(seed, &schedule).unwrap();
             let facade = Deployment::new(config)
                 .protocol(spec)
                 .backend(Backend::Sim { seed })
@@ -98,7 +98,7 @@ fn facade_reproduces_tunable_and_byzantine_families() {
         for mode in [ByzReadMode::Slow, ByzReadMode::Fast] {
             for seed in 0..SEEDS {
                 let schedule = random_schedule(seed * 17 + 7, 2, 2, 12);
-                let direct = ByzCluster::new(byz_config, mode, behavior)
+                let direct = byz_cluster(byz_config, mode, behavior)
                     .run_schedule(seed, &schedule)
                     .unwrap();
                 let facade = Deployment::new(config)

@@ -13,7 +13,7 @@
 //!    bounded.
 
 use mwr::check::{check_atomicity, History};
-use mwr::core::{Cluster, FastWire, Protocol, ScheduledOp, SimCluster};
+use mwr::core::{Cluster, FastWire, Protocol, ScheduledOp};
 use mwr::sim::SimTime;
 use mwr::types::{ClusterConfig, Value};
 
@@ -50,14 +50,10 @@ fn delta_wire_reproduces_full_info_byte_for_byte() {
     for protocol in [Protocol::W2R1, Protocol::W2Ra] {
         for seed in 0..50u64 {
             let schedule = random_schedule(seed, 2, 2, 16);
-            let full = Cluster::new(config, protocol)
-                .with_fast_wire(FastWire::FullInfo)
-                .with_gc(false)
+            let full = Cluster::with_wire(config, protocol, FastWire::FullInfo, false)
                 .run_schedule(seed, &schedule)
                 .unwrap();
-            let delta = Cluster::new(config, protocol)
-                .with_fast_wire(FastWire::Runs)
-                .with_gc(false)
+            let delta = Cluster::with_wire(config, protocol, FastWire::Runs, false)
                 .run_schedule(seed, &schedule)
                 .unwrap();
             assert_eq!(
@@ -76,14 +72,10 @@ fn gc_histories_are_verdict_identical_to_full_info() {
     let config = ClusterConfig::new(5, 1, 2, 2).unwrap();
     for seed in 0..50u64 {
         let schedule = random_schedule(seed.wrapping_mul(31).wrapping_add(7), 2, 2, 24);
-        let full = Cluster::new(config, Protocol::W2R1)
-            .with_fast_wire(FastWire::FullInfo)
-            .with_gc(false)
+        let full = Cluster::with_wire(config, Protocol::W2R1, FastWire::FullInfo, false)
             .run_schedule(seed, &schedule)
             .unwrap();
-        let gc = Cluster::new(config, Protocol::W2R1)
-            .with_fast_wire(FastWire::Runs)
-            .with_gc(true)
+        let gc = Cluster::with_wire(config, Protocol::W2R1, FastWire::Runs, true)
             .run_schedule(seed, &schedule)
             .unwrap();
         let full_history = History::from_events(&full).unwrap();

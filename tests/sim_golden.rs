@@ -21,9 +21,14 @@
 //! its `floor:` field: the machine piggybacks its completed floor on
 //! `Update` where the old client sent the initial value, and the tunable
 //! cluster's servers run without GC, which ignores every floor.
+//!
+//! The two Byzantine digests were recorded the same way at commit 2739039,
+//! before the Byzantine family became a constructor of `mwr_core::Cluster`,
+//! on a (9, 2, 2, 2) cluster whose servers 0 and 1 are the adversaries.
 
-use mwr::almost::{ConsistencyLevel, TunableCluster, TunableSpec};
-use mwr::core::{Cluster, FastWire, Protocol, SimCluster};
+use mwr::almost::{tunable_cluster, ConsistencyLevel, TunableSpec};
+use mwr::byz::{byz_cluster, ByzBehavior, ByzConfig, ByzReadMode};
+use mwr::core::{Cluster, FastWire, Protocol};
 use mwr::sim::{DelayModel, LinkSelector, SimTime};
 use mwr::types::{ClusterConfig, ProcessId};
 use mwr::workload::{drive_closed_loop, WorkloadSpec};
@@ -59,8 +64,13 @@ fn golden_run(protocol: Protocol, (s, t, r, w): (usize, usize, usize, usize)) ->
     golden_run_of(Cluster::new(ClusterConfig::new(s, t, r, w).unwrap(), protocol))
 }
 
-/// [`golden_run`] on a blueprint whose wire format is already chosen.
+/// [`golden_run`]'s schedule on any blueprint.
 fn golden_run_of(cluster: Cluster) -> (usize, usize, u64) {
+    golden_digest(&cluster, |summary| summary)
+}
+
+/// [`golden_run_of`], digesting each trace summary as `summary` cuts it.
+fn golden_digest(cluster: &Cluster, summary: fn(&str) -> &str) -> (usize, usize, u64) {
     let config = cluster.config();
     let mut sim = cluster.build_sim(42);
     sim.network_mut().set_default_delay(DelayModel::Uniform {
@@ -85,7 +95,7 @@ fn golden_run_of(cluster: Cluster) -> (usize, usize, u64) {
         digest.int(e.at.ticks());
         digest.text(&e.from.to_string());
         digest.text(&e.to.to_string());
-        digest.text(&e.summary);
+        digest.text(summary(&e.summary));
     }
     for (at, event) in &report.events {
         digest.int(at.ticks());
@@ -133,7 +143,7 @@ fn w2ra_beyond_the_fast_read_bound_reproduces_the_parent_of_pr_20() {
 #[test]
 fn w2r1_full_info_reproduces_the_parent_of_pr_20() {
     let config = ClusterConfig::new(5, 1, 2, 2).unwrap();
-    let cluster = Cluster::new(config, Protocol::W2R1).with_fast_wire(FastWire::FullInfo);
+    let cluster = Cluster::with_wire(config, Protocol::W2R1, FastWire::FullInfo, true);
     assert_eq!(golden_run_of(cluster), (1_804, 363, 0xc8f2_1883_de07_8c7d));
 }
 
@@ -145,51 +155,8 @@ fn naive_fast_write_reproduces_the_parent_of_pr_20() {
 /// [`golden_run_of`]'s schedule on a tunable cluster at (5, 1, 2, 2); each
 /// trace summary is digested up to its `floor:` field (module docs).
 fn tunable_golden_run(spec: TunableSpec) -> (usize, usize, u64) {
-    let cluster = TunableCluster::new(ClusterConfig::new(5, 1, 2, 2).unwrap(), spec);
-    let mut sim = cluster.build_sim(42);
-    sim.network_mut().set_default_delay(DelayModel::Uniform {
-        lo: SimTime::from_ticks(1),
-        hi: SimTime::from_ticks(40),
-    });
-    sim.enable_trace();
-    let held = LinkSelector::directed(ProcessId::reader(0), ProcessId::server(1));
-    sim.schedule_hold(SimTime::from_ticks(100), held);
-    sim.schedule_release(SimTime::from_ticks(700), held);
-    sim.schedule_crash(SimTime::from_ticks(900), ProcessId::server(0));
-    let spec = WorkloadSpec {
-        duration: SimTime::from_ticks(3_000),
-        think_time: SimTime::from_ticks(5),
-        seed: 42,
-    };
-    let report = drive_closed_loop(&mut sim, cluster.config(), spec).unwrap();
-
-    let mut digest = Fnv::new();
-    let trace = sim.trace().expect("tracing enabled").entries();
-    for e in trace {
-        digest.int(e.at.ticks());
-        digest.text(&e.from.to_string());
-        digest.text(&e.to.to_string());
-        digest.text(e.summary.split(", floor: ").next().unwrap_or_default());
-    }
-    for (at, event) in &report.events {
-        digest.int(at.ticks());
-        digest.text(&format!("{event:?}"));
-    }
-    let stats = sim.stats();
-    assert!(stats.messages_parked > 0, "the hold must actually bite");
-    assert!(stats.messages_dropped_crash > 0, "the crash must actually bite");
-    for v in [
-        stats.events_processed,
-        stats.messages_delivered,
-        stats.messages_parked,
-        stats.messages_dropped_crash,
-        stats.timers_fired,
-        stats.externals_delivered,
-        stats.end_time.ticks(),
-    ] {
-        digest.int(v);
-    }
-    (trace.len(), report.events.len(), digest.0)
+    let cluster = tunable_cluster(ClusterConfig::new(5, 1, 2, 2).unwrap(), spec);
+    golden_digest(&cluster, |summary| summary.split(", floor: ").next().unwrap_or_default())
 }
 
 #[test]
@@ -212,4 +179,26 @@ fn tunable_strong_reproduces_the_separate_tunable_client() {
 fn tunable_all_level_write_reproduces_the_separate_tunable_client() {
     let spec = TunableSpec { write_level: ConsistencyLevel::All, ..TunableSpec::fastest() };
     assert_eq!(tunable_golden_run(spec), (2_132, 484, 0xc991_6e74_f586_5d55));
+}
+
+/// [`golden_run_of`]'s schedule on a Byzantine (9, 2, 2, 2) cluster whose
+/// servers 0 and 1 run `behavior` (module docs).
+fn byz_golden_run(read_mode: ByzReadMode, behavior: ByzBehavior) -> (usize, usize, u64) {
+    golden_run_of(byz_cluster(ByzConfig::new(9, 2, 2, 2).unwrap(), read_mode, behavior))
+}
+
+#[test]
+fn byz_fast_reads_against_stale_repliers_reproduce_the_recorded_digest() {
+    assert_eq!(
+        byz_golden_run(ByzReadMode::Fast, ByzBehavior::StaleReplier),
+        (3_540, 371, 0xe1e0_760a_ac0e_88a4)
+    );
+}
+
+#[test]
+fn byz_slow_reads_against_equivocators_reproduce_the_recorded_digest() {
+    assert_eq!(
+        byz_golden_run(ByzReadMode::Slow, ByzBehavior::Equivocator),
+        (3_622, 327, 0x54f3_a254_85ba_66f4)
+    );
 }

@@ -3,7 +3,7 @@
 //! imply the checker's atomicity verdict.
 
 use mwr::check::{check_atomicity, check_mwa, search_atomicity, History};
-use mwr::core::{Protocol, ScheduledOp, SimCluster};
+use mwr::core::{Protocol, ScheduledOp};
 use mwr::sim::{LinkSelector, SimTime};
 use mwr::types::{ClusterConfig, ProcessId, Value};
 

@@ -54,7 +54,9 @@ fn bench_admissible(c: &mut Criterion) {
                 b.iter(|| {
                     let (index, mask) =
                         WitnessIndex::from_views(snaps.iter().map(SnapshotSource::view));
-                    index.selector(mask, servers, t, readers + 1).select_return_value()
+                    index
+                        .selector(&mut Vec::new(), mask, servers, t, readers + 1)
+                        .select_return_value()
                 })
             },
         );
@@ -70,7 +72,11 @@ fn bench_admissible(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("S{servers}_t{t}")),
             &(index, mask),
             |b, (index, mask)| {
-                b.iter(|| index.selector(*mask, servers, t, readers + 1).select_return_value())
+                let mut scratch = Vec::new();
+                b.iter(|| {
+                    let mut sel = index.selector(&mut scratch, *mask, servers, t, readers + 1);
+                    sel.select_return_value()
+                })
             },
         );
     }
@@ -99,7 +105,7 @@ fn bench_fast_read_merge(c: &mut Criterion) {
 
     // Standing state: every server holds the initial value and v1..v21,
     // each registered with its writer.
-    let mut standing = FastReadState::new();
+    let mut standing = FastReadState::new(16);
     for &s in &servers {
         let entries = (1..=21).map(|ts| ValueRecord { value: tv(ts), updated: writers(ts).into() }).collect();
         standing.merge(
@@ -119,6 +125,7 @@ fn bench_fast_read_merge(c: &mut Criterion) {
         })
         .collect();
     assert_eq!(entries.iter().map(|r| r.updated.len()).sum::<usize>(), 52);
+    let entries = entries.into();
     let delta = DeltaSnapshot { from: 21, version: 80, latest: tv(28), pruned: tv(6), entries };
 
     let mut group = c.benchmark_group("fast_read_merge");

@@ -58,7 +58,7 @@ fn messages(entries: usize) -> Vec<(&'static str, Msg)> {
                     latest: tv(9, 9),
                     pruned: tv(2, 2),
                     // A delta carries only the newly registered pairs.
-                    entries: records(2, 1),
+                    entries: records(2, 1).into(),
                 },
             },
         ),

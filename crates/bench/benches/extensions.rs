@@ -64,7 +64,8 @@ fn bench_adaptive_selection(c: &mut Criterion) {
                     let cap = mwr_core::adaptive_degree_cap(5, 1, 2);
                     let replies = std::hint::black_box(snaps).iter().map(SnapshotSource::view);
                     let (index, mask) = WitnessIndex::from_views(replies);
-                    let mut selector = index.selector(mask, 5, 1, cap);
+                    let mut scratch = Vec::new();
+                    let mut selector = index.selector(&mut scratch, mask, 5, 1, cap);
                     let max = selector.max_candidate().unwrap();
                     selector.degree(max)
                 })

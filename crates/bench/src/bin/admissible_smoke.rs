@@ -70,13 +70,18 @@ fn main() {
             let per_read = time_ns(iters, || {
                 let (index, mask) =
                     WitnessIndex::from_views(snaps.iter().map(SnapshotSource::view));
-                let v = index.selector(mask, servers, t, readers + 1).select_return_value();
+                let v = index
+                    .selector(&mut Vec::new(), mask, servers, t, readers + 1)
+                    .select_return_value();
                 std::hint::black_box(v);
             });
 
             let (index, mask) = WitnessIndex::from_views(snaps.iter().map(SnapshotSource::view));
+            let mut scratch = Vec::new();
             let incremental = time_ns(iters, || {
-                let v = index.selector(mask, servers, t, readers + 1).select_return_value();
+                let v = index
+                    .selector(&mut scratch, mask, servers, t, readers + 1)
+                    .select_return_value();
                 std::hint::black_box(v);
             });
 

@@ -383,10 +383,15 @@ impl ValueWitness {
     /// path: a fast read's reply re-registers O(W×R) catch-up clients, and
     /// both the wire's `updated` lists and `witnesses` are sorted by
     /// client. Out-of-order elements (a non-conforming peer) fall back to
-    /// the searched insert, preserving set semantics.
-    fn record_sorted(&mut self, slot: usize, clients: &[ClientId]) {
+    /// the searched insert, preserving set semantics. A list still
+    /// unallocated is sized once for `population` witnesses (if not 0), the
+    /// most a value can have.
+    fn record_sorted(&mut self, slot: usize, clients: &[ClientId], population: usize) {
         let bit = 1u128 << slot;
         self.containing |= bit;
+        if population > 0 && self.witnesses.capacity() == 0 && !clients.is_empty() {
+            self.witnesses.reserve_exact(population);
+        }
         let mut i = 0;
         let mut prev: Option<ClientId> = None;
         for &c in clients {
@@ -430,7 +435,7 @@ impl WitnessIndex {
         for (slot, view) in views.into_iter().enumerate() {
             assert!(slot < MAX_SLOTS, "at most 128 server replies supported");
             slots = slot + 1;
-            index.record_entries(slot, view.entries());
+            index.record_entries(slot, view.entries(), 0);
         }
         (index, mask_of(slots))
     }
@@ -440,11 +445,13 @@ impl WitnessIndex {
     /// records, both sorted by value. Sorted input is merged in with one
     /// forward cursor over the sorted index; an entry out of order (a
     /// non-conforming peer) falls back to the searched insert, preserving
-    /// set semantics.
+    /// set semantics. A value's first witnesses size its witness list for
+    /// `population` clients, if that is not 0 (else it grows as it fills).
     pub(crate) fn record_entries<'a>(
         &mut self,
         slot: usize,
         entries: impl IntoIterator<Item = (TaggedValue, &'a [ClientId])>,
+        population: usize,
     ) {
         // Every entry before `cursor` is below every in-order value still to
         // come; a searched insert (a value below `prev`) keeps that true.
@@ -463,7 +470,7 @@ impl WitnessIndex {
                 }
                 &mut self.entries[cursor].1
             };
-            w.record_sorted(slot, clients);
+            w.record_sorted(slot, clients, population);
         }
     }
 
@@ -576,14 +583,18 @@ impl WitnessIndex {
     /// A selection evaluator restricted to the slots in `mask` (the servers
     /// that actually replied to this read), for a cluster with `servers`
     /// servers, `max_faults` crash tolerance and degrees `1 ..= max_degree`.
-    pub fn selector(
-        &self,
+    /// `scratch` is its degree buffer: one kept across reads
+    /// ([`FastReadState::selector`](crate::FastReadState::selector)) makes
+    /// a selection allocate nothing once it has grown.
+    pub fn selector<'a>(
+        &'a self,
+        scratch: &'a mut Vec<u128>,
         mask: u128,
         servers: usize,
         max_faults: usize,
         max_degree: usize,
-    ) -> WitnessSelector<'_> {
-        WitnessSelector { index: self, mask, servers, max_faults, max_degree, scratch: Vec::new() }
+    ) -> WitnessSelector<'a> {
+        WitnessSelector { index: self, mask, servers, max_faults, max_degree, scratch }
     }
 }
 
@@ -608,8 +619,8 @@ pub fn mask_of(slots: usize) -> u128 {
 /// Selection is a single descending walk over the index (the candidates are
 /// already distinct and tag-ordered — no per-read collect/sort/dedup), and
 /// each candidate's masked witness masks are materialized once and shared
-/// across all of its degree probes. The scratch buffer is the only
-/// allocation, reused across every candidate of the walk.
+/// across all of its degree probes. The borrowed scratch buffer is the only
+/// memory it needs, reused across every candidate of the walk.
 #[derive(Debug)]
 pub struct WitnessSelector<'a> {
     index: &'a WitnessIndex,
@@ -619,7 +630,7 @@ pub struct WitnessSelector<'a> {
     max_degree: usize,
     /// Masked witness masks of the candidate under evaluation, sorted by
     /// descending popcount; refilled per candidate, reused across degrees.
-    scratch: Vec<u128>,
+    scratch: &'a mut Vec<u128>,
 }
 
 impl WitnessSelector<'_> {
@@ -727,7 +738,7 @@ mod tests {
 
     fn indexed_degree(replies: &[Snapshot], servers: usize, t: usize, max_degree: usize, v: TaggedValue) -> Option<usize> {
         let (index, mask, s, t, d) = indexed(replies, servers, t, max_degree);
-        index.selector(mask, s, t, d).degree(v)
+        index.selector(&mut Vec::new(), mask, s, t, d).degree(v)
     }
 
     const W0: ClientId = ClientId::writer(0);
@@ -811,7 +822,7 @@ mod tests {
         assert_eq!(adm.degree(init), Some(1));
         assert_eq!(adm.select_return_value(), init);
         let (index, mask) = WitnessIndex::from_views(replies.iter().map(SnapshotSource::view));
-        assert_eq!(index.selector(mask, 5, 1, 3).select_return_value(), init);
+        assert_eq!(index.selector(&mut Vec::new(), mask, 5, 1, 3).select_return_value(), init);
     }
 
     #[test]
@@ -831,7 +842,8 @@ mod tests {
         assert_eq!(adm.select_return_value(), old);
         assert_eq!(adm.candidates_descending(), vec![new, old]);
         let (index, mask) = WitnessIndex::from_views(replies.iter().map(SnapshotSource::view));
-        let mut sel = index.selector(mask, 5, 1, 3);
+        let mut scratch = Vec::new();
+        let mut sel = index.selector(&mut scratch, mask, 5, 1, 3);
         assert_eq!(sel.degree(new), None);
         assert_eq!(sel.max_candidate(), Some(new));
         assert_eq!(sel.select_return_value(), old);
@@ -871,7 +883,7 @@ mod tests {
     fn selector_panics_like_the_reference_on_empty_replies() {
         let replies: Vec<Snapshot> = vec![Snapshot::default()];
         let (index, mask) = WitnessIndex::from_views(replies.iter().map(SnapshotSource::view));
-        index.selector(mask, 3, 1, 2).select_return_value();
+        index.selector(&mut Vec::new(), mask, 3, 1, 2).select_return_value();
     }
 
     #[test]
@@ -884,7 +896,7 @@ mod tests {
             version: 1,
             latest: v,
             pruned: TaggedValue::initial(),
-            entries: vec![ValueRecord { value: v, updated: vec![W0].into() }],
+            entries: vec![ValueRecord { value: v, updated: vec![W0].into() }].into(),
         });
         let caches = vec![cache.clone(), cache.clone()];
         let adm = Admissibility::new(&caches, 3, 1, 2);
@@ -900,10 +912,10 @@ mod tests {
         // admissible; with all slots it is.
         let replies: Vec<Snapshot> = (0..4).map(|_| snap(&[(v, &[W0])])).collect();
         let (index, mask) = WitnessIndex::from_views(replies.iter().map(SnapshotSource::view));
-        assert_eq!(index.selector(mask, 5, 1, 3).degree(v), Some(1));
-        assert_eq!(index.selector(0b11, 5, 1, 3).degree(v), None);
-        assert_eq!(index.selector(0b11, 5, 1, 3).max_candidate(), Some(v));
-        assert_eq!(index.selector(0, 5, 1, 3).max_candidate(), None);
+        assert_eq!(index.selector(&mut Vec::new(), mask, 5, 1, 3).degree(v), Some(1));
+        assert_eq!(index.selector(&mut Vec::new(), 0b11, 5, 1, 3).degree(v), None);
+        assert_eq!(index.selector(&mut Vec::new(), 0b11, 5, 1, 3).max_candidate(), Some(v));
+        assert_eq!(index.selector(&mut Vec::new(), 0, 5, 1, 3).max_candidate(), None);
     }
 
     #[test]
@@ -916,8 +928,8 @@ mod tests {
         assert_eq!(index.len(), 1);
         index.evict(1, v);
         // Slot 0 still holds it, with w0 only.
-        assert_eq!(index.selector(0b1, 1, 0, 1).degree(v), Some(1));
-        assert_eq!(index.selector(0b10, 2, 1, 1).degree(v), None);
+        assert_eq!(index.selector(&mut Vec::new(), 0b1, 1, 0, 1).degree(v), Some(1));
+        assert_eq!(index.selector(&mut Vec::new(), 0b10, 2, 1, 1).degree(v), None);
         index.evict(0, v);
         assert!(index.is_empty(), "no slot holds the value any more");
         assert_eq!(index.values_in(u128::MAX).count(), 0);
@@ -928,12 +940,13 @@ mod tests {
         let v = tv(1, 0, 1);
         let mut index = WitnessIndex::new();
         index.record_witness(127, v, W0);
-        assert_eq!(index.selector(mask_of(128), 128, 0, 1).max_candidate(), Some(v));
+        let mut scratch = Vec::new();
+        assert_eq!(index.selector(&mut scratch, mask_of(128), 128, 0, 1).max_candidate(), Some(v));
         // 128 one-reply snapshots is the widest supported read.
         let replies: Vec<Snapshot> = (0..128).map(|_| snap(&[(v, &[W0])])).collect();
         let (wide, mask) = WitnessIndex::from_views(replies.iter().map(SnapshotSource::view));
         assert_eq!(mask, u128::MAX);
-        assert_eq!(wide.selector(mask, 128, 0, 1).degree(v), Some(1));
+        assert_eq!(wide.selector(&mut Vec::new(), mask, 128, 0, 1).degree(v), Some(1));
         assert!(std::panic::catch_unwind(|| {
             let mut index = WitnessIndex::new();
             index.record_value(128, v);

@@ -86,8 +86,9 @@ pub use cluster::{Cluster, ScheduledOp};
 pub use events::{ClientEvent, OpKind, OpResult};
 pub use bank::ServerBank;
 pub use msg::{
-    ClientSet, DeltaSnapshot, FastReadState, FloorReport, Msg, OpHandle, OpId, ReaderCache,
-    RegisterTransfer, Snapshot, SnapshotCache, StateTransfer, ValueRecord,
+    ClientSet, DeltaRecords, DeltaSnapshot, FastReadState, FloorReport, Msg, OpHandle, OpId,
+    ReaderCache, Record, Records, RegisterTransfer, Snapshot, SnapshotCache, StateTransfer,
+    ValueRecord,
 };
 pub use protocol::{ParseProtocolError, Protocol};
 pub use reconfig::JointQuorum;

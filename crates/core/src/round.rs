@@ -312,7 +312,7 @@ impl RoundMachine {
             mode,
             wire,
             val_queue: vec![TaggedValue::initial()],
-            state: FastReadState::new(),
+            state: FastReadState::new(config.readers() + config.writers()),
             gc_floor: TaggedValue::initial(),
         };
         Self::new(ClientId::Reader(id), config, Role::Reader(reader))
@@ -600,19 +600,26 @@ impl Reader {
         floor: TaggedValue,
     ) -> FastRead {
         let Reader { mode, val_queue, state, gc_floor, .. } = self;
-        let built;
-        let (index, mask) = match &inflight.phase {
+        let (servers, t, readers) = (scope.targets.len(), config.max_faults(), config.readers());
+        let max_degree = match mode {
+            ReadMode::Fast => readers + 1,
+            ReadMode::Adaptive => adaptive_degree_cap(servers, t, readers),
+            ReadMode::Slow => unreachable!("slow reads never run a fast round"),
+        };
+        let (built, mut scratch);
+        let mut sel = match &inflight.phase {
             Phase::ReadFast { replies } => {
                 for snapshot in replies.values() {
                     extend_sorted(val_queue, snapshot.entries.iter().map(|e| e.value));
                 }
                 built = WitnessIndex::from_views(replies.values().map(SnapshotView::Full));
-                (&built.0, built.1)
+                scratch = Vec::new();
+                built.0.selector(&mut scratch, built.1, servers, t, max_degree)
             }
             _ => {
                 let mask = acks.iter().fold(0, |m, &s| m | FastReadState::mask_bit(s));
                 extend_sorted(val_queue, state.index().values_in(mask));
-                (state.index(), mask)
+                state.selector(mask, servers, t, max_degree)
             }
         };
         // Entries below the announced GC floor are below every client's
@@ -624,19 +631,12 @@ impl Reader {
         }
         // The module docs' four reasons: 2 and 4 latched, 3, 1.
         let secure = inflight.must_secure || scope.joint.is_some() || *gc_floor > floor;
-        let (servers, t, readers) = (scope.targets.len(), config.max_faults(), config.readers());
         match mode {
-            ReadMode::Fast => {
-                let mut sel = index.selector(mask, servers, t, readers + 1);
-                if secure {
-                    FastRead::Secure(sel.max_candidate().unwrap_or_else(TaggedValue::initial))
-                } else {
-                    FastRead::Return(sel.select_return_value())
-                }
+            ReadMode::Fast if secure => {
+                FastRead::Secure(sel.max_candidate().unwrap_or_else(TaggedValue::initial))
             }
-            ReadMode::Adaptive => {
-                let cap = adaptive_degree_cap(servers, t, readers);
-                let mut sel = index.selector(mask, servers, t, cap);
+            ReadMode::Fast => FastRead::Return(sel.select_return_value()),
+            _ => {
                 let max = sel.max_candidate().unwrap_or_else(TaggedValue::initial);
                 // Fast when the maximum is safely confirmed; the degree-based
                 // accept stands on the same valQueue anchor and the same
@@ -648,7 +648,6 @@ impl Reader {
                     FastRead::Secure(max)
                 }
             }
-            ReadMode::Slow => unreachable!("slow reads never run a fast round"),
         }
     }
 }

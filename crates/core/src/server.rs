@@ -192,7 +192,9 @@ use mwr_sim::{Automaton, Context};
 use mwr_types::{ClientId, InlineList, ProcessId, TaggedValue};
 
 use crate::events::ClientEvent;
-use crate::msg::{ClientSet, DeltaSnapshot, FloorReport, Msg, Snapshot, StateTransfer, ValueRecord};
+use crate::msg::{
+    ClientSet, DeltaRecords, DeltaSnapshot, FloorReport, Msg, Snapshot, StateTransfer, ValueRecord,
+};
 
 /// One stored value's bookkeeping: which clients are registered on it and
 /// when (in registration-version terms) each one arrived.
@@ -224,10 +226,27 @@ impl Entry {
         self.updated.binary_search_by_key(&client, |r| r.0)
     }
 
+    /// How many clients registered on this value after version `from`.
+    fn registered_since(&self, from: u64) -> usize {
+        if self.max_reg <= from {
+            0
+        } else if self.first_added > from {
+            self.updated.len() // every registration of a value added since
+        } else {
+            self.updated.iter().filter(|&&(_, v)| v > from).count()
+        }
+    }
+
     /// Registers `c` on this value unless it already is, stamping the
-    /// registration with the next version.
-    fn register(&mut self, c: ClientId, version: &mut u64) {
+    /// registration with the next version. The third registration moves the
+    /// list out of place into room for `population` (the register's `R + W`,
+    /// if above two: every client it could ever hold), so it allocates once
+    /// and never grows again.
+    fn register(&mut self, c: ClientId, version: &mut u64, population: usize) {
         if let Err(i) = self.find(c) {
+            if self.updated.len() == 2 && population > 2 && !self.updated.is_spilled() {
+                self.updated.reserve(population - 2);
+            }
             *version += 1;
             self.updated.insert(i, (c, *version));
             self.max_reg = *version;
@@ -238,7 +257,8 @@ impl Entry {
 /// Acknowledged-floor GC bookkeeping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct GcState {
-    /// The cluster's full client population (R + W), kept for diagnostics.
+    /// The cluster's full client population (R + W): the room a store
+    /// entry's registrations spill into.
     population: usize,
     /// Every client this server has heard any message from. Pruning is
     /// membership-aware: it engages once `floors` covers `seen`.
@@ -324,6 +344,11 @@ impl ServerState {
         state
     }
 
+    /// The client population GC was enabled for (0 while GC is off).
+    fn population(&self) -> usize {
+        self.gc.as_ref().map_or(0, |g| g.population)
+    }
+
     /// The current maximum value `vali`.
     pub fn latest(&self) -> TaggedValue {
         self.latest
@@ -381,8 +406,9 @@ impl ServerState {
         if below && self.find(val).is_err() {
             return; // dead on arrival: a late duplicate below the GC floor
         }
+        let population = self.population();
         let i = self.insert(val);
-        self.store[i].1.register(c, &mut self.version);
+        self.store[i].1.register(c, &mut self.version, population);
         if val > self.latest {
             self.latest = val;
         }
@@ -409,14 +435,14 @@ impl ServerState {
         };
         let mark = self.registered_up_to[i].1;
         self.registered_up_to[i].1 = mark.max(acked);
-        let latest = self.latest;
+        let (latest, population) = (self.latest, self.population());
         let version = &mut self.version;
         for (val, entry) in &mut self.store {
             // The initial value is in every reader's `valQueue` from birth;
             // full-info re-sends it every read.
             let window = mark < entry.first_added && entry.first_added <= acked;
             if window || *val == TaggedValue::initial() || *val == latest {
-                entry.register(reader, version);
+                entry.register(reader, version, population);
             }
         }
     }
@@ -610,30 +636,35 @@ impl ServerState {
     /// order the wire wants), so the reply is one walk over the live values
     /// — a single comparison skips untouched ones via `max_reg` — with no
     /// registration log and no sort. A record carries up to two clients in
-    /// place and more in one exact-size allocation; the record list is
-    /// allocated once, at the first record, so an empty reply allocates
-    /// nothing.
+    /// place and more in the reply's one overflow buffer. The record list
+    /// is allocated at the first record, with room for a record per value
+    /// left; the overflow buffer (boxed) at the first record that spills,
+    /// with room for exactly the clients of every list that spills. So an
+    /// empty reply allocates nothing, a reply of short lists once, and any
+    /// other three times.
     pub fn delta_since(&self, from: u64) -> DeltaSnapshot {
-        let mut entries: Vec<ValueRecord> = Vec::new();
+        let mut entries = DeltaRecords::new();
+        let mut spilled = false; // whether the overflow buffer is sized
         for (i, (val, entry)) in self.store.iter().enumerate() {
-            if entry.max_reg <= from {
+            let new = entry.registered_since(from);
+            if new == 0 {
                 continue; // nothing registered on this value since `from`
             }
-            let updated: InlineList<ClientId> = if entry.first_added > from {
-                // The value itself is new since `from`, so every one of its
-                // registrations is too (the common case for fresh writes).
-                entry.updated.map(|(c, _)| c)
-            } else {
-                let new = entry.updated.iter().filter(|&&(_, v)| v > from);
-                let mut updated = InlineList::with_capacity(new.clone().count());
-                updated.extend(new.map(|&(c, _)| c));
-                updated
-            };
-            if !updated.is_empty() {
-                // Room for a record per value left: a no-op after the first.
-                entries.reserve_exact(self.store.len() - i);
-                entries.push(ValueRecord { value: *val, updated });
+            if entries.is_empty() {
+                entries.reserve(self.store.len() - i, 0);
             }
+            let clients = entry.updated.iter().filter(|&&(_, v)| v > from).map(|&(c, _)| c);
+            if new <= 2 {
+                entries.push_inline(*val, clients);
+                continue;
+            }
+            entries.open(*val);
+            if !spilled {
+                spilled = true;
+                let left = self.store[i..].iter().map(|(_, e)| e.registered_since(from));
+                entries.reserve(0, left.filter(|&n| n > 2).sum());
+            }
+            entries.extend_last(new, clients);
         }
         DeltaSnapshot {
             from,
@@ -1514,7 +1545,7 @@ mod tests {
         let last = s.delta_since(s.version() - 1);
         let values: Vec<TaggedValue> = last.entries.iter().map(|rec| rec.value).collect();
         assert_eq!(values, vec![v3], "the registration on latest is the newest");
-        assert_eq!(last.entries[0].updated.as_slice(), [r]);
+        assert_eq!(last.entries.iter().next().map(|record| record.updated), Some(&[r][..]));
     }
 
     /// A value pruned and then re-inserted by a full-info `ReadFast` is a

@@ -102,7 +102,7 @@ fn merging_a_delta_with_nothing_new_allocates_nothing() {
     let everyone: Vec<ClientId> = readers.iter().chain(&writers).copied().collect();
     let values: Vec<TaggedValue> = (1..=6).map(|ts| tv(ts, ts as u32 % 8)).collect();
 
-    let mut state = FastReadState::new();
+    let mut state = FastReadState::new(everyone.len());
     for &s in &servers {
         let entries = values.iter().map(|&v| record(v, &everyone)).collect();
         let delta = DeltaSnapshot {

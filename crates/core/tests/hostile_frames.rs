@@ -5,17 +5,17 @@
 //! the sender's choice: a few kilobytes of nested headers must not recurse
 //! the decoder off its thread's stack.
 //!
-//! The counting allocator below counts every thread. Beside the
-//! allocation test runs only the nesting test, which holds about 10 KB at
-//! once: the allocation test's decodes peak near 32 KiB, so its 64 KiB
-//! bound still has room for both.
+//! The counting allocator below counts every thread. Beside the two
+//! allocation tests run only each other and the nesting test, which holds
+//! about 10 KB at once: the allocation tests' decodes peak near 32 KiB, so
+//! their 64 KiB bound still has room for the others.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mwr_core::{DeltaSnapshot, Msg, OpHandle, OpId, ValueRecord};
+use mwr_core::{DeltaRecords, DeltaSnapshot, Msg, OpHandle, OpId, ValueRecord};
 use mwr_types::codec::{DecodeError, Wire, MAX_COLLECTION_LEN};
-use mwr_types::{ClientId, ConfigEpoch, RegisterId, TaggedValue};
+use mwr_types::{ClientId, ConfigEpoch, RegisterId, Tag, TaggedValue, Value, WriterId};
 
 /// Bytes currently allocated, and the most that ever were.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -69,8 +69,8 @@ fn a_declared_length_reserves_no_more_than_the_frame_can_hold() {
     // Both messages end in an empty collection: the generic `Vec<T>` codec
     // and the hand-rolled run-length arm.
     let runs = Msg::ReadFastRuns { handle, acked: 0, floor: initial, new_values: vec![] };
-    let delta =
-        DeltaSnapshot { from: 0, version: 0, latest: initial, pruned: initial, entries: vec![] };
+    let entries = DeltaRecords::new();
+    let delta = DeltaSnapshot { from: 0, version: 0, latest: initial, pruned: initial, entries };
     let runs_ack = Msg::ReadFastRunsAck { handle, delta };
 
     // The smallest such frame: a count and five bytes of nothing (13 bytes).
@@ -110,6 +110,50 @@ fn a_declared_length_reserves_no_more_than_the_frame_can_hold() {
         assert_eq!(result, Err(DecodeError::LengthOverflow { declared: MAX_COLLECTION_LEN + 1 }));
         assert!(peak < BOUND);
     }
+}
+
+/// A run list is the one layout where a few bytes may rightly stand for
+/// many elements: a run of 2²⁴ clients is nine bytes. So the bound on what
+/// a fast-read reply may expand to is the delta's, not each record's: a
+/// frame whose records together claim more than [`MAX_COLLECTION_LEN`]
+/// clients is refused before the run that crosses the bound is expanded,
+/// and nothing is reserved on the strength of a run's length alone.
+#[test]
+fn a_deltas_runs_together_expand_to_at_most_the_collection_bound() {
+    let handle = OpHandle { op: OpId { client: ClientId::reader(1), seq: 3 }, phase: 1 };
+    let (v1, v2) = (tv(1), tv(2));
+    // Two records of three consecutive clients: one run each, and the
+    // frame ends in the second run's length.
+    let records = [
+        ValueRecord { value: v1, updated: (0..3).map(ClientId::reader).collect() },
+        ValueRecord { value: v2, updated: (0..3).map(ClientId::writer).collect() },
+    ];
+    let delta = DeltaSnapshot {
+        from: 0,
+        version: 6,
+        latest: v2,
+        pruned: TaggedValue::initial(),
+        entries: records.into_iter().collect(),
+    };
+    let honest = Msg::ReadFastRunsAck { handle, delta }.to_bytes();
+    assert_eq!(Msg::decode(&mut &honest[..]).map(|msg| msg.encoded_len()), Ok(honest.len()));
+
+    // The second run claims all but two clients of the bound: alone within
+    // it, together with the first record's three one past it.
+    let mut hostile = honest.to_vec();
+    let at = hostile.len() - 4;
+    hostile[at..].copy_from_slice(&(MAX_COLLECTION_LEN as u32 - 2).to_be_bytes());
+    let (result, peak) = peak_of(|| Msg::decode(&mut &hostile[..]));
+    let refused = result.err();
+    assert_eq!(
+        (refused, peak < BOUND),
+        (Some(DecodeError::LengthOverflow { declared: MAX_COLLECTION_LEN + 1 }), true),
+        "a 2^24-client run after a record of three held {peak} bytes"
+    );
+}
+
+fn tv(ts: u64) -> TaggedValue {
+    TaggedValue::new(Tag::new(ts, WriterId::new(0)), Value::new(ts))
 }
 
 /// A frame carries at most two headers (`ForRegister`, `InEpoch`), and a

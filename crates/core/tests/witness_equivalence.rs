@@ -77,7 +77,8 @@ proptest! {
         let replies: Vec<Snapshot> = raw.iter().map(|r| snapshot(r)).collect();
         let naive = Admissibility::new(&replies, servers, faults, max_degree);
         let (index, mask) = WitnessIndex::from_views(replies.iter().map(SnapshotSource::view));
-        let mut sel = index.selector(mask, servers, faults, max_degree);
+        let mut scratch = Vec::new();
+        let mut sel = index.selector(&mut scratch, mask, servers, faults, max_degree);
 
         let mut any_admissible = false;
         for i in 0..=POOL {
@@ -114,7 +115,7 @@ proptest! {
         faults in 0usize..3,
         max_degree in 1usize..5,
     ) {
-        let mut state = FastReadState::new();
+        let mut state = FastReadState::new(8);
         let mut mirror: BTreeMap<ServerId, SnapshotCache> = BTreeMap::new();
         for s in 0..4u32 {
             state.cache(ServerId::new(s));
@@ -127,7 +128,7 @@ proptest! {
                 version: *version,
                 latest: pool_value(*latest),
                 pruned: pool_value((*pruned).min(POOL)),
-                entries: snap.entries,
+                entries: snap.entries.into(),
             };
             let sid = ServerId::new(*server as u32);
             state.merge(sid, &delta);
@@ -148,8 +149,7 @@ proptest! {
             .map(|(_, c)| c.clone())
             .collect();
         let naive = Admissibility::new(&replied_caches, servers, faults, max_degree);
-        let mut sel =
-            state.index().selector(replied_bits as u128, servers, faults, max_degree);
+        let mut sel = state.selector(replied_bits as u128, servers, faults, max_degree);
         let mut any_admissible = false;
         for i in 0..=POOL {
             let v = pool_value(i);
@@ -192,7 +192,7 @@ proptest! {
         ),
         queue_bits in 0u8..128,
     ) {
-        let mut state = FastReadState::new();
+        let mut state = FastReadState::new(8);
         let mut mirror: BTreeMap<ServerId, SnapshotCache> = BTreeMap::new();
         for (server, entries, version, pruned, latest, kind) in &moves {
             let sid = ServerId::new(*server as u32);
@@ -213,7 +213,7 @@ proptest! {
                 version: *version,
                 latest: pool_value(*latest),
                 pruned: pool_value((*pruned).min(POOL)),
-                entries: records,
+                entries: records.into(),
             };
             state.merge(sid, &delta);
             cache.merge(&delta);

@@ -448,7 +448,7 @@ wire_layout! { struct ClientRun { start, len } }
 /// lists with dense index runs — which is what the registration gossip
 /// produces.
 pub mod client_runs {
-    use super::{Buf, BufMut, ClientId, ClientRun, DecodeError, InlineList, Wire, MAX_COLLECTION_LEN};
+    use super::{Buf, BufMut, ClientId, ClientRun, DecodeError, Wire, MAX_COLLECTION_LEN};
 
     struct Runs<'a> {
         ids: &'a [ClientId],
@@ -494,40 +494,85 @@ pub mod client_runs {
         }
     }
 
-    /// Decodes a run list back into the flat client list, expanding each
-    /// run in place — `decode(encode(ids)) == ids` for every list. The
-    /// list holds up to two clients in place; a longer one room for each
-    /// run as it is read, so one run of any length costs one allocation.
+    /// Most clients of one run handed over at once: what a sink that
+    /// reserves for them sets aside on a run's claim is at most 32 KiB,
+    /// [`MAX_RESERVED_BYTES`](super::MAX_RESERVED_BYTES) as for any declared
+    /// length.
+    const PIECE: u32 = (super::MAX_RESERVED_BYTES / std::mem::size_of::<ClientId>()) as u32;
+
+    /// Decodes a run list, handing the clients of each run to `expand` in
+    /// order — the clients of `decode(encode(ids))` are `ids`, for every
+    /// list. A run is handed over in pieces of at most 4 096 clients, so a
+    /// sink that reserves room for each piece grows with what it is given.
+    ///
+    /// `total` counts the clients expanded so far by every run list of the
+    /// message, this one included, and [`MAX_COLLECTION_LEN`] bounds it:
+    /// a run is checked against the bound before it is expanded. One bound
+    /// for the whole message, because a run is the one layout where a few
+    /// bytes may rightly stand for many elements (nine bytes for 2²⁴
+    /// clients), so a bound per list would let a frame claim it once per
+    /// list.
     ///
     /// # Errors
     ///
-    /// Rejects run counts, expanded totals beyond
-    /// [`MAX_COLLECTION_LEN`], and runs whose indices would overflow
-    /// `u32` — the declared-length defences of the plain `Vec` codec,
-    /// applied to the *expanded* size a hostile frame could claim cheaply.
-    pub fn decode<B: Buf>(buf: &mut B) -> Result<InlineList<ClientId>, DecodeError> {
+    /// Rejects a run count beyond [`MAX_COLLECTION_LEN`], a run that takes
+    /// `total` beyond it, and a run whose indices would overflow `u32` —
+    /// the declared-length defences of the plain `Vec` codec, applied to
+    /// the *expanded* size a hostile frame could claim cheaply.
+    pub fn decode<B: Buf>(
+        buf: &mut B,
+        total: &mut u64,
+        mut expand: impl FnMut(RunClients),
+    ) -> Result<(), DecodeError> {
         let declared = u64::decode(buf)?;
         if declared > MAX_COLLECTION_LEN {
             return Err(DecodeError::LengthOverflow { declared });
         }
-        let mut out = InlineList::new();
-        let mut total: u64 = 0;
         for _ in 0..declared {
             let run = ClientRun::decode(buf)?;
-            total += u64::from(run.len);
-            if total > MAX_COLLECTION_LEN {
-                return Err(DecodeError::LengthOverflow { declared: total });
+            *total += u64::from(run.len);
+            if *total > MAX_COLLECTION_LEN {
+                return Err(DecodeError::LengthOverflow { declared: *total });
             }
             if run.len > 0 && run.start.offset(run.len - 1).is_none() {
                 return Err(DecodeError::LengthOverflow { declared: u64::from(run.len) });
             }
-            out.reserve(run.len as usize);
-            for k in 0..run.len {
-                out.push(run.start.offset(k).expect("offset bound checked above"));
+            for at in (0..run.len).step_by(PIECE as usize) {
+                expand(RunClients { start: run.start, at, end: at + PIECE.min(run.len - at) });
             }
         }
-        Ok(out)
+        Ok(())
     }
+
+    /// The clients of (a piece of) one decoded run, in order: an exact-size
+    /// iterator, so a sink can reserve for them once.
+    #[derive(Debug, Clone)]
+    pub struct RunClients {
+        start: ClientId,
+        /// The offsets from `start` still to come: `at .. end`, all of
+        /// them valid (checked before the run is handed over).
+        at: u32,
+        end: u32,
+    }
+
+    impl Iterator for RunClients {
+        type Item = ClientId;
+
+        fn next(&mut self) -> Option<ClientId> {
+            if self.at == self.end {
+                return None;
+            }
+            self.at += 1;
+            self.start.offset(self.at - 1)
+        }
+
+        fn size_hint(&self) -> (usize, Option<usize>) {
+            let left = (self.end - self.at) as usize;
+            (left, Some(left))
+        }
+    }
+
+    impl ExactSizeIterator for RunClients {}
 }
 
 wire_layout! { enum ProcessId { 0 => Server(server), 1 => Client(client) } }
@@ -692,8 +737,10 @@ mod tests {
         let mut buf = BytesMut::new();
         client_runs::encode(ids, &mut buf);
         let mut cursor: &[u8] = &buf;
-        let decoded = client_runs::decode(&mut cursor).expect("decode runs");
-        assert_eq!(decoded.as_slice(), ids);
+        let (mut decoded, mut total) = (Vec::new(), 0);
+        client_runs::decode(&mut cursor, &mut total, |run| decoded.extend(run))
+            .expect("decode runs");
+        assert_eq!((&decoded[..], total), (ids, ids.len() as u64));
         assert!(cursor.is_empty(), "runs decode must consume the whole encoding");
     }
 
@@ -734,6 +781,21 @@ mod tests {
     }
 
     #[test]
+    fn a_long_run_is_handed_over_in_pieces_of_at_most_32_kib() {
+        let mut buf = BytesMut::new();
+        1u64.encode(&mut buf);
+        ClientRun { start: ClientId::writer(7), len: 10_000 }.encode(&mut buf);
+        let (mut pieces, mut clients) = (Vec::new(), Vec::new());
+        client_runs::decode(&mut &buf[..], &mut 0, |run| {
+            pieces.push(run.len());
+            clients.extend(run);
+        })
+        .expect("decode runs");
+        assert_eq!(pieces, [4_096, 4_096, 1_808]);
+        assert!(clients.iter().copied().eq((7..10_007).map(ClientId::writer)));
+    }
+
+    #[test]
     fn run_at_the_index_ceiling_round_trips() {
         let ids = vec![ClientId::writer(u32::MAX - 1), ClientId::writer(u32::MAX)];
         assert_eq!(client_runs::count(&ids), 1);
@@ -748,7 +810,7 @@ mod tests {
         1u64.encode(&mut buf);
         ClientRun { start: ClientId::reader(u32::MAX - 1), len: 3 }.encode(&mut buf);
         let mut bytes = buf.freeze();
-        assert!(client_runs::decode(&mut bytes).is_err());
+        assert!(client_runs::decode(&mut bytes, &mut 0, |_| {}).is_err());
     }
 
     #[test]
@@ -761,9 +823,31 @@ mod tests {
         ClientRun { start: ClientId::writer(0), len: 1 }.encode(&mut buf);
         let mut bytes = buf.freeze();
         assert_eq!(
-            client_runs::decode(&mut bytes),
+            client_runs::decode(&mut bytes, &mut 0, |_| {}),
             Err(DecodeError::LengthOverflow { declared: MAX_COLLECTION_LEN + 1 })
         );
+    }
+
+    #[test]
+    fn the_expansion_bound_spans_every_list_of_a_message() {
+        // Each list alone is within the bound; the second takes the
+        // message's total one past it and is refused before it expands.
+        let list = |start: ClientId, len: u32| {
+            let mut buf = BytesMut::new();
+            1u64.encode(&mut buf);
+            ClientRun { start, len }.encode(&mut buf);
+            buf.freeze()
+        };
+        let (mut total, mut pushed) = (0, 0);
+        let first = list(ClientId::reader(0), 3);
+        client_runs::decode(&mut &first[..], &mut total, |run| pushed += run.len())
+            .expect("within the bound");
+        let second = list(ClientId::writer(0), MAX_COLLECTION_LEN as u32 - 2);
+        assert_eq!(
+            client_runs::decode(&mut &second[..], &mut total, |run| pushed += run.len()),
+            Err(DecodeError::LengthOverflow { declared: MAX_COLLECTION_LEN + 1 })
+        );
+        assert_eq!(pushed, 3, "the refused run expanded nothing");
     }
 
     proptest! {

@@ -11,10 +11,11 @@ const INLINE: usize = 2;
 /// A list of `Copy` items that holds up to two of them in place and moves
 /// them to a `Vec` of its own on the third, which it keeps from then on.
 ///
-/// It is the form of every per-value client list the protocol keeps or
-/// sends — a server store entry's registrations and a fast-read record's
-/// `updated` set — so a value registered on by two clients or fewer costs
-/// no allocation of its own, in the store or on the way to the reader.
+/// It is the form of a server store entry's registrations and of a full
+/// snapshot record's `updated` set, so a value registered on by two
+/// clients or fewer costs no allocation of its own, in the store or on the
+/// way to the reader. (A delta's records keep two in place too, and their
+/// longer lists in one buffer per delta: `mwr_core::DeltaRecords`.)
 /// Where the final length is known beforehand ([`with_capacity`], [`map`],
 /// a [`FromIterator`] whose size hint is exact, [`reserve`], the wire
 /// decoder), a list longer than two spills with one allocation of exactly

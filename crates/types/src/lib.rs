@@ -19,7 +19,7 @@
 //!   reconfiguration moves the cluster through a joint epoch to a committed
 //!   one while clients keep serving.
 //! - [`InlineList`] — the per-value client list of a server's store and of a
-//!   fast-read record: two items in place, a `Vec` beyond.
+//!   full snapshot record: two items in place, a `Vec` beyond.
 //! - [`codec`] — a small hand-rolled binary wire codec used by the TCP
 //!   transport (the offline dependency set has no serde binary format).
 //!

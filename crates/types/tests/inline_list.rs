@@ -8,7 +8,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mwr_types::codec::{client_runs, Wire};
+use mwr_types::codec::Wire;
 use mwr_types::{ClientId, InlineList};
 
 thread_local! {
@@ -128,11 +128,6 @@ fn a_spill_from_a_known_count_is_one_allocation() {
         let bytes = ids.to_bytes();
         let (list, allocations) = counted(|| InlineList::<ClientId>::decode(&mut &bytes[..]).unwrap());
         assert_eq!((list.as_slice(), allocations), (&ids[..], expect), "decode {n}");
-
-        let mut runs = Vec::new();
-        client_runs::encode(&ids, &mut runs);
-        let (list, allocations) = counted(|| client_runs::decode(&mut &runs[..]).unwrap());
-        assert_eq!((list.as_slice(), allocations), (&ids[..], expect), "runs decode {n}");
     }
 }
 
